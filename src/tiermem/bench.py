@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import EmptyInputError, UnknownVariant, ValidationError
 from .retrieval import (
+    GATE_MODES,
     GATE_POOLINGS,
     GateState,
     QuerySpec,
@@ -35,14 +35,12 @@ from .tiers import (
     MemorySnapshot,
     TierConfig,
     TieredMemory,
-    encode_frame,
     encode_tokens,
     new_memory,
 )
 from .traceio import RawFrame
 from .vecspace import ProbeBank
 
-GATE_VARIANTS = ("ema", "never", "always")
 PRIOR_VARIANTS = ("bank", "random", "single")
 STAGE_VARIANTS = ("full", "s1", "s2")
 
@@ -64,8 +62,8 @@ class VariantFlags:
     stage: str = "full"
 
     def __post_init__(self):
-        if self.gate not in GATE_VARIANTS:
-            raise UnknownVariant(f"gate must be one of {GATE_VARIANTS}, got {self.gate!r}")
+        if self.gate not in GATE_MODES:
+            raise UnknownVariant(f"gate must be one of {GATE_MODES}, got {self.gate!r}")
         if self.prior not in PRIOR_VARIANTS:
             raise UnknownVariant(f"prior must be one of {PRIOR_VARIANTS}, got {self.prior!r}")
         if self.stage not in STAGE_VARIANTS:
@@ -335,7 +333,7 @@ class _FifoState:
         self.gate = GateState()
 
     def ingest(self, frame: RawFrame) -> None:
-        entry = encode_frame(frame.frame_index, frame.timestamp, frame.ingest_tokens(), self.bank)
+        entry = encode_tokens(frame.frame_index, frame.timestamp, frame.ingest_tokens(), self.bank)
         self.entries.append(entry)
         self.gate = update_gate(self.gate, entry.pooled_score)
 
@@ -367,7 +365,20 @@ def _stage1_result(snapshot: MemorySnapshot) -> RetrievalResult:
     )
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of the ranks they span."""
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(arr)]
+    ranks = np.empty(len(arr))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _rank_correlation(engine: Mapping[int, float], oracle: Mapping[int, float]) -> float | None:
+    """Spearman's rho: the Pearson correlation of average ranks."""
     shared = sorted(set(engine) & set(oracle))
     if len(shared) < 2:
         return None
@@ -375,7 +386,8 @@ def _rank_correlation(engine: Mapping[int, float], oracle: Mapping[int, float]) 
     ys = [oracle[f] for f in shared]
     if len(set(xs)) < 2 or len(set(ys)) < 2:
         return None
-    rho = spearmanr(xs, ys).statistic
+    ranks = np.column_stack([_average_ranks(xs), _average_ranks(ys)])
+    rho = np.corrcoef(ranks, rowvar=False)[1, 0]
     if math.isnan(rho):
         return None
     return float(rho)
@@ -613,7 +625,7 @@ def emit_score_histograms(
         if designated not in {f.frame_index for f in frames}:
             raise ValidationError(f"frame {designated} is not in the trace")
     raw = next(f for f in frames if f.frame_index == designated)
-    token_scores = [t.score for t in encode_tokens(designated, raw.ingest_tokens(), bank)]
+    token_scores = encode_tokens(designated, raw.timestamp, raw.ingest_tokens(), bank).scores.tolist()
 
     frame_bins = _bin_values(pooled, bins)
     token_bins = _bin_values(token_scores, bins)

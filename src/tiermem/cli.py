@@ -16,7 +16,7 @@ import sys
 
 from . import bench
 from .errors import TierMemError, ValidationError
-from .retrieval import load_queries_jsonl
+from .retrieval import GATE_POOLINGS, load_queries_jsonl
 from .synth import generate_stream, load_stream_spec
 from .tiers import TierConfig
 from .traceio import load_trace, write_trace
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_common(p, queries=True)
     p.add_argument("--variant", metavar="FLAGS", help="gate=...,prior=...,stage=...")
-    p.add_argument("--gate-pooling", choices=("mean", "max"), default="mean")
+    p.add_argument("--gate-pooling", choices=GATE_POOLINGS, default="mean")
     p.add_argument("--compare-oracle", action="store_true", help="score against the brute-force oracle")
     p.set_defaults(func=_cmd_replay)
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownVariant,
     ValidationError,
 )
-from .vecspace import normalize
+from .vecspace import pooled_max_sim_units, token_max_sims, unit_rows
 
 if TYPE_CHECKING:
     from .tiers import MemorySnapshot
@@ -116,7 +116,7 @@ class QuerySpec:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
-        units = np.stack([normalize(row) for row in arr])
+        units = unit_rows(arr)
         units.setflags(write=False)
         object.__setattr__(self, "unit_tokens", units)
         if self.ground_truth_frames is not None:
@@ -162,15 +162,6 @@ class RetrievalResult:
         }
 
 
-# Instrumentation: number of score_candidates invocations since import.
-# Lets tests assert the gate really short-circuits candidate scoring.
-_score_candidates_calls = 0
-
-
-def score_candidates_call_count() -> int:
-    return _score_candidates_calls
-
-
 def gate_check(
     snapshot: "MemorySnapshot",
     gate: GateState,
@@ -189,37 +180,20 @@ def gate_check(
     threshold = query.rho * max(gate.ema, gate.floor)
     if not snapshot.short:
         return False, 0.0, threshold
-    short_matrix = np.vstack([entry.token_matrix for entry in snapshot.short])
-    if short_matrix.shape[1] != query.dim:
-        raise DimensionError(
-            f"memory dimension {short_matrix.shape[1]} vs query dimension {query.dim}"
-        )
-    sims = np.clip(short_matrix @ query.unit_tokens.T, -1.0, 1.0)
-    per_token = np.max(sims, axis=1)
-    if pooling == "mean":
-        affinity = float(np.mean(per_token))
-    else:
-        affinity = float(np.max(per_token))
+    per_token = token_max_sims(
+        np.vstack([entry.token_matrix for entry in snapshot.short]), query.unit_tokens
+    )
+    affinity = float(np.mean(per_token) if pooling == "mean" else np.max(per_token))
     return affinity >= threshold, affinity, threshold
 
 
 def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> dict[int, float]:
     """Late-interaction score for every mid/long frame, keyed by frame index."""
-    global _score_candidates_calls
-    _score_candidates_calls += 1
-    entries = sorted(
-        list(snapshot.mid) + list(snapshot.long), key=lambda e: e.frame_index
-    )
-    scores: dict[int, float] = {}
-    for entry in entries:
-        matrix = entry.token_matrix
-        if matrix.shape[1] != query.dim:
-            raise DimensionError(
-                f"frame {entry.frame_index} dimension {matrix.shape[1]} vs query dimension {query.dim}"
-            )
-        sims = np.clip(matrix @ query.unit_tokens.T, -1.0, 1.0)
-        scores[entry.frame_index] = float(np.mean(np.max(sims, axis=1)))
-    return scores
+    entries = sorted(snapshot.mid + snapshot.long, key=lambda e: e.frame_index)
+    return {
+        entry.frame_index: pooled_max_sim_units(entry.token_matrix, query.unit_tokens)
+        for entry in entries
+    }
 
 
 def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:

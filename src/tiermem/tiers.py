@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,12 +37,13 @@ from .errors import (
     ValidationError,
 )
 from .retrieval import GateState, update_gate
-from .vecspace import ProbeBank, max_sim, normalize, pooled_max_sim_units
+from .traceio import MAX_COORD
+from .vecspace import ProbeBank, max_sim_rows, pooled_max_sim_units, unit_rows
 
 
 @dataclass(frozen=True, eq=False)
 class TokenRecord:
-    """One retained token: unit embedding, cached salience, origin coordinates."""
+    """One retained token, as a view into its frame's columns."""
 
     embedding: np.ndarray
     score: float
@@ -49,64 +51,90 @@ class TokenRecord:
     spatial_row: int
     spatial_col: int
 
-    def __post_init__(self):
-        arr = np.asarray(self.embedding, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DimensionError(f"token embedding must be 1-D, got shape {arr.shape}")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "embedding", arr)
-        if not math.isfinite(self.score):
-            raise ValidationError(f"token score must be finite, got {self.score}")
-        if self.frame_index < 0:
-            raise ValidationError("frame_index must be non-negative")
-        if self.spatial_row < 0 or self.spatial_col < 0:
-            raise ValidationError("spatial coordinates must be non-negative")
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so FrameEntry keeps it uncopied."""
+    arr.setflags(write=False)
+    return arr
+
+
+_COLUMNS = {"token_matrix": np.float64, "scores": np.float64, "rows": np.int64, "cols": np.int64}
+
+
+def _column(values, dtype) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read a token column as {np.dtype(dtype)}: {exc}") from exc
+    if arr.flags.writeable:
+        arr = _sealed(arr.copy())
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class FrameEntry:
-    """A frame's surviving tokens plus per-frame metadata.
+    """A frame's surviving tokens as four read-only columns, plus metadata.
 
-    pooled_score and the stacked token matrix are derived from the token
-    list at construction, so they can never drift out of sync with it.
+    Row i of token_matrix is token i's unit embedding, scores[i] its
+    cached salience and (rows[i], cols[i]) its origin in the frame grid.
+    Writable inputs are copied. pooled_score is derived from the columns
+    at construction, so it can never drift out of sync with them.
     """
 
     frame_index: int
     timestamp: float
-    tokens: tuple[TokenRecord, ...]
+    token_matrix: np.ndarray = field(repr=False)
+    scores: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
     scene_boundary: bool = False
     pooled_score: float = field(init=False)
-    token_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        tokens = tuple(self.tokens)
-        if not tokens:
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+        if self.token_matrix.ndim != 2:
+            raise DimensionError(f"token_matrix must be 2-D, got shape {self.token_matrix.shape}")
+        n = self.token_matrix.shape[0]
+        if n == 0:
             raise EmptyFrame(f"frame {self.frame_index} has no tokens")
-        for t in tokens:
-            if t.frame_index != self.frame_index:
-                raise ValidationError(
-                    f"token from frame {t.frame_index} placed in frame {self.frame_index}"
-                )
-        object.__setattr__(self, "tokens", tokens)
-        matrix = np.stack([t.embedding for t in tokens])
-        matrix.setflags(write=False)
-        object.__setattr__(self, "token_matrix", matrix)
-        scores = np.array([t.score for t in tokens], dtype=np.float64)
-        object.__setattr__(self, "pooled_score", float(np.mean(scores)))
+        for name in ("scores", "rows", "cols"):
+            shape = getattr(self, name).shape
+            if shape != (n,):
+                raise ValidationError(f"{name} has shape {shape}, expected ({n},)")
+        if self.frame_index < 0:
+            raise ValidationError("frame_index must be non-negative")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValidationError(f"frame {self.frame_index}: token scores must be finite")
+        for coords in (self.rows, self.cols):
+            if coords.min() < 0 or coords.max() > MAX_COORD:
+                raise ValidationError(f"spatial coordinates must be in [0, {MAX_COORD}]")
+        object.__setattr__(self, "pooled_score", float(np.mean(self.scores)))
 
     @property
     def token_count(self) -> int:
-        return len(self.tokens)
+        return self.scores.shape[0]
 
-    def with_tokens(self, kept: Sequence[TokenRecord]) -> "FrameEntry":
-        """Same frame, reduced token set (embeddings and scores untouched)."""
+    def __len__(self) -> int:
+        return self.token_count
+
+    @property
+    def tokens(self) -> tuple[TokenRecord, ...]:
+        """Per-token views, built on each access; the pipeline never uses them."""
+        return tuple(
+            TokenRecord(embedding, score, self.frame_index, row, col)
+            for embedding, score, row, col in zip(
+                self.token_matrix, self.scores.tolist(), self.rows.tolist(), self.cols.tolist()
+            )
+        )
+
+    def take(self, positions: np.ndarray) -> "FrameEntry":
+        """Same frame, keeping the tokens at the given positions in that order."""
         return FrameEntry(
             frame_index=self.frame_index,
             timestamp=self.timestamp,
-            tokens=tuple(kept),
             scene_boundary=self.scene_boundary,
+            **{name: _sealed(getattr(self, name)[positions]) for name in _COLUMNS},
         )
 
 
@@ -149,6 +177,10 @@ class TierConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("keep_fraction", "semantic_weight", "scene_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.keep_fraction <= 1.0):
             raise ConfigError(f"keep_fraction must be in (0, 1], got {self.keep_fraction}")
         if not (self.semantic_weight >= 0.0 and math.isfinite(self.semantic_weight)):
@@ -263,46 +295,32 @@ class MemorySnapshot:
 
 
 def encode_tokens(
-    frame_index: int, raw_tokens: Iterable[tuple], bank: ProbeBank
-) -> list[TokenRecord]:
-    """Normalize and score raw (vector, row, col) triples.
-
-    Scoring runs per token through the same public max_sim path that any
-    later recomputation would use, so stored scores reproduce bit-exactly.
-    """
-    records = []
-    for vec, row, col in raw_tokens:
-        unit = normalize(vec, dim=bank.dim)
-        score = max_sim(unit, bank)
-        records.append(
-            TokenRecord(
-                embedding=unit,
-                score=score,
-                frame_index=frame_index,
-                spatial_row=int(row),
-                spatial_col=int(col),
-            )
-        )
-    return records
-
-
-def encode_frame(
-    frame_index: int,
-    timestamp: float,
-    raw_tokens: Iterable[tuple],
-    bank: ProbeBank,
-    scene_boundary: bool = False,
+    frame_index: int, timestamp: float, raw_tokens: Iterable[tuple], bank: ProbeBank
 ) -> FrameEntry:
-    """Build a full-fidelity FrameEntry outside of a TieredMemory.
+    """Normalize and score raw (vector, row, col) triples into a FrameEntry.
 
-    Used by harness modes that bypass the compression pipeline.
+    The frame is normalized and scored at once through the same
+    batch-invariant kernels max_sim uses, on the re-normalized rows as
+    max_sim sees them, so stored scores reproduce bit-exactly.
     """
-    records = encode_tokens(frame_index, raw_tokens, bank)
+    raw = list(raw_tokens)
+    if not raw:
+        raise EmptyFrame(f"frame {frame_index} has no tokens")
+    vectors, rows, cols = zip(*raw)
+    try:
+        matrix = np.array(vectors, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionError(f"frame {frame_index}: token vectors differ in shape") from exc
+    if matrix.ndim != 2:
+        raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
+    units = _sealed(unit_rows(matrix))
     return FrameEntry(
         frame_index=frame_index,
         timestamp=float(timestamp),
-        tokens=tuple(records),
-        scene_boundary=scene_boundary,
+        token_matrix=units,
+        scores=_sealed(max_sim_rows(unit_rows(units), bank)),
+        rows=rows,
+        cols=cols,
     )
 
 
@@ -320,6 +338,11 @@ def is_scene_boundary(
     return similarity < config.scene_threshold
 
 
+def _grid_keys(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """One integer per grid position; coordinates are at most MAX_COORD."""
+    return rows * (MAX_COORD + 1) + cols
+
+
 def temporal_semantic_prune(
     frame: FrameEntry, reference: FrameEntry | None, config: TierConfig
 ) -> FrameEntry:
@@ -327,10 +350,11 @@ def temporal_semantic_prune(
 
     Scene-boundary frames pass through whole. Otherwise each token's
     redundancy is its cosine to the reference token at the same spatial
-    position (0 when absent), the keep-score is (1 - redundancy) plus
-    semantic_weight times the token's salience, and the top
-    ceil(keep_fraction * n) tokens by keep-score survive. Ties keep the
-    lower token position. Embeddings and scores pass through unchanged.
+    position (the first such token; 0 when absent), the keep-score is
+    (1 - redundancy) plus semantic_weight times the token's salience, and
+    the top ceil(keep_fraction * n) tokens by keep-score survive. Ties
+    keep the lower token position. Embeddings and scores pass through
+    unchanged.
     """
     if frame.scene_boundary:
         return frame
@@ -338,21 +362,19 @@ def temporal_semantic_prune(
     keep = math.ceil(config.keep_fraction * n)
     if keep >= n:
         return frame
-    by_position: dict[tuple[int, int], TokenRecord] = {}
+    redundancy = np.zeros(n)
     if reference is not None:
-        for tok in reference.tokens:
-            by_position.setdefault((tok.spatial_row, tok.spatial_col), tok)
-    keep_scores = []
-    for tok in frame.tokens:
-        ref = by_position.get((tok.spatial_row, tok.spatial_col))
-        if ref is None:
-            redundancy = 0.0
-        else:
-            redundancy = float(np.clip(np.dot(tok.embedding, ref.embedding), -1.0, 1.0))
-        keep_scores.append((1.0 - redundancy) + config.semantic_weight * tok.score)
-    ranked = sorted(range(n), key=lambda i: (-keep_scores[i], i))
-    kept_positions = sorted(ranked[:keep])
-    return frame.with_tokens([frame.tokens[i] for i in kept_positions])
+        ref_keys, first = np.unique(_grid_keys(reference.rows, reference.cols), return_index=True)
+        keys = _grid_keys(frame.rows, frame.cols)
+        slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
+        hit = ref_keys[slot] == keys
+        aligned = reference.token_matrix[first[slot[hit]]]
+        redundancy[hit] = np.clip(
+            np.einsum("ij,ij->i", frame.token_matrix[hit], aligned), -1.0, 1.0
+        )
+    keep_scores = (1.0 - redundancy) + config.semantic_weight * frame.scores
+    ranked = np.argsort(-keep_scores, kind="stable")
+    return frame.take(np.sort(ranked[:keep]))
 
 
 def spatial_semantic_select(frame: FrameEntry, config: TierConfig) -> FrameEntry:
@@ -367,36 +389,24 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig) -> FrameEntry
     """
     grid = config.grid_size
     quota = config.long_quota_per_frame
-    tokens = frame.tokens
-    n = len(tokens)
-    extent_r = max(t.spatial_row for t in tokens) + 1
-    extent_c = max(t.spatial_col for t in tokens) + 1
-
-    def cell_of(tok: TokenRecord) -> tuple[int, int]:
-        return (
-            min(tok.spatial_row * grid // extent_r, grid - 1),
-            min(tok.spatial_col * grid // extent_c, grid - 1),
-        )
-
-    best_in_cell: dict[tuple[int, int], int] = {}
-    for i, tok in enumerate(tokens):
-        cell = cell_of(tok)
-        incumbent = best_in_cell.get(cell)
-        # Strict > keeps the earlier token on equal scores.
-        if incumbent is None or tok.score > tokens[incumbent].score:
-            best_in_cell[cell] = i
-    winners = sorted(best_in_cell.values(), key=lambda i: (-tokens[i].score, i))
-    if len(winners) > quota:
-        winners = winners[:quota]
-    selected = set(winners)
-    if len(selected) < quota:
-        leftovers = [i for i in range(n) if i not in selected]
-        leftovers.sort(key=lambda i: (-tokens[i].score, i))
-        for i in leftovers[: quota - len(selected)]:
-            selected.add(i)
-    if len(selected) == n:
+    extent_r = int(frame.rows.max()) + 1
+    extent_c = int(frame.cols.max()) + 1
+    # A grid at least as fine as an axis's extent gives each coordinate a
+    # cell of its own, so capping it there groups tokens the same way and
+    # keeps the products small.
+    cell_r = frame.rows * min(grid, extent_r) // extent_r
+    cell_c = frame.cols * min(grid, extent_c) // extent_c
+    # Salience rank, ties to the lower position: a cell's first token in
+    # this order is its winner, and winners come out already ranked.
+    ranked = np.argsort(-frame.scores, kind="stable")
+    _, first = np.unique(_grid_keys(cell_r, cell_c)[ranked], return_index=True)
+    is_winner = np.zeros(frame.token_count, dtype=bool)
+    is_winner[first] = True
+    winners = ranked[is_winner][:quota]
+    fill = ranked[~is_winner][: quota - len(winners)]
+    if len(winners) + len(fill) == frame.token_count:
         return frame
-    return frame.with_tokens([tokens[i] for i in sorted(selected)])
+    return frame.take(np.sort(np.concatenate([winners, fill])))
 
 
 class TieredMemory:
@@ -461,20 +471,9 @@ class TieredMemory:
             )
 
         index = self._next_frame_index
-        records = encode_tokens(index, raw, self.bank)
-        matrix = np.stack([r.embedding for r in records])
+        entry = encode_tokens(index, ts, raw, self.bank)
         prev = self.short[-1] if self.short else None
-        boundary = (
-            prev is None
-            or pooled_max_sim_units(matrix, prev.token_matrix)
-            < self.config.scene_threshold
-        )
-        entry = FrameEntry(
-            frame_index=index,
-            timestamp=ts,
-            tokens=tuple(records),
-            scene_boundary=boundary,
-        )
+        entry = replace(entry, scene_boundary=is_scene_boundary(entry, prev, self.config))
         self.short.append(entry)
         self._total_tokens += entry.token_count
         self._last_timestamp = ts
@@ -502,7 +501,7 @@ class TieredMemory:
         return IngestReport(
             frame_index=index,
             timestamp=ts,
-            scene_boundary=boundary,
+            scene_boundary=entry.scene_boundary,
             pooled_score=entry.pooled_score,
             tokens_in=len(raw),
             dropped_temporal=dropped_temporal,
@@ -558,10 +557,8 @@ class TieredMemory:
             for entry in tier:
                 h.update(struct.pack("<qd?q", entry.frame_index, entry.timestamp,
                                      entry.scene_boundary, entry.token_count))
-                for tok in entry.tokens:
-                    h.update(struct.pack("<qqd", tok.spatial_row, tok.spatial_col,
-                                         tok.score))
-                    h.update(tok.embedding.tobytes())
+                for column in (entry.rows, entry.cols, entry.scores, entry.token_matrix):
+                    h.update(column.tobytes())
         return h.hexdigest()
 
 
@@ -589,32 +586,27 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         )
     evicted: list[tuple[int, int, float]] = []
     for tier_name in ("long", "mid"):
-        if overflow <= 0:
-            break
         tier = getattr(mem, tier_name)
-        candidates = [
-            (tok.score, entry.frame_index, i)
-            for entry in tier
-            for i, tok in enumerate(entry.tokens)
-        ]
-        candidates.sort()
-        victims = candidates[:overflow]
-        if not victims:
+        if overflow <= 0 or not tier:
             continue
+        counts = [e.token_count for e in tier]
+        starts = np.cumsum(counts) - counts
+        scores = np.concatenate([e.scores for e in tier])
+        frames = np.repeat([e.frame_index for e in tier], counts)
+        positions = np.arange(len(scores)) - np.repeat(starts, counts)
+        victims = np.lexsort((positions, frames, scores))[:overflow]
         overflow -= len(victims)
-        doomed: dict[int, set[int]] = {}
-        for score, frame_index, position in victims:
-            doomed.setdefault(frame_index, set()).add(position)
-            evicted.append((frame_index, position, score))
+        evicted += zip(frames[victims].tolist(), positions[victims].tolist(),
+                       scores[victims].tolist())
+        alive = np.ones(len(scores), dtype=bool)
+        alive[victims] = False
         rebuilt: list[FrameEntry] = []
-        for entry in tier:
-            dead = doomed.get(entry.frame_index)
-            if not dead:
+        for entry, start in zip(tier, starts.tolist()):
+            kept = np.flatnonzero(alive[start:start + entry.token_count])
+            if len(kept) == entry.token_count:
                 rebuilt.append(entry)
-                continue
-            kept = [tok for i, tok in enumerate(entry.tokens) if i not in dead]
-            if kept:
-                rebuilt.append(entry.with_tokens(kept))
+            elif len(kept):
+                rebuilt.append(entry.take(kept))
         tier[:] = rebuilt
     mem._total_tokens = mem.recount_tokens()
     if mem._total_tokens > budget:

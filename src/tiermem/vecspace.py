@@ -44,17 +44,27 @@ def as_vector(v: VectorLike, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Scale each row of an (n, dim) matrix to unit Euclidean norm.
+
+    Rows with norm below ZERO_NORM_EPS map to the all-zeros sentinel. Each
+    row's result depends on that row alone (einsum, not BLAS, over a
+    C-contiguous copy), so normalizing a frame at once gives the same
+    bits as normalizing its tokens one at a time.
+    """
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+    dead = norms < ZERO_NORM_EPS
+    return np.divide(m, norms, out=np.zeros_like(m), where=~dead)
+
+
 def normalize(v: VectorLike, dim: int | None = None) -> np.ndarray:
     """Return v scaled to unit Euclidean norm.
 
     A vector with norm below ZERO_NORM_EPS maps to the all-zeros sentinel,
     which scores 0 against everything downstream.
     """
-    arr = as_vector(v, dim)
-    norm = float(np.linalg.norm(arr))
-    if norm < ZERO_NORM_EPS:
-        return np.zeros_like(arr)
-    return arr / norm
+    return unit_rows(as_vector(v, dim)[None, :])[0]
 
 
 def cosine(a: VectorLike, b: VectorLike) -> float:
@@ -178,39 +188,51 @@ class ProbeBank:
             json.dump(doc, fh)
 
 
+def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
+    """Salience of each unit row: its max cosine over the probes.
+
+    Batch-invariant like unit_rows: a row scores the same bits alone or
+    inside a whole frame.
+    """
+    units = np.ascontiguousarray(units, dtype=np.float64)
+    if units.shape[1] != bank.dim:
+        raise DimensionError(f"vector has dimension {units.shape[1]}, bank has {bank.dim}")
+    sims = np.einsum("ij,kj->ik", units, np.ascontiguousarray(bank.matrix))
+    return np.clip(np.max(sims, axis=1), -1.0, 1.0)
+
+
 def max_sim(v: VectorLike, bank: ProbeBank) -> float:
     """Salience of one token: max cosine over all probes in the bank."""
-    unit = normalize(v)
-    if unit.shape[0] != bank.dim:
-        raise DimensionError(
-            f"vector has dimension {unit.shape[0]}, bank has {bank.dim}"
-        )
-    scores = bank.matrix @ unit
-    return float(np.clip(np.max(scores), -1.0, 1.0))
+    return float(max_sim_rows(normalize(v)[None, :], bank)[0])
 
 
 def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
     """Stack tokens into an (n, dim) matrix of unit rows."""
     if len(tokens) == 0:
         raise EmptyInputError(f"{what} is empty")
-    rows = [normalize(t) for t in tokens]
-    dim = rows[0].shape[0]
-    for i, row in enumerate(rows):
-        if row.shape[0] != dim:
-            raise DimensionError(
-                f"{what}[{i}] has dimension {row.shape[0]}, expected {dim}"
-            )
-    return np.stack(rows)
+    try:
+        return unit_rows(np.stack([as_vector(t) for t in tokens]))
+    except ValueError as exc:
+        raise DimensionError(f"{what} rows differ in dimension") from exc
+
+
+def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
+    """Each frame row's max cosine against the query rows (unit rows in).
+
+    The one late-interaction kernel: every frame-vs-query score pools
+    these maxima.
+    """
+    if frame_matrix.shape[1] != query_matrix.shape[1]:
+        raise DimensionError(
+            f"frame dimension {frame_matrix.shape[1]} vs query dimension {query_matrix.shape[1]}"
+        )
+    return np.max(np.clip(frame_matrix @ query_matrix.T, -1.0, 1.0), axis=1)
 
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> float:
-    """Late-interaction kernel over pre-normalized unit row matrices.
-
-    Each frame row contributes its max cosine against the query rows; the
-    frame score is the mean of those maxima, summed in index order.
-    """
-    sims = np.clip(frame_matrix @ query_matrix.T, -1.0, 1.0)
-    return float(np.mean(np.max(sims, axis=1)))
+    """Late-interaction score over pre-normalized unit row matrices: the
+    mean over frame rows of their max cosine against the query rows."""
+    return float(np.mean(token_max_sims(frame_matrix, query_matrix)))
 
 
 def late_interaction(
@@ -218,10 +240,6 @@ def late_interaction(
 ) -> float:
     """Frame-vs-query relevance: mean over frame tokens of the max cosine
     against any query token."""
-    frame_matrix = _unit_matrix(frame_tokens, "frame_tokens")
-    query_matrix = _unit_matrix(query_tokens, "query_tokens")
-    if frame_matrix.shape[1] != query_matrix.shape[1]:
-        raise DimensionError(
-            f"frame dimension {frame_matrix.shape[1]} vs query dimension {query_matrix.shape[1]}"
-        )
-    return pooled_max_sim_units(frame_matrix, query_matrix)
+    return pooled_max_sim_units(
+        _unit_matrix(frame_tokens, "frame_tokens"), _unit_matrix(query_tokens, "query_tokens")
+    )

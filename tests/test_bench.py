@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tiermem.bench import (
     RunReport,
+    _rank_correlation,
     VariantFlags,
     emit_score_histograms,
     histogram_csv,
@@ -477,3 +482,50 @@ def test_report_json_is_canonical_and_writable(tmp_path):
     write_report(report, path)
     assert path.read_text() == text
     assert json.loads(report_json(report, include_timings=False)).get("timings") is None
+
+
+# --- rank correlation ---------------------------------------------------------
+
+
+def test_rank_correlation_hand_tie_cases():
+    # Engine ranks (1, 2.5, 2.5, 4) against (1, 2, 3, 4): deviations
+    # (-1.5, 0, 0, 1.5) and (-1.5, -0.5, 0.5, 1.5) give 4.5 / sqrt(4.5 * 5).
+    engine = {1: 0.1, 2: 0.2, 3: 0.2, 4: 0.4}
+    oracle = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0, 9: 0.0}  # frame 9 is not shared
+    assert math.isclose(_rank_correlation(engine, oracle), math.sqrt(0.9), abs_tol=1e-15)
+    # Ties on both sides: ranks (1.5, 1.5, 3.5, 3.5) against (4, 2.5, 2.5, 1),
+    # deviations (-1, -1, 1, 1) and (1.5, 0, 0, -1.5): -3 / sqrt(4 * 4.5).
+    engine = {1: 0.0, 2: 0.0, 3: 1.0, 4: 1.0}
+    oracle = {1: 9.0, 2: 5.0, 3: 5.0, 4: 1.0}
+    assert math.isclose(_rank_correlation(engine, oracle), -3.0 / math.sqrt(18.0), abs_tol=1e-15)
+    # Monotone with ties in the same places is exactly 1.
+    assert _rank_correlation({1: 0.5, 2: 0.5, 3: 0.7}, {1: 2.0, 2: 2.0, 3: 8.0}) == 1.0
+    # Constant sides and fewer than two shared frames have no correlation.
+    assert _rank_correlation({1: 0.3, 2: 0.3}, {1: 1.0, 2: 2.0}) is None
+    assert _rank_correlation({1: 0.3}, {1: 1.0}) is None
+
+
+def test_rank_correlation_matches_spearman_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n = int(rng.integers(2, 30))
+        xs = rng.integers(0, int(rng.integers(2, 6)), n) * 0.25
+        ys = rng.standard_normal(n) if trial % 2 else rng.integers(0, 4, n) * 1.0
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            continue
+        got = _rank_correlation(dict(enumerate(xs)), dict(enumerate(ys)))
+        assert got == float(stats.spearmanr(xs, ys).statistic)
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys; before = set(sys.modules); import tiermem; "
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'tiermem', 'numpy'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -243,3 +243,14 @@ def test_exit_codes(workspace, tmp_path, capsys):
     assert main(["--help"]) == 0
     assert main(["replay", "--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc", [{"keep_fraction": "0.5"}, {"scene_threshold": None}, {"semantic_weight": "x"}]
+)
+def test_config_field_of_wrong_type_exits_1(workspace, tmp_path, capsys, doc):
+    _, spec_path, _, _ = workspace
+    config_path = tmp_path / "typed.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["ingest", "--synth-spec", str(spec_path), "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

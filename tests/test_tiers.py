@@ -20,7 +20,6 @@ from tiermem.tiers import (
     TierConfig,
     TieredMemory,
     TokenRecord,
-    encode_frame,
     encode_tokens,
     is_scene_boundary,
     new_memory,
@@ -45,21 +44,33 @@ def tilted(dim, i, j, c):
     return v
 
 
-def crafted_token(score, frame_index, row=0, col=0, dim=3, vec=None):
-    v = axis(dim, 0) if vec is None else np.asarray(vec, dtype=np.float64)
-    return TokenRecord(
-        embedding=v, score=score, frame_index=frame_index, spatial_row=row, spatial_col=col
-    )
-
-
-def crafted_entry(frame_index, scores, ts=None, boundary=False, dim=3):
-    tokens = tuple(
-        crafted_token(s, frame_index, col=i, dim=dim) for i, s in enumerate(scores)
-    )
+def entry_of(frame_index, tokens, ts=None, boundary=False):
+    """FrameEntry whose columns stack the given tokens."""
     return FrameEntry(
         frame_index=frame_index,
         timestamp=float(frame_index if ts is None else ts),
-        tokens=tokens,
+        token_matrix=np.stack([t.embedding for t in tokens]),
+        scores=[t.score for t in tokens],
+        rows=[t.spatial_row for t in tokens],
+        cols=[t.spatial_col for t in tokens],
+        scene_boundary=boundary,
+    )
+
+
+def crafted_token(score, frame_index, row=0, col=0, dim=3, vec=None):
+    v = axis(dim, 0) if vec is None else np.asarray(vec, dtype=np.float64)
+    return entry_of(frame_index, [TokenRecord(v, score, frame_index, row, col)]).tokens[0]
+
+
+def crafted_entry(frame_index, scores, ts=None, boundary=False, dim=3):
+    n = len(scores)
+    return FrameEntry(
+        frame_index=frame_index,
+        timestamp=float(frame_index if ts is None else ts),
+        token_matrix=np.tile(axis(dim, 0), (n, 1)),
+        scores=scores,
+        rows=np.zeros(n, dtype=np.int64),
+        cols=np.arange(n),
         scene_boundary=boundary,
     )
 
@@ -106,6 +117,11 @@ def test_config_tiny_valid():
         {"grid_size": 0},
         {"long_quota_per_frame": 0},
         {"tokens_per_frame_max": 0},
+        {"keep_fraction": "0.5"},
+        {"keep_fraction": True},
+        {"semantic_weight": "x"},
+        {"semantic_weight": False},
+        {"scene_threshold": None},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -137,7 +153,7 @@ def test_token_record_readonly_and_validated():
     with pytest.raises(ValidationError):
         crafted_token(float("nan"), 0)
     with pytest.raises(ValidationError):
-        TokenRecord(axis(3, 0), 0.0, frame_index=0, spatial_row=-1, spatial_col=0)
+        crafted_token(0.0, 0, row=-1)
 
 
 def test_frame_entry_pooled_is_mean_of_scores():
@@ -148,21 +164,46 @@ def test_frame_entry_pooled_is_mean_of_scores():
         entry.token_matrix[0, 0] = 2.0
 
 
+def test_frame_entry_rejects_coordinates_outside_the_trace_range():
+    crafted_token(0.0, 0, row=0xFFFF, col=0xFFFF)
+    for coords in ({"row": 0x10000}, {"col": 2**70}, {"row": "a"}):
+        with pytest.raises(ValidationError):
+            crafted_token(0.0, 0, **coords)
+
+
 def test_frame_entry_rejects_empty_and_foreign_tokens():
     with pytest.raises(EmptyFrame):
-        FrameEntry(frame_index=0, timestamp=0.0, tokens=())
+        FrameEntry(
+            frame_index=0, timestamp=0.0, token_matrix=np.zeros((0, 3)), scores=[], rows=[], cols=[]
+        )
     with pytest.raises(ValidationError):
-        FrameEntry(frame_index=1, timestamp=0.0, tokens=(crafted_token(0.0, 2),))
+        FrameEntry(
+            frame_index=1,
+            timestamp=0.0,
+            token_matrix=np.zeros((2, 3)),
+            scores=[0.0],
+            rows=[0, 0],
+            cols=[0, 1],
+        )
 
 
 def test_encode_tokens_scores_reproduce_bit_exactly():
     bank = ProbeBank([tilted(4, 0, 1, 0.7), axis(4, 2)])
     rng = np.random.default_rng(5)
-    records = encode_tokens(3, [(rng.standard_normal(4), i, 0) for i in range(10)], bank)
+    records = encode_tokens(3, 0.0, [(rng.standard_normal(4), i, 0) for i in range(10)], bank).tokens
     for tok in records:
         assert tok.score == max_sim(tok.embedding, bank)
         assert math.isclose(float(np.linalg.norm(tok.embedding)), 1.0, abs_tol=1e-12)
         assert tok.frame_index == 3
+    # Batch invariance: a 512-token frame stores, for every token, the
+    # same embedding and score bits as that token encoded alone.
+    bank = ProbeBank.generated(128, n=5, seed=2)
+    raw = [(rng.standard_normal(128), i // 32, i % 32) for i in range(512)]
+    frame = encode_tokens(0, 0.0, raw, bank)
+    for i, tok in enumerate(frame.tokens):
+        alone = encode_tokens(0, 0.0, [raw[i]], bank)
+        assert np.array_equal(tok.embedding, alone.token_matrix[0])
+        assert tok.score == alone.scores[0] == max_sim(tok.embedding, bank)
 
 
 # --- scene boundaries -------------------------------------------------------
@@ -171,9 +212,9 @@ def test_encode_tokens_scores_reproduce_bit_exactly():
 def test_scene_boundary_rules():
     cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=4, token_budget=16)
     bank = small_bank()
-    a = encode_frame(0, 0.0, [(axis(4, 0), 0, 0), (axis(4, 1), 0, 1)], bank)
-    same = encode_frame(1, 1.0, [(axis(4, 0), 0, 0), (axis(4, 1), 0, 1)], bank)
-    ortho = encode_frame(2, 2.0, [(axis(4, 2), 0, 0), (axis(4, 3), 0, 1)], bank)
+    a = encode_tokens(0, 0.0, [(axis(4, 0), 0, 0), (axis(4, 1), 0, 1)], bank)
+    same = encode_tokens(1, 1.0, [(axis(4, 0), 0, 0), (axis(4, 1), 0, 1)], bank)
+    ortho = encode_tokens(2, 2.0, [(axis(4, 2), 0, 0), (axis(4, 3), 0, 1)], bank)
     assert is_scene_boundary(a, None, cfg) is True
     assert is_scene_boundary(same, a, cfg) is False
     assert is_scene_boundary(ortho, a, cfg) is True
@@ -210,13 +251,13 @@ def test_prune_by_redundancy_hand_case():
     ref_tokens = tuple(
         crafted_token(0.0, 1, row=0, col=i, dim=dim, vec=axis(dim, i)) for i in range(4)
     )
-    frame = FrameEntry(frame_index=0, timestamp=0.0, tokens=frame_tokens)
-    reference = FrameEntry(frame_index=1, timestamp=1.0, tokens=ref_tokens)
+    frame = entry_of(0, frame_tokens)
+    reference = entry_of(1, ref_tokens)
     out = temporal_semantic_prune(frame, reference, cfg)
     assert [t.spatial_col for t in out.tokens] == [1, 2]
     for kept in out.tokens:
         original = frame_tokens[kept.spatial_col]
-        assert kept.embedding is original.embedding
+        assert np.array_equal(kept.embedding, original.embedding)
         assert kept.score == original.score
 
 
@@ -234,17 +275,9 @@ def test_prune_semantic_weight_spares_salient_token():
     )
     vec_a = tilted(dim, 0, 1, 0.2)
     vec_b = axis(dim, 2)
-    frame = FrameEntry(
-        frame_index=0,
-        timestamp=0.0,
-        tokens=tuple(encode_tokens(0, [(vec_a, 0, 0), (vec_b, 0, 1)], bank)),
-    )
+    frame = encode_tokens(0, 0.0, [(vec_a, 0, 0), (vec_b, 0, 1)], bank)
     ref_b = tilted(dim, 2, 3, 0.9)
-    reference = FrameEntry(
-        frame_index=1,
-        timestamp=1.0,
-        tokens=tuple(encode_tokens(1, [(vec_a, 0, 0), (ref_b, 0, 1)], bank)),
-    )
+    reference = encode_tokens(1, 1.0, [(vec_a, 0, 0), (ref_b, 0, 1)], bank)
     assert math.isclose(frame.tokens[0].score, 0.2, abs_tol=1e-12)
     assert math.isclose(frame.tokens[1].score, 0.0, abs_tol=1e-12)
     out = temporal_semantic_prune(frame, reference, cfg)
@@ -261,19 +294,14 @@ def test_prune_missing_reference_position_means_no_redundancy():
         keep_fraction=0.5,
         semantic_weight=0.0,
     )
-    frame = FrameEntry(
-        frame_index=0,
-        timestamp=0.0,
-        tokens=(
+    frame = entry_of(
+        0,
+        (
             crafted_token(0.0, 0, col=0, vec=axis(3, 0)),
             crafted_token(0.0, 0, col=1, vec=axis(3, 1)),
         ),
     )
-    reference = FrameEntry(
-        frame_index=1,
-        timestamp=1.0,
-        tokens=(crafted_token(0.0, 1, col=1, vec=axis(3, 1)),),
-    )
+    reference = entry_of(1, (crafted_token(0.0, 1, col=1, vec=axis(3, 1)),))
     out = temporal_semantic_prune(frame, reference, cfg)
     # Token 0 has no aligned reference (keep-score 1.0); token 1 is
     # identical to its reference (keep-score 0.0).
@@ -303,7 +331,7 @@ def test_select_distinct_cells_all_kept():
         crafted_token(0.1 * i, 0, row=r, col=c)
         for i, (r, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)])
     )
-    entry = FrameEntry(frame_index=0, timestamp=0.0, tokens=tokens)
+    entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert out.token_count == 4
 
@@ -318,7 +346,7 @@ def test_select_single_cell_keeps_top_scores():
     )
     scores = [0.3, 0.9, 0.1, 0.5, 0.2, 0.8, 0.4, 0.6]
     tokens = tuple(crafted_token(s, 0, row=0, col=0) for s in scores)
-    entry = FrameEntry(frame_index=0, timestamp=0.0, tokens=tokens)
+    entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert sorted(t.score for t in out.tokens) == [0.8, 0.9]
 
@@ -336,7 +364,7 @@ def test_select_quota_cuts_cell_winners_by_score():
         crafted_token(0.5, 0, row=0, col=1),
         crafted_token(0.1, 0, row=1, col=0),
     )
-    entry = FrameEntry(frame_index=0, timestamp=0.0, tokens=tokens)
+    entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert out.token_count == 1
     assert out.tokens[0].score == 0.9
@@ -357,7 +385,7 @@ def test_select_covers_cells_before_filling():
         crafted_token(0.8, 0, row=0, col=0),
         crafted_token(0.1, 0, row=3, col=3),
     )
-    entry = FrameEntry(frame_index=0, timestamp=0.0, tokens=tokens)
+    entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert sorted(t.score for t in out.tokens) == [0.1, 0.9]
 
@@ -374,10 +402,25 @@ def test_select_tie_keeps_lower_position():
         crafted_token(0.5, 0, row=0, col=0),
         crafted_token(0.5, 0, row=0, col=1),
     )
-    entry = FrameEntry(frame_index=0, timestamp=0.0, tokens=tokens)
+    entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert out.token_count == 1
     assert out.tokens[0].spatial_col == 0
+
+
+def test_select_grid_finer_than_frame_groups_like_its_extent():
+    tokens = tuple(
+        crafted_token(s, 0, row=r, col=c)
+        for s, (r, c) in zip([0.2, 0.9, 0.4, 0.7], [(0, 0), (0, 2), (1, 1), (1, 2)])
+    )
+    entry = entry_of(0, tokens)
+    at_extent = spatial_semantic_select(
+        entry, TierConfig(short_cap_frames=1, tokens_per_frame_max=8, token_budget=64,
+                          grid_size=3, long_quota_per_frame=2))
+    far_finer = spatial_semantic_select(
+        entry, TierConfig(short_cap_frames=1, tokens_per_frame_max=8, token_budget=64,
+                          grid_size=2**62, long_quota_per_frame=2))
+    assert [t.spatial_col for t in far_finer.tokens] == [t.spatial_col for t in at_extent.tokens] == [2, 2]
 
 
 # --- selective forgetting ---------------------------------------------------
@@ -558,6 +601,109 @@ def test_snapshot_all_frames_ascending():
     indices = [e.frame_index for e in snap.all_frames()]
     assert indices == sorted(indices)
     assert snap.freeze_timestamp == 4.0
+
+
+# --- per-token reference ---------------------------------------------------
+#
+# The stages as one Python loop per token, the way the engine computed them
+# before frames became columns. The columnar stages must pick the same
+# tokens, including on tied scores and repeated grid positions.
+
+
+def reference_prune_positions(frame, reference, config):
+    tokens = frame.tokens
+    keep = math.ceil(config.keep_fraction * len(tokens))
+    by_position = {}
+    for tok in reference.tokens if reference is not None else ():
+        by_position.setdefault((tok.spatial_row, tok.spatial_col), tok)
+    keep_scores = []
+    for tok in tokens:
+        ref = by_position.get((tok.spatial_row, tok.spatial_col))
+        redundancy = 0.0 if ref is None else float(np.clip(np.dot(tok.embedding, ref.embedding), -1.0, 1.0))
+        keep_scores.append((1.0 - redundancy) + config.semantic_weight * tok.score)
+    return sorted(sorted(range(len(tokens)), key=lambda i: (-keep_scores[i], i))[:keep])
+
+
+def reference_select_positions(frame, config):
+    tokens, grid, quota = frame.tokens, config.grid_size, config.long_quota_per_frame
+    extent_r = max(t.spatial_row for t in tokens) + 1
+    extent_c = max(t.spatial_col for t in tokens) + 1
+    best_in_cell = {}
+    for i, tok in enumerate(tokens):
+        cell = (min(tok.spatial_row * grid // extent_r, grid - 1),
+                min(tok.spatial_col * grid // extent_c, grid - 1))
+        if cell not in best_in_cell or tok.score > tokens[best_in_cell[cell]].score:
+            best_in_cell[cell] = i
+    selected = sorted(best_in_cell.values(), key=lambda i: (-tokens[i].score, i))[:quota]
+    leftovers = sorted((i for i in range(len(tokens)) if i not in selected),
+                       key=lambda i: (-tokens[i].score, i))
+    return sorted(selected + leftovers[: max(0, quota - len(selected))])
+
+
+def reference_forget(tiers, overflow):
+    evicted = []
+    for tier in tiers:
+        candidates = sorted((tok.score, e.frame_index, i) for e in tier for i, tok in enumerate(e.tokens))
+        victims = candidates[: max(0, overflow)]
+        overflow -= len(victims)
+        evicted += [(f, i, score) for score, f, i in victims]
+    return evicted
+
+
+def random_entry(rng, frame_index, dim=4):
+    n = int(rng.integers(1, 13))
+    vectors = rng.standard_normal((n, dim))
+    repeats = rng.uniform(size=n) < 0.3
+    vectors[repeats] = vectors[0]  # tied redundancy
+    return FrameEntry(
+        frame_index=frame_index,
+        timestamp=float(frame_index),
+        token_matrix=np.stack([normalize(v) for v in vectors]),
+        scores=rng.choice([0.0, 0.25, 0.5], size=n),  # tied salience
+        rows=rng.integers(0, 3, size=n),  # repeated grid positions
+        cols=rng.integers(0, 3, size=n),
+        scene_boundary=False,
+    )
+
+
+def assert_same_tokens(got, want):
+    for name in ("token_matrix", "scores", "rows", "cols"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_columnar_stages_match_per_token_reference():
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 31])
+        config = TierConfig(
+            short_cap_frames=1,
+            tokens_per_frame_max=16,
+            token_budget=64,
+            keep_fraction=float(rng.choice([0.25, 0.5, 0.75])),
+            semantic_weight=float(rng.choice([0.0, 0.5, 1.0])),
+            grid_size=int(rng.integers(1, 4)),
+            long_quota_per_frame=int(rng.integers(1, 8)),
+        )
+        frame, reference = random_entry(rng, 0), random_entry(rng, 1)
+        for ref in (reference, None):
+            want = frame.take(np.array(reference_prune_positions(frame, ref, config), dtype=int))
+            assert_same_tokens(temporal_semantic_prune(frame, ref, config), want)
+        want = frame.take(np.array(reference_select_positions(frame, config), dtype=int))
+        assert_same_tokens(spatial_semantic_select(frame, config), want)
+
+        mem = forget_memory(budget=int(rng.integers(1, 40)), tpm=1)
+        mem.long.extend(random_entry(rng, f) for f in (0, 2, 5))
+        mem.mid.extend(random_entry(rng, f) for f in (6, 7))
+        before = {e.frame_index: e for e in mem.long + mem.mid}
+        mem._total_tokens = mem.recount_tokens()
+        expected = reference_forget((mem.long, mem.mid), mem.total_tokens - mem.config.token_budget)
+        assert selective_forget(mem).evicted == tuple(expected)
+        for f, original in before.items():
+            kept = [i for i in range(original.token_count) if (f, i) not in {v[:2] for v in expected}]
+            survivors = [e for e in mem.long + mem.mid if e.frame_index == f]
+            if kept:
+                assert_same_tokens(survivors[0], original.take(np.array(kept)))
+            else:
+                assert survivors == []
 
 
 # --- whole-pipeline invariants ----------------------------------------------
