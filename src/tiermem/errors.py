@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the checked readers
+of numeric fields in its JSON input formats."""
 
 
 class TierMemError(Exception):
@@ -72,3 +73,25 @@ class TruncatedRecord(TraceFormatError):
 
 class DimMismatch(TraceFormatError):
     """Trace dimension disagrees with the expected dimension."""
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON document; `what` names the file and field.
+
+    Integral floats (2.0) are accepted; bools, strings and fractions are not.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def json_float(value, what: str) -> float:
+    """A numeric field of a JSON document; `what` names the file and field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{what} must be a number, got {value!r}")

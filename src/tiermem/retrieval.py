@@ -22,8 +22,10 @@ from .errors import (
     DimensionError,
     UnknownVariant,
     ValidationError,
+    json_float,
+    json_int,
 )
-from .vecspace import pooled_max_sim_units, token_max_sims, unit_rows
+from .vecspace import late_interaction_scores, token_max_sims, unit_rows
 
 if TYPE_CHECKING:
     from .tiers import MemorySnapshot
@@ -188,12 +190,12 @@ def gate_check(
 
 
 def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> dict[int, float]:
-    """Late-interaction score for every mid/long frame, keyed by frame index."""
+    """Late-interaction score for every mid/long frame, keyed by frame index
+    in ascending order. All frames are scored in one batch-invariant pass,
+    so each score has the bits the frame would get scored alone."""
     entries = sorted(snapshot.mid + snapshot.long, key=lambda e: e.frame_index)
-    return {
-        entry.frame_index: pooled_max_sim_units(entry.token_matrix, query.unit_tokens)
-        for entry in entries
-    }
+    scores = late_interaction_scores([e.token_matrix for e in entries], query.unit_tokens)
+    return dict(zip([e.frame_index for e in entries], scores.tolist()))
 
 
 def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:
@@ -275,6 +277,17 @@ def retrieve(
     )
 
 
+def _token_matrix(value, what: str) -> np.ndarray:
+    """Query tokens from JSON: a rectangular array of numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be a rectangular array of numbers")
+    return arr.astype(np.float64)
+
+
 def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
     """Read queries from a JSON-lines file.
 
@@ -298,16 +311,20 @@ def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
                 raise ValidationError(f"{path}:{lineno}: missing arrival_time")
             if "tokens" not in doc:
                 raise ValidationError(f"{path}:{lineno}: missing tokens")
+            where = f"{path}:{lineno}:"
             gt = doc.get("ground_truth_frames")
+            if gt is not None and not isinstance(gt, list):
+                raise ValidationError(f"{where} ground_truth_frames must be a list")
             query = QuerySpec(
                 query_id=str(doc.get("id", f"q{lineno}")),
-                arrival_time=float(doc["arrival_time"]),
-                tokens=np.asarray(doc["tokens"], dtype=np.float64),
-                rho=float(doc.get("rho", 0.1)),
-                top_k=int(doc.get("top_k", 5)),
-                dispersion_lambda=float(doc.get("lambda", 0.5)),
+                arrival_time=json_float(doc["arrival_time"], f"{where} arrival_time"),
+                tokens=_token_matrix(doc["tokens"], f"{where} tokens"),
+                rho=json_float(doc.get("rho", 0.1), f"{where} rho"),
+                top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
+                dispersion_lambda=json_float(doc.get("lambda", 0.5), f"{where} lambda"),
                 ground_truth_frames=(
-                    frozenset(int(i) for i in gt) if gt is not None else None
+                    frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
+                    if gt is not None else None
                 ),
             )
             if dim is not None and query.dim != dim:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSuchEvent, SpecError
+from .errors import NoSuchEvent, SpecError, json_float, json_int
 from .retrieval import QuerySpec
 from .traceio import RawFrame, RawToken
 from .vecspace import normalize
@@ -126,15 +126,29 @@ def load_stream_spec(path) -> StreamSpec:
     for required in ("dim", "frames", "tokens_per_frame"):
         if required not in doc:
             raise SpecError(f"stream spec {path}: missing {required}")
+    where = f"stream spec {path}:"
     return StreamSpec(
-        dim=int(doc["dim"]),
-        frames=int(doc["frames"]),
-        tokens_per_frame=int(doc["tokens_per_frame"]),
-        segments=tuple(tuple(s) for s in doc.get("segments", ())),
-        events=tuple(tuple(e) for e in doc.get("events", ())),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        rng_seed=int(doc.get("rng_seed", 0)),
+        dim=json_int(doc["dim"], f"{where} dim"),
+        frames=json_int(doc["frames"], f"{where} frames"),
+        tokens_per_frame=json_int(doc["tokens_per_frame"], f"{where} tokens_per_frame"),
+        segments=_triples(doc, "segments", (json_int, json_int, json_int), where),
+        events=_triples(doc, "events", (json_int, json_int, json_float), where),
+        noise_sigma=json_float(doc.get("noise_sigma", 0.0), f"{where} noise_sigma"),
+        rng_seed=json_int(doc.get("rng_seed", 0), f"{where} rng_seed"),
     )
+
+
+def _triples(doc: dict, key: str, readers: tuple, where: str) -> tuple:
+    """A spec's list of three-number entries, each number read and checked."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise SpecError(f"{where} {key} must be a list")
+    triples = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise SpecError(f"{where} {key}[{i}] must be a list of three numbers")
+        triples.append(tuple(read(v, f"{where} {key}[{i}]") for read, v in zip(readers, entry)))
+    return tuple(triples)
 
 
 def _seeded_unit(dim: int, seed_parts: list[int]) -> np.ndarray:

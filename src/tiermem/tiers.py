@@ -589,26 +589,33 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         tier = getattr(mem, tier_name)
         if overflow <= 0 or not tier:
             continue
-        counts = [e.token_count for e in tier]
+        counts = np.array([e.token_count for e in tier])
         starts = np.cumsum(counts) - counts
         scores = np.concatenate([e.scores for e in tier])
-        frames = np.repeat([e.frame_index for e in tier], counts)
-        positions = np.arange(len(scores)) - np.repeat(starts, counts)
-        victims = np.lexsort((positions, frames, scores))[:overflow]
+        # Only tokens scoring at or below the overflow-th lowest score can be
+        # victims; sorting those alone (boundary ties included) gives the
+        # same victims in the same order as sorting the whole tier.
+        if overflow < len(scores):
+            cutoff = np.partition(scores, overflow - 1)[overflow - 1]
+            candidates = np.flatnonzero(scores <= cutoff)
+        else:
+            candidates = np.arange(len(scores))
+        slots = np.searchsorted(starts, candidates, side="right") - 1
+        positions = candidates - starts[slots]
+        frames = np.array([e.frame_index for e in tier])[slots]
+        order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
+        victims = candidates[order]
         overflow -= len(victims)
-        evicted += zip(frames[victims].tolist(), positions[victims].tolist(),
+        evicted += zip(frames[order].tolist(), positions[order].tolist(),
                        scores[victims].tolist())
         alive = np.ones(len(scores), dtype=bool)
         alive[victims] = False
-        rebuilt: list[FrameEntry] = []
-        for entry, start in zip(tier, starts.tolist()):
-            kept = np.flatnonzero(alive[start:start + entry.token_count])
-            if len(kept) == entry.token_count:
-                rebuilt.append(entry)
-            elif len(kept):
-                rebuilt.append(entry.take(kept))
-        tier[:] = rebuilt
-    mem._total_tokens = mem.recount_tokens()
+        for slot in np.unique(slots[order]).tolist():
+            start = starts[slot]
+            kept = np.flatnonzero(alive[start:start + counts[slot]])
+            tier[slot] = tier[slot].take(kept) if len(kept) else None
+        tier[:] = [entry for entry in tier if entry is not None]
+    mem._total_tokens -= len(evicted)
     if mem._total_tokens > budget:
         raise BudgetUnsatisfiable(
             f"budget {budget} unreachable; {mem._total_tokens} tokens remain"

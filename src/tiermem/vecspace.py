@@ -219,8 +219,9 @@ def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
 def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
     """Each frame row's max cosine against the query rows (unit rows in).
 
-    The one late-interaction kernel: every frame-vs-query score pools
-    these maxima.
+    BLAS, for speed on frame-vs-frame products (the scene boundary); its
+    bits depend on the matrix shapes, so candidate scoring uses
+    late_interaction_scores instead.
     """
     if frame_matrix.shape[1] != query_matrix.shape[1]:
         raise DimensionError(
@@ -230,9 +231,73 @@ def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.nda
 
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> float:
-    """Late-interaction score over pre-normalized unit row matrices: the
-    mean over frame rows of their max cosine against the query rows."""
+    """Mean over frame rows of their max cosine against the query rows
+    (unit rows in), through the BLAS token_max_sims."""
     return float(np.mean(token_max_sims(frame_matrix, query_matrix)))
+
+
+# Candidate rows are packed into blocks of this many rows: at d=128 a block
+# is 512 KiB, so it stays in cache between its copy and its product.
+SCORE_BLOCK_ROWS = 512
+
+
+def segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each consecutive run of counts[i] values, with np.mean's bits.
+
+    Segments of one length are gathered into the rows of a C-contiguous
+    matrix and summed along those rows, which takes the same pairwise
+    order np.mean takes over each segment alone (np.add.reduceat would
+    sum sequentially).
+    """
+    starts = np.cumsum(counts) - counts
+    means = np.empty(len(counts))
+    for count in np.unique(counts).tolist():
+        which = np.flatnonzero(counts == count)
+        segments = values[starts[which, None] + np.arange(count)]
+        means[which] = np.add.reduce(segments, axis=1) / count
+    return means
+
+
+def late_interaction_scores(
+    frames: Sequence[np.ndarray], query_matrix: np.ndarray
+) -> np.ndarray:
+    """Late-interaction score of each frame against the query (unit rows in):
+    the mean over the frame's rows of their max cosine against the query rows.
+
+    The one frame-vs-query kernel. The frames' rows are packed into blocks
+    of SCORE_BLOCK_ROWS, a frame straddling two blocks when it must, and
+    each block is scored with one einsum. Every entry of that product is
+    the dot product of one row pair, whatever else is in the block (a BLAS
+    product regroups its sums with the matrix shapes), so a frame gets the
+    same bits alone or among any other frames.
+    """
+    frames = list(frames)
+    if not frames:
+        return np.empty(0)
+    dim = query_matrix.shape[1]
+    query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
+    for frame in frames:
+        if frame.ndim != 2 or frame.shape[1] != dim:
+            raise DimensionError(f"frame shape {frame.shape} vs query dimension {dim}")
+    counts = np.array([frame.shape[0] for frame in frames], dtype=np.intp)
+    if counts.min() == 0:
+        raise EmptyInputError("a frame to score has no rows")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    maxima = np.empty(total)
+    block = np.empty((min(SCORE_BLOCK_ROWS, total), dim))
+    for lo in range(0, total, SCORE_BLOCK_ROWS):
+        hi = min(lo + SCORE_BLOCK_ROWS, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
+        parts = frames[first:last + 1]
+        parts[-1] = parts[-1][:hi - starts[last]]
+        parts[0] = parts[0][lo - starts[first]:]
+        np.concatenate(parts, out=block[:hi - lo])
+        sims = np.einsum("kj,ij->ki", query_matrix, block[:hi - lo])
+        np.maximum.reduce(sims, axis=0, out=maxima[lo:hi])
+    np.clip(maxima, -1.0, 1.0, out=maxima)
+    return segment_means(maxima, counts)
 
 
 def late_interaction(
@@ -240,6 +305,5 @@ def late_interaction(
 ) -> float:
     """Frame-vs-query relevance: mean over frame tokens of the max cosine
     against any query token."""
-    return pooled_max_sim_units(
-        _unit_matrix(frame_tokens, "frame_tokens"), _unit_matrix(query_tokens, "query_tokens")
-    )
+    frame = _unit_matrix(frame_tokens, "frame_tokens")
+    return float(late_interaction_scores([frame], _unit_matrix(query_tokens, "query_tokens"))[0])

@@ -254,3 +254,48 @@ def test_config_field_of_wrong_type_exits_1(workspace, tmp_path, capsys, doc):
     config_path.write_text(json.dumps(doc))
     assert main(["ingest", "--synth-spec", str(spec_path), "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"arrival_time": "x"},
+        {"top_k": "five"},
+        {"top_k": 2.7},
+        {"top_k": True},
+        {"rho": None},
+        {"tokens": [["a"] * 16]},
+        {"tokens": [[1.0] * 16, [1.0]]},
+        {"ground_truth_frames": ["x"]},
+    ],
+)
+def test_malformed_query_field_exits_1(workspace, tmp_path, capsys, field):
+    _, spec_path, _, _ = workspace
+    queries_path = tmp_path / "bad.jsonl"
+    queries_path.write_text(json.dumps({"arrival_time": 19.0, "tokens": [[1.0] * 16], **field}))
+    assert main(["replay", "--synth-spec", str(spec_path), "--queries", str(queries_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {queries_path}:1: {next(iter(field))} ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"dim": "abc"},
+        {"frames": 2.5},
+        {"rng_seed": False},
+        {"noise_sigma": "x"},
+        {"segments": [[0, "a", 0]]},
+        {"events": [[5, 1]]},
+    ],
+)
+def test_malformed_spec_field_exits_1(workspace, tmp_path, capsys, field):
+    _, _, queries_path, _ = workspace
+    spec_doc = {"dim": 16, "frames": 20, "tokens_per_frame": 4, **field}
+    spec_path = tmp_path / "bad_spec.json"
+    spec_path.write_text(json.dumps(spec_doc))
+    assert main(["replay", "--synth-spec", str(spec_path), "--queries", str(queries_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stream spec {spec_path}: {next(iter(field))}")
+    assert err.count("\n") == 1

@@ -23,9 +23,9 @@ from tiermem.retrieval import (
     score_candidates,
     update_gate,
 )
-from tiermem import retrieval
+from tiermem import retrieval, vecspace
 from tiermem.tiers import FrameEntry, MemorySnapshot, TierConfig
-from tiermem.vecspace import late_interaction, normalize
+from tiermem.vecspace import late_interaction, late_interaction_scores, normalize
 
 
 def axis(dim, i):
@@ -212,6 +212,41 @@ def test_score_candidates_hand_values():
     assert math.isclose(scores[5], 0.5, abs_tol=1e-12)  # maxima 1.0 and 0.0
     assert math.isclose(scores[1], 0.0, abs_tol=1e-12)  # orthogonal
     assert math.isclose(scores[3], 1.0, abs_tol=1e-12)  # exact match
+
+
+def test_score_candidates_match_each_frame_scored_alone(monkeypatch):
+    # Mixed token counts, frames straddling the edges of 5-row blocks, one
+    # frame longer than a block, and identical frames at different offsets.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 5)
+    rng = np.random.default_rng(47)
+    twin = [rng.standard_normal(6) for _ in range(3)]
+    frames = [entry(i, [rng.standard_normal(6) for _ in range(int(rng.integers(1, 8)))])
+              for i in range(12)]
+    frames[2], frames[7], frames[11] = entry(2, twin), entry(7, twin), entry(11, twin)
+    frames[5] = entry(5, [rng.standard_normal(6) for _ in range(13)])
+    s = snap(short=[entry(20, [rng.standard_normal(6)])], mid=frames[8:], long=frames[:8])
+    q = query([rng.standard_normal(6) for _ in range(2)])
+    scores = score_candidates(s, q)
+    assert list(scores) == list(range(12))
+    for e in frames:
+        alone = late_interaction_scores([e.token_matrix], q.unit_tokens)[0]
+        assert scores[e.frame_index] == alone
+    assert scores[2] == scores[7] == scores[11]
+
+
+def test_late_interaction_agrees_with_score_candidates():
+    rng = np.random.default_rng(59)
+    for n in (1, 4, 33):
+        rows = [normalize(rng.standard_normal(8)) for _ in range(n)]
+        vectors = [rng.standard_normal(8) for _ in range(3)]
+        scores = score_candidates(snap(long=[entry(0, rows)]), query(vectors))
+        assert scores == {0: late_interaction(rows, vectors)}
+
+
+def test_score_candidates_dimension_mismatch():
+    s = snap(long=[entry(0, [axis(4, 0)])])
+    with pytest.raises(DimensionError):
+        score_candidates(s, query([axis(3, 0)]))
 
 
 # --- selection --------------------------------------------------------------

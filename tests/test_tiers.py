@@ -706,6 +706,24 @@ def test_columnar_stages_match_per_token_reference():
                 assert survivors == []
 
 
+def test_forget_small_overflow_in_a_large_tied_tier_matches_reference():
+    # Many tokens share the cut-off score, so the candidates picked by
+    # partition must include every boundary tie for the sort to pick the
+    # reference's victims.
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 43])
+        mem = forget_memory(budget=300, tpm=1)
+        mem.long.extend(random_entry(rng, f) for f in range(0, 60, 2))
+        mem.mid.extend(random_entry(rng, f) for f in range(60, 70))
+        mem._total_tokens = mem.recount_tokens()
+        overflow = int(rng.integers(1, 12))
+        mem.config = TierConfig(short_cap_frames=1, tokens_per_frame_max=1,
+                                token_budget=mem.total_tokens - overflow)
+        expected = reference_forget((mem.long, mem.mid), overflow)
+        assert selective_forget(mem).evicted == tuple(expected)
+        assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
+
+
 # --- whole-pipeline invariants ----------------------------------------------
 
 

@@ -12,10 +12,14 @@ from tiermem.vecspace import (
     ProbeBank,
     cosine,
     late_interaction,
+    late_interaction_scores,
     max_sim,
     normalize,
     pooled_max_sim_units,
+    segment_means,
+    unit_rows,
 )
+from tiermem import vecspace
 
 
 def test_normalize_unit_norm():
@@ -144,6 +148,45 @@ def test_pooled_kernel_matches_public_path():
     assert math.isclose(
         pooled_max_sim_units(fm, qm), late_interaction(frame, query), abs_tol=1e-12
     )
+
+
+def test_segment_means_match_np_mean_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for length in range(1, 601):
+        counts = np.array([length, 1, length, 3])
+        values = rng.standard_normal(int(counts.sum())) * 10.0 ** rng.integers(-4, 4, counts.sum())
+        starts = np.cumsum(counts) - counts
+        want = [np.mean(values[s:s + c]) for s, c in zip(starts, counts)]
+        assert segment_means(values, counts).tolist() == [float(w) for w in want], length
+
+
+def test_late_interaction_scores_reject_bad_frames():
+    query = unit_rows(np.eye(3))
+    assert late_interaction_scores([], query).shape == (0,)
+    with pytest.raises(DimensionError):
+        late_interaction_scores([np.eye(3), np.eye(2)], query)
+    with pytest.raises(EmptyInputError):
+        late_interaction_scores([np.eye(3), np.zeros((0, 3))], query)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 512])
+def test_late_interaction_scores_are_batch_invariant(monkeypatch, block_rows):
+    # A frame scores the same bits alone as packed among others, whether it
+    # sits inside a block, straddles block edges or spans several blocks.
+    rng = np.random.default_rng(block_rows)
+    dim = 19
+    query = unit_rows(rng.standard_normal((3, dim)))
+    twin = unit_rows(rng.standard_normal((5, dim)))
+    frames = [unit_rows(rng.standard_normal((int(n), dim))) for n in rng.integers(1, 12, 40)]
+    frames[3] = frames[17] = frames[30] = twin
+    frames.insert(9, unit_rows(rng.standard_normal((23, dim))))  # longer than a small block
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", block_rows)
+    packed = late_interaction_scores(frames, query)
+    for frame, score in zip(frames, packed.tolist()):
+        assert late_interaction_scores([frame], query).tolist() == [score]
+        want = np.mean(np.clip(np.max(np.einsum("ij,kj->ik", frame, query), axis=1), -1.0, 1.0))
+        assert score == float(want)
+    assert packed[3] == packed[18] == packed[31]
 
 
 def test_probe_bank_validation():
