@@ -205,9 +205,7 @@ def run_ingest(
         "final_short_frames": len(mem.short),
         "final_mid_frames": len(mem.mid),
         "final_long_frames": len(mem.long),
-        "final_short_tokens": sum(e.token_count for e in mem.short),
-        "final_mid_tokens": sum(e.token_count for e in mem.mid),
-        "final_long_tokens": sum(e.token_count for e in mem.long),
+        **{f"final_{tier}_tokens": count for tier, count in mem.tier_tokens.items()},
         "dropped_temporal": sum(r.dropped_temporal for r in reports),
         "dropped_spatial": sum(r.dropped_spatial for r in reports),
         "dropped_budget": sum(r.dropped_budget for r in reports),
@@ -276,10 +274,8 @@ def oracle_scores(
         visible = visible[: max(0, len(visible) - exclude_most_recent)]
     out: dict[int, float] = {}
     for f in visible:
-        tokens = [t.vector.tolist() for t in f.tokens]
-        if not tokens:
-            continue
-        out[f.frame_index] = _pure_frame_score(tokens, query_tokens)
+        if len(f):
+            out[f.frame_index] = _pure_frame_score(f.vectors.tolist(), query_tokens)
     return out
 
 

@@ -75,6 +75,10 @@ class DimMismatch(TraceFormatError):
     """Trace dimension disagrees with the expected dimension."""
 
 
+class NonFiniteTimestamp(TraceFormatError):
+    """A trace frame's timestamp is NaN or infinite."""
+
+
 def json_int(value, what: str) -> int:
     """An integer field of a JSON document; `what` names the file and field.
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import NoSuchEvent, SpecError, json_float, json_int
 from .retrieval import QuerySpec
-from .traceio import RawFrame, RawToken
-from .vecspace import normalize
+from .traceio import RawFrame
+from .vecspace import normalize, unit_rows
 
 # Seed-sequence tags keeping the per-purpose RNG streams disjoint.
 _TAG_SEGMENT = 0
@@ -151,6 +151,12 @@ def _triples(doc: dict, key: str, readers: tuple, where: str) -> tuple:
     return tuple(triples)
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built column read-only, so RawFrame keeps it uncopied."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _seeded_unit(dim: int, seed_parts: list[int]) -> np.ndarray:
     rng = np.random.default_rng(seed_parts)
     return normalize(rng.standard_normal(dim))
@@ -198,35 +204,32 @@ def generate_stream(spec: StreamSpec) -> list[RawFrame]:
     for ordinal, (frame, _, _) in enumerate(spec.events):
         events_by_frame.setdefault(frame, []).append(ordinal)
     block = event_block(spec)
+    lead = slice(block.start, block.stop)
     side = grid_side(spec.tokens_per_frame)
+
+    positions = np.arange(spec.tokens_per_frame)
+    grid_rows, grid_cols = _sealed(positions // side), _sealed(positions % side)
 
     frames: list[RawFrame] = []
     for i in range(spec.frames):
         base = directions[segment_of[i]]
-        rng = np.random.default_rng([spec.rng_seed, _TAG_FRAME, i])
-        rows = []
-        for j in range(spec.tokens_per_frame):
-            if spec.noise_sigma > 0.0:
-                rows.append(normalize(base + spec.noise_sigma * rng.standard_normal(spec.dim)))
-            else:
-                rows.append(base)
+        if spec.noise_sigma > 0.0:
+            # One draw of the whole (tokens, dim) block is the same number
+            # stream as a draw per token, and unit_rows the same bits per row.
+            rng = np.random.default_rng([spec.rng_seed, _TAG_FRAME, i])
+            noise = rng.standard_normal((spec.tokens_per_frame, spec.dim))
+            matrix = unit_rows(base + spec.noise_sigma * noise)
+        else:
+            matrix = np.tile(base, (spec.tokens_per_frame, 1))
         for ordinal in events_by_frame.get(i, ()):
             _, _, strength = spec.events[ordinal]
             direction = event_direction(spec, ordinal)
-            for j in block:
-                if strength == 1.0:
-                    rows[j] = direction
-                else:
-                    rows[j] = normalize((1.0 - strength) * rows[j] + strength * direction)
-        tokens = tuple(
-            RawToken(
-                spatial_row=j // side,
-                spatial_col=j % side,
-                vector=np.asarray(rows[j], dtype=np.float32),
-            )
-            for j in range(spec.tokens_per_frame)
-        )
-        frames.append(RawFrame(frame_index=i, timestamp=float(i), tokens=tokens))
+            if strength == 1.0:
+                matrix[lead] = direction
+            else:
+                matrix[lead] = unit_rows((1.0 - strength) * matrix[lead] + strength * direction)
+        frames.append(RawFrame(i, float(i), vectors=_sealed(matrix.astype(np.float32)),
+                               rows=grid_rows, cols=grid_cols))
     return frames
 
 

@@ -423,6 +423,8 @@ class TieredMemory:
         self.long: list[FrameEntry] = []
         self.gate_stats = GateState()
         self._total_tokens = 0
+        # Kept in step with the tiers on every append, demotion and eviction.
+        self._tier_tokens = {"short": 0, "mid": 0, "long": 0}
         self._last_timestamp: float | None = None
         self._next_frame_index = 0
         self._frozen = False
@@ -430,6 +432,11 @@ class TieredMemory:
     @property
     def total_tokens(self) -> int:
         return self._total_tokens
+
+    @property
+    def tier_tokens(self) -> dict[str, int]:
+        """Tokens held by each tier, keyed "short", "mid" and "long"."""
+        return dict(self._tier_tokens)
 
     @property
     def frozen(self) -> bool:
@@ -474,7 +481,9 @@ class TieredMemory:
         entry = encode_tokens(index, ts, raw, self.bank)
         prev = self.short[-1] if self.short else None
         entry = replace(entry, scene_boundary=is_scene_boundary(entry, prev, self.config))
+        tier_tokens = self._tier_tokens
         self.short.append(entry)
+        tier_tokens["short"] += entry.token_count
         self._total_tokens += entry.token_count
         self._last_timestamp = ts
         self._next_frame_index = index + 1
@@ -487,6 +496,8 @@ class TieredMemory:
             kept = temporal_semantic_prune(oldest, reference, self.config)
             dropped_temporal += oldest.token_count - kept.token_count
             self.mid.append(kept)
+            tier_tokens["short"] -= oldest.token_count
+            tier_tokens["mid"] += kept.token_count
 
         dropped_spatial = 0
         while len(self.mid) > self.config.mid_cap_frames:
@@ -494,6 +505,8 @@ class TieredMemory:
             kept = spatial_semantic_select(oldest, self.config)
             dropped_spatial += oldest.token_count - kept.token_count
             self.long.append(kept)
+            tier_tokens["mid"] -= oldest.token_count
+            tier_tokens["long"] += kept.token_count
 
         self._total_tokens -= dropped_temporal + dropped_spatial
         eviction = selective_forget(self)
@@ -510,9 +523,9 @@ class TieredMemory:
             short_frames=len(self.short),
             mid_frames=len(self.mid),
             long_frames=len(self.long),
-            short_tokens=sum(e.token_count for e in self.short),
-            mid_tokens=sum(e.token_count for e in self.mid),
-            long_tokens=sum(e.token_count for e in self.long),
+            short_tokens=tier_tokens["short"],
+            mid_tokens=tier_tokens["mid"],
+            long_tokens=tier_tokens["long"],
             total_tokens=self._total_tokens,
         )
 
@@ -579,7 +592,7 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     overflow = mem.total_tokens - budget
     if overflow <= 0:
         return EvictionReport(evicted=())
-    short_tokens = sum(e.token_count for e in mem.short)
+    short_tokens = mem._tier_tokens["short"]
     if short_tokens > budget:
         raise BudgetUnsatisfiable(
             f"recent FIFO alone holds {short_tokens} tokens, budget is {budget}"
@@ -606,6 +619,7 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
         victims = candidates[order]
         overflow -= len(victims)
+        mem._tier_tokens[tier_name] -= len(victims)
         evicted += zip(frames[order].tolist(), positions[order].tolist(),
                        scores[victims].tolist())
         alive = np.ones(len(scores), dtype=bool)

@@ -8,20 +8,26 @@ trace read back and rewritten is byte-identical.
 
 A frame count of 0 in the header means "read until end of stream",
 which doubles as the encoding of a genuinely empty trace.
+
+A frame's tokens are one block of fixed-size records, read with one read
+and viewed as columns with one np.frombuffer; no read is ever sized past
+the data the source holds, whatever its header claims.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass, field
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
 from .errors import (
     BadMagic,
     DimMismatch,
+    NonFiniteTimestamp,
     NonMonotoneTimestamp,
     TraceFormatError,
     TruncatedRecord,
@@ -34,9 +40,21 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sIIQ")
 _FRAME = struct.Struct("<QdI")
-_COORDS = struct.Struct("<HH")
 
 MAX_COORD = 0xFFFF
+
+# Sources that cannot report their length are read in chunks of at most
+# this many bytes, so a header claiming more data than the stream holds
+# costs at most the stream's real length.
+READ_CHUNK_BYTES = 1 << 20
+
+
+def _token_dtype(dim: int) -> np.dtype:
+    """One token's wire record: u16 row, u16 col, dim little-endian f32."""
+    try:
+        return np.dtype([("row", "<u2"), ("col", "<u2"), ("vec", "<f4", (dim,))])
+    except ValueError as exc:
+        raise TraceFormatError(f"dim {dim} is too large for a token record") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,26 +79,100 @@ class RawToken:
                 raise ValidationError(f"{name} must be in [0, {MAX_COORD}], got {value}")
 
 
-@dataclass(frozen=True, eq=False)
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """A read-only array with arr's contents; writable inputs are copied."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+_COORD = np.dtype("<u2")
+
+
+def _coords(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.size == 0:
+        arr = arr.astype(_COORD)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be a 1-D integer column, got {arr.dtype} {arr.shape}")
+    # A u16 column, as the reader makes, is in range by its type.
+    if arr.dtype != _COORD and (arr.min() < 0 or arr.max() > MAX_COORD):
+        raise ValidationError(f"{name} must be in [0, {MAX_COORD}]")
+    return _sealed(arr.astype(_COORD, copy=False))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RawFrame:
-    """One frame of raw tokens, ready for ingest or serialization."""
+    """One frame of raw tokens as read-only columns, ready for ingest or
+    serialization.
+
+    Row i of vectors (n, dim) float32 is token i's vector and (rows[i],
+    cols[i]), uint16, its grid cell. Build a frame from columns, or from
+    RawToken objects with tokens=. Writable columns are copied.
+    """
 
     frame_index: int
     timestamp: float
-    tokens: tuple[RawToken, ...]
+    vectors: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if self.frame_index < 0:
+    def __init__(
+        self,
+        frame_index: int,
+        timestamp: float,
+        tokens: Iterable[RawToken] | None = None,
+        *,
+        vectors=None,
+        rows=None,
+        cols=None,
+    ):
+        if tokens is not None:
+            if vectors is not None or rows is not None or cols is not None:
+                raise ValidationError("pass a frame's tokens or its columns, not both")
+            tokens = tuple(tokens)
+            dims = sorted({t.vector.shape[0] for t in tokens})
+            if len(dims) > 1:
+                raise DimMismatch(f"frame {frame_index} mixes token dimensions {dims}")
+            vectors = (np.stack([t.vector for t in tokens]) if tokens
+                       else np.empty((0, 0), np.float32))
+            rows = [t.spatial_row for t in tokens]
+            cols = [t.spatial_col for t in tokens]
+        if frame_index < 0:
             raise ValidationError("frame_index must be non-negative")
+        if not math.isfinite(timestamp):
+            raise ValidationError(f"frame {frame_index} timestamp must be finite, got {timestamp}")
+        vectors = np.asarray(vectors, dtype=np.float32)
+        if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
+            raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
+        rows, cols = _coords(rows, "rows"), _coords(cols, "cols")
+        if rows.shape != (vectors.shape[0],) or cols.shape != rows.shape:
+            raise ValidationError(
+                f"frame {frame_index}: {vectors.shape[0]} vectors, "
+                f"{rows.shape[0]} rows, {cols.shape[0]} cols"
+            )
+        object.__setattr__(self, "frame_index", frame_index)
+        object.__setattr__(self, "timestamp", float(timestamp))
+        object.__setattr__(self, "vectors", _sealed(vectors))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+
+    def __len__(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def dim(self) -> int | None:
-        return self.tokens[0].vector.shape[0] if self.tokens else None
+        return self.vectors.shape[1] if len(self) else None
+
+    @property
+    def tokens(self) -> tuple[RawToken, ...]:
+        """Per-token views, built on each access."""
+        return tuple(RawToken(row, col, vector) for vector, row, col in self.ingest_tokens())
 
     def ingest_tokens(self) -> list[tuple[np.ndarray, int, int]]:
         """(vector, row, col) triples in the shape ingest_frame expects."""
-        return [(t.vector, t.spatial_row, t.spatial_col) for t in self.tokens]
+        return list(zip(self.vectors, self.rows.tolist(), self.cols.tolist()))
 
 
 Sink = Union[str, os.PathLike, "BinaryIO"]
@@ -90,21 +182,15 @@ def _is_path(sink) -> bool:
     return isinstance(sink, (str, os.PathLike))
 
 
-def _frame_dim(frames: Sequence[RawFrame]) -> int | None:
-    for frame in frames:
-        if frame.tokens:
-            return frame.tokens[0].vector.shape[0]
-    return None
-
-
 def write_trace(sink: Sink, frames: Iterable[RawFrame], dim: int | None = None) -> None:
     """Serialize frames to a file path or binary file object.
 
     All tokens must share one dimension; an all-empty trace needs `dim`
-    passed explicitly. Timestamps must be strictly increasing.
+    passed explicitly. Timestamps must be strictly increasing (a RawFrame
+    cannot hold a non-finite one).
     """
     frames = list(frames)
-    inferred = _frame_dim(frames)
+    inferred = next((frame.dim for frame in frames if frame.dim is not None), None)
     if inferred is None and dim is None:
         raise ValidationError("cannot infer dim from a trace with no tokens; pass dim")
     if inferred is not None and dim is not None and inferred != dim:
@@ -121,76 +207,106 @@ def write_trace(sink: Sink, frames: Iterable[RawFrame], dim: int | None = None) 
                 f"does not advance past {last_ts}"
             )
         last_ts = frame.timestamp
-        for tok in frame.tokens:
-            if tok.vector.shape[0] != trace_dim:
-                raise DimMismatch(
-                    f"frame {frame.frame_index} token has dimension "
-                    f"{tok.vector.shape[0]}, trace has {trace_dim}"
-                )
+        if frame.dim not in (None, trace_dim):
+            raise DimMismatch(
+                f"frame {frame.frame_index} token has dimension {frame.dim}, trace has {trace_dim}"
+            )
 
+    record = _token_dtype(trace_dim)
     own = _is_path(sink)
     fh = open(sink, "wb") if own else sink
     try:
         fh.write(_HEADER.pack(MAGIC, VERSION, trace_dim, len(frames)))
         for frame in frames:
-            fh.write(_FRAME.pack(frame.frame_index, frame.timestamp, len(frame.tokens)))
-            for tok in frame.tokens:
-                fh.write(_COORDS.pack(tok.spatial_row, tok.spatial_col))
-                fh.write(np.ascontiguousarray(tok.vector, dtype="<f4").tobytes())
+            fh.write(_FRAME.pack(frame.frame_index, frame.timestamp, len(frame)))
+            if len(frame):
+                block = np.empty(len(frame), dtype=record)
+                block["row"], block["col"], block["vec"] = frame.rows, frame.cols, frame.vectors
+                fh.write(block.tobytes())
     finally:
         if own:
             fh.close()
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedRecord(f"stream ended inside {what} ({len(data)}/{n} bytes)")
-    return data
+class _Source:
+    """Exact reads from a binary file object, never sized past its data.
+
+    A seekable source is measured once, and a read that would run past its
+    end fails before anything is read. Any other source is read in chunks
+    of at most READ_CHUNK_BYTES, so a lying length costs at most the bytes
+    the stream really holds.
+    """
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.left = None  # bytes left in a seekable source
+        try:
+            if fh.seekable():
+                start = fh.tell()
+                self.left = fh.seek(0, os.SEEK_END) - start
+                fh.seek(start)
+        except (AttributeError, OSError, ValueError):
+            self.left = None
+
+    def read(self, n: int, what: str, eof_ok: bool = False) -> bytes | None:
+        """n bytes, or None at a clean end of stream when eof_ok."""
+        if self.left is not None and n > self.left:
+            if eof_ok and self.left == 0:
+                return None
+            raise TruncatedRecord(f"stream ended inside {what} ({self.left}/{n} bytes)")
+        parts, got = [], 0
+        while got < n:
+            part = self.fh.read(min(n - got, READ_CHUNK_BYTES))
+            if not part:
+                break
+            parts.append(part)
+            got += len(part)
+        if eof_ok and got == 0 and n:
+            return None
+        if got != n:
+            raise TruncatedRecord(f"stream ended inside {what} ({got}/{n} bytes)")
+        if self.left is not None:
+            self.left -= n
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 def read_trace(source: Sink) -> Iterator[RawFrame]:
     """Yield frames lazily from a file path or binary file object.
 
-    Validates magic, version, dimension, and timestamp monotonicity.
+    Validates magic, version, dimension, and that timestamps are finite
+    and strictly increasing.
     """
     own = _is_path(source)
     fh = open(source, "rb") if own else source
     try:
-        magic, version, dim, frame_count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
+        src = _Source(fh)
+        magic, version, dim, frame_count = _HEADER.unpack(src.read(_HEADER.size, "header"))
         if magic != MAGIC:
             raise BadMagic(f"expected magic {MAGIC!r}, got {magic!r}")
         if version != VERSION:
             raise UnsupportedVersion(f"version {version} not supported (want {VERSION})")
         if dim < 1:
             raise TraceFormatError(f"header dim must be positive, got {dim}")
-        token_bytes = _COORDS.size + 4 * dim
+        record = _token_dtype(dim)
         last_ts = None
         read = 0
-        while True:
-            if frame_count > 0 and read == frame_count:
+        while frame_count == 0 or read < frame_count:
+            head = src.read(_FRAME.size, "frame header", eof_ok=frame_count == 0)
+            if head is None:
                 break
-            head = fh.read(_FRAME.size)
-            if not head and frame_count == 0:
-                break
-            if len(head) != _FRAME.size:
-                raise TruncatedRecord(
-                    f"stream ended inside frame header ({len(head)}/{_FRAME.size} bytes)"
-                )
             frame_index, timestamp, token_count = _FRAME.unpack(head)
+            if not math.isfinite(timestamp):
+                raise NonFiniteTimestamp(f"frame {frame_index} timestamp is {timestamp}")
             if last_ts is not None and timestamp <= last_ts:
                 raise NonMonotoneTimestamp(
                     f"frame {frame_index} timestamp {timestamp} does not advance past {last_ts}"
                 )
             last_ts = timestamp
-            tokens = []
-            for _ in range(token_count):
-                raw = _read_exact(fh, token_bytes, f"frame {frame_index} token")
-                row, col = _COORDS.unpack_from(raw)
-                vector = np.frombuffer(raw, dtype="<f4", offset=_COORDS.size)
-                tokens.append(RawToken(spatial_row=row, spatial_col=col, vector=vector))
+            data = src.read(token_count * record.itemsize, f"frame {frame_index} tokens")
+            block = np.frombuffer(data, dtype=record, count=token_count)
             read += 1
-            yield RawFrame(frame_index=frame_index, timestamp=timestamp, tokens=tuple(tokens))
+            yield RawFrame(frame_index, timestamp,
+                           vectors=block["vec"], rows=block["row"], cols=block["col"])
     finally:
         if own:
             fh.close()

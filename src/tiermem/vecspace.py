@@ -227,7 +227,9 @@ def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.nda
         raise DimensionError(
             f"frame dimension {frame_matrix.shape[1]} vs query dimension {query_matrix.shape[1]}"
         )
-    return np.max(np.clip(frame_matrix @ query_matrix.T, -1.0, 1.0), axis=1)
+    # Clip is monotone, so clipping the maxima gives the bits of maximizing
+    # the clipped product (NaN included) without a second product-sized pass.
+    return np.clip(np.max(frame_matrix @ query_matrix.T, axis=1), -1.0, 1.0)
 
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """CLI tests: subcommand wiring, exit codes, artifact outputs."""
 
 import json
+import struct
 
 import pytest
 
@@ -298,4 +299,19 @@ def test_malformed_spec_field_exits_1(workspace, tmp_path, capsys, field):
     assert main(["replay", "--synth-spec", str(spec_path), "--queries", str(queries_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: stream spec {spec_path}: {next(iter(field))}")
+    assert err.count("\n") == 1
+
+
+def test_ingest_of_a_trace_with_a_nan_timestamp_exits_1(workspace, tmp_path, capsys):
+    tmp, spec_path, _, _ = workspace
+    trace = tmp_path / "stream.trace"
+    assert main(["synth", "--synth-spec", str(spec_path), "--out", str(trace)]) == 0
+    data = trace.read_bytes()
+    frame_bytes = 20 + 4 * (4 + 4 * 16)  # frame header, four dim-16 tokens
+    offset = 20 + 3 * frame_bytes + 8  # the fourth frame's timestamp
+    trace.write_bytes(data[:offset] + struct.pack("<d", float("nan")) + data[offset + 8:])
+    capsys.readouterr()
+    assert main(["ingest", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame 3 timestamp is nan")
     assert err.count("\n") == 1

@@ -815,6 +815,28 @@ def test_ingest_deterministic_digest():
     assert run(42) != run(43)
 
 
+def test_tier_token_counts_match_a_recount_after_every_ingest():
+    evicted = 0
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 83])
+        cfg = random_config(rng)
+        mem = new_memory(cfg, small_bank(5))
+        for t in range(60):
+            n = int(rng.integers(1, cfg.tokens_per_frame_max + 1))
+            report = mem.ingest_frame(float(t), [
+                (rng.standard_normal(5), int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+                for _ in range(n)
+            ])
+            evicted += report.dropped_budget
+            recount = {tier: sum(e.token_count for e in getattr(mem, tier))
+                       for tier in ("short", "mid", "long")}
+            assert mem.tier_tokens == recount
+            assert (report.short_tokens, report.mid_tokens, report.long_tokens) == (
+                recount["short"], recount["mid"], recount["long"])
+            assert mem.total_tokens == mem.recount_tokens()
+    assert evicted > 0
+
+
 def test_report_counts_match_state():
     cfg = TierConfig(
         short_cap_frames=2, mid_cap_frames=2, token_budget=16, tokens_per_frame_max=4

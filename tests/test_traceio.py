@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from tiermem import traceio
 from tiermem.errors import (
     BadMagic,
     DimMismatch,
+    NonFiniteTimestamp,
     NonMonotoneTimestamp,
     TraceFormatError,
     TruncatedRecord,
@@ -189,3 +191,208 @@ def test_token_coordinate_bounds():
         RawToken(spatial_row=0, spatial_col=-1, vector=np.ones(1, np.float32))
     with pytest.raises(ValidationError):
         RawToken(spatial_row=0, spatial_col=0, vector=np.zeros((2, 2), np.float32))
+
+
+# --- columnar frames ----------------------------------------------------------
+
+
+def test_frame_columns_and_token_views_agree():
+    f = frame(4, 2.0, [token([1.0, 2.0], row=3, col=5), token([-1.0, 0.5], row=0, col=65535)])
+    assert f.vectors.dtype == np.float32 and f.vectors.shape == (2, 2)
+    assert f.rows.tolist() == [3, 0] and f.cols.tolist() == [5, 65535]
+    assert len(f) == 2 and f.dim == 2
+    for column in (f.vectors, f.rows, f.cols):
+        assert not column.flags.writeable
+    views = f.tokens
+    assert [(t.spatial_row, t.spatial_col) for t in views] == [(3, 5), (0, 65535)]
+    assert np.array_equal(views[1].vector, [-1.0, 0.5])
+    triples = f.ingest_tokens()
+    assert [type(r) for _, r, _ in triples] == [int, int]
+    assert [type(c) for _, _, c in triples] == [int, int]
+    assert triples[0][0].dtype == np.float32 and triples[0][0].shape == (2,)
+
+
+def test_frame_from_columns_copies_writable_inputs():
+    vectors = np.ones((2, 3), np.float32)
+    f = RawFrame(0, 0.0, vectors=vectors, rows=[0, 1], cols=np.array([2, 3]))
+    vectors[0, 0] = 9.0
+    assert f.vectors[0, 0] == 1.0
+    assert f.rows.dtype == np.uint16
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"vectors": np.ones((2, 3)), "rows": [0], "cols": [0, 1]},
+        {"vectors": np.ones((2, 3)), "rows": [0, 1], "cols": [0]},
+        {"vectors": np.ones(3), "rows": [0], "cols": [0]},
+        {"vectors": np.ones((1, 0)), "rows": [0], "cols": [0]},
+        {"vectors": np.ones((1, 3)), "rows": [65536], "cols": [0]},
+        {"vectors": np.ones((1, 3)), "rows": [0], "cols": [-1]},
+        {"vectors": np.ones((1, 3)), "rows": [0.5], "cols": [0]},
+    ],
+)
+def test_frame_rejects_malformed_columns(columns):
+    with pytest.raises(ValidationError):
+        RawFrame(0, 0.0, **columns)
+
+
+def test_frame_takes_tokens_or_columns_not_both():
+    with pytest.raises(ValidationError):
+        RawFrame(0, 0.0, [token([1.0])], vectors=np.ones((1, 1)), rows=[0], cols=[0])
+
+
+def test_read_frames_are_read_only_views():
+    back = load_trace_bytes(write_bytes([frame(0, 0.0, [token([1.0, 2.0]), token([3.0, 4.0])])]))
+    for column in (back[0].vectors, back[0].rows, back[0].cols):
+        assert not column.flags.writeable
+    assert back[0].vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+# --- decode equivalence against a per-token reference -------------------------
+
+
+def reference_decode(data):
+    """Independent per-token struct decoder of the wire format."""
+    _, _, dim, count = struct.unpack_from("<4sIIQ", data, 0)
+    pos, frames = 20, []
+    while (len(frames) < count) if count else (pos < len(data)):
+        index, ts, n = struct.unpack_from("<QdI", data, pos)
+        pos += 20
+        tokens = []
+        for _ in range(n):
+            row, col = struct.unpack_from("<HH", data, pos)
+            tokens.append((row, col, data[pos + 4:pos + 4 + 4 * dim]))
+            pos += 4 + 4 * dim
+        frames.append((index, ts, tokens))
+    return frames
+
+
+def assert_decodes_like_reference(frames, data):
+    want = reference_decode(data)
+    assert len(frames) == len(want)
+    for f, (index, ts, tokens) in zip(frames, want):
+        assert (f.frame_index, f.timestamp) == (index, ts)
+        assert len(f) == len(tokens)
+        assert f.rows.tolist() == [row for row, _, _ in tokens]
+        assert f.cols.tolist() == [col for _, col, _ in tokens]
+        assert [v.astype("<f4").tobytes() for v in f.vectors] == [bits for _, _, bits in tokens]
+
+
+class OneWayStream:
+    """A finite, non-seekable binary stream that records each read size."""
+
+    def __init__(self, data):
+        self._buf = io.BytesIO(data)
+        self.requests = []
+
+    def read(self, n=-1):
+        self.requests.append(n)
+        return self._buf.read(n)
+
+    def seekable(self):
+        return False
+
+
+class SeekableStream(OneWayStream):
+    def seekable(self):
+        return True
+
+    def tell(self):
+        return self._buf.tell()
+
+    def seek(self, offset, whence=0):
+        return self._buf.seek(offset, whence)
+
+
+def seeded_frames(rng, dim, counts):
+    """Frames with arbitrary float32 bit patterns (NaN and inf included)."""
+    out = []
+    for i, n in enumerate(counts):
+        bits = rng.integers(0, 2**32, size=(n, dim), dtype=np.uint64).astype(np.uint32)
+        out.append(RawFrame(
+            int(rng.integers(0, 2**40)) + i, float(i) + float(rng.random()) * 0.5,
+            vectors=bits.view(np.float32),
+            rows=rng.integers(0, 65536, n),
+            cols=rng.integers(0, 65536, n),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 128])
+def test_columnar_reader_matches_per_token_reference(dim, monkeypatch):
+    rng = np.random.default_rng([dim, 17])
+    counts = [0, 1, 2, 3, 600, 7, 0, 64, 255, 256, 511, 512, 599] + rng.integers(0, 601, 4).tolist()
+    frames = seeded_frames(rng, dim, counts)
+    data = write_bytes(frames)
+    until_eof = data[:12] + struct.pack("<Q", 0) + data[20:]
+    for blob in (data, until_eof):
+        assert_decodes_like_reference(load_trace_bytes(blob), blob)
+        assert write_bytes(load_trace_bytes(blob)) == data
+    # A source that cannot seek is read in chunks; small chunks split the
+    # frame blocks and the headers across reads.
+    monkeypatch.setattr(traceio, "READ_CHUNK_BYTES", 7)
+    stream = OneWayStream(until_eof)
+    assert_decodes_like_reference(list(read_trace(stream)), until_eof)
+    assert max(stream.requests) <= 7
+
+
+# --- bounded reads -------------------------------------------------------------
+
+
+def hostile_trace(dim, frame_count, frames=()):
+    """A header, then (index, timestamp, token_count, payload) frames."""
+    out = b"SVMT" + struct.pack("<IIQ", 1, dim, frame_count)
+    for index, ts, count, payload in frames:
+        out += struct.pack("<QdI", index, ts, count) + payload
+    return out
+
+
+LYING_HEADERS = [
+    pytest.param(hostile_trace(2**32 - 1, 1, [(0, 0.0, 1, b"\0" * 64)]), TraceFormatError,
+                 id="huge-dim"),
+    pytest.param(hostile_trace(2**28, 1, [(0, 0.0, 1, b"\0" * 64)]), TruncatedRecord,
+                 id="1GiB-token"),
+    pytest.param(hostile_trace(4, 1, [(0, 0.0, 2**32 - 1, b"\0" * 200)]), TruncatedRecord,
+                 id="huge-token-count"),
+    pytest.param(hostile_trace(4, 0, [(0, 0.0, 2, b"\0" * 40), (1, 1.0, 2**32 - 1, b"\0" * 7)]),
+                 TruncatedRecord, id="huge-token-count-until-eof"),
+]
+
+
+@pytest.mark.parametrize("data, error", LYING_HEADERS)
+def test_seekable_reader_checks_length_before_reading(data, error):
+    stream = SeekableStream(data)
+    with pytest.raises(error):
+        list(read_trace(stream))
+    assert max(stream.requests) <= len(data)
+
+
+@pytest.mark.parametrize("data, error", LYING_HEADERS)
+def test_one_way_reader_costs_at_most_the_stream_length(data, error):
+    stream = OneWayStream(data)
+    with pytest.raises(error):
+        list(read_trace(stream))
+    assert max(stream.requests) <= traceio.READ_CHUNK_BYTES
+
+
+# --- non-finite timestamps -----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_reader_rejects_non_finite_timestamps(bad):
+    data = write_bytes([frame(0, 5.0, [token([1.0, 0.0])]), frame(1, 6.0, [token([0.0, 1.0])])])
+    second_ts = 20 + 20 + 12 + 8  # header, frame 0, its token, frame 1 index
+    for offset in (28, second_ts):
+        patched = data[:offset] + struct.pack("<d", bad) + data[offset + 8:]
+        with pytest.raises(NonFiniteTimestamp):
+            load_trace_bytes(patched)
+    assert issubclass(NonFiniteTimestamp, TraceFormatError)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_frame_and_writer_reject_non_finite_timestamps(bad):
+    with pytest.raises(ValidationError):
+        frame(0, bad, [token([1.0])])
+    with pytest.raises(ValidationError):
+        write_bytes([frame(0, 0.0, [token([1.0])]), frame(1, bad, [])])

@@ -17,6 +17,7 @@ from tiermem.vecspace import (
     normalize,
     pooled_max_sim_units,
     segment_means,
+    token_max_sims,
     unit_rows,
 )
 from tiermem import vecspace
@@ -148,6 +149,19 @@ def test_pooled_kernel_matches_public_path():
     assert math.isclose(
         pooled_max_sim_units(fm, qm), late_interaction(frame, query), abs_tol=1e-12
     )
+
+
+def test_token_max_sims_max_then_clip_equals_clip_then_max_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for n, k, d in [(1, 1, 1), (7, 3, 5), (64, 9, 16), (512, 512, 128)]:
+        frame = rng.standard_normal((n, d)) * 2.0
+        query = rng.standard_normal((k, d)) * 2.0
+        frame[rng.random(n) < 0.1, 0] = np.nan
+        product = frame @ query.T
+        assert (np.abs(product) > 1.0).any()
+        clipped_first = np.max(np.clip(product, -1.0, 1.0), axis=1)
+        got = token_max_sims(frame, query)
+        assert got.tobytes() == clipped_first.tobytes(), (n, k, d)
 
 
 def test_segment_means_match_np_mean_bit_for_bit():
