@@ -176,7 +176,8 @@ def _ingest_all(
     reports: list[IngestReport] = []
     peak = 0
     for frame in frames:
-        report = mem.ingest_frame(frame.timestamp, frame.ingest_tokens())
+        report = mem.ingest_frame(frame.timestamp, frame.ingest_tokens(),
+                                  frame_index=frame.frame_index)
         reports.append(report)
         if report.total_tokens > peak:
             peak = report.total_tokens
@@ -429,7 +430,8 @@ def run_query_replay(
             if fifo is not None:
                 fifo.ingest(frame)
             else:
-                mem.ingest_frame(frame.timestamp, frame.ingest_tokens())
+                mem.ingest_frame(frame.timestamp, frame.ingest_tokens(),
+                                 frame_index=frame.frame_index)
             cursor += 1
 
         if fifo is not None:

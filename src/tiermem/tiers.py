@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,14 +71,26 @@ def _column(values, dtype) -> np.ndarray:
     return arr
 
 
+def _statistics(scores: np.ndarray) -> dict:
+    """A frame's derived fields, from its non-empty scores column.
+
+    pooled_score has np.mean's bits: the same pairwise np.add.reduce,
+    then one division by the count.
+    """
+    n = scores.shape[0]
+    return {"token_count": n, "pooled_score": float(np.add.reduce(scores)) / n,
+            "min_score": float(np.minimum.reduce(scores))}
+
+
 @dataclass(frozen=True, eq=False)
 class FrameEntry:
     """A frame's surviving tokens as four read-only columns, plus metadata.
 
     Row i of token_matrix is token i's unit embedding, scores[i] its
     cached salience and (rows[i], cols[i]) its origin in the frame grid.
-    Writable inputs are copied. pooled_score is derived from the columns
-    at construction, so it can never drift out of sync with them.
+    Writable inputs are copied. token_count, pooled_score and min_score
+    are derived from the columns at construction, so they can never drift
+    out of sync with them.
     """
 
     frame_index: int
@@ -88,7 +100,9 @@ class FrameEntry:
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
     scene_boundary: bool = False
+    token_count: int = field(init=False)
     pooled_score: float = field(init=False)
+    min_score: float = field(init=False)
 
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
@@ -109,11 +123,21 @@ class FrameEntry:
         for coords in (self.rows, self.cols):
             if coords.min() < 0 or coords.max() > MAX_COORD:
                 raise ValidationError(f"spatial coordinates must be in [0, {MAX_COORD}]")
-        object.__setattr__(self, "pooled_score", float(np.mean(self.scores)))
+        vars(self).update(_statistics(self.scores))
 
-    @property
-    def token_count(self) -> int:
-        return self.scores.shape[0]
+    def _derived(self, scene_boundary: bool, columns: dict | None = None) -> "FrameEntry":
+        """This frame with another scene-boundary flag, or with columns that
+        are a non-empty subset of its rows.
+
+        Rows taken from validated columns are still valid, so the checks of
+        __post_init__ are not run again; the statistics are.
+        """
+        columns = columns or {name: getattr(self, name) for name in _COLUMNS}
+        entry = object.__new__(FrameEntry)
+        vars(entry).update(frame_index=self.frame_index, timestamp=self.timestamp,
+                           scene_boundary=scene_boundary, **columns,
+                           **_statistics(columns["scores"]))
+        return entry
 
     def __len__(self) -> int:
         return self.token_count
@@ -129,12 +153,15 @@ class FrameEntry:
         )
 
     def take(self, positions: np.ndarray) -> "FrameEntry":
-        """Same frame, keeping the tokens at the given positions in that order."""
-        return FrameEntry(
-            frame_index=self.frame_index,
-            timestamp=self.timestamp,
-            scene_boundary=self.scene_boundary,
-            **{name: _sealed(getattr(self, name)[positions]) for name in _COLUMNS},
+        """Same frame, keeping the tokens at the given positions in that order.
+
+        positions must be non-empty; each must index an existing token.
+        """
+        if len(positions) == 0:
+            raise EmptyFrame(f"frame {self.frame_index}: take keeps no tokens")
+        return self._derived(
+            self.scene_boundary,
+            {name: _sealed(getattr(self, name)[positions]) for name in _COLUMNS},
         )
 
 
@@ -409,6 +436,16 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig) -> FrameEntry
     return frame.take(np.sort(np.concatenate([winners, fill])))
 
 
+# Frame indices and the index after the newest one are hashed as int64.
+MAX_FRAME_INDEX = 2**63 - 2
+
+
+def _frame_index(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"frame_index must be an integer, got {value!r}")
+    return int(value)
+
+
 class TieredMemory:
     """Mutable streaming memory; single writer, frozen for reads."""
 
@@ -452,12 +489,17 @@ class TieredMemory:
             e.token_count for tier in (self.short, self.mid, self.long) for e in tier
         )
 
-    def ingest_frame(self, timestamp: float, raw_tokens: Sequence[tuple]) -> IngestReport:
+    def ingest_frame(
+        self, timestamp: float, raw_tokens: Sequence[tuple], *, frame_index: int | None = None
+    ) -> IngestReport:
         """Push one frame through the pipeline; returns what happened.
 
         raw_tokens is a sequence of (vector, spatial_row, spatial_col).
         Timestamps must be strictly increasing; the frame must be
-        non-empty and within the per-frame token cap.
+        non-empty and within the per-frame token cap. frame_index is the
+        frame's identity in the caller's trace; given indices must be
+        non-negative and strictly increasing, and a frame without one takes
+        the index after the previous frame's.
         """
         if self._frozen:
             raise FrozenMemory("memory is frozen; thaw before ingesting")
@@ -468,6 +510,12 @@ class TieredMemory:
             raise NonMonotoneTimestamp(
                 f"timestamp {ts} does not advance past {self._last_timestamp}"
             )
+        index = self._next_frame_index if frame_index is None else _frame_index(frame_index)
+        if not self._next_frame_index <= index <= MAX_FRAME_INDEX:
+            raise ValidationError(
+                f"frame_index {index} is outside [{self._next_frame_index}, {MAX_FRAME_INDEX}]; "
+                f"frame indices are non-negative and strictly increasing"
+            )
         raw = list(raw_tokens)
         if not raw:
             raise EmptyFrame("a frame must carry at least one token")
@@ -477,10 +525,9 @@ class TieredMemory:
                 f"{self.config.tokens_per_frame_max}"
             )
 
-        index = self._next_frame_index
         entry = encode_tokens(index, ts, raw, self.bank)
         prev = self.short[-1] if self.short else None
-        entry = replace(entry, scene_boundary=is_scene_boundary(entry, prev, self.config))
+        entry = entry._derived(is_scene_boundary(entry, prev, self.config))
         tier_tokens = self._tier_tokens
         self.short.append(entry)
         tier_tokens["short"] += entry.token_count
@@ -602,9 +649,23 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         tier = getattr(mem, tier_name)
         if overflow <= 0 or not tier:
             continue
-        counts = np.array([e.token_count for e in tier])
+        # The overflow lowest frame minima are overflow distinct tokens, all
+        # scoring at or below the overflow-th lowest minimum, so the
+        # overflow-th lowest token score (the cut-off below) is at or below
+        # it too. Every token at or below the cut-off, boundary ties
+        # included, therefore lies in a frame whose minimum is at or below
+        # that bound: the frames above it hold no victim and change neither
+        # the cut-off nor the order of the victims.
+        if overflow < len(tier):
+            minima = np.fromiter((e.min_score for e in tier), np.float64, len(tier))
+            bound = np.partition(minima, overflow - 1)[overflow - 1]
+            slots = np.flatnonzero(minima <= bound).tolist()
+        else:
+            slots = range(len(tier))
+        entries = [tier[slot] for slot in slots]
+        counts = np.fromiter((e.token_count for e in entries), np.intp, len(entries))
         starts = np.cumsum(counts) - counts
-        scores = np.concatenate([e.scores for e in tier])
+        scores = np.concatenate([e.scores for e in entries])
         # Only tokens scoring at or below the overflow-th lowest score can be
         # victims; sorting those alone (boundary ties included) gives the
         # same victims in the same order as sorting the whole tier.
@@ -613,9 +674,9 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
             candidates = np.flatnonzero(scores <= cutoff)
         else:
             candidates = np.arange(len(scores))
-        slots = np.searchsorted(starts, candidates, side="right") - 1
-        positions = candidates - starts[slots]
-        frames = np.array([e.frame_index for e in tier])[slots]
+        owners = np.searchsorted(starts, candidates, side="right") - 1
+        positions = candidates - starts[owners]
+        frames = np.array([e.frame_index for e in entries])[owners]
         order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
         victims = candidates[order]
         overflow -= len(victims)
@@ -624,11 +685,18 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
                        scores[victims].tolist())
         alive = np.ones(len(scores), dtype=bool)
         alive[victims] = False
-        for slot in np.unique(slots[order]).tolist():
-            start = starts[slot]
-            kept = np.flatnonzero(alive[start:start + counts[slot]])
-            tier[slot] = tier[slot].take(kept) if len(kept) else None
-        tier[:] = [entry for entry in tier if entry is not None]
+        survivors = np.flatnonzero(alive)
+        # survivors[bounds[j]:bounds[j + 1]] are frame j's surviving tokens.
+        bounds = np.searchsorted(survivors, starts).tolist() + [len(survivors)]
+        emptied = []
+        for owner in np.unique(owners[order]).tolist():
+            kept = survivors[bounds[owner]:bounds[owner + 1]]
+            if len(kept):
+                tier[slots[owner]] = entries[owner].take(kept - starts[owner])
+            else:
+                emptied.append(slots[owner])
+        for slot in reversed(emptied):
+            del tier[slot]
     mem._total_tokens -= len(evicted)
     if mem._total_tokens > budget:
         raise BudgetUnsatisfiable(

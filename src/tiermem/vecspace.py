@@ -55,7 +55,9 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
     dead = norms < ZERO_NORM_EPS
-    return np.divide(m, norms, out=np.zeros_like(m), where=~dead)
+    units = m / np.where(dead, 1.0, norms)
+    units[dead[:, 0]] = 0.0
+    return units
 
 
 def normalize(v: VectorLike, dim: int | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Benchmark driver tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -241,6 +242,41 @@ def test_replay_planted_event_full_recall():
     assert row["recall"] == 1.0
     assert row["result"]["gated_short_only"] is False
     assert report.summary["mean_recall"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "renumber", [lambda i: i + 1000, lambda i: 3 * i + 5], ids=["shifted", "gapped"]
+)
+def test_replay_and_ingest_report_trace_frame_indices(renumber):
+    # One identity from trace to report: renumbering the trace renumbers
+    # every frame the reports name, and changes nothing else.
+    spec = planted_spec(event_frame=10, sigma=0.05)
+    bank = aligned_bank(spec)
+    cfg = TierConfig(short_cap_frames=4, mid_cap_frames=8, token_budget=128,
+                     long_quota_per_frame=4, tokens_per_frame_max=8)
+    frames = generate_stream(spec)
+    renumbered = [RawFrame(renumber(f.frame_index), f.timestamp,
+                           vectors=f.vectors, rows=f.rows, cols=f.cols) for f in frames]
+    q = query_for_event(spec, 0, jitter=0.0, rho=2.0)
+    moved = dataclasses.replace(q, ground_truth_frames=frozenset(map(renumber, q.ground_truth_frames)))
+
+    want = run_query_replay(frames, [q], cfg, bank, compare_oracle=True).rows[0]
+    got = run_query_replay(renumbered, [moved], cfg, bank, compare_oracle=True).rows[0]
+    assert got["selected_frames"] == [renumber(f) for f in want["selected_frames"]]
+    assert got["oracle_top_k"] == [renumber(f) for f in want["oracle_top_k"]]
+    for key in ("anchor_frames", "retrieved_frames"):
+        assert got["result"][key] == [renumber(f) for f in want["result"][key]]
+    assert got["result"]["frame_scores"] == [
+        [renumber(f), score] for f, score in want["result"]["frame_scores"]]
+    for key in ("max_selected_timestamp", "recall", "oracle_overlap", "rank_correlation"):
+        assert got[key] == want[key], key
+    assert got["recall"] == 1.0 and got["result"]["retrieved_frames"]
+
+    ingest = run_ingest(renumbered, cfg, bank)
+    assert [r["frame_index"] for r in ingest.rows] == [f.frame_index for f in renumbered]
+    hist = emit_score_histograms(renumbered, cfg, bank)
+    assert hist.summary["designated_frame"] == renumber(
+        emit_score_histograms(frames, cfg, bank).summary["designated_frame"])
 
 
 def test_replay_always_gate_never_retrieves():

@@ -3,6 +3,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from tiermem.cli import main
@@ -315,3 +316,77 @@ def test_ingest_of_a_trace_with_a_nan_timestamp_exits_1(workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: frame 3 timestamp is nan")
     assert err.count("\n") == 1
+
+
+# Values no field of a query, spec or config file accepts.
+_BAD_JSON_VALUES = ("x", True, {"a": 1}, ["x"], 1e999)
+
+
+def _corrupt_json(rng, doc: dict, fields: tuple, required: tuple) -> dict:
+    """doc with a required field deleted (one case in three) or a field set
+    to a value no field accepts."""
+    doc = dict(doc)
+    if required and rng.integers(3) == 0:
+        del doc[required[rng.integers(len(required))]]
+    else:
+        doc[fields[rng.integers(len(fields))]] = _BAD_JSON_VALUES[rng.integers(len(_BAD_JSON_VALUES))]
+    return doc
+
+
+def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
+    # Corrupted traces and malformed JSON fields never end in a traceback:
+    # a failing run exits 1 (2 for I/O) with exactly one `error:` line.
+    # Truncations and malformed fields always fail; a byte flip may land in
+    # a vector component and leave a valid trace, so a flip may also succeed.
+    tmp, spec_path, queries_path, config_path = workspace
+    trace = tmp / "stream.trace"
+    assert main(["synth", "--synth-spec", str(spec_path), "--out", str(trace)]) == 0
+    data = trace.read_bytes()
+    frame_bytes = 20 + 4 * (4 + 4 * 16)  # frame header, four dim-16 tokens
+    headers = [*range(20), *(20 + f * frame_bytes + i for f in range(20) for i in range(20))]
+    spec_doc = json.loads(spec_path.read_text())
+    config_doc = json.loads(config_path.read_text())
+    query_doc = json.loads(queries_path.read_text().splitlines()[0])
+    bad_trace, bad_json = tmp_path / "bad.trace", tmp_path / "bad.json"
+    replay = ["replay", "--trace", str(trace), "--queries", str(queries_path),
+              "--config", str(config_path)]
+    outcomes = {}
+    for case in range(200):
+        rng = np.random.default_rng([case, 11])
+        kind = ("flip", "truncate", "query", "spec", "config")[case % 5]
+        if kind == "flip":
+            # Half the flips land in the file or frame headers, where the
+            # format's structure lives; the rest anywhere.
+            targets = headers if case % 10 < 5 else range(len(data))
+            corrupted = bytearray(data)
+            for at in rng.choice(targets, size=int(rng.integers(1, 4))):
+                corrupted[at] ^= int(rng.integers(1, 256))
+            bad_trace.write_bytes(bytes(corrupted))
+            argv = ["replay", "--trace", str(bad_trace), *replay[3:]]
+        elif kind == "truncate":
+            bad_trace.write_bytes(data[: int(rng.integers(len(data)))])
+            argv = ["ingest", "--trace", str(bad_trace)]
+        elif kind == "query":
+            fields = ("arrival_time", "tokens", "rho", "top_k", "lambda", "ground_truth_frames")
+            bad = _corrupt_json(rng, query_doc, fields, ("arrival_time", "tokens"))
+            bad_json.write_text(json.dumps(bad) + "\n")
+            argv = [*replay[:3], "--queries", str(bad_json), *replay[5:]]
+        elif kind == "spec":
+            bad = _corrupt_json(rng, spec_doc, tuple(spec_doc) + ("segments",),
+                                ("dim", "frames", "tokens_per_frame"))
+            bad_json.write_text(json.dumps(bad))
+            argv = ["ingest", "--synth-spec", str(bad_json)]
+        else:
+            bad = _corrupt_json(rng, config_doc, ("keep_fraction", "semantic_weight",
+                                                  "scene_threshold", "grid_size",
+                                                  "long_quota_per_frame", *config_doc), ())
+            bad_json.write_text(json.dumps(bad))
+            argv = [*replay[:5], "--config", str(bad_json)]
+        capsys.readouterr()
+        code = main(argv + ["--report", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code in ((0, 1, 2) if kind == "flip" else (1, 2)), (case, kind, err)
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == (code != 0), (case, err)
+        outcomes[kind, code] = outcomes.get((kind, code), 0) + 1
+    assert outcomes.get(("flip", 1), 0) > 0 and outcomes.get(("truncate", 1), 0) == 40

@@ -533,6 +533,23 @@ def test_ingest_timestamp_and_size_guards():
     assert mem.total_tokens == 1
 
 
+def test_ingest_takes_the_callers_strictly_increasing_frame_index():
+    cfg = TierConfig(short_cap_frames=1, mid_cap_frames=1, tokens_per_frame_max=1, token_budget=8)
+    mem = new_memory(cfg, small_bank())
+    token = [(axis(4, 0), 0, 0)]
+    assert mem.ingest_frame(0.0, token, frame_index=1000).frame_index == 1000
+    assert mem.ingest_frame(1.0, token).frame_index == 1001  # no index: the next one
+    assert mem.ingest_frame(2.0, token, frame_index=np.int64(1005)).frame_index == 1005
+    for bad in (1005, 1004, -1, True, 1006.0, "1007", 2**63 - 1):
+        with pytest.raises(ValidationError):
+            mem.ingest_frame(3.0, token, frame_index=bad)
+    # A rejected frame leaves the memory as it was.
+    assert (mem.total_tokens, mem.last_timestamp) == (3, 2.0)
+    assert [e.frame_index for e in mem.long + mem.mid + mem.short] == [1000, 1001, 1005]
+    assert mem.ingest_frame(3.0, token, frame_index=2**63 - 2).frame_index == 2**63 - 2
+    assert len(mem.state_digest()) == 64
+
+
 def test_demotion_prunes_half():
     # Frame 0 is a scene start and passes through whole; frame 1 repeats
     # frame 0, so when it demotes it keeps ceil(0.5 * 4) = 2 tokens.
@@ -722,6 +739,143 @@ def test_forget_small_overflow_in_a_large_tied_tier_matches_reference():
         expected = reference_forget((mem.long, mem.mid), overflow)
         assert selective_forget(mem).evicted == tuple(expected)
         assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
+
+
+def public_copy(entry):
+    """The same frame built through the public, validating constructor."""
+    return FrameEntry(
+        frame_index=entry.frame_index,
+        timestamp=entry.timestamp,
+        token_matrix=entry.token_matrix,
+        scores=entry.scores,
+        rows=entry.rows,
+        cols=entry.cols,
+        scene_boundary=entry.scene_boundary,
+    )
+
+
+def assert_same_entry(got, want):
+    assert_same_tokens(got, want)
+    for name in ("frame_index", "timestamp", "scene_boundary", "token_count"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("pooled_score", "min_score"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    for name in ("token_matrix", "scores", "rows", "cols"):
+        assert not getattr(got, name).flags.writeable, name
+
+
+def test_taken_entries_equal_public_construction():
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 47])
+        n = int(rng.integers(1, 600))
+        entry = FrameEntry(
+            frame_index=seed,
+            timestamp=float(seed),
+            token_matrix=rng.standard_normal((n, 4)),
+            scores=rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, size=n),
+            rows=rng.integers(0, 9, size=n),
+            cols=rng.integers(0, 9, size=n),
+            scene_boundary=bool(seed % 2),
+        )
+        subset = np.flatnonzero(rng.uniform(size=n) < rng.uniform())
+        for positions in (subset, rng.integers(n, size=int(rng.integers(1, 2 * n))), np.array([n - 1])):
+            if not len(positions):
+                continue
+            got = entry.take(positions)
+            assert_same_entry(got, public_copy(got))
+            assert got.token_count == len(positions)
+            assert got.pooled_score.hex() == float(np.mean(entry.scores[positions])).hex()
+            assert got.min_score == entry.scores[positions].min()
+    with pytest.raises(EmptyFrame):
+        entry.take(np.array([], dtype=int))
+
+
+def test_pipeline_entries_equal_public_construction():
+    # Entries the pipeline derives (scene-boundary flag, prune, select and
+    # forget) are built without re-validation; each must still equal its
+    # validated twin, and both flag values must occur.
+    flags = set()
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 29])
+        cfg = random_config(rng)
+        mem = new_memory(cfg, small_bank(5))
+        for t in range(50):
+            n = int(rng.integers(1, cfg.tokens_per_frame_max + 1))
+            base = rng.standard_normal(5)
+            mem.ingest_frame(float(t), [
+                (base + rng.standard_normal(5) * rng.choice([0.01, 2.0]),
+                 int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+                for _ in range(n)
+            ])
+            newest = mem.short[-1]
+            flags.add(newest.scene_boundary)
+            prev = mem.short[-2] if len(mem.short) > 1 else None
+            if prev is not None:
+                assert newest.scene_boundary == is_scene_boundary(newest, prev, cfg)
+            for entry in mem.short + mem.mid + mem.long:
+                assert_same_entry(entry, public_copy(entry))
+    assert flags == {True, False}
+
+
+def test_forget_frame_minimum_prefilter_matches_reference():
+    # Tie-heavy tiers (few score levels, so many frames share their minimum
+    # with the prefilter's bound) alternate with distinct scores (so a bound
+    # one frame too low misses a victim); small frames, so victims empty
+    # whole frames; and overflows from 1 up past the long tier's tokens,
+    # so the prefilter is bypassed and eviction spills into the mid tier.
+    seen = set()
+    for seed in range(150):
+        rng = np.random.default_rng([seed, 67])
+        mem = forget_memory(budget=1, tpm=1)
+        if seed % 2:
+            levels = rng.choice([0.0, 0.25, 0.5, 0.75], size=int(rng.integers(1, 4)), replace=False)
+        else:
+            levels = rng.uniform(size=200)
+
+        def tied_entry(f):
+            n = int(rng.integers(1, 6))
+            return FrameEntry(frame_index=f, timestamp=float(f), token_matrix=np.ones((n, 3)),
+                              scores=rng.choice(levels, size=n), rows=np.zeros(n, dtype=int),
+                              cols=np.arange(n))
+
+        n_long = int(rng.integers(1, 40))
+        mem.long.extend(tied_entry(f) for f in range(n_long))
+        mem.mid.extend(tied_entry(f) for f in range(n_long, n_long + int(rng.integers(0, 6))))
+        long_tokens = sum(e.token_count for e in mem.long)
+        mem._total_tokens = mem.recount_tokens()
+        mem._tier_tokens = {"short": 0, "mid": mem._total_tokens - long_tokens, "long": long_tokens}
+        overflow = int(rng.integers(1, mem._total_tokens))
+        mem.config = TierConfig(short_cap_frames=1, tokens_per_frame_max=1,
+                                token_budget=mem._total_tokens - overflow)
+        before = {e.frame_index: e for e in mem.long + mem.mid}
+        minima = sorted(e.min_score for e in mem.long)
+        if overflow < n_long and minima.count(minima[overflow - 1]) > 1:
+            seen.add("tied bound")
+        seen.add("overflow >= frames" if overflow >= n_long else "prefiltered")
+        if overflow > long_tokens and mem.mid:
+            seen.add("spill into mid")
+
+        expected = reference_forget((mem.long, mem.mid), overflow)
+        assert selective_forget(mem).evicted == tuple(expected)
+        lost = {}
+        for f, i, _ in expected:
+            lost.setdefault(f, set()).add(i)
+        for tier in (mem.long, mem.mid):
+            assert [e.frame_index for e in tier] == sorted(e.frame_index for e in tier)
+        survivors = {e.frame_index: e for e in mem.long + mem.mid}
+        for f, original in before.items():
+            kept = [i for i in range(original.token_count) if i not in lost.get(f, ())]
+            if kept:
+                want = original.take(np.array(kept))
+                assert_same_entry(survivors[f], want)
+                assert survivors[f] is original or f in lost
+            else:
+                assert f not in survivors
+                seen.add("emptied")
+        assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
+        assert mem.tier_tokens["long"] == sum(e.token_count for e in mem.long)
+        assert mem.tier_tokens["mid"] == sum(e.token_count for e in mem.mid)
+    assert seen == {"tied bound", "prefiltered", "overflow >= frames", "spill into mid", "emptied"}
 
 
 # --- whole-pipeline invariants ----------------------------------------------

@@ -164,6 +164,30 @@ def test_token_max_sims_max_then_clip_equals_clip_then_max_bit_for_bit():
         assert got.tobytes() == clipped_first.tobytes(), (n, k, d)
 
 
+def test_unit_rows_equals_the_masked_divide_bit_for_bit():
+    def masked_divide(matrix):
+        m = np.ascontiguousarray(matrix, dtype=np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+        dead = norms < vecspace.ZERO_NORM_EPS
+        return np.divide(m, norms, out=np.zeros_like(m), where=~dead)
+
+    rng = np.random.default_rng(61)
+    for n, d in [(1, 1), (9, 3), (64, 16), (512, 128)]:
+        for dtype in (np.float64, np.float32):
+            m = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+            kinds = rng.integers(6, size=n)
+            m[kinds == 0] = 0.0  # zero norm
+            m[kinds == 1] = -0.0
+            m[kinds == 2] *= 1e-14  # below ZERO_NORM_EPS, not zero
+            m[kinds == 3, 0] = np.nan
+            m[kinds == 4, 0] = np.inf
+            m = m.astype(dtype)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want, got = masked_divide(m), unit_rows(m)
+            assert got.tobytes() == want.tobytes(), (n, d, dtype)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+
+
 def test_segment_means_match_np_mean_bit_for_bit():
     rng = np.random.default_rng(53)
     for length in range(1, 601):
