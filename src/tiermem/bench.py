@@ -343,7 +343,6 @@ class _FifoState:
             mid=mid,
             long=(),
             freeze_timestamp=float(at),
-            total_tokens=sum(e.token_count for e in self.entries),
             config=self.config,
         )
 

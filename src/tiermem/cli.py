@@ -17,7 +17,7 @@ import sys
 from . import bench
 from .errors import TierMemError, ValidationError
 from .retrieval import GATE_POOLINGS, load_queries_jsonl
-from .synth import generate_stream, load_stream_spec
+from .synth import check_frame_shape, generate_stream, load_stream_spec
 from .tiers import TierConfig
 from .traceio import load_trace, write_trace
 from .vecspace import ProbeBank
@@ -161,6 +161,8 @@ def _cmd_sweep(args) -> int:
     if args.probes:
         bank, probe_inputs = _load_probes(args, None)
     else:
+        tpf = args.tokens_per_frame
+        check_frame_shape(args.dim, config.tokens_per_frame_max if tpf is None else tpf)
         bank = ProbeBank.generated(args.dim, n=5, seed=args.seed)
         probe_inputs = {"probes": "generated", "probe_seed": args.seed}
     report = bench.run_growth_sweep(

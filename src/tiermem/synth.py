@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import NoSuchEvent, SpecError, json_float, json_int
 from .retrieval import QuerySpec
-from .traceio import RawFrame
+from .traceio import RawFrame, seal
 from .vecspace import normalize, unit_rows
 
 # Seed-sequence tags keeping the per-purpose RNG streams disjoint.
@@ -29,6 +29,24 @@ _TAG_QUERY = 3
 
 # Fraction of a frame's tokens an event occupies (at least one token).
 EVENT_BLOCK_FRACTION = 0.25
+
+# Size bounds on a spec, checked before anything is generated: the
+# embedding dimension, one frame's tokens_per_frame x dim vector
+# components (8 MB as the float64 noise block) and the whole stream's
+# frames x tokens_per_frame x dim (256 MB as float32 trace vectors).
+MAX_SPEC_DIM = 2**16
+MAX_SPEC_FRAME_VALUES = 2**20
+MAX_SPEC_STREAM_VALUES = 2**26
+
+
+def check_frame_shape(dim: int, tokens_per_frame: int) -> None:
+    """Raise SpecError unless frames of this shape are within the size bounds."""
+    if dim > MAX_SPEC_DIM:
+        raise SpecError(f"dim {dim} exceeds {MAX_SPEC_DIM}")
+    if tokens_per_frame * dim > MAX_SPEC_FRAME_VALUES:
+        raise SpecError(
+            f"tokens_per_frame x dim = {tokens_per_frame * dim} exceeds {MAX_SPEC_FRAME_VALUES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,6 +69,12 @@ class StreamSpec:
     def __post_init__(self):
         if self.dim < 1 or self.frames < 1 or self.tokens_per_frame < 1:
             raise SpecError("dim, frames, and tokens_per_frame must be positive")
+        check_frame_shape(self.dim, self.tokens_per_frame)
+        values = self.frames * self.tokens_per_frame * self.dim
+        if values > MAX_SPEC_STREAM_VALUES:
+            raise SpecError(
+                f"frames x tokens_per_frame x dim = {values} exceeds {MAX_SPEC_STREAM_VALUES}"
+            )
         if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
             raise SpecError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.rng_seed < 0:
@@ -111,19 +135,10 @@ def load_stream_spec(path) -> StreamSpec:
             raise SpecError(f"stream spec {path}: invalid JSON") from exc
     if not isinstance(doc, dict):
         raise SpecError(f"stream spec {path}: expected a JSON object")
-    known = {
-        "dim",
-        "frames",
-        "tokens_per_frame",
-        "segments",
-        "events",
-        "noise_sigma",
-        "rng_seed",
-    }
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - {f.name for f in fields(StreamSpec)})
     if unknown:
         raise SpecError(f"stream spec {path}: unknown fields {unknown}")
-    for required in ("dim", "frames", "tokens_per_frame"):
+    for required in (f.name for f in fields(StreamSpec) if f.default is MISSING):
         if required not in doc:
             raise SpecError(f"stream spec {path}: missing {required}")
     where = f"stream spec {path}:"
@@ -149,12 +164,6 @@ def _triples(doc: dict, key: str, readers: tuple, where: str) -> tuple:
             raise SpecError(f"{where} {key}[{i}] must be a list of three numbers")
         triples.append(tuple(read(v, f"{where} {key}[{i}]") for read, v in zip(readers, entry)))
     return tuple(triples)
-
-
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    """Mark a freshly built column read-only, so RawFrame keeps it uncopied."""
-    arr.setflags(write=False)
-    return arr
 
 
 def _seeded_unit(dim: int, seed_parts: list[int]) -> np.ndarray:
@@ -208,7 +217,7 @@ def generate_stream(spec: StreamSpec) -> list[RawFrame]:
     side = grid_side(spec.tokens_per_frame)
 
     positions = np.arange(spec.tokens_per_frame)
-    grid_rows, grid_cols = _sealed(positions // side), _sealed(positions % side)
+    grid_rows, grid_cols = seal(positions // side), seal(positions % side)
 
     frames: list[RawFrame] = []
     for i in range(spec.frames):
@@ -228,7 +237,7 @@ def generate_stream(spec: StreamSpec) -> list[RawFrame]:
                 matrix[lead] = direction
             else:
                 matrix[lead] = unit_rows((1.0 - strength) * matrix[lead] + strength * direction)
-        frames.append(RawFrame(i, float(i), vectors=_sealed(matrix.astype(np.float32)),
+        frames.append(RawFrame(i, float(i), vectors=seal(matrix.astype(np.float32)),
                                rows=grid_rows, cols=grid_cols))
     return frames
 

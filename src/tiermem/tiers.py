@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .retrieval import GateState, update_gate
-from .traceio import MAX_COORD
+from .traceio import MAX_COORD, read_only, seal
 from .vecspace import ProbeBank, max_sim_rows, pooled_max_sim_units, unit_rows
 
 
@@ -52,12 +52,6 @@ class TokenRecord:
     spatial_col: int
 
 
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only, so FrameEntry keeps it uncopied."""
-    arr.setflags(write=False)
-    return arr
-
-
 _COLUMNS = {"token_matrix": np.float64, "scores": np.float64, "rows": np.int64, "cols": np.int64}
 
 
@@ -66,9 +60,7 @@ def _column(values, dtype) -> np.ndarray:
         arr = np.asarray(values, dtype=dtype)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read a token column as {np.dtype(dtype)}: {exc}") from exc
-    if arr.flags.writeable:
-        arr = _sealed(arr.copy())
-    return arr
+    return read_only(arr)
 
 
 def _statistics(scores: np.ndarray) -> dict:
@@ -161,21 +153,8 @@ class FrameEntry:
             raise EmptyFrame(f"frame {self.frame_index}: take keeps no tokens")
         return self._derived(
             self.scene_boundary,
-            {name: _sealed(getattr(self, name)[positions]) for name in _COLUMNS},
+            {name: seal(getattr(self, name)[positions]) for name in _COLUMNS},
         )
-
-
-_CONFIG_FIELDS = (
-    "short_cap_frames",
-    "mid_cap_frames",
-    "token_budget",
-    "keep_fraction",
-    "semantic_weight",
-    "scene_threshold",
-    "grid_size",
-    "long_quota_per_frame",
-    "tokens_per_frame_max",
-)
 
 
 @dataclass(frozen=True)
@@ -234,13 +213,13 @@ class TierConfig:
                 raise ConfigError(f"config file {path}: invalid JSON") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
-        unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"config file {path}: unknown fields {unknown}")
         return cls(**doc)
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -264,23 +243,7 @@ class IngestReport:
     total_tokens: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "frame_index": self.frame_index,
-            "timestamp": self.timestamp,
-            "scene_boundary": self.scene_boundary,
-            "pooled_score": self.pooled_score,
-            "tokens_in": self.tokens_in,
-            "dropped_temporal": self.dropped_temporal,
-            "dropped_spatial": self.dropped_spatial,
-            "dropped_budget": self.dropped_budget,
-            "short_frames": self.short_frames,
-            "mid_frames": self.mid_frames,
-            "long_frames": self.long_frames,
-            "short_tokens": self.short_tokens,
-            "mid_tokens": self.mid_tokens,
-            "long_tokens": self.long_tokens,
-            "total_tokens": self.total_tokens,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -309,12 +272,15 @@ class MemorySnapshot:
     mid: tuple[FrameEntry, ...]
     long: tuple[FrameEntry, ...]
     freeze_timestamp: float
-    total_tokens: int
     config: TierConfig
 
     def all_frames(self) -> tuple[FrameEntry, ...]:
         """Every retained frame in ascending frame order."""
         return self.long + self.mid + self.short
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(e.token_count for e in self.all_frames())
 
     @property
     def frame_count(self) -> int:
@@ -340,12 +306,12 @@ def encode_tokens(
         raise DimensionError(f"frame {frame_index}: token vectors differ in shape") from exc
     if matrix.ndim != 2:
         raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
-    units = _sealed(unit_rows(matrix))
+    units = seal(unit_rows(matrix))
     return FrameEntry(
         frame_index=frame_index,
         timestamp=float(timestamp),
         token_matrix=units,
-        scores=_sealed(max_sim_rows(unit_rows(units), bank)),
+        scores=seal(max_sim_rows(unit_rows(units), bank)),
         rows=rows,
         cols=cols,
     )
@@ -446,8 +412,21 @@ def _frame_index(value) -> int:
     return int(value)
 
 
+_TIER_NAMES = ("short", "mid", "long")
+
+
+def _tier_view(name: str) -> property:
+    return property(lambda self: tuple(self._tiers[name]),
+                    doc=f"The {name} tier's frames, oldest first, as a read-only tuple.")
+
+
 class TieredMemory:
-    """Mutable streaming memory; single writer, frozen for reads."""
+    """Mutable streaming memory; single writer, frozen for reads.
+
+    The memory owns its tiers. Callers read them as tuples; inside, every
+    change to a tier goes through _push, _pop_oldest or _replace, which
+    update that tier's token count with its frames.
+    """
 
     def __init__(self, config: TierConfig, bank: ProbeBank, dim: int | None = None):
         if dim is not None and bank.dim != dim:
@@ -455,20 +434,39 @@ class TieredMemory:
         self.config = config
         self.bank = bank
         self.dim = bank.dim if dim is None else int(dim)
-        self.short: list[FrameEntry] = []
-        self.mid: list[FrameEntry] = []
-        self.long: list[FrameEntry] = []
+        self._tiers: dict[str, list[FrameEntry]] = {name: [] for name in _TIER_NAMES}
+        self._tier_tokens = dict.fromkeys(_TIER_NAMES, 0)
         self.gate_stats = GateState()
-        self._total_tokens = 0
-        # Kept in step with the tiers on every append, demotion and eviction.
-        self._tier_tokens = {"short": 0, "mid": 0, "long": 0}
         self._last_timestamp: float | None = None
         self._next_frame_index = 0
         self._frozen = False
 
+    @classmethod
+    def from_tiers(
+        cls, config: TierConfig, bank: ProbeBank, *, short: Iterable[FrameEntry] = (),
+        mid: Iterable[FrameEntry] = (), long: Iterable[FrameEntry] = (),
+    ) -> "TieredMemory":
+        """A memory holding the given frames unchanged, each tier oldest
+        first, for test and analysis states. Every counter is derived from
+        the frames: each tier's tokens, the next frame index (one past the
+        highest held) and the last timestamp. The gate statistics start empty.
+        """
+        mem = cls(config, bank)
+        for name, entries in zip(_TIER_NAMES, (short, mid, long)):
+            for entry in entries:
+                mem._push(name, entry)
+        held = [e for tier in mem._tiers.values() for e in tier]
+        mem._next_frame_index = max((e.frame_index + 1 for e in held), default=0)
+        mem._last_timestamp = max((e.timestamp for e in held), default=None)
+        return mem
+
+    short = _tier_view("short")
+    mid = _tier_view("mid")
+    long = _tier_view("long")
+
     @property
     def total_tokens(self) -> int:
-        return self._total_tokens
+        return sum(self._tier_tokens.values())
 
     @property
     def tier_tokens(self) -> dict[str, int]:
@@ -485,9 +483,29 @@ class TieredMemory:
 
     def recount_tokens(self) -> int:
         """Recount from the tiers; must always equal total_tokens."""
-        return sum(
-            e.token_count for tier in (self.short, self.mid, self.long) for e in tier
-        )
+        return sum(e.token_count for tier in self._tiers.values() for e in tier)
+
+    def _push(self, name: str, entry: FrameEntry) -> None:
+        """Append entry as the tier's newest frame."""
+        self._tiers[name].append(entry)
+        self._tier_tokens[name] += entry.token_count
+
+    def _pop_oldest(self, name: str) -> FrameEntry:
+        """Remove and return the tier's oldest frame."""
+        entry = self._tiers[name].pop(0)
+        self._tier_tokens[name] -= entry.token_count
+        return entry
+
+    def _replace(self, name: str, slot: int, entry: FrameEntry | None) -> None:
+        """Put entry in place of the tier's frame at slot, or drop that frame
+        if entry is None."""
+        tier = self._tiers[name]
+        self._tier_tokens[name] -= tier[slot].token_count
+        if entry is None:
+            del tier[slot]
+        else:
+            tier[slot] = entry
+            self._tier_tokens[name] += entry.token_count
 
     def ingest_frame(
         self, timestamp: float, raw_tokens: Sequence[tuple], *, frame_index: int | None = None
@@ -526,38 +544,31 @@ class TieredMemory:
             )
 
         entry = encode_tokens(index, ts, raw, self.bank)
-        prev = self.short[-1] if self.short else None
+        short, mid, long = self._tiers.values()
+        prev = short[-1] if short else None
         entry = entry._derived(is_scene_boundary(entry, prev, self.config))
-        tier_tokens = self._tier_tokens
-        self.short.append(entry)
-        tier_tokens["short"] += entry.token_count
-        self._total_tokens += entry.token_count
+        self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1
         self.gate_stats = update_gate(self.gate_stats, entry.pooled_score)
 
         dropped_temporal = 0
-        while len(self.short) > self.config.short_cap_frames:
-            oldest = self.short.pop(0)
-            reference = self.short[-1] if self.short else None
+        while len(short) > self.config.short_cap_frames:
+            oldest = self._pop_oldest("short")
+            reference = short[-1] if short else None
             kept = temporal_semantic_prune(oldest, reference, self.config)
             dropped_temporal += oldest.token_count - kept.token_count
-            self.mid.append(kept)
-            tier_tokens["short"] -= oldest.token_count
-            tier_tokens["mid"] += kept.token_count
+            self._push("mid", kept)
 
         dropped_spatial = 0
-        while len(self.mid) > self.config.mid_cap_frames:
-            oldest = self.mid.pop(0)
+        while len(mid) > self.config.mid_cap_frames:
+            oldest = self._pop_oldest("mid")
             kept = spatial_semantic_select(oldest, self.config)
             dropped_spatial += oldest.token_count - kept.token_count
-            self.long.append(kept)
-            tier_tokens["mid"] -= oldest.token_count
-            tier_tokens["long"] += kept.token_count
+            self._push("long", kept)
 
-        self._total_tokens -= dropped_temporal + dropped_spatial
         eviction = selective_forget(self)
-
+        tier_tokens = self._tier_tokens
         return IngestReport(
             frame_index=index,
             timestamp=ts,
@@ -567,13 +578,13 @@ class TieredMemory:
             dropped_temporal=dropped_temporal,
             dropped_spatial=dropped_spatial,
             dropped_budget=eviction.count,
-            short_frames=len(self.short),
-            mid_frames=len(self.mid),
-            long_frames=len(self.long),
+            short_frames=len(short),
+            mid_frames=len(mid),
+            long_frames=len(long),
             short_tokens=tier_tokens["short"],
             mid_tokens=tier_tokens["mid"],
             long_tokens=tier_tokens["long"],
-            total_tokens=self._total_tokens,
+            total_tokens=self.total_tokens,
         )
 
     def freeze(self, at: float | None = None) -> MemorySnapshot:
@@ -593,11 +604,10 @@ class TieredMemory:
                 )
         self._frozen = True
         return MemorySnapshot(
-            short=tuple(self.short),
-            mid=tuple(self.mid),
-            long=tuple(self.long),
+            short=self.short,
+            mid=self.mid,
+            long=self.long,
             freeze_timestamp=freeze_ts,
-            total_tokens=self._total_tokens,
             config=self.config,
         )
 
@@ -611,8 +621,8 @@ class TieredMemory:
         h.update(json.dumps(self.config.to_json_dict(), sort_keys=True).encode())
         h.update(struct.pack("<dddq", self.gate_stats.ema, self.gate_stats.decay,
                              self.gate_stats.floor, self.gate_stats.observations))
-        h.update(struct.pack("<qq", self._total_tokens, self._next_frame_index))
-        for tier in (self.short, self.mid, self.long):
+        h.update(struct.pack("<qq", self.total_tokens, self._next_frame_index))
+        for tier in self._tiers.values():
             h.update(struct.pack("<q", len(tier)))
             for entry in tier:
                 h.update(struct.pack("<qd?q", entry.frame_index, entry.timestamp,
@@ -646,7 +656,7 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         )
     evicted: list[tuple[int, int, float]] = []
     for tier_name in ("long", "mid"):
-        tier = getattr(mem, tier_name)
+        tier = mem._tiers[tier_name]
         if overflow <= 0 or not tier:
             continue
         # The overflow lowest frame minima are overflow distinct tokens, all
@@ -680,7 +690,6 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
         victims = candidates[order]
         overflow -= len(victims)
-        mem._tier_tokens[tier_name] -= len(victims)
         evicted += zip(frames[order].tolist(), positions[order].tolist(),
                        scores[victims].tolist())
         alive = np.ones(len(scores), dtype=bool)
@@ -688,18 +697,13 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         survivors = np.flatnonzero(alive)
         # survivors[bounds[j]:bounds[j + 1]] are frame j's surviving tokens.
         bounds = np.searchsorted(survivors, starts).tolist() + [len(survivors)]
-        emptied = []
-        for owner in np.unique(owners[order]).tolist():
+        # Last frame first, so dropping an emptied frame moves no slot still
+        # to be visited.
+        for owner in reversed(np.unique(owners[order]).tolist()):
             kept = survivors[bounds[owner]:bounds[owner + 1]]
-            if len(kept):
-                tier[slots[owner]] = entries[owner].take(kept - starts[owner])
-            else:
-                emptied.append(slots[owner])
-        for slot in reversed(emptied):
-            del tier[slot]
-    mem._total_tokens -= len(evicted)
-    if mem._total_tokens > budget:
-        raise BudgetUnsatisfiable(
-            f"budget {budget} unreachable; {mem._total_tokens} tokens remain"
-        )
+            mem._replace(tier_name, slots[owner],
+                         entries[owner].take(kept - starts[owner]) if len(kept) else None)
+    remaining = mem.total_tokens
+    if remaining > budget:
+        raise BudgetUnsatisfiable(f"budget {budget} unreachable; {remaining} tokens remain")
     return EvictionReport(evicted=tuple(evicted))

@@ -49,6 +49,17 @@ MAX_COORD = 0xFFFF
 READ_CHUNK_BYTES = 1 << 20
 
 
+def seal(arr: np.ndarray) -> np.ndarray:
+    """arr itself, marked read-only; for arrays just built and held by no one else."""
+    arr.setflags(write=False)
+    return arr
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only array with arr's contents; writable inputs are copied."""
+    return seal(arr.copy()) if arr.flags.writeable else arr
+
+
 def _token_dtype(dim: int) -> np.dtype:
     """One token's wire record: u16 row, u16 col, dim little-endian f32."""
     try:
@@ -69,22 +80,11 @@ class RawToken:
         arr = np.asarray(self.vector, dtype=np.float32)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"token vector must be non-empty 1-D, got shape {arr.shape}")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "vector", arr)
+        object.__setattr__(self, "vector", read_only(arr))
         for name in ("spatial_row", "spatial_col"):
             value = getattr(self, name)
             if not (0 <= value <= MAX_COORD):
                 raise ValidationError(f"{name} must be in [0, {MAX_COORD}], got {value}")
-
-
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    """A read-only array with arr's contents; writable inputs are copied."""
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 _COORD = np.dtype("<u2")
@@ -99,7 +99,7 @@ def _coords(values, name: str) -> np.ndarray:
     # A u16 column, as the reader makes, is in range by its type.
     if arr.dtype != _COORD and (arr.min() < 0 or arr.max() > MAX_COORD):
         raise ValidationError(f"{name} must be in [0, {MAX_COORD}]")
-    return _sealed(arr.astype(_COORD, copy=False))
+    return read_only(arr.astype(_COORD, copy=False))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -154,7 +154,7 @@ class RawFrame:
             )
         object.__setattr__(self, "frame_index", frame_index)
         object.__setattr__(self, "timestamp", float(timestamp))
-        object.__setattr__(self, "vectors", _sealed(vectors))
+        object.__setattr__(self, "vectors", read_only(vectors))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 

@@ -193,6 +193,23 @@ def test_sweep_subcommand_writes_csv(workspace, capsys):
     assert len(lines) == 4
 
 
+def test_oversized_spec_and_sweep_dim_exit_1(workspace, tmp_path, capsys):
+    # Sizes past the spec bounds fail before any array is allocated.
+    tmp, _, _, config_path = workspace
+    spec_path = tmp_path / "huge.json"
+    spec_path.write_text(json.dumps({"dim": 2**40, "frames": 2, "tokens_per_frame": 4}))
+    capsys.readouterr()
+    assert main(["ingest", "--synth-spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim 1099511627776 exceeds") and err.count("\n") == 1
+    assert main(["sweep", "--lengths", "2", "--config", str(config_path), "--dim", str(2**40)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim 1099511627776 exceeds") and err.count("\n") == 1
+    assert main(["sweep", "--lengths", "2", "--config", str(config_path), "--dim", "2048",
+                 "--tokens-per-frame", "1024"]) == 1
+    assert capsys.readouterr().err.startswith("error: tokens_per_frame x dim = 2097152 exceeds")
+
+
 def test_hist_subcommand_writes_csvs(workspace, capsys):
     tmp, spec_path, _, config_path = workspace
     frame_csv = tmp / "frame.csv"
@@ -372,8 +389,13 @@ def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
             bad_json.write_text(json.dumps(bad) + "\n")
             argv = [*replay[:3], "--queries", str(bad_json), *replay[5:]]
         elif kind == "spec":
-            bad = _corrupt_json(rng, spec_doc, tuple(spec_doc) + ("segments",),
-                                ("dim", "frames", "tokens_per_frame"))
+            if case % 10 == 8:
+                # A size far past the spec bounds, which would not fit in memory.
+                size = ("dim", "frames", "tokens_per_frame")[rng.integers(3)]
+                bad = {**spec_doc, size: 2 ** int(rng.integers(30, 63))}
+            else:
+                bad = _corrupt_json(rng, spec_doc, tuple(spec_doc) + ("segments",),
+                                    ("dim", "frames", "tokens_per_frame"))
             bad_json.write_text(json.dumps(bad))
             argv = ["ingest", "--synth-spec", str(bad_json)]
         else:

@@ -47,13 +47,11 @@ def entry(frame_index, vectors, scores=None):
 
 
 def snap(short=(), mid=(), long=()):
-    total = sum(e.token_count for e in (*short, *mid, *long))
     return MemorySnapshot(
         short=tuple(short),
         mid=tuple(mid),
         long=tuple(long),
         freeze_timestamp=100.0,
-        total_tokens=total,
         config=TierConfig(short_cap_frames=1, tokens_per_frame_max=64, token_budget=64),
     )
 

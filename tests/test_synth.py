@@ -8,6 +8,9 @@ import pytest
 
 from tiermem.errors import NoSuchEvent, SpecError
 from tiermem.synth import (
+    MAX_SPEC_DIM,
+    MAX_SPEC_FRAME_VALUES,
+    MAX_SPEC_STREAM_VALUES,
     StreamSpec,
     event_block,
     event_direction,
@@ -170,6 +173,25 @@ def test_segment_directions_are_seed_stable():
 def test_spec_validation(kwargs):
     with pytest.raises(SpecError):
         spec(**kwargs)
+
+
+def test_spec_size_bounds():
+    # Each bound admits its limit and rejects one past it, before anything
+    # is generated; the largest benchmark stream (256 x 512 x 128) is
+    # accepted.
+    StreamSpec(dim=128, frames=256, tokens_per_frame=512)
+    StreamSpec(dim=MAX_SPEC_DIM, frames=1, tokens_per_frame=1)
+    with pytest.raises(SpecError, match="dim"):
+        StreamSpec(dim=MAX_SPEC_DIM + 1, frames=1, tokens_per_frame=1)
+    StreamSpec(dim=64, frames=1, tokens_per_frame=MAX_SPEC_FRAME_VALUES // 64)
+    with pytest.raises(SpecError, match="tokens_per_frame x dim"):
+        StreamSpec(dim=64, frames=1, tokens_per_frame=MAX_SPEC_FRAME_VALUES // 64 + 1)
+    StreamSpec(dim=64, frames=MAX_SPEC_STREAM_VALUES // 256, tokens_per_frame=4)
+    with pytest.raises(SpecError, match="frames x tokens_per_frame x dim"):
+        StreamSpec(dim=64, frames=MAX_SPEC_STREAM_VALUES // 256 + 1, tokens_per_frame=4)
+    for huge in ({"dim": 2**40}, {"frames": 2**40}, {"tokens_per_frame": 2**40}):
+        with pytest.raises(SpecError):
+            spec(**huge)
 
 
 def test_load_stream_spec(tmp_path):

@@ -426,17 +426,13 @@ def test_select_grid_finer_than_frame_groups_like_its_extent():
 # --- selective forgetting ---------------------------------------------------
 
 
-def forget_memory(budget, short_cap=1, tpm=1):
-    cfg = TierConfig(
-        short_cap_frames=short_cap, tokens_per_frame_max=tpm, token_budget=budget
-    )
-    return new_memory(cfg, small_bank(3))
+def forget_memory(budget, **tiers):
+    cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=1, token_budget=budget)
+    return TieredMemory.from_tiers(cfg, small_bank(3), **tiers)
 
 
 def test_forget_evicts_lowest_score():
-    mem = forget_memory(budget=2)
-    mem.long.append(crafted_entry(0, [0.1, 0.5, 0.3]))
-    mem._total_tokens = 3
+    mem = forget_memory(2, long=[crafted_entry(0, [0.1, 0.5, 0.3])])
     report = selective_forget(mem)
     assert report.evicted == ((0, 0, 0.1),)
     assert [t.score for t in mem.long[0].tokens] == [0.5, 0.3]
@@ -444,10 +440,7 @@ def test_forget_evicts_lowest_score():
 
 
 def test_forget_tie_breaks_to_older_frame():
-    mem = forget_memory(budget=1)
-    mem.long.append(crafted_entry(3, [0.2]))
-    mem.long.append(crafted_entry(7, [0.2]))
-    mem._total_tokens = 2
+    mem = forget_memory(1, long=[crafted_entry(3, [0.2]), crafted_entry(7, [0.2])])
     report = selective_forget(mem)
     assert report.evicted == ((3, 0, 0.2),)
     # Frame 3 lost its only token and is gone entirely.
@@ -455,19 +448,14 @@ def test_forget_tie_breaks_to_older_frame():
 
 
 def test_forget_cascades_to_mid_when_long_empty():
-    mem = forget_memory(budget=1)
-    mem.mid.append(crafted_entry(2, [0.4, 0.3]))
-    mem._total_tokens = 2
+    mem = forget_memory(1, mid=[crafted_entry(2, [0.4, 0.3])])
     report = selective_forget(mem)
     assert report.evicted == ((2, 1, 0.3),)
     assert [t.score for t in mem.mid[0].tokens] == [0.4]
 
 
 def test_forget_drains_long_before_mid():
-    mem = forget_memory(budget=2)
-    mem.mid.append(crafted_entry(1, [0.05]))
-    mem.long.append(crafted_entry(0, [0.9, 0.8, 0.7]))
-    mem._total_tokens = 4
+    mem = forget_memory(2, mid=[crafted_entry(1, [0.05])], long=[crafted_entry(0, [0.9, 0.8, 0.7])])
     report = selective_forget(mem)
     # Long loses its two lowest despite mid holding a far weaker token.
     assert report.evicted == ((0, 2, 0.7), (0, 1, 0.8))
@@ -475,17 +463,13 @@ def test_forget_drains_long_before_mid():
 
 
 def test_forget_noop_under_budget():
-    mem = forget_memory(budget=8)
-    mem.long.append(crafted_entry(0, [0.5]))
-    mem._total_tokens = 1
+    mem = forget_memory(8, long=[crafted_entry(0, [0.5])])
     assert selective_forget(mem).count == 0
 
 
 def test_forget_never_touches_short_and_raises_when_stuck():
-    mem = forget_memory(budget=2)
-    mem.short.append(crafted_entry(5, [0.1, 0.1, 0.1]))
-    mem._total_tokens = 3
-    with pytest.raises(BudgetUnsatisfiable):
+    mem = forget_memory(2, short=[crafted_entry(5, [0.1, 0.1, 0.1])])
+    with pytest.raises(BudgetUnsatisfiable, match="recent FIFO"):
         selective_forget(mem)
 
 
@@ -495,8 +479,69 @@ def test_forget_never_touches_short_and_raises_when_stuck():
 def test_new_memory_empty_state():
     mem = new_memory(TierConfig(), ProbeBank.generated(16, n=5, seed=0))
     assert mem.total_tokens == 0
-    assert mem.short == [] and mem.mid == [] and mem.long == []
+    assert mem.short == () and mem.mid == () and mem.long == ()
     assert mem.gate_stats.observations == 0
+
+
+def tier_recount(mem):
+    return {"short": sum(e.token_count for e in mem.short),
+            "mid": sum(e.token_count for e in mem.mid),
+            "long": sum(e.token_count for e in mem.long)}
+
+
+def test_from_tiers_derives_every_counter():
+    rng = np.random.default_rng(17)
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, token_budget=40, tokens_per_frame_max=6)
+    mem = new_memory(cfg, small_bank(4))
+    for t in range(30):
+        n = int(rng.integers(1, 7))
+        mem.ingest_frame(0.5 * t, [(rng.standard_normal(4), i, 0) for i in range(n)],
+                         frame_index=3 * t)
+    assert mem.short and mem.mid and mem.long
+    rebuilt = TieredMemory.from_tiers(cfg, small_bank(4), short=mem.short, mid=mem.mid,
+                                      long=mem.long)
+    for name in ("short", "mid", "long"):
+        assert all(a is b for a, b in zip(getattr(rebuilt, name), getattr(mem, name), strict=True))
+    assert rebuilt.tier_tokens == tier_recount(mem) == mem.tier_tokens
+    assert rebuilt.total_tokens == rebuilt.recount_tokens() == mem.total_tokens
+    assert rebuilt.last_timestamp == mem.last_timestamp == 14.5
+    # The digest covers the total and the next frame index; only the gate
+    # statistics, which from_tiers starts empty, differ.
+    rebuilt.gate_stats = mem.gate_stats
+    assert rebuilt.state_digest() == mem.state_digest()
+    with pytest.raises(NonMonotoneTimestamp):
+        rebuilt.ingest_frame(14.5, [(axis(4, 0), 0, 0)])
+    assert rebuilt.ingest_frame(15.0, [(axis(4, 0), 0, 0)]).frame_index == 3 * 29 + 1
+    empty = TieredMemory.from_tiers(cfg, small_bank(4))
+    assert empty.state_digest() == new_memory(cfg, small_bank(4)).state_digest()
+    assert empty.last_timestamp is None
+
+
+def test_tier_counts_match_a_recount_after_forget():
+    states = [
+        {"long": [crafted_entry(0, [0.1, 0.5, 0.3])]},
+        {"long": [crafted_entry(3, [0.2]), crafted_entry(7, [0.2])]},
+        {"mid": [crafted_entry(1, [0.05, 0.6])], "long": [crafted_entry(0, [0.9, 0.8, 0.7])]},
+        {"short": [crafted_entry(4, [0.1])], "mid": [crafted_entry(2, [0.3, 0.2, 0.1])],
+         "long": [crafted_entry(0, [0.4]), crafted_entry(1, [0.2, 0.5])]},
+    ]
+    for tiers in states:
+        mem = forget_memory(1, **tiers)
+        assert selective_forget(mem).count > 0
+        assert mem.tier_tokens == tier_recount(mem)
+        assert mem.total_tokens == mem.recount_tokens() == 1
+
+
+def test_tiers_are_read_only_to_callers():
+    mem = forget_memory(4, long=[crafted_entry(0, [0.5])])
+    for name in ("short", "mid", "long"):
+        tier = getattr(mem, name)
+        assert isinstance(tier, tuple)
+        with pytest.raises(AttributeError):
+            tier.append(crafted_entry(9, [0.1]))
+        with pytest.raises(AttributeError):
+            setattr(mem, name, [])
+    assert mem.tier_tokens == {"short": 0, "mid": 0, "long": 1}
 
 
 def test_new_memory_dim_mismatch():
@@ -707,11 +752,10 @@ def test_columnar_stages_match_per_token_reference():
         want = frame.take(np.array(reference_select_positions(frame, config), dtype=int))
         assert_same_tokens(spatial_semantic_select(frame, config), want)
 
-        mem = forget_memory(budget=int(rng.integers(1, 40)), tpm=1)
-        mem.long.extend(random_entry(rng, f) for f in (0, 2, 5))
-        mem.mid.extend(random_entry(rng, f) for f in (6, 7))
+        mem = forget_memory(int(rng.integers(1, 40)),
+                            long=[random_entry(rng, f) for f in (0, 2, 5)],
+                            mid=[random_entry(rng, f) for f in (6, 7)])
         before = {e.frame_index: e for e in mem.long + mem.mid}
-        mem._total_tokens = mem.recount_tokens()
         expected = reference_forget((mem.long, mem.mid), mem.total_tokens - mem.config.token_budget)
         assert selective_forget(mem).evicted == tuple(expected)
         for f, original in before.items():
@@ -729,13 +773,10 @@ def test_forget_small_overflow_in_a_large_tied_tier_matches_reference():
     # reference's victims.
     for seed in range(40):
         rng = np.random.default_rng([seed, 43])
-        mem = forget_memory(budget=300, tpm=1)
-        mem.long.extend(random_entry(rng, f) for f in range(0, 60, 2))
-        mem.mid.extend(random_entry(rng, f) for f in range(60, 70))
-        mem._total_tokens = mem.recount_tokens()
+        long = [random_entry(rng, f) for f in range(0, 60, 2)]
+        mid = [random_entry(rng, f) for f in range(60, 70)]
         overflow = int(rng.integers(1, 12))
-        mem.config = TierConfig(short_cap_frames=1, tokens_per_frame_max=1,
-                                token_budget=mem.total_tokens - overflow)
+        mem = forget_memory(sum(e.token_count for e in long + mid) - overflow, long=long, mid=mid)
         expected = reference_forget((mem.long, mem.mid), overflow)
         assert selective_forget(mem).evicted == tuple(expected)
         assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
@@ -826,7 +867,6 @@ def test_forget_frame_minimum_prefilter_matches_reference():
     seen = set()
     for seed in range(150):
         rng = np.random.default_rng([seed, 67])
-        mem = forget_memory(budget=1, tpm=1)
         if seed % 2:
             levels = rng.choice([0.0, 0.25, 0.5, 0.75], size=int(rng.integers(1, 4)), replace=False)
         else:
@@ -839,14 +879,12 @@ def test_forget_frame_minimum_prefilter_matches_reference():
                               cols=np.arange(n))
 
         n_long = int(rng.integers(1, 40))
-        mem.long.extend(tied_entry(f) for f in range(n_long))
-        mem.mid.extend(tied_entry(f) for f in range(n_long, n_long + int(rng.integers(0, 6))))
-        long_tokens = sum(e.token_count for e in mem.long)
-        mem._total_tokens = mem.recount_tokens()
-        mem._tier_tokens = {"short": 0, "mid": mem._total_tokens - long_tokens, "long": long_tokens}
-        overflow = int(rng.integers(1, mem._total_tokens))
-        mem.config = TierConfig(short_cap_frames=1, tokens_per_frame_max=1,
-                                token_budget=mem._total_tokens - overflow)
+        long = [tied_entry(f) for f in range(n_long)]
+        mid = [tied_entry(f) for f in range(n_long, n_long + int(rng.integers(0, 6)))]
+        long_tokens = sum(e.token_count for e in long)
+        total = long_tokens + sum(e.token_count for e in mid)
+        overflow = int(rng.integers(1, total))
+        mem = forget_memory(total - overflow, long=long, mid=mid)
         before = {e.frame_index: e for e in mem.long + mem.mid}
         minima = sorted(e.min_score for e in mem.long)
         if overflow < n_long and minima.count(minima[overflow - 1]) > 1:
