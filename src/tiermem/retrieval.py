@@ -25,7 +25,7 @@ from .errors import (
     json_float,
     json_int,
 )
-from .vecspace import late_interaction_scores, token_max_sims, unit_rows
+from .vecspace import late_interaction_pages, token_max_sims, unit_rows
 
 if TYPE_CHECKING:
     from .tiers import MemorySnapshot
@@ -191,11 +191,12 @@ def gate_check(
 
 def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> dict[int, float]:
     """Late-interaction score for every mid/long frame, keyed by frame index
-    in ascending order. All frames are scored in one batch-invariant pass,
-    so each score has the bits the frame would get scored alone."""
-    entries = sorted(snapshot.mid + snapshot.long, key=lambda e: e.frame_index)
-    scores = late_interaction_scores([e.token_matrix for e in entries], query.unit_tokens)
-    return dict(zip([e.frame_index for e in entries], scores.tolist()))
+    in ascending order. All frames are scored in place in their pages in one
+    batch-invariant pass, so each score has the bits the frame would get
+    scored alone."""
+    pages = snapshot.candidate_pages()
+    scores = late_interaction_pages(pages, query.unit_tokens)
+    return dict(zip(pages.frame_index.tolist(), scores.tolist()))
 
 
 def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:

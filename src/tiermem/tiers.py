@@ -16,6 +16,7 @@ at ingest; every later stage reuses the stored embedding and score.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -38,7 +39,14 @@ from .errors import (
 )
 from .retrieval import GateState, update_gate
 from .traceio import MAX_COORD, read_only, seal
-from .vecspace import ProbeBank, max_sim_rows, pooled_max_sim_units, unit_rows
+from .vecspace import (
+    FramePages,
+    ProbeBank,
+    RowStore,
+    max_sim_rows,
+    pooled_max_sim_units,
+    unit_rows,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +152,30 @@ class FrameEntry:
             )
         )
 
-    def take(self, positions: np.ndarray) -> "FrameEntry":
+    def _moved(self, token_matrix: np.ndarray) -> "FrameEntry":
+        """This frame with its embeddings read from another array of the same values."""
+        entry = object.__new__(FrameEntry)
+        vars(entry).update(vars(self), token_matrix=token_matrix)
+        return entry
+
+    def take(self, positions: np.ndarray, alloc=None) -> "FrameEntry":
         """Same frame, keeping the tokens at the given positions in that order.
 
         positions must be non-empty; each must index an existing token.
+        alloc, if given, is called with the number of positions and returns
+        the (n, dim) array the kept embeddings are gathered into, such as
+        RowStore.alloc.
         """
         if len(positions) == 0:
             raise EmptyFrame(f"frame {self.frame_index}: take keeps no tokens")
-        return self._derived(
-            self.scene_boundary,
-            {name: seal(getattr(self, name)[positions]) for name in _COLUMNS},
-        )
+        if alloc is None:
+            matrix = self.token_matrix[positions]
+        else:
+            matrix = self.token_matrix.take(positions, axis=0, out=alloc(len(positions)),
+                                            mode="clip")
+        return self._derived(self.scene_boundary, {
+            "token_matrix": seal(matrix), "scores": seal(self.scores[positions]),
+            "rows": seal(self.rows[positions]), "cols": seal(self.cols[positions])})
 
 
 @dataclass(frozen=True)
@@ -266,13 +287,28 @@ class EvictionReport:
 
 @dataclass(frozen=True)
 class MemorySnapshot:
-    """Immutable view of all tiers at a freeze point."""
+    """Immutable view of all tiers at a freeze point.
+
+    pages holds the mid and long frames' rows and the table of where they
+    lie, in ascending frame order. freeze hands over the memory's own pages,
+    whose rows are never written again; a snapshot built without them packs
+    its frames into pages on the first candidate_pages call.
+    """
 
     short: tuple[FrameEntry, ...]
     mid: tuple[FrameEntry, ...]
     long: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
+    pages: FramePages | None = field(default=None, repr=False, compare=False)
+
+    def candidate_pages(self) -> FramePages:
+        """The mid and long frames' rows in pages, in ascending frame order."""
+        if self.pages is None:
+            entries = sorted(self.long + self.mid, key=lambda e: e.frame_index)
+            object.__setattr__(self, "pages", FramePages.pack(
+                [e.token_matrix for e in entries], [e.frame_index for e in entries]))
+        return self.pages
 
     def all_frames(self) -> tuple[FrameEntry, ...]:
         """Every retained frame in ascending frame order."""
@@ -337,7 +373,7 @@ def _grid_keys(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def temporal_semantic_prune(
-    frame: FrameEntry, reference: FrameEntry | None, config: TierConfig
+    frame: FrameEntry, reference: FrameEntry | None, config: TierConfig, alloc=None
 ) -> FrameEntry:
     """Compress a frame leaving the recent FIFO.
 
@@ -347,7 +383,7 @@ def temporal_semantic_prune(
     (1 - redundancy) plus semantic_weight times the token's salience, and
     the top ceil(keep_fraction * n) tokens by keep-score survive. Ties
     keep the lower token position. Embeddings and scores pass through
-    unchanged.
+    unchanged; alloc is passed on to FrameEntry.take.
     """
     if frame.scene_boundary:
         return frame
@@ -367,10 +403,10 @@ def temporal_semantic_prune(
         )
     keep_scores = (1.0 - redundancy) + config.semantic_weight * frame.scores
     ranked = np.argsort(-keep_scores, kind="stable")
-    return frame.take(np.sort(ranked[:keep]))
+    return frame.take(np.sort(ranked[:keep]), alloc)
 
 
-def spatial_semantic_select(frame: FrameEntry, config: TierConfig) -> FrameEntry:
+def spatial_semantic_select(frame: FrameEntry, config: TierConfig, alloc=None) -> FrameEntry:
     """Compress a frame leaving the mid tier.
 
     Tokens are bucketed into a grid_size x grid_size grid (coordinates
@@ -378,7 +414,7 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig) -> FrameEntry
     non-empty cell is taken first; if that exceeds the long-tier quota the
     cell winners are cut by salience rank, otherwise the remaining slots
     are filled by salience over the leftovers. Ties keep the lower token
-    position.
+    position. alloc is passed on to FrameEntry.take.
     """
     grid = config.grid_size
     quota = config.long_quota_per_frame
@@ -399,7 +435,7 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig) -> FrameEntry
     fill = ranked[~is_winner][: quota - len(winners)]
     if len(winners) + len(fill) == frame.token_count:
         return frame
-    return frame.take(np.sort(np.concatenate([winners, fill])))
+    return frame.take(np.sort(np.concatenate([winners, fill])), alloc)
 
 
 # Frame indices and the index after the newest one are hashed as int64.
@@ -415,6 +451,70 @@ def _frame_index(value) -> int:
 _TIER_NAMES = ("short", "mid", "long")
 
 
+class _FrameTable:
+    """A paged tier's frames as numpy columns, oldest first, in step with the
+    tier's entries: frame_index, token_count, and the page id and first row
+    of the frame's rows in the row store, as the rows of ints; min_score
+    beside them.
+
+    share() hands out the int columns as they stand, without a copy; the
+    next change then writes to a copy of them.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.ints = np.empty((4, 64), dtype=np.int64)
+        self.minima = np.empty(64)
+        self._shared = False
+
+    def share(self) -> np.ndarray:
+        """The int columns as they stand, for a snapshot to keep."""
+        self._shared = True
+        return self.ints[:, :self.size]
+
+    def _own(self) -> None:
+        """Before a change: stop writing to columns a snapshot keeps."""
+        if self._shared:
+            self.ints = self.ints.copy()
+            self._shared = False
+
+    frame_index = property(lambda self: self.ints[0, :self.size])
+    token_count = property(lambda self: self.ints[1, :self.size])
+    page = property(lambda self: self.ints[2, :self.size])
+    start = property(lambda self: self.ints[3, :self.size])
+    min_score = property(lambda self: self.minima[:self.size])
+
+    def put(self, slot: int, entry: FrameEntry, page: int, start: int) -> None:
+        """Describe entry at slot; slot == size appends."""
+        if slot == self.size:
+            if slot == self.minima.shape[0]:
+                self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
+                self.minima = np.concatenate((self.minima, np.empty_like(self.minima)))
+                self._shared = False
+            self.size += 1
+        if self._shared:
+            self._own()
+        ints = self.ints
+        ints[0, slot] = entry.frame_index
+        ints[1, slot] = entry.token_count
+        ints[2, slot] = page
+        ints[3, slot] = start
+        self.minima[slot] = entry.min_score
+
+    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
+        """The frames at slots now start at starts in the page."""
+        self._own()
+        self.ints[2, slots] = page
+        self.ints[3, slots] = starts
+
+    def delete(self, slot: int) -> None:
+        self._own()
+        last = self.size - 1
+        self.ints[:, slot:last] = self.ints[:, slot + 1:last + 1]
+        self.minima[slot:last] = self.minima[slot + 1:last + 1]
+        self.size = last
+
+
 def _tier_view(name: str) -> property:
     return property(lambda self: tuple(self._tiers[name]),
                     doc=f"The {name} tier's frames, oldest first, as a read-only tuple.")
@@ -425,7 +525,10 @@ class TieredMemory:
 
     The memory owns its tiers. Callers read them as tuples; inside, every
     change to a tier goes through _push, _pop_oldest or _replace, which
-    update that tier's token count with its frames.
+    update that tier's token count with its frames. The mid and long
+    frames' rows live in one RowStore: each such entry's token_matrix is a
+    read-only view of its rows in a page, and each of the two tiers keeps a
+    _FrameTable that says where they lie.
     """
 
     def __init__(self, config: TierConfig, bank: ProbeBank, dim: int | None = None):
@@ -436,6 +539,10 @@ class TieredMemory:
         self.dim = bank.dim if dim is None else int(dim)
         self._tiers: dict[str, list[FrameEntry]] = {name: [] for name in _TIER_NAMES}
         self._tier_tokens = dict.fromkeys(_TIER_NAMES, 0)
+        self._rows = RowStore(self.dim)
+        self._tables = {"mid": _FrameTable(), "long": _FrameTable()}
+        self._alloc = {name: functools.partial(self._rows.alloc, group=name)
+                       for name in self._tables}
         self.gate_stats = GateState()
         self._last_timestamp: float | None = None
         self._next_frame_index = 0
@@ -450,12 +557,28 @@ class TieredMemory:
         first, for test and analysis states. Every counter is derived from
         the frames: each tier's tokens, the next frame index (one past the
         highest held) and the last timestamp. The gate statistics start empty.
+
+        Every frame must have the bank's dimension (DimensionError), and the
+        frame indices must strictly ascend across long, then mid, then short
+        (ValidationError), as they do in a memory built by ingest. The rows
+        of a C-contiguous mid or long frame are held where they are, as a
+        page of their own.
         """
+        tiers = {"short": tuple(short), "mid": tuple(mid), "long": tuple(long)}
+        held = tiers["long"] + tiers["mid"] + tiers["short"]
+        for entry in held:
+            if entry.token_matrix.shape[1] != bank.dim:
+                raise DimensionError(f"frame {entry.frame_index} has dimension "
+                                     f"{entry.token_matrix.shape[1]}, bank has {bank.dim}")
+        for older, newer in zip(held, held[1:]):
+            if newer.frame_index <= older.frame_index:
+                raise ValidationError(
+                    f"frame {newer.frame_index} follows frame {older.frame_index}; frame "
+                    f"indices must strictly ascend across long, mid and short")
         mem = cls(config, bank)
-        for name, entries in zip(_TIER_NAMES, (short, mid, long)):
+        for name, entries in tiers.items():
             for entry in entries:
-                mem._push(name, entry)
-        held = [e for tier in mem._tiers.values() for e in tier]
+                mem._push(name, entry, adopt=True)
         mem._next_frame_index = max((e.frame_index + 1 for e in held), default=0)
         mem._last_timestamp = max((e.timestamp for e in held), default=None)
         return mem
@@ -474,6 +597,11 @@ class TieredMemory:
         return dict(self._tier_tokens)
 
     @property
+    def row_store(self) -> RowStore:
+        """The store that holds the mid and long frames' rows."""
+        return self._rows
+
+    @property
     def frozen(self) -> bool:
         return self._frozen
 
@@ -485,8 +613,24 @@ class TieredMemory:
         """Recount from the tiers; must always equal total_tokens."""
         return sum(e.token_count for tier in self._tiers.values() for e in tier)
 
-    def _push(self, name: str, entry: FrameEntry) -> None:
+    def _hold(self, name: str, slot: int, entry: FrameEntry, adopt: bool = False) -> FrameEntry:
+        """entry with its rows in the row store, described at slot of the
+        tier's table; the rows the store's last alloc gave out are committed
+        in place, other rows are copied in, or with adopt held where they are."""
+        matrix = entry.token_matrix
+        if adopt and matrix.flags.c_contiguous:
+            page, start = self._rows.adopt(matrix, name), 0
+        else:
+            view, page, start = self._rows.add(matrix, name)
+            if view is not matrix:
+                entry = entry._moved(view)
+        self._tables[name].put(slot, entry, page, start)
+        return entry
+
+    def _push(self, name: str, entry: FrameEntry, adopt: bool = False) -> None:
         """Append entry as the tier's newest frame."""
+        if name in self._tables:
+            entry = self._hold(name, self._tables[name].size, entry, adopt)
         self._tiers[name].append(entry)
         self._tier_tokens[name] += entry.token_count
 
@@ -494,18 +638,48 @@ class TieredMemory:
         """Remove and return the tier's oldest frame."""
         entry = self._tiers[name].pop(0)
         self._tier_tokens[name] -= entry.token_count
+        if name in self._tables:
+            table = self._tables[name]
+            self._rows.kill(table.ints.item(2, 0), entry.token_count)
+            table.delete(0)
         return entry
 
     def _replace(self, name: str, slot: int, entry: FrameEntry | None) -> None:
         """Put entry in place of the tier's frame at slot, or drop that frame
         if entry is None."""
         tier = self._tiers[name]
-        self._tier_tokens[name] -= tier[slot].token_count
+        table = self._tables.get(name)
+        old = tier[slot]
+        self._tier_tokens[name] -= old.token_count
+        old_page = None if table is None else table.ints.item(2, slot)
         if entry is None:
             del tier[slot]
+            if table is not None:
+                table.delete(slot)
         else:
+            if table is not None:
+                entry = self._hold(name, slot, entry)
             tier[slot] = entry
             self._tier_tokens[name] += entry.token_count
+        if old_page is not None:
+            self._rows.kill(old_page, old.token_count)
+
+    def _compact(self) -> None:
+        """Move the frames of each crowded page, with one gather, into its
+        tier's open page, and release it. Only where the rows lie changes."""
+        while (crowded := self._rows.crowded()) is not None:
+            page, name = crowded
+            table = self._tables[name]
+            slots = np.flatnonzero(table.page == page)
+            counts = table.token_count[slots]
+            new_page, start, run = self._rows.move(page, table.start[slots], counts)
+            ends = np.cumsum(counts)
+            table.relocate(slots, new_page, ends - counts + start)
+            tier = self._tiers[name]
+            lo = 0
+            for slot, hi in zip(slots.tolist(), ends.tolist()):
+                tier[slot] = tier[slot]._moved(run[lo:hi])
+                lo = hi
 
     def ingest_frame(
         self, timestamp: float, raw_tokens: Sequence[tuple], *, frame_index: int | None = None
@@ -556,18 +730,19 @@ class TieredMemory:
         while len(short) > self.config.short_cap_frames:
             oldest = self._pop_oldest("short")
             reference = short[-1] if short else None
-            kept = temporal_semantic_prune(oldest, reference, self.config)
+            kept = temporal_semantic_prune(oldest, reference, self.config, self._alloc["mid"])
             dropped_temporal += oldest.token_count - kept.token_count
             self._push("mid", kept)
 
         dropped_spatial = 0
         while len(mid) > self.config.mid_cap_frames:
             oldest = self._pop_oldest("mid")
-            kept = spatial_semantic_select(oldest, self.config)
+            kept = spatial_semantic_select(oldest, self.config, self._alloc["long"])
             dropped_spatial += oldest.token_count - kept.token_count
             self._push("long", kept)
 
         eviction = selective_forget(self)
+        self._compact()
         tier_tokens = self._tier_tokens
         return IngestReport(
             frame_index=index,
@@ -609,7 +784,13 @@ class TieredMemory:
             long=self.long,
             freeze_timestamp=freeze_ts,
             config=self.config,
+            pages=self._frame_pages(),
         )
+
+    def _frame_pages(self) -> FramePages:
+        """The store's pages and the long, then mid, tables: ascending frame order."""
+        return FramePages(self._rows.held(),
+                          (self._tables["long"].share(), self._tables["mid"].share()))
 
     def thaw(self) -> None:
         """Re-enable ingest after a freeze."""
@@ -657,6 +838,7 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     evicted: list[tuple[int, int, float]] = []
     for tier_name in ("long", "mid"):
         tier = mem._tiers[tier_name]
+        table = mem._tables[tier_name]
         if overflow <= 0 or not tier:
             continue
         # The overflow lowest frame minima are overflow distinct tokens, all
@@ -667,13 +849,13 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         # that bound: the frames above it hold no victim and change neither
         # the cut-off nor the order of the victims.
         if overflow < len(tier):
-            minima = np.fromiter((e.min_score for e in tier), np.float64, len(tier))
+            minima = table.min_score
             bound = np.partition(minima, overflow - 1)[overflow - 1]
-            slots = np.flatnonzero(minima <= bound).tolist()
+            slots = np.flatnonzero(minima <= bound)
         else:
-            slots = range(len(tier))
-        entries = [tier[slot] for slot in slots]
-        counts = np.fromiter((e.token_count for e in entries), np.intp, len(entries))
+            slots = np.arange(len(tier))
+        entries = [tier[slot] for slot in slots.tolist()]
+        counts = table.token_count[slots]
         starts = np.cumsum(counts) - counts
         scores = np.concatenate([e.scores for e in entries])
         # Only tokens scoring at or below the overflow-th lowest score can be
@@ -686,7 +868,7 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
             candidates = np.arange(len(scores))
         owners = np.searchsorted(starts, candidates, side="right") - 1
         positions = candidates - starts[owners]
-        frames = np.array([e.frame_index for e in entries])[owners]
+        frames = table.frame_index[slots][owners]
         order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
         victims = candidates[order]
         overflow -= len(victims)
@@ -701,8 +883,9 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         # to be visited.
         for owner in reversed(np.unique(owners[order]).tolist()):
             kept = survivors[bounds[owner]:bounds[owner + 1]]
-            mem._replace(tier_name, slots[owner],
-                         entries[owner].take(kept - starts[owner]) if len(kept) else None)
+            mem._replace(tier_name, int(slots[owner]),
+                         entries[owner].take(kept - starts[owner], mem._alloc[tier_name])
+                         if len(kept) else None)
     remaining = mem.total_tokens
     if remaining > budget:
         raise BudgetUnsatisfiable(f"budget {budget} unreachable; {remaining} tokens remain")

@@ -9,6 +9,7 @@ are normalized once at ingest so the hot loops reduce to dot products.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterable, Sequence, Union
 
@@ -240,20 +241,216 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> 
     return float(np.mean(token_max_sims(frame_matrix, query_matrix)))
 
 
-# Candidate rows are packed into blocks of this many rows: at d=128 a block
-# is 512 KiB, so it stays in cache between its copy and its product.
+# A page of the row store holds this many rows (at d=128 a page is 512 KiB),
+# and the scoring kernel works through a page in blocks of this many rows.
 SCORE_BLOCK_ROWS = 512
 
+# Once more than this fraction of the rows written to the held pages are dead,
+# the page with the most dead rows is compacted: a past query then scores at
+# most 1.5 rows per live row. On steady_forget a quarter moved 43 rows per
+# ingest against 25, and put ingest and now-query time further above the
+# unpaged store's.
+COMPACT_DEAD_FRACTION = 1 / 3
 
-def segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of each consecutive run of counts[i] values, with np.mean's bits.
+
+class _Page:
+    """A page's rows, the rows written so far (used) and the rows that still
+    belong to a frame (live). A row below used is never written again."""
+
+    __slots__ = ("id", "group", "rows", "frozen", "used", "live")
+
+    def __init__(self, page_id: int, group, rows: np.ndarray, used: int = 0):
+        self.id = page_id
+        self.group = group
+        self.rows = rows
+        self.frozen = rows.view()
+        self.frozen.setflags(write=False)
+        self.used = self.live = used
+
+
+class RowStore:
+    """Frames' embedding rows, held in pages of SCORE_BLOCK_ROWS rows.
+
+    A page holds whole frames of one group (the memory's groups are its
+    tiers, so frames that leave together sit together); a frame longer than
+    a page gets a page of its own. Frames are appended to their group's
+    open page, and a row once committed is never written again, so a view
+    of it stays valid for as long as it is held. A frame that is trimmed or
+    moved is written anew and its old rows become dead. A page left with no
+    live row is released. Once more than COMPACT_DEAD_FRACTION of the rows
+    written to the pages are dead, crowded() names the page with the most
+    dead rows, for the owner of its frames to move them out with move();
+    each such move lowers that fraction.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._pages: dict[int, _Page] = {}
+        self._next_id = 0
+        self._open: dict[object, _Page] = {}
+        self._pending: tuple[_Page, np.ndarray] | None = None
+        self._used = self._dead = 0  # rows written to and dead in the held pages
+
+    def _new_page(self, group, rows: np.ndarray, used: int = 0) -> _Page:
+        self._next_id += 1
+        return _Page(self._next_id - 1, group, rows, used)
+
+    def alloc(self, n: int, group=None) -> np.ndarray:
+        """A writable (n, dim) array of free rows in the group's pages, for
+        add to commit once written; the next alloc hands the same rows out
+        again."""
+        if n > SCORE_BLOCK_ROWS:
+            page = self._new_page(group, np.empty((n, self.dim)))
+        else:
+            page = self._open.get(group)
+            if page is None or page.used + n > page.rows.shape[0]:
+                page = self._open[group] = self._new_page(
+                    group, np.empty((SCORE_BLOCK_ROWS, self.dim)))
+        view = page.rows[page.used:page.used + n]
+        self._pending = (page, view)
+        return view
+
+    def add(self, matrix: np.ndarray, group=None) -> tuple[np.ndarray, int, int]:
+        """Hold a frame's (n, dim) rows: the array alloc last returned is
+        committed where it stands, any other array is copied into the
+        group's pages. Returns the rows as a read-only view, the id of
+        their page and their first row."""
+        pending = self._pending
+        if pending is None or pending[1] is not matrix:
+            self.alloc(matrix.shape[0], group)[...] = matrix
+            pending = self._pending
+        page, view = pending
+        self._pending = None
+        n = view.shape[0]
+        start = page.used
+        page.used = start + n
+        page.live += n
+        self._used += n
+        if page.id not in self._pages:
+            self._pages[page.id] = page
+        view.setflags(write=False)
+        return view, page.id, start
+
+    def adopt(self, matrix: np.ndarray, group=None) -> int:
+        """Hold a read-only, C-contiguous frame's rows where they are, as a
+        page of their own; returns the page id."""
+        page = self._new_page(group, matrix, used=matrix.shape[0])
+        self._pages[page.id] = page
+        self._used += page.used
+        return page.id
+
+    def kill(self, page_id: int, n: int) -> None:
+        """Mark n rows of a page dead: their frame was trimmed, moved or dropped."""
+        page = self._pages[page_id]
+        page.live -= n
+        self._dead += n
+        if page.live == 0:
+            del self._pages[page_id]
+            if self._open.get(page.group) is page:
+                del self._open[page.group]
+            self._used -= page.used
+            self._dead -= page.used
+
+    def crowded(self) -> tuple[int, object] | None:
+        """(id, group) of the page to move the frames out of next, or None
+        while at most COMPACT_DEAD_FRACTION of the rows written to the held
+        pages are dead. The page named is no longer open."""
+        if self._dead <= COMPACT_DEAD_FRACTION * self._used:
+            return None
+        page = max(self._pages.values(), key=lambda p: p.used - p.live)
+        if self._open.get(page.group) is page:
+            del self._open[page.group]
+        return page.id, page.group
+
+    def move(self, page_id: int, starts: np.ndarray, counts: np.ndarray
+             ) -> tuple[int, int, np.ndarray]:
+        """Copy the live frames of a page, given by their first rows and row
+        counts, into one run of rows of its group's open page with one
+        gather, and release the page. Returns the new page id, the run's
+        first row and the run as a read-only array."""
+        old = self._pages[page_id]
+        total = int(counts.sum())
+        offsets = np.cumsum(counts) - counts
+        rows = np.repeat(starts - offsets, counts) + np.arange(total)
+        old.rows.take(rows, axis=0, out=self.alloc(total, old.group), mode="clip")
+        run, page, start = self.add(self._pending[1])
+        self.kill(page_id, total)
+        return page, start, run
+
+    def held(self) -> tuple[_Page, ...]:
+        """The held pages."""
+        return tuple(self._pages.values())
+
+    def page_usage(self) -> list[tuple[int, object, int, int, int]]:
+        """(id, group, rows, used, live) of each held page, in id order."""
+        return [(p.id, p.group, p.rows.shape[0], p.used, p.live)
+                for _, p in sorted(self._pages.items())]
+
+
+class FramePages:
+    """Frames' rows in pages, and the table of where they lie.
+
+    Built from the records of the pages and one or more (4, n) int64 tables
+    in frame order, whose rows are frame_index, count, page and start:
+    frame i's count[i] rows start at row start[i] of the page with id
+    page[i]. pages[k] is the rows of the page with id page_ids[k], ascending.
+    The arrays the kernel reads are derived on first use, so building one is
+    cheap for a snapshot that is never scored.
+    """
+
+    def __init__(self, pages: tuple[_Page, ...], tables: tuple[np.ndarray, ...]):
+        self._pages = pages
+        self._tables = tables
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        return self._tables[0] if len(self._tables) == 1 else np.concatenate(self._tables, axis=1)
+
+    @functools.cached_property
+    def pages(self) -> tuple[np.ndarray, ...]:
+        return tuple(page.frozen for page in sorted(self._pages, key=lambda page: page.id))
+
+    @functools.cached_property
+    def page_ids(self) -> np.ndarray:
+        return np.sort(np.array([page.id for page in self._pages], dtype=np.int64))
+
+    frame_index = property(lambda self: self.table[0])
+    count = property(lambda self: self.table[1])
+    page = property(lambda self: self.table[2])
+    start = property(lambda self: self.table[3])
+
+    @classmethod
+    def pack(cls, frames: Sequence[np.ndarray], frame_index: Sequence[int] | None = None
+             ) -> "FramePages":
+        """The frames' rows packed into a new RowStore's pages, in order;
+        frame_index defaults to each frame's position."""
+        frames = list(frames)
+        dim = frames[0].shape[-1] if frames else 0
+        store = RowStore(dim)
+        table = np.empty((4, len(frames)), dtype=np.int64)
+        table[0] = np.arange(len(frames)) if frame_index is None else frame_index
+        for i, frame in enumerate(frames):
+            if frame.ndim != 2 or frame.shape[1] != dim:
+                raise DimensionError(f"frame shape {frame.shape} vs dimension {dim}")
+            if frame.shape[0] == 0:
+                raise EmptyInputError("a frame to score has no rows")
+            _, page, start = store.add(frame)
+            table[1:, i] = (frame.shape[0], page, start)
+        return cls(store.held(), (table,))
+
+
+def segment_means(values: np.ndarray, counts: np.ndarray,
+                  starts: np.ndarray | None = None) -> np.ndarray:
+    """Mean of values[starts[i]:starts[i] + counts[i]] for each i, with
+    np.mean's bits; the segments are consecutive when starts is omitted.
 
     Segments of one length are gathered into the rows of a C-contiguous
     matrix and summed along those rows, which takes the same pairwise
     order np.mean takes over each segment alone (np.add.reduceat would
     sum sequentially).
     """
-    starts = np.cumsum(counts) - counts
+    if starts is None:
+        starts = np.cumsum(counts) - counts
     means = np.empty(len(counts))
     for count in np.unique(counts).tolist():
         which = np.flatnonzero(counts == count)
@@ -262,46 +459,45 @@ def segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return means
 
 
-def late_interaction_scores(
-    frames: Sequence[np.ndarray], query_matrix: np.ndarray
-) -> np.ndarray:
-    """Late-interaction score of each frame against the query (unit rows in):
-    the mean over the frame's rows of their max cosine against the query rows.
+def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.ndarray:
+    """Late-interaction score of each frame in paged against the query
+    (unit rows in): the mean over the frame's rows of their max cosine
+    against the query rows.
 
-    The one frame-vs-query kernel. The frames' rows are packed into blocks
-    of SCORE_BLOCK_ROWS, a frame straddling two blocks when it must, and
-    each block is scored with one einsum. Every entry of that product is
-    the dot product of one row pair, whatever else is in the block (a BLAS
-    product regroups its sums with the matrix shapes), so a frame gets the
-    same bits alone or among any other frames.
+    The one frame-vs-query kernel. It scores each page in place, up to the
+    last row a frame of paged uses, in blocks of at most
+    SCORE_BLOCK_ROWS rows with one einsum each; dead rows between frames
+    are scored and ignored. Every entry of that product is the dot product
+    of one row pair, whatever else is in the block (a BLAS product regroups
+    its sums with the matrix shapes), so a frame gets the same bits alone
+    or among any other frames, at any row of any page.
     """
-    frames = list(frames)
-    if not frames:
+    if len(paged.count) == 0:
         return np.empty(0)
     dim = query_matrix.shape[1]
     query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
-    for frame in frames:
-        if frame.ndim != 2 or frame.shape[1] != dim:
-            raise DimensionError(f"frame shape {frame.shape} vs query dimension {dim}")
-    counts = np.array([frame.shape[0] for frame in frames], dtype=np.intp)
-    if counts.min() == 0:
-        raise EmptyInputError("a frame to score has no rows")
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1])
-    maxima = np.empty(total)
-    block = np.empty((min(SCORE_BLOCK_ROWS, total), dim))
-    for lo in range(0, total, SCORE_BLOCK_ROWS):
-        hi = min(lo + SCORE_BLOCK_ROWS, total)
-        first, last = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
-        parts = frames[first:last + 1]
-        parts[-1] = parts[-1][:hi - starts[last]]
-        parts[0] = parts[0][lo - starts[first]:]
-        np.concatenate(parts, out=block[:hi - lo])
-        sims = np.einsum("kj,ij->ki", query_matrix, block[:hi - lo])
-        np.maximum.reduce(sims, axis=0, out=maxima[lo:hi])
+    if paged.pages[0].shape[1] != dim:
+        raise DimensionError(f"frame dimension {paged.pages[0].shape[1]} vs query dimension {dim}")
+    where = np.searchsorted(paged.page_ids, paged.page)
+    extent = np.zeros(len(paged.pages), dtype=np.int64)
+    np.maximum.at(extent, where, paged.start + paged.count)
+    offsets = np.cumsum(extent) - extent
+    maxima = np.empty(int(offsets[-1] + extent[-1]))
+    for page, base, rows in zip(paged.pages, offsets.tolist(), extent.tolist()):
+        for lo in range(0, rows, SCORE_BLOCK_ROWS):
+            hi = min(lo + SCORE_BLOCK_ROWS, rows)
+            sims = np.einsum("kj,ij->ki", query_matrix, page[lo:hi])
+            np.maximum.reduce(sims, axis=0, out=maxima[base + lo:base + hi])
     np.clip(maxima, -1.0, 1.0, out=maxima)
-    return segment_means(maxima, counts)
+    return segment_means(maxima, paged.count, offsets[where] + paged.start)
+
+
+def late_interaction_scores(
+    frames: Sequence[np.ndarray], query_matrix: np.ndarray
+) -> np.ndarray:
+    """Late-interaction score of each frame against the query (unit rows in),
+    through late_interaction_pages over the frames packed into pages."""
+    return late_interaction_pages(FramePages.pack(frames), query_matrix)
 
 
 def late_interaction(

@@ -27,7 +27,15 @@ from tiermem.tiers import (
     spatial_semantic_select,
     temporal_semantic_prune,
 )
-from tiermem.vecspace import ProbeBank, max_sim, normalize
+from tiermem import vecspace
+from tiermem.retrieval import QuerySpec, score_candidates
+from tiermem.vecspace import (
+    ProbeBank,
+    RowStore,
+    late_interaction_scores,
+    max_sim,
+    normalize,
+)
 
 
 def axis(dim, i):
@@ -753,8 +761,8 @@ def test_columnar_stages_match_per_token_reference():
         assert_same_tokens(spatial_semantic_select(frame, config), want)
 
         mem = forget_memory(int(rng.integers(1, 40)),
-                            long=[random_entry(rng, f) for f in (0, 2, 5)],
-                            mid=[random_entry(rng, f) for f in (6, 7)])
+                            long=[random_entry(rng, f, dim=3) for f in (0, 2, 5)],
+                            mid=[random_entry(rng, f, dim=3) for f in (6, 7)])
         before = {e.frame_index: e for e in mem.long + mem.mid}
         expected = reference_forget((mem.long, mem.mid), mem.total_tokens - mem.config.token_budget)
         assert selective_forget(mem).evicted == tuple(expected)
@@ -773,8 +781,8 @@ def test_forget_small_overflow_in_a_large_tied_tier_matches_reference():
     # reference's victims.
     for seed in range(40):
         rng = np.random.default_rng([seed, 43])
-        long = [random_entry(rng, f) for f in range(0, 60, 2)]
-        mid = [random_entry(rng, f) for f in range(60, 70)]
+        long = [random_entry(rng, f, dim=3) for f in range(0, 60, 2)]
+        mid = [random_entry(rng, f, dim=3) for f in range(60, 70)]
         overflow = int(rng.integers(1, 12))
         mem = forget_memory(sum(e.token_count for e in long + mid) - overflow, long=long, mid=mid)
         expected = reference_forget((mem.long, mem.mid), overflow)
@@ -1047,3 +1055,122 @@ def test_report_counts_match_state():
         assert report.short_frames == len(mem.short)
         assert report.mid_frames == len(mem.mid)
         assert report.long_frames == len(mem.long)
+
+
+# --- paged row store --------------------------------------------------------
+
+
+def test_from_tiers_rejects_foreign_dimensions_and_unordered_frames():
+    with pytest.raises(DimensionError):
+        forget_memory(8, long=[crafted_entry(0, [0.5], dim=4)])
+    with pytest.raises(DimensionError):
+        forget_memory(8, short=[crafted_entry(0, [0.5], dim=2)])
+    for tiers in ({"long": [crafted_entry(3, [0.5])], "mid": [crafted_entry(2, [0.5])]},
+                  {"mid": [crafted_entry(4, [0.5])], "short": [crafted_entry(4, [0.5])]},
+                  {"long": [crafted_entry(5, [0.5]), crafted_entry(1, [0.5])]},
+                  {"long": [crafted_entry(6, [0.5])], "short": [crafted_entry(0, [0.5])]}):
+        with pytest.raises(ValidationError):
+            forget_memory(8, **tiers)
+
+
+def ingest_random(mem, rng, count, dim, first_ts):
+    """count frames of 1 to tokens_per_frame_max random tokens on a 5 x 5 grid."""
+    for t in range(first_ts, first_ts + count):
+        n = int(rng.integers(1, mem.config.tokens_per_frame_max + 1))
+        mem.ingest_frame(float(t), [(rng.standard_normal(dim), int(rng.integers(0, 5)),
+                                     int(rng.integers(0, 5))) for _ in range(n)])
+    return first_ts + count
+
+
+def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
+    # Pages of 8 rows, so frames longer than a page get pages of their own,
+    # and demotions, trims and drops release and compact pages between the
+    # freeze and the later reads.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    seen = set()
+    for seed in range(16):
+        rng = np.random.default_rng([seed, 89])
+        dim = 6
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                         token_budget=int(rng.integers(40, 120)), keep_fraction=0.75,
+                         long_quota_per_frame=int(rng.integers(2, 14)))
+        bank = ProbeBank.generated(dim, n=3, seed=seed)
+        mem = new_memory(cfg, bank)
+        ts = ingest_random(mem, rng, int(rng.integers(8, 40)), dim, 0)
+        snap = mem.freeze()
+        frames = snap.long + snap.mid
+        held = {page_id for page_id, *_ in mem.row_store.page_usage()}
+        if any(rows > 8 for _, _, rows, _, _ in mem.row_store.page_usage()):
+            seen.add("page of its own")
+        queries = [QuerySpec(query_id=f"q{i}", arrival_time=0.0, tokens=rng.standard_normal((2, dim)))
+                   for i in range(3)]
+        alone = [{e.frame_index: late_interaction_scores([e.token_matrix], q.unit_tokens)[0]
+                  for e in frames} for q in queries]
+        rows = [e.token_matrix.tobytes() for e in frames]
+        # Half the snapshots read their pages before the later ingest, half after.
+        early = [score_candidates(snap, q) for q in queries] if seed % 2 else None
+        mem.thaw()
+        moved = len(moves)
+        ts = ingest_random(mem, rng, int(rng.integers(10, 40)), dim, ts)
+        mem.freeze()
+        mem.thaw()
+        ingest_random(mem, rng, 5, dim, ts)
+        if len(moves) > moved:
+            seen.add("compacted")
+        if held - {page_id for page_id, *_ in mem.row_store.page_usage()}:
+            seen.add("released")
+        assert [e.token_matrix.tobytes() for e in frames] == rows
+        late = [score_candidates(snap, q) for q in queries]
+        assert late == alone
+        if early is not None:
+            assert early == late
+        rebuilt = TieredMemory.from_tiers(cfg, bank, short=mem.short, mid=mem.mid, long=mem.long)
+        rebuilt.gate_stats = mem.gate_stats
+        assert rebuilt.state_digest() == mem.state_digest()
+    assert seen == {"page of its own", "compacted", "released"}
+
+
+def test_snapshot_rows_are_views_of_its_pages():
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=4, token_budget=400, tokens_per_frame_max=32)
+    mem = new_memory(cfg, small_bank(8))
+    rng = np.random.default_rng(97)
+    ingest_random(mem, rng, 80, 8, 0)
+    snap = mem.freeze()
+    paged = snap.candidate_pages()
+    entries = {e.frame_index: e for e in snap.long + snap.mid}
+    assert paged.frame_index.tolist() == sorted(entries) and len(entries) > 20
+    pages = dict(zip(paged.page_ids.tolist(), paged.pages))
+    for frame_index, count, page, start in paged.table.T.tolist():
+        matrix = entries[frame_index].token_matrix
+        assert any(np.shares_memory(matrix, rows) for rows in paged.pages)
+        placed = pages[page][start:start + count]
+        assert matrix.shape == placed.shape and matrix.ctypes.data == placed.ctypes.data
+        assert not matrix.flags.writeable
+
+
+def test_dead_rows_stay_bounded_under_steady_forgetting(monkeypatch):
+    # The steady_forget shape at a small scale: segments of similar frames,
+    # and past the fill point every ingest forgets from the long tier.
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    dim = 16
+    cfg = TierConfig(short_cap_frames=4, mid_cap_frames=16, token_budget=1024,
+                     tokens_per_frame_max=32)
+    mem = new_memory(cfg, ProbeBank.generated(dim, n=5, seed=3))
+    rng = np.random.default_rng(101)
+    evicted = 0
+    for t in range(400):
+        if t % 30 == 0:
+            base = rng.standard_normal((32, dim))
+        frame = base + 0.05 * rng.standard_normal((32, dim))
+        report = mem.ingest_frame(float(t), [(v, i // 8, i % 8) for i, v in enumerate(frame)])
+        evicted += report.dropped_budget
+        usage = mem.row_store.page_usage()
+        assert all(live > 0 for *_, live in usage)
+        dead = sum(used - live for *_, used, live in usage)
+        assert dead <= vecspace.COMPACT_DEAD_FRACTION * sum(used for *_, used, _ in usage)
+    assert evicted > 1000 and moves

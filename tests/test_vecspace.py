@@ -10,6 +10,7 @@ from tiermem.errors import DimensionError, EmptyInputError, ValidationError
 from tiermem.vecspace import (
     DEFAULT_PROBE_LABELS,
     ProbeBank,
+    RowStore,
     cosine,
     late_interaction,
     late_interaction_scores,
@@ -196,6 +197,41 @@ def test_segment_means_match_np_mean_bit_for_bit():
         starts = np.cumsum(counts) - counts
         want = [np.mean(values[s:s + c]) for s, c in zip(starts, counts)]
         assert segment_means(values, counts).tolist() == [float(w) for w in want], length
+
+
+def test_segment_means_take_explicit_starts():
+    # Segments anywhere in the values, out of order and overlapping.
+    rng = np.random.default_rng(61)
+    values = rng.standard_normal(500)
+    counts = rng.integers(1, 40, 60)
+    starts = rng.integers(0, 500 - counts)
+    want = [np.mean(values[s:s + c]) for s, c in zip(starts, counts)]
+    assert segment_means(values, counts, starts).tolist() == [float(w) for w in want]
+
+
+def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 4)
+    store = RowStore(2)
+    a, page_a, start_a = store.add(np.ones((3, 2)))
+    b, page_b, start_b = store.add(np.full((2, 2), 2.0))  # no room left beside a
+    c, page_c, start_c = store.add(np.full((6, 2), 3.0))  # longer than a page
+    assert (start_a, start_b, start_c) == (0, 0, 0) and len({page_a, page_b, page_c}) == 3
+    assert [rows for _, _, rows, _, _ in store.page_usage()] == [4, 4, 6]
+    assert not (a.flags.writeable or b.flags.writeable or c.flags.writeable)
+    d, page_d, start_d = store.add(np.full((2, 2), 4.0))
+    assert (page_d, start_d) == (page_b, 2)
+    store.kill(page_a, 3)  # a's and c's frames left: their pages are released
+    store.kill(page_c, 6)
+    assert [page for page, *_ in store.page_usage()] == [page_b]
+    assert a.tolist() == [[1.0, 1.0]] * 3  # rows a view holds stay readable
+    assert store.crowded() is None
+    store.kill(page_b, 2)  # half of page b is dead
+    assert store.crowded() == (page_b, None)
+    page_e, start_e, e = store.move(page_b, np.array([2]), np.array([2]))
+    assert page_e not in (page_b, page_c) and start_e == 0 and not e.flags.writeable
+    assert e.tolist() == d.tolist() == [[4.0, 4.0]] * 2 and b.tolist() == [[2.0, 2.0]] * 2
+    assert [(rows, used, live) for _, _, rows, used, live in store.page_usage()] == [(4, 2, 2)]
+    assert store.crowded() is None
 
 
 def test_late_interaction_scores_reject_bad_frames():
