@@ -528,7 +528,8 @@ class TieredMemory:
     update that tier's token count with its frames. The mid and long
     frames' rows live in one RowStore: each such entry's token_matrix is a
     read-only view of its rows in a page, and each of the two tiers keeps a
-    _FrameTable that says where they lie.
+    _FrameTable that says where they lie. _compact changes only where rows
+    lie: it replaces moved frames by the same frames read from their new rows.
     """
 
     def __init__(self, config: TierConfig, bank: ProbeBank, dim: int | None = None):
