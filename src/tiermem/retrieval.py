@@ -25,7 +25,7 @@ from .errors import (
     json_float,
     json_int,
 )
-from .vecspace import late_interaction_pages, token_max_sims, unit_rows
+from .vecspace import late_interaction_pages, query_max_sims, unit_rows
 
 if TYPE_CHECKING:
     from .tiers import MemorySnapshot
@@ -172,19 +172,23 @@ def gate_check(
 ) -> tuple[bool, float, float]:
     """Decide whether the short tier alone satisfies the query.
 
-    Affinity is the late-interaction score of the concatenated short-tier
-    tokens against the query; the threshold is rho times the running
-    average (floored). An empty short tier never satisfies anything.
-    Returns (fired, affinity, threshold).
+    Affinity pools, by mean or max, each short-tier token's max cosine
+    against the query, the tokens taken in frame order; each frame's maxima
+    come from one query_max_sims over its own rows. The threshold is rho
+    times the running average (floored). An empty short tier never
+    satisfies anything. Returns (fired, affinity, threshold).
     """
     if pooling not in GATE_POOLINGS:
         raise UnknownVariant(f"gate pooling must be one of {GATE_POOLINGS}, got {pooling!r}")
     threshold = query.rho * max(gate.ema, gate.floor)
     if not snapshot.short:
         return False, 0.0, threshold
-    per_token = token_max_sims(
-        np.vstack([entry.token_matrix for entry in snapshot.short]), query.unit_tokens
-    )
+    per_token = np.empty(sum(entry.token_count for entry in snapshot.short))
+    lo = 0
+    for entry in snapshot.short:
+        hi = lo + entry.token_count
+        query_max_sims(query.unit_tokens, entry.token_matrix, out=per_token[lo:hi])
+        lo = hi
     affinity = float(np.mean(per_token) if pooling == "mean" else np.max(per_token))
     return affinity >= threshold, affinity, threshold
 
@@ -199,13 +203,25 @@ def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> dict[int, 
     return dict(zip(pages.frame_index.tolist(), scores.tolist()))
 
 
+def _top_k(frames: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """The k frames with the highest values, ties going to the more recent
+    frame, best first."""
+    return frames[np.lexsort((-frames, -values))[:k]]
+
+
+def _columns(scores: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The frame indices and scores of a score map, as arrays in its order."""
+    n = len(scores)
+    return (np.fromiter(scores.keys(), dtype=np.int64, count=n),
+            np.fromiter(scores.values(), dtype=np.float64, count=n))
+
+
 def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:
     """Top k frame indices by score, ties going to the more recent frame.
 
     Returned in rank order (best first), not temporal order.
     """
-    ranked = sorted(scores, key=lambda f: (-scores[f], -f))
-    return ranked[: max(0, int(k))]
+    return _top_k(*_columns(scores), max(0, int(k))).tolist()
 
 
 def adaptive_select(
@@ -221,19 +237,16 @@ def adaptive_select(
         raise ValidationError(f"k must be >= 1, got {k}")
     if not scores:
         return []
-    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    frames, values = _columns(scores)
     mean = float(np.mean(values))
     sd = float(np.std(values))
-    if sd < SD_FLOOR:
-        chosen = rank_top_k(scores, k)
-    else:
-        threshold = mean + dispersion_lambda * sd
-        chosen = [f for f, s in scores.items() if s >= threshold]
-        if len(chosen) > k:
-            chosen = rank_top_k({f: scores[f] for f in chosen}, k)
-        elif not chosen:
-            chosen = rank_top_k(scores, 1)
-    return sorted(chosen)
+    if not sd < SD_FLOOR:  # a NaN spread filters too, and no frame clears it
+        above = values >= mean + dispersion_lambda * sd
+        if above.any():
+            frames, values = frames[above], values[above]
+        else:
+            k = 1
+    return np.sort(_top_k(frames, values, k)).tolist()
 
 
 def retrieve(

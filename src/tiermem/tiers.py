@@ -561,9 +561,9 @@ class TieredMemory:
 
         Every frame must have the bank's dimension (DimensionError), and the
         frame indices must strictly ascend across long, then mid, then short
-        (ValidationError), as they do in a memory built by ingest. The rows
-        of a C-contiguous mid or long frame are held where they are, as a
-        page of their own.
+        (ValidationError), as they do in a memory built by ingest. The mid
+        and long frames' rows are copied into the row store's pages, so
+        those tiers hold the same frames read from their new rows.
         """
         tiers = {"short": tuple(short), "mid": tuple(mid), "long": tuple(long)}
         held = tiers["long"] + tiers["mid"] + tiers["short"]
@@ -579,7 +579,7 @@ class TieredMemory:
         mem = cls(config, bank)
         for name, entries in tiers.items():
             for entry in entries:
-                mem._push(name, entry, adopt=True)
+                mem._push(name, entry)
         mem._next_frame_index = max((e.frame_index + 1 for e in held), default=0)
         mem._last_timestamp = max((e.timestamp for e in held), default=None)
         return mem
@@ -614,24 +614,20 @@ class TieredMemory:
         """Recount from the tiers; must always equal total_tokens."""
         return sum(e.token_count for tier in self._tiers.values() for e in tier)
 
-    def _hold(self, name: str, slot: int, entry: FrameEntry, adopt: bool = False) -> FrameEntry:
+    def _hold(self, name: str, slot: int, entry: FrameEntry) -> FrameEntry:
         """entry with its rows in the row store, described at slot of the
         tier's table; the rows the store's last alloc gave out are committed
-        in place, other rows are copied in, or with adopt held where they are."""
-        matrix = entry.token_matrix
-        if adopt and matrix.flags.c_contiguous:
-            page, start = self._rows.adopt(matrix, name), 0
-        else:
-            view, page, start = self._rows.add(matrix, name)
-            if view is not matrix:
-                entry = entry._moved(view)
+        in place, other rows are copied in."""
+        view, page, start = self._rows.add(entry.token_matrix, name)
+        if view is not entry.token_matrix:
+            entry = entry._moved(view)
         self._tables[name].put(slot, entry, page, start)
         return entry
 
-    def _push(self, name: str, entry: FrameEntry, adopt: bool = False) -> None:
+    def _push(self, name: str, entry: FrameEntry) -> None:
         """Append entry as the tier's newest frame."""
         if name in self._tables:
-            entry = self._hold(name, self._tables[name].size, entry, adopt)
+            entry = self._hold(name, self._tables[name].size, entry)
         self._tiers[name].append(entry)
         self._tier_tokens[name] += entry.token_count
 

@@ -223,8 +223,8 @@ def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.nda
     """Each frame row's max cosine against the query rows (unit rows in).
 
     BLAS, for speed on frame-vs-frame products (the scene boundary); its
-    bits depend on the matrix shapes, so candidate scoring uses
-    late_interaction_scores instead.
+    bits depend on the matrix shapes, so frame-vs-query scores use
+    query_max_sims instead.
     """
     if frame_matrix.shape[1] != query_matrix.shape[1]:
         raise DimensionError(
@@ -241,9 +241,63 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> 
     return float(np.mean(token_max_sims(frame_matrix, query_matrix)))
 
 
-# A page of the row store holds this many rows (at d=128 a page is 512 KiB),
-# and the scoring kernel works through a page in blocks of this many rows.
+# A page of the row store holds a whole number of blocks of this many rows
+# (at d=128 a one-block page is 512 KiB), and the scoring kernel works
+# through a page in whole blocks.
 SCORE_BLOCK_ROWS = 512
+
+
+@functools.lru_cache(maxsize=None)
+def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
+    """Whether this BLAS gives each column of query @ block.T the same bits
+    wherever its row sits in a block of block_rows rows of dimension dim,
+    alone among zero rows included.
+
+    Checked once per shape, on seeded blocks: under a few row shifts, and
+    with one row alone at row 0 of a zero block. A block whose bits depend
+    on a row's place may still round some rows alike, so at least 512 rows
+    are tried, in as many blocks as that takes. The property is empirical
+    (a BLAS picks its kernels by CPU and shape), so query_max_sims falls
+    back to an einsum wherever it fails.
+    """
+    rng = np.random.default_rng([dim, query_rows, block_rows])
+    query = unit_rows(rng.standard_normal((query_rows, dim)))
+    count = -(-512 // block_rows)
+    blocks = unit_rows(rng.standard_normal((count * block_rows, dim)))
+    for block in blocks.reshape(count, block_rows, dim):
+        want = query @ block.T
+        for shift in sorted({1, block_rows // 3, block_rows - 1}):
+            shifted = query @ np.roll(block, shift, axis=0).T
+            if shifted.tobytes() != np.roll(want, shift, axis=1).tobytes():
+                return False
+        alone = np.zeros_like(block)
+        alone[0] = block[-1]
+        if (query @ alone.T)[:, 0].tobytes() != want[:, -1].tobytes():
+            return False
+    return True
+
+
+def query_max_sims(query_matrix: np.ndarray, rows: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's max cosine against the query rows (unit rows in),
+    clipped to [-1, 1], into out if given.
+
+    The one frame-vs-query product: np.maximum.reduce(query @ rows.T,
+    axis=0), query-major so the maximum runs down contiguous columns. On
+    whole SCORE_BLOCK_ROWS-row blocks a row's bits then do not depend on
+    the other rows of its block, where blas_rows_invariant holds; where it
+    does not, an einsum, which takes each dot product alone, gives the
+    product instead.
+    """
+    if rows.shape[1] != query_matrix.shape[1]:
+        raise DimensionError(
+            f"frame dimension {rows.shape[1]} vs query dimension {query_matrix.shape[1]}")
+    k, dim = query_matrix.shape
+    sims = (query_matrix @ rows.T if blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
+            else np.einsum("kj,ij->ki", query_matrix, rows))
+    out = np.maximum.reduce(sims, axis=0, out=out)
+    return np.clip(out, -1.0, 1.0, out=out)
+
 
 # Once more than this fraction of the rows written to the held pages are dead,
 # the page with the most dead rows is compacted: a past query then scores at
@@ -259,13 +313,13 @@ class _Page:
 
     __slots__ = ("id", "group", "rows", "frozen", "used", "live")
 
-    def __init__(self, page_id: int, group, rows: np.ndarray, used: int = 0):
+    def __init__(self, page_id: int, group, rows: np.ndarray):
         self.id = page_id
         self.group = group
         self.rows = rows
         self.frozen = rows.view()
         self.frozen.setflags(write=False)
-        self.used = self.live = used
+        self.used = self.live = 0
 
 
 class RowStore:
@@ -273,7 +327,9 @@ class RowStore:
 
     A page holds whole frames of one group (the memory's groups are its
     tiers, so frames that leave together sit together); a frame longer than
-    a page gets a page of its own. Frames are appended to their group's
+    a page gets a page of its own, rounded up to whole blocks. Pages start
+    zeroed, so the rows past those written are zero and the kernel can
+    score whole blocks. Frames are appended to their group's
     open page, and a row once committed is never written again, so a view
     of it stays valid for as long as it is held. A frame that is trimmed or
     moved is written anew and its old rows become dead. A page left with no
@@ -291,21 +347,20 @@ class RowStore:
         self._pending: tuple[_Page, np.ndarray] | None = None
         self._used = self._dead = 0  # rows written to and dead in the held pages
 
-    def _new_page(self, group, rows: np.ndarray, used: int = 0) -> _Page:
+    def _new_page(self, group, rows: int) -> _Page:
         self._next_id += 1
-        return _Page(self._next_id - 1, group, rows, used)
+        return _Page(self._next_id - 1, group, np.zeros((rows, self.dim)))
 
     def alloc(self, n: int, group=None) -> np.ndarray:
         """A writable (n, dim) array of free rows in the group's pages, for
         add to commit once written; the next alloc hands the same rows out
         again."""
         if n > SCORE_BLOCK_ROWS:
-            page = self._new_page(group, np.empty((n, self.dim)))
+            page = self._new_page(group, -(-n // SCORE_BLOCK_ROWS) * SCORE_BLOCK_ROWS)
         else:
             page = self._open.get(group)
             if page is None or page.used + n > page.rows.shape[0]:
-                page = self._open[group] = self._new_page(
-                    group, np.empty((SCORE_BLOCK_ROWS, self.dim)))
+                page = self._open[group] = self._new_page(group, SCORE_BLOCK_ROWS)
         view = page.rows[page.used:page.used + n]
         self._pending = (page, view)
         return view
@@ -330,14 +385,6 @@ class RowStore:
             self._pages[page.id] = page
         view.setflags(write=False)
         return view, page.id, start
-
-    def adopt(self, matrix: np.ndarray, group=None) -> int:
-        """Hold a read-only, C-contiguous frame's rows where they are, as a
-        page of their own; returns the page id."""
-        page = self._new_page(group, matrix, used=matrix.shape[0])
-        self._pages[page.id] = page
-        self._used += page.used
-        return page.id
 
     def kill(self, page_id: int, n: int) -> None:
         """Mark n rows of a page dead: their frame was trimmed, moved or dropped."""
@@ -464,31 +511,26 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     (unit rows in): the mean over the frame's rows of their max cosine
     against the query rows.
 
-    The one frame-vs-query kernel. It scores each page in place, up to the
-    last row a frame of paged uses, in blocks of at most
-    SCORE_BLOCK_ROWS rows with one einsum each; dead rows between frames
-    are scored and ignored. Every entry of that product is the dot product
-    of one row pair, whatever else is in the block (a BLAS product regroups
-    its sums with the matrix shapes), so a frame gets the same bits alone
-    or among any other frames, at any row of any page.
+    The candidate kernel. It scores each page in place, in whole blocks of
+    SCORE_BLOCK_ROWS rows up to the last row a frame of paged uses, with
+    one query_max_sims each; dead rows between frames and rows past that
+    last one are scored and ignored. Every product has the same shape, so
+    a frame gets the same bits alone or among any other frames, at any row
+    of any page.
     """
     if len(paged.count) == 0:
         return np.empty(0)
-    dim = query_matrix.shape[1]
     query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
-    if paged.pages[0].shape[1] != dim:
-        raise DimensionError(f"frame dimension {paged.pages[0].shape[1]} vs query dimension {dim}")
+    block = SCORE_BLOCK_ROWS
     where = np.searchsorted(paged.page_ids, paged.page)
     extent = np.zeros(len(paged.pages), dtype=np.int64)
     np.maximum.at(extent, where, paged.start + paged.count)
-    offsets = np.cumsum(extent) - extent
-    maxima = np.empty(int(offsets[-1] + extent[-1]))
-    for page, base, rows in zip(paged.pages, offsets.tolist(), extent.tolist()):
-        for lo in range(0, rows, SCORE_BLOCK_ROWS):
-            hi = min(lo + SCORE_BLOCK_ROWS, rows)
-            sims = np.einsum("kj,ij->ki", query_matrix, page[lo:hi])
-            np.maximum.reduce(sims, axis=0, out=maxima[base + lo:base + hi])
-    np.clip(maxima, -1.0, 1.0, out=maxima)
+    scored = -(-extent // block) * block  # whole blocks up to each page's extent
+    offsets = np.cumsum(scored) - scored
+    maxima = np.empty(int(offsets[-1] + scored[-1]))
+    for page, base, rows in zip(paged.pages, offsets.tolist(), scored.tolist()):
+        for lo in range(0, rows, block):
+            query_max_sims(query_matrix, page[lo:lo + block], out=maxima[base + lo:base + lo + block])
     return segment_means(maxima, paged.count, offsets[where] + paged.start)
 
 

@@ -196,6 +196,38 @@ def test_gate_pooling_variants():
         gate_check(s, gate, q, pooling="median")
 
 
+def per_frame_product(query_units, frame):
+    k, dim = query_units.shape
+    if vecspace.blas_rows_invariant(dim, k, vecspace.SCORE_BLOCK_ROWS):
+        return query_units @ frame.T
+    return np.einsum("kj,ij->ki", query_units, frame)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "max"])
+def test_gate_affinity_matches_a_per_frame_reference(monkeypatch, pooling):
+    # Each short frame's token maxima come from one product over its own
+    # rows, taken in frame order; whether the self-check picks BLAS or the
+    # einsum, the reference takes the same product.
+    rng = np.random.default_rng(71)
+    for trial in range(24):
+        if trial == 12:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        dim = int(rng.integers(2, 40))
+        short = [entry(9 + i, [rng.standard_normal(dim) for _ in range(int(rng.integers(1, 40)))])
+                 for i in range(int(rng.integers(1, 5)))]
+        q = query([rng.standard_normal(dim) for _ in range(int(rng.integers(1, 4)))])
+        maxima = np.concatenate([np.clip(np.max(per_frame_product(q.unit_tokens, e.token_matrix),
+                                                axis=0), -1.0, 1.0) for e in short])
+        want = np.mean(maxima) if pooling == "mean" else np.max(maxima)
+        _, affinity, _ = gate_check(snap(short=short), GateState(), q, pooling=pooling)
+        assert affinity == float(want), trial
+
+
+def test_gate_dimension_mismatch():
+    with pytest.raises(DimensionError):
+        gate_check(snap(short=[entry(9, [axis(4, 0)])]), GateState(), query([axis(3, 0)]))
+
+
 # --- candidate scoring ------------------------------------------------------
 
 
@@ -289,6 +321,60 @@ def test_adaptive_select_rejects_bad_k():
 
 def test_rank_top_k_tie_breaks_to_recent():
     assert rank_top_k({1: 0.5, 2: 0.5, 3: 0.1}, 2) == [2, 1]
+
+
+def reference_rank_top_k(scores, k):
+    """rank_top_k as it was written before it ran on arrays."""
+    ranked = sorted(scores, key=lambda f: (-scores[f], -f))
+    return ranked[: max(0, int(k))]
+
+
+def reference_adaptive_select(scores, k, dispersion_lambda):
+    """adaptive_select as it was written before it ran on arrays."""
+    if not scores:
+        return []
+    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    mean = float(np.mean(values))
+    sd = float(np.std(values))
+    if sd < retrieval.SD_FLOOR:
+        chosen = reference_rank_top_k(scores, k)
+    else:
+        threshold = mean + dispersion_lambda * sd
+        chosen = [f for f, s in scores.items() if s >= threshold]
+        if len(chosen) > k:
+            chosen = reference_rank_top_k({f: scores[f] for f in chosen}, k)
+        elif not chosen:
+            chosen = reference_rank_top_k(scores, 1)
+    return sorted(chosen)
+
+
+def test_adaptive_select_matches_the_sorted_reference():
+    rng = np.random.default_rng(73)
+    kinds = set()
+    for case in range(3000):
+        n = int(rng.integers(0, 40))
+        frames = np.sort(rng.choice(10 * n + 1, size=n, replace=False))
+        kind = case % 4
+        if kind == 0:  # spread scores
+            values = rng.standard_normal(n)
+        elif kind == 1:  # tie-heavy
+            values = rng.integers(0, 3, n) / 4.0
+        else:  # constant, or a spread below SD_FLOOR
+            values = np.full(n, 0.25) + (kind == 3) * rng.standard_normal(n) * 1e-11
+        scores = dict(zip(frames.tolist(), values.tolist()))
+        k = int(rng.integers(1, 9))
+        lam = float(rng.choice([0.0, 0.5, 1.0, 100.0]))  # 100: nothing clears the threshold
+        got = adaptive_select(scores, k, lam)
+        assert got == reference_adaptive_select(scores, k, lam), case
+        assert all(type(f) is int for f in got)
+        assert rank_top_k(scores, k) == reference_rank_top_k(scores, k), case
+        if n and float(np.std(values)) < retrieval.SD_FLOOR:
+            kinds.add("flat")
+        elif n and lam == 100.0:
+            kinds.add("none above")
+        elif n and len(set(values.tolist())) < n:
+            kinds.add("ties")
+    assert kinds == {"flat", "none above", "ties"}
 
 
 # --- retrieve ---------------------------------------------------------------

@@ -508,8 +508,14 @@ def test_from_tiers_derives_every_counter():
     assert mem.short and mem.mid and mem.long
     rebuilt = TieredMemory.from_tiers(cfg, small_bank(4), short=mem.short, mid=mem.mid,
                                       long=mem.long)
-    for name in ("short", "mid", "long"):
-        assert all(a is b for a, b in zip(getattr(rebuilt, name), getattr(mem, name), strict=True))
+    assert all(a is b for a, b in zip(rebuilt.short, mem.short, strict=True))
+    # Mid and long rows are copied into the rebuilt memory's pages.
+    for name in ("mid", "long"):
+        for a, b in zip(getattr(rebuilt, name), getattr(mem, name), strict=True):
+            assert (a.frame_index, a.timestamp, a.scene_boundary) == (
+                b.frame_index, b.timestamp, b.scene_boundary)
+            for column in ("token_matrix", "scores", "rows", "cols"):
+                assert np.array_equal(getattr(a, column), getattr(b, column))
     assert rebuilt.tier_tokens == tier_recount(mem) == mem.tier_tokens
     assert rebuilt.total_tokens == rebuilt.recount_tokens() == mem.total_tokens
     assert rebuilt.last_timestamp == mem.last_timestamp == 14.5
@@ -1149,6 +1155,23 @@ def test_snapshot_rows_are_views_of_its_pages():
         placed = pages[page][start:start + count]
         assert matrix.shape == placed.shape and matrix.ctypes.data == placed.ctypes.data
         assert not matrix.flags.writeable
+
+
+def test_held_pages_are_whole_blocks_zero_past_their_written_rows(monkeypatch):
+    # The kernel scores whole blocks, so the rows past those written must be
+    # finite: they stay zero through demotions, trims, drops and compaction.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 101])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                         token_budget=int(rng.integers(40, 120)), keep_fraction=0.75,
+                         long_quota_per_frame=int(rng.integers(2, 14)))
+        mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
+        for t in range(40):
+            ingest_random(mem, rng, 1, 6, t)
+            for page in mem.row_store.held():
+                assert page.rows.shape[0] % 8 == 0
+                assert not page.rows[page.used:].any(), (seed, t, page.id)
 
 
 def test_dead_rows_stay_bounded_under_steady_forgetting(monkeypatch):

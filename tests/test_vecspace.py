@@ -1,5 +1,6 @@
 """Vector primitive tests with hand-computed expected values."""
 
+import itertools
 import json
 import math
 
@@ -216,7 +217,7 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     b, page_b, start_b = store.add(np.full((2, 2), 2.0))  # no room left beside a
     c, page_c, start_c = store.add(np.full((6, 2), 3.0))  # longer than a page
     assert (start_a, start_b, start_c) == (0, 0, 0) and len({page_a, page_b, page_c}) == 3
-    assert [rows for _, _, rows, _, _ in store.page_usage()] == [4, 4, 6]
+    assert [rows for _, _, rows, _, _ in store.page_usage()] == [4, 4, 8]  # whole blocks
     assert not (a.flags.writeable or b.flags.writeable or c.flags.writeable)
     d, page_d, start_d = store.add(np.full((2, 2), 4.0))
     assert (page_d, start_d) == (page_b, 2)
@@ -243,10 +244,27 @@ def test_late_interaction_scores_reject_bad_frames():
         late_interaction_scores([np.eye(3), np.zeros((0, 3))], query)
 
 
+def block_reference(frame, query, block_rows):
+    """A frame's score from its rows at the top of zeroed blocks of
+    block_rows rows, with one BLAS product per block."""
+    n, dim = frame.shape
+    padded = np.zeros((-(-n // block_rows) * block_rows, dim))
+    padded[:n] = frame
+    maxima = np.concatenate([np.max(query @ padded[lo:lo + block_rows].T, axis=0)
+                             for lo in range(0, len(padded), block_rows)])
+    return float(np.mean(np.clip(maxima[:n], -1.0, 1.0)))
+
+
+def einsum_reference(frame, query):
+    return float(np.mean(np.clip(np.max(np.einsum("ij,kj->ik", frame, query), axis=1), -1.0, 1.0)))
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 512])
 def test_late_interaction_scores_are_batch_invariant(monkeypatch, block_rows):
     # A frame scores the same bits alone as packed among others, whether it
-    # sits inside a block, straddles block edges or spans several blocks.
+    # sits inside a block, straddles block edges or spans several blocks:
+    # with the BLAS block product where the self-check passes, and with the
+    # einsum's bits where it fails.
     rng = np.random.default_rng(block_rows)
     dim = 19
     query = unit_rows(rng.standard_normal((3, dim)))
@@ -255,12 +273,59 @@ def test_late_interaction_scores_are_batch_invariant(monkeypatch, block_rows):
     frames[3] = frames[17] = frames[30] = twin
     frames.insert(9, unit_rows(rng.standard_normal((23, dim))))  # longer than a small block
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", block_rows)
-    packed = late_interaction_scores(frames, query)
-    for frame, score in zip(frames, packed.tolist()):
-        assert late_interaction_scores([frame], query).tolist() == [score]
-        want = np.mean(np.clip(np.max(np.einsum("ij,kj->ik", frame, query), axis=1), -1.0, 1.0))
-        assert score == float(want)
-    assert packed[3] == packed[18] == packed[31]
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        blas = vecspace.blas_rows_invariant(dim, 3, block_rows)
+        packed = late_interaction_scores(frames, query)
+        for frame, score in zip(frames, packed.tolist()):
+            assert late_interaction_scores([frame], query).tolist() == [score]
+            want = block_reference(frame, query, block_rows) if blas else einsum_reference(frame, query)
+            assert score == want, (check_fails, blas)
+        assert packed[3] == packed[18] == packed[31]
+
+
+def test_blas_self_check_is_memoised_per_shape():
+    vecspace.blas_rows_invariant.cache_clear()
+    first = vecspace.blas_rows_invariant(16, 2, 8)
+    assert isinstance(first, bool)
+    assert vecspace.blas_rows_invariant(16, 2, 8) is first
+    info = vecspace.blas_rows_invariant.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_blas_self_check_passes_only_where_every_place_gives_the_same_bits():
+    # Where the check passes, a row's column of query @ block.T has the bits
+    # of that row alone at row 0 of a zero block, at every place in a block
+    # of other rows. Small blocks and single query rows are where some BLAS
+    # kernels take a different path for the last rows.
+    rng = np.random.default_rng(79)
+    for dim, k, block_rows in itertools.product((3, 16, 19, 32), (1, 2, 3), (3, 5, 7, 8)):
+        if not vecspace.blas_rows_invariant(dim, k, block_rows):
+            continue
+        query = unit_rows(rng.standard_normal((k, dim)))
+        for row in unit_rows(rng.standard_normal((4, dim))):
+            alone = np.zeros((block_rows, dim))
+            alone[0] = row
+            want = (query @ alone.T)[:, 0].tobytes()
+            for place in range(block_rows):
+                block = unit_rows(rng.standard_normal((block_rows, dim)))
+                block[place] = row
+                assert (query @ block.T)[:, place].tobytes() == want, (dim, k, block_rows, place)
+
+
+def test_query_max_sims_is_the_clipped_query_major_product():
+    rng = np.random.default_rng(67)
+    query = unit_rows(rng.standard_normal((2, 8)))
+    rows = unit_rows(rng.standard_normal((5, 8)))
+    product = (query @ rows.T if vecspace.blas_rows_invariant(8, 2, vecspace.SCORE_BLOCK_ROWS)
+               else np.einsum("kj,ij->ki", query, rows))
+    want = np.clip(np.max(product, axis=0), -1.0, 1.0)
+    out = np.full(7, np.nan)
+    assert vecspace.query_max_sims(query, rows, out=out[1:6]).tobytes() == want.tobytes()
+    assert np.isnan(out[[0, 6]]).all()
+    with pytest.raises(DimensionError):
+        vecspace.query_max_sims(query, rows[:, :7])
 
 
 def test_probe_bank_validation():
