@@ -9,6 +9,7 @@ re-executed from its report alone.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,11 +24,9 @@ from .errors import EmptyInputError, UnknownVariant, ValidationError
 from .retrieval import (
     GATE_MODES,
     GATE_POOLINGS,
-    GateState,
     QuerySpec,
     RetrievalResult,
     retrieve,
-    update_gate,
 )
 from .synth import StreamSpec, generate_stream
 from .tiers import (
@@ -320,31 +319,17 @@ def run_oracle(
 # Query replay.
 
 
-class _FifoState:
-    """stage=s2 memory: every frame kept verbatim, no caps, no budget."""
-
-    def __init__(self, config: TierConfig, bank: ProbeBank):
-        self.config = config
-        self.bank = bank
-        self.entries = []
-        self.gate = GateState()
-
-    def ingest(self, frame: RawFrame) -> None:
-        entry = encode_tokens(frame.frame_index, frame.timestamp, frame.ingest_tokens(), self.bank)
-        self.entries.append(entry)
-        self.gate = update_gate(self.gate, entry.pooled_score)
-
-    def snapshot(self, at: float) -> MemorySnapshot:
-        cut = self.config.short_cap_frames
-        short = tuple(self.entries[-cut:]) if cut else ()
-        mid = tuple(self.entries[: max(0, len(self.entries) - cut)])
-        return MemorySnapshot(
-            short=short,
-            mid=mid,
-            long=(),
-            freeze_timestamp=float(at),
-            config=self.config,
-        )
+def _keep_everything(config: TierConfig, frames: Sequence[RawFrame]) -> TierConfig:
+    """stage=s2: config with its caps and budget above the stream and
+    keep_fraction 1, so no frame is pruned, selected away or forgotten."""
+    longest = max([1, *map(len, frames)])
+    return dataclasses.replace(
+        config,
+        keep_fraction=1.0,
+        mid_cap_frames=max(1, len(frames)),
+        tokens_per_frame_max=longest,
+        token_budget=max(sum(map(len, frames)), config.short_cap_frames * longest),
+    )
 
 
 def _stage1_result(snapshot: MemorySnapshot) -> RetrievalResult:
@@ -406,6 +391,8 @@ def run_query_replay(
     time, answer, thaw, continue.
 
     Queries are replayed in arrival order regardless of input order.
+    stage=s2 replays on a memory that keeps every frame verbatim, and it
+    enforces the same stream contracts as stage=full.
     """
     if isinstance(variant, str) or variant is None:
         variant = parse_variant(variant)
@@ -416,8 +403,7 @@ def run_query_replay(
     timestamps = {f.frame_index: f.timestamp for f in frames}
 
     order = sorted(range(len(queries)), key=lambda i: (queries[i].arrival_time, i))
-    fifo = _FifoState(config, prior) if variant.stage == "s2" else None
-    mem = new_memory(config, prior) if fifo is None else None
+    mem = new_memory(_keep_everything(config, frames) if variant.stage == "s2" else config, prior)
 
     started = time.perf_counter()
     cursor = 0
@@ -426,23 +412,15 @@ def run_query_replay(
         q = queries[i]
         while cursor < len(frames) and frames[cursor].timestamp <= q.arrival_time:
             frame = frames[cursor]
-            if fifo is not None:
-                fifo.ingest(frame)
-            else:
-                mem.ingest_frame(frame.timestamp, frame.ingest_tokens(),
-                                 frame_index=frame.frame_index)
+            mem.ingest_frame(frame.timestamp, frame.ingest_tokens(), frame_index=frame.frame_index)
             cursor += 1
 
-        if fifo is not None:
-            snapshot = fifo.snapshot(q.arrival_time)
-            result = retrieve(snapshot, fifo.gate, q, gate_mode=variant.gate, gate_pooling=gate_pooling)
+        snapshot = mem.freeze(at=q.arrival_time)
+        if variant.stage == "s1":
+            result = _stage1_result(snapshot)
         else:
-            snapshot = mem.freeze(at=q.arrival_time)
-            if variant.stage == "s1":
-                result = _stage1_result(snapshot)
-            else:
-                result = retrieve(snapshot, mem.gate_stats, q, gate_mode=variant.gate, gate_pooling=gate_pooling)
-            mem.thaw()
+            result = retrieve(snapshot, mem.gate_stats, q, gate_mode=variant.gate, gate_pooling=gate_pooling)
+        mem.thaw()
 
         selected = result.selected_frames()
         row = {

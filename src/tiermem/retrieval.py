@@ -198,7 +198,7 @@ def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> dict[int, 
     in ascending order. All frames are scored in place in their pages in one
     batch-invariant pass, so each score has the bits the frame would get
     scored alone."""
-    pages = snapshot.candidate_pages()
+    pages = snapshot.pages
     scores = late_interaction_pages(pages, query.unit_tokens)
     return dict(zip(pages.frame_index.tolist(), scores.tolist()))
 

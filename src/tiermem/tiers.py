@@ -125,18 +125,19 @@ class FrameEntry:
                 raise ValidationError(f"spatial coordinates must be in [0, {MAX_COORD}]")
         vars(self).update(_statistics(self.scores))
 
-    def _derived(self, scene_boundary: bool, columns: dict | None = None) -> "FrameEntry":
-        """This frame with another scene-boundary flag, or with columns that
-        are a non-empty subset of its rows.
+    def _with(self, **changes) -> "FrameEntry":
+        """This frame with the given fields replaced: another scene-boundary
+        flag, its embeddings read from another array of the same values, or
+        columns that are a non-empty subset of its rows.
 
         Rows taken from validated columns are still valid, so the checks of
-        __post_init__ are not run again; the statistics are.
+        __post_init__ are not run again; the statistics are recomputed when
+        the scores change.
         """
-        columns = columns or {name: getattr(self, name) for name in _COLUMNS}
         entry = object.__new__(FrameEntry)
-        vars(entry).update(frame_index=self.frame_index, timestamp=self.timestamp,
-                           scene_boundary=scene_boundary, **columns,
-                           **_statistics(columns["scores"]))
+        vars(entry).update(vars(self), **changes)
+        if "scores" in changes:
+            vars(entry).update(_statistics(changes["scores"]))
         return entry
 
     def __len__(self) -> int:
@@ -151,12 +152,6 @@ class FrameEntry:
                 self.token_matrix, self.scores.tolist(), self.rows.tolist(), self.cols.tolist()
             )
         )
-
-    def _moved(self, token_matrix: np.ndarray) -> "FrameEntry":
-        """This frame with its embeddings read from another array of the same values."""
-        entry = object.__new__(FrameEntry)
-        vars(entry).update(vars(self), token_matrix=token_matrix)
-        return entry
 
     def take(self, positions: np.ndarray, alloc=None) -> "FrameEntry":
         """Same frame, keeping the tokens at the given positions in that order.
@@ -173,9 +168,8 @@ class FrameEntry:
         else:
             matrix = self.token_matrix.take(positions, axis=0, out=alloc(len(positions)),
                                             mode="clip")
-        return self._derived(self.scene_boundary, {
-            "token_matrix": seal(matrix), "scores": seal(self.scores[positions]),
-            "rows": seal(self.rows[positions]), "cols": seal(self.cols[positions])})
+        return self._with(token_matrix=seal(matrix), scores=seal(self.scores[positions]),
+                          rows=seal(self.rows[positions]), cols=seal(self.cols[positions]))
 
 
 @dataclass(frozen=True)
@@ -287,12 +281,12 @@ class EvictionReport:
 
 @dataclass(frozen=True)
 class MemorySnapshot:
-    """Immutable view of all tiers at a freeze point.
+    """Immutable view of all tiers at a freeze point; only
+    TieredMemory.freeze makes one.
 
     pages holds the mid and long frames' rows and the table of where they
-    lie, in ascending frame order. freeze hands over the memory's own pages,
-    whose rows are never written again; a snapshot built without them packs
-    its frames into pages on the first candidate_pages call.
+    lie, in ascending frame order: the memory's own pages, whose rows are
+    never written again.
     """
 
     short: tuple[FrameEntry, ...]
@@ -300,15 +294,7 @@ class MemorySnapshot:
     long: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
-    pages: FramePages | None = field(default=None, repr=False, compare=False)
-
-    def candidate_pages(self) -> FramePages:
-        """The mid and long frames' rows in pages, in ascending frame order."""
-        if self.pages is None:
-            entries = sorted(self.long + self.mid, key=lambda e: e.frame_index)
-            object.__setattr__(self, "pages", FramePages.pack(
-                [e.token_matrix for e in entries], [e.frame_index for e in entries]))
-        return self.pages
+    pages: FramePages = field(repr=False, compare=False)
 
     def all_frames(self) -> tuple[FrameEntry, ...]:
         """Every retained frame in ascending frame order."""
@@ -317,10 +303,6 @@ class MemorySnapshot:
     @property
     def total_tokens(self) -> int:
         return sum(e.token_count for e in self.all_frames())
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.short) + len(self.mid) + len(self.long)
 
 
 def encode_tokens(
@@ -620,7 +602,7 @@ class TieredMemory:
         in place, other rows are copied in."""
         view, page, start = self._rows.add(entry.token_matrix, name)
         if view is not entry.token_matrix:
-            entry = entry._moved(view)
+            entry = entry._with(token_matrix=view)
         self._tables[name].put(slot, entry, page, start)
         return entry
 
@@ -675,7 +657,7 @@ class TieredMemory:
             tier = self._tiers[name]
             lo = 0
             for slot, hi in zip(slots.tolist(), ends.tolist()):
-                tier[slot] = tier[slot]._moved(run[lo:hi])
+                tier[slot] = tier[slot]._with(token_matrix=run[lo:hi])
                 lo = hi
 
     def ingest_frame(
@@ -717,7 +699,7 @@ class TieredMemory:
         entry = encode_tokens(index, ts, raw, self.bank)
         short, mid, long = self._tiers.values()
         prev = short[-1] if short else None
-        entry = entry._derived(is_scene_boundary(entry, prev, self.config))
+        entry = entry._with(scene_boundary=is_scene_boundary(entry, prev, self.config))
         self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1

@@ -108,8 +108,8 @@ class RawFrame:
     serialization.
 
     Row i of vectors (n, dim) float32 is token i's vector and (rows[i],
-    cols[i]), uint16, its grid cell. Build a frame from columns, or from
-    RawToken objects with tokens=. Writable columns are copied.
+    cols[i]), uint16, its grid cell. A frame is built from these columns;
+    writable ones are copied.
     """
 
     frame_index: int
@@ -118,27 +118,7 @@ class RawFrame:
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
 
-    def __init__(
-        self,
-        frame_index: int,
-        timestamp: float,
-        tokens: Iterable[RawToken] | None = None,
-        *,
-        vectors=None,
-        rows=None,
-        cols=None,
-    ):
-        if tokens is not None:
-            if vectors is not None or rows is not None or cols is not None:
-                raise ValidationError("pass a frame's tokens or its columns, not both")
-            tokens = tuple(tokens)
-            dims = sorted({t.vector.shape[0] for t in tokens})
-            if len(dims) > 1:
-                raise DimMismatch(f"frame {frame_index} mixes token dimensions {dims}")
-            vectors = (np.stack([t.vector for t in tokens]) if tokens
-                       else np.empty((0, 0), np.float32))
-            rows = [t.spatial_row for t in tokens]
-            cols = [t.spatial_col for t in tokens]
+    def __init__(self, frame_index: int, timestamp: float, *, vectors, rows, cols):
         if frame_index < 0:
             raise ValidationError("frame_index must be non-negative")
         if not math.isfinite(timestamp):

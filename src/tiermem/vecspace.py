@@ -467,15 +467,14 @@ class FramePages:
     start = property(lambda self: self.table[3])
 
     @classmethod
-    def pack(cls, frames: Sequence[np.ndarray], frame_index: Sequence[int] | None = None
-             ) -> "FramePages":
-        """The frames' rows packed into a new RowStore's pages, in order;
-        frame_index defaults to each frame's position."""
+    def pack(cls, frames: Sequence[np.ndarray]) -> "FramePages":
+        """The frames' rows packed into a new RowStore's pages, in order,
+        each frame indexed by its position."""
         frames = list(frames)
         dim = frames[0].shape[-1] if frames else 0
         store = RowStore(dim)
         table = np.empty((4, len(frames)), dtype=np.int64)
-        table[0] = np.arange(len(frames)) if frame_index is None else frame_index
+        table[0] = np.arange(len(frames))
         for i, frame in enumerate(frames):
             if frame.ndim != 2 or frame.shape[1] != dim:
                 raise DimensionError(f"frame shape {frame.shape} vs dimension {dim}")

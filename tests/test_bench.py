@@ -29,20 +29,18 @@ from tiermem.bench import (
     sweep_csv,
     write_report,
 )
-from tiermem.errors import EmptyInputError, UnknownVariant, ValidationError
+from tiermem.errors import EmptyInputError, NonMonotoneTimestamp, UnknownVariant, ValidationError
 from tiermem.retrieval import QuerySpec, rank_top_k, score_candidates
 from tiermem.synth import StreamSpec, event_direction, generate_stream, query_for_event
 from tiermem.tiers import TierConfig, new_memory
-from tiermem.traceio import RawFrame, RawToken
-from tiermem.vecspace import ProbeBank
+from tiermem.traceio import RawFrame
+from tiermem.vecspace import ProbeBank, late_interaction_scores, unit_rows
 
 
 def make_frame(index, ts, vectors, dim=None):
-    toks = tuple(
-        RawToken(spatial_row=i, spatial_col=0, vector=np.asarray(v, dtype=np.float32))
-        for i, v in enumerate(vectors)
-    )
-    return RawFrame(frame_index=index, timestamp=float(ts), tokens=toks)
+    return RawFrame(frame_index=index, timestamp=float(ts),
+                    vectors=np.asarray(vectors, dtype=np.float32),
+                    rows=np.arange(len(vectors)), cols=np.zeros(len(vectors), dtype=np.int64))
 
 
 def axis(dim, i):
@@ -362,6 +360,33 @@ def test_replay_stage2_recalls_distant_event_exactly():
     q = query_for_event(spec, 0, jitter=0.0, rho=2.0, top_k=1)
     report = run_query_replay(generate_stream(spec), [q], cfg, bank, "gate=never,stage=s2")
     assert report.rows[0]["recall"] == 1.0
+
+
+def test_replay_stage2_rejects_timestamps_that_do_not_increase():
+    # s2 holds the stream contracts stage=full holds.
+    frames = [make_frame(i, ts, [axis(4, i % 4)]) for i, ts in enumerate([0.0, 1.0, 1.0, 2.0])]
+    q = query([axis(4, 0)], arrival=5.0)
+    bank = ProbeBank.generated(4, n=2, seed=0)
+    for stage in ("full", "s2"):
+        with pytest.raises(NonMonotoneTimestamp):
+            run_query_replay(frames, [q], TierConfig(), bank, f"stage={stage}")
+
+
+def test_replay_stage2_scores_frames_longer_than_the_frame_cap():
+    # A frame past tokens_per_frame_max is held whole, as every other frame.
+    rng = np.random.default_rng(5)
+    counts = [3, 3, 9, 3, 3, 3, 3]
+    frames = [make_frame(i, i, rng.standard_normal((n, 6))) for i, n in enumerate(counts)]
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=2, token_budget=16,
+                     tokens_per_frame_max=4)
+    q = query([axis(6, 0)], arrival=10.0)
+    row = run_query_replay(frames, [q], cfg, ProbeBank.generated(6, n=2, seed=0),
+                           "gate=never,stage=s2").rows[0]
+    assert [f for f, _ in row["result"]["frame_scores"]] == [0, 1, 2, 3, 4]
+    assert row["result"]["anchor_frames"] == [5, 6]
+    want = late_interaction_scores([unit_rows(frames[2].vectors.astype(np.float64))],
+                                   q.unit_tokens)[0]
+    assert row["result"]["frame_scores"][2][1] == want
 
 
 def test_replay_compare_oracle_agrees_without_compression():

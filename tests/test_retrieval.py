@@ -24,8 +24,8 @@ from tiermem.retrieval import (
     update_gate,
 )
 from tiermem import retrieval, vecspace
-from tiermem.tiers import FrameEntry, MemorySnapshot, TierConfig
-from tiermem.vecspace import late_interaction, late_interaction_scores, normalize
+from tiermem.tiers import FrameEntry, TierConfig, TieredMemory
+from tiermem.vecspace import ProbeBank, late_interaction, late_interaction_scores, normalize
 
 
 def axis(dim, i):
@@ -47,13 +47,12 @@ def entry(frame_index, vectors, scores=None):
 
 
 def snap(short=(), mid=(), long=()):
-    return MemorySnapshot(
-        short=tuple(short),
-        mid=tuple(mid),
-        long=tuple(long),
-        freeze_timestamp=100.0,
-        config=TierConfig(short_cap_frames=1, tokens_per_frame_max=64, token_budget=64),
-    )
+    short, mid, long = tuple(short), tuple(mid), tuple(long)
+    dim = (long + mid + short)[0].token_matrix.shape[1]
+    cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=64, token_budget=64)
+    mem = TieredMemory.from_tiers(cfg, ProbeBank.generated(dim, n=1, seed=0),
+                                  short=short, mid=mid, long=long)
+    return mem.freeze(at=100.0)
 
 
 def query(vectors, rho=0.1, top_k=5, lam=0.5, qid="q"):

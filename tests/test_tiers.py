@@ -1145,7 +1145,7 @@ def test_snapshot_rows_are_views_of_its_pages():
     rng = np.random.default_rng(97)
     ingest_random(mem, rng, 80, 8, 0)
     snap = mem.freeze()
-    paged = snap.candidate_pages()
+    paged = snap.pages
     entries = {e.frame_index: e for e in snap.long + snap.mid}
     assert paged.frame_index.tolist() == sorted(entries) and len(entries) > 20
     pages = dict(zip(paged.page_ids.tolist(), paged.pages))

@@ -25,7 +25,10 @@ def token(vec, row=0, col=0):
 
 
 def frame(index, ts, tokens):
-    return RawFrame(frame_index=index, timestamp=ts, tokens=tuple(tokens))
+    tokens = list(tokens)
+    vectors = np.stack([t.vector for t in tokens]) if tokens else np.empty((0, 0), np.float32)
+    return RawFrame(frame_index=index, timestamp=ts, vectors=vectors,
+                    rows=[t.spatial_row for t in tokens], cols=[t.spatial_col for t in tokens])
 
 
 def write_bytes(frames, dim=None):
@@ -166,7 +169,7 @@ def test_write_rejects_nonmonotone_timestamps():
 
 def test_write_rejects_mixed_dims():
     with pytest.raises(DimMismatch):
-        write_bytes([frame(0, 0.0, [token([1.0, 2.0]), token([1.0])])])
+        write_bytes([frame(0, 0.0, [token([1.0, 2.0])]), frame(1, 1.0, [token([1.0])])])
     with pytest.raises(DimMismatch):
         write_bytes([frame(0, 0.0, [token([1.0, 2.0])])], dim=3)
 
@@ -235,11 +238,6 @@ def test_frame_from_columns_copies_writable_inputs():
 def test_frame_rejects_malformed_columns(columns):
     with pytest.raises(ValidationError):
         RawFrame(0, 0.0, **columns)
-
-
-def test_frame_takes_tokens_or_columns_not_both():
-    with pytest.raises(ValidationError):
-        RawFrame(0, 0.0, [token([1.0])], vectors=np.ones((1, 1)), rows=[0], cols=[0])
 
 
 def test_read_frames_are_read_only_views():
