@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .retrieval import GateState, update_gate
-from .traceio import MAX_COORD, read_only, seal
+from .traceio import MAX_COORD, frame_index_int, read_only, seal
 from .vecspace import (
     FramePages,
     ProbeBank,
@@ -319,7 +319,12 @@ def encode_tokens(
         raise EmptyFrame(f"frame {frame_index} has no tokens")
     vectors, rows, cols = zip(*raw)
     try:
-        matrix = np.array(vectors, dtype=np.float64)
+        # Stacked in the vectors' own dtype (float32 from a trace), then cast
+        # once: the same bits as stacking into float64, in less time.
+        matrix = np.array(vectors)
+        if matrix.dtype.kind == "c":
+            raise ValidationError(f"frame {frame_index}: token vectors must be real")
+        matrix = matrix.astype(np.float64, copy=False)
     except ValueError as exc:
         raise DimensionError(f"frame {frame_index}: token vectors differ in shape") from exc
     if matrix.ndim != 2:
@@ -341,12 +346,15 @@ def is_scene_boundary(
     """A frame starts a scene if it has no predecessor or sits far from it.
 
     Distance is the mean over the frame's tokens of the max cosine against
-    the previous frame's tokens, compared to the configured threshold.
+    the previous frame's tokens, compared to the configured threshold. Only
+    its side of the threshold matters, so one pooled_max_sim_units call
+    screens it in float32 and computes it exactly only near the threshold.
     """
     if prev is None:
         return True
-    similarity = pooled_max_sim_units(frame.token_matrix, prev.token_matrix)
-    return similarity < config.scene_threshold
+    threshold = config.scene_threshold
+    similarity = pooled_max_sim_units(frame.token_matrix, prev.token_matrix, near=threshold)
+    return similarity < threshold
 
 
 def _grid_keys(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -422,12 +430,6 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig, alloc=None) -
 
 # Frame indices and the index after the newest one are hashed as int64.
 MAX_FRAME_INDEX = 2**63 - 2
-
-
-def _frame_index(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"frame_index must be an integer, got {value!r}")
-    return int(value)
 
 
 _TIER_NAMES = ("short", "mid", "long")
@@ -681,7 +683,7 @@ class TieredMemory:
             raise NonMonotoneTimestamp(
                 f"timestamp {ts} does not advance past {self._last_timestamp}"
             )
-        index = self._next_frame_index if frame_index is None else _frame_index(frame_index)
+        index = self._next_frame_index if frame_index is None else frame_index_int(frame_index)
         if not self._next_frame_index <= index <= MAX_FRAME_INDEX:
             raise ValidationError(
                 f"frame_index {index} is outside [{self._next_frame_index}, {MAX_FRAME_INDEX}]; "

@@ -17,6 +17,7 @@ the data the source holds, whatever its header claims.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -43,6 +44,9 @@ _FRAME = struct.Struct("<QdI")
 
 MAX_COORD = 0xFFFF
 
+# A frame index is a u64 on the wire.
+MAX_WIRE_FRAME_INDEX = 2**64 - 1
+
 # Sources that cannot report their length are read in chunks of at most
 # this many bytes, so a header claiming more data than the stream holds
 # costs at most the stream's real length.
@@ -58,6 +62,13 @@ def seal(arr: np.ndarray) -> np.ndarray:
 def read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only array with arr's contents; writable inputs are copied."""
     return seal(arr.copy()) if arr.flags.writeable else arr
+
+
+def frame_index_int(value) -> int:
+    """value as an int, if it is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"frame_index must be an integer, got {value!r}")
+    return int(value)
 
 
 def _token_dtype(dim: int) -> np.dtype:
@@ -119,8 +130,10 @@ class RawFrame:
     cols: np.ndarray = field(repr=False)
 
     def __init__(self, frame_index: int, timestamp: float, *, vectors, rows, cols):
-        if frame_index < 0:
-            raise ValidationError("frame_index must be non-negative")
+        frame_index = frame_index_int(frame_index)
+        if not 0 <= frame_index <= MAX_WIRE_FRAME_INDEX:
+            raise ValidationError(
+                f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
         if not math.isfinite(timestamp):
             raise ValidationError(f"frame {frame_index} timestamp must be finite, got {timestamp}")
         vectors = np.asarray(vectors, dtype=np.float32)

@@ -235,9 +235,49 @@ def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.nda
     return np.clip(np.max(frame_matrix @ query_matrix.T, axis=1), -1.0, 1.0)
 
 
-def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> float:
+def screen_margin(dim: int) -> float:
+    """How far the float32 estimate of pooled_max_sim_units may lie from
+    its float64 value, for unit (or zero) rows of dimension dim.
+
+    With u = 2**-24: rounding unit rows to float32 moves a dot product by
+    at most (2u + u**2) * sum|a_k b_k|, and sum|a_k b_k| <= 1 by
+    Cauchy-Schwarz. The float32 dot product of length dim adds at most
+    gamma_dim * (1 + u)**2, gamma_dim = dim*u / (1 - dim*u), in any
+    summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1). The float64 product is off by at most
+    about dim * 2**-53. Max and clip are 1-Lipschitz, so each row maximum
+    moves by at most the sum E of these, about (dim + 2) * u; a float64
+    mean of values that each move by at most E moves by at most E plus its
+    own rounding, a few 2**-53. Twice (dim + 4) * u covers all of it with a
+    factor of 2.
+    """
+    return 2 * (dim + 4) * 2.0**-24
+
+
+def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
+                         *, near: float | None = None) -> float:
     """Mean over frame rows of their max cosine against the query rows
-    (unit rows in), through the BLAS token_max_sims."""
+    (unit or zero rows in), through the BLAS token_max_sims.
+
+    With near given, the value is exact only near it: the mean is first
+    estimated from a float32 product (row maxima averaged in float64), and
+    where that estimate lies more than screen_margin(dim) from near, it is
+    returned as it is; it then lies on the same side of near as the exact
+    value. Only an estimate within the margin, or NaN, pays for the float64
+    token_max_sims, whose mean is returned with its bits.
+    """
+    if near is not None:
+        if frame_matrix.shape[1] != query_matrix.shape[1]:
+            raise DimensionError(
+                f"frame dimension {frame_matrix.shape[1]} vs query dimension {query_matrix.shape[1]}"
+            )
+        # Query-major, so the maximum runs down contiguous columns.
+        sims = query_matrix.astype(np.float32) @ frame_matrix.astype(np.float32).T
+        maxima = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
+        estimate = float(np.mean(maxima, dtype=np.float64))
+        # A NaN estimate fails this test and falls through to the exact path.
+        if abs(estimate - near) > screen_margin(frame_matrix.shape[1]):
+            return estimate
     return float(np.mean(token_max_sims(frame_matrix, query_matrix)))
 
 

@@ -27,7 +27,7 @@ from tiermem.tiers import (
     spatial_semantic_select,
     temporal_semantic_prune,
 )
-from tiermem import vecspace
+from tiermem import tiers, vecspace
 from tiermem.retrieval import QuerySpec, score_candidates
 from tiermem.vecspace import (
     ProbeBank,
@@ -35,6 +35,7 @@ from tiermem.vecspace import (
     late_interaction_scores,
     max_sim,
     normalize,
+    unit_rows,
 )
 
 
@@ -226,6 +227,79 @@ def test_scene_boundary_rules():
     assert is_scene_boundary(a, None, cfg) is True
     assert is_scene_boundary(same, a, cfg) is False
     assert is_scene_boundary(ortho, a, cfg) is True
+
+
+def test_scene_boundary_at_its_own_similarity_falls_back_to_float64(monkeypatch):
+    calls = []
+    exact_kernel = vecspace.token_max_sims
+    monkeypatch.setattr(vecspace, "token_max_sims",
+                        lambda *args: calls.append(1) or exact_kernel(*args))
+    rng = np.random.default_rng(61)
+    bank = ProbeBank.generated(16, n=3, seed=1)
+    base = rng.standard_normal((40, 16))
+    prev = encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(base)], bank)
+    noisy = base + 0.4 * rng.standard_normal((40, 16))
+    frame = encode_tokens(1, 1.0, [(v, 0, i) for i, v in enumerate(noisy)], bank)
+    exact = vecspace.pooled_max_sim_units(frame.token_matrix, prev.token_matrix)
+    calls.clear()
+    for threshold, boundary in ((exact, False), (float(np.nextafter(exact, 1.0)), True)):
+        assert is_scene_boundary(frame, prev, TierConfig(scene_threshold=threshold)) is boundary
+    assert len(calls) == 2
+    calls.clear()
+    for threshold, boundary in ((exact - 0.05, False), (exact + 0.05, True)):
+        assert is_scene_boundary(frame, prev, TierConfig(scene_threshold=threshold)) is boundary
+    assert calls == []
+
+
+def test_scene_boundary_is_one_call_of_the_traced_kernel_per_ingest(monkeypatch):
+    # The benchmark traces the scene-boundary test by wrapping
+    # tiers.pooled_max_sim_units by name, so the whole test must run inside
+    # exactly one call of it per ingest that has a predecessor.
+    def flags(cfg):
+        rng = np.random.default_rng(67)
+        mem = new_memory(cfg, ProbeBank.generated(16, n=3, seed=2))
+        base = rng.standard_normal((8, 16))
+        out = []
+        for t in range(40):
+            if t % 9 == 0:
+                base = rng.standard_normal((8, 16))
+            vectors = base + rng.choice([0.05, 0.3, 1.0]) * rng.standard_normal((8, 16))
+            out.append(mem.ingest_frame(float(t), [(v, 0, i) for i, v in enumerate(vectors)])
+                       .scene_boundary)
+        return out
+
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, token_budget=64,
+                     tokens_per_frame_max=8, scene_threshold=0.9)
+    plain = flags(cfg)
+    calls = []
+    kernel = tiers.pooled_max_sim_units
+    monkeypatch.setattr(tiers, "pooled_max_sim_units",
+                        lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs))
+    assert flags(cfg) == plain
+    assert len(calls) == len(plain) - 1
+    assert set(plain[1:]) == {True, False}
+
+
+def test_encode_tokens_stacks_every_vector_form_to_the_same_bits():
+    bank = ProbeBank.generated(5, n=3, seed=3)
+    rng = np.random.default_rng(71)
+    f32 = rng.standard_normal((7, 5)).astype(np.float32)
+    forms = {
+        "float32 views": list(f32),
+        "float64 views": list(f32.astype(np.float64)),
+        "float lists": rng.standard_normal((7, 5)).tolist(),
+        "int lists": rng.integers(-9, 10, (7, 5)).tolist(),
+        "mixed": [f32[0], [1, 2, 3, 4, 5], f32[2].astype(np.float64).tolist()],
+    }
+    for name, vectors in forms.items():
+        entry = encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(vectors)], bank)
+        want = unit_rows(np.array(vectors, dtype=np.float64))
+        assert entry.token_matrix.tobytes() == want.tobytes(), name
+    for ragged in ([f32[0], f32[1][:4]], [[1.0, 2.0], [1.0]], [[[1.0]], [[2.0]]], [1.0, 2.0]):
+        with pytest.raises(DimensionError):
+            encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], bank)
+    with pytest.raises(ValidationError):
+        encode_tokens(0, 0.0, [(np.ones(5) * 1j, 0, 0)], bank)
 
 
 # --- temporal pruning -------------------------------------------------------

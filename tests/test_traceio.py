@@ -394,3 +394,25 @@ def test_frame_and_writer_reject_non_finite_timestamps(bad):
         frame(0, bad, [token([1.0])])
     with pytest.raises(ValidationError):
         write_bytes([frame(0, 0.0, [token([1.0])]), frame(1, bad, [])])
+
+
+# --- frame indices ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, -1, 2**64, True, False, np.bool_(True), "3", None])
+def test_frame_rejects_indices_the_wire_cannot_hold(bad):
+    with pytest.raises(ValidationError):
+        RawFrame(bad, 0.0, vectors=np.ones((1, 2)), rows=[0], cols=[0])
+
+
+def test_writer_round_trips_every_wire_index_and_never_leaks_struct_errors():
+    last = 2**64 - 1
+    frames = [frame(0, 0.0, [token([1.0])]), frame(np.uint64(last), 1.0, [token([2.0])])]
+    assert type(frames[1].frame_index) is int
+    back = load_trace_bytes(write_bytes(frames))
+    assert [f.frame_index for f in back] == [0, last]
+    # Indices that used to reach struct.pack and fail there with a bare
+    # struct.error (or, for True, be written as 1) are refused on the way in.
+    for bad in (1.5, last + 1, True):
+        with pytest.raises(ValidationError):
+            write_bytes([frame(bad, 0.0, [token([1.0])])])

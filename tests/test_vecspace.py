@@ -18,6 +18,7 @@ from tiermem.vecspace import (
     max_sim,
     normalize,
     pooled_max_sim_units,
+    screen_margin,
     segment_means,
     token_max_sims,
     unit_rows,
@@ -164,6 +165,102 @@ def test_token_max_sims_max_then_clip_equals_clip_then_max_bit_for_bit():
         clipped_first = np.max(np.clip(product, -1.0, 1.0), axis=1)
         got = token_max_sims(frame, query)
         assert got.tobytes() == clipped_first.tobytes(), (n, k, d)
+
+
+def frame_pairs():
+    """Seeded (frame, previous frame) pairs of unit rows whose similarities
+    spread over [-1, 1]: the frame is the previous one's rows, or some of
+    them, under noise from none to overwhelming."""
+    rng = np.random.default_rng(43)
+    for dim in (1, 2, 5, 16, 128, 256):
+        for n, m in ((1, 1), (1, 7), (3, 2), (17, 40), (64, 64), (600, 512)):
+            for sigma in (0.0, 0.05, 0.5, 3.0):
+                prev = unit_rows(rng.standard_normal((m, dim)))
+                base = prev[rng.integers(0, m, n)]
+                yield unit_rows(base + sigma * rng.standard_normal((n, dim))), prev
+
+
+def thresholds_around(exact, margin):
+    """exact itself, 1 ulp and k * 1e-6 either side of it, and one and two
+    margins either side."""
+    yield exact
+    yield np.nextafter(exact, np.inf)
+    yield np.nextafter(exact, -np.inf)
+    for step in (1e-6, 2e-6, 5e-6, 1e-5, margin, 2 * margin):
+        yield exact + step
+        yield exact - step
+
+
+def test_screen_decides_as_the_float64_path_at_every_threshold():
+    worst = 0.0
+    for frame, prev in frame_pairs():
+        exact = pooled_max_sim_units(frame, prev)
+        margin = screen_margin(frame.shape[1])
+        for near in thresholds_around(exact, margin):
+            assert (pooled_max_sim_units(frame, prev, near=near) < near) == (exact < near), (
+                frame.shape, prev.shape, exact, near)
+        # Far from near, the float32 estimate comes back; it lies within the margin.
+        estimate = pooled_max_sim_units(frame, prev, near=exact + 4.0)
+        worst = max(worst, abs(estimate - exact) / margin)
+    assert 0.0 < worst <= 1.0
+
+
+def test_screen_falls_back_to_float64_only_near_the_threshold(monkeypatch):
+    calls = []
+    exact_kernel = vecspace.token_max_sims
+    monkeypatch.setattr(vecspace, "token_max_sims",
+                        lambda *args: calls.append(1) or exact_kernel(*args))
+    rng = np.random.default_rng(47)
+    prev = unit_rows(rng.standard_normal((64, 128)))
+    frame = unit_rows(prev + 0.3 * rng.standard_normal((64, 128)))
+    exact = pooled_max_sim_units(frame, prev)
+    assert len(calls) == 1
+    for near in (exact, exact + screen_margin(128) / 2):
+        calls.clear()
+        assert pooled_max_sim_units(frame, prev, near=near) == exact
+        assert len(calls) == 1
+    for near in (exact + 0.01, exact - 0.01):
+        calls.clear()
+        pooled_max_sim_units(frame, prev, near=near)
+        assert calls == []
+
+
+def test_screen_estimate_averages_in_float64():
+    # Rows (c, s) with float32 c against (1, 0): every float32 product is
+    # exactly c, as in float64, so an estimate averaged in float64 is the
+    # exact value bit for bit; an average taken in float32 is not.
+    rng = np.random.default_rng(53)
+    c = rng.uniform(0.5, 1.0, 600).astype(np.float32).astype(np.float64)
+    frame = np.stack([c, np.sqrt(1.0 - c * c)], axis=1)
+    prev = np.array([[1.0, 0.0]])
+    exact = pooled_max_sim_units(frame, prev)
+    assert exact == float(np.mean(c))
+    assert pooled_max_sim_units(frame, prev, near=-1.0) == exact
+
+
+def test_screen_decides_non_finite_and_zero_rows_as_float64():
+    rng = np.random.default_rng(59)
+    unit = unit_rows(rng.standard_normal((6, 4)))
+    tiny = np.array([[1e-300, 1.0], [-1e-300, 1.0]])  # 1e-300 is 0 in float32
+    cases = [
+        (np.vstack([unit[:3], [[np.nan] * 4]]), unit[3:]),
+        (unit[:3], np.vstack([unit[3:], [[0.0, np.nan, 0.0, 0.0]]])),
+        (np.vstack([unit[:3], [[np.inf, 0.0, 0.0, 0.0]]]), unit[3:]),
+        (unit[:3], np.vstack([unit[3:], [[-np.inf, 0.0, 0.0, 0.0]]])),
+        (np.vstack([unit[:3], np.zeros((2, 4))]), unit[3:]),
+        (unit[:3], np.vstack([unit[3:], np.zeros((1, 4))])),
+        (np.zeros((2, 4)), np.zeros((3, 4))),
+        # float64 gives +-inf, clipped to +-1 (mean 0); float32 gives NaN,
+        # which must fall back rather than decide.
+        (tiny, np.array([[np.inf, 0.0]])),
+    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for frame, prev in cases:
+            exact = pooled_max_sim_units(frame, prev)
+            for near in (-0.9, -0.5, 0.0, 0.5, 0.8, 0.99):
+                got = pooled_max_sim_units(frame, prev, near=near)
+                assert (got < near) == (exact < near), (frame, prev, near)
+    assert pooled_max_sim_units(*cases[-1]) == 0.0
 
 
 def test_unit_rows_equals_the_masked_divide_bit_for_bit():
