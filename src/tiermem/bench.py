@@ -24,6 +24,7 @@ from .errors import EmptyInputError, UnknownVariant, ValidationError
 from .retrieval import (
     GATE_MODES,
     GATE_POOLINGS,
+    NO_SCORES,
     QuerySpec,
     RetrievalResult,
     retrieve,
@@ -340,7 +341,7 @@ def _stage1_result(snapshot: MemorySnapshot) -> RetrievalResult:
         retrieved_frames=tuple(
             sorted(e.frame_index for e in snapshot.mid + snapshot.long)
         ),
-        frame_scores={},
+        frame_scores=NO_SCORES,
         gate_affinity=0.0,
         gate_threshold=0.0,
     )

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
@@ -80,6 +82,22 @@ def update_gate(gate: GateState, frame_pooled_score: float) -> GateState:
     )
 
 
+def _integer(value, what: str) -> int:
+    """An integer parameter: any integer type (one with __index__) but bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str) -> None:
+    """Check a real-valued parameter: any real type but bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuerySpec:
     """One query: token embeddings plus retrieval knobs.
@@ -107,14 +125,19 @@ class QuerySpec:
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"query {self.query_id!r}: non-finite token values")
+        where = f"query {self.query_id!r}:"
+        for name in ("arrival_time", "rho", "dispersion_lambda"):
+            _real(getattr(self, name), f"{where} {name}")
         if not math.isfinite(self.arrival_time):
-            raise ValidationError(f"query {self.query_id!r}: non-finite arrival_time")
+            raise ValidationError(f"{where} non-finite arrival_time")
         if self.rho < 0.0 or not math.isfinite(self.rho):
-            raise ValidationError(f"query {self.query_id!r}: rho must be >= 0")
-        if self.top_k < 1:
-            raise ValidationError(f"query {self.query_id!r}: top_k must be >= 1")
+            raise ValidationError(f"{where} rho must be >= 0")
+        top_k = _integer(self.top_k, f"{where} top_k")
+        if top_k < 1:
+            raise ValidationError(f"{where} top_k must be >= 1")
+        object.__setattr__(self, "top_k", top_k)
         if not math.isfinite(self.dispersion_lambda):
-            raise ValidationError(f"query {self.query_id!r}: non-finite dispersion_lambda")
+            raise ValidationError(f"{where} non-finite dispersion_lambda")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
@@ -131,13 +154,52 @@ class QuerySpec:
         return self.tokens.shape[1]
 
 
+class FrameScores(Mapping[int, float]):
+    """Candidate scores keyed by frame index, in ascending frame order.
+
+    A read-only Mapping over two arrays of equal length, frames (int64,
+    ascending) and scores (float64), which ranking reads directly. The dict
+    behind key reads and iteration is built on the first of them.
+    """
+
+    __slots__ = ("frames", "scores", "_dict")
+
+    def __init__(self, frames: np.ndarray, scores: np.ndarray):
+        for column in (frames, scores):
+            column.setflags(write=False)
+        self.frames = frames
+        self.scores = scores
+        self._dict = None
+
+    def _as_dict(self) -> dict[int, float]:
+        if self._dict is None:
+            self._dict = dict(zip(self.frames.tolist(), self.scores.tolist()))
+        return self._dict
+
+    def __getitem__(self, frame_index: int) -> float:
+        return self._as_dict()[frame_index]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._as_dict())
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __repr__(self) -> str:
+        return f"FrameScores({self._as_dict()!r})"
+
+
+NO_SCORES = FrameScores(np.empty(0, dtype=np.int64), np.empty(0))
+
+
 @dataclass(frozen=True)
 class RetrievalResult:
     """Outcome of one retrieve call.
 
     anchor_frames is always the short tier, in order. retrieved_frames
     is empty when the gate fired (gated_short_only) and otherwise holds
-    at most top_k mid/long frames in ascending frame order.
+    at most top_k mid/long frames in ascending frame order. frame_scores
+    is score_candidates' read-only map, empty when the gate fired.
     """
 
     gated_short_only: bool
@@ -193,14 +255,14 @@ def gate_check(
     return affinity >= threshold, affinity, threshold
 
 
-def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> dict[int, float]:
+def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> FrameScores:
     """Late-interaction score for every mid/long frame, keyed by frame index
     in ascending order. All frames are scored in place in their pages in one
     batch-invariant pass, so each score has the bits the frame would get
     scored alone."""
     pages = snapshot.pages
     scores = late_interaction_pages(pages, query.unit_tokens)
-    return dict(zip(pages.frame_index.tolist(), scores.tolist()))
+    return FrameScores(pages.frame_index.view(), scores)
 
 
 def _top_k(frames: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -211,6 +273,8 @@ def _top_k(frames: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
 
 def _columns(scores: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """The frame indices and scores of a score map, as arrays in its order."""
+    if isinstance(scores, FrameScores):
+        return scores.frames, scores.scores
     n = len(scores)
     return (np.fromiter(scores.keys(), dtype=np.int64, count=n),
             np.fromiter(scores.values(), dtype=np.float64, count=n))
@@ -233,6 +297,7 @@ def adaptive_select(
     Overflow past k keeps the best-scoring frames; the result is returned
     in ascending frame order.
     """
+    k = _integer(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not scores:
@@ -275,7 +340,7 @@ def retrieve(
             gated_short_only=True,
             anchor_frames=anchor,
             retrieved_frames=(),
-            frame_scores={},
+            frame_scores=NO_SCORES,
             gate_affinity=affinity,
             gate_threshold=threshold,
         )

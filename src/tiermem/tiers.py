@@ -23,7 +23,7 @@ import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -341,7 +341,8 @@ def encode_tokens(
 
 
 def is_scene_boundary(
-    frame: FrameEntry, prev: FrameEntry | None, config: TierConfig
+    frame: FrameEntry, prev: FrameEntry | None, config: TierConfig, *,
+    float32: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> bool:
     """A frame starts a scene if it has no predecessor or sits far from it.
 
@@ -349,11 +350,13 @@ def is_scene_boundary(
     the previous frame's tokens, compared to the configured threshold. Only
     its side of the threshold matters, so one pooled_max_sim_units call
     screens it in float32 and computes it exactly only near the threshold.
+    float32, if given, makes that call's float32 casts.
     """
     if prev is None:
         return True
     threshold = config.scene_threshold
-    similarity = pooled_max_sim_units(frame.token_matrix, prev.token_matrix, near=threshold)
+    similarity = pooled_max_sim_units(frame.token_matrix, prev.token_matrix,
+                                      near=threshold, float32=float32)
     return similarity < threshold
 
 
@@ -532,6 +535,8 @@ class TieredMemory:
         self._last_timestamp: float | None = None
         self._next_frame_index = 0
         self._frozen = False
+        self._cast32: tuple[np.ndarray, np.ndarray] | None = None
+        self._buffers32 = (np.empty((0, self.dim), dtype=np.float32),) * 2
 
     @classmethod
     def from_tiers(
@@ -645,6 +650,25 @@ class TieredMemory:
         if old_page is not None:
             self._rows.kill(old_page, old.token_count)
 
+    def _float32(self, matrix: np.ndarray) -> np.ndarray:
+        """matrix cast to float32, for the scene-boundary screen. The last
+        cast made, the newest frame's, is kept, and the next ingest reuses
+        it while that frame's rows are still short[-1]'s: the screen asks
+        for the previous frame's cast first. Casts are written in turn into
+        two buffers that grow to the longest frame, so the one kept is not
+        overwritten and a cast allocates nothing once they have grown."""
+        kept = self._cast32
+        if kept is not None and kept[0] is matrix:
+            return kept[1]
+        spare, last = self._buffers32
+        if spare.shape[0] < matrix.shape[0]:
+            spare = np.empty(matrix.shape, dtype=np.float32)
+        self._buffers32 = (last, spare)
+        cast = spare[:matrix.shape[0]]
+        np.copyto(cast, matrix, casting="same_kind")
+        self._cast32 = (matrix, cast)
+        return cast
+
     def _compact(self) -> None:
         """Move the frames of each crowded page, with one gather, into its
         tier's open page, and release it. Only where the rows lie changes."""
@@ -701,7 +725,8 @@ class TieredMemory:
         entry = encode_tokens(index, ts, raw, self.bank)
         short, mid, long = self._tiers.values()
         prev = short[-1] if short else None
-        entry = entry._with(scene_boundary=is_scene_boundary(entry, prev, self.config))
+        entry = entry._with(scene_boundary=is_scene_boundary(entry, prev, self.config,
+                                                             float32=self._float32))
         self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1

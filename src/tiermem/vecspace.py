@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -219,6 +219,12 @@ def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
         raise DimensionError(f"{what} rows differ in dimension") from exc
 
 
+def _check_dims(rows: np.ndarray, query_matrix: np.ndarray) -> None:
+    if rows.shape[1] != query_matrix.shape[1]:
+        raise DimensionError(
+            f"frame dimension {rows.shape[1]} vs query dimension {query_matrix.shape[1]}")
+
+
 def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
     """Each frame row's max cosine against the query rows (unit rows in).
 
@@ -226,10 +232,7 @@ def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.nda
     bits depend on the matrix shapes, so frame-vs-query scores use
     query_max_sims instead.
     """
-    if frame_matrix.shape[1] != query_matrix.shape[1]:
-        raise DimensionError(
-            f"frame dimension {frame_matrix.shape[1]} vs query dimension {query_matrix.shape[1]}"
-        )
+    _check_dims(frame_matrix, query_matrix)
     # Clip is monotone, so clipping the maxima gives the bits of maximizing
     # the clipped product (NaN included) without a second product-sized pass.
     return np.clip(np.max(frame_matrix @ query_matrix.T, axis=1), -1.0, 1.0)
@@ -255,7 +258,8 @@ def screen_margin(dim: int) -> float:
 
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
-                         *, near: float | None = None) -> float:
+                         *, near: float | None = None,
+                         float32: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Mean over frame rows of their max cosine against the query rows
     (unit or zero rows in), through the BLAS token_max_sims.
 
@@ -264,15 +268,17 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     where that estimate lies more than screen_margin(dim) from near, it is
     returned as it is; it then lies on the same side of near as the exact
     value. Only an estimate within the margin, or NaN, pays for the float64
-    token_max_sims, whose mean is returned with its bits.
+    token_max_sims, whose mean is returned with its bits. float32, if given,
+    makes the float32 casts in place of ndarray.astype; it is asked for the
+    query's cast before the frame's, so a caller that keeps the last cast
+    it made has the frame's at hand when that frame is the next query.
     """
     if near is not None:
-        if frame_matrix.shape[1] != query_matrix.shape[1]:
-            raise DimensionError(
-                f"frame dimension {frame_matrix.shape[1]} vs query dimension {query_matrix.shape[1]}"
-            )
+        _check_dims(frame_matrix, query_matrix)
+        cast = float32 if float32 is not None else (lambda matrix: matrix.astype(np.float32))
+        query32 = cast(query_matrix)
         # Query-major, so the maximum runs down contiguous columns.
-        sims = query_matrix.astype(np.float32) @ frame_matrix.astype(np.float32).T
+        sims = query32 @ cast(frame_matrix).T
         maxima = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
         estimate = float(np.mean(maxima, dtype=np.float64))
         # A NaN estimate fails this test and falls through to the exact path.
@@ -297,7 +303,7 @@ def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
     with one row alone at row 0 of a zero block. A block whose bits depend
     on a row's place may still round some rows alike, so at least 512 rows
     are tried, in as many blocks as that takes. The property is empirical
-    (a BLAS picks its kernels by CPU and shape), so query_max_sims falls
+    (a BLAS picks its kernels by CPU and shape), so _query_product falls
     back to an einsum wherever it fails.
     """
     rng = np.random.default_rng([dim, query_rows, block_rows])
@@ -317,25 +323,32 @@ def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
     return True
 
 
+def _query_product(query_matrix: np.ndarray, rows: np.ndarray,
+                   out: np.ndarray | None = None, blas: bool | None = None) -> np.ndarray:
+    """The frame-vs-query product, query @ rows.T, into out if given: from
+    BLAS where blas_rows_invariant holds for the query's shape on whole
+    SCORE_BLOCK_ROWS-row blocks, and where it does not, from an einsum,
+    which takes each dot product alone. blas, if given, is that check's
+    answer, looked up once for many products."""
+    if blas is None:
+        k, dim = query_matrix.shape
+        blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
+    if not blas:
+        return np.einsum("kj,ij->ki", query_matrix, rows, out=out)
+    return query_matrix @ rows.T if out is None else np.matmul(query_matrix, rows.T, out=out)
+
+
 def query_max_sims(query_matrix: np.ndarray, rows: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Each row's max cosine against the query rows (unit rows in),
     clipped to [-1, 1], into out if given.
 
-    The one frame-vs-query product: np.maximum.reduce(query @ rows.T,
-    axis=0), query-major so the maximum runs down contiguous columns. On
-    whole SCORE_BLOCK_ROWS-row blocks a row's bits then do not depend on
-    the other rows of its block, where blas_rows_invariant holds; where it
-    does not, an einsum, which takes each dot product alone, gives the
-    product instead.
+    np.maximum.reduce(query @ rows.T, axis=0), query-major so the maximum
+    runs down contiguous columns, with the product _query_product picks:
+    the bits late_interaction_pages gives a row on a whole block.
     """
-    if rows.shape[1] != query_matrix.shape[1]:
-        raise DimensionError(
-            f"frame dimension {rows.shape[1]} vs query dimension {query_matrix.shape[1]}")
-    k, dim = query_matrix.shape
-    sims = (query_matrix @ rows.T if blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
-            else np.einsum("kj,ij->ki", query_matrix, rows))
-    out = np.maximum.reduce(sims, axis=0, out=out)
+    _check_dims(rows, query_matrix)
+    out = np.maximum.reduce(_query_product(query_matrix, rows), axis=0, out=out)
     return np.clip(out, -1.0, 1.0, out=out)
 
 
@@ -494,12 +507,17 @@ class FramePages:
         return self._tables[0] if len(self._tables) == 1 else np.concatenate(self._tables, axis=1)
 
     @functools.cached_property
+    def records(self) -> tuple[_Page, ...]:
+        """The page records, in id order."""
+        return tuple(sorted(self._pages, key=lambda page: page.id))
+
+    @functools.cached_property
     def pages(self) -> tuple[np.ndarray, ...]:
-        return tuple(page.frozen for page in sorted(self._pages, key=lambda page: page.id))
+        return tuple(page.frozen for page in self.records)
 
     @functools.cached_property
     def page_ids(self) -> np.ndarray:
-        return np.sort(np.array([page.id for page in self._pages], dtype=np.int64))
+        return np.array([page.id for page in self.records], dtype=np.int64)
 
     frame_index = property(lambda self: self.table[0])
     count = property(lambda self: self.table[1])
@@ -530,18 +548,30 @@ def segment_means(values: np.ndarray, counts: np.ndarray,
     """Mean of values[starts[i]:starts[i] + counts[i]] for each i, with
     np.mean's bits; the segments are consecutive when starts is omitted.
 
-    Segments of one length are gathered into the rows of a C-contiguous
-    matrix and summed along those rows, which takes the same pairwise
-    order np.mean takes over each segment alone (np.add.reduceat would
-    sum sequentially).
+    Every segment is gathered, in the order of a stable argsort of the
+    counts, into one array; the segments of each count then form the rows
+    of a C-contiguous slice of it, and one np.add.reduce along those rows
+    takes the same pairwise order np.mean takes over each segment alone
+    (np.add.reduceat would sum sequentially). The sums are divided by
+    their counts at once, as np.mean divides its sum.
     """
+    n = len(counts)
+    if n == 0:
+        return np.empty(0)
     if starts is None:
         starts = np.cumsum(counts) - counts
-    means = np.empty(len(counts))
-    for count in np.unique(counts).tolist():
-        which = np.flatnonzero(counts == count)
-        segments = values[starts[which, None] + np.arange(count)]
-        means[which] = np.add.reduce(segments, axis=1) / count
+    order = np.argsort(counts, kind="stable")
+    ordered = counts[order]
+    ends = np.cumsum(ordered)
+    firsts = ends - ordered
+    gathered = values[np.repeat(starts[order] - firsts, ordered) + np.arange(ends[-1])]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    sums = np.empty(n)
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        segments = gathered[firsts[lo]:ends[hi - 1]].reshape(hi - lo, -1)
+        np.add.reduce(segments, axis=1, out=sums[lo:hi])
+    means = np.empty(n)
+    means[order] = sums / ordered
     return means
 
 
@@ -551,25 +581,32 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     against the query rows.
 
     The candidate kernel. It scores each page in place, in whole blocks of
-    SCORE_BLOCK_ROWS rows up to the last row a frame of paged uses, with
-    one query_max_sims each; dead rows between frames and rows past that
-    last one are scored and ignored. Every product has the same shape, so
-    a frame gets the same bits alone or among any other frames, at any row
-    of any page.
+    SCORE_BLOCK_ROWS rows up to the last row written to the page, with
+    _query_product into one (blocks, query rows, SCORE_BLOCK_ROWS) buffer,
+    then takes one maximum over the query rows and one clip; dead rows
+    between frames and rows past the last written are scored and ignored.
+    Every product has the same shape, so a frame gets the same bits alone
+    or among any other frames, at any row of any page: those of
+    query_max_sims on the frame's rows on a block of their own.
     """
     if len(paged.count) == 0:
         return np.empty(0)
     query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
+    records = paged.records
+    _check_dims(records[0].rows, query_matrix)
+    k, dim = query_matrix.shape
+    blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
     block = SCORE_BLOCK_ROWS
-    where = np.searchsorted(paged.page_ids, paged.page)
-    extent = np.zeros(len(paged.pages), dtype=np.int64)
-    np.maximum.at(extent, where, paged.start + paged.count)
-    scored = -(-extent // block) * block  # whole blocks up to each page's extent
+    scored = [-(-page.used // block) * block for page in records]
+    blocks = [page.frozen[lo:lo + block] for page, rows in zip(records, scored)
+              for lo in range(0, rows, block)]
+    sims = np.empty((len(blocks), k, block))
+    for rows, out in zip(blocks, sims):
+        _query_product(query_matrix, rows, out, blas)
+    maxima = np.maximum.reduce(sims, axis=1).reshape(-1)
+    np.clip(maxima, -1.0, 1.0, out=maxima)
     offsets = np.cumsum(scored) - scored
-    maxima = np.empty(int(offsets[-1] + scored[-1]))
-    for page, base, rows in zip(paged.pages, offsets.tolist(), scored.tolist()):
-        for lo in range(0, rows, block):
-            query_max_sims(query_matrix, page[lo:lo + block], out=maxima[base + lo:base + lo + block])
+    where = np.searchsorted(paged.page_ids, paged.page)
     return segment_means(maxima, paged.count, offsets[where] + paged.start)
 
 

@@ -1,5 +1,6 @@
 """Query-path tests: gate, candidate scoring, adaptive selection."""
 
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from tiermem.errors import (
     ValidationError,
 )
 from tiermem.retrieval import (
+    FrameScores,
     GateState,
     QuerySpec,
     adaptive_select,
@@ -128,6 +130,19 @@ def test_query_spec_defaults_and_normalization():
         {"top_k": 0},
         {"arrival_time": float("inf")},
         {"dispersion_lambda": float("nan")},
+        {"top_k": 2.5},
+        {"top_k": 2.0},
+        {"top_k": True},
+        {"top_k": "3"},
+        {"top_k": None},
+        {"rho": "x"},
+        {"rho": True},
+        {"rho": None},
+        {"dispersion_lambda": "0.5"},
+        {"dispersion_lambda": False},
+        {"arrival_time": "1"},
+        {"arrival_time": True},
+        {"arrival_time": 1j},
     ],
 )
 def test_query_spec_validation(kwargs):
@@ -135,6 +150,15 @@ def test_query_spec_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValidationError):
         QuerySpec(**base)
+
+
+def test_query_spec_takes_any_integral_top_k_and_real_knobs():
+    q = QuerySpec(query_id="q", arrival_time=np.float32(1.5), tokens=np.array([[1.0, 0.0]]),
+                  rho=np.float64(0.2), top_k=np.int64(3), dispersion_lambda=1)
+    assert q.top_k == 3 and type(q.top_k) is int
+    # A query the gate answers still ends without error.
+    s = snap(short=[entry(9, [axis(2, 0)])], mid=[entry(5, [axis(2, 1)])])
+    assert retrieve(s, GateState(), q).gated_short_only is True
 
 
 def test_query_spec_ground_truth_coerced():
@@ -278,6 +302,39 @@ def test_score_candidates_dimension_mismatch():
         score_candidates(s, query([axis(3, 0)]))
 
 
+def test_score_candidates_return_a_read_only_map_in_frame_order():
+    rng = np.random.default_rng(101)
+    frames = [entry(i, [rng.standard_normal(5) for _ in range(int(rng.integers(1, 6)))])
+              for i in range(0, 30, 3)]
+    s = snap(short=[entry(40, [rng.standard_normal(5)])], mid=frames[6:], long=frames[:6])
+    q = query([rng.standard_normal(5) for _ in range(2)])
+    scores = score_candidates(s, q)
+    assert isinstance(scores, FrameScores) and not isinstance(scores, dict)
+    plain = dict(zip(scores.frames.tolist(), scores.scores.tolist()))
+    assert scores == plain and plain == scores and len(scores) == len(plain) == 10
+    assert list(scores) == list(scores.keys()) == sorted(plain) == list(range(0, 30, 3))
+    assert list(scores.items()) == sorted(plain.items())
+    assert 3 in scores and 4 not in scores and scores.get(4) is None
+    assert scores[27] == plain[27]
+    with pytest.raises(KeyError):
+        scores[4]
+    with pytest.raises(TypeError):
+        scores[3] = 0.0
+    with pytest.raises(ValueError):
+        scores.scores[0] = 0.0
+    with pytest.raises(ValueError):
+        scores.frames[0] = 1
+    gate = GateState(ema=0.9, observations=1)
+    result = retrieve(s, gate, q, gate_mode="never")
+    assert result.frame_scores == plain
+    as_dict = dataclasses.replace(result, frame_scores=plain)
+    assert json.dumps(result.to_json_dict()) == json.dumps(as_dict.to_json_dict())
+    gated = retrieve(s, gate, q, gate_mode="always")
+    assert gated.frame_scores == {} and len(gated.frame_scores) == 0
+    with pytest.raises(TypeError):
+        gated.frame_scores[3] = 0.0
+
+
 # --- selection --------------------------------------------------------------
 
 
@@ -314,8 +371,10 @@ def test_adaptive_select_result_in_temporal_order():
 
 
 def test_adaptive_select_rejects_bad_k():
-    with pytest.raises(ValidationError):
-        adaptive_select({1: 0.5}, 0, 0.5)
+    for k in (0, 2.5, 2.0, True, "3", None):
+        with pytest.raises(ValidationError):
+            adaptive_select({1: 0.5}, k, 0.5)
+    assert adaptive_select({1: 0.5}, np.int64(2), 0.5) == [1]
 
 
 def test_rank_top_k_tie_breaks_to_recent():
@@ -367,6 +426,10 @@ def test_adaptive_select_matches_the_sorted_reference():
         assert got == reference_adaptive_select(scores, k, lam), case
         assert all(type(f) is int for f in got)
         assert rank_top_k(scores, k) == reference_rank_top_k(scores, k), case
+        table = FrameScores(frames.copy(), values.copy())  # as score_candidates returns
+        assert table == scores
+        assert adaptive_select(table, k, lam) == got, case
+        assert rank_top_k(table, k) == reference_rank_top_k(scores, k), case
         if n and float(np.std(values)) < retrieval.SD_FLOOR:
             kinds.add("flat")
         elif n and lam == 100.0:
@@ -399,6 +462,30 @@ def test_retrieve_gate_fired_skips_scoring(monkeypatch):
     assert calls == []  # bypass really bypassed
     retrieve(s, GateState(), query([axis(4, 0)], rho=0.1), gate_mode="never")
     assert len(calls) == 1  # the counting hook sees the calls retrieve makes
+
+
+def test_retrieve_selects_once_per_gate_closed_query_through_the_module(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive_select(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "adaptive_select", counting)
+    s = snap(
+        short=[entry(9, [axis(4, 0)])],
+        mid=[entry(5, [axis(4, 1)])],
+        long=[entry(2, [axis(4, 2)])],
+    )
+    gated = retrieve(s, GateState(), query([axis(4, 0)], rho=0.1))
+    assert gated.gated_short_only is True and calls == []
+    result = retrieve(s, GateState(ema=0.9, observations=1), query([axis(4, 1)], rho=2.0, top_k=3))
+    assert result.gated_short_only is False
+    assert len(calls) == 1
+    scores, k, lam = calls[0]
+    assert scores is result.frame_scores and (k, lam) == (3, 0.5)
+    retrieve(s, GateState(), query([axis(4, 0)], rho=0.1), gate_mode="never")
+    assert len(calls) == 2
 
 
 def test_retrieve_gate_missed_runs_retrieval():

@@ -280,6 +280,54 @@ def test_scene_boundary_is_one_call_of_the_traced_kernel_per_ingest(monkeypatch)
     assert set(plain[1:]) == {True, False}
 
 
+def test_scene_boundary_casts_each_frame_to_float32_once(monkeypatch):
+    # The screen's float32 cast of a frame is made when the frame is new and
+    # reused one ingest later, when the frame is short[-1]: the previous
+    # frame's cast is the very array made for it, with astype's bits, and
+    # the flags are those of the screen casting both frames itself.
+    rng = np.random.default_rng(71)
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, token_budget=96,
+                     tokens_per_frame_max=12, scene_threshold=0.9)
+    mem = new_memory(cfg, ProbeBank.generated(16, n=3, seed=2))
+    kernel = tiers.pooled_max_sim_units
+    calls = []
+
+    def recording(frame, prev, *, near, float32):
+        made = []
+
+        def cast(matrix):
+            made.append((matrix, float32(matrix)))
+            assert made[-1][1].tobytes() == matrix.astype(np.float32).tobytes()
+            return made[-1][1]
+
+        similarity = kernel(frame, prev, near=near, float32=cast)
+        calls.append((frame, prev, made))
+        assert (similarity < near) == (kernel(frame, prev, near=near) < near)
+        return similarity
+
+    monkeypatch.setattr(tiers, "pooled_max_sim_units", recording)
+    base = rng.standard_normal((12, 16))
+    flags = []
+    for t in range(30):
+        if t % 7 == 0:
+            base = rng.standard_normal((12, 16))
+        n = int(rng.integers(1, 13))
+        vectors = base[:n] + rng.choice([0.05, 1.0]) * rng.standard_normal((n, 16))
+        report = mem.ingest_frame(float(t), [(v, 0, i) for i, v in enumerate(vectors)])
+        flags.append(report.scene_boundary)
+    assert len(calls) == 29 and set(flags[1:]) == {True, False}
+    for (frame, prev, made), (_, _, before) in zip(calls[1:], calls):
+        (asked_prev, prev32), (asked_frame, _) = made
+        assert asked_prev is prev and asked_frame is frame
+        assert prev32 is before[1][1]  # cast one ingest earlier, as the new frame
+    # A memory built from another's tiers keeps no cast: it casts short[-1] anew.
+    newest32 = calls[-1][2][1][1]
+    rebuilt = TieredMemory.from_tiers(cfg, mem.bank, short=mem.short, mid=mem.mid, long=mem.long)
+    rebuilt.ingest_frame(30.0, [(v, 0, i) for i, v in enumerate(base[:4])])
+    (asked_prev, prev32), _ = calls[-1][2]
+    assert asked_prev is mem.short[-1].token_matrix and prev32 is not newest32
+
+
 def test_encode_tokens_stacks_every_vector_form_to_the_same_bits():
     bank = ProbeBank.generated(5, n=3, seed=3)
     rng = np.random.default_rng(71)

@@ -307,6 +307,24 @@ def test_segment_means_take_explicit_starts():
     assert segment_means(values, counts, starts).tolist() == [float(w) for w in want]
 
 
+def test_segment_means_match_np_mean_on_shuffled_mixes_of_counts():
+    # Many distinct counts in one call, shuffled, at gapped starts: around
+    # the lengths where np.mean's pairwise sum changes shape (8, 128, 256).
+    rng = np.random.default_rng(89)
+    lengths = [*range(1, 10), *range(127, 131), *range(255, 258), 600]
+    for case in range(40):
+        counts = rng.permutation(np.repeat(lengths, rng.integers(1, 4, len(lengths))))
+        gaps = rng.integers(0, 5, len(counts))
+        starts = np.cumsum(counts + gaps) - counts
+        values = rng.standard_normal(int(starts[-1] + counts[-1] + 3))
+        values *= 10.0 ** rng.integers(-6, 6, len(values))
+        want = np.array([np.mean(values[s:s + c]) for s, c in zip(starts, counts)])
+        assert segment_means(values, counts, starts).tobytes() == want.tobytes(), case
+        if not gaps.any():
+            assert segment_means(values, counts).tobytes() == want.tobytes(), case
+    assert segment_means(np.ones(3), np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
 def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 4)
     store = RowStore(2)
@@ -380,6 +398,73 @@ def test_late_interaction_scores_are_batch_invariant(monkeypatch, block_rows):
             want = block_reference(frame, query, block_rows) if blas else einsum_reference(frame, query)
             assert score == want, (check_fails, blas)
         assert packed[3] == packed[18] == packed[31]
+
+
+def per_block_reference(paged, query):
+    """late_interaction_pages as it was written with one query_max_sims
+    per block: each page's extent from its frames with np.maximum.at, and
+    each frame's mean with np.mean."""
+    block = vecspace.SCORE_BLOCK_ROWS
+    where = np.searchsorted(paged.page_ids, paged.page)
+    extent = np.zeros(len(paged.pages), dtype=np.int64)
+    np.maximum.at(extent, where, paged.start + paged.count)
+    scored = -(-extent // block) * block
+    offsets = np.cumsum(scored) - scored
+    maxima = np.empty(int(offsets[-1] + scored[-1]))
+    blas = vecspace.blas_rows_invariant(query.shape[1], query.shape[0], block)
+    for page, base, rows in zip(paged.pages, offsets.tolist(), scored.tolist()):
+        for lo in range(0, rows, block):
+            sims = (query @ page[lo:lo + block].T if blas
+                    else np.einsum("kj,ij->ki", query, page[lo:lo + block]))
+            out = np.maximum.reduce(sims, axis=0, out=maxima[base + lo:base + lo + block])
+            np.clip(out, -1.0, 1.0, out=out)
+    firsts = offsets[where] + paged.start
+    return np.array([np.mean(maxima[s:s + c]) for s, c in zip(firsts, paged.count)])
+
+
+def random_pages(rng, dim, block_rows):
+    """Frames in a RowStore's pages, some of them dropped, with one frame
+    longer than two blocks, as a FramePages over the frames left."""
+    store = RowStore(dim)
+    held = []
+    sizes = rng.integers(1, block_rows + 1, int(rng.integers(3, 30))).tolist()
+    sizes.insert(int(rng.integers(0, len(sizes))), 2 * block_rows + int(rng.integers(1, block_rows)))
+    for n in sizes:
+        group = int(rng.integers(0, 2))
+        rows = unit_rows(rng.standard_normal((n, dim)))
+        if rng.random() < 0.1:
+            rows[int(rng.integers(0, n))] = 0.0  # the zero sentinel
+        _, page, start = store.add(rows, group)
+        held.append((page, start, n))
+    kept = [frame for frame in held if frame[2] > block_rows or rng.random() < 0.8]
+    for page, start, n in held:
+        if (page, start, n) not in kept:
+            store.kill(page, n)
+    table = np.array([[i, n, page, start] for i, (page, start, n) in enumerate(kept)],
+                     dtype=np.int64).T.copy()
+    return vecspace.FramePages(store.held(), (table,))
+
+
+@pytest.mark.parametrize("block_rows", [5, 64, 512])
+def test_late_interaction_pages_match_the_per_block_loop(monkeypatch, block_rows):
+    # One product buffer, one maximum and one clip give every byte of one
+    # query_max_sims per block, on the BLAS path and on the einsum fallback.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng([block_rows, 83])
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        for case in range(12):
+            dim = int(rng.choice([3, 16, 128]))
+            paged = random_pages(rng, dim, block_rows)
+            assert any(rows.shape[0] > 2 * block_rows for rows in paged.pages)
+            query = unit_rows(rng.standard_normal((int(rng.integers(1, 4)), dim)))
+            query[0] = paged.pages[0][0]  # a cosine of 1 up to rounding, where the clip acts
+            got = vecspace.late_interaction_pages(paged, query)
+            want = per_block_reference(paged, query)
+            assert got.tobytes() == want.tobytes(), (check_fails, case)
+            with pytest.raises(DimensionError):
+                vecspace.late_interaction_pages(paged, query[:, 1:])
 
 
 def test_blas_self_check_is_memoised_per_shape():
