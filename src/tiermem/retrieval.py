@@ -283,9 +283,13 @@ def _columns(scores: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
 def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:
     """Top k frame indices by score, ties going to the more recent frame.
 
-    Returned in rank order (best first), not temporal order.
+    Returned in rank order (best first), not temporal order. k is an
+    integer (not a bool) and at least 0; k = 0 returns [].
     """
-    return _top_k(*_columns(scores), max(0, int(k))).tolist()
+    k = _integer(k, "k")
+    if k < 0:
+        raise ValidationError(f"k must be >= 0, got {k}")
+    return _top_k(*_columns(scores), k).tolist()
 
 
 def adaptive_select(

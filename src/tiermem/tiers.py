@@ -41,6 +41,7 @@ from .retrieval import GateState, update_gate
 from .traceio import MAX_COORD, frame_index_int, read_only, seal
 from .vecspace import (
     FramePages,
+    FrameTable,
     ProbeBank,
     RowStore,
     max_sim_rows,
@@ -138,6 +139,19 @@ class FrameEntry:
         vars(entry).update(vars(self), **changes)
         if "scores" in changes:
             vars(entry).update(_statistics(changes["scores"]))
+        return entry
+
+    @classmethod
+    def _of(cls, frame_index: int, timestamp: float, scene_boundary: bool,
+            token_matrix: np.ndarray, scores: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray) -> "FrameEntry":
+        """A frame from read-only columns read out of a frame that was
+        validated when it was held, with its statistics derived from them;
+        the checks of __post_init__ are not run again."""
+        entry = object.__new__(cls)
+        vars(entry).update(frame_index=frame_index, timestamp=timestamp,
+                           scene_boundary=scene_boundary, token_matrix=token_matrix,
+                           scores=scores, rows=rows, cols=cols, **_statistics(scores))
         return entry
 
     def __len__(self) -> int:
@@ -279,22 +293,42 @@ class EvictionReport:
         return {"evicted": [[f, i, s] for f, i, s in self.evicted]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemorySnapshot:
     """Immutable view of all tiers at a freeze point; only
     TieredMemory.freeze makes one.
 
     pages holds the mid and long frames' rows and the table of where they
     lie, in ascending frame order: the memory's own pages, whose rows are
-    never written again.
+    never written again, with their live flags as they stood. The mid and
+    long entries are read from them on first access; a frame trimmed since
+    its entry was last built is gathered anew from its live rows.
     """
 
     short: tuple[FrameEntry, ...]
-    mid: tuple[FrameEntry, ...]
-    long: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
     pages: FramePages = field(repr=False, compare=False)
+    tables: tuple[FrameTable, FrameTable] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def long(self) -> tuple[FrameEntry, ...]:
+        return _entries(self.tables[0], self.pages.page_of)
+
+    @functools.cached_property
+    def mid(self) -> tuple[FrameEntry, ...]:
+        return _entries(self.tables[1], self.pages.page_of)
+
+    def _key(self) -> tuple:
+        return self.short, self.mid, self.long, self.freeze_timestamp, self.config
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MemorySnapshot):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def all_frames(self) -> tuple[FrameEntry, ...]:
         """Every retained frame in ascending frame order."""
@@ -438,85 +472,50 @@ MAX_FRAME_INDEX = 2**63 - 2
 _TIER_NAMES = ("short", "mid", "long")
 
 
-class _FrameTable:
-    """A paged tier's frames as numpy columns, oldest first, in step with the
-    tier's entries: frame_index, token_count, and the page id and first row
-    of the frame's rows in the row store, as the rows of ints; min_score
-    beside them.
-
-    share() hands out the int columns as they stand, without a copy; the
-    next change then writes to a copy of them.
-    """
-
-    def __init__(self):
-        self.size = 0
-        self.ints = np.empty((4, 64), dtype=np.int64)
-        self.minima = np.empty(64)
-        self._shared = False
-
-    def share(self) -> np.ndarray:
-        """The int columns as they stand, for a snapshot to keep."""
-        self._shared = True
-        return self.ints[:, :self.size]
-
-    def _own(self) -> None:
-        """Before a change: stop writing to columns a snapshot keeps."""
-        if self._shared:
-            self.ints = self.ints.copy()
-            self._shared = False
-
-    frame_index = property(lambda self: self.ints[0, :self.size])
-    token_count = property(lambda self: self.ints[1, :self.size])
-    page = property(lambda self: self.ints[2, :self.size])
-    start = property(lambda self: self.ints[3, :self.size])
-    min_score = property(lambda self: self.minima[:self.size])
-
-    def put(self, slot: int, entry: FrameEntry, page: int, start: int) -> None:
-        """Describe entry at slot; slot == size appends."""
-        if slot == self.size:
-            if slot == self.minima.shape[0]:
-                self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
-                self.minima = np.concatenate((self.minima, np.empty_like(self.minima)))
-                self._shared = False
-            self.size += 1
-        if self._shared:
-            self._own()
-        ints = self.ints
-        ints[0, slot] = entry.frame_index
-        ints[1, slot] = entry.token_count
-        ints[2, slot] = page
-        ints[3, slot] = start
-        self.minima[slot] = entry.min_score
-
-    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
-        """The frames at slots now start at starts in the page."""
-        self._own()
-        self.ints[2, slots] = page
-        self.ints[3, slots] = starts
-
-    def delete(self, slot: int) -> None:
-        self._own()
-        last = self.size - 1
-        self.ints[:, slot:last] = self.ints[:, slot + 1:last + 1]
-        self.minima[slot:last] = self.minima[slot + 1:last + 1]
-        self.size = last
+def _entry(table: FrameTable, slot: int, pages: Callable) -> FrameEntry:
+    """The entry of the frame at slot of a tier's table, built and cached
+    unless the table's cache holds one for the frame's count; pages maps a
+    page id to the page's record and live flags.
+    While all the rows of the frame's span are live, its columns are views
+    of the page's; once some are not, its live rows are gathered."""
+    entry = table.cached(slot)
+    if entry is None:
+        frame_index, count, page, start, span, boundary = table.ints[:, slot].tolist()
+        page, alive = pages(page)
+        columns = (page.frozen, page.scores, page.grid_rows, page.grid_cols)
+        if count == span:
+            columns = [column[start:start + span] for column in columns]
+        else:
+            rows = start + alive[start:start + span].nonzero()[0]
+            columns = [column.take(rows, axis=0) for column in columns]
+        entry = FrameEntry._of(frame_index, table.floats.item(1, slot), bool(boundary),
+                               *map(seal, columns))
+        table.keep(slot, entry)
+    return entry
 
 
-def _tier_view(name: str) -> property:
-    return property(lambda self: tuple(self._tiers[name]),
-                    doc=f"The {name} tier's frames, oldest first, as a read-only tuple.")
+def _entries(table: FrameTable, pages: Callable) -> tuple[FrameEntry, ...]:
+    """Every entry of a tier's table, oldest first."""
+    for slot in table.stale().tolist():
+        _entry(table, slot, pages)
+    return tuple(table.cache[:table.size])
 
 
 class TieredMemory:
     """Mutable streaming memory; single writer, frozen for reads.
 
     The memory owns its tiers. Callers read them as tuples; inside, every
-    change to a tier goes through _push, _pop_oldest or _replace, which
-    update that tier's token count with its frames. The mid and long
-    frames' rows live in one RowStore: each such entry's token_matrix is a
-    read-only view of its rows in a page, and each of the two tiers keeps a
-    _FrameTable that says where they lie. _compact changes only where rows
-    lie: it replaces moved frames by the same frames read from their new rows.
+    change to a tier goes through _push, _pop_oldest or selective_forget,
+    which update that tier's token count with its frames. The mid and long
+    frames' rows live in one RowStore, beside each token's score, grid
+    position and live flag, and each of the two tiers keeps a FrameTable
+    that says where they lie. Forget trims a frame in place: it clears the
+    live flags of its victims' rows and lowers the frame's count, so the
+    frame's tokens are the live rows of its span. An entry is built from
+    the rows when first read after a trim or a move; while all of a
+    frame's rows are live, its token_matrix is a read-only view of them.
+    RowStore.compact changes only where rows lie: it moves the live rows
+    of a crowded page.
     """
 
     def __init__(self, config: TierConfig, bank: ProbeBank, dim: int | None = None):
@@ -525,10 +524,10 @@ class TieredMemory:
         self.config = config
         self.bank = bank
         self.dim = bank.dim if dim is None else int(dim)
-        self._tiers: dict[str, list[FrameEntry]] = {name: [] for name in _TIER_NAMES}
+        self._short: list[FrameEntry] = []
         self._tier_tokens = dict.fromkeys(_TIER_NAMES, 0)
         self._rows = RowStore(self.dim)
-        self._tables = {"mid": _FrameTable(), "long": _FrameTable()}
+        self._tables = {"mid": FrameTable(), "long": FrameTable()}
         self._alloc = {name: functools.partial(self._rows.alloc, group=name)
                        for name in self._tables}
         self.gate_stats = GateState()
@@ -573,9 +572,12 @@ class TieredMemory:
         mem._last_timestamp = max((e.timestamp for e in held), default=None)
         return mem
 
-    short = _tier_view("short")
-    mid = _tier_view("mid")
-    long = _tier_view("long")
+    short = property(lambda self: tuple(self._short),
+                     doc="The short tier's frames, oldest first, as a read-only tuple.")
+    mid = property(lambda self: _entries(self._tables["mid"], self._page),
+                   doc="The mid tier's frames, oldest first, as a read-only tuple.")
+    long = property(lambda self: _entries(self._tables["long"], self._page),
+                    doc="The long tier's frames, oldest first, as a read-only tuple.")
 
     @property
     def total_tokens(self) -> int:
@@ -600,55 +602,41 @@ class TieredMemory:
         return self._last_timestamp
 
     def recount_tokens(self) -> int:
-        """Recount from the tiers; must always equal total_tokens."""
-        return sum(e.token_count for tier in self._tiers.values() for e in tier)
+        """Recount from the tiers' frames; must always equal total_tokens."""
+        return sum(e.token_count for tier in (self.short, self.mid, self.long) for e in tier)
 
-    def _hold(self, name: str, slot: int, entry: FrameEntry) -> FrameEntry:
-        """entry with its rows in the row store, described at slot of the
-        tier's table; the rows the store's last alloc gave out are committed
-        in place, other rows are copied in."""
-        view, page, start = self._rows.add(entry.token_matrix, name)
-        if view is not entry.token_matrix:
-            entry = entry._with(token_matrix=view)
-        self._tables[name].put(slot, entry, page, start)
-        return entry
+    def _page(self, page_id: int):
+        """A held page's record and its live flags."""
+        page = self._rows.page(page_id)
+        return page, page.alive
 
     def _push(self, name: str, entry: FrameEntry) -> None:
-        """Append entry as the tier's newest frame."""
-        if name in self._tables:
-            entry = self._hold(name, self._tables[name].size, entry)
-        self._tiers[name].append(entry)
+        """Append entry as the tier's newest frame. A mid or long frame's
+        rows are held in the row store: the rows the store's last alloc gave
+        out are committed in place, other rows are copied in."""
+        if name == "short":
+            self._short.append(entry)
+        else:
+            view, page, start = self._rows.add(entry.token_matrix, name, scores=entry.scores,
+                                               grid_rows=entry.rows, grid_cols=entry.cols)
+            if view is not entry.token_matrix:
+                entry = entry._with(token_matrix=view)
+            self._tables[name].append(entry.frame_index, entry.token_count, page, start,
+                                      entry.scene_boundary, entry.min_score, entry.timestamp,
+                                      entry)
         self._tier_tokens[name] += entry.token_count
 
     def _pop_oldest(self, name: str) -> FrameEntry:
         """Remove and return the tier's oldest frame."""
-        entry = self._tiers[name].pop(0)
-        self._tier_tokens[name] -= entry.token_count
-        if name in self._tables:
-            table = self._tables[name]
-            self._rows.kill(table.ints.item(2, 0), entry.token_count)
-            table.delete(0)
-        return entry
-
-    def _replace(self, name: str, slot: int, entry: FrameEntry | None) -> None:
-        """Put entry in place of the tier's frame at slot, or drop that frame
-        if entry is None."""
-        tier = self._tiers[name]
-        table = self._tables.get(name)
-        old = tier[slot]
-        self._tier_tokens[name] -= old.token_count
-        old_page = None if table is None else table.ints.item(2, slot)
-        if entry is None:
-            del tier[slot]
-            if table is not None:
-                table.delete(slot)
+        if name == "short":
+            entry = self._short.pop(0)
         else:
-            if table is not None:
-                entry = self._hold(name, slot, entry)
-            tier[slot] = entry
-            self._tier_tokens[name] += entry.token_count
-        if old_page is not None:
-            self._rows.kill(old_page, old.token_count)
+            table = self._tables[name]
+            entry = _entry(table, 0, self._page)
+            self._rows.kill(table.ints.item(2, 0), entry.token_count)
+            table.pop_oldest()
+        self._tier_tokens[name] -= entry.token_count
+        return entry
 
     def _float32(self, matrix: np.ndarray) -> np.ndarray:
         """matrix cast to float32, for the scene-boundary screen. The last
@@ -668,23 +656,6 @@ class TieredMemory:
         np.copyto(cast, matrix, casting="same_kind")
         self._cast32 = (matrix, cast)
         return cast
-
-    def _compact(self) -> None:
-        """Move the frames of each crowded page, with one gather, into its
-        tier's open page, and release it. Only where the rows lie changes."""
-        while (crowded := self._rows.crowded()) is not None:
-            page, name = crowded
-            table = self._tables[name]
-            slots = np.flatnonzero(table.page == page)
-            counts = table.token_count[slots]
-            new_page, start, run = self._rows.move(page, table.start[slots], counts)
-            ends = np.cumsum(counts)
-            table.relocate(slots, new_page, ends - counts + start)
-            tier = self._tiers[name]
-            lo = 0
-            for slot, hi in zip(slots.tolist(), ends.tolist()):
-                tier[slot] = tier[slot]._with(token_matrix=run[lo:hi])
-                lo = hi
 
     def ingest_frame(
         self, timestamp: float, raw_tokens: Sequence[tuple], *, frame_index: int | None = None
@@ -723,7 +694,7 @@ class TieredMemory:
             )
 
         entry = encode_tokens(index, ts, raw, self.bank)
-        short, mid, long = self._tiers.values()
+        short, mid, long = self._short, self._tables["mid"], self._tables["long"]
         prev = short[-1] if short else None
         entry = entry._with(scene_boundary=is_scene_boundary(entry, prev, self.config,
                                                              float32=self._float32))
@@ -741,14 +712,14 @@ class TieredMemory:
             self._push("mid", kept)
 
         dropped_spatial = 0
-        while len(mid) > self.config.mid_cap_frames:
+        while mid.size > self.config.mid_cap_frames:
             oldest = self._pop_oldest("mid")
             kept = spatial_semantic_select(oldest, self.config, self._alloc["long"])
             dropped_spatial += oldest.token_count - kept.token_count
             self._push("long", kept)
 
         eviction = selective_forget(self)
-        self._compact()
+        self._rows.compact(self._tables)
         tier_tokens = self._tier_tokens
         return IngestReport(
             frame_index=index,
@@ -760,8 +731,8 @@ class TieredMemory:
             dropped_spatial=dropped_spatial,
             dropped_budget=eviction.count,
             short_frames=len(short),
-            mid_frames=len(mid),
-            long_frames=len(long),
+            mid_frames=mid.size,
+            long_frames=long.size,
             short_tokens=tier_tokens["short"],
             mid_tokens=tier_tokens["mid"],
             long_tokens=tier_tokens["long"],
@@ -773,7 +744,9 @@ class TieredMemory:
 
         `at` stamps the snapshot's freeze time; it defaults to the last
         ingest timestamp (0.0 for a never-written memory) and may not
-        precede any ingested frame.
+        precede any ingested frame. The snapshot shares the memory's pages,
+        live flags and frame tables as they stand and builds no entry; the
+        memory writes to copies of the flags and tables it changes later.
         """
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0
@@ -784,19 +757,16 @@ class TieredMemory:
                     f"freeze time {freeze_ts} precedes last ingest {self._last_timestamp}"
                 )
         self._frozen = True
+        pages, alive = self._rows.share()
+        tables = (self._tables["long"].share(), self._tables["mid"].share())
         return MemorySnapshot(
-            short=self.short,
-            mid=self.mid,
-            long=self.long,
+            short=tuple(self._short),
             freeze_timestamp=freeze_ts,
             config=self.config,
-            pages=self._frame_pages(),
+            # The long, then the mid table: ascending frame order.
+            pages=FramePages(pages, tuple(t.ints[:, :t.size] for t in tables), alive),
+            tables=tables,
         )
-
-    def _frame_pages(self) -> FramePages:
-        """The store's pages and the long, then mid, tables: ascending frame order."""
-        return FramePages(self._rows.held(),
-                          (self._tables["long"].share(), self._tables["mid"].share()))
 
     def thaw(self) -> None:
         """Re-enable ingest after a freeze."""
@@ -809,7 +779,7 @@ class TieredMemory:
         h.update(struct.pack("<dddq", self.gate_stats.ema, self.gate_stats.decay,
                              self.gate_stats.floor, self.gate_stats.observations))
         h.update(struct.pack("<qq", self.total_tokens, self._next_frame_index))
-        for tier in self._tiers.values():
+        for tier in (self.short, self.mid, self.long):
             h.update(struct.pack("<q", len(tier)))
             for entry in tier:
                 h.update(struct.pack("<qd?q", entry.frame_index, entry.timestamp,
@@ -831,6 +801,12 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     the recent FIFO is never touched. Ties are broken toward the older
     frame, then the lower token position. Frames emptied of all tokens
     are dropped from their tier.
+
+    Victims are marked dead where they lie: per tier, their rows' live
+    flags are cleared page by page, the counts and minima of the frames
+    they leave are updated from the survivors' scores, and the emptied
+    frames are deleted from the tier's table at once; a tier emptied whole
+    is cleared. No entry is built and no embedding row is written.
     """
     budget = mem.config.token_budget
     overflow = mem.total_tokens - budget
@@ -843,9 +819,8 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         )
     evicted: list[tuple[int, int, float]] = []
     for tier_name in ("long", "mid"):
-        tier = mem._tiers[tier_name]
         table = mem._tables[tier_name]
-        if overflow <= 0 or not tier:
+        if overflow <= 0 or not table.size:
             continue
         # The overflow lowest frame minima are overflow distinct tokens, all
         # scoring at or below the overflow-th lowest minimum, so the
@@ -854,44 +829,54 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         # included, therefore lies in a frame whose minimum is at or below
         # that bound: the frames above it hold no victim and change neither
         # the cut-off nor the order of the victims.
-        if overflow < len(tier):
+        if overflow < table.size:
             minima = table.min_score
             bound = np.partition(minima, overflow - 1)[overflow - 1]
-            slots = np.flatnonzero(minima <= bound)
+            slots = (minima <= bound).nonzero()[0]
         else:
-            slots = np.arange(len(tier))
-        entries = [tier[slot] for slot in slots.tolist()]
-        counts = table.token_count[slots]
-        starts = np.cumsum(counts) - counts
-        scores = np.concatenate([e.scores for e in entries])
+            slots = np.arange(table.size)
+        counts, pages, firsts, spans = table.ints[1:5].take(slots, axis=1)
+        # The frames' tokens, one frame after another, are the live rows of
+        # their spans; live says where they lie among the spans.
+        scores, live = mem._rows.live_scores(pages, firsts, spans)
+        starts = counts.cumsum() - counts
         # Only tokens scoring at or below the overflow-th lowest score can be
         # victims; sorting those alone (boundary ties included) gives the
         # same victims in the same order as sorting the whole tier.
         if overflow < len(scores):
             cutoff = np.partition(scores, overflow - 1)[overflow - 1]
-            candidates = np.flatnonzero(scores <= cutoff)
+            candidates = (scores <= cutoff).nonzero()[0]
         else:
             candidates = np.arange(len(scores))
         owners = np.searchsorted(starts, candidates, side="right") - 1
         positions = candidates - starts[owners]
-        frames = table.frame_index[slots][owners]
+        frames = table.ints[0, slots][owners]
         order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
         victims = candidates[order]
         overflow -= len(victims)
         evicted += zip(frames[order].tolist(), positions[order].tolist(),
                        scores[victims].tolist())
+        mem._tier_tokens[tier_name] -= len(victims)
+        if not mem._tier_tokens[tier_name]:  # the whole tier goes
+            for page, n in zip(pages.tolist(), counts.tolist()):
+                mem._rows.kill(page, n)
+            table.clear()
+            continue
+        # Counts and minima from the survivors, which stay in frame order.
+        hit = owners[order]
+        lost = np.bincount(hit, minlength=len(slots))
+        left = counts - lost
         alive = np.ones(len(scores), dtype=bool)
         alive[victims] = False
-        survivors = np.flatnonzero(alive)
-        # survivors[bounds[j]:bounds[j + 1]] are frame j's surviving tokens.
-        bounds = np.searchsorted(survivors, starts).tolist() + [len(survivors)]
-        # Last frame first, so dropping an emptied frame moves no slot still
-        # to be visited.
-        for owner in reversed(np.unique(owners[order]).tolist()):
-            kept = survivors[bounds[owner]:bounds[owner + 1]]
-            mem._replace(tier_name, int(slots[owner]),
-                         entries[owner].take(kept - starts[owner], mem._alloc[tier_name])
-                         if len(kept) else None)
+        kept = left > 0
+        minima = np.empty(len(slots))
+        if kept.any():
+            minima[kept] = np.minimum.reduceat(scores[alive], (left.cumsum() - left)[kept])
+        changed = lost.nonzero()[0]
+        table.trim(slots[changed], left[changed], minima[changed])
+        # Each victim's row in its page, from its place among the spans.
+        rows = (firsts - spans.cumsum() + spans)[hit] + live[victims]
+        mem._rows.kill_rows(pages[hit], rows)
     remaining = mem.total_tokens
     if remaining > budget:
         raise BudgetUnsatisfiable(f"budget {budget} unreachable; {remaining} tokens remain")

@@ -361,17 +361,27 @@ COMPACT_DEAD_FRACTION = 1 / 3
 
 
 class _Page:
-    """A page's rows, the rows written so far (used) and the rows that still
-    belong to a frame (live). A row below used is never written again."""
+    """A page's rows and, beside each row, its token's score, grid row and
+    grid col and a live flag; the rows written so far (used) and the rows
+    that still belong to a frame (live). A row below used is never written
+    again; only its live flag is ever cleared, on a copy of the flags once
+    a snapshot holds them (shared_at is the share they were last copied at).
+    """
 
-    __slots__ = ("id", "group", "rows", "frozen", "used", "live")
+    __slots__ = ("id", "group", "rows", "frozen", "scores", "grid_rows", "grid_cols",
+                 "alive", "shared_at", "used", "live")
 
-    def __init__(self, page_id: int, group, rows: np.ndarray):
+    def __init__(self, page_id: int, group, rows: int, dim: int, shared_at: int):
         self.id = page_id
         self.group = group
-        self.rows = rows
-        self.frozen = rows.view()
+        self.rows = np.zeros((rows, dim))
+        self.frozen = self.rows.view()
         self.frozen.setflags(write=False)
+        self.scores = np.zeros(rows)
+        self.grid_rows = np.zeros(rows, dtype=np.int64)
+        self.grid_cols = np.zeros(rows, dtype=np.int64)
+        self.alive = np.zeros(rows, dtype=bool)
+        self.shared_at = shared_at
         self.used = self.live = 0
 
 
@@ -382,14 +392,16 @@ class RowStore:
     tiers, so frames that leave together sit together); a frame longer than
     a page gets a page of its own, rounded up to whole blocks. Pages start
     zeroed, so the rows past those written are zero and the kernel can
-    score whole blocks. Frames are appended to their group's
-    open page, and a row once committed is never written again, so a view
-    of it stays valid for as long as it is held. A frame that is trimmed or
-    moved is written anew and its old rows become dead. A page left with no
-    live row is released. Once more than COMPACT_DEAD_FRACTION of the rows
-    written to the pages are dead, crowded() names the page with the most
-    dead rows, for the owner of its frames to move them out with move();
-    each such move lowers that fraction.
+    score whole blocks. Frames are appended to their group's open page, and
+    a row once committed is never written again, so a view of it stays
+    valid for as long as it is held. Beside each row the page keeps the
+    token's score, grid row and grid col, and a live flag: a trimmed frame
+    keeps its rows where they lie, and the trimmed ones are flagged dead.
+    A page left with no live row is released. Once more than
+    COMPACT_DEAD_FRACTION of the rows written to the pages are dead,
+    crowded() names the page with the most dead rows, and compact() moves
+    the live rows of its frames out with move() and relocates the frames in
+    their group's FrameTable; each such move lowers that fraction.
     """
 
     def __init__(self, dim: int):
@@ -399,10 +411,11 @@ class RowStore:
         self._open: dict[object, _Page] = {}
         self._pending: tuple[_Page, np.ndarray] | None = None
         self._used = self._dead = 0  # rows written to and dead in the held pages
+        self._shares = 0  # how many times share() has handed out the live flags
 
     def _new_page(self, group, rows: int) -> _Page:
         self._next_id += 1
-        return _Page(self._next_id - 1, group, np.zeros((rows, self.dim)))
+        return _Page(self._next_id - 1, group, rows, self.dim, self._shares)
 
     def alloc(self, n: int, group=None) -> np.ndarray:
         """A writable (n, dim) array of free rows in the group's pages, for
@@ -418,11 +431,13 @@ class RowStore:
         self._pending = (page, view)
         return view
 
-    def add(self, matrix: np.ndarray, group=None) -> tuple[np.ndarray, int, int]:
-        """Hold a frame's (n, dim) rows: the array alloc last returned is
-        committed where it stands, any other array is copied into the
-        group's pages. Returns the rows as a read-only view, the id of
-        their page and their first row."""
+    def add(self, matrix: np.ndarray, group=None, *, scores=None, grid_rows=None,
+            grid_cols=None) -> tuple[np.ndarray, int, int]:
+        """Hold a frame's (n, dim) rows, live, with the tokens' scores and
+        grid coordinates beside them (given together, or zero): the array alloc
+        last returned is committed where it stands, any other array is
+        copied into the group's pages. Returns the rows as a read-only view,
+        the id of their page and their first row."""
         pending = self._pending
         if pending is None or pending[1] is not matrix:
             self.alloc(matrix.shape[0], group)[...] = matrix
@@ -431,6 +446,14 @@ class RowStore:
         self._pending = None
         n = view.shape[0]
         start = page.used
+        rows = slice(start, start + n)
+        if scores is not None:
+            page.scores[rows] = scores
+            page.grid_rows[rows] = grid_rows
+            page.grid_cols[rows] = grid_cols
+        # Rows past used lie in no frame a snapshot holds, so their flags
+        # are set in place even where a snapshot shares them.
+        page.alive[rows] = True
         page.used = start + n
         page.live += n
         self._used += n
@@ -439,9 +462,17 @@ class RowStore:
         view.setflags(write=False)
         return view, page.id, start
 
-    def kill(self, page_id: int, n: int) -> None:
-        """Mark n rows of a page dead: their frame was trimmed, moved or dropped."""
+    def kill(self, page_id: int, n: int, rows=None) -> None:
+        """Mark n rows of a page dead: their frame was trimmed, moved or
+        dropped. rows, if given, indexes those n rows, and their live flags
+        are cleared; the flags of a frame that leaves whole are left as
+        they are, as no frame reads them again."""
         page = self._pages[page_id]
+        if rows is not None:
+            if page.shared_at != self._shares:
+                page.alive = page.alive.copy()
+                page.shared_at = self._shares
+            page.alive[rows] = False
         page.live -= n
         self._dead += n
         if page.live == 0:
@@ -462,24 +493,71 @@ class RowStore:
             del self._open[page.group]
         return page.id, page.group
 
-    def move(self, page_id: int, starts: np.ndarray, counts: np.ndarray
+    def move(self, page_id: int, starts: np.ndarray, spans: np.ndarray
              ) -> tuple[int, int, np.ndarray]:
-        """Copy the live frames of a page, given by their first rows and row
-        counts, into one run of rows of its group's open page with one
-        gather, and release the page. Returns the new page id, the run's
-        first row and the run as a read-only array."""
+        """Copy the live rows of a page's frames, given by their first rows
+        and the rows they span, with the columns beside them, into one run
+        of rows of its group's open page with one gather, and release the
+        page. Returns the new page id, the run's first row and the run as a
+        read-only array."""
         old = self._pages[page_id]
-        total = int(counts.sum())
-        offsets = np.cumsum(counts) - counts
-        rows = np.repeat(starts - offsets, counts) + np.arange(total)
-        old.rows.take(rows, axis=0, out=self.alloc(total, old.group), mode="clip")
-        run, page, start = self.add(self._pending[1])
-        self.kill(page_id, total)
+        offsets = np.cumsum(spans) - spans
+        rows = np.repeat(starts - offsets, spans) + np.arange(int(spans.sum()))
+        rows = rows[old.alive[rows]]
+        old.rows.take(rows, axis=0, out=self.alloc(len(rows), old.group), mode="clip")
+        run, page, start = self.add(self._pending[1], scores=old.scores[rows],
+                                    grid_rows=old.grid_rows[rows], grid_cols=old.grid_cols[rows])
+        self.kill(page_id, len(rows))
         return page, start, run
+
+    def kill_rows(self, pages: np.ndarray, rows: np.ndarray) -> None:
+        """Mark dead the rows at rows[i] of the page with id pages[i], and
+        clear their live flags: one kill per page."""
+        by_page = pages.argsort(kind="stable")
+        pages, rows = pages[by_page], rows[by_page]
+        cuts = ((pages[1:] != pages[:-1]).nonzero()[0] + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(pages)]):
+            self.kill(pages.item(lo), hi - lo, rows[lo:hi])
+
+    def live_scores(self, pages: np.ndarray, starts: np.ndarray, spans: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The scores of the live rows of frames given by their pages, first
+        rows and spans, one frame after another, and where those rows lie
+        among the frames' spans laid end to end."""
+        alive, scores = [], []
+        for page, lo, n in zip(pages.tolist(), starts.tolist(), spans.tolist()):
+            page = self._pages[page]
+            alive.append(page.alive[lo:lo + n])
+            scores.append(page.scores[lo:lo + n])
+        live = np.concatenate(alive).nonzero()[0]
+        return np.concatenate(scores)[live], live
+
+    def compact(self, tables: dict) -> None:
+        """Move the live rows of each crowded page's frames, with one
+        gather, into its group's open page, and release it; tables maps
+        each group to its FrameTable. Only where the rows lie changes."""
+        while (crowded := self.crowded()) is not None:
+            page, group = crowded
+            table = tables[group]
+            slots = np.flatnonzero(table.page == page)
+            counts = table.count[slots]
+            new_page, start, _ = self.move(page, table.start[slots], table.span[slots])
+            table.relocate(slots, new_page, np.cumsum(counts) - counts + start)
+
+    def page(self, page_id: int) -> _Page:
+        """The held page with this id."""
+        return self._pages[page_id]
 
     def held(self) -> tuple[_Page, ...]:
         """The held pages."""
         return tuple(self._pages.values())
+
+    def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
+        """The held pages and their live flags as they stand, for a snapshot
+        to keep: the next change to a page's flags writes to a copy."""
+        self._shares += 1
+        pages = tuple(self._pages.values())
+        return pages, tuple([page.alive for page in pages])
 
     def page_usage(self) -> list[tuple[int, object, int, int, int]]:
         """(id, group, rows, used, live) of each held page, in id order."""
@@ -487,19 +565,183 @@ class RowStore:
                 for _, p in sorted(self._pages.items())]
 
 
+class FrameTable:
+    """The frames of one group of a RowStore, oldest first, as numpy columns.
+
+    The rows of ints are frame_index, count, page, start, span and
+    scene_boundary; the rows of floats are min_score and timestamp. Frame
+    i's count tokens are the live rows of [start, start + span) of its
+    page, in row order, and min_score is the lowest of their scores; the
+    timestamp and scene-boundary flag are kept for the frame's owner.
+
+    Beside the columns, cache holds what the owner last built for each
+    frame, and built the frame's count when it was built: cached(slot)
+    gives it only while the count is still the table's. A trim lowers the
+    count, so it leaves the cache as it is; a move clears the frame's slot.
+
+    share() hands out a table over the columns and the cache as they stand,
+    without a copy. The next change to the columns writes to copies of
+    them, and the next change to the cache's slots, other than filling one
+    in, to copies of the cache. Appending writes past the frames of a
+    shared table. A cache entry is good for every table that holds it
+    whose count says so, since a frame's count falls with each trim: so a
+    snapshot and the memory fill in the cache they share.
+    """
+
+    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared", "_cache_shared")
+
+    def __init__(self):
+        self.size = 0
+        self.ints = np.empty((6, 64), dtype=np.int64)
+        self.floats = np.empty((2, 64))
+        self.cache: list = []
+        self.built = np.empty(64, dtype=np.int64)
+        self._shared = self._cache_shared = False
+
+    frame_index = property(lambda self: self.ints[0, :self.size])
+    count = property(lambda self: self.ints[1, :self.size])
+    page = property(lambda self: self.ints[2, :self.size])
+    start = property(lambda self: self.ints[3, :self.size])
+    span = property(lambda self: self.ints[4, :self.size])
+    min_score = property(lambda self: self.floats[0, :self.size])
+
+    def share(self) -> "FrameTable":
+        """This table as it stands, for a snapshot to keep."""
+        self._shared = self._cache_shared = True
+        shared = object.__new__(FrameTable)
+        shared.size, shared.ints, shared.floats, shared.cache, shared.built = (
+            self.size, self.ints, self.floats, self.cache, self.built)
+        shared._shared = shared._cache_shared = True
+        return shared
+
+    def _own(self) -> None:
+        """Before a change to the columns: stop writing to columns a snapshot keeps."""
+        if self._shared:
+            self.ints = self.ints.copy()
+            self.floats = self.floats.copy()
+            self._shared = False
+
+    def _own_cache(self) -> None:
+        """Before a change to the cache's slots: stop writing to a cache a snapshot keeps."""
+        if self._cache_shared:
+            self.cache = self.cache.copy()
+            self.built = self.built.copy()
+            self._cache_shared = False
+
+    def cached(self, slot: int):
+        """What was built for the frame at slot as this table holds it, or None."""
+        return self.cache[slot] if self.built[slot] == self.ints[1, slot] else None
+
+    def keep(self, slot: int, built) -> None:
+        """Cache what was built for the frame at slot as this table holds it."""
+        self.cache[slot] = built
+        self.built[slot] = self.ints[1, slot]
+
+    def stale(self) -> np.ndarray:
+        """The slots whose cache entry is missing or was built for another count."""
+        return (self.built[:self.size] != self.count).nonzero()[0]
+
+    def append(self, frame_index: int, count: int, page: int, start: int, scene_boundary: bool,
+               min_score: float, timestamp: float, built) -> None:
+        """Add the newest frame, its count rows all live from start in the
+        page, with what its owner built for it. It is written past the
+        frames of a shared table: every change that shortens the table
+        first stops sharing what it changes."""
+        slot = self.size
+        if slot == self.ints.shape[1]:
+            self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
+            self.floats = np.concatenate((self.floats, np.empty_like(self.floats)), axis=1)
+            self._own_cache()
+            self.built = np.concatenate((self.built, np.empty_like(self.built)))
+        ints, floats = self.ints, self.floats
+        ints[0, slot] = frame_index
+        ints[1, slot] = ints[4, slot] = self.built[slot] = count
+        ints[2, slot] = page
+        ints[3, slot] = start
+        ints[5, slot] = scene_boundary
+        floats[0, slot] = min_score
+        floats[1, slot] = timestamp
+        self.cache.append(built)
+        self.size += 1
+
+    def clear(self) -> None:
+        """Delete every frame."""
+        if self._shared:
+            self.ints, self.floats = np.empty_like(self.ints), np.empty_like(self.floats)
+            self._shared = False
+        if self._cache_shared:
+            self.built = np.empty_like(self.built)
+            self._cache_shared = False
+        self.cache = []
+        self.size = 0
+
+    def pop_oldest(self) -> None:
+        """Drop the oldest frame; what a snapshot shares is copied as it shifts."""
+        last = self.size - 1
+        ints, floats, built = self.ints, self.floats, self.built
+        if self._shared:
+            self.ints, self.floats = np.empty_like(ints), np.empty_like(floats)
+            self._shared = False
+        if self._cache_shared:
+            self.cache = self.cache[1:]
+            self.built = np.empty_like(built)
+            self._cache_shared = False
+        else:
+            del self.cache[0]
+        self.ints[:, :last] = ints[:, 1:last + 1]
+        self.floats[:, :last] = floats[:, 1:last + 1]
+        self.built[:last] = built[1:last + 1]
+        self.size = last
+
+    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
+        """The frames at slots now lie from starts in the page, all their rows live."""
+        self._own()
+        self._own_cache()
+        self.ints[2, slots] = page
+        self.ints[3, slots] = starts
+        self.ints[4, slots] = self.ints[1, slots]
+        self.built[slots] = -1
+        for slot in slots.tolist():
+            self.cache[slot] = None
+
+    def trim(self, slots: np.ndarray, counts: np.ndarray, minima: np.ndarray) -> None:
+        """The frames at slots (ascending) now hold counts tokens, with the
+        given minimum scores; the emptied ones are deleted in one compress."""
+        self._own()
+        self.ints[1, slots] = counts
+        self.floats[0, slots] = minima
+        if not counts.all():
+            self._own_cache()
+            emptied = slots[counts == 0]
+            size = self.size
+            keep = np.ones(size, dtype=bool)
+            keep[emptied] = False
+            self.size = size - len(emptied)
+            self.ints[:, :self.size] = self.ints[:, :size][:, keep]
+            self.floats[:, :self.size] = self.floats[:, :size][:, keep]
+            self.built[:self.size] = self.built[:size][keep]
+            for slot in reversed(emptied.tolist()):
+                del self.cache[slot]
+
+
 class FramePages:
     """Frames' rows in pages, and the table of where they lie.
 
-    Built from the records of the pages and one or more (4, n) int64 tables
-    in frame order, whose rows are frame_index, count, page and start:
-    frame i's count[i] rows start at row start[i] of the page with id
-    page[i]. pages[k] is the rows of the page with id page_ids[k], ascending.
-    The arrays the kernel reads are derived on first use, so building one is
-    cheap for a snapshot that is never scored.
+    Built from the records of the pages, optionally their live flags as a
+    snapshot keeps them (each page's own flags otherwise), and one or more
+    int64 tables in frame order, whose rows are frame_index, count, page,
+    start and span: frame i's count[i] tokens are the live rows of
+    [start[i], start[i] + span[i]) of the page with id page[i], in row
+    order. A table of four rows has no span row: its frames' rows are all
+    live. pages[k] is the rows of the page with id page_ids[k], ascending.
+    The arrays the kernel reads are derived on first use, so building one
+    is cheap for a snapshot that is never scored.
     """
 
-    def __init__(self, pages: tuple[_Page, ...], tables: tuple[np.ndarray, ...]):
+    def __init__(self, pages: tuple[_Page, ...], tables: tuple[np.ndarray, ...],
+                 alive: tuple[np.ndarray, ...] | None = None):
         self._pages = pages
+        self._alive = alive if alive is not None else tuple(page.alive for page in pages)
         self._tables = tables
 
     @functools.cached_property
@@ -507,9 +749,19 @@ class FramePages:
         return self._tables[0] if len(self._tables) == 1 else np.concatenate(self._tables, axis=1)
 
     @functools.cached_property
+    def _place(self) -> dict[int, int]:
+        """Each page's place among the pages given, by page id."""
+        return {page.id: k for k, page in enumerate(self._pages)}
+
+    @functools.cached_property
     def records(self) -> tuple[_Page, ...]:
         """The page records, in id order."""
         return tuple(sorted(self._pages, key=lambda page: page.id))
+
+    @functools.cached_property
+    def alive(self) -> tuple[np.ndarray, ...]:
+        """Each page's live flags, in id order."""
+        return tuple(self._alive[self._place[page.id]] for page in self.records)
 
     @functools.cached_property
     def pages(self) -> tuple[np.ndarray, ...]:
@@ -519,10 +771,16 @@ class FramePages:
     def page_ids(self) -> np.ndarray:
         return np.array([page.id for page in self.records], dtype=np.int64)
 
+    def page_of(self, page_id: int) -> tuple[_Page, np.ndarray]:
+        """A page's record and live flags, by page id."""
+        k = self._place[page_id]
+        return self._pages[k], self._alive[k]
+
     frame_index = property(lambda self: self.table[0])
     count = property(lambda self: self.table[1])
     page = property(lambda self: self.table[2])
     start = property(lambda self: self.table[3])
+    span = property(lambda self: self.table[4] if len(self.table) > 4 else self.table[1])
 
     @classmethod
     def pack(cls, frames: Sequence[np.ndarray]) -> "FramePages":
@@ -531,7 +789,7 @@ class FramePages:
         frames = list(frames)
         dim = frames[0].shape[-1] if frames else 0
         store = RowStore(dim)
-        table = np.empty((4, len(frames)), dtype=np.int64)
+        table = np.empty((5, len(frames)), dtype=np.int64)
         table[0] = np.arange(len(frames))
         for i, frame in enumerate(frames):
             if frame.ndim != 2 or frame.shape[1] != dim:
@@ -539,7 +797,7 @@ class FramePages:
             if frame.shape[0] == 0:
                 raise EmptyInputError("a frame to score has no rows")
             _, page, start = store.add(frame)
-            table[1:, i] = (frame.shape[0], page, start)
+            table[1:, i] = (frame.shape[0], page, start, frame.shape[0])
         return cls(store.held(), (table,))
 
 
@@ -585,9 +843,12 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     _query_product into one (blocks, query rows, SCORE_BLOCK_ROWS) buffer,
     then takes one maximum over the query rows and one clip; dead rows
     between frames and rows past the last written are scored and ignored.
-    Every product has the same shape, so a frame gets the same bits alone
-    or among any other frames, at any row of any page: those of
-    query_max_sims on the frame's rows on a block of their own.
+    Where a frame has dead rows inside its span, the maxima are first
+    compressed to the live rows by the pages' live flags, with one gather,
+    so each frame's live maxima lie together in token order. Every product
+    has the same shape, so a frame gets the same bits alone or among any
+    other frames, at any row of any page: those of query_max_sims on the
+    frame's live rows on a block of their own.
     """
     if len(paged.count) == 0:
         return np.empty(0)
@@ -606,8 +867,15 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     maxima = np.maximum.reduce(sims, axis=1).reshape(-1)
     np.clip(maxima, -1.0, 1.0, out=maxima)
     offsets = np.cumsum(scored) - scored
-    where = np.searchsorted(paged.page_ids, paged.page)
-    return segment_means(maxima, paged.count, offsets[where] + paged.start)
+    starts = offsets[np.searchsorted(paged.page_ids, paged.page)] + paged.start
+    count = paged.count
+    if (count != paged.span).any():
+        live = np.concatenate([flags[:rows] for flags, rows in zip(paged.alive, scored)]
+                              ).nonzero()[0]
+        maxima = maxima[live]
+        # A frame's first live row: it has one, and no row of its span before it is live.
+        starts = np.searchsorted(live, starts)
+    return segment_means(maxima, count, starts)
 
 
 def late_interaction_scores(

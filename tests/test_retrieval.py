@@ -381,6 +381,19 @@ def test_rank_top_k_tie_breaks_to_recent():
     assert rank_top_k({1: 0.5, 2: 0.5, 3: 0.1}, 2) == [2, 1]
 
 
+def test_rank_top_k_takes_only_a_non_negative_integer_k():
+    scores = {1: 0.5, 2: 0.5, 3: 0.1}
+    assert rank_top_k(scores, 0) == []
+    assert rank_top_k(scores, np.int64(1)) == [2]
+    assert rank_top_k(scores, 10) == [2, 1, 3]
+    for k in (1.9, True, False, "2", None, 2.0):
+        with pytest.raises(ValidationError):
+            rank_top_k(scores, k)
+    for k in (-1, -3, np.int64(-2)):
+        with pytest.raises(ValidationError):
+            rank_top_k(scores, k)
+
+
 def reference_rank_top_k(scores, k):
     """rank_top_k as it was written before it ran on arrays."""
     ranked = sorted(scores, key=lambda f: (-scores[f], -f))

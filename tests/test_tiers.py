@@ -1,5 +1,7 @@
 """Tier pipeline tests: pruning, selection, forgetting, budget."""
 
+import collections
+import copy
 import math
 
 import numpy as np
@@ -1210,10 +1212,27 @@ def ingest_random(mem, rng, count, dim, first_ts):
     return first_ts + count
 
 
+def entry_state(entry):
+    """Everything a reader can see of an entry, its four columns as bytes."""
+    return (entry.frame_index, entry.timestamp, entry.scene_boundary, entry.token_count,
+            entry.pooled_score, entry.min_score, entry.token_matrix.tobytes(),
+            entry.scores.tobytes(), entry.rows.tobytes(), entry.cols.tobytes())
+
+
+def trimmed_in_place(before, after):
+    """Frames of the FramePages before that lost tokens by after and still
+    start at the same row of the same page."""
+    where = {frame: (page, start, count) for frame, count, page, start
+             in after.table[:4].T.tolist()}
+    return [frame for frame, count, page, start in before.table[:4].T.tolist()
+            if frame in where and where[frame][:2] == (page, start) and where[frame][2] < count]
+
+
 def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
     # Pages of 8 rows, so frames longer than a page get pages of their own,
-    # and demotions, trims and drops release and compact pages between the
-    # freeze and the later reads.
+    # and demotions, trims in place, drops and compaction change the pages
+    # between the freeze and the later reads. A twin memory fed the same
+    # frames and never ingested into again says what the snapshot must read.
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
     moves = []
     real_move = RowStore.move
@@ -1226,57 +1245,142 @@ def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
                          token_budget=int(rng.integers(40, 120)), keep_fraction=0.75,
                          long_quota_per_frame=int(rng.integers(2, 14)))
         bank = ProbeBank.generated(dim, n=3, seed=seed)
-        mem = new_memory(cfg, bank)
-        ts = ingest_random(mem, rng, int(rng.integers(8, 40)), dim, 0)
-        snap = mem.freeze()
-        frames = snap.long + snap.mid
+        mem, twin = new_memory(cfg, bank), new_memory(cfg, bank)
+        count = int(rng.integers(8, 40))
+        ingest_random(twin, copy.deepcopy(rng), count, dim, 0)
+        ts = ingest_random(mem, rng, count, dim, 0)
+        snap, want = mem.freeze(), twin.freeze()
+        wanted = [entry_state(e) for e in want.long + want.mid]
         held = {page_id for page_id, *_ in mem.row_store.page_usage()}
         if any(rows > 8 for _, _, rows, _, _ in mem.row_store.page_usage()):
             seen.add("page of its own")
         queries = [QuerySpec(query_id=f"q{i}", arrival_time=0.0, tokens=rng.standard_normal((2, dim)))
                    for i in range(3)]
         alone = [{e.frame_index: late_interaction_scores([e.token_matrix], q.unit_tokens)[0]
-                  for e in frames} for q in queries]
-        rows = [e.token_matrix.tobytes() for e in frames]
-        # Half the snapshots read their pages before the later ingest, half after.
-        early = [score_candidates(snap, q) for q in queries] if seed % 2 else None
+                  for e in want.long + want.mid} for q in queries]
+        assert [score_candidates(want, q) for q in queries] == alone
+        # Half the snapshots read their entries and pages before the later
+        # ingest, half only after it; half of each after the memory read its
+        # own entries at every later ingest.
+        if seed % 2:
+            early = [score_candidates(snap, q) for q in queries]
+            assert [entry_state(e) for e in snap.long + snap.mid] == wanted
         mem.thaw()
         moved = len(moves)
-        ts = ingest_random(mem, rng, int(rng.integers(10, 40)), dim, ts)
-        mem.freeze()
-        mem.thaw()
-        ingest_random(mem, rng, 5, dim, ts)
+        for _ in range(int(rng.integers(10, 40)) + 5):
+            ts = ingest_random(mem, rng, 1, dim, ts)
+            later = mem.freeze()
+            mem.thaw()
+            if trimmed_in_place(snap.pages, later.pages):
+                seen.add("trimmed in place")
+            if seed % 4 >= 2:  # the memory builds its entries of trimmed frames first
+                assert mem.long + mem.mid == later.long + later.mid
         if len(moves) > moved:
             seen.add("compacted")
         if held - {page_id for page_id, *_ in mem.row_store.page_usage()}:
             seen.add("released")
-        assert [e.token_matrix.tobytes() for e in frames] == rows
+        assert [entry_state(e) for e in snap.long + snap.mid] == wanted
         late = [score_candidates(snap, q) for q in queries]
         assert late == alone
-        if early is not None:
+        if seed % 2:
             assert early == late
         rebuilt = TieredMemory.from_tiers(cfg, bank, short=mem.short, mid=mem.mid, long=mem.long)
         rebuilt.gate_stats = mem.gate_stats
         assert rebuilt.state_digest() == mem.state_digest()
-    assert seen == {"page of its own", "compacted", "released"}
+    assert seen == {"page of its own", "trimmed in place", "compacted", "released"}
 
 
 def test_snapshot_rows_are_views_of_its_pages():
+    # Untrimmed frames read their rows in place; a frame trimmed in place
+    # reads the live rows of its span. Checked at every freeze of the stream.
     cfg = TierConfig(short_cap_frames=2, mid_cap_frames=4, token_budget=400, tokens_per_frame_max=32)
     mem = new_memory(cfg, small_bank(8))
     rng = np.random.default_rng(97)
-    ingest_random(mem, rng, 80, 8, 0)
-    snap = mem.freeze()
-    paged = snap.pages
-    entries = {e.frame_index: e for e in snap.long + snap.mid}
-    assert paged.frame_index.tolist() == sorted(entries) and len(entries) > 20
-    pages = dict(zip(paged.page_ids.tolist(), paged.pages))
-    for frame_index, count, page, start in paged.table.T.tolist():
-        matrix = entries[frame_index].token_matrix
-        assert any(np.shares_memory(matrix, rows) for rows in paged.pages)
-        placed = pages[page][start:start + count]
-        assert matrix.shape == placed.shape and matrix.ctypes.data == placed.ctypes.data
-        assert not matrix.flags.writeable
+    kinds = set()
+    for t in range(80):
+        ingest_random(mem, rng, 1, 8, t)
+        snap = mem.freeze()
+        mem.thaw()
+        paged = snap.pages
+        entries = {e.frame_index: e for e in snap.long + snap.mid}
+        assert paged.frame_index.tolist() == sorted(entries)
+        pages = dict(zip(paged.page_ids.tolist(), paged.pages))
+        alive = dict(zip(paged.page_ids.tolist(), paged.alive))
+        for frame_index, count, page, start, span in paged.table[:5].T.tolist():
+            matrix = entries[frame_index].token_matrix
+            assert not matrix.flags.writeable
+            placed = pages[page][start:start + span]
+            if count == span:  # untrimmed: a view of its rows
+                kinds.add("view")
+                assert any(np.shares_memory(matrix, rows) for rows in paged.pages)
+                assert matrix.shape == placed.shape and matrix.ctypes.data == placed.ctypes.data
+            else:  # trimmed in place: the live rows of its span, in order
+                kinds.add("trimmed")
+                live = placed[alive[page][start:start + span]]
+                assert matrix.shape == live.shape == (count, 8)
+                assert matrix.tobytes() == live.tobytes()
+    assert len(entries) > 20 and kinds == {"view", "trimmed"}
+
+
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (owner, name) in targets, by name."""
+    calls = collections.Counter()
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        is_classmethod = isinstance(vars(owner).get(name), classmethod)
+        monkeypatch.setattr(owner, name, staticmethod(counted) if is_classmethod else counted)
+    return calls
+
+
+def test_forget_and_freeze_build_no_entry_and_write_no_row(monkeypatch):
+    # Forget marks its victims dead where they lie: it allocates and writes
+    # no row and builds no entry. A freeze builds no entry either.
+    calls = count_calls(monkeypatch, [
+        (RowStore, "alloc"), (RowStore, "add"), (FrameEntry, "take"), (FrameEntry, "_with"),
+        (FrameEntry, "_of"), (FrameEntry, "__post_init__")])
+    during = {"forget": collections.Counter(), "freeze": collections.Counter()}
+
+    def watched(fn, what):
+        def call(*args, **kwargs):
+            before = calls.copy()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                during[what].update(calls - before)
+        return call
+
+    monkeypatch.setattr(tiers, "selective_forget", watched(tiers.selective_forget, "forget"))
+    monkeypatch.setattr(TieredMemory, "freeze", watched(TieredMemory.freeze, "freeze"))
+    dim, n = 8, 16
+    # Past the fill point every ingest evicts: from the long tier at budget
+    # 200, and from the mid tier alone at 48, where forget empties long.
+    for budget, tier in ((150, "long"), (48, "mid")):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, budget, 113])
+            cfg = TierConfig(short_cap_frames=2, mid_cap_frames=4, token_budget=budget,
+                             tokens_per_frame_max=n, long_quota_per_frame=4)
+            mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=seed))
+            evicting = 0
+            for t in range(60):
+                report = mem.ingest_frame(float(t), [(rng.standard_normal(dim), i // 4, i % 4)
+                                                     for i in range(n)])
+                if t >= 20:
+                    assert report.dropped_budget > 0, (budget, seed, t)
+                    evicting += 1
+                if t % 3 == 0:
+                    mem.freeze()
+                    mem.thaw()
+            trimmed = [e for e in getattr(mem, tier) if len(e) < {"long": 4, "mid": 8}[tier]]
+            assert evicting == 40 and trimmed, (budget, seed)
+            if tier == "mid":
+                assert not mem.long
+    assert calls["take"] and calls["add"] and calls["_of"]  # the counters count
+    assert not during["forget"] and not during["freeze"], during
 
 
 def test_held_pages_are_whole_blocks_zero_past_their_written_rows(monkeypatch):
