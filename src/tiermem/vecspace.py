@@ -585,10 +585,15 @@ class FrameTable:
     in, to copies of the cache. Appending writes past the frames of a
     shared table. A cache entry is good for every table that holds it
     whose count says so, since a frame's count falls with each trim: so a
-    snapshot and the memory fill in the cache they share.
+    snapshot and the memory fill in the cache they share. When the owner
+    stops sharing the cache, what it appended since the last share is
+    dropped from the shared list, which no snapshot reads past its own
+    frames: a frame that comes and goes between two freezes is released
+    by the change that drops it, not later, when the snapshot is.
     """
 
-    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared", "_cache_shared")
+    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared", "_cache_shared",
+                 "_shared_size")
 
     def __init__(self):
         self.size = 0
@@ -597,6 +602,7 @@ class FrameTable:
         self.cache: list = []
         self.built = np.empty(64, dtype=np.int64)
         self._shared = self._cache_shared = False
+        self._shared_size = 0
 
     frame_index = property(lambda self: self.ints[0, :self.size])
     count = property(lambda self: self.ints[1, :self.size])
@@ -606,12 +612,17 @@ class FrameTable:
     min_score = property(lambda self: self.floats[0, :self.size])
 
     def share(self) -> "FrameTable":
-        """This table as it stands, for a snapshot to keep."""
-        self._shared = self._cache_shared = True
+        """This table as it stands, for a snapshot to keep. An empty table
+        shares no frame: the snapshot gets a cache of its own, and the
+        owner goes on writing to its columns and cache in place."""
         shared = object.__new__(FrameTable)
         shared.size, shared.ints, shared.floats, shared.cache, shared.built = (
-            self.size, self.ints, self.floats, self.cache, self.built)
+            self.size, self.ints, self.floats, self.cache if self.size else [], self.built)
         shared._shared = shared._cache_shared = True
+        shared._shared_size = self.size
+        if self.size:
+            self._shared = self._cache_shared = True
+            self._shared_size = self.size
         return shared
 
     def _own(self) -> None:
@@ -624,9 +635,15 @@ class FrameTable:
     def _own_cache(self) -> None:
         """Before a change to the cache's slots: stop writing to a cache a snapshot keeps."""
         if self._cache_shared:
-            self.cache = self.cache.copy()
+            self._leave_cache(self.cache.copy())
             self.built = self.built.copy()
-            self._cache_shared = False
+
+    def _leave_cache(self, cache: list) -> None:
+        """Stop sharing the cache: write to cache from now on, and drop what
+        was appended since the last share from the list the snapshots keep."""
+        del self.cache[self._shared_size:]
+        self.cache = cache
+        self._cache_shared = False
 
     def cached(self, slot: int):
         """What was built for the frame at slot as this table holds it, or None."""
@@ -671,8 +688,9 @@ class FrameTable:
             self._shared = False
         if self._cache_shared:
             self.built = np.empty_like(self.built)
-            self._cache_shared = False
-        self.cache = []
+            self._leave_cache([])
+        else:
+            self.cache = []
         self.size = 0
 
     def pop_oldest(self) -> None:
@@ -683,9 +701,8 @@ class FrameTable:
             self.ints, self.floats = np.empty_like(ints), np.empty_like(floats)
             self._shared = False
         if self._cache_shared:
-            self.cache = self.cache[1:]
+            self._leave_cache(self.cache[1:])
             self.built = np.empty_like(built)
-            self._cache_shared = False
         else:
             del self.cache[0]
         self.ints[:, :last] = ints[:, 1:last + 1]

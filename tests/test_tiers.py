@@ -3,6 +3,7 @@
 import collections
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -1381,6 +1382,37 @@ def test_forget_and_freeze_build_no_entry_and_write_no_row(monkeypatch):
                 assert not mem.long
     assert calls["take"] and calls["add"] and calls["_of"]  # the counters count
     assert not during["forget"] and not during["freeze"], during
+
+
+def test_frame_forgotten_between_freezes_is_released_by_the_ingest(monkeypatch):
+    # The short tier fills the budget, so each ingest demotes a frame to mid
+    # and forgets it whole. No snapshot ever held that frame: its page must
+    # be freed by the ingest that drops it, not later, when the snapshot
+    # taken before it is released (inside the caller's next query).
+    pages = []
+    new_page = RowStore._new_page
+
+    def recorded(self, group, rows):
+        page = new_page(self, group, rows)
+        pages.append(weakref.ref(page.rows))
+        return page
+
+    monkeypatch.setattr(RowStore, "_new_page", recorded)
+    dim, n = 8, 16
+    rng = np.random.default_rng(29)
+    cfg = TierConfig(short_cap_frames=2, token_budget=2 * n, tokens_per_frame_max=n)
+    mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=29))
+    snap = None
+    for t in range(8):
+        report = mem.ingest_frame(float(t), [(rng.standard_normal(dim), i // 4, i % 4)
+                                             for i in range(n)])
+        if t >= 2:
+            assert report.dropped_budget and report.mid_frames == report.long_frames == 0
+            assert pages and not any(page() for page in pages), t
+        if snap is not None:
+            assert not snap.mid and not snap.long
+        snap = mem.freeze()
+        mem.thaw()
 
 
 def test_held_pages_are_whole_blocks_zero_past_their_written_rows(monkeypatch):

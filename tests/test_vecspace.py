@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from tiermem.errors import DimensionError, EmptyInputError, ValidationError
 from tiermem.vecspace import (
     DEFAULT_PROBE_LABELS,
+    FrameTable,
     ProbeBank,
     RowStore,
     cosine,
@@ -560,3 +562,48 @@ def test_generated_bank_deterministic():
     assert not np.array_equal(a.matrix, c.matrix)
     assert a.labels == DEFAULT_PROBE_LABELS
     assert len(ProbeBank.generated(8, n=3, seed=0)) == 3
+
+
+class _Built:
+    """A stand-in for what a table's owner builds for a frame."""
+
+
+@pytest.mark.parametrize("unshare", ["clear", "pop_oldest", "relocate", "trim"])
+def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
+    # A snapshot reads a shared table only up to its own frames. What the
+    # owner appended after the share leaves the shared cache as soon as the
+    # owner stops sharing it, so it is freed with the owner's change, not
+    # later with the snapshot; what the snapshot reads stays.
+    table = FrameTable()
+    first, later = _Built(), _Built()
+    table.append(0, 4, 0, 0, False, 0.1, 0.0, first)
+    shared = table.share()
+    table.append(1, 4, 0, 4, False, 0.2, 1.0, later)
+    if unshare == "clear":
+        table.clear()
+    elif unshare == "pop_oldest":
+        table.pop_oldest()
+    elif unshare == "relocate":
+        table.relocate(np.array([1]), 1, np.array([0]))
+    else:
+        table.trim(np.array([1]), np.array([0]), np.array([0.0]))
+    assert shared.cache == [first] and shared.cached(0) is first
+    assert shared.frame_index.tolist() == [0] and shared.count.tolist() == [4]
+    gone = weakref.ref(later)
+    del later
+    assert (gone() is None) == (unshare != "pop_oldest")  # the owner keeps it there
+
+
+def test_empty_frame_table_is_shared_without_its_cache():
+    # A snapshot of an empty table reads nothing of it: the owner keeps
+    # writing in place, and what it appends is never held by the snapshot.
+    table = FrameTable()
+    columns = table.ints
+    shared = table.share()
+    built = _Built()
+    table.append(0, 4, 0, 0, False, 0.1, 0.0, built)
+    gone = weakref.ref(built)
+    del built
+    table.clear()
+    assert gone() is None and table.ints is columns
+    assert shared.size == 0 and shared.cache == [] and not shared.stale().size
