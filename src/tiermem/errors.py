@@ -1,5 +1,11 @@
 """Exception hierarchy shared across the package, and the checked readers
-of numeric fields in its JSON input formats."""
+of numeric fields: of its JSON input formats, and of integer and real
+arguments."""
+
+import math
+import operator
+
+import numpy as np
 
 
 class TierMemError(Exception):
@@ -99,3 +105,32 @@ def json_float(value, what: str) -> float:
         except OverflowError:
             pass
     raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def checked_int(value, what: str) -> int:
+    """An integer argument as an int: any integer type (one with __index__)
+    but bool; `what` names the argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+# The real types checked_real takes. A concrete tuple, as an isinstance
+# test against the numbers.Real ABC costs microseconds a call.
+_REALS = (float, int, np.floating, np.integer)
+
+
+def checked_real(value, what: str) -> float:
+    """A real argument as a finite float: an int, a float or a numpy real
+    scalar, but not a bool, NaN or an infinity; `what` names the argument."""
+    if isinstance(value, _REALS) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -24,6 +22,8 @@ from .errors import (
     DimensionError,
     UnknownVariant,
     ValidationError,
+    checked_int,
+    checked_real,
     json_float,
     json_int,
 )
@@ -82,22 +82,6 @@ def update_gate(gate: GateState, frame_pooled_score: float) -> GateState:
     )
 
 
-def _integer(value, what: str) -> int:
-    """An integer parameter: any integer type (one with __index__) but bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
-
-
-def _real(value, what: str) -> None:
-    """Check a real-valued parameter: any real type but bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class QuerySpec:
     """One query: token embeddings plus retrieval knobs.
@@ -127,17 +111,13 @@ class QuerySpec:
             raise ValidationError(f"query {self.query_id!r}: non-finite token values")
         where = f"query {self.query_id!r}:"
         for name in ("arrival_time", "rho", "dispersion_lambda"):
-            _real(getattr(self, name), f"{where} {name}")
-        if not math.isfinite(self.arrival_time):
-            raise ValidationError(f"{where} non-finite arrival_time")
-        if self.rho < 0.0 or not math.isfinite(self.rho):
+            object.__setattr__(self, name, checked_real(getattr(self, name), f"{where} {name}"))
+        if self.rho < 0.0:
             raise ValidationError(f"{where} rho must be >= 0")
-        top_k = _integer(self.top_k, f"{where} top_k")
+        top_k = checked_int(self.top_k, f"{where} top_k")
         if top_k < 1:
             raise ValidationError(f"{where} top_k must be >= 1")
         object.__setattr__(self, "top_k", top_k)
-        if not math.isfinite(self.dispersion_lambda):
-            raise ValidationError(f"{where} non-finite dispersion_lambda")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
@@ -286,7 +266,7 @@ def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:
     Returned in rank order (best first), not temporal order. k is an
     integer (not a bool) and at least 0; k = 0 returns [].
     """
-    k = _integer(k, "k")
+    k = checked_int(k, "k")
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     return _top_k(*_columns(scores), k).tolist()
@@ -301,7 +281,7 @@ def adaptive_select(
     Overflow past k keeps the best-scoring frames; the result is returned
     in ascending frame order.
     """
-    k = _integer(k, "k")
+    k = checked_int(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not scores:

@@ -36,9 +36,11 @@ from .errors import (
     FrozenMemory,
     NonMonotoneTimestamp,
     ValidationError,
+    checked_int,
+    checked_real,
 )
 from .retrieval import GateState, update_gate
-from .traceio import MAX_COORD, frame_index_int, read_only, seal
+from .traceio import MAX_COORD, coords, read_only, seal
 from .vecspace import (
     FramePages,
     FrameTable,
@@ -61,14 +63,11 @@ class TokenRecord:
     spatial_col: int
 
 
-_COLUMNS = {"token_matrix": np.float64, "scores": np.float64, "rows": np.int64, "cols": np.int64}
-
-
-def _column(values, dtype) -> np.ndarray:
+def _column(values) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=dtype)
+        arr = np.asarray(values, dtype=np.float64)
     except (OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot read a token column as {np.dtype(dtype)}: {exc}") from exc
+        raise ValidationError(f"cannot read a token column as float64: {exc}") from exc
     return read_only(arr)
 
 
@@ -88,7 +87,8 @@ class FrameEntry:
     """A frame's surviving tokens as four read-only columns, plus metadata.
 
     Row i of token_matrix is token i's unit embedding, scores[i] its
-    cached salience and (rows[i], cols[i]) its origin in the frame grid.
+    cached salience and (rows[i], cols[i]) its origin in the frame grid,
+    read as traceio.coords reads them (an integer dtype, in [0, MAX_COORD]).
     Writable inputs are copied. token_count, pooled_score and min_score
     are derived from the columns at construction, so they can never drift
     out of sync with them.
@@ -106,8 +106,11 @@ class FrameEntry:
     min_score: float = field(init=False)
 
     def __post_init__(self):
-        for name, dtype in _COLUMNS.items():
-            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+        for name in ("token_matrix", "scores"):
+            object.__setattr__(self, name, _column(getattr(self, name)))
+        for name in ("rows", "cols"):
+            column = coords(getattr(self, name), name).astype(np.int64, copy=False)
+            object.__setattr__(self, name, read_only(column))
         if self.token_matrix.ndim != 2:
             raise DimensionError(f"token_matrix must be 2-D, got shape {self.token_matrix.shape}")
         n = self.token_matrix.shape[0]
@@ -121,9 +124,6 @@ class FrameEntry:
             raise ValidationError("frame_index must be non-negative")
         if not np.all(np.isfinite(self.scores)):
             raise ValidationError(f"frame {self.frame_index}: token scores must be finite")
-        for coords in (self.rows, self.cols):
-            if coords.min() < 0 or coords.max() > MAX_COORD:
-                raise ValidationError(f"spatial coordinates must be in [0, {MAX_COORD}]")
         vars(self).update(_statistics(self.scores))
 
     def _with(self, **changes) -> "FrameEntry":
@@ -351,7 +351,11 @@ def encode_tokens(
     raw = list(raw_tokens)
     if not raw:
         raise EmptyFrame(f"frame {frame_index} has no tokens")
-    vectors, rows, cols = zip(*raw)
+    try:
+        vectors, rows, cols = zip(*raw, strict=True)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"frame {frame_index}: each token must be a (vector, row, col) triple") from exc
     try:
         # Stacked in the vectors' own dtype (float32 from a trace), then cast
         # once: the same bits as stacking into float64, in less time.
@@ -518,12 +522,10 @@ class TieredMemory:
     of a crowded page.
     """
 
-    def __init__(self, config: TierConfig, bank: ProbeBank, dim: int | None = None):
-        if dim is not None and bank.dim != dim:
-            raise DimensionError(f"bank dimension {bank.dim}, session dimension {dim}")
+    def __init__(self, config: TierConfig, bank: ProbeBank):
         self.config = config
         self.bank = bank
-        self.dim = bank.dim if dim is None else int(dim)
+        self.dim = bank.dim
         self._short: list[FrameEntry] = []
         self._tier_tokens = dict.fromkeys(_TIER_NAMES, 0)
         self._rows = RowStore(self.dim)
@@ -671,14 +673,13 @@ class TieredMemory:
         """
         if self._frozen:
             raise FrozenMemory("memory is frozen; thaw before ingesting")
-        ts = float(timestamp)
-        if not math.isfinite(ts):
-            raise ValidationError(f"timestamp must be finite, got {ts}")
+        ts = checked_real(timestamp, "timestamp")
         if self._last_timestamp is not None and ts <= self._last_timestamp:
             raise NonMonotoneTimestamp(
                 f"timestamp {ts} does not advance past {self._last_timestamp}"
             )
-        index = self._next_frame_index if frame_index is None else frame_index_int(frame_index)
+        index = (self._next_frame_index if frame_index is None
+                 else checked_int(frame_index, "frame_index"))
         if not self._next_frame_index <= index <= MAX_FRAME_INDEX:
             raise ValidationError(
                 f"frame_index {index} is outside [{self._next_frame_index}, {MAX_FRAME_INDEX}]; "
@@ -751,7 +752,7 @@ class TieredMemory:
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0
         else:
-            freeze_ts = float(at)
+            freeze_ts = checked_real(at, "freeze time")
             if self._last_timestamp is not None and freeze_ts < self._last_timestamp:
                 raise NonMonotoneTimestamp(
                     f"freeze time {freeze_ts} precedes last ingest {self._last_timestamp}"
@@ -789,9 +790,9 @@ class TieredMemory:
         return h.hexdigest()
 
 
-def new_memory(config: TierConfig, bank: ProbeBank, dim: int | None = None) -> TieredMemory:
-    """Fresh empty memory; bank dimension must match the session's."""
-    return TieredMemory(config, bank, dim=dim)
+def new_memory(config: TierConfig, bank: ProbeBank) -> TieredMemory:
+    """Fresh empty memory, of the bank's dimension."""
+    return TieredMemory(config, bank)
 
 
 def selective_forget(mem: TieredMemory) -> EvictionReport:

@@ -17,7 +17,6 @@ the data the source holds, whatever its header claims.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +33,8 @@ from .errors import (
     TruncatedRecord,
     UnsupportedVersion,
     ValidationError,
+    checked_int,
+    checked_real,
 )
 
 MAGIC = b"SVMT"
@@ -62,13 +63,6 @@ def seal(arr: np.ndarray) -> np.ndarray:
 def read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only array with arr's contents; writable inputs are copied."""
     return seal(arr.copy()) if arr.flags.writeable else arr
-
-
-def frame_index_int(value) -> int:
-    """value as an int, if it is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"frame_index must be an integer, got {value!r}")
-    return int(value)
 
 
 def _token_dtype(dim: int) -> np.dtype:
@@ -101,7 +95,9 @@ class RawToken:
 _COORD = np.dtype("<u2")
 
 
-def _coords(values, name: str) -> np.ndarray:
+def coords(values, name: str) -> np.ndarray:
+    """A grid coordinate column as a 1-D array of an integer dtype, every
+    value in [0, MAX_COORD]; anything else raises ValidationError."""
     arr = np.asarray(values)
     if arr.size == 0:
         arr = arr.astype(_COORD)
@@ -110,7 +106,7 @@ def _coords(values, name: str) -> np.ndarray:
     # A u16 column, as the reader makes, is in range by its type.
     if arr.dtype != _COORD and (arr.min() < 0 or arr.max() > MAX_COORD):
         raise ValidationError(f"{name} must be in [0, {MAX_COORD}]")
-    return read_only(arr.astype(_COORD, copy=False))
+    return arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -130,23 +126,23 @@ class RawFrame:
     cols: np.ndarray = field(repr=False)
 
     def __init__(self, frame_index: int, timestamp: float, *, vectors, rows, cols):
-        frame_index = frame_index_int(frame_index)
+        frame_index = checked_int(frame_index, "frame_index")
         if not 0 <= frame_index <= MAX_WIRE_FRAME_INDEX:
             raise ValidationError(
                 f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
-        if not math.isfinite(timestamp):
-            raise ValidationError(f"frame {frame_index} timestamp must be finite, got {timestamp}")
+        timestamp = checked_real(timestamp, f"frame {frame_index} timestamp")
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
             raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
-        rows, cols = _coords(rows, "rows"), _coords(cols, "cols")
+        rows = read_only(coords(rows, "rows").astype(_COORD, copy=False))
+        cols = read_only(coords(cols, "cols").astype(_COORD, copy=False))
         if rows.shape != (vectors.shape[0],) or cols.shape != rows.shape:
             raise ValidationError(
                 f"frame {frame_index}: {vectors.shape[0]} vectors, "
                 f"{rows.shape[0]} rows, {cols.shape[0]} cols"
             )
         object.__setattr__(self, "frame_index", frame_index)
-        object.__setattr__(self, "timestamp", float(timestamp))
+        object.__setattr__(self, "timestamp", timestamp)
         object.__setattr__(self, "vectors", read_only(vectors))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

@@ -225,19 +225,6 @@ def _check_dims(rows: np.ndarray, query_matrix: np.ndarray) -> None:
             f"frame dimension {rows.shape[1]} vs query dimension {query_matrix.shape[1]}")
 
 
-def token_max_sims(frame_matrix: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
-    """Each frame row's max cosine against the query rows (unit rows in).
-
-    BLAS, for speed on frame-vs-frame products (the scene boundary); its
-    bits depend on the matrix shapes, so frame-vs-query scores use
-    query_max_sims instead.
-    """
-    _check_dims(frame_matrix, query_matrix)
-    # Clip is monotone, so clipping the maxima gives the bits of maximizing
-    # the clipped product (NaN included) without a second product-sized pass.
-    return np.clip(np.max(frame_matrix @ query_matrix.T, axis=1), -1.0, 1.0)
-
-
 def screen_margin(dim: int) -> float:
     """How far the float32 estimate of pooled_max_sim_units may lie from
     its float64 value, for unit (or zero) rows of dimension dim.
@@ -261,17 +248,18 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
                          *, near: float | None = None,
                          float32: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Mean over frame rows of their max cosine against the query rows
-    (unit or zero rows in), through the BLAS token_max_sims.
+    (unit or zero rows in), through query_max_sims.
 
     With near given, the value is exact only near it: the mean is first
     estimated from a float32 product (row maxima averaged in float64), and
     where that estimate lies more than screen_margin(dim) from near, it is
     returned as it is; it then lies on the same side of near as the exact
     value. Only an estimate within the margin, or NaN, pays for the float64
-    token_max_sims, whose mean is returned with its bits. float32, if given,
-    makes the float32 casts in place of ndarray.astype; it is asked for the
-    query's cast before the frame's, so a caller that keeps the last cast
-    it made has the frame's at hand when that frame is the next query.
+    query_max_sims on the frame's own rows, whose mean is returned with its
+    bits. float32, if given, makes the float32 casts in place of
+    ndarray.astype; it is asked for the query's cast before the frame's, so
+    a caller that keeps the last cast it made has the frame's at hand when
+    that frame is the next query.
     """
     if near is not None:
         _check_dims(frame_matrix, query_matrix)
@@ -284,7 +272,7 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
         # A NaN estimate fails this test and falls through to the exact path.
         if abs(estimate - near) > screen_margin(frame_matrix.shape[1]):
             return estimate
-    return float(np.mean(token_max_sims(frame_matrix, query_matrix)))
+    return float(np.mean(query_max_sims(query_matrix, frame_matrix)))
 
 
 # A page of the row store holds a whole number of blocks of this many rows
@@ -431,13 +419,13 @@ class RowStore:
         self._pending = (page, view)
         return view
 
-    def add(self, matrix: np.ndarray, group=None, *, scores=None, grid_rows=None,
-            grid_cols=None) -> tuple[np.ndarray, int, int]:
+    def add(self, matrix: np.ndarray, group=None, *, scores: np.ndarray,
+            grid_rows: np.ndarray, grid_cols: np.ndarray) -> tuple[np.ndarray, int, int]:
         """Hold a frame's (n, dim) rows, live, with the tokens' scores and
-        grid coordinates beside them (given together, or zero): the array alloc
-        last returned is committed where it stands, any other array is
-        copied into the group's pages. Returns the rows as a read-only view,
-        the id of their page and their first row."""
+        grid coordinates beside them: the array alloc last returned is
+        committed where it stands, any other array is copied into the
+        group's pages. Returns the rows as a read-only view, the id of their
+        page and their first row."""
         pending = self._pending
         if pending is None or pending[1] is not matrix:
             self.alloc(matrix.shape[0], group)[...] = matrix
@@ -447,10 +435,9 @@ class RowStore:
         n = view.shape[0]
         start = page.used
         rows = slice(start, start + n)
-        if scores is not None:
-            page.scores[rows] = scores
-            page.grid_rows[rows] = grid_rows
-            page.grid_cols[rows] = grid_cols
+        page.scores[rows] = scores
+        page.grid_rows[rows] = grid_rows
+        page.grid_cols[rows] = grid_cols
         # Rows past used lie in no frame a snapshot holds, so their flags
         # are set in place even where a snapshot shares them.
         page.alive[rows] = True
@@ -744,21 +731,19 @@ class FrameTable:
 class FramePages:
     """Frames' rows in pages, and the table of where they lie.
 
-    Built from the records of the pages, optionally their live flags as a
-    snapshot keeps them (each page's own flags otherwise), and one or more
-    int64 tables in frame order, whose rows are frame_index, count, page,
-    start and span: frame i's count[i] tokens are the live rows of
-    [start[i], start[i] + span[i]) of the page with id page[i], in row
-    order. A table of four rows has no span row: its frames' rows are all
-    live. pages[k] is the rows of the page with id page_ids[k], ascending.
-    The arrays the kernel reads are derived on first use, so building one
-    is cheap for a snapshot that is never scored.
+    Built from the records of the pages, their live flags as a snapshot
+    keeps them, and one or more int64 tables in frame order, whose rows are
+    frame_index, count, page, start and span: frame i's count[i] tokens are
+    the live rows of [start[i], start[i] + span[i]) of the page with id
+    page[i], in row order. pages[k] is the rows of the page with id
+    page_ids[k], ascending. The arrays the kernel reads are derived on
+    first use, so building one is cheap for a snapshot that is never scored.
     """
 
     def __init__(self, pages: tuple[_Page, ...], tables: tuple[np.ndarray, ...],
-                 alive: tuple[np.ndarray, ...] | None = None):
+                 alive: tuple[np.ndarray, ...]):
         self._pages = pages
-        self._alive = alive if alive is not None else tuple(page.alive for page in pages)
+        self._alive = alive
         self._tables = tables
 
     @functools.cached_property
@@ -797,25 +782,7 @@ class FramePages:
     count = property(lambda self: self.table[1])
     page = property(lambda self: self.table[2])
     start = property(lambda self: self.table[3])
-    span = property(lambda self: self.table[4] if len(self.table) > 4 else self.table[1])
-
-    @classmethod
-    def pack(cls, frames: Sequence[np.ndarray]) -> "FramePages":
-        """The frames' rows packed into a new RowStore's pages, in order,
-        each frame indexed by its position."""
-        frames = list(frames)
-        dim = frames[0].shape[-1] if frames else 0
-        store = RowStore(dim)
-        table = np.empty((5, len(frames)), dtype=np.int64)
-        table[0] = np.arange(len(frames))
-        for i, frame in enumerate(frames):
-            if frame.ndim != 2 or frame.shape[1] != dim:
-                raise DimensionError(f"frame shape {frame.shape} vs dimension {dim}")
-            if frame.shape[0] == 0:
-                raise EmptyInputError("a frame to score has no rows")
-            _, page, start = store.add(frame)
-            table[1:, i] = (frame.shape[0], page, start, frame.shape[0])
-        return cls(store.held(), (table,))
+    span = property(lambda self: self.table[4])
 
 
 def segment_means(values: np.ndarray, counts: np.ndarray,
@@ -895,18 +862,20 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     return segment_means(maxima, count, starts)
 
 
-def late_interaction_scores(
-    frames: Sequence[np.ndarray], query_matrix: np.ndarray
-) -> np.ndarray:
-    """Late-interaction score of each frame against the query (unit rows in),
-    through late_interaction_pages over the frames packed into pages."""
-    return late_interaction_pages(FramePages.pack(frames), query_matrix)
-
-
 def late_interaction(
     frame_tokens: Sequence[VectorLike], query_tokens: Sequence[VectorLike]
 ) -> float:
     """Frame-vs-query relevance: mean over frame tokens of the max cosine
-    against any query token."""
+    against any query token.
+
+    The frame's unit rows are scored with query_max_sims at the top of
+    zeroed whole blocks of SCORE_BLOCK_ROWS rows: the bits
+    late_interaction_pages gives the frame on pages of its own.
+    """
     frame = _unit_matrix(frame_tokens, "frame_tokens")
-    return float(late_interaction_scores([frame], _unit_matrix(query_tokens, "query_tokens"))[0])
+    query = _unit_matrix(query_tokens, "query_tokens")
+    n, dim = frame.shape
+    blocks = np.zeros((-(-n // SCORE_BLOCK_ROWS), SCORE_BLOCK_ROWS, dim))
+    blocks.reshape(-1, dim)[:n] = frame
+    maxima = np.concatenate([query_max_sims(query, block) for block in blocks])
+    return float(np.mean(maxima[:n]))

@@ -34,7 +34,7 @@ from tiermem.retrieval import QuerySpec, rank_top_k, score_candidates
 from tiermem.synth import StreamSpec, event_direction, generate_stream, query_for_event
 from tiermem.tiers import TierConfig, new_memory
 from tiermem.traceio import RawFrame
-from tiermem.vecspace import ProbeBank, late_interaction_scores, unit_rows
+from tiermem.vecspace import ProbeBank, late_interaction
 
 
 def make_frame(index, ts, vectors, dim=None):
@@ -384,8 +384,7 @@ def test_replay_stage2_scores_frames_longer_than_the_frame_cap():
                            "gate=never,stage=s2").rows[0]
     assert [f for f, _ in row["result"]["frame_scores"]] == [0, 1, 2, 3, 4]
     assert row["result"]["anchor_frames"] == [5, 6]
-    want = late_interaction_scores([unit_rows(frames[2].vectors.astype(np.float64))],
-                                   q.unit_tokens)[0]
+    want = late_interaction(frames[2].vectors, q.tokens)
     assert row["result"]["frame_scores"][2][1] == want
 
 

@@ -27,7 +27,7 @@ from tiermem.retrieval import (
 )
 from tiermem import retrieval, vecspace
 from tiermem.tiers import FrameEntry, TierConfig, TieredMemory
-from tiermem.vecspace import ProbeBank, late_interaction, late_interaction_scores, normalize
+from tiermem.vecspace import ProbeBank, late_interaction, normalize
 
 
 def axis(dim, i):
@@ -282,18 +282,29 @@ def test_score_candidates_match_each_frame_scored_alone(monkeypatch):
     scores = score_candidates(s, q)
     assert list(scores) == list(range(12))
     for e in frames:
-        alone = late_interaction_scores([e.token_matrix], q.unit_tokens)[0]
-        assert scores[e.frame_index] == alone
+        alone = score_candidates(snap(long=[e]), q)
+        assert scores[e.frame_index] == alone[e.frame_index]
     assert scores[2] == scores[7] == scores[11]
 
 
-def test_late_interaction_agrees_with_score_candidates():
+def test_late_interaction_agrees_with_score_candidates(monkeypatch):
+    # One frame scored alone: from its rows at the top of zeroed blocks, and
+    # in place in a snapshot's pages. Frames fill less than, exactly and more
+    # than one block, and more than two; on the BLAS block product where the
+    # self-check passes, and on the einsum fallback.
     rng = np.random.default_rng(59)
-    for n in (1, 4, 33):
-        rows = [normalize(rng.standard_normal(8)) for _ in range(n)]
-        vectors = [rng.standard_normal(8) for _ in range(3)]
-        scores = score_candidates(snap(long=[entry(0, rows)]), query(vectors))
-        assert scores == {0: late_interaction(rows, vectors)}
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        for dim in (8, 128):
+            for n in (1, 4, 33, 511, 512, 513, 1100):
+                rows = rng.standard_normal((n, dim))
+                for k in range(1, 6):
+                    vectors = rng.standard_normal((k, dim))
+                    scores = score_candidates(snap(long=[entry(0, rows)]), query(vectors))
+                    alone = np.float64(late_interaction(rows, vectors))
+                    assert list(scores) == [0], (check_fails, dim, n, k)
+                    assert scores.scores.tobytes() == alone.tobytes(), (check_fails, dim, n, k)
 
 
 def test_score_candidates_dimension_mismatch():

@@ -35,7 +35,6 @@ from tiermem.retrieval import QuerySpec, score_candidates
 from tiermem.vecspace import (
     ProbeBank,
     RowStore,
-    late_interaction_scores,
     max_sim,
     normalize,
     unit_rows,
@@ -234,8 +233,8 @@ def test_scene_boundary_rules():
 
 def test_scene_boundary_at_its_own_similarity_falls_back_to_float64(monkeypatch):
     calls = []
-    exact_kernel = vecspace.token_max_sims
-    monkeypatch.setattr(vecspace, "token_max_sims",
+    exact_kernel = vecspace.query_max_sims
+    monkeypatch.setattr(vecspace, "query_max_sims",
                         lambda *args: calls.append(1) or exact_kernel(*args))
     rng = np.random.default_rng(61)
     bank = ProbeBank.generated(16, n=3, seed=1)
@@ -683,12 +682,6 @@ def test_tiers_are_read_only_to_callers():
     assert mem.tier_tokens == {"short": 0, "mid": 0, "long": 1}
 
 
-def test_new_memory_dim_mismatch():
-    bank = ProbeBank.generated(64, n=5, seed=0)
-    with pytest.raises(DimensionError):
-        new_memory(TierConfig(), bank, dim=128)
-
-
 def test_first_ingest():
     cfg = TierConfig(short_cap_frames=2, tokens_per_frame_max=4, token_budget=64)
     mem = new_memory(cfg, small_bank())
@@ -713,8 +706,24 @@ def test_ingest_timestamp_and_size_guards():
         mem.ingest_frame(2.0, [(axis(4, 0), 0, i) for i in range(3)])
     with pytest.raises(EmptyFrame):
         mem.ingest_frame(2.0, [])
+    v = axis(4, 0)
+    # Coordinates that are not integers were truncated (1.5 -> 1, 2.9 -> 2),
+    # and a token that is not a (vector, row, col) triple ended in a bare
+    # ValueError, or had its fourth item ignored.
+    malformed = ([(v, 1.5, 0)], [(v, 0, 2.9)], [(v, 0, 0), (v, 0, 2.9)], [(v, "1", 0)],
+                 [(v, None, 0)], [(v, 0)], [(v, 0, 0), (v, 0)], [(v, 0, 0, 0)],
+                 [(v, 0, 0), (v, 0, 1, 2)], [v], [3])
+    for tokens in malformed:
+        with pytest.raises(ValidationError):
+            mem.ingest_frame(2.0, tokens)
+    # A bool was taken as 1.0; strings and None ended in bare errors.
+    for ts in (float("nan"), float("inf"), True, "x", None, 1j):
+        with pytest.raises(ValidationError):
+            mem.ingest_frame(ts, [(v, 0, 0)])
     # The failed calls left no trace.
-    assert mem.total_tokens == 1
+    assert (mem.total_tokens, mem.last_timestamp) == (1, 1.0)
+    mem.ingest_frame(np.float32(2.5), [(v, np.int64(1), np.uint16(2))])
+    assert (mem.last_timestamp, mem.short[-1].rows.tolist()) == (2.5, [1])
 
 
 def test_ingest_takes_the_callers_strictly_increasing_frame_index():
@@ -779,6 +788,12 @@ def test_freeze_timestamp_rules():
     mem.thaw()
     with pytest.raises(NonMonotoneTimestamp):
         mem.freeze(at=4.0)
+    # A NaN freeze time stamped the snapshot NaN, and True was taken as 1.0.
+    for at in (float("nan"), float("inf"), True, "6", 1j):
+        with pytest.raises(ValidationError):
+            mem.freeze(at=at)
+    assert not mem.frozen
+    assert mem.freeze(at=np.int64(6)).freeze_timestamp == 6.0
 
 
 def test_double_freeze_identical():
@@ -1257,7 +1272,8 @@ def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
             seen.add("page of its own")
         queries = [QuerySpec(query_id=f"q{i}", arrival_time=0.0, tokens=rng.standard_normal((2, dim)))
                    for i in range(3)]
-        alone = [{e.frame_index: late_interaction_scores([e.token_matrix], q.unit_tokens)[0]
+        alone = [{e.frame_index: score_candidates(
+                      TieredMemory.from_tiers(cfg, bank, long=[e]).freeze(), q)[e.frame_index]
                   for e in want.long + want.mid} for q in queries]
         assert [score_candidates(want, q) for q in queries] == alone
         # Half the snapshots read their entries and pages before the later

@@ -388,7 +388,7 @@ def test_reader_rejects_non_finite_timestamps(bad):
     assert issubclass(NonFiniteTimestamp, TraceFormatError)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "x", None, 1j])
 def test_frame_and_writer_reject_non_finite_timestamps(bad):
     with pytest.raises(ValidationError):
         frame(0, bad, [token([1.0])])

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from tiermem.errors import DimensionError, EmptyInputError, ValidationError
+from tiermem.retrieval import QuerySpec, score_candidates
+from tiermem.tiers import FrameEntry, TierConfig, TieredMemory
 from tiermem.vecspace import (
     DEFAULT_PROBE_LABELS,
     FrameTable,
@@ -16,13 +18,12 @@ from tiermem.vecspace import (
     RowStore,
     cosine,
     late_interaction,
-    late_interaction_scores,
     max_sim,
     normalize,
     pooled_max_sim_units,
+    query_max_sims,
     screen_margin,
     segment_means,
-    token_max_sims,
     unit_rows,
 )
 from tiermem import vecspace
@@ -156,17 +157,21 @@ def test_pooled_kernel_matches_public_path():
     )
 
 
-def test_token_max_sims_max_then_clip_equals_clip_then_max_bit_for_bit():
+def test_query_max_sims_max_then_clip_equals_clip_then_max_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(59)
-    for n, k, d in [(1, 1, 1), (7, 3, 5), (64, 9, 16), (512, 512, 128)]:
-        frame = rng.standard_normal((n, d)) * 2.0
-        query = rng.standard_normal((k, d)) * 2.0
-        frame[rng.random(n) < 0.1, 0] = np.nan
-        product = frame @ query.T
-        assert (np.abs(product) > 1.0).any()
-        clipped_first = np.max(np.clip(product, -1.0, 1.0), axis=1)
-        got = token_max_sims(frame, query)
-        assert got.tobytes() == clipped_first.tobytes(), (n, k, d)
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        for n, k, d in [(1, 1, 1), (7, 3, 5), (64, 9, 16), (512, 512, 128)]:
+            frame = rng.standard_normal((n, d)) * 2.0
+            query = rng.standard_normal((k, d)) * 2.0
+            frame[rng.random(n) < 0.1, 0] = np.nan
+            blas = vecspace.blas_rows_invariant(d, k, vecspace.SCORE_BLOCK_ROWS)
+            product = query @ frame.T if blas else np.einsum("kj,ij->ki", query, frame)
+            assert (np.abs(product) > 1.0).any()
+            clipped_first = np.max(np.clip(product, -1.0, 1.0), axis=0)
+            got = query_max_sims(query, frame)
+            assert got.tobytes() == clipped_first.tobytes(), (check_fails, n, k, d)
 
 
 def frame_pairs():
@@ -209,8 +214,8 @@ def test_screen_decides_as_the_float64_path_at_every_threshold():
 
 def test_screen_falls_back_to_float64_only_near_the_threshold(monkeypatch):
     calls = []
-    exact_kernel = vecspace.token_max_sims
-    monkeypatch.setattr(vecspace, "token_max_sims",
+    exact_kernel = vecspace.query_max_sims
+    monkeypatch.setattr(vecspace, "query_max_sims",
                         lambda *args: calls.append(1) or exact_kernel(*args))
     rng = np.random.default_rng(47)
     prev = unit_rows(rng.standard_normal((64, 128)))
@@ -327,16 +332,24 @@ def test_segment_means_match_np_mean_on_shuffled_mixes_of_counts():
     assert segment_means(np.ones(3), np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
+def columns(n, value):
+    """A frame's token columns as a memory holds them: score value + i / 10,
+    grid row value and grid col i for token i."""
+    return dict(scores=value + np.arange(n) / 10, grid_rows=np.full(n, int(value)),
+                grid_cols=np.arange(n))
+
+
 def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 4)
     store = RowStore(2)
-    a, page_a, start_a = store.add(np.ones((3, 2)))
-    b, page_b, start_b = store.add(np.full((2, 2), 2.0))  # no room left beside a
-    c, page_c, start_c = store.add(np.full((6, 2), 3.0))  # longer than a page
+    a, page_a, start_a = store.add(np.ones((3, 2)), **columns(3, 1.0))
+    # No room left beside a, then a frame longer than a page.
+    b, page_b, start_b = store.add(np.full((2, 2), 2.0), **columns(2, 2.0))
+    c, page_c, start_c = store.add(np.full((6, 2), 3.0), **columns(6, 3.0))
     assert (start_a, start_b, start_c) == (0, 0, 0) and len({page_a, page_b, page_c}) == 3
     assert [rows for _, _, rows, _, _ in store.page_usage()] == [4, 4, 8]  # whole blocks
     assert not (a.flags.writeable or b.flags.writeable or c.flags.writeable)
-    d, page_d, start_d = store.add(np.full((2, 2), 4.0))
+    d, page_d, start_d = store.add(np.full((2, 2), 4.0), **columns(2, 4.0))
     assert (page_d, start_d) == (page_b, 2)
     store.kill(page_a, 3)  # a's and c's frames left: their pages are released
     store.kill(page_c, 6)
@@ -348,17 +361,11 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     page_e, start_e, e = store.move(page_b, np.array([2]), np.array([2]))
     assert page_e not in (page_b, page_c) and start_e == 0 and not e.flags.writeable
     assert e.tolist() == d.tolist() == [[4.0, 4.0]] * 2 and b.tolist() == [[2.0, 2.0]] * 2
+    moved = store.page(page_e)  # the columns beside the rows move with them
+    assert (moved.scores[:2].tolist(), moved.grid_rows[:2].tolist(),
+            moved.grid_cols[:2].tolist()) == ([4.0, 4.1], [4, 4], [0, 1])
     assert [(rows, used, live) for _, _, rows, used, live in store.page_usage()] == [(4, 2, 2)]
     assert store.crowded() is None
-
-
-def test_late_interaction_scores_reject_bad_frames():
-    query = unit_rows(np.eye(3))
-    assert late_interaction_scores([], query).shape == (0,)
-    with pytest.raises(DimensionError):
-        late_interaction_scores([np.eye(3), np.eye(2)], query)
-    with pytest.raises(EmptyInputError):
-        late_interaction_scores([np.eye(3), np.zeros((0, 3))], query)
 
 
 def block_reference(frame, query, block_rows):
@@ -378,26 +385,35 @@ def einsum_reference(frame, query):
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 512])
 def test_late_interaction_scores_are_batch_invariant(monkeypatch, block_rows):
-    # A frame scores the same bits alone as packed among others, whether it
-    # sits inside a block, straddles block edges or spans several blocks:
-    # with the BLAS block product where the self-check passes, and with the
-    # einsum's bits where it fails.
+    # A frame scored among others in a snapshot's pages gets the bits
+    # late_interaction gives it alone, whether it sits inside a block,
+    # straddles block edges or spans several blocks: with the BLAS block
+    # product where the self-check passes, and with the einsum's bits where
+    # it fails.
     rng = np.random.default_rng(block_rows)
     dim = 19
-    query = unit_rows(rng.standard_normal((3, dim)))
-    twin = unit_rows(rng.standard_normal((5, dim)))
-    frames = [unit_rows(rng.standard_normal((int(n), dim))) for n in rng.integers(1, 12, 40)]
+    query = QuerySpec(query_id="q", arrival_time=0.0, tokens=rng.standard_normal((3, dim)))
+    twin = rng.standard_normal((5, dim))
+    frames = [rng.standard_normal((int(n), dim)) for n in rng.integers(1, 12, 40)]
     frames[3] = frames[17] = frames[30] = twin
-    frames.insert(9, unit_rows(rng.standard_normal((23, dim))))  # longer than a small block
+    frames.insert(9, rng.standard_normal((23, dim)))  # longer than a small block
+    units = [unit_rows(frame) for frame in frames]
+    entries = [FrameEntry(frame_index=i, timestamp=float(i), token_matrix=unit,
+                          scores=np.zeros(len(unit)), rows=np.zeros(len(unit), dtype=np.int64),
+                          cols=np.arange(len(unit)))
+               for i, unit in enumerate(units)]
+    bank = ProbeBank.generated(dim, n=1, seed=0)
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", block_rows)
     for check_fails in (False, True):
         if check_fails:
             monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
         blas = vecspace.blas_rows_invariant(dim, 3, block_rows)
-        packed = late_interaction_scores(frames, query)
-        for frame, score in zip(frames, packed.tolist()):
-            assert late_interaction_scores([frame], query).tolist() == [score]
-            want = block_reference(frame, query, block_rows) if blas else einsum_reference(frame, query)
+        snapshot = TieredMemory.from_tiers(TierConfig(), bank, long=entries).freeze()
+        packed = score_candidates(snapshot, query).scores
+        for frame, unit, score in zip(frames, units, packed.tolist()):
+            assert late_interaction(frame, query.tokens) == score
+            want = (block_reference(unit, query.unit_tokens, block_rows) if blas
+                    else einsum_reference(unit, query.unit_tokens))
             assert score == want, (check_fails, blas)
         assert packed[3] == packed[18] == packed[31]
 
@@ -436,15 +452,16 @@ def random_pages(rng, dim, block_rows):
         rows = unit_rows(rng.standard_normal((n, dim)))
         if rng.random() < 0.1:
             rows[int(rng.integers(0, n))] = 0.0  # the zero sentinel
-        _, page, start = store.add(rows, group)
+        _, page, start = store.add(rows, group, **columns(n, rng.random()))
         held.append((page, start, n))
     kept = [frame for frame in held if frame[2] > block_rows or rng.random() < 0.8]
     for page, start, n in held:
         if (page, start, n) not in kept:
             store.kill(page, n)
-    table = np.array([[i, n, page, start] for i, (page, start, n) in enumerate(kept)],
+    table = np.array([[i, n, page, start, n] for i, (page, start, n) in enumerate(kept)],
                      dtype=np.int64).T.copy()
-    return vecspace.FramePages(store.held(), (table,))
+    pages, alive = store.share()
+    return vecspace.FramePages(pages, (table,), alive)
 
 
 @pytest.mark.parametrize("block_rows", [5, 64, 512])
