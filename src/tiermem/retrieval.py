@@ -11,14 +11,12 @@ threshold picks the result set.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionError,
     UnknownVariant,
     ValidationError,
@@ -40,6 +38,12 @@ GATE_POOLINGS = ("mean", "max")
 SD_FLOOR = 1e-9
 
 
+# The weight update_gate keeps of the running average at each frame, and
+# the floor under it in the gate threshold.
+GATE_DECAY = 0.9
+GATE_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class GateState:
     """Exponential moving average of per-frame pooled salience scores.
@@ -49,37 +53,28 @@ class GateState:
     """
 
     ema: float = 0.0
-    decay: float = 0.9
-    floor: float = 1e-6
     observations: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.decay < 1.0):
-            raise ConfigError(f"decay must be in (0, 1), got {self.decay}")
-        if not (self.floor > 0.0):
-            raise ConfigError(f"floor must be positive, got {self.floor}")
-        if not math.isfinite(self.ema):
-            raise ValidationError(f"ema must be finite, got {self.ema}")
-        if self.observations < 0:
+        object.__setattr__(self, "ema", checked_real(self.ema, "ema"))
+        observations = checked_int(self.observations, "observations")
+        if observations < 0:
             raise ValidationError("observations must be non-negative")
+        object.__setattr__(self, "observations", observations)
 
 
 def update_gate(gate: GateState, frame_pooled_score: float) -> GateState:
     """Fold one frame's pooled score into the running average.
 
     The first observation seeds the average directly; afterwards
-    ema <- decay * ema + (1 - decay) * score.
+    ema <- GATE_DECAY * ema + (1 - GATE_DECAY) * score.
     """
-    x = float(frame_pooled_score)
-    if not math.isfinite(x):
-        raise ValidationError(f"pooled score must be finite, got {x}")
+    x = checked_real(frame_pooled_score, "pooled score")
     if gate.observations == 0:
         ema = x
     else:
-        ema = gate.decay * gate.ema + (1.0 - gate.decay) * x
-    return GateState(
-        ema=ema, decay=gate.decay, floor=gate.floor, observations=gate.observations + 1
-    )
+        ema = GATE_DECAY * gate.ema + (1.0 - GATE_DECAY) * x
+    return GateState(ema=ema, observations=gate.observations + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,12 +212,12 @@ def gate_check(
     Affinity pools, by mean or max, each short-tier token's max cosine
     against the query, the tokens taken in frame order; each frame's maxima
     come from one query_max_sims over its own rows. The threshold is rho
-    times the running average (floored). An empty short tier never
-    satisfies anything. Returns (fired, affinity, threshold).
+    times the running average, floored at GATE_FLOOR. An empty short tier
+    never satisfies anything. Returns (fired, affinity, threshold).
     """
     if pooling not in GATE_POOLINGS:
         raise UnknownVariant(f"gate pooling must be one of {GATE_POOLINGS}, got {pooling!r}")
-    threshold = query.rho * max(gate.ema, gate.floor)
+    threshold = query.rho * max(gate.ema, GATE_FLOOR)
     if not snapshot.short:
         return False, 0.0, threshold
     per_token = np.empty(sum(entry.token_count for entry in snapshot.short))
@@ -240,9 +235,9 @@ def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> FrameScore
     in ascending order. All frames are scored in place in their pages in one
     batch-invariant pass, so each score has the bits the frame would get
     scored alone."""
-    pages = snapshot.pages
-    scores = late_interaction_pages(pages, query.unit_tokens)
-    return FrameScores(pages.frame_index.view(), scores)
+    table = np.concatenate([t.ints[:5, :t.size] for t in snapshot.tables], axis=1)
+    scores = late_interaction_pages(snapshot.pages, snapshot.alive, table, query.unit_tokens)
+    return FrameScores(table[0], scores)
 
 
 def _top_k(frames: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -284,6 +279,7 @@ def adaptive_select(
     k = checked_int(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    dispersion_lambda = checked_real(dispersion_lambda, "dispersion_lambda")
     if not scores:
         return []
     frames, values = _columns(scores)

@@ -39,16 +39,16 @@ from .errors import (
     checked_int,
     checked_real,
 )
-from .retrieval import GateState, update_gate
+from .retrieval import GATE_DECAY, GATE_FLOOR, GateState, update_gate
 from .traceio import MAX_COORD, coords, read_only, seal
 from .vecspace import (
-    FramePages,
     FrameTable,
     ProbeBank,
     RowStore,
     max_sim_rows,
     pooled_max_sim_units,
     unit_rows,
+    _Page,
 )
 
 
@@ -298,26 +298,33 @@ class MemorySnapshot:
     """Immutable view of all tiers at a freeze point; only
     TieredMemory.freeze makes one.
 
-    pages holds the mid and long frames' rows and the table of where they
-    lie, in ascending frame order: the memory's own pages, whose rows are
-    never written again, with their live flags as they stood. The mid and
-    long entries are read from them on first access; a frame trimmed since
-    its entry was last built is gathered anew from its live rows.
+    Beside the short tier it holds what freeze shares: the long and the
+    mid FrameTable (tables, in ascending frame order), the records of the
+    memory's pages, whose rows are never written again, and their live
+    flags as they stood (alive[k] for pages[k]). The mid and long entries
+    are read from them on first access; a frame trimmed since its entry
+    was last built is gathered anew from its live rows.
     """
 
     short: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
-    pages: FramePages = field(repr=False, compare=False)
     tables: tuple[FrameTable, FrameTable] = field(repr=False, compare=False)
+    pages: tuple[_Page, ...] = field(repr=False, compare=False)
+    alive: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _page_of(self) -> Callable:
+        """A page's record and live flags, by page id."""
+        return {page.id: (page, flags) for page, flags in zip(self.pages, self.alive)}.__getitem__
 
     @functools.cached_property
     def long(self) -> tuple[FrameEntry, ...]:
-        return _entries(self.tables[0], self.pages.page_of)
+        return _entries(self.tables[0], self._page_of)
 
     @functools.cached_property
     def mid(self) -> tuple[FrameEntry, ...]:
-        return _entries(self.tables[1], self.pages.page_of)
+        return _entries(self.tables[1], self._page_of)
 
     def _key(self) -> tuple:
         return self.short, self.mid, self.long, self.freeze_timestamp, self.config
@@ -759,14 +766,14 @@ class TieredMemory:
                 )
         self._frozen = True
         pages, alive = self._rows.share()
-        tables = (self._tables["long"].share(), self._tables["mid"].share())
         return MemorySnapshot(
             short=tuple(self._short),
             freeze_timestamp=freeze_ts,
             config=self.config,
             # The long, then the mid table: ascending frame order.
-            pages=FramePages(pages, tuple(t.ints[:, :t.size] for t in tables), alive),
-            tables=tables,
+            tables=(self._tables["long"].share(), self._tables["mid"].share()),
+            pages=pages,
+            alive=alive,
         )
 
     def thaw(self) -> None:
@@ -777,8 +784,8 @@ class TieredMemory:
         """SHA-256 over the full state; equal digests mean equal states."""
         h = hashlib.sha256()
         h.update(json.dumps(self.config.to_json_dict(), sort_keys=True).encode())
-        h.update(struct.pack("<dddq", self.gate_stats.ema, self.gate_stats.decay,
-                             self.gate_stats.floor, self.gate_stats.observations))
+        h.update(struct.pack("<dddq", self.gate_stats.ema, GATE_DECAY, GATE_FLOOR,
+                             self.gate_stats.observations))
         h.update(struct.pack("<qq", self.total_tokens, self._next_frame_index))
         for tier in (self.short, self.mid, self.long):
             h.update(struct.pack("<q", len(tier)))

@@ -248,7 +248,7 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
                          *, near: float | None = None,
                          float32: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Mean over frame rows of their max cosine against the query rows
-    (unit or zero rows in), through query_max_sims.
+    (unit or zero rows in), through query_max_sims on the BLAS product.
 
     With near given, the value is exact only near it: the mean is first
     estimated from a float32 product (row maxima averaged in float64), and
@@ -256,10 +256,12 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     returned as it is; it then lies on the same side of near as the exact
     value. Only an estimate within the margin, or NaN, pays for the float64
     query_max_sims on the frame's own rows, whose mean is returned with its
-    bits. float32, if given, makes the float32 casts in place of
-    ndarray.astype; it is asked for the query's cast before the frame's, so
-    a caller that keeps the last cast it made has the frame's at hand when
-    that frame is the next query.
+    bits. That product is the BLAS one whatever blas_rows_invariant says:
+    it need only be deterministic for these two matrices, not give a row
+    the same bits at every place in a block. float32, if given, makes the
+    float32 casts in place of ndarray.astype; it is asked for the query's
+    cast before the frame's, so a caller that keeps the last cast it made
+    has the frame's at hand when that frame is the next query.
     """
     if near is not None:
         _check_dims(frame_matrix, query_matrix)
@@ -272,7 +274,7 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
         # A NaN estimate fails this test and falls through to the exact path.
         if abs(estimate - near) > screen_margin(frame_matrix.shape[1]):
             return estimate
-    return float(np.mean(query_max_sims(query_matrix, frame_matrix)))
+    return float(np.mean(query_max_sims(query_matrix, frame_matrix, blas=True)))
 
 
 # A page of the row store holds a whole number of blocks of this many rows
@@ -327,16 +329,17 @@ def _query_product(query_matrix: np.ndarray, rows: np.ndarray,
 
 
 def query_max_sims(query_matrix: np.ndarray, rows: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None, blas: bool | None = None) -> np.ndarray:
     """Each row's max cosine against the query rows (unit rows in),
     clipped to [-1, 1], into out if given.
 
     np.maximum.reduce(query @ rows.T, axis=0), query-major so the maximum
     runs down contiguous columns, with the product _query_product picks:
-    the bits late_interaction_pages gives a row on a whole block.
+    the bits late_interaction_pages gives a row on a whole block. blas, if
+    given, picks the product instead, as in _query_product.
     """
     _check_dims(rows, query_matrix)
-    out = np.maximum.reduce(_query_product(query_matrix, rows), axis=0, out=out)
+    out = np.maximum.reduce(_query_product(query_matrix, rows, blas=blas), axis=0, out=out)
     return np.clip(out, -1.0, 1.0, out=out)
 
 
@@ -728,67 +731,9 @@ class FrameTable:
                 del self.cache[slot]
 
 
-class FramePages:
-    """Frames' rows in pages, and the table of where they lie.
-
-    Built from the records of the pages, their live flags as a snapshot
-    keeps them, and one or more int64 tables in frame order, whose rows are
-    frame_index, count, page, start and span: frame i's count[i] tokens are
-    the live rows of [start[i], start[i] + span[i]) of the page with id
-    page[i], in row order. pages[k] is the rows of the page with id
-    page_ids[k], ascending. The arrays the kernel reads are derived on
-    first use, so building one is cheap for a snapshot that is never scored.
-    """
-
-    def __init__(self, pages: tuple[_Page, ...], tables: tuple[np.ndarray, ...],
-                 alive: tuple[np.ndarray, ...]):
-        self._pages = pages
-        self._alive = alive
-        self._tables = tables
-
-    @functools.cached_property
-    def table(self) -> np.ndarray:
-        return self._tables[0] if len(self._tables) == 1 else np.concatenate(self._tables, axis=1)
-
-    @functools.cached_property
-    def _place(self) -> dict[int, int]:
-        """Each page's place among the pages given, by page id."""
-        return {page.id: k for k, page in enumerate(self._pages)}
-
-    @functools.cached_property
-    def records(self) -> tuple[_Page, ...]:
-        """The page records, in id order."""
-        return tuple(sorted(self._pages, key=lambda page: page.id))
-
-    @functools.cached_property
-    def alive(self) -> tuple[np.ndarray, ...]:
-        """Each page's live flags, in id order."""
-        return tuple(self._alive[self._place[page.id]] for page in self.records)
-
-    @functools.cached_property
-    def pages(self) -> tuple[np.ndarray, ...]:
-        return tuple(page.frozen for page in self.records)
-
-    @functools.cached_property
-    def page_ids(self) -> np.ndarray:
-        return np.array([page.id for page in self.records], dtype=np.int64)
-
-    def page_of(self, page_id: int) -> tuple[_Page, np.ndarray]:
-        """A page's record and live flags, by page id."""
-        k = self._place[page_id]
-        return self._pages[k], self._alive[k]
-
-    frame_index = property(lambda self: self.table[0])
-    count = property(lambda self: self.table[1])
-    page = property(lambda self: self.table[2])
-    start = property(lambda self: self.table[3])
-    span = property(lambda self: self.table[4])
-
-
-def segment_means(values: np.ndarray, counts: np.ndarray,
-                  starts: np.ndarray | None = None) -> np.ndarray:
+def segment_means(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Mean of values[starts[i]:starts[i] + counts[i]] for each i, with
-    np.mean's bits; the segments are consecutive when starts is omitted.
+    np.mean's bits.
 
     Every segment is gathered, in the order of a stable argsort of the
     counts, into one array; the segments of each count then form the rows
@@ -800,8 +745,6 @@ def segment_means(values: np.ndarray, counts: np.ndarray,
     n = len(counts)
     if n == 0:
         return np.empty(0)
-    if starts is None:
-        starts = np.cumsum(counts) - counts
     order = np.argsort(counts, kind="stable")
     ordered = counts[order]
     ends = np.cumsum(ordered)
@@ -817,10 +760,17 @@ def segment_means(values: np.ndarray, counts: np.ndarray,
     return means
 
 
-def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.ndarray:
-    """Late-interaction score of each frame in paged against the query
+def late_interaction_pages(pages: Sequence[_Page], alive: Sequence[np.ndarray],
+                           table: np.ndarray, query_matrix: np.ndarray) -> np.ndarray:
+    """Late-interaction score of each frame of table against the query
     (unit rows in): the mean over the frame's rows of their max cosine
     against the query rows.
+
+    pages are the records of the pages the frames lie in, in any order,
+    and alive[k] the live flags of pages[k] as a snapshot keeps them. The
+    int64 rows of table are frame_index, count, page, start and span:
+    frame i's count[i] tokens are the live rows of [start[i], start[i] +
+    span[i]) of the page with id page[i], in row order.
 
     The candidate kernel. It scores each page in place, in whole blocks of
     SCORE_BLOCK_ROWS rows up to the last row written to the page, with
@@ -831,19 +781,19 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     compressed to the live rows by the pages' live flags, with one gather,
     so each frame's live maxima lie together in token order. Every product
     has the same shape, so a frame gets the same bits alone or among any
-    other frames, at any row of any page: those of query_max_sims on the
-    frame's live rows on a block of their own.
+    other frames, at any row of any page, whatever the order of the pages:
+    those of query_max_sims on the frame's live rows on a block of their own.
     """
-    if len(paged.count) == 0:
+    count = table[1]
+    if len(count) == 0:
         return np.empty(0)
     query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
-    records = paged.records
-    _check_dims(records[0].rows, query_matrix)
+    _check_dims(pages[0].rows, query_matrix)
     k, dim = query_matrix.shape
     blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
     block = SCORE_BLOCK_ROWS
-    scored = [-(-page.used // block) * block for page in records]
-    blocks = [page.frozen[lo:lo + block] for page, rows in zip(records, scored)
+    scored = [-(-page.used // block) * block for page in pages]
+    blocks = [page.frozen[lo:lo + block] for page, rows in zip(pages, scored)
               for lo in range(0, rows, block)]
     sims = np.empty((len(blocks), k, block))
     for rows, out in zip(blocks, sims):
@@ -851,11 +801,11 @@ def late_interaction_pages(paged: FramePages, query_matrix: np.ndarray) -> np.nd
     maxima = np.maximum.reduce(sims, axis=1).reshape(-1)
     np.clip(maxima, -1.0, 1.0, out=maxima)
     offsets = np.cumsum(scored) - scored
-    starts = offsets[np.searchsorted(paged.page_ids, paged.page)] + paged.start
-    count = paged.count
-    if (count != paged.span).any():
-        live = np.concatenate([flags[:rows] for flags, rows in zip(paged.alive, scored)]
-                              ).nonzero()[0]
+    ids = np.array([page.id for page in pages], dtype=np.int64)
+    by_id = np.argsort(ids)
+    starts = offsets[by_id[np.searchsorted(ids, table[2], sorter=by_id)]] + table[3]
+    if (count != table[4]).any():
+        live = np.concatenate([flags[:rows] for flags, rows in zip(alive, scored)]).nonzero()[0]
         maxima = maxima[live]
         # A frame's first live row: it has one, and no row of its span before it is live.
         starts = np.searchsorted(live, starts)

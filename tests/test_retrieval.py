@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tiermem.errors import (
-    ConfigError,
     DimensionError,
     UnknownVariant,
     ValidationError,
@@ -72,14 +71,15 @@ def query(vectors, rho=0.1, top_k=5, lam=0.5, qid="q"):
 
 
 def test_gate_state_validation():
-    with pytest.raises(ConfigError):
-        GateState(decay=1.0)
-    with pytest.raises(ConfigError):
-        GateState(decay=0.0)
-    with pytest.raises(ConfigError):
-        GateState(floor=0.0)
-    with pytest.raises(ValidationError):
-        GateState(ema=float("inf"))
+    for ema in (float("inf"), float("nan"), True, "0.5", None):
+        with pytest.raises(ValidationError):
+            GateState(ema=ema)
+    for observations in (-1, 1.5, True, "1", None):
+        with pytest.raises(ValidationError):
+            GateState(observations=observations)
+    gate = GateState(ema=np.float32(0.5), observations=np.int64(2))
+    assert (gate.ema, gate.observations) == (0.5, 2)
+    assert type(gate.ema) is float and type(gate.observations) is int
 
 
 def test_update_gate_first_observation_seeds():
@@ -89,7 +89,7 @@ def test_update_gate_first_observation_seeds():
 
 
 def test_update_gate_hand_value():
-    g = GateState(ema=0.06, decay=0.9, observations=1)
+    g = GateState(ema=0.06, observations=1)
     g = update_gate(g, 0.16)
     # 0.9 * 0.06 + 0.1 * 0.16
     assert math.isclose(g.ema, 0.07, abs_tol=1e-12)
@@ -104,8 +104,9 @@ def test_update_gate_constant_stream_is_fixed_point():
 
 
 def test_update_gate_rejects_non_finite():
-    with pytest.raises(ValidationError):
-        update_gate(GateState(), float("nan"))
+    for score in (float("nan"), float("inf"), "0.5", True, None):
+        with pytest.raises(ValidationError):
+            update_gate(GateState(), score)
 
 
 # --- query spec -------------------------------------------------------------
@@ -386,6 +387,16 @@ def test_adaptive_select_rejects_bad_k():
         with pytest.raises(ValidationError):
             adaptive_select({1: 0.5}, k, 0.5)
     assert adaptive_select({1: 0.5}, np.int64(2), 0.5) == [1]
+
+
+def test_adaptive_select_rejects_a_lambda_that_is_not_a_finite_real():
+    scores = {1: 0.1, 2: 0.9, 3: 0.5}
+    for lam in (float("nan"), float("inf"), True, "x", None):
+        for table in (scores, {}):
+            with pytest.raises(ValidationError):
+                adaptive_select(table, 2, lam)
+    assert adaptive_select(scores, 2, np.float32(0.5)) == adaptive_select(scores, 2, 0.5) == [2]
+    assert adaptive_select(scores, 2, 0) == [2, 3]
 
 
 def test_rank_top_k_tie_breaks_to_recent():

@@ -235,7 +235,7 @@ def test_scene_boundary_at_its_own_similarity_falls_back_to_float64(monkeypatch)
     calls = []
     exact_kernel = vecspace.query_max_sims
     monkeypatch.setattr(vecspace, "query_max_sims",
-                        lambda *args: calls.append(1) or exact_kernel(*args))
+                        lambda *args, **kwargs: calls.append(1) or exact_kernel(*args, **kwargs))
     rng = np.random.default_rng(61)
     bank = ProbeBank.generated(16, n=3, seed=1)
     base = rng.standard_normal((40, 16))
@@ -251,6 +251,31 @@ def test_scene_boundary_at_its_own_similarity_falls_back_to_float64(monkeypatch)
     for threshold, boundary in ((exact - 0.05, False), (exact + 0.05, True)):
         assert is_scene_boundary(frame, prev, TierConfig(scene_threshold=threshold)) is boundary
     assert calls == []
+
+
+def test_scene_boundary_fallback_runs_no_blas_self_check(monkeypatch):
+    # The exact fallback takes the BLAS product of the frame and its
+    # predecessor as they are: previous frames of any length add nothing to
+    # the self-check's cache, and the flags are those of that product.
+    calls = []
+    exact_kernel = vecspace.query_max_sims
+    monkeypatch.setattr(vecspace, "query_max_sims",
+                        lambda *args, **kwargs: calls.append(1) or exact_kernel(*args, **kwargs))
+    rng = np.random.default_rng(73)
+    bank = ProbeBank.generated(128, n=3, seed=3)
+    cached = vecspace.blas_rows_invariant.cache_info().currsize
+    for n in (61, 203, 337, 509):
+        base = rng.standard_normal((n, 128))
+        prev = encode_tokens(0, 0.0, [(v, 0, i % 16) for i, v in enumerate(base)], bank)
+        noisy = base[rng.integers(0, n, 40)] + 0.4 * rng.standard_normal((40, 128))
+        frame = encode_tokens(1, 1.0, [(v, 0, i) for i, v in enumerate(noisy)], bank)
+        product = prev.token_matrix @ frame.token_matrix.T
+        exact = float(np.mean(np.clip(np.max(product, axis=0), -1.0, 1.0)))
+        calls.clear()
+        for threshold, boundary in ((exact, False), (float(np.nextafter(exact, 1.0)), True)):
+            assert is_scene_boundary(frame, prev, TierConfig(scene_threshold=threshold)) is boundary
+        assert len(calls) == 2, n
+    assert vecspace.blas_rows_invariant.cache_info().currsize == cached
 
 
 def test_scene_boundary_is_one_call_of_the_traced_kernel_per_ingest(monkeypatch):
@@ -1235,12 +1260,18 @@ def entry_state(entry):
             entry.scores.tobytes(), entry.rows.tobytes(), entry.cols.tobytes())
 
 
+def frame_table(snap):
+    """A snapshot's long, then mid frames' int rows: frame_index, count,
+    page, start and span."""
+    return np.concatenate([table.ints[:5, :table.size] for table in snap.tables], axis=1)
+
+
 def trimmed_in_place(before, after):
-    """Frames of the FramePages before that lost tokens by after and still
-    start at the same row of the same page."""
+    """Frames of the snapshot before that lost tokens by the snapshot after
+    and still start at the same row of the same page."""
     where = {frame: (page, start, count) for frame, count, page, start
-             in after.table[:4].T.tolist()}
-    return [frame for frame, count, page, start in before.table[:4].T.tolist()
+             in frame_table(after)[:4].T.tolist()}
+    return [frame for frame, count, page, start in frame_table(before)[:4].T.tolist()
             if frame in where and where[frame][:2] == (page, start) and where[frame][2] < count]
 
 
@@ -1288,7 +1319,7 @@ def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
             ts = ingest_random(mem, rng, 1, dim, ts)
             later = mem.freeze()
             mem.thaw()
-            if trimmed_in_place(snap.pages, later.pages):
+            if trimmed_in_place(snap, later):
                 seen.add("trimmed in place")
             if seed % 4 >= 2:  # the memory builds its entries of trimmed frames first
                 assert mem.long + mem.mid == later.long + later.mid
@@ -1318,18 +1349,18 @@ def test_snapshot_rows_are_views_of_its_pages():
         ingest_random(mem, rng, 1, 8, t)
         snap = mem.freeze()
         mem.thaw()
-        paged = snap.pages
+        table = frame_table(snap)
         entries = {e.frame_index: e for e in snap.long + snap.mid}
-        assert paged.frame_index.tolist() == sorted(entries)
-        pages = dict(zip(paged.page_ids.tolist(), paged.pages))
-        alive = dict(zip(paged.page_ids.tolist(), paged.alive))
-        for frame_index, count, page, start, span in paged.table[:5].T.tolist():
+        assert table[0].tolist() == sorted(entries)
+        pages = {page.id: page.frozen for page in snap.pages}
+        alive = {page.id: flags for page, flags in zip(snap.pages, snap.alive)}
+        for frame_index, count, page, start, span in table.T.tolist():
             matrix = entries[frame_index].token_matrix
             assert not matrix.flags.writeable
             placed = pages[page][start:start + span]
             if count == span:  # untrimmed: a view of its rows
                 kinds.add("view")
-                assert any(np.shares_memory(matrix, rows) for rows in paged.pages)
+                assert any(np.shares_memory(matrix, rows) for rows in pages.values())
                 assert matrix.shape == placed.shape and matrix.ctypes.data == placed.ctypes.data
             else:  # trimmed in place: the live rows of its span, in order
                 kinds.add("trimmed")

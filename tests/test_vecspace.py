@@ -216,7 +216,7 @@ def test_screen_falls_back_to_float64_only_near_the_threshold(monkeypatch):
     calls = []
     exact_kernel = vecspace.query_max_sims
     monkeypatch.setattr(vecspace, "query_max_sims",
-                        lambda *args: calls.append(1) or exact_kernel(*args))
+                        lambda *args, **kwargs: calls.append(1) or exact_kernel(*args, **kwargs))
     rng = np.random.default_rng(47)
     prev = unit_rows(rng.standard_normal((64, 128)))
     frame = unit_rows(prev + 0.3 * rng.standard_normal((64, 128)))
@@ -301,7 +301,7 @@ def test_segment_means_match_np_mean_bit_for_bit():
         values = rng.standard_normal(int(counts.sum())) * 10.0 ** rng.integers(-4, 4, counts.sum())
         starts = np.cumsum(counts) - counts
         want = [np.mean(values[s:s + c]) for s, c in zip(starts, counts)]
-        assert segment_means(values, counts).tolist() == [float(w) for w in want], length
+        assert segment_means(values, counts, starts).tolist() == [float(w) for w in want], length
 
 
 def test_segment_means_take_explicit_starts():
@@ -328,8 +328,10 @@ def test_segment_means_match_np_mean_on_shuffled_mixes_of_counts():
         want = np.array([np.mean(values[s:s + c]) for s, c in zip(starts, counts)])
         assert segment_means(values, counts, starts).tobytes() == want.tobytes(), case
         if not gaps.any():
-            assert segment_means(values, counts).tobytes() == want.tobytes(), case
-    assert segment_means(np.ones(3), np.zeros(0, dtype=np.int64)).shape == (0,)
+            consecutive = np.cumsum(counts) - counts
+            assert segment_means(values, counts, consecutive).tobytes() == want.tobytes(), case
+    none = np.zeros(0, dtype=np.int64)
+    assert segment_means(np.ones(3), none, np.cumsum(none) - none).shape == (0,)
 
 
 def columns(n, value):
@@ -418,31 +420,36 @@ def test_late_interaction_scores_are_batch_invariant(monkeypatch, block_rows):
         assert packed[3] == packed[18] == packed[31]
 
 
-def per_block_reference(paged, query):
+def per_block_reference(pages, alive, table, query):
     """late_interaction_pages as it was written with one query_max_sims
     per block: each page's extent from its frames with np.maximum.at, and
-    each frame's mean with np.mean."""
+    each frame's mean with np.mean over the maxima of its span's live rows."""
     block = vecspace.SCORE_BLOCK_ROWS
-    where = np.searchsorted(paged.page_ids, paged.page)
-    extent = np.zeros(len(paged.pages), dtype=np.int64)
-    np.maximum.at(extent, where, paged.start + paged.count)
+    place = {page.id: k for k, page in enumerate(pages)}
+    where = np.array([place[page] for page in table[2].tolist()], dtype=np.int64)
+    extent = np.zeros(len(pages), dtype=np.int64)
+    np.maximum.at(extent, where, table[3] + table[4])
     scored = -(-extent // block) * block
     offsets = np.cumsum(scored) - scored
     maxima = np.empty(int(offsets[-1] + scored[-1]))
     blas = vecspace.blas_rows_invariant(query.shape[1], query.shape[0], block)
-    for page, base, rows in zip(paged.pages, offsets.tolist(), scored.tolist()):
+    for page, base, rows in zip(pages, offsets.tolist(), scored.tolist()):
         for lo in range(0, rows, block):
-            sims = (query @ page[lo:lo + block].T if blas
-                    else np.einsum("kj,ij->ki", query, page[lo:lo + block]))
+            sims = (query @ page.frozen[lo:lo + block].T if blas
+                    else np.einsum("kj,ij->ki", query, page.frozen[lo:lo + block]))
             out = np.maximum.reduce(sims, axis=0, out=maxima[base + lo:base + lo + block])
             np.clip(out, -1.0, 1.0, out=out)
-    firsts = offsets[where] + paged.start
-    return np.array([np.mean(maxima[s:s + c]) for s, c in zip(firsts, paged.count)])
+    return np.array([np.mean(maxima[base + start:base + start + span]
+                             [alive[k][start:start + span]])
+                     for k, base, start, span in zip(where.tolist(), offsets[where].tolist(),
+                                                     table[3].tolist(), table[4].tolist())])
 
 
 def random_pages(rng, dim, block_rows):
-    """Frames in a RowStore's pages, some of them dropped, with one frame
-    longer than two blocks, as a FramePages over the frames left."""
+    """Frames in a RowStore's pages, some of them dropped and some trimmed
+    in place, with one frame longer than two blocks: the held pages, their
+    live flags and the frames' int rows (frame_index, count, page, start,
+    span), as a snapshot holds them."""
     store = RowStore(dim)
     held = []
     sizes = rng.integers(1, block_rows + 1, int(rng.integers(3, 30))).tolist()
@@ -458,16 +465,24 @@ def random_pages(rng, dim, block_rows):
     for page, start, n in held:
         if (page, start, n) not in kept:
             store.kill(page, n)
-    table = np.array([[i, n, page, start, n] for i, (page, start, n) in enumerate(kept)],
-                     dtype=np.int64).T.copy()
+    table = []
+    for i, (page, start, n) in enumerate(kept):
+        count = n
+        # Trimmed in place: some rows, never all, dead; the longest frame always.
+        if n > 1 and (n > block_rows or rng.random() < 0.3):
+            dead = rng.choice(n, int(rng.integers(1, n)), replace=False)
+            store.kill(page, len(dead), start + dead)
+            count = n - len(dead)
+        table.append([i, count, page, start, n])
     pages, alive = store.share()
-    return vecspace.FramePages(pages, (table,), alive)
+    return pages, alive, np.array(table, dtype=np.int64).T.copy()
 
 
 @pytest.mark.parametrize("block_rows", [5, 64, 512])
 def test_late_interaction_pages_match_the_per_block_loop(monkeypatch, block_rows):
     # One product buffer, one maximum and one clip give every byte of one
-    # query_max_sims per block, on the BLAS path and on the einsum fallback.
+    # query_max_sims per block, on the BLAS path and on the einsum fallback,
+    # with the pages in any order.
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng([block_rows, 83])
     for check_fails in (False, True):
@@ -475,15 +490,20 @@ def test_late_interaction_pages_match_the_per_block_loop(monkeypatch, block_rows
             monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
         for case in range(12):
             dim = int(rng.choice([3, 16, 128]))
-            paged = random_pages(rng, dim, block_rows)
-            assert any(rows.shape[0] > 2 * block_rows for rows in paged.pages)
+            pages, alive, table = random_pages(rng, dim, block_rows)
+            assert any(page.rows.shape[0] > 2 * block_rows for page in pages)
+            assert len(pages) > 1 and (table[1] < table[4]).any()
             query = unit_rows(rng.standard_normal((int(rng.integers(1, 4)), dim)))
-            query[0] = paged.pages[0][0]  # a cosine of 1 up to rounding, where the clip acts
-            got = vecspace.late_interaction_pages(paged, query)
-            want = per_block_reference(paged, query)
+            query[0] = pages[0].frozen[0]  # a cosine of 1 up to rounding, where the clip acts
+            got = vecspace.late_interaction_pages(pages, alive, table, query)
+            want = per_block_reference(pages, alive, table, query)
             assert got.tobytes() == want.tobytes(), (check_fails, case)
+            for order in (np.arange(len(pages))[::-1], rng.permutation(len(pages))):
+                shuffled = vecspace.late_interaction_pages(
+                    [pages[k] for k in order], [alive[k] for k in order], table, query)
+                assert shuffled.tobytes() == got.tobytes(), (check_fails, case, order)
             with pytest.raises(DimensionError):
-                vecspace.late_interaction_pages(paged, query[:, 1:])
+                vecspace.late_interaction_pages(pages, alive, table, query[:, 1:])
 
 
 def test_blas_self_check_is_memoised_per_shape():
