@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, UnknownVariant, ValidationError
+from .errors import EmptyInputError, UnknownVariant, ValidationError, checked_int
 from .retrieval import (
     GATE_MODES,
     GATE_POOLINGS,
@@ -101,7 +101,8 @@ def resolve_prior_bank(bank: ProbeBank, prior: str, seed: int = 0) -> ProbeBank:
     if prior == "bank":
         return bank
     if prior == "random":
-        return ProbeBank.generated(bank.dim, n=len(bank), seed=int(seed) + _RANDOM_PRIOR_SALT)
+        seed = checked_int(seed, "seed") + _RANDOM_PRIOR_SALT
+        return ProbeBank.generated(bank.dim, n=len(bank), seed=seed)
     if prior == "single":
         return ProbeBank(bank.matrix[:1], labels=bank.labels[:1])
     raise UnknownVariant(f"prior must be one of {PRIOR_VARIANTS}, got {prior!r}")
@@ -216,7 +217,7 @@ def run_ingest(
     return RunReport(
         kind="ingest",
         config=config.to_json_dict(),
-        seeds={"seed": int(seed)},
+        seeds={"seed": checked_int(seed, "seed")},
         variant=variant.to_json_dict() if variant else None,
         inputs=_base_inputs(bank, {"frames": len(frames), **(inputs or {})}),
         rows=rows,
@@ -289,6 +290,7 @@ def run_oracle(
     inputs: dict | None = None,
 ) -> RunReport:
     """Exact top-K per query over the uncompressed trace."""
+    exclude_most_recent = checked_int(exclude_most_recent, "exclude_most_recent")
     frames = list(trace)
     started = time.perf_counter()
     rows = []
@@ -297,7 +299,7 @@ def run_oracle(
         rows.append(
             {
                 "query_id": q.query_id,
-                "arrival_time": float(q.arrival_time),
+                "arrival_time": q.arrival_time,
                 "candidates": len(scores),
                 "top_k": _oracle_rank(scores, q.top_k),
                 "scores": [[frame, scores[frame]] for frame in sorted(scores)],
@@ -307,11 +309,11 @@ def run_oracle(
     return RunReport(
         kind="oracle",
         config={},
-        seeds={"seed": int(seed)},
+        seeds={"seed": checked_int(seed, "seed")},
         variant=None,
         inputs={"frames": len(frames), "queries": len(queries), **(inputs or {})},
         rows=tuple(rows),
-        summary={"queries": len(queries), "exclude_most_recent": int(exclude_most_recent)},
+        summary={"queries": len(queries), "exclude_most_recent": exclude_most_recent},
         timings={"wall_seconds": elapsed},
     )
 
@@ -426,10 +428,10 @@ def run_query_replay(
         selected = result.selected_frames()
         row = {
             "query_id": q.query_id,
-            "arrival_time": float(q.arrival_time),
-            "rho": float(q.rho),
-            "top_k": int(q.top_k),
-            "dispersion_lambda": float(q.dispersion_lambda),
+            "arrival_time": q.arrival_time,
+            "rho": q.rho,
+            "top_k": q.top_k,
+            "dispersion_lambda": q.dispersion_lambda,
             "frames_ingested": cursor,
             "freeze_timestamp": snapshot.freeze_timestamp,
             "result": result.to_json_dict(),
@@ -471,7 +473,7 @@ def run_query_replay(
     return RunReport(
         kind="replay",
         config=config.to_json_dict(),
-        seeds={"seed": int(seed)},
+        seeds={"seed": checked_int(seed, "seed")},
         variant=variant.to_json_dict(),
         inputs=_base_inputs(
             bank,
@@ -505,14 +507,16 @@ def run_growth_sweep(
 ) -> RunReport:
     """One synthetic ingest run per stream length; reports final and peak
     token occupancy for each."""
-    lengths = [int(x) for x in lengths]
+    seed = checked_int(seed, "seed")
+    lengths = [checked_int(x, "sweep length") for x in lengths]
     if not lengths:
         raise EmptyInputError("growth sweep needs at least one length")
     if any(x < 1 for x in lengths):
         raise ValidationError("sweep lengths must be positive")
     if lengths != sorted(lengths):
         raise ValidationError("sweep lengths must be ascending")
-    tpf = int(tokens_per_frame) if tokens_per_frame is not None else config.tokens_per_frame_max
+    tpf = (config.tokens_per_frame_max if tokens_per_frame is None
+           else checked_int(tokens_per_frame, "tokens_per_frame"))
 
     started = time.perf_counter()
     rows = []
@@ -522,7 +526,7 @@ def run_growth_sweep(
             frames=length,
             tokens_per_frame=tpf,
             noise_sigma=noise_sigma,
-            rng_seed=int(seed),
+            rng_seed=seed,
         )
         mem, _, peak = _ingest_all(generate_stream(spec), config, bank)
         rows.append({"length": length, "final_tokens": mem.total_tokens, "peak_tokens": peak})
@@ -540,7 +544,7 @@ def run_growth_sweep(
     return RunReport(
         kind="sweep",
         config=config.to_json_dict(),
-        seeds={"seed": int(seed)},
+        seeds={"seed": seed},
         variant=None,
         inputs=_base_inputs(bank, inputs),
         rows=tuple(rows),
@@ -583,6 +587,7 @@ def emit_score_histograms(
     """Distributions of the salience prior: pooled per-frame scores over
     the whole stream, and per-token scores within one designated frame
     (default: the frame with the highest pooled score)."""
+    bins = checked_int(bins, "bins")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
     frames = list(trace)
@@ -597,7 +602,7 @@ def emit_score_histograms(
         best = max(range(len(pooled)), key=lambda i: (pooled[i], -i))
         designated = reports[best].frame_index
     else:
-        designated = int(frame_index)
+        designated = checked_int(frame_index, "frame_index")
         if designated not in {f.frame_index for f in frames}:
             raise ValidationError(f"frame {designated} is not in the trace")
     raw = next(f for f in frames if f.frame_index == designated)
@@ -627,7 +632,7 @@ def emit_score_histograms(
     return RunReport(
         kind="hist",
         config=config.to_json_dict(),
-        seeds={"seed": int(seed)},
+        seeds={"seed": checked_int(seed, "seed")},
         variant=None,
         inputs=_base_inputs(bank, {"frames": len(frames), **(inputs or {})}),
         rows=rows,

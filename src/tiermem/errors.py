@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the checked readers
-of numeric fields: of its JSON input formats, and of integer and real
-arguments."""
+of every number a caller or an input file gives: integers, reals, and the
+integer fields of the JSON formats, which also take integral floats."""
 
 import math
 import operator
@@ -95,16 +95,6 @@ def json_int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValidationError(f"{what} must be an integer, got {value!r}")
-
-
-def json_float(value, what: str) -> float:
-    """A numeric field of a JSON document; `what` names the file and field."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
 def checked_int(value, what: str) -> int:

@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
     checked_int,
     checked_real,
-    json_float,
     json_int,
 )
 from .vecspace import late_interaction_pages, query_max_sims, unit_rows
@@ -120,9 +119,9 @@ class QuerySpec:
         units.setflags(write=False)
         object.__setattr__(self, "unit_tokens", units)
         if self.ground_truth_frames is not None:
-            object.__setattr__(
-                self, "ground_truth_frames", frozenset(int(i) for i in self.ground_truth_frames)
-            )
+            truth = frozenset(checked_int(i, f"{where} ground_truth_frames")
+                              for i in self.ground_truth_frames)
+            object.__setattr__(self, "ground_truth_frames", truth)
 
     @property
     def dim(self) -> int:
@@ -376,11 +375,11 @@ def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
                 raise ValidationError(f"{where} ground_truth_frames must be a list")
             query = QuerySpec(
                 query_id=str(doc.get("id", f"q{lineno}")),
-                arrival_time=json_float(doc["arrival_time"], f"{where} arrival_time"),
+                arrival_time=checked_real(doc["arrival_time"], f"{where} arrival_time"),
                 tokens=_token_matrix(doc["tokens"], f"{where} tokens"),
-                rho=json_float(doc.get("rho", 0.1), f"{where} rho"),
+                rho=checked_real(doc.get("rho", 0.1), f"{where} rho"),
                 top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
-                dispersion_lambda=json_float(doc.get("lambda", 0.5), f"{where} lambda"),
+                dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),
                 ground_truth_frames=(
                     frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
                     if gt is not None else None

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import NoSuchEvent, SpecError, json_float, json_int
+from .errors import NoSuchEvent, SpecError, checked_int, checked_real, json_int
 from .retrieval import QuerySpec
 from .traceio import RawFrame, seal
 from .vecspace import normalize, unit_rows
@@ -26,9 +26,6 @@ _TAG_SEGMENT = 0
 _TAG_EVENT = 1
 _TAG_FRAME = 2
 _TAG_QUERY = 3
-
-# Fraction of a frame's tokens an event occupies (at least one token).
-EVENT_BLOCK_FRACTION = 0.25
 
 # Size bounds on a spec, checked before anything is generated: the
 # embedding dimension, one frame's tokens_per_frame x dim vector
@@ -67,6 +64,9 @@ class StreamSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "frames", "tokens_per_frame", "rng_seed"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
+        object.__setattr__(self, "noise_sigma", checked_real(self.noise_sigma, "noise_sigma"))
         if self.dim < 1 or self.frames < 1 or self.tokens_per_frame < 1:
             raise SpecError("dim, frames, and tokens_per_frame must be positive")
         check_frame_shape(self.dim, self.tokens_per_frame)
@@ -75,13 +75,11 @@ class StreamSpec:
             raise SpecError(
                 f"frames x tokens_per_frame x dim = {values} exceeds {MAX_SPEC_STREAM_VALUES}"
             )
-        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
+        if self.noise_sigma < 0.0:
             raise SpecError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.rng_seed < 0:
             raise SpecError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        segments = tuple(
-            (int(s), int(e), int(seed)) for s, e, seed in (self.segments or ())
-        )
+        segments = _triples(self.segments, (checked_int,) * 3, "segments")
         if not segments:
             segments = ((0, self.frames, 0),)
         cursor = 0
@@ -101,10 +99,7 @@ class StreamSpec:
                 f"segments cover [0, {cursor}) but the stream has {self.frames} frames"
             )
         object.__setattr__(self, "segments", segments)
-        events = tuple(
-            (int(f), int(seed), float(strength))
-            for f, seed, strength in (self.events or ())
-        )
+        events = _triples(self.events, (checked_int, checked_int, checked_real), "events")
         for frame, seed, strength in events:
             if not (0 <= frame < self.frames):
                 raise SpecError(f"event frame {frame} outside [0, {self.frames})")
@@ -146,24 +141,26 @@ def load_stream_spec(path) -> StreamSpec:
         dim=json_int(doc["dim"], f"{where} dim"),
         frames=json_int(doc["frames"], f"{where} frames"),
         tokens_per_frame=json_int(doc["tokens_per_frame"], f"{where} tokens_per_frame"),
-        segments=_triples(doc, "segments", (json_int, json_int, json_int), where),
-        events=_triples(doc, "events", (json_int, json_int, json_float), where),
-        noise_sigma=json_float(doc.get("noise_sigma", 0.0), f"{where} noise_sigma"),
+        segments=_triples(doc.get("segments", []), (json_int,) * 3, f"{where} segments"),
+        events=_triples(doc.get("events", []), (json_int, json_int, checked_real),
+                        f"{where} events"),
+        noise_sigma=checked_real(doc.get("noise_sigma", 0.0), f"{where} noise_sigma"),
         rng_seed=json_int(doc.get("rng_seed", 0), f"{where} rng_seed"),
     )
 
 
-def _triples(doc: dict, key: str, readers: tuple, where: str) -> tuple:
-    """A spec's list of three-number entries, each number read and checked."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise SpecError(f"{where} {key} must be a list")
-    triples = []
+def _triples(entries, readers: tuple, what: str) -> tuple:
+    """Entries of three numbers, the k-th read by readers[k]; `what` names
+    the list."""
+    try:
+        entries = [tuple(entry) for entry in entries]
+    except TypeError:
+        raise SpecError(f"{what} must be a list of three-number entries") from None
     for i, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise SpecError(f"{where} {key}[{i}] must be a list of three numbers")
-        triples.append(tuple(read(v, f"{where} {key}[{i}]") for read, v in zip(readers, entry)))
-    return tuple(triples)
+        if len(entry) != 3:
+            raise SpecError(f"{what}[{i}] must be three numbers, got {list(entry)}")
+    return tuple(tuple(read(v, f"{what}[{i}]") for read, v in zip(readers, entry))
+                 for i, entry in enumerate(entries))
 
 
 def _seeded_unit(dim: int, seed_parts: list[int]) -> np.ndarray:
@@ -181,6 +178,7 @@ def segment_direction(spec: StreamSpec, segment_ordinal: int) -> np.ndarray:
 
 def event_direction(spec: StreamSpec, event_ordinal: int) -> np.ndarray:
     """The unit direction planted by one event."""
+    event_ordinal = checked_int(event_ordinal, "event ordinal")
     if not (0 <= event_ordinal < len(spec.events)):
         raise NoSuchEvent(
             f"event ordinal {event_ordinal} out of range (spec has {len(spec.events)})"
@@ -190,7 +188,8 @@ def event_direction(spec: StreamSpec, event_ordinal: int) -> np.ndarray:
 
 
 def event_block(spec: StreamSpec) -> range:
-    """Token positions an event overwrites within its frame."""
+    """Token positions an event overwrites within its frame: the leading
+    quarter of its tokens, and at least one."""
     return range(max(1, spec.tokens_per_frame // 4))
 
 
@@ -262,21 +261,26 @@ def query_for_event(
     defaults to the end of the stream.
     """
     direction = event_direction(spec, event_ordinal)
-    if not (jitter >= 0.0 and math.isfinite(jitter)):
+    jitter = checked_real(jitter, "jitter")
+    n_tokens = checked_int(n_tokens, "n_tokens")
+    rng_seed = checked_int(rng_seed, "rng_seed")
+    if jitter < 0.0:
         raise SpecError(f"jitter must be >= 0, got {jitter}")
     if n_tokens < 1:
         raise SpecError(f"n_tokens must be >= 1, got {n_tokens}")
+    if rng_seed < 0:
+        raise SpecError(f"rng_seed must be non-negative, got {rng_seed}")
     if jitter == 0.0:
         tokens = np.tile(direction, (n_tokens, 1))
     else:
-        rng = np.random.default_rng([int(rng_seed), _TAG_QUERY, event_ordinal])
+        rng = np.random.default_rng([rng_seed, _TAG_QUERY, event_ordinal])
         tokens = np.stack(
             [normalize(direction + jitter * rng.standard_normal(spec.dim)) for _ in range(n_tokens)]
         )
     frame = spec.events[event_ordinal][0]
     return QuerySpec(
         query_id=query_id if query_id is not None else f"event{event_ordinal}",
-        arrival_time=float(spec.frames - 1) if arrival_time is None else float(arrival_time),
+        arrival_time=spec.frames - 1 if arrival_time is None else arrival_time,
         tokens=tokens,
         rho=rho,
         top_k=top_k,

@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Sequence
@@ -71,17 +70,6 @@ def _column(values) -> np.ndarray:
     return read_only(arr)
 
 
-def _statistics(scores: np.ndarray) -> dict:
-    """A frame's derived fields, from its non-empty scores column.
-
-    pooled_score has np.mean's bits: the same pairwise np.add.reduce,
-    then one division by the count.
-    """
-    n = scores.shape[0]
-    return {"token_count": n, "pooled_score": float(np.add.reduce(scores)) / n,
-            "min_score": float(np.minimum.reduce(scores))}
-
-
 @dataclass(frozen=True, eq=False)
 class FrameEntry:
     """A frame's surviving tokens as four read-only columns, plus metadata.
@@ -90,8 +78,7 @@ class FrameEntry:
     cached salience and (rows[i], cols[i]) its origin in the frame grid,
     read as traceio.coords reads them (an integer dtype, in [0, MAX_COORD]).
     Writable inputs are copied. token_count, pooled_score and min_score
-    are derived from the columns at construction, so they can never drift
-    out of sync with them.
+    are read from the columns, so they can never drift out of sync with them.
     """
 
     frame_index: int
@@ -101,11 +88,10 @@ class FrameEntry:
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
     scene_boundary: bool = False
-    token_count: int = field(init=False)
-    pooled_score: float = field(init=False)
-    min_score: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "frame_index", checked_int(self.frame_index, "frame_index"))
+        object.__setattr__(self, "timestamp", checked_real(self.timestamp, "timestamp"))
         for name in ("token_matrix", "scores"):
             object.__setattr__(self, name, _column(getattr(self, name)))
         for name in ("rows", "cols"):
@@ -124,35 +110,35 @@ class FrameEntry:
             raise ValidationError("frame_index must be non-negative")
         if not np.all(np.isfinite(self.scores)):
             raise ValidationError(f"frame {self.frame_index}: token scores must be finite")
-        vars(self).update(_statistics(self.scores))
+
+    @classmethod
+    def _of(cls, **values) -> "FrameEntry":
+        """A frame from all its fields, with read-only columns read out of a
+        frame that was validated when it was held; the checks of
+        __post_init__ are not run again."""
+        entry = object.__new__(cls)
+        vars(entry).update(values)
+        return entry
 
     def _with(self, **changes) -> "FrameEntry":
         """This frame with the given fields replaced: another scene-boundary
         flag, its embeddings read from another array of the same values, or
-        columns that are a non-empty subset of its rows.
+        columns that are a non-empty subset of its rows."""
+        return self._of(**{**vars(self), **changes})
 
-        Rows taken from validated columns are still valid, so the checks of
-        __post_init__ are not run again; the statistics are recomputed when
-        the scores change.
-        """
-        entry = object.__new__(FrameEntry)
-        vars(entry).update(vars(self), **changes)
-        if "scores" in changes:
-            vars(entry).update(_statistics(changes["scores"]))
-        return entry
+    @property
+    def token_count(self) -> int:
+        return self.scores.shape[0]
 
-    @classmethod
-    def _of(cls, frame_index: int, timestamp: float, scene_boundary: bool,
-            token_matrix: np.ndarray, scores: np.ndarray, rows: np.ndarray,
-            cols: np.ndarray) -> "FrameEntry":
-        """A frame from read-only columns read out of a frame that was
-        validated when it was held, with its statistics derived from them;
-        the checks of __post_init__ are not run again."""
-        entry = object.__new__(cls)
-        vars(entry).update(frame_index=frame_index, timestamp=timestamp,
-                           scene_boundary=scene_boundary, token_matrix=token_matrix,
-                           scores=scores, rows=rows, cols=cols, **_statistics(scores))
-        return entry
+    @property
+    def pooled_score(self) -> float:
+        """The mean score, with np.mean's bits: the same pairwise
+        np.add.reduce, then one division by the count."""
+        return float(np.add.reduce(self.scores)) / self.scores.shape[0]
+
+    @property
+    def min_score(self) -> float:
+        return float(np.minimum.reduce(self.scores))
 
     def __len__(self) -> int:
         return self.token_count
@@ -188,7 +174,9 @@ class FrameEntry:
 
 @dataclass(frozen=True)
 class TierConfig:
-    """Capacities and compression knobs for one memory instance."""
+    """Capacities and compression knobs for one memory instance: each field
+    an int or a float, stored as the int or float checked_int or
+    checked_real reads from the value given."""
 
     short_cap_frames: int = 4
     mid_cap_frames: int = 16
@@ -201,24 +189,18 @@ class TierConfig:
     tokens_per_frame_max: int = 512
 
     def __post_init__(self):
-        for name in (
-            "short_cap_frames",
-            "mid_cap_frames",
-            "token_budget",
-            "grid_size",
-            "long_quota_per_frame",
-            "tokens_per_frame_max",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("keep_fraction", "semantic_weight", "scene_threshold"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        for f in fields(self):
+            read = checked_int if isinstance(f.default, int) else checked_real
+            try:
+                value = read(getattr(self, f.name), f.name)
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from exc
+            if read is checked_int and value < 1:
+                raise ConfigError(f"{f.name} must be a positive integer, got {value}")
+            object.__setattr__(self, f.name, value)
         if not (0.0 < self.keep_fraction <= 1.0):
             raise ConfigError(f"keep_fraction must be in (0, 1], got {self.keep_fraction}")
-        if not (self.semantic_weight >= 0.0 and math.isfinite(self.semantic_weight)):
+        if not self.semantic_weight >= 0.0:
             raise ConfigError(f"semantic_weight must be >= 0, got {self.semantic_weight}")
         if not (-1.0 < self.scene_threshold < 1.0):
             raise ConfigError(
@@ -377,7 +359,7 @@ def encode_tokens(
     units = seal(unit_rows(matrix))
     return FrameEntry(
         frame_index=frame_index,
-        timestamp=float(timestamp),
+        timestamp=timestamp,
         token_matrix=units,
         scores=seal(max_sim_rows(unit_rows(units), bank)),
         rows=rows,
@@ -493,14 +475,16 @@ def _entry(table: FrameTable, slot: int, pages: Callable) -> FrameEntry:
     if entry is None:
         frame_index, count, page, start, span, boundary = table.ints[:, slot].tolist()
         page, alive = pages(page)
-        columns = (page.frozen, page.scores, page.grid_rows, page.grid_cols)
+        columns = (page.rows, page.scores, page.grid_rows, page.grid_cols)
         if count == span:
             columns = [column[start:start + span] for column in columns]
         else:
             rows = start + alive[start:start + span].nonzero()[0]
             columns = [column.take(rows, axis=0) for column in columns]
-        entry = FrameEntry._of(frame_index, table.floats.item(1, slot), bool(boundary),
-                               *map(seal, columns))
+        matrix, scores, rows, cols = map(seal, columns)
+        entry = FrameEntry._of(frame_index=frame_index, timestamp=table.floats.item(1, slot),
+                               scene_boundary=bool(boundary), token_matrix=matrix,
+                               scores=scores, rows=rows, cols=cols)
         table.keep(slot, entry)
     return entry
 
@@ -709,7 +693,8 @@ class TieredMemory:
         self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1
-        self.gate_stats = update_gate(self.gate_stats, entry.pooled_score)
+        pooled = entry.pooled_score
+        self.gate_stats = update_gate(self.gate_stats, pooled)
 
         dropped_temporal = 0
         while len(short) > self.config.short_cap_frames:
@@ -733,7 +718,7 @@ class TieredMemory:
             frame_index=index,
             timestamp=ts,
             scene_boundary=entry.scene_boundary,
-            pooled_score=entry.pooled_score,
+            pooled_score=pooled,
             tokens_in=len(raw),
             dropped_temporal=dropped_temporal,
             dropped_spatial=dropped_spatial,

@@ -87,9 +87,10 @@ class RawToken:
             raise ValidationError(f"token vector must be non-empty 1-D, got shape {arr.shape}")
         object.__setattr__(self, "vector", read_only(arr))
         for name in ("spatial_row", "spatial_col"):
-            value = getattr(self, name)
+            value = checked_int(getattr(self, name), name)
             if not (0 <= value <= MAX_COORD):
                 raise ValidationError(f"{name} must be in [0, {MAX_COORD}], got {value}")
+            object.__setattr__(self, name, value)
 
 
 _COORD = np.dtype("<u2")

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, ValidationError
+from .errors import DimensionError, EmptyInputError, ValidationError, checked_int, json_int
 
 VectorLike = Union[np.ndarray, Sequence[float]]
 
@@ -145,10 +145,10 @@ class ProbeBank:
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"probe file {path}: invalid JSON") from exc
         try:
-            dim = int(doc["dim"])
-            entries = doc["probes"]
+            dim, entries = doc["dim"], doc["probes"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"probe file {path}: missing 'dim' or 'probes'") from exc
+        dim = json_int(dim, f"probe file {path}: dim")
         if not isinstance(entries, list) or not entries:
             raise ValidationError(f"probe file {path}: 'probes' must be a non-empty list")
         vectors = []
@@ -174,7 +174,11 @@ class ProbeBank:
         Used by the CLI when no probe file is supplied; carries the default
         labels when n matches their count.
         """
-        rng = np.random.default_rng([int(seed), 0x9E3779B9, int(dim), int(n)])
+        dim, n, seed = checked_int(dim, "dim"), checked_int(n, "n"), checked_int(seed, "seed")
+        if dim < 1 or n < 1 or seed < 0:
+            raise ValidationError(f"a generated bank needs dim >= 1, n >= 1 and seed >= 0, "
+                                  f"got dim={dim}, n={n}, seed={seed}")
+        rng = np.random.default_rng([seed, 0x9E3779B9, dim, n])
         vectors = [rng.standard_normal(dim) for _ in range(n)]
         labels = DEFAULT_PROBE_LABELS if n == len(DEFAULT_PROBE_LABELS) else None
         return cls(vectors, labels)
@@ -359,15 +363,13 @@ class _Page:
     a snapshot holds them (shared_at is the share they were last copied at).
     """
 
-    __slots__ = ("id", "group", "rows", "frozen", "scores", "grid_rows", "grid_cols",
-                 "alive", "shared_at", "used", "live")
+    __slots__ = ("id", "group", "rows", "scores", "grid_rows", "grid_cols", "alive",
+                 "shared_at", "used", "live")
 
     def __init__(self, page_id: int, group, rows: int, dim: int, shared_at: int):
         self.id = page_id
         self.group = group
         self.rows = np.zeros((rows, dim))
-        self.frozen = self.rows.view()
-        self.frozen.setflags(write=False)
         self.scores = np.zeros(rows)
         self.grid_rows = np.zeros(rows, dtype=np.int64)
         self.grid_cols = np.zeros(rows, dtype=np.int64)
@@ -793,7 +795,7 @@ def late_interaction_pages(pages: Sequence[_Page], alive: Sequence[np.ndarray],
     blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
     block = SCORE_BLOCK_ROWS
     scored = [-(-page.used // block) * block for page in pages]
-    blocks = [page.frozen[lo:lo + block] for page, rows in zip(pages, scored)
+    blocks = [page.rows[lo:lo + block] for page, rows in zip(pages, scored)
               for lo in range(0, rows, block)]
     sims = np.empty((len(blocks), k, block))
     for rows, out in zip(blocks, sims):

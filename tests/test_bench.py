@@ -544,6 +544,44 @@ def test_report_json_is_canonical_and_writable(tmp_path):
     assert json.loads(report_json(report, include_timings=False)).get("timings") is None
 
 
+def test_report_json_of_a_config_built_from_numpy_scalars():
+    # A np.float32 keep_fraction was stored as given, and report_json then
+    # raised "Object of type float32 is not JSON serializable".
+    frames = generate_stream(StreamSpec(dim=8, frames=6, tokens_per_frame=4, rng_seed=2))
+    bank = ProbeBank.generated(8, n=3, seed=0)
+    numpy_config = TierConfig(keep_fraction=np.float32(0.5), short_cap_frames=np.int64(2))
+    plain_config = TierConfig(keep_fraction=0.5, short_cap_frames=2)
+    text, plain = (report_json(run_ingest(frames, cfg, bank), include_timings=False)
+                   for cfg in (numpy_config, plain_config))
+    assert text == plain
+    config = json.loads(text)["config"]
+    assert type(config["keep_fraction"]) is float and type(config["short_cap_frames"]) is int
+
+
+def _bench_inputs():
+    frames = generate_stream(StreamSpec(dim=8, frames=6, tokens_per_frame=4, rng_seed=2))
+    return frames, ProbeBank.generated(8, n=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "run, field",
+    [(lambda frames, bank: run_growth_sweep([2.5, 4], hist_config(4), bank), "sweep length"),
+     (lambda frames, bank: run_growth_sweep([2, 4], hist_config(4), bank, tokens_per_frame=2.5),
+      "tokens_per_frame"),
+     (lambda frames, bank: run_growth_sweep([2, 4], hist_config(4), bank, seed=1.5), "seed"),
+     (lambda frames, bank: emit_score_histograms(frames, hist_config(4), bank, frame_index=3.7),
+      "frame_index"),
+     (lambda frames, bank: emit_score_histograms(frames, hist_config(4), bank, bins=2.5), "bins"),
+     (lambda frames, bank: run_oracle(frames, [query([axis(8, 0)], 5)], exclude_most_recent=1.5),
+      "exclude_most_recent"),
+     (lambda frames, bank: resolve_prior_bank(bank, "random", seed=1.5), "seed")],
+)
+def test_driver_numbers_must_be_integers(run, field):
+    # Each was truncated by int() or ended in a bare TypeError.
+    with pytest.raises(ValidationError, match=field):
+        run(*_bench_inputs())
+
+
 # --- rank correlation ---------------------------------------------------------
 
 

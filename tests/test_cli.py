@@ -335,6 +335,16 @@ def test_ingest_of_a_trace_with_a_nan_timestamp_exits_1(workspace, tmp_path, cap
     assert err.count("\n") == 1
 
 
+def test_probe_file_with_a_non_integer_dim_exits_1(workspace, tmp_path, capsys):
+    _, spec_path, _, _ = workspace
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"dim": "x", "probes": [{"vector": [1.0] * 16}]}))
+    assert main(["ingest", "--synth-spec", str(spec_path), "--probes", str(probes)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: probe file {probes}: dim must be an integer")
+    assert err.count("\n") == 1
+
+
 # Values no field of a query, spec or config file accepts.
 _BAD_JSON_VALUES = ("x", True, {"a": 1}, ["x"], 1e999)
 

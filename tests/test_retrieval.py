@@ -172,6 +172,14 @@ def test_query_spec_ground_truth_coerced():
     assert q.ground_truth_frames == frozenset({3, 5})
 
 
+@pytest.mark.parametrize("frame", [1.5, "3", True])
+def test_query_spec_ground_truth_frames_must_be_integers(frame):
+    # int() turned {1.5, "3"} into {1, 3}.
+    with pytest.raises(ValidationError, match="ground_truth_frames"):
+        QuerySpec(query_id="q", arrival_time=0.0, tokens=np.array([[1.0, 0.0]]),
+                  ground_truth_frames=[0, frame])
+
+
 # --- gate check -------------------------------------------------------------
 
 
@@ -674,6 +682,20 @@ def test_load_queries_jsonl(tmp_path):
     assert queries[1].rho == 0.1 and queries[1].top_k == 5
     assert queries[1].dispersion_lambda == 0.5
     assert queries[1].ground_truth_frames is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("arrival_time", "NaN"), ("rho", "NaN"), ("lambda", "NaN"), ("rho", "Infinity"),
+     ("arrival_time", "-Infinity")],
+)
+def test_load_queries_jsonl_rejects_non_finite_reals_naming_the_line(tmp_path, field, value):
+    # Python's JSON reader takes NaN and Infinity; they fail where they are read.
+    path = tmp_path / "nan.jsonl"
+    doc = {"id": "q", "arrival_time": 1.0, "tokens": [[1.0, 0.0]], field: "PLACEHOLDER"}
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', value) + "\n")
+    with pytest.raises(ValidationError, match=f"{path}:1: {field} must be a finite real"):
+        load_queries_jsonl(path)
 
 
 def test_load_queries_jsonl_errors(tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tiermem.errors import NoSuchEvent, SpecError
+from tiermem.errors import NoSuchEvent, SpecError, ValidationError
 from tiermem.synth import (
     MAX_SPEC_DIM,
     MAX_SPEC_FRAME_VALUES,
@@ -175,6 +175,38 @@ def test_spec_validation(kwargs):
         spec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"segments": ((0, 2.5, 0), (2.5, 8, 1))}, "segments"),
+     ({"events": ((1.9, 0, 1.0),)}, "events"),
+     ({"dim": 4.0}, "dim"), ({"dim": True}, "dim"), ({"dim": "4"}, "dim"),
+     ({"rng_seed": 1.5}, "rng_seed"), ({"events": 5}, "events"), ({"segments": (4,)}, "segments")],
+)
+def test_spec_numbers_must_be_integers(kwargs, field):
+    # Fractions were truncated (an event at frame 1.9 stored at frame 1), and
+    # other types ended in a bare TypeError.
+    with pytest.raises(ValidationError, match=field):
+        spec(**kwargs)
+
+
+def test_spec_takes_numpy_entries():
+    s = spec(segments=np.array([[0, 4, 0], [4, 8, 1]]),
+             events=[(np.int64(2), np.uint8(1), np.float32(0.5))])
+    assert s.segments == ((0, 4, 0), (4, 8, 1)) and s.events == ((2, 1, 0.5),)
+    assert type(s.segments[0][0]) is int and type(s.events[0][2]) is float
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"n_tokens": 2.5}, "n_tokens"), ({"jitter": "0.1"}, "jitter"),
+     ({"arrival_time": "3"}, "arrival_time"), ({"jitter": 0.1, "rng_seed": 1.5}, "rng_seed"),
+     ({"jitter": 0.1, "rng_seed": -1}, "rng_seed"), ({"event_ordinal": 0.5}, "event ordinal")],
+)
+def test_query_for_event_numbers_are_checked(kwargs, field):
+    with pytest.raises(ValidationError, match=field):
+        query_for_event(spec(events=((2, 0, 1.0),)), **{"event_ordinal": 0, **kwargs})
+
+
 def test_spec_size_bounds():
     # Each bound admits its limit and rejects one past it, before anything
     # is generated; the largest benchmark stream (256 x 512 x 128) is
@@ -213,6 +245,16 @@ def test_load_stream_spec(tmp_path):
     assert s.segments == ((0, 6, 0),)
     assert s.events == ()
     assert s.noise_sigma == 0.0
+
+
+@pytest.mark.parametrize("field", ["noise_sigma", "events"])
+def test_load_stream_spec_rejects_nan_naming_the_file(tmp_path, field):
+    path = tmp_path / "nan.json"
+    doc = {"dim": 8, "frames": 6, "tokens_per_frame": 3,
+           field: float("nan") if field == "noise_sigma" else [[2, 0, float("nan")]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"stream spec {path}: {field}"):
+        load_stream_spec(path)
 
 
 def test_load_stream_spec_errors(tmp_path):

@@ -142,6 +142,19 @@ def test_config_rejects_bad_fields(kwargs):
         TierConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "field, value, stored",
+    [("short_cap_frames", np.int64(2), 2), ("keep_fraction", np.float32(0.5), 0.5),
+     ("semantic_weight", 1, 1.0)],
+)
+def test_config_stores_the_int_or_float_its_readers_return(field, value, stored):
+    # An integer field takes any integer type but bool, and a real field any
+    # finite real; each is stored as a plain int or float.
+    cfg = TierConfig(**{field: value})
+    assert getattr(cfg, field) == stored and type(getattr(cfg, field)) is type(stored)
+    assert type(cfg.to_json_dict()[field]) is type(stored)
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"short_cap_frames": 2, "token_budget": 64, "tokens_per_frame_max": 8}')
@@ -751,6 +764,20 @@ def test_ingest_timestamp_and_size_guards():
     assert (mem.last_timestamp, mem.short[-1].rows.tolist()) == (2.5, [1])
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [(lambda v: encode_tokens(0, "3", [(v, 0, 0)], small_bank()), "timestamp"),
+     (lambda v: FrameEntry(frame_index=0, timestamp="3", token_matrix=[v], scores=[0.5],
+                           rows=[0], cols=[0]), "timestamp"),
+     (lambda v: FrameEntry(frame_index=1.5, timestamp=0.0, token_matrix=[v], scores=[0.5],
+                           rows=[0], cols=[0]), "frame_index")],
+)
+def test_frame_index_and_timestamp_must_be_numbers(build, field):
+    # A numeric string was read as a timestamp, and a fractional index kept.
+    with pytest.raises(ValidationError, match=field):
+        build(axis(4, 0))
+
+
 def test_ingest_takes_the_callers_strictly_increasing_frame_index():
     cfg = TierConfig(short_cap_frames=1, mid_cap_frames=1, tokens_per_frame_max=1, token_budget=8)
     mem = new_memory(cfg, small_bank())
@@ -1352,7 +1379,7 @@ def test_snapshot_rows_are_views_of_its_pages():
         table = frame_table(snap)
         entries = {e.frame_index: e for e in snap.long + snap.mid}
         assert table[0].tolist() == sorted(entries)
-        pages = {page.id: page.frozen for page in snap.pages}
+        pages = {page.id: page.rows for page in snap.pages}
         alive = {page.id: flags for page, flags in zip(snap.pages, snap.alive)}
         for frame_index, count, page, start, span in table.T.tolist():
             matrix = entries[frame_index].token_matrix

@@ -196,6 +196,15 @@ def test_token_coordinate_bounds():
         RawToken(spatial_row=0, spatial_col=0, vector=np.zeros((2, 2), np.float32))
 
 
+@pytest.mark.parametrize("coord", [1.5, True, "a"])
+def test_token_coordinates_must_be_integers(coord):
+    # 1.5 and True were stored, and "a" ended in a bare TypeError.
+    for row, col, name in ((coord, 0, "spatial_row"), (0, coord, "spatial_col")):
+        with pytest.raises(ValidationError, match=name):
+            RawToken(spatial_row=row, spatial_col=col, vector=np.ones(1, np.float32))
+    assert type(RawToken(np.uint16(3), np.int64(4), np.ones(1, np.float32)).spatial_row) is int
+
+
 # --- columnar frames ----------------------------------------------------------
 
 

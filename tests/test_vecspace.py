@@ -435,8 +435,8 @@ def per_block_reference(pages, alive, table, query):
     blas = vecspace.blas_rows_invariant(query.shape[1], query.shape[0], block)
     for page, base, rows in zip(pages, offsets.tolist(), scored.tolist()):
         for lo in range(0, rows, block):
-            sims = (query @ page.frozen[lo:lo + block].T if blas
-                    else np.einsum("kj,ij->ki", query, page.frozen[lo:lo + block]))
+            sims = (query @ page.rows[lo:lo + block].T if blas
+                    else np.einsum("kj,ij->ki", query, page.rows[lo:lo + block]))
             out = np.maximum.reduce(sims, axis=0, out=maxima[base + lo:base + lo + block])
             np.clip(out, -1.0, 1.0, out=out)
     return np.array([np.mean(maxima[base + start:base + start + span]
@@ -494,7 +494,7 @@ def test_late_interaction_pages_match_the_per_block_loop(monkeypatch, block_rows
             assert any(page.rows.shape[0] > 2 * block_rows for page in pages)
             assert len(pages) > 1 and (table[1] < table[4]).any()
             query = unit_rows(rng.standard_normal((int(rng.integers(1, 4)), dim)))
-            query[0] = pages[0].frozen[0]  # a cosine of 1 up to rounding, where the clip acts
+            query[0] = pages[0].rows[0]  # a cosine of 1 up to rounding, where the clip acts
             got = vecspace.late_interaction_pages(pages, alive, table, query)
             want = per_block_reference(pages, alive, table, query)
             assert got.tobytes() == want.tobytes(), (check_fails, case)
@@ -589,6 +589,25 @@ def test_probe_bank_file_errors(tmp_path):
     path.write_text(json.dumps({"dim": 2, "probes": [{"label": "x"}]}))
     with pytest.raises(ValidationError):
         ProbeBank.from_file(path)
+
+
+@pytest.mark.parametrize("dim, length", [("2", 2), (True, 1), (8.7, 8), ("x", 2)])
+def test_probe_file_dim_must_be_an_integer(tmp_path, dim, length):
+    # int() took "2", read true as 1 and truncated 8.7; "x" was a bare ValueError.
+    path = tmp_path / "probes.json"
+    path.write_text(json.dumps({"dim": dim, "probes": [{"vector": [1.0] * length}]}))
+    with pytest.raises(ValidationError, match=f"probe file {path}: dim must be an integer"):
+        ProbeBank.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"dim": 4.5}, "dim"), ({"dim": 4, "n": 2.5}, "n"), ({"dim": 4, "seed": 1.5}, "seed"),
+     ({"dim": -1}, "dim"), ({"dim": 4, "seed": -1}, "seed")],
+)
+def test_generated_bank_arguments_are_checked(kwargs, field):
+    with pytest.raises(ValidationError, match=field):
+        ProbeBank.generated(**kwargs)
 
 
 def test_generated_bank_deterministic():
