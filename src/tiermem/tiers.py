@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
@@ -44,6 +45,7 @@ from .vecspace import (
     FrameTable,
     ProbeBank,
     RowStore,
+    Scratch,
     max_sim_rows,
     pooled_max_sim_units,
     unit_rows,
@@ -329,13 +331,23 @@ class MemorySnapshot:
 
 
 def encode_tokens(
-    frame_index: int, timestamp: float, raw_tokens: Iterable[tuple], bank: ProbeBank
+    frame_index: int, timestamp: float, raw_tokens: Iterable[tuple], bank: ProbeBank, *,
+    alloc: Callable[[int], np.ndarray] | None = None, scratch: Scratch | None = None,
 ) -> FrameEntry:
     """Normalize and score raw (vector, row, col) triples into a FrameEntry.
 
     The frame is normalized and scored at once through the same
     batch-invariant kernels max_sim uses, on the re-normalized rows as
-    max_sim sees them, so stored scores reproduce bit-exactly.
+    max_sim sees them, so stored scores reproduce bit-exactly. Token
+    vectors must be 1-D, of one length, the bank's dimension
+    (DimensionError), and real numbers (ValidationError).
+
+    alloc, if given, is called with the number of tokens and returns the
+    (n, dim) float64 array the unit rows are written into; the entry's
+    token_matrix is that array, made read-only. scratch, if given, is
+    called with a shape and a dtype and returns a writable array of them
+    for the float64 cast and the re-normalized rows, which the entry does
+    not keep. Either gives the same bits as the allocating path.
     """
     raw = list(raw_tokens)
     if not raw:
@@ -349,19 +361,30 @@ def encode_tokens(
         # Stacked in the vectors' own dtype (float32 from a trace), then cast
         # once: the same bits as stacking into float64, in less time.
         matrix = np.array(vectors)
-        if matrix.dtype.kind == "c":
-            raise ValidationError(f"frame {frame_index}: token vectors must be real")
-        matrix = matrix.astype(np.float64, copy=False)
     except ValueError as exc:
         raise DimensionError(f"frame {frame_index}: token vectors differ in shape") from exc
+    if matrix.dtype.kind == "O":  # such as ints too large for int64
+        try:
+            matrix = matrix.astype(np.float64)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    if matrix.dtype.kind not in "biuf":
+        raise ValidationError(f"frame {frame_index}: token vectors must be real numbers")
     if matrix.ndim != 2:
         raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
-    units = seal(unit_rows(matrix))
+    if matrix.shape[1] != bank.dim:
+        raise DimensionError(f"vector has dimension {matrix.shape[1]}, bank has {bank.dim}")
+    if scratch is None:
+        work = matrix.astype(np.float64, copy=False)
+    else:
+        work = scratch(matrix.shape, np.float64)
+        np.copyto(work, matrix)
+    units = seal(unit_rows(work, out=None if alloc is None else alloc(len(raw))))
     return FrameEntry(
         frame_index=frame_index,
         timestamp=timestamp,
         token_matrix=units,
-        scores=seal(max_sim_rows(unit_rows(units), bank)),
+        scores=seal(max_sim_rows(unit_rows(units, out=None if scratch is None else work), bank)),
         rows=rows,
         cols=cols,
     )
@@ -369,21 +392,24 @@ def encode_tokens(
 
 def is_scene_boundary(
     frame: FrameEntry, prev: FrameEntry | None, config: TierConfig, *,
-    float32: Callable[[np.ndarray], np.ndarray] | None = None,
+    float32: Callable[[np.ndarray], np.ndarray] | None = None, scratch: Scratch | None = None,
 ) -> bool:
     """A frame starts a scene if it has no predecessor or sits far from it.
 
     Distance is the mean over the frame's tokens of the max cosine against
     the previous frame's tokens, compared to the configured threshold. Only
     its side of the threshold matters, so one pooled_max_sim_units call
-    screens it in float32 and computes it exactly only near the threshold.
-    float32, if given, makes that call's float32 casts.
+    screens it in float32, over the previous frame's rows a chunk at a
+    time, stops as soon as a lower bound settles that the frame lies above
+    the threshold, and computes it exactly only near the threshold.
+    float32, if given, makes that call's float32 casts, and scratch gives
+    it the arrays its products are written into.
     """
     if prev is None:
         return True
     threshold = config.scene_threshold
     similarity = pooled_max_sim_units(frame.token_matrix, prev.token_matrix,
-                                      near=threshold, float32=float32)
+                                      near=threshold, float32=float32, scratch=scratch)
     return similarity < threshold
 
 
@@ -393,7 +419,8 @@ def _grid_keys(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def temporal_semantic_prune(
-    frame: FrameEntry, reference: FrameEntry | None, config: TierConfig, alloc=None
+    frame: FrameEntry, reference: FrameEntry | None, config: TierConfig, alloc=None, *,
+    scratch: Scratch | None = None,
 ) -> FrameEntry:
     """Compress a frame leaving the recent FIFO.
 
@@ -403,7 +430,9 @@ def temporal_semantic_prune(
     (1 - redundancy) plus semantic_weight times the token's salience, and
     the top ceil(keep_fraction * n) tokens by keep-score survive. Ties
     keep the lower token position. Embeddings and scores pass through
-    unchanged; alloc is passed on to FrameEntry.take.
+    unchanged; alloc is passed on to FrameEntry.take. scratch, if given,
+    is called with a shape and a dtype and returns a writable array of them
+    that the aligned reference rows are gathered into.
     """
     if frame.scene_boundary:
         return frame
@@ -417,10 +446,16 @@ def temporal_semantic_prune(
         keys = _grid_keys(frame.rows, frame.cols)
         slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
         hit = ref_keys[slot] == keys
-        aligned = reference.token_matrix[first[slot[hit]]]
-        redundancy[hit] = np.clip(
-            np.einsum("ij,ij->i", frame.token_matrix[hit], aligned), -1.0, 1.0
-        )
+        at = first[slot[hit]]
+        if scratch is None:
+            aligned = reference.token_matrix[at]
+        else:
+            out = scratch((len(at), reference.token_matrix.shape[1]), np.float64)
+            aligned = reference.token_matrix.take(at, axis=0, out=out, mode="clip")
+        # The einsum takes each row alone, so the rows that hit need no gather
+        # when they are all of them.
+        tokens = frame.token_matrix if hit.all() else frame.token_matrix[hit]
+        redundancy[hit] = np.clip(np.einsum("ij,ij->i", tokens, aligned), -1.0, 1.0)
     keep_scores = (1.0 - redundancy) + config.semantic_weight * frame.scores
     ranked = np.argsort(-keep_scores, kind="stable")
     return frame.take(np.sort(ranked[:keep]), alloc)
@@ -460,6 +495,16 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig, alloc=None) -
 
 # Frame indices and the index after the newest one are hashed as int64.
 MAX_FRAME_INDEX = 2**63 - 2
+
+
+def _refs(items: list, k: int) -> int:
+    """sys.getrefcount of items[k]."""
+    return sys.getrefcount(items[k])
+
+
+# What _refs reads for an item that only its list refers to. It is taken at
+# run time, as an interpreter may borrow some of the references a call takes.
+_ONLY_LISTED = _refs([object()], 0)
 
 
 _TIER_NAMES = ("short", "mid", "long")
@@ -511,6 +556,17 @@ class TieredMemory:
     frame's rows are live, its token_matrix is a read-only view of them.
     RowStore.compact changes only where rows lie: it moves the live rows
     of a crowded page.
+
+    The memory also owns the arrays of the ingest path, so that an ingest
+    allocates nothing the size of a frame once they have grown to the
+    frames seen: one scratch buffer per dtype (_scratch) for encode's
+    float64 cast and re-normalized rows, the screen's chunk products and
+    prune's aligned rows; two float32 casts for the screen (_float32); and
+    a pool of at most short_cap_frames + 2 buffers (_frame_rows) that new
+    short frames write their unit rows into. A pooled buffer is reused only
+    when nothing but the pool refers to it, so a snapshot, an entry or a
+    view of its rows held elsewhere keeps its bytes, and a snapshot released
+    after its frames left the short tier frees no frame-sized array.
     """
 
     def __init__(self, config: TierConfig, bank: ProbeBank):
@@ -529,6 +585,8 @@ class TieredMemory:
         self._frozen = False
         self._cast32: tuple[np.ndarray, np.ndarray] | None = None
         self._buffers32 = (np.empty((0, self.dim), dtype=np.float32),) * 2
+        self._work: dict[type, np.ndarray] = {}
+        self._frame_pool: list[np.ndarray] = []
 
     @classmethod
     def from_tiers(
@@ -650,6 +708,45 @@ class TieredMemory:
         self._cast32 = (matrix, cast)
         return cast
 
+    def _scratch(self, shape: tuple, dtype: type) -> np.ndarray:
+        """A writable C-contiguous array of this shape and dtype, good until
+        the next call for the dtype: the head of one buffer per dtype, which
+        grows to the largest array asked for. The buffer starts on a 64-byte
+        boundary: OpenBLAS wrote a 64 x 64 float32 product there in 21 us,
+        against 28-32 us 16 bytes past one, where malloc's blocks start."""
+        size = math.prod(shape)
+        work = self._work.get(dtype)
+        if work is None or work.size < size:
+            raw = np.empty(size * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
+            start = -raw.ctypes.data % 64
+            work = self._work[dtype] = raw[start:start + raw.size - 64].view(dtype)
+        return work[:size].reshape(shape)
+
+    def _frame_rows(self, n: int) -> np.ndarray:
+        """A writable (n, dim) array for a new short frame's unit rows: the
+        head of a free buffer of the pool, or of a new one. A buffer is free
+        when the pool holds the only reference to it, as every view of it,
+        such as a frame's token_matrix or a slice of one, refers to it. The
+        pool keeps at most short_cap_frames + 2 buffers: the short frames,
+        the new one, and the one a snapshot taken before the last demotion
+        may still hold. A free buffer too short for n rows is replaced; with
+        none free and the pool full, the array is one the pool does not keep.
+        """
+        pool = self._frame_pool
+        short_one = None
+        for k in range(len(pool)):
+            if _refs(pool, k) == _ONLY_LISTED:
+                if pool[k].shape[0] >= n:
+                    return pool[k][:n]
+                short_one = k
+        rows = np.empty((n, self.dim))
+        if short_one is not None:
+            pool[short_one] = rows
+        elif len(pool) < self.config.short_cap_frames + 2:
+            pool.append(rows)
+        # A view, which the caller may make read-only, as it does not own its rows.
+        return rows[:n]
+
     def ingest_frame(
         self, timestamp: float, raw_tokens: Sequence[tuple], *, frame_index: int | None = None
     ) -> IngestReport:
@@ -685,11 +782,12 @@ class TieredMemory:
                 f"{self.config.tokens_per_frame_max}"
             )
 
-        entry = encode_tokens(index, ts, raw, self.bank)
+        entry = encode_tokens(index, ts, raw, self.bank, alloc=self._frame_rows,
+                              scratch=self._scratch)
         short, mid, long = self._short, self._tables["mid"], self._tables["long"]
         prev = short[-1] if short else None
-        entry = entry._with(scene_boundary=is_scene_boundary(entry, prev, self.config,
-                                                             float32=self._float32))
+        entry = entry._with(scene_boundary=is_scene_boundary(
+            entry, prev, self.config, float32=self._float32, scratch=self._scratch))
         self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1
@@ -700,7 +798,8 @@ class TieredMemory:
         while len(short) > self.config.short_cap_frames:
             oldest = self._pop_oldest("short")
             reference = short[-1] if short else None
-            kept = temporal_semantic_prune(oldest, reference, self.config, self._alloc["mid"])
+            kept = temporal_semantic_prune(oldest, reference, self.config, self._alloc["mid"],
+                                           scratch=self._scratch)
             dropped_temporal += oldest.token_count - kept.token_count
             self._push("mid", kept)
 

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DimensionError, EmptyInputError, ValidationError, checked_int, json_int
 
 VectorLike = Union[np.ndarray, Sequence[float]]
+# Called with a shape and a dtype, returns a writable C-contiguous array of
+# them whose contents the callee need not keep: a caller's reused buffer.
+Scratch = Callable[[tuple, type], np.ndarray]
 
 # Norms below this are treated as the zero sentinel (scores 0 against
 # everything; neutral under max and mean).
@@ -45,19 +48,29 @@ def as_vector(v: VectorLike, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Scale each row of an (n, dim) matrix to unit Euclidean norm.
+def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale each row of an (n, dim) matrix to unit Euclidean norm, into
+    out if given (an (n, dim) float64 array, which may be matrix itself).
 
-    Rows with norm below ZERO_NORM_EPS map to the all-zeros sentinel. Each
-    row's result depends on that row alone (einsum, not BLAS, over a
-    C-contiguous copy), so normalizing a frame at once gives the same
-    bits as normalizing its tokens one at a time.
+    Rows with norm below ZERO_NORM_EPS map to the all-zeros sentinel. A
+    row of finite values whose squared norm overflows is first divided by
+    its largest magnitude, so it is scaled like any other row. Each row's
+    result depends on that row alone (einsum, not BLAS, over a C-contiguous
+    copy), so normalizing a frame at once gives the same bits as
+    normalizing its tokens one at a time.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+    huge = np.isinf(norms[:, 0]).nonzero()[0]
+    if len(huge):
+        huge = huge[np.isfinite(m[huge]).all(axis=1)]
+        # Read before out, which may be m, is written.
+        rescaled = m[huge] / np.max(np.abs(m[huge]), axis=1, keepdims=True)
     dead = norms < ZERO_NORM_EPS
-    units = m / np.where(dead, 1.0, norms)
+    units = np.divide(m, np.where(dead, 1.0, norms), out=out)
     units[dead[:, 0]] = 0.0
+    if len(huge):
+        units[huge] = unit_rows(rescaled)
     return units
 
 
@@ -248,35 +261,66 @@ def screen_margin(dim: int) -> float:
     return 2 * (dim + 4) * 2.0**-24
 
 
+# The scene-boundary screen takes the previous frame's rows in chunks of at
+# most this many: a quarter of a 512-token frame.
+SCREEN_CHUNK_ROWS = 128
+
+
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
                          *, near: float | None = None,
-                         float32: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+                         float32: Callable[[np.ndarray], np.ndarray] | None = None,
+                         scratch: Scratch | None = None) -> float:
     """Mean over frame rows of their max cosine against the query rows
     (unit or zero rows in), through query_max_sims on the BLAS product.
 
-    With near given, the value is exact only near it: the mean is first
-    estimated from a float32 product (row maxima averaged in float64), and
-    where that estimate lies more than screen_margin(dim) from near, it is
-    returned as it is; it then lies on the same side of near as the exact
-    value. Only an estimate within the margin, or NaN, pays for the float64
-    query_max_sims on the frame's own rows, whose mean is returned with its
-    bits. That product is the BLAS one whatever blas_rows_invariant says:
-    it need only be deterministic for these two matrices, not give a row
-    the same bits at every place in a block. float32, if given, makes the
-    float32 casts in place of ndarray.astype; it is asked for the query's
-    cast before the frame's, so a caller that keeps the last cast it made
-    has the frame's at hand when that frame is the next query.
+    With near given, the value is exact only near it, and only its side of
+    near is exact everywhere. The mean is first estimated from float32
+    products (row maxima averaged in float64), over the query rows in
+    strided chunks of at most SCREEN_CHUNK_ROWS rows (rows k, k + s,
+    k + 2s, ... for s chunks), each chunk's maxima folded into running row
+    maxima. A row's maximum over some query rows is at most its maximum
+    over all of them, so each running estimate bounds the full one from
+    below, and screen_margin(dim) bounds each row maximum's float32 error
+    whatever rows it ranges over: a running estimate above near + margin
+    proves the float64 value above near, and is returned at once. After the
+    last chunk, an estimate more than the margin from near is returned; it
+    lies on the same side of near as the exact value. A NaN estimate never
+    decides. Only an estimate within the margin, or NaN, pays for the
+    float64 query_max_sims on the frame's own rows, whose mean is returned
+    with its bits. That product is the BLAS one whatever
+    blas_rows_invariant says: it need only be deterministic for these two
+    matrices, not give a row the same bits at every place in a block.
+
+    float32, if given, makes the float32 casts in place of ndarray.astype;
+    it is asked for the query's cast before the frame's, so a caller that
+    keeps the last cast it made has the frame's at hand when that frame is
+    the next query. scratch, if given, is called with a shape and a dtype
+    and returns a writable array of them that the chunk products are
+    written into.
     """
     if near is not None:
         _check_dims(frame_matrix, query_matrix)
         cast = float32 if float32 is not None else (lambda matrix: matrix.astype(np.float32))
         query32 = cast(query_matrix)
-        # Query-major, so the maximum runs down contiguous columns.
-        sims = query32 @ cast(frame_matrix).T
-        maxima = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
-        estimate = float(np.mean(maxima, dtype=np.float64))
-        # A NaN estimate fails this test and falls through to the exact path.
-        if abs(estimate - near) > screen_margin(frame_matrix.shape[1]):
+        frame32 = cast(frame_matrix).T
+        margin = screen_margin(frame_matrix.shape[1])
+        n = frame32.shape[1]
+        chunks = max(1, -(-query32.shape[0] // SCREEN_CHUNK_ROWS))
+        for k in range(chunks):
+            rows = query32[k::chunks]
+            out = None if scratch is None else scratch((rows.shape[0], n), np.float32)
+            # Query-major, so the maximum runs down contiguous columns.
+            sims = np.matmul(rows, frame32, out=out)
+            chunk = np.maximum.reduce(sims, axis=0)
+            maxima = chunk if k == 0 else np.maximum(maxima, chunk, out=maxima)
+            # Clipped in place: clipping commutes with the maxima to come.
+            np.clip(maxima, -1.0, 1.0, out=maxima)
+            # np.mean's bits: a pairwise float64 sum, then one division.
+            estimate = float(np.add.reduce(maxima, dtype=np.float64)) / n
+            # A NaN estimate fails both tests and falls through to the exact path.
+            if estimate > near + margin:
+                return estimate
+        if abs(estimate - near) > margin:
             return estimate
     return float(np.mean(query_max_sims(query_matrix, frame_matrix, blas=True)))
 

@@ -3,6 +3,7 @@
 import collections
 import copy
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,7 +32,7 @@ from tiermem.tiers import (
     temporal_semantic_prune,
 )
 from tiermem import tiers, vecspace
-from tiermem.retrieval import QuerySpec, score_candidates
+from tiermem.retrieval import QuerySpec, retrieve, score_candidates
 from tiermem.vecspace import (
     ProbeBank,
     RowStore,
@@ -332,7 +333,7 @@ def test_scene_boundary_casts_each_frame_to_float32_once(monkeypatch):
     kernel = tiers.pooled_max_sim_units
     calls = []
 
-    def recording(frame, prev, *, near, float32):
+    def recording(frame, prev, *, near, float32, scratch):
         made = []
 
         def cast(matrix):
@@ -340,7 +341,7 @@ def test_scene_boundary_casts_each_frame_to_float32_once(monkeypatch):
             assert made[-1][1].tobytes() == matrix.astype(np.float32).tobytes()
             return made[-1][1]
 
-        similarity = kernel(frame, prev, near=near, float32=cast)
+        similarity = kernel(frame, prev, near=near, float32=cast, scratch=scratch)
         calls.append((frame, prev, made))
         assert (similarity < near) == (kernel(frame, prev, near=near) < near)
         return similarity
@@ -379,15 +380,36 @@ def test_encode_tokens_stacks_every_vector_form_to_the_same_bits():
         "int lists": rng.integers(-9, 10, (7, 5)).tolist(),
         "mixed": [f32[0], [1, 2, 3, 4, 5], f32[2].astype(np.float64).tolist()],
     }
+
+    def scratch(shape, dtype):
+        return np.full(shape, np.nan, dtype)
+
+    def alloc(n):
+        return np.full((n, 5), np.nan)
+
     for name, vectors in forms.items():
-        entry = encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(vectors)], bank)
+        raw = [(v, 0, i) for i, v in enumerate(vectors)]
+        entry = encode_tokens(0, 0.0, raw, bank)
         want = unit_rows(np.array(vectors, dtype=np.float64))
         assert entry.token_matrix.tobytes() == want.tobytes(), name
+        # Through caller-owned arrays: the same bits.
+        through = encode_tokens(0, 0.0, raw, bank, alloc=alloc, scratch=scratch)
+        assert entry_state(through) == entry_state(entry), name
     for ragged in ([f32[0], f32[1][:4]], [[1.0, 2.0], [1.0]], [[[1.0]], [[2.0]]], [1.0, 2.0]):
-        with pytest.raises(DimensionError):
-            encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], bank)
-    with pytest.raises(ValidationError):
-        encode_tokens(0, 0.0, [(np.ones(5) * 1j, 0, 0)], bank)
+        for arrays in ({}, {"alloc": alloc, "scratch": scratch}):
+            with pytest.raises(DimensionError):
+                encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], bank, **arrays)
+    for not_real in (np.ones(5) * 1j, "abcde", ["a"] * 5, [1, 2, object(), 4, 5]):
+        for arrays in ({}, {"alloc": alloc, "scratch": scratch}):
+            with pytest.raises(ValidationError, match="must be real numbers"):
+                encode_tokens(0, 0.0, [(not_real, 0, 0)], bank, **arrays)
+    # Python ints too large for int64 are still numbers.
+    big = encode_tokens(0, 0.0, [([2**70, 0, 0, 0, 0], 0, 0)], bank)
+    assert big.token_matrix.tobytes() == unit_rows(np.array([[1.0, 0, 0, 0, 0]])).tobytes()
+    mem = new_memory(TierConfig(), ProbeBank.generated(4, n=3, seed=3))
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        mem.ingest_frame(0.0, [("abcd", 0, 0)])
+    assert mem.total_tokens == 0
 
 
 # --- temporal pruning -------------------------------------------------------
@@ -1529,3 +1551,115 @@ def test_dead_rows_stay_bounded_under_steady_forgetting(monkeypatch):
         dead = sum(used - live for *_, used, live in usage)
         assert dead <= vecspace.COMPACT_DEAD_FRACTION * sum(used for *_, used, _ in usage)
     assert evicted > 1000 and moves
+
+
+# --- the memory's own buffers -----------------------------------------------
+
+
+def dense_scene(rng, dim, count=512, seed_rows=None):
+    """Ingest arguments of a 512-token frame on a 16 x 32 grid, near the
+    rows of seed_rows (a new scene when None)."""
+    rows = rng.standard_normal((count, dim)) if seed_rows is None else (
+        seed_rows + 0.1 * rng.standard_normal((count, dim)))
+    return [(v, i // 32, i % 32) for i, v in enumerate(rows)], rows
+
+
+def in_pool(mem, entry):
+    """Whether the entry's rows lie in a buffer of the memory's pool."""
+    return any(entry.token_matrix.base is buffer for buffer in mem._frame_pool)
+
+
+def test_frame_pool_keeps_the_bytes_of_every_held_frame():
+    # A snapshot, an entry read from the short tier and a slice of a
+    # dropped entry's rows, each of other frames, keep their bytes while
+    # the pool serves 2 * (short_cap_frames + 2) later frames of that shape.
+    dim = 16
+    cfg = TierConfig()
+    mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=5))
+    rng = np.random.default_rng(83)
+    _, base = dense_scene(rng, dim)
+
+    def ingest(t):
+        mem.ingest_frame(float(t), dense_scene(rng, dim, seed_rows=base)[0])
+        assert in_pool(mem, mem.short[-1]) or len(mem._frame_pool) == cfg.short_cap_frames + 2
+
+    for t in range(cfg.short_cap_frames + 2):
+        ingest(t)
+    snap = mem.freeze()
+    mem.thaw()
+    ingest(t + 1)
+    held = mem.short[-1]
+    ingest(t + 2)
+    head = mem.short[-1].token_matrix[:3]
+    assert in_pool(mem, held) and head.base is mem.short[-1].token_matrix.base
+    want = ([entry_state(e) for e in snap.short], entry_state(held), head.tobytes())
+    for t in range(t + 3, t + 3 + 2 * (cfg.short_cap_frames + 2)):
+        if t % 5 == 0:
+            _, base = dense_scene(rng, dim)
+        ingest(t)
+    assert ([entry_state(e) for e in snap.short], entry_state(held), head.tobytes()) == want
+    assert len(mem._frame_pool) <= cfg.short_cap_frames + 2
+
+
+def test_frame_pool_serves_a_freeze_per_frame_loop_from_its_bound():
+    # As a caller that keeps each snapshot until its next query, with a
+    # query after every other frame: a snapshot then still holds the frame
+    # that left the short tier an ingest ago. The pool holds at most
+    # short_cap_frames + 2 buffers, and once it has filled every new frame
+    # is written into one of them.
+    dim = 16
+    cfg = TierConfig()
+    mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=7))
+    rng = np.random.default_rng(89)
+    _, base = dense_scene(rng, dim)
+    query = QuerySpec(query_id="now", arrival_time=0.0, tokens=base[:2], rho=0.1)
+    buffers = set()
+    snap = None
+    for t in range(40):
+        if t % 9 == 0:
+            _, base = dense_scene(rng, dim)
+        mem.ingest_frame(float(t), dense_scene(rng, dim, seed_rows=base)[0])
+        assert len(mem._frame_pool) <= cfg.short_cap_frames + 2
+        if t >= cfg.short_cap_frames + 2:
+            assert in_pool(mem, mem.short[-1]), t
+            buffers.add(id(mem.short[-1].token_matrix.base))
+        if t % 2 == 0:
+            snap = mem.freeze(at=float(t))
+            retrieve(snap, mem.gate_stats, query)
+            mem.thaw()
+    assert len(buffers) == cfg.short_cap_frames + 2
+
+
+def test_frame_buffers_are_sized_by_the_frames_seen():
+    cfg = TierConfig(tokens_per_frame_max=2**40, token_budget=2**44)
+    tracemalloc.start()
+    try:
+        mem = new_memory(cfg, ProbeBank.generated(8, n=3, seed=11))
+        mem.ingest_frame(0.0, [(np.arange(8.0) + i, 0, i) for i in range(4)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mem.total_tokens == 4
+    assert peak < 2**20
+
+
+def test_prune_through_scratch_keeps_the_same_tokens():
+    # Every token aligned, some, or none: the gathers into caller-owned
+    # arrays, and the frame's own rows where all of them hit, keep the
+    # tokens the allocating path keeps.
+    rng = np.random.default_rng(97)
+    cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=64, token_budget=256)
+
+    def scratch(shape, dtype):
+        return np.full(shape, np.nan, dtype)
+
+    for trial in range(30):
+        frame = random_entry(rng, 1, dim=6)
+        reference = random_entry(rng, 2, dim=6)
+        if trial % 3 == 0:
+            reference = reference._with(rows=frame.rows, cols=frame.cols,
+                                        token_matrix=frame.token_matrix,
+                                        scores=frame.scores)
+        want = temporal_semantic_prune(frame, reference, cfg)
+        got = temporal_semantic_prune(frame, reference, cfg, scratch=scratch)
+        assert entry_state(got) == entry_state(want), trial

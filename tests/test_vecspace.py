@@ -41,6 +41,28 @@ def test_normalize_zero_vector_is_sentinel():
     assert cosine([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 0.0
 
 
+def test_finite_vectors_whose_squared_norm_overflows_are_scaled_not_zeroed():
+    assert normalize([1e155, 1e155]).tobytes() == normalize([1.0, 1.0]).tobytes()
+    assert normalize([-1e300, 0.0, 1e300]).tobytes() == normalize([-1.0, 0.0, 1.0]).tobytes()
+    assert math.isclose(float(np.linalg.norm(normalize([1e300, 3e299]))), 1.0, abs_tol=1e-12)
+    # The other rows of a matrix keep their bits, non-finite ones included.
+    rng = np.random.default_rng(37)
+    rows = rng.standard_normal((6, 3))
+    rows[1] = [1e200, 1e200, 0.0]
+    rows[3] = [np.inf, 1e200, 0.0]
+    rows[4] = [1e300, np.nan, 1e300]
+    with np.errstate(invalid="ignore"):
+        got = unit_rows(rows)
+        alone = [unit_rows(row[None, :])[0] for row in rows]
+    assert got[1].tobytes() == normalize([1.0, 1.0, 0.0]).tobytes()
+    for i in (0, 2, 3, 4, 5):
+        assert got[i].tobytes() == alone[i].tobytes(), i
+    # A query of such tokens scores, and such a probe is a probe.
+    query = QuerySpec(query_id="q", arrival_time=0.0, tokens=[[1e200, 1e200, 0.0]])
+    assert query.unit_tokens[0].tobytes() == normalize([1.0, 1.0, 0.0]).tobytes()
+    assert ProbeBank([[1e300, 1.0]]).matrix[0].tobytes() == normalize([1.0, 1e-300]).tobytes()
+
+
 def test_normalize_rejects_matrix():
     with pytest.raises(DimensionError):
         normalize(np.zeros((2, 2)))
@@ -268,6 +290,85 @@ def test_screen_decides_non_finite_and_zero_rows_as_float64():
                 got = pooled_max_sim_units(frame, prev, near=near)
                 assert (got < near) == (exact < near), (frame, prev, near)
     assert pooled_max_sim_units(*cases[-1]) == 0.0
+
+
+def test_screen_decides_non_finite_and_zero_rows_in_one_chunk_as_float64():
+    # A 512-row previous frame is screened a strided chunk at a time. Rows
+    # that are NaN, inf or zero in only its first or only its last chunk
+    # must leave every decision as the float64 path makes it, whether the
+    # screen stops before it reaches them or not.
+    rng = np.random.default_rng(67)
+    dim = 16
+    base = unit_rows(rng.standard_normal((12, dim)))
+    prev = unit_rows(base[rng.integers(0, 12, 512)] + 0.05 * rng.standard_normal((512, dim)))
+    chunks = -(-512 // vecspace.SCREEN_CHUNK_ROWS)
+    assert chunks > 1
+    frames = {
+        "same scene": unit_rows(base[rng.integers(0, 12, 300)] + 0.05 * rng.standard_normal((300, dim))),
+        "new scene": unit_rows(rng.standard_normal((300, dim))),
+        # 1e-300 is 0 in float32: against an inf row float64 gives inf,
+        # clipped to 1, and float32 NaN.
+        "tiny": np.tile([[1e-300] + [1.0] + [0.0] * (dim - 2)], (300, 1)),
+    }
+    bad_rows = {
+        "nan": [np.nan] + [0.0] * (dim - 1),
+        "inf": [np.inf] + [0.0] * (dim - 1),
+        "-inf": [-np.inf] + [0.0] * (dim - 1),
+        "zero": [0.0] * dim,
+    }
+    decided = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for chunk in (0, chunks - 1):
+            for bad, row in bad_rows.items():
+                for count in (1, vecspace.SCREEN_CHUNK_ROWS):
+                    held = prev.copy()
+                    held[chunk::chunks][:count] = row
+                    for name, frame in frames.items():
+                        exact = pooled_max_sim_units(frame, held)
+                        for near in (-0.9, -0.5, 0.0, 0.5, 0.8, 0.95, 0.99):
+                            got = pooled_max_sim_units(frame, held, near=near)
+                            assert (got < near) == (exact < near), (chunk, bad, count, name, near)
+                            decided.add(exact < near)
+    assert decided == {True, False}
+
+
+def test_screen_stops_at_the_first_chunk_whose_bound_settles():
+    rng = np.random.default_rng(71)
+    dim, n = 32, 512
+    base = unit_rows(rng.standard_normal((16, dim)))
+
+    def scene(rows):
+        # Each base's tokens lie together, as an object's do in a frame, so
+        # only a chunk strided over the whole frame sees every base.
+        drawn = np.sort(rng.integers(0, 16, rows))
+        return unit_rows(base[drawn] + 0.02 * rng.standard_normal((rows, dim)))
+
+    products = []
+
+    def scratch(shape, dtype):
+        products.append((shape, dtype))
+        return np.full(shape, np.nan, dtype)
+
+    prev, frame, cut = scene(n), scene(n), unit_rows(rng.standard_normal((n, dim)))
+    chunk = (vecspace.SCREEN_CHUNK_ROWS, n)
+    # A frame of the same scene settles on the first chunk's lower bound;
+    # one that starts a new scene reads every chunk. Written through
+    # scratch or not, the value has the same bits.
+    for matrix, near, reads in ((frame, 0.8, 1), (cut, 0.8, n // vecspace.SCREEN_CHUNK_ROWS)):
+        products.clear()
+        got = pooled_max_sim_units(matrix, prev, near=near, scratch=scratch)
+        assert products == [(chunk, np.float32)] * reads
+        assert got == pooled_max_sim_units(matrix, prev, near=near)
+        exact = pooled_max_sim_units(matrix, prev)
+        assert (got < near) == (exact < near) and got <= exact + screen_margin(dim)
+    # At most SCREEN_CHUNK_ROWS previous rows take one product of them all.
+    products.clear()
+    small = prev[:vecspace.SCREEN_CHUNK_ROWS]
+    got = pooled_max_sim_units(frame[:100], small, near=-0.5, scratch=scratch)
+    assert products == [((vecspace.SCREEN_CHUNK_ROWS, 100), np.float32)]
+    estimate = np.mean(np.clip(np.max(small.astype(np.float32) @ frame[:100].astype(np.float32).T,
+                                      axis=0), -1.0, 1.0), dtype=np.float64)
+    assert got == float(estimate)
 
 
 def test_unit_rows_equals_the_masked_divide_bit_for_bit():
