@@ -332,7 +332,7 @@ class MemorySnapshot:
 
 def encode_tokens(
     frame_index: int, timestamp: float, raw_tokens: Iterable[tuple], bank: ProbeBank, *,
-    alloc: Callable[[int], np.ndarray] | None = None, scratch: Scratch | None = None,
+    alloc: Callable[[int], np.ndarray] | None = None, scratch: Scratch = np.empty,
 ) -> FrameEntry:
     """Normalize and score raw (vector, row, col) triples into a FrameEntry.
 
@@ -344,10 +344,9 @@ def encode_tokens(
 
     alloc, if given, is called with the number of tokens and returns the
     (n, dim) float64 array the unit rows are written into; the entry's
-    token_matrix is that array, made read-only. scratch, if given, is
-    called with a shape and a dtype and returns a writable array of them
-    for the float64 cast and the re-normalized rows, which the entry does
-    not keep. Either gives the same bits as the allocating path.
+    token_matrix is that array, made read-only. scratch is called with a
+    shape and a dtype and returns a writable array of them for the float64
+    cast and the re-normalized rows, which the entry does not keep.
     """
     raw = list(raw_tokens)
     if not raw:
@@ -374,17 +373,14 @@ def encode_tokens(
         raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
     if matrix.shape[1] != bank.dim:
         raise DimensionError(f"vector has dimension {matrix.shape[1]}, bank has {bank.dim}")
-    if scratch is None:
-        work = matrix.astype(np.float64, copy=False)
-    else:
-        work = scratch(matrix.shape, np.float64)
-        np.copyto(work, matrix)
+    work = scratch(matrix.shape, np.float64)
+    np.copyto(work, matrix)
     units = seal(unit_rows(work, out=None if alloc is None else alloc(len(raw))))
     return FrameEntry(
         frame_index=frame_index,
         timestamp=timestamp,
         token_matrix=units,
-        scores=seal(max_sim_rows(unit_rows(units, out=None if scratch is None else work), bank)),
+        scores=seal(max_sim_rows(unit_rows(units, out=work), bank)),
         rows=rows,
         cols=cols,
     )
@@ -392,7 +388,7 @@ def encode_tokens(
 
 def is_scene_boundary(
     frame: FrameEntry, prev: FrameEntry | None, config: TierConfig, *,
-    float32: Callable[[np.ndarray], np.ndarray] | None = None, scratch: Scratch | None = None,
+    float32: Callable[[np.ndarray], np.ndarray] | None = None, scratch: Scratch = np.empty,
 ) -> bool:
     """A frame starts a scene if it has no predecessor or sits far from it.
 
@@ -402,8 +398,8 @@ def is_scene_boundary(
     screens it in float32, over the previous frame's rows a chunk at a
     time, stops as soon as a lower bound settles that the frame lies above
     the threshold, and computes it exactly only near the threshold.
-    float32, if given, makes that call's float32 casts, and scratch gives
-    it the arrays its products are written into.
+    float32, if given, makes that call's float32 casts, and scratch makes
+    the arrays its products are written into.
     """
     if prev is None:
         return True
@@ -420,7 +416,7 @@ def _grid_keys(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def temporal_semantic_prune(
     frame: FrameEntry, reference: FrameEntry | None, config: TierConfig, alloc=None, *,
-    scratch: Scratch | None = None,
+    scratch: Scratch = np.empty,
 ) -> FrameEntry:
     """Compress a frame leaving the recent FIFO.
 
@@ -430,9 +426,9 @@ def temporal_semantic_prune(
     (1 - redundancy) plus semantic_weight times the token's salience, and
     the top ceil(keep_fraction * n) tokens by keep-score survive. Ties
     keep the lower token position. Embeddings and scores pass through
-    unchanged; alloc is passed on to FrameEntry.take. scratch, if given,
-    is called with a shape and a dtype and returns a writable array of them
-    that the aligned reference rows are gathered into.
+    unchanged; alloc is passed on to FrameEntry.take. scratch is called
+    with a shape and a dtype and returns a writable array of them that the
+    aligned reference rows are gathered into.
     """
     if frame.scene_boundary:
         return frame
@@ -447,11 +443,8 @@ def temporal_semantic_prune(
         slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
         hit = ref_keys[slot] == keys
         at = first[slot[hit]]
-        if scratch is None:
-            aligned = reference.token_matrix[at]
-        else:
-            out = scratch((len(at), reference.token_matrix.shape[1]), np.float64)
-            aligned = reference.token_matrix.take(at, axis=0, out=out, mode="clip")
+        out = scratch((len(at), reference.token_matrix.shape[1]), np.float64)
+        aligned = reference.token_matrix.take(at, axis=0, out=out, mode="clip")
         # The einsum takes each row alone, so the rows that hit need no gather
         # when they are all of them.
         tokens = frame.token_matrix if hit.all() else frame.token_matrix[hit]
@@ -502,9 +495,12 @@ def _refs(items: list, k: int) -> int:
     return sys.getrefcount(items[k])
 
 
-# What _refs reads for an item that only its list refers to. It is taken at
-# run time, as an interpreter may borrow some of the references a call takes.
-_ONLY_LISTED = _refs([object()], 0)
+# An object nothing but this list refers to: what _refs reads for it is what
+# it reads for any item only its list refers to. It is read at each use, just
+# before and just after the count it is compared with, as an interpreter may
+# borrow some of the references a call takes, and may start to borrow them
+# once it has specialized the call.
+_ALONE = [object()]
 
 
 _TIER_NAMES = ("short", "mid", "long")
@@ -711,15 +707,11 @@ class TieredMemory:
     def _scratch(self, shape: tuple, dtype: type) -> np.ndarray:
         """A writable C-contiguous array of this shape and dtype, good until
         the next call for the dtype: the head of one buffer per dtype, which
-        grows to the largest array asked for. The buffer starts on a 64-byte
-        boundary: OpenBLAS wrote a 64 x 64 float32 product there in 21 us,
-        against 28-32 us 16 bytes past one, where malloc's blocks start."""
+        grows to the largest array asked for."""
         size = math.prod(shape)
         work = self._work.get(dtype)
         if work is None or work.size < size:
-            raw = np.empty(size * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
-            start = -raw.ctypes.data % 64
-            work = self._work[dtype] = raw[start:start + raw.size - 64].view(dtype)
+            work = self._work[dtype] = np.empty(size, dtype)
         return work[:size].reshape(shape)
 
     def _frame_rows(self, n: int) -> np.ndarray:
@@ -735,7 +727,7 @@ class TieredMemory:
         pool = self._frame_pool
         short_one = None
         for k in range(len(pool)):
-            if _refs(pool, k) == _ONLY_LISTED:
+            if _refs(_ALONE, 0) == _refs(pool, k) == _refs(_ALONE, 0):
                 if pool[k].shape[0] >= n:
                     return pool[k][:n]
                 short_one = k

@@ -19,7 +19,8 @@ from .errors import DimensionError, EmptyInputError, ValidationError, checked_in
 
 VectorLike = Union[np.ndarray, Sequence[float]]
 # Called with a shape and a dtype, returns a writable C-contiguous array of
-# them whose contents the callee need not keep: a caller's reused buffer.
+# them whose contents the callee need not keep: np.empty, or the head of a
+# buffer the caller reuses.
 Scratch = Callable[[tuple, type], np.ndarray]
 
 # Norms below this are treated as the zero sentinel (scores 0 against
@@ -269,7 +270,7 @@ SCREEN_CHUNK_ROWS = 128
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
                          *, near: float | None = None,
                          float32: Callable[[np.ndarray], np.ndarray] | None = None,
-                         scratch: Scratch | None = None) -> float:
+                         scratch: Scratch = np.empty) -> float:
     """Mean over frame rows of their max cosine against the query rows
     (unit or zero rows in), through query_max_sims on the BLAS product.
 
@@ -294,9 +295,8 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     float32, if given, makes the float32 casts in place of ndarray.astype;
     it is asked for the query's cast before the frame's, so a caller that
     keeps the last cast it made has the frame's at hand when that frame is
-    the next query. scratch, if given, is called with a shape and a dtype
-    and returns a writable array of them that the chunk products are
-    written into.
+    the next query. scratch is called with a shape and a dtype and returns
+    a writable array of them that a chunk's product is written into.
     """
     if near is not None:
         _check_dims(frame_matrix, query_matrix)
@@ -308,9 +308,8 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
         chunks = max(1, -(-query32.shape[0] // SCREEN_CHUNK_ROWS))
         for k in range(chunks):
             rows = query32[k::chunks]
-            out = None if scratch is None else scratch((rows.shape[0], n), np.float32)
             # Query-major, so the maximum runs down contiguous columns.
-            sims = np.matmul(rows, frame32, out=out)
+            sims = np.matmul(rows, frame32, out=scratch((rows.shape[0], n), np.float32))
             chunk = np.maximum.reduce(sims, axis=0)
             maxima = chunk if k == 0 else np.maximum(maxima, chunk, out=maxima)
             # Clipped in place: clipping commutes with the maxima to come.

@@ -380,29 +380,16 @@ def test_encode_tokens_stacks_every_vector_form_to_the_same_bits():
         "int lists": rng.integers(-9, 10, (7, 5)).tolist(),
         "mixed": [f32[0], [1, 2, 3, 4, 5], f32[2].astype(np.float64).tolist()],
     }
-
-    def scratch(shape, dtype):
-        return np.full(shape, np.nan, dtype)
-
-    def alloc(n):
-        return np.full((n, 5), np.nan)
-
     for name, vectors in forms.items():
-        raw = [(v, 0, i) for i, v in enumerate(vectors)]
-        entry = encode_tokens(0, 0.0, raw, bank)
+        entry = encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(vectors)], bank)
         want = unit_rows(np.array(vectors, dtype=np.float64))
         assert entry.token_matrix.tobytes() == want.tobytes(), name
-        # Through caller-owned arrays: the same bits.
-        through = encode_tokens(0, 0.0, raw, bank, alloc=alloc, scratch=scratch)
-        assert entry_state(through) == entry_state(entry), name
     for ragged in ([f32[0], f32[1][:4]], [[1.0, 2.0], [1.0]], [[[1.0]], [[2.0]]], [1.0, 2.0]):
-        for arrays in ({}, {"alloc": alloc, "scratch": scratch}):
-            with pytest.raises(DimensionError):
-                encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], bank, **arrays)
+        with pytest.raises(DimensionError):
+            encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], bank)
     for not_real in (np.ones(5) * 1j, "abcde", ["a"] * 5, [1, 2, object(), 4, 5]):
-        for arrays in ({}, {"alloc": alloc, "scratch": scratch}):
-            with pytest.raises(ValidationError, match="must be real numbers"):
-                encode_tokens(0, 0.0, [(not_real, 0, 0)], bank, **arrays)
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            encode_tokens(0, 0.0, [(not_real, 0, 0)], bank)
     # Python ints too large for int64 are still numbers.
     big = encode_tokens(0, 0.0, [([2**70, 0, 0, 0, 0], 0, 0)], bank)
     assert big.token_matrix.tobytes() == unit_rows(np.array([[1.0, 0, 0, 0, 0]])).tobytes()
@@ -1642,24 +1629,3 @@ def test_frame_buffers_are_sized_by_the_frames_seen():
     assert mem.total_tokens == 4
     assert peak < 2**20
 
-
-def test_prune_through_scratch_keeps_the_same_tokens():
-    # Every token aligned, some, or none: the gathers into caller-owned
-    # arrays, and the frame's own rows where all of them hit, keep the
-    # tokens the allocating path keeps.
-    rng = np.random.default_rng(97)
-    cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=64, token_budget=256)
-
-    def scratch(shape, dtype):
-        return np.full(shape, np.nan, dtype)
-
-    for trial in range(30):
-        frame = random_entry(rng, 1, dim=6)
-        reference = random_entry(rng, 2, dim=6)
-        if trial % 3 == 0:
-            reference = reference._with(rows=frame.rows, cols=frame.cols,
-                                        token_matrix=frame.token_matrix,
-                                        scores=frame.scores)
-        want = temporal_semantic_prune(frame, reference, cfg)
-        got = temporal_semantic_prune(frame, reference, cfg, scratch=scratch)
-        assert entry_state(got) == entry_state(want), trial
