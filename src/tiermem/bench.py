@@ -336,13 +336,13 @@ def _keep_everything(config: TierConfig, frames: Sequence[RawFrame]) -> TierConf
 
 
 def _stage1_result(snapshot: MemorySnapshot) -> RetrievalResult:
-    """stage=s1: no retrieval pass; the whole compressed memory is forwarded."""
+    """stage=s1: no retrieval pass; the whole compressed memory is forwarded,
+    its mid and long frames read from the snapshot's tables without an entry."""
     return RetrievalResult(
         gated_short_only=False,
         anchor_frames=tuple(e.frame_index for e in snapshot.short),
-        retrieved_frames=tuple(
-            sorted(e.frame_index for e in snapshot.mid + snapshot.long)
-        ),
+        retrieved_frames=tuple(sorted(
+            np.concatenate([table.frame_index for table in snapshot.tables]).tolist())),
         frame_scores=NO_SCORES,
         gate_affinity=0.0,
         gate_threshold=0.0,

@@ -286,8 +286,10 @@ class MemorySnapshot:
     mid FrameTable (tables, in ascending frame order), the records of the
     memory's pages, whose rows are never written again, and their live
     flags as they stood (alive[k] for pages[k]). The mid and long entries
-    are read from them on first access; a frame trimmed since its entry
-    was last built is gathered anew from its live rows.
+    are read from them on first access and kept. While the memory still
+    holds a table's columns, the entries are the memory's own, read from
+    its cache and filled in where stale, as the memory reads them; once it
+    has changed them, the snapshot builds each entry itself.
     """
 
     short: tuple[FrameEntry, ...]
@@ -304,11 +306,11 @@ class MemorySnapshot:
 
     @functools.cached_property
     def long(self) -> tuple[FrameEntry, ...]:
-        return _entries(self.tables[0], self._page_of)
+        return _entries(self.tables[0], self._page_of, self.tables[0].cache_owner())
 
     @functools.cached_property
     def mid(self) -> tuple[FrameEntry, ...]:
-        return _entries(self.tables[1], self._page_of)
+        return _entries(self.tables[1], self._page_of, self.tables[1].cache_owner())
 
     def _key(self) -> tuple:
         return self.short, self.mid, self.long, self.freeze_timestamp, self.config
@@ -506,13 +508,15 @@ _ALONE = [object()]
 _TIER_NAMES = ("short", "mid", "long")
 
 
-def _entry(table: FrameTable, slot: int, pages: Callable) -> FrameEntry:
-    """The entry of the frame at slot of a tier's table, built and cached
-    unless the table's cache holds one for the frame's count; pages maps a
-    page id to the page's record and live flags.
+def _entry(table: FrameTable, slot: int, pages: Callable, cache: FrameTable | None
+           ) -> FrameEntry:
+    """The entry of the frame at slot of a tier's table; pages maps a page
+    id to the page's record and live flags. cache is the memory's table that
+    holds these slots, or None: its entry is taken where it was built for the
+    frame's count, else the entry is built and, with a cache, kept there.
     While all the rows of the frame's span are live, its columns are views
     of the page's; once some are not, its live rows are gathered."""
-    entry = table.cached(slot)
+    entry = None if cache is None else cache.cached(slot)
     if entry is None:
         frame_index, count, page, start, span, boundary = table.ints[:, slot].tolist()
         page, alive = pages(page)
@@ -526,15 +530,21 @@ def _entry(table: FrameTable, slot: int, pages: Callable) -> FrameEntry:
         entry = FrameEntry._of(frame_index=frame_index, timestamp=table.floats.item(1, slot),
                                scene_boundary=bool(boundary), token_matrix=matrix,
                                scores=scores, rows=rows, cols=cols)
-        table.keep(slot, entry)
+        if cache is not None:
+            cache.keep(slot, entry)
     return entry
 
 
-def _entries(table: FrameTable, pages: Callable) -> tuple[FrameEntry, ...]:
-    """Every entry of a tier's table, oldest first."""
-    for slot in table.stale().tolist():
-        _entry(table, slot, pages)
-    return tuple(table.cache[:table.size])
+def _entries(table: FrameTable, pages: Callable, cache: FrameTable | None
+             ) -> tuple[FrameEntry, ...]:
+    """Every entry of a tier's table, oldest first, read through cache as
+    _entry reads one."""
+    if cache is None:
+        return tuple([_entry(table, slot, pages, None) for slot in range(table.size)])
+    stale = cache.stale()
+    for slot in stale[stale < table.size].tolist():
+        _entry(table, slot, pages, cache)
+    return tuple(cache.cache[:table.size])
 
 
 class TieredMemory:
@@ -548,8 +558,9 @@ class TieredMemory:
     that says where they lie. Forget trims a frame in place: it clears the
     live flags of its victims' rows and lowers the frame's count, so the
     frame's tokens are the live rows of its span. An entry is built from
-    the rows when first read after a trim or a move; while all of a
-    frame's rows are live, its token_matrix is a read-only view of them.
+    the rows when first read after a trim or a move, and kept in the
+    table's cache, which is the memory's alone; while all of a frame's
+    rows are live, its token_matrix is a read-only view of them.
     RowStore.compact changes only where rows lie: it moves the live rows
     of a crowded page.
 
@@ -621,9 +632,9 @@ class TieredMemory:
 
     short = property(lambda self: tuple(self._short),
                      doc="The short tier's frames, oldest first, as a read-only tuple.")
-    mid = property(lambda self: _entries(self._tables["mid"], self._page),
+    mid = property(lambda self: _entries(self._tables["mid"], self._page, self._tables["mid"]),
                    doc="The mid tier's frames, oldest first, as a read-only tuple.")
-    long = property(lambda self: _entries(self._tables["long"], self._page),
+    long = property(lambda self: _entries(self._tables["long"], self._page, self._tables["long"]),
                     doc="The long tier's frames, oldest first, as a read-only tuple.")
 
     @property
@@ -679,7 +690,7 @@ class TieredMemory:
             entry = self._short.pop(0)
         else:
             table = self._tables[name]
-            entry = _entry(table, 0, self._page)
+            entry = _entry(table, 0, self._page, table)
             self._rows.kill(table.ints.item(2, 0), entry.token_count)
             table.pop_oldest()
         self._tier_tokens[name] -= entry.token_count
@@ -829,8 +840,9 @@ class TieredMemory:
         `at` stamps the snapshot's freeze time; it defaults to the last
         ingest timestamp (0.0 for a never-written memory) and may not
         precede any ingested frame. The snapshot shares the memory's pages,
-        live flags and frame tables as they stand and builds no entry; the
-        memory writes to copies of the flags and tables it changes later.
+        live flags and frame tables' columns as they stand and builds no
+        entry; the memory writes to copies of the flags and columns it
+        changes later.
         """
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0

@@ -607,28 +607,27 @@ class FrameTable:
     scene_boundary; the rows of floats are min_score and timestamp. Frame
     i's count tokens are the live rows of [start, start + span) of its
     page, in row order, and min_score is the lowest of their scores; the
-    timestamp and scene-boundary flag are kept for the frame's owner.
+    timestamp and scene-boundary flag are kept for the frame's entry.
 
-    Beside the columns, cache holds what the owner last built for each
-    frame, and built the frame's count when it was built: cached(slot)
-    gives it only while the count is still the table's. A trim lowers the
-    count, so it leaves the cache as it is; a move clears the frame's slot.
+    Beside the columns, cache holds what was last built for each frame,
+    and built the frame's count when it was built: cached(slot) gives it
+    only while the count is still the table's. A trim lowers the count and
+    leaves the cache as it is: the next read of the frame replaces the
+    stale entry. A snapshot that read the entry may hold it too; kept in
+    the cache, the entry is released by that read, not when the snapshot
+    is, which may be inside the caller's next query. A move clears the
+    frame's slot.
 
-    share() hands out a table over the columns and the cache as they stand,
-    without a copy. The next change to the columns writes to copies of
-    them, and the next change to the cache's slots, other than filling one
-    in, to copies of the cache. Appending writes past the frames of a
-    shared table. A cache entry is good for every table that holds it
-    whose count says so, since a frame's count falls with each trim: so a
-    snapshot and the memory fill in the cache they share. When the owner
-    stops sharing the cache, what it appended since the last share is
-    dropped from the shared list, which no snapshot reads past its own
-    frames: a frame that comes and goes between two freezes is released
-    by the change that drops it, not later, when the snapshot is.
+    share() hands out a table over the columns as they stand, without a
+    copy, with this table as its owner; the next change to the columns
+    writes to copies of them. Appending writes past the frames of a shared
+    table. The cache is the owner's alone: a shared table reads it, and
+    fills in its stale entries, only while owner.ints is its ints, which
+    holds until the owner's next change to a slot the shared table holds.
+    After that, the shared table's reader builds its entries itself.
     """
 
-    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared", "_cache_shared",
-                 "_shared_size")
+    __slots__ = ("size", "ints", "floats", "cache", "built", "owner", "_shared")
 
     def __init__(self):
         self.size = 0
@@ -636,8 +635,7 @@ class FrameTable:
         self.floats = np.empty((2, 64))
         self.cache: list = []
         self.built = np.empty(64, dtype=np.int64)
-        self._shared = self._cache_shared = False
-        self._shared_size = 0
+        self._shared = False
 
     frame_index = property(lambda self: self.ints[0, :self.size])
     count = property(lambda self: self.ints[1, :self.size])
@@ -647,18 +645,22 @@ class FrameTable:
     min_score = property(lambda self: self.floats[0, :self.size])
 
     def share(self) -> "FrameTable":
-        """This table as it stands, for a snapshot to keep. An empty table
-        shares no frame: the snapshot gets a cache of its own, and the
-        owner goes on writing to its columns and cache in place."""
+        """This table's columns as they stand, for a snapshot to keep, with
+        this table as their owner; it has no cache of its own. A table with
+        no frame shares none, so its owner goes on writing in place, and a
+        clear after each freeze makes no arrays for the snapshot to free."""
         shared = object.__new__(FrameTable)
-        shared.size, shared.ints, shared.floats, shared.cache, shared.built = (
-            self.size, self.ints, self.floats, self.cache if self.size else [], self.built)
-        shared._shared = shared._cache_shared = True
-        shared._shared_size = self.size
+        shared.size, shared.ints, shared.floats, shared.owner = (
+            self.size, self.ints, self.floats, self)
         if self.size:
-            self._shared = self._cache_shared = True
-            self._shared_size = self.size
+            self._shared = True
         return shared
+
+    def cache_owner(self) -> "FrameTable | None":
+        """The table whose cache serves reads of this shared table's
+        frames: its owner, while the owner still holds these columns, or
+        None once it has changed them."""
+        return self.owner if self.owner.ints is self.ints else None
 
     def _own(self) -> None:
         """Before a change to the columns: stop writing to columns a snapshot keeps."""
@@ -666,19 +668,6 @@ class FrameTable:
             self.ints = self.ints.copy()
             self.floats = self.floats.copy()
             self._shared = False
-
-    def _own_cache(self) -> None:
-        """Before a change to the cache's slots: stop writing to a cache a snapshot keeps."""
-        if self._cache_shared:
-            self._leave_cache(self.cache.copy())
-            self.built = self.built.copy()
-
-    def _leave_cache(self, cache: list) -> None:
-        """Stop sharing the cache: write to cache from now on, and drop what
-        was appended since the last share from the list the snapshots keep."""
-        del self.cache[self._shared_size:]
-        self.cache = cache
-        self._cache_shared = False
 
     def cached(self, slot: int):
         """What was built for the frame at slot as this table holds it, or None."""
@@ -696,14 +685,13 @@ class FrameTable:
     def append(self, frame_index: int, count: int, page: int, start: int, scene_boundary: bool,
                min_score: float, timestamp: float, built) -> None:
         """Add the newest frame, its count rows all live from start in the
-        page, with what its owner built for it. It is written past the
-        frames of a shared table: every change that shortens the table
-        first stops sharing what it changes."""
+        page, with what was built for it. It is written past the frames of
+        a shared table: every change that shortens the table first stops
+        sharing the columns."""
         slot = self.size
         if slot == self.ints.shape[1]:
             self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
             self.floats = np.concatenate((self.floats, np.empty_like(self.floats)), axis=1)
-            self._own_cache()
             self.built = np.concatenate((self.built, np.empty_like(self.built)))
         ints, floats = self.ints, self.floats
         ints[0, slot] = frame_index
@@ -721,34 +709,25 @@ class FrameTable:
         if self._shared:
             self.ints, self.floats = np.empty_like(self.ints), np.empty_like(self.floats)
             self._shared = False
-        if self._cache_shared:
-            self.built = np.empty_like(self.built)
-            self._leave_cache([])
-        else:
-            self.cache = []
+        self.cache = []
         self.size = 0
 
     def pop_oldest(self) -> None:
-        """Drop the oldest frame; what a snapshot shares is copied as it shifts."""
+        """Drop the oldest frame; columns a snapshot shares are copied as they shift."""
         last = self.size - 1
-        ints, floats, built = self.ints, self.floats, self.built
+        ints, floats = self.ints, self.floats
         if self._shared:
             self.ints, self.floats = np.empty_like(ints), np.empty_like(floats)
             self._shared = False
-        if self._cache_shared:
-            self._leave_cache(self.cache[1:])
-            self.built = np.empty_like(built)
-        else:
-            del self.cache[0]
         self.ints[:, :last] = ints[:, 1:last + 1]
         self.floats[:, :last] = floats[:, 1:last + 1]
-        self.built[:last] = built[1:last + 1]
+        self.built[:last] = self.built[1:last + 1]
+        del self.cache[0]
         self.size = last
 
     def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
         """The frames at slots now lie from starts in the page, all their rows live."""
         self._own()
-        self._own_cache()
         self.ints[2, slots] = page
         self.ints[3, slots] = starts
         self.ints[4, slots] = self.ints[1, slots]
@@ -763,7 +742,6 @@ class FrameTable:
         self.ints[1, slots] = counts
         self.floats[0, slots] = minima
         if not counts.all():
-            self._own_cache()
             emptied = slots[counts == 0]
             size = self.size
             keep = np.ones(size, dtype=bool)

@@ -863,6 +863,28 @@ def test_double_freeze_identical():
     assert mem.freeze() == mem.freeze()
 
 
+def test_snapshot_equality_with_frames_in_every_tier():
+    # A snapshot is equal to itself, two freezes of one state are equal with
+    # equal hashes, and a freeze at the same time after a further ingest is
+    # not equal to them.
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=6,
+                     token_budget=40, long_quota_per_frame=2)
+    mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=5))
+    rng = np.random.default_rng(71)
+    ts = ingest_random(mem, rng, 12, 6, 0)
+    first = mem.freeze(at=100.0)
+    assert first.short and first.mid and first.long
+    assert first == first and hash(first) == hash(first)
+    mem.thaw()
+    second = mem.freeze(at=100.0)
+    mem.thaw()
+    assert second == first and hash(second) == hash(first)
+    ingest_random(mem, rng, 1, 6, ts)
+    later = mem.freeze(at=100.0)
+    assert later != first and later != second
+    assert first == second and hash(first) == hash(second)
+
+
 def test_snapshot_all_frames_ascending():
     cfg = TierConfig(
         short_cap_frames=1,
@@ -1372,6 +1394,44 @@ def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
         rebuilt.gate_stats = mem.gate_stats
         assert rebuilt.state_digest() == mem.state_digest()
     assert seen == {"page of its own", "trimmed in place", "compacted", "released"}
+
+
+def test_snapshot_read_after_its_columns_went_stale_leaves_the_memory_cache_alone(monkeypatch):
+    # While the memory holds a snapshot's columns, the snapshot reads the
+    # memory's entries. Once trims, demotions and compaction have changed
+    # them, it builds its own, and the memory's tiers still read the same
+    # entry objects as before.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    seen = set()
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 131])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                         token_budget=60, keep_fraction=0.75, long_quota_per_frame=6)
+        mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
+        ts = ingest_random(mem, rng, 20, 6, 0)
+        snap = mem.freeze()
+        assert all(table.cache_owner() is not None for table in snap.tables)
+        mem.thaw()
+        moved = len(moves)
+        for _ in range(20):
+            ts = ingest_random(mem, rng, 1, 6, ts)
+            later = mem.freeze()
+            mem.thaw()
+            assert all(a is b for a, b in zip(later.long + later.mid, mem.long + mem.mid))
+            if trimmed_in_place(snap, later):
+                seen.add("trimmed")
+        if len(moves) > moved:
+            seen.add("compacted")
+        assert all(table.cache_owner() is None for table in snap.tables)
+        before = mem.long + mem.mid
+        read = snap.long + snap.mid
+        assert read and not {id(e) for e in read} & {id(e) for e in before}
+        after = mem.long + mem.mid
+        assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
+    assert seen == {"trimmed", "compacted"}
 
 
 def test_snapshot_rows_are_views_of_its_pages():

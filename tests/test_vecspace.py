@@ -727,33 +727,45 @@ class _Built:
 
 @pytest.mark.parametrize("unshare", ["clear", "pop_oldest", "relocate", "trim"])
 def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
-    # A snapshot reads a shared table only up to its own frames. What the
-    # owner appended after the share leaves the shared cache as soon as the
-    # owner stops sharing it, so it is freed with the owner's change, not
-    # later with the snapshot; what the snapshot reads stays.
+    # A shared table has no cache: it reads its owner's while the owner
+    # holds its columns, which appending past its frames leaves as they
+    # are. Each change below writes to columns the shared table holds, so
+    # the shared table stops reading the cache and still reads its own
+    # columns. The cache is the owner's alone: what the owner appended after
+    # the share, or dropped, is freed with the owner's change, not later
+    # with the snapshot. A trim leaves a stale entry in the cache.
     table = FrameTable()
     first, later = _Built(), _Built()
     table.append(0, 4, 0, 0, False, 0.1, 0.0, first)
     shared = table.share()
+    assert not hasattr(shared, "cache") and not hasattr(shared, "built")
     table.append(1, 4, 0, 4, False, 0.2, 1.0, later)
+    assert shared.cache_owner() is table and table.cached(0) is first
     if unshare == "clear":
         table.clear()
     elif unshare == "pop_oldest":
         table.pop_oldest()
     elif unshare == "relocate":
-        table.relocate(np.array([1]), 1, np.array([0]))
+        table.relocate(np.array([0, 1]), 1, np.array([0, 4]))
     else:
-        table.trim(np.array([1]), np.array([0]), np.array([0.0]))
-    assert shared.cache == [first] and shared.cached(0) is first
-    assert shared.frame_index.tolist() == [0] and shared.count.tolist() == [4]
+        table.trim(np.array([0, 1]), np.array([2, 0]), np.array([0.3, 0.0]))
+        assert table.cache == [first] and table.cached(0) is None
+        assert table.stale().tolist() == [0]
+    assert shared.cache_owner() is None
+    assert shared.ints[:5, :shared.size].T.tolist() == [[0, 4, 0, 0, 4]]
+    assert shared.min_score.tolist() == [0.1]
     gone = weakref.ref(later)
     del later
     assert (gone() is None) == (unshare != "pop_oldest")  # the owner keeps it there
+    gone = weakref.ref(first)
+    del first
+    assert (gone() is None) == (unshare in ("clear", "pop_oldest", "relocate"))
 
 
 def test_empty_frame_table_is_shared_without_its_cache():
-    # A snapshot of an empty table reads nothing of it: the owner keeps
-    # writing in place, and what it appends is never held by the snapshot.
+    # A table shared empty holds none of its owner's frames: the owner keeps
+    # writing its columns in place, and what it appends and then clears is
+    # freed by the clear.
     table = FrameTable()
     columns = table.ints
     shared = table.share()
@@ -763,4 +775,4 @@ def test_empty_frame_table_is_shared_without_its_cache():
     del built
     table.clear()
     assert gone() is None and table.ints is columns
-    assert shared.size == 0 and shared.cache == [] and not shared.stale().size
+    assert shared.size == 0 and not hasattr(shared, "cache") and not hasattr(shared, "built")
