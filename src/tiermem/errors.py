@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the checked readers
-of every number a caller or an input file gives: integers, reals, and the
-integer fields of the JSON formats, which also take integral floats."""
+of every number a caller or an input file gives: integers, reals, arrays
+of reals, and the JSON formats' integer fields, which take integral floats."""
 
 import math
 import operator
@@ -124,3 +124,25 @@ def checked_real(value, what: str) -> float:
         if math.isfinite(number):
             return number
     raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+
+
+def checked_reals(values, what: str) -> np.ndarray:
+    """An array of real numbers as one np.asarray reads it, in its own
+    integer or float dtype (integers beyond int64 as float64); `what` names
+    the values, in the plural. Bools, strings, complex numbers and other
+    objects raise ValidationError, rows of unequal length DimensionError.
+    Shape, dimension and finiteness are the caller's to check. numpy
+    promotes a bool among ints or floats before this reader sees it."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise DimensionError(f"{what} differ in shape") from exc
+    if arr.dtype.kind == "O" and all(
+            isinstance(x, _REALS) and not isinstance(x, bool) for x in arr.flat):
+        try:
+            arr = arr.astype(np.float64)
+        except OverflowError:  # beyond float64, such as 10**400
+            pass
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be real numbers")
+    return arr

@@ -22,8 +22,10 @@ from .errors import (
     ValidationError,
     checked_int,
     checked_real,
+    checked_reals,
     json_int,
 )
+from .traceio import seal
 from .vecspace import late_interaction_pages, query_max_sims, unit_rows
 
 if TYPE_CHECKING:
@@ -96,14 +98,13 @@ class QuerySpec:
     unit_tokens: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.tokens, dtype=np.float64)
+        where = f"query {self.query_id!r}:"
+        arr = np.array(checked_reals(self.tokens, f"{where} tokens"), dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValidationError(
-                f"query {self.query_id!r}: tokens must be a non-empty 2-D array, got shape {arr.shape}"
-            )
+                f"{where} tokens must be a non-empty 2-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"query {self.query_id!r}: non-finite token values")
-        where = f"query {self.query_id!r}:"
+            raise ValidationError(f"{where} non-finite token values")
         for name in ("arrival_time", "rho", "dispersion_lambda"):
             object.__setattr__(self, name, checked_real(getattr(self, name), f"{where} {name}"))
         if self.rho < 0.0:
@@ -112,12 +113,8 @@ class QuerySpec:
         if top_k < 1:
             raise ValidationError(f"{where} top_k must be >= 1")
         object.__setattr__(self, "top_k", top_k)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "tokens", arr)
-        units = unit_rows(arr)
-        units.setflags(write=False)
-        object.__setattr__(self, "unit_tokens", units)
+        object.__setattr__(self, "tokens", seal(arr))
+        object.__setattr__(self, "unit_tokens", seal(unit_rows(arr)))
         if self.ground_truth_frames is not None:
             truth = frozenset(checked_int(i, f"{where} ground_truth_frames")
                               for i in self.ground_truth_frames)
@@ -335,17 +332,6 @@ def retrieve(
     )
 
 
-def _token_matrix(value, what: str) -> np.ndarray:
-    """Query tokens from JSON: a rectangular array of numbers."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:
-        raise ValidationError(f"{what} must be a rectangular array of numbers") from exc
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must be a rectangular array of numbers")
-    return arr.astype(np.float64)
-
-
 def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
     """Read queries from a JSON-lines file.
 
@@ -376,7 +362,7 @@ def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
             query = QuerySpec(
                 query_id=str(doc.get("id", f"q{lineno}")),
                 arrival_time=checked_real(doc["arrival_time"], f"{where} arrival_time"),
-                tokens=_token_matrix(doc["tokens"], f"{where} tokens"),
+                tokens=checked_reals(doc["tokens"], f"{where} tokens"),
                 rho=checked_real(doc.get("rho", 0.1), f"{where} rho"),
                 top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
                 dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),

@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
     checked_int,
     checked_real,
+    checked_reals,
 )
 from .retrieval import GATE_DECAY, GATE_FLOOR, GateState, update_gate
 from .traceio import MAX_COORD, coords, read_only, seal
@@ -64,14 +65,6 @@ class TokenRecord:
     spatial_col: int
 
 
-def _column(values) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot read a token column as float64: {exc}") from exc
-    return read_only(arr)
-
-
 @dataclass(frozen=True, eq=False)
 class FrameEntry:
     """A frame's surviving tokens as four read-only columns, plus metadata.
@@ -95,7 +88,9 @@ class FrameEntry:
         object.__setattr__(self, "frame_index", checked_int(self.frame_index, "frame_index"))
         object.__setattr__(self, "timestamp", checked_real(self.timestamp, "timestamp"))
         for name in ("token_matrix", "scores"):
-            object.__setattr__(self, name, _column(getattr(self, name)))
+            what = f"frame {self.frame_index}: {name} entries"
+            column = checked_reals(getattr(self, name), what)
+            object.__setattr__(self, name, read_only(column.astype(np.float64, copy=False)))
         for name in ("rows", "cols"):
             column = coords(getattr(self, name), name).astype(np.int64, copy=False)
             object.__setattr__(self, name, read_only(column))
@@ -358,19 +353,9 @@ def encode_tokens(
     except (TypeError, ValueError) as exc:
         raise ValidationError(
             f"frame {frame_index}: each token must be a (vector, row, col) triple") from exc
-    try:
-        # Stacked in the vectors' own dtype (float32 from a trace), then cast
-        # once: the same bits as stacking into float64, in less time.
-        matrix = np.array(vectors)
-    except ValueError as exc:
-        raise DimensionError(f"frame {frame_index}: token vectors differ in shape") from exc
-    if matrix.dtype.kind == "O":  # such as ints too large for int64
-        try:
-            matrix = matrix.astype(np.float64)
-        except (OverflowError, TypeError, ValueError):
-            pass
-    if matrix.dtype.kind not in "biuf":
-        raise ValidationError(f"frame {frame_index}: token vectors must be real numbers")
+    # Stacked in the vectors' own dtype (float32 from a trace), then cast
+    # once: the same bits as stacking into float64, in less time.
+    matrix = checked_reals(vectors, f"frame {frame_index}: token vectors")
     if matrix.ndim != 2:
         raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
     if matrix.shape[1] != bank.dim:

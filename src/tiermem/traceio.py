@@ -35,6 +35,7 @@ from .errors import (
     ValidationError,
     checked_int,
     checked_real,
+    checked_reals,
 )
 
 MAGIC = b"SVMT"
@@ -82,7 +83,7 @@ class RawToken:
     vector: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.vector, dtype=np.float32)
+        arr = checked_reals(self.vector, "token vector components").astype(np.float32, copy=False)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"token vector must be non-empty 1-D, got shape {arr.shape}")
         object.__setattr__(self, "vector", read_only(arr))
@@ -132,7 +133,8 @@ class RawFrame:
             raise ValidationError(
                 f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
         timestamp = checked_real(timestamp, f"frame {frame_index} timestamp")
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = checked_reals(vectors, f"frame {frame_index} vectors")
+        vectors = vectors.astype(np.float32, copy=False)
         if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
             raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
         rows = read_only(coords(rows, "rows").astype(_COORD, copy=False))

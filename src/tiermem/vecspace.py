@@ -15,7 +15,15 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, ValidationError, checked_int, json_int
+from .errors import (
+    DimensionError,
+    EmptyInputError,
+    TierMemError,
+    ValidationError,
+    checked_int,
+    checked_reals,
+    json_int,
+)
 
 VectorLike = Union[np.ndarray, Sequence[float]]
 # Called with a shape and a dtype, returns a writable C-contiguous array of
@@ -37,16 +45,6 @@ DEFAULT_PROBE_LABELS = (
     "What has changed in the scene?",
     "Describe the spatial arrangement of objects.",
 )
-
-
-def as_vector(v: VectorLike, dim: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D float64 array, checking dimension when given."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionError(f"vector has dimension {arr.shape[0]}, expected {dim}")
-    return arr
 
 
 def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -75,13 +73,17 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return units
 
 
-def normalize(v: VectorLike, dim: int | None = None) -> np.ndarray:
-    """Return v scaled to unit Euclidean norm.
+def normalize(v: VectorLike) -> np.ndarray:
+    """Return v, a 1-D array of real numbers (errors.checked_reals), scaled
+    to unit Euclidean norm.
 
     A vector with norm below ZERO_NORM_EPS maps to the all-zeros sentinel,
     which scores 0 against everything downstream.
     """
-    return unit_rows(as_vector(v, dim)[None, :])[0]
+    arr = checked_reals(v, "vector components")
+    if arr.ndim != 1:
+        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
+    return unit_rows(arr[None, :])[0]
 
 
 def cosine(a: VectorLike, b: VectorLike) -> float:
@@ -101,22 +103,22 @@ class ProbeBank:
     """
 
     def __init__(self, probes: Iterable[VectorLike], labels: Sequence[str] | None = None):
-        rows = [as_vector(p) for p in probes]
-        if not rows:
-            raise ValidationError("a probe bank needs at least one probe")
-        dim = rows[0].shape[0]
         units = []
-        for i, row in enumerate(rows):
-            if row.shape[0] != dim:
+        for i, probe in enumerate(probes):
+            row = checked_reals(probe, f"probe {i} components")
+            if row.ndim != 1:
+                raise DimensionError(f"probe {i} must be a 1-D vector, got shape {row.shape}")
+            if units and row.shape != units[0].shape:
                 raise DimensionError(
-                    f"probe {i} has dimension {row.shape[0]}, expected {dim}"
-                )
+                    f"probe {i} has dimension {row.shape[0]}, probe 0 has {units[0].shape[0]}")
             if not np.all(np.isfinite(row)):
                 raise ValidationError(f"probe {i} contains non-finite values")
-            unit = normalize(row)
+            unit = unit_rows(row[None, :])[0]
             if not unit.any():
                 raise ValidationError(f"probe {i} has zero norm")
             units.append(unit)
+        if not units:
+            raise ValidationError("a probe bank needs at least one probe")
         matrix = np.stack(units)
         matrix.setflags(write=False)
         self._matrix = matrix
@@ -169,17 +171,18 @@ class ProbeBank:
         labels = []
         for i, entry in enumerate(entries):
             try:
-                vec = entry["vector"]
+                vectors.append(entry["vector"])
                 labels.append(str(entry.get("label", f"probe-{i}")))
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"probe file {path}: probe {i} malformed") from exc
-            arr = as_vector(vec)
-            if arr.shape[0] != dim:
-                raise DimensionError(
-                    f"probe file {path}: probe {i} has dimension {arr.shape[0]}, expected {dim}"
-                )
-            vectors.append(arr)
-        return cls(vectors, labels)
+        try:
+            bank = cls(vectors, labels)
+        except TierMemError as exc:
+            raise type(exc)(f"probe file {path}: {exc}") from exc
+        if bank.dim != dim:
+            raise DimensionError(
+                f"probe file {path}: probes have dimension {bank.dim}, expected {dim}")
+        return bank
 
     @classmethod
     def generated(cls, dim: int, n: int = 5, seed: int = 0) -> "ProbeBank":
@@ -231,10 +234,10 @@ def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
     """Stack tokens into an (n, dim) matrix of unit rows."""
     if len(tokens) == 0:
         raise EmptyInputError(f"{what} is empty")
-    try:
-        return unit_rows(np.stack([as_vector(t) for t in tokens]))
-    except ValueError as exc:
-        raise DimensionError(f"{what} rows differ in dimension") from exc
+    matrix = checked_reals(tokens, f"{what} rows")
+    if matrix.ndim != 2:
+        raise DimensionError(f"{what} must be 1-D vectors, got shape {matrix.shape}")
+    return unit_rows(matrix)
 
 
 def _check_dims(rows: np.ndarray, query_matrix: np.ndarray) -> None:

@@ -364,7 +364,8 @@ def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
     # Corrupted traces and malformed JSON fields never end in a traceback:
     # a failing run exits 1 (2 for I/O) with exactly one `error:` line.
     # Truncations and malformed fields always fail; a byte flip may land in
-    # a vector component and leave a valid trace, so a flip may also succeed.
+    # a vector component and leave a valid trace, so a flip may also succeed,
+    # and so may a `true` among a vector's numbers, which numpy reads as 1.
     tmp, spec_path, queries_path, config_path = workspace
     trace = tmp / "stream.trace"
     assert main(["synth", "--synth-spec", str(spec_path), "--out", str(trace)]) == 0
@@ -377,10 +378,13 @@ def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
     bad_trace, bad_json = tmp_path / "bad.trace", tmp_path / "bad.json"
     replay = ["replay", "--trace", str(trace), "--queries", str(queries_path),
               "--config", str(config_path)]
+    probe_doc = {"dim": 16, "probes": [{"label": f"p{i}", "vector": [1.0 + i] * 16}
+                                       for i in range(2)]}
     outcomes = {}
-    for case in range(200):
+    for case in range(240):
         rng = np.random.default_rng([case, 11])
-        kind = ("flip", "truncate", "query", "spec", "config")[case % 5]
+        kind = ("flip", "truncate", "query", "spec", "config")[case % 5] if case < 200 else "probe"
+        mixed_bool = False
         if kind == "flip":
             # Half the flips land in the file or frame headers, where the
             # format's structure lives; the rest anywhere.
@@ -394,8 +398,16 @@ def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
             bad_trace.write_bytes(data[: int(rng.integers(len(data)))])
             argv = ["ingest", "--trace", str(bad_trace)]
         elif kind == "query":
-            fields = ("arrival_time", "tokens", "rho", "top_k", "lambda", "ground_truth_frames")
-            bad = _corrupt_json(rng, query_doc, fields, ("arrival_time", "tokens"))
+            if case % 10 == 7:
+                # One component of the token row.
+                value = _BAD_JSON_VALUES[rng.integers(len(_BAD_JSON_VALUES))]
+                row = list(query_doc["tokens"][0])
+                row[rng.integers(len(row))] = value
+                bad, mixed_bool = {**query_doc, "tokens": [row]}, value is True
+            else:
+                fields = ("arrival_time", "tokens", "rho", "top_k", "lambda",
+                          "ground_truth_frames")
+                bad = _corrupt_json(rng, query_doc, fields, ("arrival_time", "tokens"))
             bad_json.write_text(json.dumps(bad) + "\n")
             argv = [*replay[:3], "--queries", str(bad_json), *replay[5:]]
         elif kind == "spec":
@@ -408,16 +420,28 @@ def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
                                     ("dim", "frames", "tokens_per_frame"))
             bad_json.write_text(json.dumps(bad))
             argv = ["ingest", "--synth-spec", str(bad_json)]
-        else:
+        elif kind == "config":
             bad = _corrupt_json(rng, config_doc, ("keep_fraction", "semantic_weight",
                                                   "scene_threshold", "grid_size",
                                                   "long_quota_per_frame", *config_doc), ())
             bad_json.write_text(json.dumps(bad))
             argv = [*replay[:5], "--config", str(bad_json)]
+        else:
+            # dim, probes or one component of one vector, with each bad value in turn.
+            field = ("dim", "probes", "vector")[case % 3]
+            value = _BAD_JSON_VALUES[case // 3 % len(_BAD_JSON_VALUES)]
+            bad = json.loads(json.dumps(probe_doc))
+            if field == "vector":
+                bad["probes"][rng.integers(2)]["vector"][rng.integers(16)] = value
+                mixed_bool = value is True
+            else:
+                bad[field] = value
+            bad_json.write_text(json.dumps(bad))
+            argv = ["ingest", "--trace", str(trace), "--probes", str(bad_json)]
         capsys.readouterr()
         code = main(argv + ["--report", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
-        assert code in ((0, 1, 2) if kind == "flip" else (1, 2)), (case, kind, err)
+        assert code in ((0, 1, 2) if kind == "flip" or mixed_bool else (1, 2)), (case, kind, err)
         assert "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == (code != 0), (case, err)
         outcomes[kind, code] = outcomes.get((kind, code), 0) + 1

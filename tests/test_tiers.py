@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import json
 import math
 import tracemalloc
 import weakref
@@ -32,10 +33,13 @@ from tiermem.tiers import (
     temporal_semantic_prune,
 )
 from tiermem import tiers, vecspace
-from tiermem.retrieval import QuerySpec, retrieve, score_candidates
+from tiermem.retrieval import QuerySpec, load_queries_jsonl, retrieve, score_candidates
+from tiermem.traceio import RawFrame, RawToken
 from tiermem.vecspace import (
     ProbeBank,
     RowStore,
+    cosine,
+    late_interaction,
     max_sim,
     normalize,
     unit_rows,
@@ -369,34 +373,110 @@ def test_scene_boundary_casts_each_frame_to_float32_once(monkeypatch):
     assert asked_prev is mem.short[-1].token_matrix and prev32 is not newest32
 
 
+# Every form a frame's vectors may take, as five-component vectors: numpy
+# views of either float dtype, lists of floats or of ints, a mix, and
+# Python ints beyond int64.
+_RNG = np.random.default_rng(71)
+_F32 = _RNG.standard_normal((7, 5)).astype(np.float32)
+VECTOR_FORMS = {
+    "float32 views": list(_F32),
+    "float64 views": list(_F32.astype(np.float64)),
+    "float lists": _RNG.standard_normal((7, 5)).tolist(),
+    "int lists": _RNG.integers(-9, 10, (7, 5)).tolist(),
+    "mixed": [_F32[0], [1, 2, 3, 4, 5], _F32[2].astype(np.float64).tolist()],
+    "ints beyond int64": [[2**70, 0, 0, 0, 0], [3, 2**70, -(2**70), 1, 0]],
+}
+# One vector each that is not five real numbers.
+NOT_REAL = {
+    "numeric string": ["1.5", 2.0, 3.0, 4.0, 5.0],
+    "bools": [True, False, True, True, False],
+    "complex": np.ones(5) * 1j,
+    "object": [1, 2, object(), 4, 5],
+    "beyond float64": [10**400, 0, 0, 0, 0],
+    "letters": "abcde",
+    "letter list": ["a"] * 5,
+}
+RAGGED = [[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0]]
+_BANK5 = ProbeBank.generated(5, n=3, seed=3)
+
+
 def test_encode_tokens_stacks_every_vector_form_to_the_same_bits():
-    bank = ProbeBank.generated(5, n=3, seed=3)
-    rng = np.random.default_rng(71)
-    f32 = rng.standard_normal((7, 5)).astype(np.float32)
-    forms = {
-        "float32 views": list(f32),
-        "float64 views": list(f32.astype(np.float64)),
-        "float lists": rng.standard_normal((7, 5)).tolist(),
-        "int lists": rng.integers(-9, 10, (7, 5)).tolist(),
-        "mixed": [f32[0], [1, 2, 3, 4, 5], f32[2].astype(np.float64).tolist()],
-    }
-    for name, vectors in forms.items():
-        entry = encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(vectors)], bank)
+    for name, vectors in VECTOR_FORMS.items():
+        entry = encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(vectors)], _BANK5)
         want = unit_rows(np.array(vectors, dtype=np.float64))
         assert entry.token_matrix.tobytes() == want.tobytes(), name
-    for ragged in ([f32[0], f32[1][:4]], [[1.0, 2.0], [1.0]], [[[1.0]], [[2.0]]], [1.0, 2.0]):
+    for ragged in ([_F32[0], _F32[1][:4]], RAGGED, [[[1.0]], [[2.0]]], [1.0, 2.0]):
         with pytest.raises(DimensionError):
-            encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], bank)
-    for not_real in (np.ones(5) * 1j, "abcde", ["a"] * 5, [1, 2, object(), 4, 5]):
-        with pytest.raises(ValidationError, match="must be real numbers"):
-            encode_tokens(0, 0.0, [(not_real, 0, 0)], bank)
-    # Python ints too large for int64 are still numbers.
-    big = encode_tokens(0, 0.0, [([2**70, 0, 0, 0, 0], 0, 0)], bank)
-    assert big.token_matrix.tobytes() == unit_rows(np.array([[1.0, 0, 0, 0, 0]])).tobytes()
+            encode_tokens(0, 0.0, [(v, 0, i) for i, v in enumerate(ragged)], _BANK5)
+    # NOT_REAL's values fail in test_every_vector_reader_takes_real_numbers_only,
+    # and a failed ingest leaves the memory as it was.
     mem = new_memory(TierConfig(), ProbeBank.generated(4, n=3, seed=3))
     with pytest.raises(ValidationError, match="must be real numbers"):
         mem.ingest_frame(0.0, [("abcd", 0, 0)])
     assert mem.total_tokens == 0
+
+
+def _json(value) -> str:
+    """value as JSON: numpy arrays as lists, and a JSON object in place of
+    what JSON cannot hold (a complex number, a Python object)."""
+    return json.dumps(value, default=lambda o: (o.tolist() if isinstance(o, np.ndarray)
+                                                else {"a": 1}))
+
+
+def _entry(matrix, scores) -> FrameEntry:
+    n = len(scores)
+    return FrameEntry(frame_index=0, timestamp=0.0, token_matrix=matrix, scores=scores,
+                      rows=np.zeros(n, dtype=int), cols=np.arange(n))
+
+
+def _query_file_tokens(matrix, tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(_json({"arrival_time": 0.0, "tokens": matrix}) + "\n")
+    return load_queries_jsonl(path)[0].tokens
+
+
+def _probe_file_matrix(vector, tmp_path):
+    path = tmp_path / "probes.json"
+    path.write_text(_json({"dim": 5, "probes": [{"vector": vector}]}))
+    return ProbeBank.from_file(path).matrix
+
+
+# Each entry point that reads an array of reals a caller or a file gives:
+# (1 if it takes a vector or 2 if a matrix, a call that returns what it read).
+READERS = {
+    "encode_tokens": (2, lambda m, _: encode_tokens(
+        0, 0.0, [(v, 0, i) for i, v in enumerate(m)], _BANK5).token_matrix),
+    "FrameEntry token_matrix": (2, lambda m, _: _entry(m, np.zeros(len(m))).token_matrix),
+    "FrameEntry scores": (1, lambda v, _: _entry(np.ones((len(v), 5)), v).scores),
+    "RawFrame vectors": (2, lambda m, _: RawFrame(
+        0, 0.0, vectors=m, rows=np.zeros(len(m), dtype=int), cols=np.arange(len(m))).vectors),
+    "RawToken vector": (1, lambda v, _: RawToken(0, 0, v).vector),
+    "QuerySpec tokens": (2, lambda m, _: QuerySpec("q", 0.0, m).tokens),
+    "query file tokens": (2, _query_file_tokens),
+    "ProbeBank": (1, lambda v, _: ProbeBank([v]).matrix),
+    "probe file": (1, _probe_file_matrix),
+    "normalize": (1, lambda v, _: normalize(v)),
+    "cosine": (1, lambda v, _: np.float64(cosine(v, np.ones(5)))),
+    "max_sim": (1, lambda v, _: np.float64(max_sim(v, _BANK5))),
+    "late_interaction": (2, lambda m, _: np.float64(late_interaction(m, [np.ones(5)]))),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_vector_reader_takes_real_numbers_only(reader, tmp_path):
+    # Every form keeps the bits it gives when read as float64 first; every
+    # value that is not real numbers fails with ValidationError and ragged
+    # rows with DimensionError, never with a bare numpy or Python error.
+    rank, read = READERS[reader]
+    for name, matrix in VECTOR_FORMS.items():
+        for value in ([matrix] if rank == 2 else matrix):
+            want = read(np.asarray(value, dtype=np.float64), tmp_path)
+            assert read(value, tmp_path).tobytes() == want.tobytes(), name
+    for not_real in NOT_REAL.values():
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            read([not_real] if rank == 2 else not_real, tmp_path)
+    with pytest.raises(DimensionError, match="differ in shape"):
+        read(RAGGED, tmp_path)
 
 
 # --- temporal pruning -------------------------------------------------------

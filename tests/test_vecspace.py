@@ -68,11 +68,6 @@ def test_normalize_rejects_matrix():
         normalize(np.zeros((2, 2)))
 
 
-def test_normalize_dim_check():
-    with pytest.raises(DimensionError):
-        normalize([1.0, 0.0], dim=3)
-
-
 def test_cosine_hand_value():
     # (0.6, 0.8) . (0.8, 0.6) = 0.48 + 0.48, both already unit norm.
     assert math.isclose(cosine([0.6, 0.8], [0.8, 0.6]), 0.96, abs_tol=1e-12)
