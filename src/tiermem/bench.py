@@ -62,20 +62,19 @@ class VariantFlags:
     stage: str = "full"
 
     def __post_init__(self):
-        if self.gate not in GATE_MODES:
-            raise UnknownVariant(f"gate must be one of {GATE_MODES}, got {self.gate!r}")
-        if self.prior not in PRIOR_VARIANTS:
-            raise UnknownVariant(f"prior must be one of {PRIOR_VARIANTS}, got {self.prior!r}")
-        if self.stage not in STAGE_VARIANTS:
-            raise UnknownVariant(f"stage must be one of {STAGE_VARIANTS}, got {self.stage!r}")
+        for name, allowed in (("gate", GATE_MODES), ("prior", PRIOR_VARIANTS),
+                              ("stage", STAGE_VARIANTS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise UnknownVariant(f"{name} must be one of {allowed}, got {value!r}")
 
     def to_json_dict(self) -> dict:
-        return {"gate": self.gate, "prior": self.prior, "stage": self.stage}
+        return dataclasses.asdict(self)
 
 
 def parse_variant(text: str | None) -> VariantFlags:
     """Parse "gate=ema,prior=bank,stage=full"; missing keys keep defaults."""
-    flags = {"gate": "ema", "prior": "bank", "stage": "full"}
+    flags = dataclasses.asdict(VariantFlags())
     if text:
         for part in text.split(","):
             part = part.strip()
@@ -337,12 +336,12 @@ def _keep_everything(config: TierConfig, frames: Sequence[RawFrame]) -> TierConf
 
 def _stage1_result(snapshot: MemorySnapshot) -> RetrievalResult:
     """stage=s1: no retrieval pass; the whole compressed memory is forwarded,
-    its mid and long frames read from the snapshot's tables without an entry."""
+    its mid and long frames read from the snapshot's table views without an entry."""
     return RetrievalResult(
         gated_short_only=False,
         anchor_frames=tuple(e.frame_index for e in snapshot.short),
         retrieved_frames=tuple(sorted(
-            np.concatenate([table.frame_index for table in snapshot.tables]).tolist())),
+            np.concatenate([ints[0] for ints, _ in snapshot.tables]).tolist())),
         frame_scores=NO_SCORES,
         gate_affinity=0.0,
         gate_threshold=0.0,

@@ -231,7 +231,7 @@ def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> FrameScore
     in ascending order. All frames are scored in place in their pages in one
     batch-invariant pass, so each score has the bits the frame would get
     scored alone."""
-    table = np.concatenate([t.ints[:5, :t.size] for t in snapshot.tables], axis=1)
+    table = np.concatenate([ints[:5] for ints, _ in snapshot.tables], axis=1)
     scores = late_interaction_pages(snapshot.pages, snapshot.alive, table, query.unit_tokens)
     return FrameScores(table[0], scores)
 

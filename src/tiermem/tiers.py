@@ -277,20 +277,20 @@ class MemorySnapshot:
     """Immutable view of all tiers at a freeze point; only
     TieredMemory.freeze makes one.
 
-    Beside the short tier it holds what freeze shares: the long and the
-    mid FrameTable (tables, in ascending frame order), the records of the
-    memory's pages, whose rows are never written again, and their live
-    flags as they stood (alive[k] for pages[k]). The mid and long entries
-    are read from them on first access and kept. While the memory still
-    holds a table's columns, the entries are the memory's own, read from
-    its cache and filled in where stale, as the memory reads them; once it
-    has changed them, the snapshot builds each entry itself.
+    Beside the short tier it holds what freeze shares: read-only views of
+    the long and the mid table's columns (tables, (ints, floats) pairs in
+    ascending frame order), the memory's two FrameTables for their caches
+    (owners), the records of the memory's pages, whose rows are never
+    written again, and their live flags as they stood (alive[k] for
+    pages[k]). The mid and long entries are read from them on first access
+    and kept, through an owner's cache as _entries reads them.
     """
 
     short: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
-    tables: tuple[FrameTable, FrameTable] = field(repr=False, compare=False)
+    tables: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
+    owners: tuple[FrameTable, FrameTable] = field(repr=False, compare=False)
     pages: tuple[_Page, ...] = field(repr=False, compare=False)
     alive: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
@@ -301,11 +301,11 @@ class MemorySnapshot:
 
     @functools.cached_property
     def long(self) -> tuple[FrameEntry, ...]:
-        return _entries(self.tables[0], self._page_of, self.tables[0].cache_owner())
+        return _entries(*self.tables[0], self._page_of, self.owners[0])
 
     @functools.cached_property
     def mid(self) -> tuple[FrameEntry, ...]:
-        return _entries(self.tables[1], self._page_of, self.tables[1].cache_owner())
+        return _entries(*self.tables[1], self._page_of, self.owners[1])
 
     def _key(self) -> tuple:
         return self.short, self.mid, self.long, self.freeze_timestamp, self.config
@@ -493,17 +493,17 @@ _ALONE = [object()]
 _TIER_NAMES = ("short", "mid", "long")
 
 
-def _entry(table: FrameTable, slot: int, pages: Callable, cache: FrameTable | None
-           ) -> FrameEntry:
-    """The entry of the frame at slot of a tier's table; pages maps a page
-    id to the page's record and live flags. cache is the memory's table that
-    holds these slots, or None: its entry is taken where it was built for the
-    frame's count, else the entry is built and, with a cache, kept there.
-    While all the rows of the frame's span are live, its columns are views
-    of the page's; once some are not, its live rows are gathered."""
+def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: Callable,
+           cache: FrameTable | None) -> FrameEntry:
+    """The entry of the frame at slot of a tier's ints and floats; pages
+    maps a page id to the page's record and live flags. cache is the
+    memory's table that holds these slots, or None: its entry is taken where
+    it was built for the frame's count, else the entry is built and, with a
+    cache, kept there. While all the rows of the frame's span are live, its
+    columns are views of the page's; else its live rows are gathered."""
     entry = None if cache is None else cache.cached(slot)
     if entry is None:
-        frame_index, count, page, start, span, boundary = table.ints[:, slot].tolist()
+        frame_index, count, page, start, span, boundary = ints[:, slot].tolist()
         page, alive = pages(page)
         columns = (page.rows, page.scores, page.grid_rows, page.grid_cols)
         if count == span:
@@ -512,7 +512,7 @@ def _entry(table: FrameTable, slot: int, pages: Callable, cache: FrameTable | No
             rows = start + alive[start:start + span].nonzero()[0]
             columns = [column.take(rows, axis=0) for column in columns]
         matrix, scores, rows, cols = map(seal, columns)
-        entry = FrameEntry._of(frame_index=frame_index, timestamp=table.floats.item(1, slot),
+        entry = FrameEntry._of(frame_index=frame_index, timestamp=floats.item(1, slot),
                                scene_boundary=bool(boundary), token_matrix=matrix,
                                scores=scores, rows=rows, cols=cols)
         if cache is not None:
@@ -520,16 +520,18 @@ def _entry(table: FrameTable, slot: int, pages: Callable, cache: FrameTable | No
     return entry
 
 
-def _entries(table: FrameTable, pages: Callable, cache: FrameTable | None
+def _entries(ints: np.ndarray, floats: np.ndarray, pages: Callable, owner: FrameTable
              ) -> tuple[FrameEntry, ...]:
-    """Every entry of a tier's table, oldest first, read through cache as
-    _entry reads one."""
-    if cache is None:
-        return tuple([_entry(table, slot, pages, None) for slot in range(table.size)])
-    stale = cache.stale()
-    for slot in stale[stale < table.size].tolist():
-        _entry(table, slot, pages, cache)
-    return tuple(cache.cache[:table.size])
+    """Every entry of views of a tier's ints and floats, oldest first, read
+    through owner's cache as _entry reads one while the views' base is still
+    owner.ints; once owner has changed their frames, built anew."""
+    size = ints.shape[1]
+    if ints.base is not owner.ints:
+        return tuple([_entry(ints, floats, slot, pages, None) for slot in range(size)])
+    stale = owner.stale()
+    for slot in stale[stale < size].tolist():
+        _entry(ints, floats, slot, pages, owner)
+    return tuple(owner.cache[:size])
 
 
 class TieredMemory:
@@ -617,9 +619,9 @@ class TieredMemory:
 
     short = property(lambda self: tuple(self._short),
                      doc="The short tier's frames, oldest first, as a read-only tuple.")
-    mid = property(lambda self: _entries(self._tables["mid"], self._page, self._tables["mid"]),
+    mid = property(lambda self: self._tier("mid"),
                    doc="The mid tier's frames, oldest first, as a read-only tuple.")
-    long = property(lambda self: _entries(self._tables["long"], self._page, self._tables["long"]),
+    long = property(lambda self: self._tier("long"),
                     doc="The long tier's frames, oldest first, as a read-only tuple.")
 
     @property
@@ -648,6 +650,10 @@ class TieredMemory:
         """Recount from the tiers' frames; must always equal total_tokens."""
         return sum(e.token_count for tier in (self.short, self.mid, self.long) for e in tier)
 
+    def _tier(self, name: str) -> tuple[FrameEntry, ...]:
+        table = self._tables[name]
+        return _entries(table.ints[:, :table.size], table.floats[:, :table.size], self._page, table)
+
     def _page(self, page_id: int):
         """A held page's record and its live flags."""
         page = self._rows.page(page_id)
@@ -675,7 +681,7 @@ class TieredMemory:
             entry = self._short.pop(0)
         else:
             table = self._tables[name]
-            entry = _entry(table, 0, self._page, table)
+            entry = _entry(table.ints, table.floats, 0, self._page, table)
             self._rows.kill(table.ints.item(2, 0), entry.token_count)
             table.pop_oldest()
         self._tier_tokens[name] -= entry.token_count
@@ -824,10 +830,10 @@ class TieredMemory:
 
         `at` stamps the snapshot's freeze time; it defaults to the last
         ingest timestamp (0.0 for a never-written memory) and may not
-        precede any ingested frame. The snapshot shares the memory's pages,
-        live flags and frame tables' columns as they stand and builds no
-        entry; the memory writes to copies of the flags and columns it
-        changes later.
+        precede any ingested frame. The snapshot holds read-only views of
+        the frame tables' columns, the tables, and the pages and live flags
+        as they stand, and builds no entry; the memory writes to copies of
+        the columns and flags it changes later.
         """
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0
@@ -845,6 +851,7 @@ class TieredMemory:
             config=self.config,
             # The long, then the mid table: ascending frame order.
             tables=(self._tables["long"].share(), self._tables["mid"].share()),
+            owners=(self._tables["long"], self._tables["mid"]),
             pages=pages,
             alive=alive,
         )

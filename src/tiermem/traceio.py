@@ -66,6 +66,19 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return seal(arr.copy()) if arr.flags.writeable else arr
 
 
+def _float32(values, what: str) -> np.ndarray:
+    """values (errors.checked_reals) as float32, returned as they are if they
+    are; a finite value the cast would make infinite raises ValidationError."""
+    arr = checked_reals(values, what)
+    if arr.dtype == np.float32:
+        return arr
+    with np.errstate(over="ignore"):
+        cast = arr.astype(np.float32)
+    if (np.isinf(cast) != np.isinf(arr)).any():
+        raise ValidationError(f"{what} must lie within float32's range")
+    return cast
+
+
 def _token_dtype(dim: int) -> np.dtype:
     """One token's wire record: u16 row, u16 col, dim little-endian f32."""
     try:
@@ -83,7 +96,7 @@ class RawToken:
     vector: np.ndarray
 
     def __post_init__(self):
-        arr = checked_reals(self.vector, "token vector components").astype(np.float32, copy=False)
+        arr = _float32(self.vector, "token vector components")
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"token vector must be non-empty 1-D, got shape {arr.shape}")
         object.__setattr__(self, "vector", read_only(arr))
@@ -133,8 +146,7 @@ class RawFrame:
             raise ValidationError(
                 f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
         timestamp = checked_real(timestamp, f"frame {frame_index} timestamp")
-        vectors = checked_reals(vectors, f"frame {frame_index} vectors")
-        vectors = vectors.astype(np.float32, copy=False)
+        vectors = _float32(vectors, f"frame {frame_index} vectors")
         if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
             raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
         rows = read_only(coords(rows, "rows").astype(_COORD, copy=False))

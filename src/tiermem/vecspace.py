@@ -24,6 +24,7 @@ from .errors import (
     checked_reals,
     json_int,
 )
+from .traceio import seal
 
 VectorLike = Union[np.ndarray, Sequence[float]]
 # Called with a shape and a dtype, returns a writable C-contiguous array of
@@ -74,8 +75,8 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def normalize(v: VectorLike) -> np.ndarray:
-    """Return v, a 1-D array of real numbers (errors.checked_reals), scaled
-    to unit Euclidean norm.
+    """Return v, a 1-D array of finite real numbers (errors.checked_reals),
+    scaled to unit Euclidean norm.
 
     A vector with norm below ZERO_NORM_EPS maps to the all-zeros sentinel,
     which scores 0 against everything downstream.
@@ -83,6 +84,8 @@ def normalize(v: VectorLike) -> np.ndarray:
     arr = checked_reals(v, "vector components")
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("vector components must be finite")
     return unit_rows(arr[None, :])[0]
 
 
@@ -231,12 +234,14 @@ def max_sim(v: VectorLike, bank: ProbeBank) -> float:
 
 
 def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
-    """Stack tokens into an (n, dim) matrix of unit rows."""
+    """Stack tokens, finite real numbers, into an (n, dim) matrix of unit rows."""
     if len(tokens) == 0:
         raise EmptyInputError(f"{what} is empty")
     matrix = checked_reals(tokens, f"{what} rows")
     if matrix.ndim != 2:
         raise DimensionError(f"{what} must be 1-D vectors, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValidationError(f"{what} must be finite")
     return unit_rows(matrix)
 
 
@@ -586,10 +591,6 @@ class RowStore:
         """The held page with this id."""
         return self._pages[page_id]
 
-    def held(self) -> tuple[_Page, ...]:
-        """The held pages."""
-        return tuple(self._pages.values())
-
     def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
         """The held pages and their live flags as they stand, for a snapshot
         to keep: the next change to a page's flags writes to a copy."""
@@ -621,16 +622,14 @@ class FrameTable:
     is, which may be inside the caller's next query. A move clears the
     frame's slot.
 
-    share() hands out a table over the columns as they stand, without a
-    copy, with this table as its owner; the next change to the columns
-    writes to copies of them. Appending writes past the frames of a shared
-    table. The cache is the owner's alone: a shared table reads it, and
-    fills in its stale entries, only while owner.ints is its ints, which
-    holds until the owner's next change to a slot the shared table holds.
-    After that, the shared table's reader builds its entries itself.
+    share() hands out read-only views of the columns as they stand; the
+    next change to the frames they show first copies the columns (_own).
+    Appending writes past those frames, and growing copies the columns
+    into arrays no view holds. The cache is this table's alone: a snapshot
+    reads it only while its views' base is still ints.
     """
 
-    __slots__ = ("size", "ints", "floats", "cache", "built", "owner", "_shared")
+    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared")
 
     def __init__(self):
         self.size = 0
@@ -640,36 +639,24 @@ class FrameTable:
         self.built = np.empty(64, dtype=np.int64)
         self._shared = False
 
-    frame_index = property(lambda self: self.ints[0, :self.size])
     count = property(lambda self: self.ints[1, :self.size])
     page = property(lambda self: self.ints[2, :self.size])
     start = property(lambda self: self.ints[3, :self.size])
     span = property(lambda self: self.ints[4, :self.size])
     min_score = property(lambda self: self.floats[0, :self.size])
 
-    def share(self) -> "FrameTable":
-        """This table's columns as they stand, for a snapshot to keep, with
-        this table as their owner; it has no cache of its own. A table with
-        no frame shares none, so its owner goes on writing in place, and a
-        clear after each freeze makes no arrays for the snapshot to free."""
-        shared = object.__new__(FrameTable)
-        shared.size, shared.ints, shared.floats, shared.owner = (
-            self.size, self.ints, self.floats, self)
+    def share(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the frames' ints and floats as they stand, for
+        a snapshot to keep. A table with no frame shares none: it goes on
+        writing in place, so a clear after each freeze makes no arrays."""
         if self.size:
             self._shared = True
-        return shared
-
-    def cache_owner(self) -> "FrameTable | None":
-        """The table whose cache serves reads of this shared table's
-        frames: its owner, while the owner still holds these columns, or
-        None once it has changed them."""
-        return self.owner if self.owner.ints is self.ints else None
+        return seal(self.ints[:, :self.size]), seal(self.floats[:, :self.size])
 
     def _own(self) -> None:
         """Before a change to the columns: stop writing to columns a snapshot keeps."""
         if self._shared:
-            self.ints = self.ints.copy()
-            self.floats = self.floats.copy()
+            self.ints, self.floats = self.ints.copy(), self.floats.copy()
             self._shared = False
 
     def cached(self, slot: int):
@@ -688,14 +675,13 @@ class FrameTable:
     def append(self, frame_index: int, count: int, page: int, start: int, scene_boundary: bool,
                min_score: float, timestamp: float, built) -> None:
         """Add the newest frame, its count rows all live from start in the
-        page, with what was built for it. It is written past the frames of
-        a shared table: every change that shortens the table first stops
-        sharing the columns."""
+        page, with what was built for it, past the frames a view shows."""
         slot = self.size
         if slot == self.ints.shape[1]:
             self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
             self.floats = np.concatenate((self.floats, np.empty_like(self.floats)), axis=1)
             self.built = np.concatenate((self.built, np.empty_like(self.built)))
+            self._shared = False
         ints, floats = self.ints, self.floats
         ints[0, slot] = frame_index
         ints[1, slot] = ints[4, slot] = self.built[slot] = count
@@ -709,21 +695,16 @@ class FrameTable:
 
     def clear(self) -> None:
         """Delete every frame."""
-        if self._shared:
-            self.ints, self.floats = np.empty_like(self.ints), np.empty_like(self.floats)
-            self._shared = False
+        self._own()
         self.cache = []
         self.size = 0
 
     def pop_oldest(self) -> None:
-        """Drop the oldest frame; columns a snapshot shares are copied as they shift."""
+        """Drop the oldest frame."""
+        self._own()
         last = self.size - 1
-        ints, floats = self.ints, self.floats
-        if self._shared:
-            self.ints, self.floats = np.empty_like(ints), np.empty_like(floats)
-            self._shared = False
-        self.ints[:, :last] = ints[:, 1:last + 1]
-        self.floats[:, :last] = floats[:, 1:last + 1]
+        self.ints[:, :last] = self.ints[:, 1:last + 1]
+        self.floats[:, :last] = self.floats[:, 1:last + 1]
         self.built[:last] = self.built[1:last + 1]
         del self.cache[0]
         self.size = last

@@ -1401,7 +1401,7 @@ def entry_state(entry):
 def frame_table(snap):
     """A snapshot's long, then mid frames' int rows: frame_index, count,
     page, start and span."""
-    return np.concatenate([table.ints[:5, :table.size] for table in snap.tables], axis=1)
+    return np.concatenate([ints[:5] for ints, _ in snap.tables], axis=1)
 
 
 def trimmed_in_place(before, after):
@@ -1493,7 +1493,7 @@ def test_snapshot_read_after_its_columns_went_stale_leaves_the_memory_cache_alon
         mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
         ts = ingest_random(mem, rng, 20, 6, 0)
         snap = mem.freeze()
-        assert all(table.cache_owner() is not None for table in snap.tables)
+        assert all(ints.base is owner.ints for (ints, _), owner in zip(snap.tables, snap.owners))
         mem.thaw()
         moved = len(moves)
         for _ in range(20):
@@ -1505,13 +1505,59 @@ def test_snapshot_read_after_its_columns_went_stale_leaves_the_memory_cache_alon
                 seen.add("trimmed")
         if len(moves) > moved:
             seen.add("compacted")
-        assert all(table.cache_owner() is None for table in snap.tables)
+        assert not any(ints.base is owner.ints for (ints, _), owner in zip(snap.tables, snap.owners))
         before = mem.long + mem.mid
         read = snap.long + snap.mid
         assert read and not {id(e) for e in read} & {id(e) for e in before}
         after = mem.long + mem.mid
         assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
     assert seen == {"trimmed", "compacted"}
+
+
+def test_snapshot_table_views_are_read_only_and_keep_their_frames(monkeypatch):
+    # A snapshot's views of the frame tables cannot be written through. The
+    # memory's later trims, demotions and compaction write to copies, so the
+    # views and the entries read from them stay as they were at the freeze,
+    # whether the snapshot reads its entries before the later ingests or
+    # only after them.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    seen = set()
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 173])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=10,
+                         token_budget=60, keep_fraction=0.75, long_quota_per_frame=6)
+        mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
+        ts = ingest_random(mem, rng, 20, 6, 0)
+        snap = mem.freeze()
+        for ints, floats in snap.tables:
+            assert ints.shape[1] and ints.shape[1] == floats.shape[1]
+            for view in (ints, floats):
+                with pytest.raises(ValueError):
+                    view[0, 0] = 1
+        columns = [(ints.copy(), floats.copy()) for ints, floats in snap.tables]
+        wanted = [entry_state(e) for e in mem.long + mem.mid]
+        if seed % 2:
+            assert [entry_state(e) for e in snap.long + snap.mid] == wanted
+        mid = set(snap.tables[1][0][0].tolist())  # read without an entry
+        mem.thaw()
+        moved = len(moves)
+        for _ in range(20):
+            ts = ingest_random(mem, rng, 1, 6, ts)
+            later = mem.freeze()
+            mem.thaw()
+            if trimmed_in_place(snap, later):
+                seen.add("trimmed")
+            if mid & {e.frame_index for e in later.long}:
+                seen.add("demoted")
+        if len(moves) > moved:
+            seen.add("compacted")
+        for (ints, floats), (want_ints, want_floats) in zip(snap.tables, columns):
+            assert np.array_equal(ints, want_ints) and np.array_equal(floats, want_floats)
+        assert [entry_state(e) for e in snap.long + snap.mid] == wanted
+    assert seen == {"trimmed", "demoted", "compacted"}
 
 
 def test_snapshot_rows_are_views_of_its_pages():
@@ -1650,7 +1696,8 @@ def test_held_pages_are_whole_blocks_zero_past_their_written_rows(monkeypatch):
         mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
         for t in range(40):
             ingest_random(mem, rng, 1, 6, t)
-            for page in mem.row_store.held():
+            for page_id, *_ in mem.row_store.page_usage():
+                page = mem.row_store.page(page_id)
                 assert page.rows.shape[0] % 8 == 0
                 assert not page.rows[page.used:].any(), (seed, t, page.id)
 

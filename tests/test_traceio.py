@@ -249,6 +249,21 @@ def test_frame_rejects_malformed_columns(columns):
         RawFrame(0, 0.0, **columns)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
+def test_values_beyond_float32_are_refused_not_made_infinite(value):
+    # The cast to float32 would make them infinities; it runs under the
+    # suite's error::RuntimeWarning filter, so the check must not warn.
+    # Non-finite values and float32's own largest value pass as they are.
+    with pytest.raises(ValidationError, match="frame 3 vectors .*float32"):
+        RawFrame(3, 0.0, vectors=[[value, 0.0]], rows=[0], cols=[0])
+    with pytest.raises(ValidationError, match="float32"):
+        RawToken(0, 0, [value, 0.0])
+    top = float(np.finfo(np.float32).max)
+    kept = RawFrame(3, 0.0, vectors=[[top, np.inf, -np.inf, np.nan]], rows=[0], cols=[0])
+    assert kept.vectors[0, 0] == top and np.isinf(kept.vectors[0, 1:3]).all()
+    assert np.isnan(kept.vectors[0, 3])
+
+
 def test_read_frames_are_read_only_views():
     back = load_trace_bytes(write_bytes([frame(0, 0.0, [token([1.0, 2.0]), token([3.0, 4.0])])]))
     for column in (back[0].vectors, back[0].rows, back[0].cols):

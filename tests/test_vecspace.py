@@ -68,6 +68,27 @@ def test_normalize_rejects_matrix():
         normalize(np.zeros((2, 2)))
 
 
+_UNIT_BANK = ProbeBank([[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda bad, good: normalize(bad),
+    lambda bad, good: cosine(bad, good),
+    lambda bad, good: cosine(good, bad),
+    lambda bad, good: max_sim(bad, _UNIT_BANK),
+    lambda bad, good: late_interaction([bad], [good]),
+    lambda bad, good: late_interaction([good], [bad]),
+], ids=["normalize", "cosine-first", "cosine-second", "max_sim", "late_interaction-frame",
+        "late_interaction-query"])
+def test_non_finite_vectors_are_refused_before_any_division(call, value):
+    # Refused with a ValidationError, as ProbeBank and QuerySpec refuse
+    # them, and before unit_rows divides: the RuntimeWarning a NaN norm
+    # would raise is an error under this suite's warning filter.
+    with pytest.raises(ValidationError, match="finite"):
+        call([1.0, value], [1.0, 0.0])
+
+
 def test_cosine_hand_value():
     # (0.6, 0.8) . (0.8, 0.6) = 0.48 + 0.48, both already unit norm.
     assert math.isclose(cosine([0.6, 0.8], [0.8, 0.6]), 0.96, abs_tol=1e-12)
@@ -717,25 +738,26 @@ def test_generated_bank_deterministic():
 
 
 class _Built:
-    """A stand-in for what a table's owner builds for a frame."""
+    """A stand-in for what a table builds for a frame."""
 
 
 @pytest.mark.parametrize("unshare", ["clear", "pop_oldest", "relocate", "trim"])
 def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
-    # A shared table has no cache: it reads its owner's while the owner
-    # holds its columns, which appending past its frames leaves as they
-    # are. Each change below writes to columns the shared table holds, so
-    # the shared table stops reading the cache and still reads its own
-    # columns. The cache is the owner's alone: what the owner appended after
-    # the share, or dropped, is freed with the owner's change, not later
-    # with the snapshot. A trim leaves a stale entry in the cache.
+    # share() hands out read-only views of the columns. Appending writes
+    # past the frames they show, so their base is still the table's ints
+    # and a snapshot may read the table's cache. Each change below writes to
+    # frames the views show, so the table first copies its columns: the
+    # views keep their frames, and their base is no longer the table's. The
+    # cache is the table's alone: what it appended after the share, or
+    # dropped, is freed with its change, not later with the snapshot. A
+    # trim leaves a stale entry in the cache.
     table = FrameTable()
     first, later = _Built(), _Built()
     table.append(0, 4, 0, 0, False, 0.1, 0.0, first)
-    shared = table.share()
-    assert not hasattr(shared, "cache") and not hasattr(shared, "built")
+    ints, floats = table.share()
+    assert not ints.flags.writeable and not floats.flags.writeable
     table.append(1, 4, 0, 4, False, 0.2, 1.0, later)
-    assert shared.cache_owner() is table and table.cached(0) is first
+    assert ints.base is table.ints and table.cached(0) is first
     if unshare == "clear":
         table.clear()
     elif unshare == "pop_oldest":
@@ -746,28 +768,42 @@ def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
         table.trim(np.array([0, 1]), np.array([2, 0]), np.array([0.3, 0.0]))
         assert table.cache == [first] and table.cached(0) is None
         assert table.stale().tolist() == [0]
-    assert shared.cache_owner() is None
-    assert shared.ints[:5, :shared.size].T.tolist() == [[0, 4, 0, 0, 4]]
-    assert shared.min_score.tolist() == [0.1]
+    assert ints.base is not table.ints
+    assert ints[:5].T.tolist() == [[0, 4, 0, 0, 4]]
+    assert floats.tolist() == [[0.1], [0.0]]
     gone = weakref.ref(later)
     del later
-    assert (gone() is None) == (unshare != "pop_oldest")  # the owner keeps it there
+    assert (gone() is None) == (unshare != "pop_oldest")  # the table keeps it there
     gone = weakref.ref(first)
     del first
     assert (gone() is None) == (unshare in ("clear", "pop_oldest", "relocate"))
 
 
 def test_empty_frame_table_is_shared_without_its_cache():
-    # A table shared empty holds none of its owner's frames: the owner keeps
-    # writing its columns in place, and what it appends and then clears is
-    # freed by the clear.
+    # A table shared empty shows none of its frames: it keeps writing its
+    # columns in place, and what it appends and then clears is freed by
+    # the clear.
     table = FrameTable()
     columns = table.ints
-    shared = table.share()
+    ints, floats = table.share()
     built = _Built()
     table.append(0, 4, 0, 0, False, 0.1, 0.0, built)
     gone = weakref.ref(built)
     del built
     table.clear()
     assert gone() is None and table.ints is columns
-    assert shared.size == 0 and not hasattr(shared, "cache") and not hasattr(shared, "built")
+    assert ints.shape == (6, 0) and floats.shape == (2, 0)
+
+
+def test_frame_table_grown_past_a_share_writes_in_place():
+    # Growing copies the columns into arrays no view holds, so the next
+    # trim writes them in place; the views keep the frames they showed.
+    table = FrameTable()
+    for k in range(64):
+        table.append(k, 4, 0, 4 * k, False, 0.1, float(k), None)
+    ints, _ = table.share()
+    table.append(64, 4, 1, 0, False, 0.1, 64.0, None)
+    grown = table.ints
+    assert ints.base is not grown
+    table.trim(np.array([0]), np.array([2]), np.array([0.3]))
+    assert table.ints is grown and table.count[0] == 2 and ints[1, 0] == 4
