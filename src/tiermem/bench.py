@@ -44,6 +44,10 @@ from .vecspace import ProbeBank
 PRIOR_VARIANTS = ("bank", "random", "single")
 STAGE_VARIANTS = ("full", "s1", "s2")
 
+# The most bins a score histogram may have: np.histogram allocates by the
+# bin count, and the report holds one row per bin at each of two levels.
+MAX_HIST_BINS = 1024
+
 # Seed salt for the random-vectors prior so it never coincides with a
 # probe bank generated from the same user seed.
 _RANDOM_PRIOR_SALT = 0x5EED
@@ -290,6 +294,8 @@ def run_oracle(
 ) -> RunReport:
     """Exact top-K per query over the uncompressed trace."""
     exclude_most_recent = checked_int(exclude_most_recent, "exclude_most_recent")
+    if exclude_most_recent < 0:
+        raise ValidationError(f"exclude_most_recent must be >= 0, got {exclude_most_recent}")
     frames = list(trace)
     started = time.perf_counter()
     rows = []
@@ -587,8 +593,8 @@ def emit_score_histograms(
     the whole stream, and per-token scores within one designated frame
     (default: the frame with the highest pooled score)."""
     bins = checked_int(bins, "bins")
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins <= MAX_HIST_BINS:
+        raise ValidationError(f"bins must be in [1, {MAX_HIST_BINS}], got {bins}")
     frames = list(trace)
     if not frames:
         raise EmptyInputError("histograms need at least one frame")

@@ -46,7 +46,6 @@ from .vecspace import (
     FrameTable,
     ProbeBank,
     RowStore,
-    Scratch,
     max_sim_rows,
     pooled_max_sim_units,
     unit_rows,
@@ -329,7 +328,7 @@ class MemorySnapshot:
 
 def encode_tokens(
     frame_index: int, timestamp: float, raw_tokens: Iterable[tuple], bank: ProbeBank, *,
-    alloc: Callable[[int], np.ndarray] | None = None, scratch: Scratch = np.empty,
+    alloc: Callable[[int], np.ndarray] | None = None,
 ) -> FrameEntry:
     """Normalize and score raw (vector, row, col) triples into a FrameEntry.
 
@@ -341,9 +340,7 @@ def encode_tokens(
 
     alloc, if given, is called with the number of tokens and returns the
     (n, dim) float64 array the unit rows are written into; the entry's
-    token_matrix is that array, made read-only. scratch is called with a
-    shape and a dtype and returns a writable array of them for the float64
-    cast and the re-normalized rows, which the entry does not keep.
+    token_matrix is that array, made read-only.
     """
     raw = list(raw_tokens)
     if not raw:
@@ -360,8 +357,7 @@ def encode_tokens(
         raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
     if matrix.shape[1] != bank.dim:
         raise DimensionError(f"vector has dimension {matrix.shape[1]}, bank has {bank.dim}")
-    work = scratch(matrix.shape, np.float64)
-    np.copyto(work, matrix)
+    work = matrix.astype(np.float64)
     units = seal(unit_rows(work, out=None if alloc is None else alloc(len(raw))))
     return FrameEntry(
         frame_index=frame_index,
@@ -375,7 +371,7 @@ def encode_tokens(
 
 def is_scene_boundary(
     frame: FrameEntry, prev: FrameEntry | None, config: TierConfig, *,
-    float32: Callable[[np.ndarray], np.ndarray] | None = None, scratch: Scratch = np.empty,
+    float32: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> bool:
     """A frame starts a scene if it has no predecessor or sits far from it.
 
@@ -385,14 +381,13 @@ def is_scene_boundary(
     screens it in float32, over the previous frame's rows a chunk at a
     time, stops as soon as a lower bound settles that the frame lies above
     the threshold, and computes it exactly only near the threshold.
-    float32, if given, makes that call's float32 casts, and scratch makes
-    the arrays its products are written into.
+    float32, if given, makes that call's float32 casts.
     """
     if prev is None:
         return True
     threshold = config.scene_threshold
     similarity = pooled_max_sim_units(frame.token_matrix, prev.token_matrix,
-                                      near=threshold, float32=float32, scratch=scratch)
+                                      near=threshold, float32=float32)
     return similarity < threshold
 
 
@@ -402,8 +397,7 @@ def _grid_keys(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def temporal_semantic_prune(
-    frame: FrameEntry, reference: FrameEntry | None, config: TierConfig, alloc=None, *,
-    scratch: Scratch = np.empty,
+    frame: FrameEntry, reference: FrameEntry | None, config: TierConfig, alloc=None,
 ) -> FrameEntry:
     """Compress a frame leaving the recent FIFO.
 
@@ -413,9 +407,7 @@ def temporal_semantic_prune(
     (1 - redundancy) plus semantic_weight times the token's salience, and
     the top ceil(keep_fraction * n) tokens by keep-score survive. Ties
     keep the lower token position. Embeddings and scores pass through
-    unchanged; alloc is passed on to FrameEntry.take. scratch is called
-    with a shape and a dtype and returns a writable array of them that the
-    aligned reference rows are gathered into.
+    unchanged; alloc is passed on to FrameEntry.take.
     """
     if frame.scene_boundary:
         return frame
@@ -430,8 +422,7 @@ def temporal_semantic_prune(
         slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
         hit = ref_keys[slot] == keys
         at = first[slot[hit]]
-        out = scratch((len(at), reference.token_matrix.shape[1]), np.float64)
-        aligned = reference.token_matrix.take(at, axis=0, out=out, mode="clip")
+        aligned = reference.token_matrix[at]
         # The einsum takes each row alone, so the rows that hit need no gather
         # when they are all of them.
         tokens = frame.token_matrix if hit.all() else frame.token_matrix[hit]
@@ -551,16 +542,14 @@ class TieredMemory:
     RowStore.compact changes only where rows lie: it moves the live rows
     of a crowded page.
 
-    The memory also owns the arrays of the ingest path, so that an ingest
-    allocates nothing the size of a frame once they have grown to the
-    frames seen: one scratch buffer per dtype (_scratch) for encode's
-    float64 cast and re-normalized rows, the screen's chunk products and
-    prune's aligned rows; two float32 casts for the screen (_float32); and
-    a pool of at most short_cap_frames + 2 buffers (_frame_rows) that new
-    short frames write their unit rows into. A pooled buffer is reused only
-    when nothing but the pool refers to it, so a snapshot, an entry or a
-    view of its rows held elsewhere keeps its bytes, and a snapshot released
-    after its frames left the short tier frees no frame-sized array.
+    The memory also owns two kinds of ingest buffers, which grow to the
+    frames seen and are then reused: two float32 casts for the screen
+    (_float32), and a pool of at most short_cap_frames + 2 buffers
+    (_frame_rows) that new short frames write their unit rows into. A
+    pooled buffer is reused only when nothing but the pool refers to it,
+    so a snapshot, an entry or a view of its rows held elsewhere keeps its
+    bytes, and a snapshot released after its frames left the short tier
+    frees no frame-sized array.
     """
 
     def __init__(self, config: TierConfig, bank: ProbeBank):
@@ -579,7 +568,6 @@ class TieredMemory:
         self._frozen = False
         self._cast32: tuple[np.ndarray, np.ndarray] | None = None
         self._buffers32 = (np.empty((0, self.dim), dtype=np.float32),) * 2
-        self._work: dict[type, np.ndarray] = {}
         self._frame_pool: list[np.ndarray] = []
 
     @classmethod
@@ -706,16 +694,6 @@ class TieredMemory:
         self._cast32 = (matrix, cast)
         return cast
 
-    def _scratch(self, shape: tuple, dtype: type) -> np.ndarray:
-        """A writable C-contiguous array of this shape and dtype, good until
-        the next call for the dtype: the head of one buffer per dtype, which
-        grows to the largest array asked for."""
-        size = math.prod(shape)
-        work = self._work.get(dtype)
-        if work is None or work.size < size:
-            work = self._work[dtype] = np.empty(size, dtype)
-        return work[:size].reshape(shape)
-
     def _frame_rows(self, n: int) -> np.ndarray:
         """A writable (n, dim) array for a new short frame's unit rows: the
         head of a free buffer of the pool, or of a new one. A buffer is free
@@ -776,12 +754,11 @@ class TieredMemory:
                 f"{self.config.tokens_per_frame_max}"
             )
 
-        entry = encode_tokens(index, ts, raw, self.bank, alloc=self._frame_rows,
-                              scratch=self._scratch)
+        entry = encode_tokens(index, ts, raw, self.bank, alloc=self._frame_rows)
         short, mid, long = self._short, self._tables["mid"], self._tables["long"]
         prev = short[-1] if short else None
         entry = entry._with(scene_boundary=is_scene_boundary(
-            entry, prev, self.config, float32=self._float32, scratch=self._scratch))
+            entry, prev, self.config, float32=self._float32))
         self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1
@@ -792,8 +769,7 @@ class TieredMemory:
         while len(short) > self.config.short_cap_frames:
             oldest = self._pop_oldest("short")
             reference = short[-1] if short else None
-            kept = temporal_semantic_prune(oldest, reference, self.config, self._alloc["mid"],
-                                           scratch=self._scratch)
+            kept = temporal_semantic_prune(oldest, reference, self.config, self._alloc["mid"])
             dropped_temporal += oldest.token_count - kept.token_count
             self._push("mid", kept)
 

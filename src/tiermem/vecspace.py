@@ -27,10 +27,6 @@ from .errors import (
 from .traceio import seal
 
 VectorLike = Union[np.ndarray, Sequence[float]]
-# Called with a shape and a dtype, returns a writable C-contiguous array of
-# them whose contents the callee need not keep: np.empty, or the head of a
-# buffer the caller reuses.
-Scratch = Callable[[tuple, type], np.ndarray]
 
 # Norms below this are treated as the zero sentinel (scores 0 against
 # everything; neutral under max and mean).
@@ -277,8 +273,7 @@ SCREEN_CHUNK_ROWS = 128
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
                          *, near: float | None = None,
-                         float32: Callable[[np.ndarray], np.ndarray] | None = None,
-                         scratch: Scratch = np.empty) -> float:
+                         float32: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Mean over frame rows of their max cosine against the query rows
     (unit or zero rows in), through query_max_sims on the BLAS product.
 
@@ -303,8 +298,7 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     float32, if given, makes the float32 casts in place of ndarray.astype;
     it is asked for the query's cast before the frame's, so a caller that
     keeps the last cast it made has the frame's at hand when that frame is
-    the next query. scratch is called with a shape and a dtype and returns
-    a writable array of them that a chunk's product is written into.
+    the next query.
     """
     if near is not None:
         _check_dims(frame_matrix, query_matrix)
@@ -317,7 +311,7 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
         for k in range(chunks):
             rows = query32[k::chunks]
             # Query-major, so the maximum runs down contiguous columns.
-            sims = np.matmul(rows, frame32, out=scratch((rows.shape[0], n), np.float32))
+            sims = rows @ frame32
             chunk = np.maximum.reduce(sims, axis=0)
             maxima = chunk if k == 0 else np.maximum(maxima, chunk, out=maxima)
             # Clipped in place: clipping commutes with the maxima to come.
@@ -380,7 +374,7 @@ def _query_product(query_matrix: np.ndarray, rows: np.ndarray,
         blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
     if not blas:
         return np.einsum("kj,ij->ki", query_matrix, rows, out=out)
-    return query_matrix @ rows.T if out is None else np.matmul(query_matrix, rows.T, out=out)
+    return np.matmul(query_matrix, rows.T, out=out)
 
 
 def query_max_sims(query_matrix: np.ndarray, rows: np.ndarray,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tiermem.bench import (
+    MAX_HIST_BINS,
     RunReport,
     _rank_correlation,
     VariantFlags,
@@ -519,6 +520,24 @@ def test_histograms_frame_override_and_validation():
         histogram_csv(report, "pooled")
 
 
+def test_histogram_bins_are_bounded():
+    def unread():
+        raise AssertionError("the trace was read")
+        yield
+
+    bank = ProbeBank.generated(8, n=3, seed=0)
+    # Past the bound, the count is refused before the trace is read.
+    with pytest.raises(ValidationError, match=f"bins must be in \\[1, {MAX_HIST_BINS}\\]"):
+        emit_score_histograms(unread(), hist_config(4), bank, bins=MAX_HIST_BINS + 1)
+    # At the bound, each level of a tiny stream gets that many rows.
+    spec = StreamSpec(dim=8, frames=3, tokens_per_frame=4, noise_sigma=0.3, rng_seed=8)
+    report = emit_score_histograms(generate_stream(spec), hist_config(4), bank,
+                                   bins=MAX_HIST_BINS)
+    for level, count in (("frame", 3), ("token", 4)):
+        rows = [r for r in report.rows if r["level"] == level]
+        assert len(rows) == MAX_HIST_BINS and sum(r["count"] for r in rows) == count
+
+
 # -- report plumbing --------------------------------------------------------
 
 
@@ -574,10 +593,13 @@ def _bench_inputs():
      (lambda frames, bank: emit_score_histograms(frames, hist_config(4), bank, bins=2.5), "bins"),
      (lambda frames, bank: run_oracle(frames, [query([axis(8, 0)], 5)], exclude_most_recent=1.5),
       "exclude_most_recent"),
+     (lambda frames, bank: run_oracle(frames, [query([axis(8, 0)], 5)], exclude_most_recent=-3),
+      "exclude_most_recent must be >= 0"),
      (lambda frames, bank: resolve_prior_bank(bank, "random", seed=1.5), "seed")],
 )
 def test_driver_numbers_must_be_integers(run, field):
-    # Each was truncated by int() or ended in a bare TypeError.
+    # Each was truncated by int() or ended in a bare TypeError; a negative
+    # exclude_most_recent was taken as 0.
     with pytest.raises(ValidationError, match=field):
         run(*_bench_inputs())
 

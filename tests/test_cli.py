@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from tiermem.bench import MAX_HIST_BINS
 from tiermem.cli import main
 from tiermem.synth import event_direction, load_stream_spec
 from tiermem.traceio import load_trace
@@ -225,6 +226,20 @@ def test_hist_subcommand_writes_csvs(workspace, capsys):
         lines = path.read_text().splitlines()
         assert lines[0] == "lo,hi,count"
         assert 2 <= len(lines) <= 9
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["oracle", "--exclude-recent", "-1"], "error: exclude_most_recent must be >= 0, got -1"),
+     (["hist", "--bins", str(MAX_HIST_BINS + 1)], f"error: bins must be in [1, {MAX_HIST_BINS}]")],
+)
+def test_out_of_range_counts_exit_1(workspace, capsys, args, message):
+    _, spec_path, queries_path, _ = workspace
+    capsys.readouterr()
+    extra = ["--queries", str(queries_path)] if args[0] == "oracle" else []
+    assert main([*args, "--synth-spec", str(spec_path), *extra]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(message) and err.count("\n") == 1
 
 
 def test_probes_file_flag(workspace, tmp_path, capsys):

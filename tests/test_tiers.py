@@ -337,7 +337,7 @@ def test_scene_boundary_casts_each_frame_to_float32_once(monkeypatch):
     kernel = tiers.pooled_max_sim_units
     calls = []
 
-    def recording(frame, prev, *, near, float32, scratch):
+    def recording(frame, prev, *, near, float32):
         made = []
 
         def cast(matrix):
@@ -345,7 +345,7 @@ def test_scene_boundary_casts_each_frame_to_float32_once(monkeypatch):
             assert made[-1][1].tobytes() == matrix.astype(np.float32).tobytes()
             return made[-1][1]
 
-        similarity = kernel(frame, prev, near=near, float32=cast, scratch=scratch)
+        similarity = kernel(frame, prev, near=near, float32=cast)
         calls.append((frame, prev, made))
         assert (similarity < near) == (kernel(frame, prev, near=near) < near)
         return similarity
@@ -1802,6 +1802,48 @@ def test_frame_pool_serves_a_freeze_per_frame_loop_from_its_bound():
             retrieve(snap, mem.gate_stats, query)
             mem.thaw()
     assert len(buffers) == cfg.short_cap_frames + 2
+
+
+def test_ingest_buffers_across_frame_lengths_match_the_frame_alone():
+    # Frames of changing lengths, with a snapshot held over each ingest: the
+    # pool replaces a free buffer too short for a frame and writes a shorter
+    # frame into the head of a longer free one, and the float32 casts grow
+    # and are written into their buffers' heads. Each frame is stored as
+    # encode_tokens makes it from the frame alone, and flagged as
+    # is_scene_boundary flags it with its own casts.
+    dim = 32
+    cfg = TierConfig(short_cap_frames=2, token_budget=8192)
+    bank = ProbeBank.generated(dim, n=3, seed=13)
+    mem = new_memory(cfg, bank)
+    rng = np.random.default_rng(97)
+    _, base = dense_scene(rng, dim)
+    encoded, bases, flags, snap = [], [], [], None
+    for t, n in enumerate((5, 300, 2, 512, 7, 300)):
+        if t == 4:
+            _, base = dense_scene(rng, dim)  # a new scene, cast into a longer buffer's head
+        raw, _ = dense_scene(rng, dim, count=n, seed_rows=base[:n])
+        entry = encode_tokens(t, float(t), raw, bank)
+        report = mem.ingest_frame(float(t), raw)
+        prev = encoded[-1] if encoded else None
+        assert report.scene_boundary == is_scene_boundary(entry, prev, cfg), t
+        stored = mem.short[-1]
+        assert stored.token_matrix.tobytes() == entry.token_matrix.tobytes(), t
+        assert stored.scores.tobytes() == entry.scores.tobytes(), t
+        assert in_pool(mem, stored), t
+        encoded.append(entry)
+        bases.append(id(stored.token_matrix.base))
+        flags.append(report.scene_boundary)
+        snap = mem.freeze()
+        mem.thaw()
+    assert flags[2] is False and flags[4] is True
+    # The 7-token frame took the head of the 300-token frame's buffer, freed
+    # when that frame left the short tier; the 512- and last 300-token frames
+    # each replaced a free buffer that was too short.
+    assert bases[4] == bases[1] and len(mem._frame_pool) == 3
+    for held in snap.short:
+        want = encoded[held.frame_index]
+        assert held.token_matrix.tobytes() == want.token_matrix.tobytes()
+        assert held.scores.tobytes() == want.scores.tobytes()
 
 
 def test_frame_buffers_are_sized_by_the_frames_seen():

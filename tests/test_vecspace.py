@@ -359,29 +359,28 @@ def test_screen_stops_at_the_first_chunk_whose_bound_settles():
         drawn = np.sort(rng.integers(0, 16, rows))
         return unit_rows(base[drawn] + 0.02 * rng.standard_normal((rows, dim)))
 
-    products = []
-
-    def scratch(shape, dtype):
-        products.append((shape, dtype))
-        return np.full(shape, np.nan, dtype)
+    def chunked_mean(frame, prev, chunks):
+        # The float32 estimate over the first chunks of prev's strided rows,
+        # each chunk's product taken as the screen takes it.
+        prev32, frame32 = prev.astype(np.float32), frame.astype(np.float32).T
+        stride = -(-prev.shape[0] // vecspace.SCREEN_CHUNK_ROWS)
+        maxima = np.maximum.reduce([np.maximum.reduce(prev32[k::stride] @ frame32, axis=0)
+                                    for k in range(chunks)])
+        return float(np.add.reduce(np.clip(maxima, -1.0, 1.0), dtype=np.float64)) / frame.shape[0]
 
     prev, frame, cut = scene(n), scene(n), unit_rows(rng.standard_normal((n, dim)))
-    chunk = (vecspace.SCREEN_CHUNK_ROWS, n)
     # A frame of the same scene settles on the first chunk's lower bound;
-    # one that starts a new scene reads every chunk. Written through
-    # scratch or not, the value has the same bits.
+    # one that starts a new scene reads every chunk.
     for matrix, near, reads in ((frame, 0.8, 1), (cut, 0.8, n // vecspace.SCREEN_CHUNK_ROWS)):
-        products.clear()
-        got = pooled_max_sim_units(matrix, prev, near=near, scratch=scratch)
-        assert products == [(chunk, np.float32)] * reads
-        assert got == pooled_max_sim_units(matrix, prev, near=near)
+        got = pooled_max_sim_units(matrix, prev, near=near)
+        assert got == chunked_mean(matrix, prev, reads)
         exact = pooled_max_sim_units(matrix, prev)
         assert (got < near) == (exact < near) and got <= exact + screen_margin(dim)
+    # The settling frame stopped early: reading every chunk gives a higher estimate.
+    assert chunked_mean(frame, prev, 1) < chunked_mean(frame, prev, n // vecspace.SCREEN_CHUNK_ROWS)
     # At most SCREEN_CHUNK_ROWS previous rows take one product of them all.
-    products.clear()
     small = prev[:vecspace.SCREEN_CHUNK_ROWS]
-    got = pooled_max_sim_units(frame[:100], small, near=-0.5, scratch=scratch)
-    assert products == [((vecspace.SCREEN_CHUNK_ROWS, 100), np.float32)]
+    got = pooled_max_sim_units(frame[:100], small, near=-0.5)
     estimate = np.mean(np.clip(np.max(small.astype(np.float32) @ frame[:100].astype(np.float32).T,
                                       axis=0), -1.0, 1.0), dtype=np.float64)
     assert got == float(estimate)
