@@ -25,8 +25,9 @@ from .errors import (
     checked_reals,
     json_int,
 )
+from . import vecspace
 from .traceio import seal
-from .vecspace import late_interaction_pages, query_max_sims, unit_rows
+from .vecspace import _check_dims, _query_product, late_interaction_pages, unit_rows
 
 if TYPE_CHECKING:
     from .tiers import MemorySnapshot
@@ -206,23 +207,35 @@ def gate_check(
     """Decide whether the short tier alone satisfies the query.
 
     Affinity pools, by mean or max, each short-tier token's max cosine
-    against the query, the tokens taken in frame order; each frame's maxima
-    come from one query_max_sims over its own rows. The threshold is rho
-    times the running average, floored at GATE_FLOOR. An empty short tier
-    never satisfies anything. Returns (fired, affinity, threshold).
+    against the query, the tokens taken in frame order, with the bits
+    query_max_sims gives each frame's rows. The short tier is folded in one
+    pass: one dimension check and one blas_rows_invariant lookup per query;
+    per frame, only the product _query_product picks and its maximum over
+    the query rows; then one clip over all the maxima, which gives the bits
+    of a clip per frame, as clipping is elementwise. The mean has np.mean's
+    bits: a pairwise sum, then one division. The threshold is rho times the
+    running average, floored at GATE_FLOOR. An empty short tier never
+    satisfies anything. Returns (fired, affinity, threshold).
     """
     if pooling not in GATE_POOLINGS:
         raise UnknownVariant(f"gate pooling must be one of {GATE_POOLINGS}, got {pooling!r}")
     threshold = query.rho * max(gate.ema, GATE_FLOOR)
-    if not snapshot.short:
+    short = snapshot.short
+    if not short:
         return False, 0.0, threshold
-    per_token = np.empty(sum(entry.token_count for entry in snapshot.short))
-    lo = 0
-    for entry in snapshot.short:
-        hi = lo + entry.token_count
-        query_max_sims(query.unit_tokens, entry.token_matrix, out=per_token[lo:hi])
-        lo = hi
-    affinity = float(np.mean(per_token) if pooling == "mean" else np.max(per_token))
+    units = query.unit_tokens
+    k, dim = units.shape
+    # The memory holds frames of one dimension, so the first frame's is all of theirs.
+    _check_dims(short[0].token_matrix, units)
+    blas = vecspace.blas_rows_invariant(dim, k, vecspace.SCORE_BLOCK_ROWS)
+    maxima = np.concatenate([np.maximum.reduce(_query_product(units, entry.token_matrix,
+                                                              blas=blas), axis=0)
+                             for entry in short])
+    np.clip(maxima, -1.0, 1.0, out=maxima)
+    if pooling == "mean":
+        affinity = float(np.add.reduce(maxima)) / maxima.shape[0]
+    else:
+        affinity = float(np.maximum.reduce(maxima))
     return affinity >= threshold, affinity, threshold
 
 
@@ -305,7 +318,7 @@ def retrieve(
     """
     if gate_mode not in GATE_MODES:
         raise UnknownVariant(f"gate mode must be one of {GATE_MODES}, got {gate_mode!r}")
-    anchor = tuple(entry.frame_index for entry in snapshot.short)
+    anchor = tuple([entry.frame_index for entry in snapshot.short])
     fired, affinity, threshold = gate_check(snapshot, gate, query, pooling=gate_pooling)
     if gate_mode == "never":
         fired = False

@@ -276,22 +276,32 @@ class MemorySnapshot:
     """Immutable view of all tiers at a freeze point; only
     TieredMemory.freeze makes one.
 
-    Beside the short tier it holds what freeze shares: read-only views of
-    the long and the mid table's columns (tables, (ints, floats) pairs in
-    ascending frame order), the memory's two FrameTables for their caches
-    (owners), the records of the memory's pages, whose rows are never
-    written again, and their live flags as they stood (alive[k] for
-    pages[k]). The mid and long entries are read from them on first access
-    and kept, through an owner's cache as _entries reads them.
+    Beside the short tier it holds what freeze shares: the long and the
+    mid table's columns and sizes as FrameTable.share gives them
+    (_columns, in ascending frame order), the memory's two FrameTables for
+    their caches (owners), the records of the memory's pages, whose rows
+    are never written again, and their live flags as they stood (alive[k]
+    for pages[k]). The read-only views of the tables' frames (tables,
+    (ints, floats) pairs) are made on first access, and the mid and long
+    entries are read from them on first access and kept, through an
+    owner's cache as _entries reads them; a query the gate answers reads
+    neither. Every array a snapshot hands out is read-only.
     """
 
     short: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
-    tables: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
+    _columns: tuple[tuple[np.ndarray, np.ndarray, int], ...] = field(repr=False, compare=False)
     owners: tuple[FrameTable, FrameTable] = field(repr=False, compare=False)
     pages: tuple[_Page, ...] = field(repr=False, compare=False)
     alive: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only views of the long, then the mid table's frames as they
+        stood at the freeze, as (ints, floats) pairs."""
+        return tuple([(seal(ints[:, :size]), seal(floats[:, :size]))
+                      for ints, floats, size in self._columns])
 
     @functools.cached_property
     def _page_of(self) -> Callable:
@@ -341,6 +351,12 @@ def encode_tokens(
     alloc, if given, is called with the number of tokens and returns the
     (n, dim) float64 array the unit rows are written into; the entry's
     token_matrix is that array, made read-only.
+
+    The entry is built once, from columns made here, with the checks
+    FrameEntry makes of columns it is given, in its order: frame_index an
+    integer (ValidationError), timestamp a finite real number, grid
+    coordinates as traceio.coords reads them, frame_index non-negative and
+    the scores finite.
     """
     raw = list(raw_tokens)
     if not raw:
@@ -359,14 +375,18 @@ def encode_tokens(
         raise DimensionError(f"vector has dimension {matrix.shape[1]}, bank has {bank.dim}")
     work = matrix.astype(np.float64)
     units = seal(unit_rows(work, out=None if alloc is None else alloc(len(raw))))
-    return FrameEntry(
-        frame_index=frame_index,
-        timestamp=timestamp,
-        token_matrix=units,
-        scores=seal(max_sim_rows(unit_rows(units, out=work), bank)),
-        rows=rows,
-        cols=cols,
-    )
+    scores = seal(max_sim_rows(unit_rows(units, out=work), bank))
+    frame_index = checked_int(frame_index, "frame_index")
+    timestamp = checked_real(timestamp, "timestamp")
+    # Arrays made here from the tuples, so sealed rather than copied.
+    rows, cols = (seal(coords(column, name).astype(np.int64, copy=False))
+                  for column, name in ((rows, "rows"), (cols, "cols")))
+    if frame_index < 0:
+        raise ValidationError("frame_index must be non-negative")
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"frame {frame_index}: token scores must be finite")
+    return FrameEntry._of(frame_index=frame_index, timestamp=timestamp, token_matrix=units,
+                          scores=scores, rows=rows, cols=cols, scene_boundary=False)
 
 
 def is_scene_boundary(
@@ -806,10 +826,10 @@ class TieredMemory:
 
         `at` stamps the snapshot's freeze time; it defaults to the last
         ingest timestamp (0.0 for a never-written memory) and may not
-        precede any ingested frame. The snapshot holds read-only views of
-        the frame tables' columns, the tables, and the pages and live flags
-        as they stand, and builds no entry; the memory writes to copies of
-        the columns and flags it changes later.
+        precede any ingested frame. The snapshot holds the frame tables'
+        columns and sizes, the tables, and the pages and live flags as they
+        stand, and makes no view and builds no entry; the memory writes to
+        copies of the columns and flags it changes later.
         """
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0
@@ -826,7 +846,7 @@ class TieredMemory:
             freeze_timestamp=freeze_ts,
             config=self.config,
             # The long, then the mid table: ascending frame order.
-            tables=(self._tables["long"].share(), self._tables["mid"].share()),
+            _columns=(self._tables["long"].share(), self._tables["mid"].share()),
             owners=(self._tables["long"], self._tables["mid"]),
             pages=pages,
             alive=alive,

@@ -63,8 +63,11 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Read before out, which may be m, is written.
         rescaled = m[huge] / np.max(np.abs(m[huge]), axis=1, keepdims=True)
     dead = norms < ZERO_NORM_EPS
-    units = np.divide(m, np.where(dead, 1.0, norms), out=out)
-    units[dead[:, 0]] = 0.0
+    if dead.any():
+        units = np.divide(m, np.where(dead, 1.0, norms), out=out)
+        units[dead[:, 0]] = 0.0
+    else:
+        units = np.divide(m, norms, out=out)
     if len(huge):
         units[huge] = unit_rows(rescaled)
     return units
@@ -220,8 +223,9 @@ def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
     units = np.ascontiguousarray(units, dtype=np.float64)
     if units.shape[1] != bank.dim:
         raise DimensionError(f"vector has dimension {units.shape[1]}, bank has {bank.dim}")
-    sims = np.einsum("ij,kj->ik", units, np.ascontiguousarray(bank.matrix))
-    return np.clip(np.max(sims, axis=1), -1.0, 1.0)
+    # Probe-major, so the maximum runs down contiguous columns.
+    sims = np.einsum("ij,kj->ki", units, np.ascontiguousarray(bank.matrix))
+    return np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
 
 
 def max_sim(v: VectorLike, bank: ProbeBank) -> float:
@@ -406,21 +410,34 @@ class _Page:
     that still belong to a frame (live). A row below used is never written
     again; only its live flag is ever cleared, on a copy of the flags once
     a snapshot holds them (shared_at is the share they were last copied at).
+
+    rows, scores, grid_rows, grid_cols and alive are read-only views, made
+    once, which snapshots hold; the RowStore writes through the writable
+    arrays behind them (_rows, _scores, _grid_rows, _grid_cols, _alive).
     """
 
     __slots__ = ("id", "group", "rows", "scores", "grid_rows", "grid_cols", "alive",
+                 "_rows", "_scores", "_grid_rows", "_grid_cols", "_alive",
                  "shared_at", "used", "live")
 
     def __init__(self, page_id: int, group, rows: int, dim: int, shared_at: int):
         self.id = page_id
         self.group = group
-        self.rows = np.zeros((rows, dim))
-        self.scores = np.zeros(rows)
-        self.grid_rows = np.zeros(rows, dtype=np.int64)
-        self.grid_cols = np.zeros(rows, dtype=np.int64)
-        self.alive = np.zeros(rows, dtype=bool)
+        self._rows = np.zeros((rows, dim))
+        self._scores = np.zeros(rows)
+        self._grid_rows = np.zeros(rows, dtype=np.int64)
+        self._grid_cols = np.zeros(rows, dtype=np.int64)
+        self.rows, self.scores, self.grid_rows, self.grid_cols = (
+            seal(column.view()) for column in (self._rows, self._scores,
+                                               self._grid_rows, self._grid_cols))
+        self._flags(np.zeros(rows, dtype=bool))
         self.shared_at = shared_at
         self.used = self.live = 0
+
+    def _flags(self, alive: np.ndarray) -> None:
+        """Write the live flags to alive from now on, and show them read-only."""
+        self._alive = alive
+        self.alive = seal(alive.view())
 
 
 class RowStore:
@@ -465,7 +482,7 @@ class RowStore:
             page = self._open.get(group)
             if page is None or page.used + n > page.rows.shape[0]:
                 page = self._open[group] = self._new_page(group, SCORE_BLOCK_ROWS)
-        view = page.rows[page.used:page.used + n]
+        view = page._rows[page.used:page.used + n]
         self._pending = (page, view)
         return view
 
@@ -485,12 +502,12 @@ class RowStore:
         n = view.shape[0]
         start = page.used
         rows = slice(start, start + n)
-        page.scores[rows] = scores
-        page.grid_rows[rows] = grid_rows
-        page.grid_cols[rows] = grid_cols
+        page._scores[rows] = scores
+        page._grid_rows[rows] = grid_rows
+        page._grid_cols[rows] = grid_cols
         # Rows past used lie in no frame a snapshot holds, so their flags
         # are set in place even where a snapshot shares them.
-        page.alive[rows] = True
+        page._alive[rows] = True
         page.used = start + n
         page.live += n
         self._used += n
@@ -507,9 +524,9 @@ class RowStore:
         page = self._pages[page_id]
         if rows is not None:
             if page.shared_at != self._shares:
-                page.alive = page.alive.copy()
+                page._flags(page._alive.copy())
                 page.shared_at = self._shares
-            page.alive[rows] = False
+            page._alive[rows] = False
         page.live -= n
         self._dead += n
         if page.live == 0:
@@ -616,11 +633,12 @@ class FrameTable:
     is, which may be inside the caller's next query. A move clears the
     frame's slot.
 
-    share() hands out read-only views of the columns as they stand; the
-    next change to the frames they show first copies the columns (_own).
-    Appending writes past those frames, and growing copies the columns
-    into arrays no view holds. The cache is this table's alone: a snapshot
-    reads it only while its views' base is still ints.
+    share() hands out the columns and the size as they stand, for a
+    snapshot to make read-only views of the first size frames when it
+    reads them; the next change to those frames first copies the columns
+    (_own). Appending writes past those frames, and growing copies the
+    columns into arrays no view holds. The cache is this table's alone: a
+    snapshot reads it only while its views' base is still ints.
     """
 
     __slots__ = ("size", "ints", "floats", "cache", "built", "_shared")
@@ -639,13 +657,14 @@ class FrameTable:
     span = property(lambda self: self.ints[4, :self.size])
     min_score = property(lambda self: self.floats[0, :self.size])
 
-    def share(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only views of the frames' ints and floats as they stand, for
-        a snapshot to keep. A table with no frame shares none: it goes on
-        writing in place, so a clear after each freeze makes no arrays."""
+    def share(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The frames' ints and floats and their number as they stand, for
+        a snapshot to keep: the table writes no frame below that number in
+        them again. A table with no frame shares none: it goes on writing
+        in place, so a clear after each freeze makes no arrays."""
         if self.size:
             self._shared = True
-        return seal(self.ints[:, :self.size]), seal(self.floats[:, :self.size])
+        return self.ints, self.floats, self.size
 
     def _own(self) -> None:
         """Before a change to the columns: stop writing to columns a snapshot keeps."""

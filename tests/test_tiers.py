@@ -36,6 +36,7 @@ from tiermem import tiers, vecspace
 from tiermem.retrieval import QuerySpec, load_queries_jsonl, retrieve, score_candidates
 from tiermem.traceio import RawFrame, RawToken
 from tiermem.vecspace import (
+    FrameTable,
     ProbeBank,
     RowStore,
     cosine,
@@ -233,6 +234,32 @@ def test_encode_tokens_scores_reproduce_bit_exactly():
         alone = encode_tokens(0, 0.0, [raw[i]], bank)
         assert np.array_equal(tok.embedding, alone.token_matrix[0])
         assert tok.score == alone.scores[0] == max_sim(tok.embedding, bank)
+
+
+_V4 = np.ones(4)
+
+
+@pytest.mark.parametrize("frame_index, timestamp, raw, error", [
+    (True, 0.0, [(_V4, 0, 0)], ValidationError),  # a bool is not a frame index
+    (-1, 0.0, [(_V4, 0, 0)], ValidationError),
+    (0, math.nan, [(_V4, 0, 0)], ValidationError),
+    (0, 0.0, [(_V4, -1, 0)], ValidationError),
+    (0, 0.0, [(_V4, 0, 2**16)], ValidationError),
+    (0, 0.0, [(_V4, 0, 0), (np.ones(3), 0, 1)], DimensionError),  # ragged vectors
+    (0, 0.0, [(_V4, 0)], ValidationError),  # not a (vector, row, col) triple
+    (0, 0.0, [(np.array([1.0, np.inf, 0.0, 0.0]), 0, 0)], ValidationError),
+])
+def test_encode_tokens_refuses_what_a_frame_entry_refuses(frame_index, timestamp, raw, error):
+    # encode_tokens builds its entry without FrameEntry's checks, so it
+    # makes them itself, and raises what constructing the entry raised.
+    bank = ProbeBank.generated(4, n=3, seed=1)
+    with pytest.raises(error), np.errstate(invalid="ignore"):
+        encode_tokens(frame_index, timestamp, raw, bank)
+    entry = encode_tokens(2, 1.5, [(_V4, 0, 1), (-_V4, np.uint16(3), np.int8(2))], bank)
+    assert (entry.frame_index, entry.timestamp, entry.scene_boundary) == (2, 1.5, False)
+    for column, want in ((entry.rows, [0, 3]), (entry.cols, [1, 2])):
+        assert column.dtype == np.int64 and not column.flags.writeable
+        assert column.tolist() == want
 
 
 # --- scene boundaries -------------------------------------------------------
@@ -1592,6 +1619,41 @@ def test_snapshot_rows_are_views_of_its_pages():
     assert len(entries) > 20 and kinds == {"view", "trimmed"}
 
 
+def test_every_array_a_snapshot_reaches_is_read_only():
+    # A write through a snapshot raises ValueError wherever it lands: the
+    # entries' columns, the table views, the pages' rows, scores and grid
+    # columns, the live flags and the scores of a past query. Each
+    # snapshot is checked when taken and again after the next ingest,
+    # which trims frames it holds in place.
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=10,
+                     token_budget=60, keep_fraction=0.75, long_quota_per_frame=6)
+    mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=4))
+    rng = np.random.default_rng(181)
+    ts = ingest_random(mem, rng, 12, 6, 0)
+    held, trimmed = None, False
+    for _ in range(12):
+        ts = ingest_random(mem, rng, 1, 6, ts)
+        snap = mem.freeze()
+        mem.thaw()
+        trimmed = trimmed or held is not None and bool(trimmed_in_place(held, snap))
+        for s in [x for x in (snap, held) if x is not None]:
+            past = QuerySpec(query_id="past", arrival_time=0.0,
+                             tokens=rng.standard_normal((2, 6)), rho=1e7)
+            scores = retrieve(s, mem.gate_stats, past).frame_scores
+            arrays = [scores.frames, scores.scores, *s.alive]
+            arrays += [column for e in s.all_frames()
+                       for column in (e.token_matrix, e.scores, e.rows, e.cols)]
+            arrays += [view for pair in s.tables for view in pair if view.size]
+            arrays += [column for page in s.pages
+                       for column in (page.rows, page.scores, page.grid_rows, page.grid_cols)]
+            assert s.mid and s.long and s.pages
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 0
+        held = snap
+    assert trimmed
+
+
 def count_calls(monkeypatch, targets):
     """Count the calls of each (owner, name) in targets, by name."""
     calls = collections.Counter()
@@ -1725,6 +1787,82 @@ def test_dead_rows_stay_bounded_under_steady_forgetting(monkeypatch):
         dead = sum(used - live for *_, used, live in usage)
         assert dead <= vecspace.COMPACT_DEAD_FRACTION * sum(used for *_, used, _ in usage)
     assert evicted > 1000 and moves
+
+
+def test_long_stream_structures_stay_within_their_bounds():
+    # 50 times the fill point of a small stream (segments of similar 4-token
+    # frames, budget 256), with a freeze, a query and a thaw every third
+    # frame, each snapshot held across the ingests until the next freeze, as
+    # a serving loop holds it. After every ingest:
+    # - the rows written to the held pages (used) obey compaction's bound:
+    #   at most COMPACT_DEAD_FRACTION of them are dead, and the live ones
+    #   are the mid and long tokens, at most the budget, so used is at most
+    #   budget / (1 - fraction).
+    #   The rows the pages allocate at once (a frame, or the live rows of a
+    #   page compaction moves) are at most the budget, at most half a page,
+    #   so a page is closed only past half full, and at most the two tiers'
+    #   open pages are emptier: the pages hold at most 2 * used + 2 pages
+    #   of rows;
+    # - each frame table holds at most twice its largest size, or its
+    #   initial capacity;
+    # - the frame pool holds at most short_cap_frames + 2 buffers;
+    # - a recount of the tiers gives total_tokens (checked at each freeze).
+    # A now query's snapshot makes its table views only after the ingests
+    # that follow it, which trim its frames: the views show the frames as
+    # they stood at the freeze.
+    dim, n = 8, 4
+    cfg = TierConfig(token_budget=256, tokens_per_frame_max=n)
+    mem = new_memory(cfg, ProbeBank.generated(dim, n=5, seed=3))
+    block = vecspace.SCORE_BLOCK_ROWS
+    assert cfg.token_budget <= block // 2
+    initial = FrameTable().ints.shape[1]
+    largest = {"mid": 0, "long": 0}
+    rng = np.random.default_rng(131)
+    fill, pending, seen = None, None, collections.Counter()
+    t = 0
+    while fill is None or t < 50 * fill:
+        if t % 12 == 0:
+            base = rng.standard_normal((n, dim))
+        frame = base + 0.05 * rng.standard_normal((n, dim))
+        report = mem.ingest_frame(float(t), [(v, i // 2, i % 2) for i, v in enumerate(frame)])
+        t += 1
+        if fill is None and report.dropped_budget:
+            fill = t
+        usage = mem.row_store.page_usage()
+        used = sum(u for *_, u, _ in usage)
+        held = mem.tier_tokens["mid"] + mem.tier_tokens["long"]
+        assert used - held <= vecspace.COMPACT_DEAD_FRACTION * used, t
+        assert held <= cfg.token_budget, t
+        assert sum(rows for _, _, rows, _, _ in usage) <= 2 * used + 2 * block, t
+        for name, table in mem._tables.items():
+            largest[name] = max(largest[name], table.size)
+            assert table.ints.shape[1] <= max(initial, 2 * largest[name]), (t, name)
+        assert len(mem._frame_pool) <= cfg.short_cap_frames + 2, t
+        if pending is not None:
+            snap, wanted = pending
+            counts = {f: c for table in mem._tables.values()
+                      for f, c in table.ints[:2, :table.size].T.tolist()}
+            for (ints, floats), (want_ints, want_floats) in zip(snap.tables, wanted):
+                assert ints.tobytes() == want_ints.tobytes(), t
+                assert floats.tobytes() == want_floats.tobytes(), t
+                seen["trimmed"] += any(counts.get(f, c) < c for f, c in ints[:2].T.tolist())
+            pending = None
+        if t % 3 == 0:
+            assert mem.recount_tokens() == mem.total_tokens, t
+            snap = mem.freeze()
+            wanted = [(mem._tables[name].ints[:, :mem._tables[name].size].copy(),
+                       mem._tables[name].floats[:, :mem._tables[name].size].copy())
+                      for name in ("long", "mid")]
+            gated = t % 2 == 1
+            query = QuerySpec(query_id="q", arrival_time=float(t), tokens=frame[:2],
+                              rho=0.1 if gated else 1e7)
+            result = retrieve(snap, mem.gate_stats, query)
+            assert result.gated_short_only == gated, t
+            if gated:
+                seen["gated"] += 1
+                pending = snap, wanted
+            mem.thaw()
+    assert fill and seen["gated"] and seen["trimmed"] and largest["long"] > initial
 
 
 # --- the memory's own buffers -----------------------------------------------

@@ -139,6 +139,22 @@ def test_max_sim_dim_mismatch():
         max_sim([1.0, 0.0], bank)
 
 
+def test_max_sim_rows_equals_the_row_major_product_bit_for_bit():
+    # The probe-major einsum and a maximum down its columns give the bits of
+    # the row-major einsum and a maximum along its rows, then the clip: on
+    # random shapes, on one row and on none.
+    rng = np.random.default_rng(29)
+    shapes = [(1, 1, 1), (1, 128, 5), (0, 8, 3), (512, 128, 5)]
+    shapes += [(int(rng.integers(0, 600)), int(rng.integers(1, 160)), int(rng.integers(1, 12)))
+               for _ in range(60)]
+    for n, dim, probes in shapes:
+        bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
+        units = unit_rows(rng.standard_normal((n, dim)))
+        want = np.clip(np.max(np.einsum("ij,kj->ik", units, bank.matrix), axis=1), -1.0, 1.0)
+        got = vecspace.max_sim_rows(units, bank)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes(), (n, dim, probes)
+
+
 def test_late_interaction_hand_value():
     # Token (1,0) scores 1 against the query, token (0,1) scores 0; mean 0.5.
     got = late_interaction([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]])
@@ -408,6 +424,21 @@ def test_unit_rows_equals_the_masked_divide_bit_for_bit():
                 want, got = masked_divide(m), unit_rows(m)
             assert got.tobytes() == want.tobytes(), (n, d, dtype)
             assert got.flags.c_contiguous and got.dtype == np.float64
+
+
+def test_unit_rows_give_each_row_the_same_bits_with_or_without_dead_rows():
+    # A matrix without a dead row skips the mask; its rows get the bits they
+    # get beside dead rows, into a new array or in place.
+    rng = np.random.default_rng(89)
+    for n, d in [(1, 1), (7, 3), (64, 16), (512, 128)]:
+        m = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 5, size=(n, 1))
+        with_dead = np.concatenate([np.zeros((1, d)), m, 1e-14 * m[:1]])
+        alone = unit_rows(m)
+        assert alone.tobytes() == unit_rows(with_dead)[1:-1].tobytes(), (n, d)
+        assert unit_rows(m.copy(), out=np.empty_like(m)).tobytes() == alone.tobytes()
+        in_place = m.copy()
+        assert unit_rows(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == alone.tobytes()
 
 
 def test_segment_means_match_np_mean_bit_for_bit():
@@ -742,20 +773,22 @@ class _Built:
 
 @pytest.mark.parametrize("unshare", ["clear", "pop_oldest", "relocate", "trim"])
 def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
-    # share() hands out read-only views of the columns. Appending writes
-    # past the frames they show, so their base is still the table's ints
-    # and a snapshot may read the table's cache. Each change below writes to
-    # frames the views show, so the table first copies its columns: the
-    # views keep their frames, and their base is no longer the table's. The
-    # cache is the table's alone: what it appended after the share, or
-    # dropped, is freed with its change, not later with the snapshot. A
-    # trim leaves a stale entry in the cache.
+    # share() hands out the columns and the size, of which a snapshot makes
+    # views when it reads them, here only after the next append. Appending
+    # writes past the frames they show, so their base is still the table's
+    # ints and a snapshot may read the table's cache. Each change below
+    # writes to frames the views show, so the table first copies its
+    # columns: the views keep their frames, and their base is no longer the
+    # table's. The cache is the table's alone: what it appended after the
+    # share, or dropped, is freed with its change, not later with the
+    # snapshot. A trim leaves a stale entry in the cache.
     table = FrameTable()
     first, later = _Built(), _Built()
     table.append(0, 4, 0, 0, False, 0.1, 0.0, first)
-    ints, floats = table.share()
-    assert not ints.flags.writeable and not floats.flags.writeable
+    ints, floats, size = table.share()
+    assert ints is table.ints and floats is table.floats and size == 1
     table.append(1, 4, 0, 4, False, 0.2, 1.0, later)
+    ints, floats = ints[:, :size], floats[:, :size]
     assert ints.base is table.ints and table.cached(0) is first
     if unshare == "clear":
         table.clear()
@@ -784,14 +817,14 @@ def test_empty_frame_table_is_shared_without_its_cache():
     # the clear.
     table = FrameTable()
     columns = table.ints
-    ints, floats = table.share()
+    ints, floats, size = table.share()
     built = _Built()
     table.append(0, 4, 0, 0, False, 0.1, 0.0, built)
     gone = weakref.ref(built)
     del built
     table.clear()
     assert gone() is None and table.ints is columns
-    assert ints.shape == (6, 0) and floats.shape == (2, 0)
+    assert ints is columns and size == 0
 
 
 def test_frame_table_grown_past_a_share_writes_in_place():
@@ -800,7 +833,8 @@ def test_frame_table_grown_past_a_share_writes_in_place():
     table = FrameTable()
     for k in range(64):
         table.append(k, 4, 0, 4 * k, False, 0.1, float(k), None)
-    ints, _ = table.share()
+    ints, _, size = table.share()
+    ints = ints[:, :size]
     table.append(64, 4, 1, 0, False, 0.1, 64.0, None)
     grown = table.ints
     assert ints.base is not grown
