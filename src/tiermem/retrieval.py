@@ -210,9 +210,11 @@ def gate_check(
     against the query, the tokens taken in frame order, with the bits
     query_max_sims gives each frame's rows. The short tier is folded in one
     pass: one dimension check and one blas_rows_invariant lookup per query;
-    per frame, only the product _query_product picks and its maximum over
-    the query rows; then one clip over all the maxima, which gives the bits
-    of a clip per frame, as clipping is elementwise. The mean has np.mean's
+    per frame, only the product _query_product picks, written into the
+    frame's columns of one (query rows, short tokens) buffer; then one
+    maximum over the query rows and one clip over all the maxima, which
+    give the bits of a maximum and a clip per frame, as both work column by
+    column and clipping is elementwise. The mean has np.mean's
     bits: a pairwise sum, then one division. The threshold is rho times the
     running average, floored at GATE_FLOOR. An empty short tier never
     satisfies anything. Returns (fired, affinity, threshold).
@@ -228,9 +230,13 @@ def gate_check(
     # The memory holds frames of one dimension, so the first frame's is all of theirs.
     _check_dims(short[0].token_matrix, units)
     blas = vecspace.blas_rows_invariant(dim, k, vecspace.SCORE_BLOCK_ROWS)
-    maxima = np.concatenate([np.maximum.reduce(_query_product(units, entry.token_matrix,
-                                                              blas=blas), axis=0)
-                             for entry in short])
+    sims = np.empty((k, sum([entry.token_count for entry in short])))
+    lo = 0
+    for entry in short:
+        hi = lo + entry.token_count
+        _query_product(units, entry.token_matrix, sims[:, lo:hi], blas)
+        lo = hi
+    maxima = np.maximum.reduce(sims, axis=0)
     np.clip(maxima, -1.0, 1.0, out=maxima)
     if pooling == "mean":
         affinity = float(np.add.reduce(maxima)) / maxima.shape[0]

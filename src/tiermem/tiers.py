@@ -253,19 +253,45 @@ class IngestReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
 class EvictionReport:
-    """Tokens removed by budget enforcement, in eviction order.
+    """Tokens removed by budget enforcement.
 
-    Each entry is (frame_index, token position within the frame at call
-    time, score).
+    The report holds each tier's victims, the long tier's first, as three
+    columns: frame indices, token positions within the frame at call time,
+    and scores. They are copies, so later ingests leave the report as it
+    was. count reads the columns. evicted lists the victims as
+    (frame_index, position, score) tuples in eviction order: the long
+    tier's, then the mid tier's, each by ascending score, then frame, then
+    position. The tuples are sorted and built on the first read of
+    evicted, and kept; equality, hashing and to_json_dict read them.
     """
 
-    evicted: tuple[tuple[int, int, float], ...]
+    def __init__(self, *tiers: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        self._tiers = tiers
 
     @property
     def count(self) -> int:
-        return len(self.evicted)
+        return sum(len(frames) for frames, _, _ in self._tiers)
+
+    @functools.cached_property
+    def evicted(self) -> tuple[tuple[int, int, float], ...]:
+        evicted = []
+        for frames, positions, scores in self._tiers:
+            order = np.lexsort((positions, frames, scores))
+            evicted += zip(frames[order].tolist(), positions[order].tolist(),
+                           scores[order].tolist())
+        return tuple(evicted)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvictionReport):
+            return NotImplemented
+        return self.evicted == other.evicted
+
+    def __hash__(self) -> int:
+        return hash(self.evicted)
+
+    def __repr__(self) -> str:
+        return f"EvictionReport(evicted={self.evicted!r})"
 
     def to_json_dict(self) -> dict:
         return {"evicted": [[f, i, s] for f, i, s in self.evicted]}
@@ -428,6 +454,14 @@ def temporal_semantic_prune(
     the top ceil(keep_fraction * n) tokens by keep-score survive. Ties
     keep the lower token position. Embeddings and scores pass through
     unchanged; alloc is passed on to FrameEntry.take.
+
+    An encoder emits one patch grid for a stream, so the frame and its
+    reference usually have the same rows and cols columns, in raster order.
+    Where they do and the grid keys strictly increase (each position once),
+    token i aligns with the reference's token i, and the cosines are taken
+    on the reference's rows where they lie, with the same bits. Any other
+    layout looks each position up in the reference's sorted keys and
+    gathers the aligned rows.
     """
     if frame.scene_boundary:
         return frame
@@ -437,16 +471,23 @@ def temporal_semantic_prune(
         return frame
     redundancy = np.zeros(n)
     if reference is not None:
-        ref_keys, first = np.unique(_grid_keys(reference.rows, reference.cols), return_index=True)
         keys = _grid_keys(frame.rows, frame.cols)
-        slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
-        hit = ref_keys[slot] == keys
-        at = first[slot[hit]]
-        aligned = reference.token_matrix[at]
-        # The einsum takes each row alone, so the rows that hit need no gather
-        # when they are all of them.
-        tokens = frame.token_matrix if hit.all() else frame.token_matrix[hit]
-        redundancy[hit] = np.clip(np.einsum("ij,ij->i", tokens, aligned), -1.0, 1.0)
+        if (np.array_equal(frame.rows, reference.rows) and np.array_equal(frame.cols, reference.cols)
+                and (keys[1:] > keys[:-1]).all()):
+            # One grid, each position once: token i's reference token is the
+            # reference's token i, so the rows align where they lie.
+            redundancy = np.einsum("ij,ij->i", frame.token_matrix, reference.token_matrix)
+        else:
+            ref_keys, first = np.unique(_grid_keys(reference.rows, reference.cols),
+                                        return_index=True)
+            slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
+            hit = ref_keys[slot] == keys
+            aligned = reference.token_matrix[first[slot[hit]]]
+            # The einsum takes each row alone, so the rows that hit need no
+            # gather when they are all of them.
+            tokens = frame.token_matrix if hit.all() else frame.token_matrix[hit]
+            redundancy[hit] = np.einsum("ij,ij->i", tokens, aligned)
+        np.clip(redundancy, -1.0, 1.0, out=redundancy)
     keep_scores = (1.0 - redundancy) + config.semantic_weight * frame.scores
     ranked = np.argsort(-keep_scores, kind="stable")
     return frame.take(np.sort(ranked[:keep]), alloc)
@@ -841,16 +882,21 @@ class TieredMemory:
                 )
         self._frozen = True
         pages, alive = self._rows.share()
-        return MemorySnapshot(
+        long, mid = self._tables["long"], self._tables["mid"]
+        # Every field is made here, so the generated __init__ and its
+        # frozen-field stores are skipped, as FrameEntry._of skips them.
+        snapshot = object.__new__(MemorySnapshot)
+        vars(snapshot).update(
             short=tuple(self._short),
             freeze_timestamp=freeze_ts,
             config=self.config,
             # The long, then the mid table: ascending frame order.
-            _columns=(self._tables["long"].share(), self._tables["mid"].share()),
-            owners=(self._tables["long"], self._tables["mid"]),
+            _columns=(long.share(), mid.share()),
+            owners=(long, mid),
             pages=pages,
             alive=alive,
         )
+        return snapshot
 
     def thaw(self) -> None:
         """Re-enable ingest after a freeze."""
@@ -891,17 +937,23 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     they leave are updated from the survivors' scores, and the emptied
     frames are deleted from the tier's table at once; a tier emptied whole
     is cleared. No entry is built and no embedding row is written.
+
+    The report holds each tier's victims as columns (see EvictionReport).
+    A tier's victims are picked by a sort of its candidates, the tokens at
+    or below the cut-off score, only when some candidates stay; when every
+    candidate goes, nothing is sorted here, and the report sorts them when
+    its tuples are first read.
     """
     budget = mem.config.token_budget
     overflow = mem.total_tokens - budget
     if overflow <= 0:
-        return EvictionReport(evicted=())
+        return EvictionReport()
     short_tokens = mem._tier_tokens["short"]
     if short_tokens > budget:
         raise BudgetUnsatisfiable(
             f"recent FIFO alone holds {short_tokens} tokens, budget is {budget}"
         )
-    evicted: list[tuple[int, int, float]] = []
+    evicted = []  # each tier's (frames, positions, scores)
     for tier_name in ("long", "mid"):
         table = mem._tables[tier_name]
         if overflow <= 0 or not table.size:
@@ -935,11 +987,15 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         owners = np.searchsorted(starts, candidates, side="right") - 1
         positions = candidates - starts[owners]
         frames = table.ints[0, slots][owners]
-        order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
-        victims = candidates[order]
+        victims = candidates
+        if len(candidates) > overflow:
+            # The sort picks the victims; when every candidate goes, the
+            # report sorts them on read instead.
+            order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
+            victims, owners = candidates[order], owners[order]
+            positions, frames = positions[order], frames[order]
         overflow -= len(victims)
-        evicted += zip(frames[order].tolist(), positions[order].tolist(),
-                       scores[victims].tolist())
+        evicted.append((frames, positions, scores[victims]))
         mem._tier_tokens[tier_name] -= len(victims)
         if not mem._tier_tokens[tier_name]:  # the whole tier goes
             for page, n in zip(pages.tolist(), counts.tolist()):
@@ -947,8 +1003,7 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
             table.clear()
             continue
         # Counts and minima from the survivors, which stay in frame order.
-        hit = owners[order]
-        lost = np.bincount(hit, minlength=len(slots))
+        lost = np.bincount(owners, minlength=len(slots))
         left = counts - lost
         alive = np.ones(len(scores), dtype=bool)
         alive[victims] = False
@@ -959,9 +1014,9 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         changed = lost.nonzero()[0]
         table.trim(slots[changed], left[changed], minima[changed])
         # Each victim's row in its page, from its place among the spans.
-        rows = (firsts - spans.cumsum() + spans)[hit] + live[victims]
-        mem._rows.kill_rows(pages[hit], rows)
+        rows = (firsts - spans.cumsum() + spans)[owners] + live[victims]
+        mem._rows.kill_rows(pages[owners], rows)
     remaining = mem.total_tokens
     if remaining > budget:
         raise BudgetUnsatisfiable(f"budget {budget} unreachable; {remaining} tokens remain")
-    return EvictionReport(evicted=tuple(evicted))
+    return EvictionReport(*evicted)

@@ -467,6 +467,7 @@ class RowStore:
         self._pending: tuple[_Page, np.ndarray] | None = None
         self._used = self._dead = 0  # rows written to and dead in the held pages
         self._shares = 0  # how many times share() has handed out the live flags
+        self._shared: tuple | None = None  # what share() last handed out, while it holds
 
     def _new_page(self, group, rows: int) -> _Page:
         self._next_id += 1
@@ -513,6 +514,7 @@ class RowStore:
         self._used += n
         if page.id not in self._pages:
             self._pages[page.id] = page
+            self._shared = None
         view.setflags(write=False)
         return view, page.id, start
 
@@ -526,11 +528,13 @@ class RowStore:
             if page.shared_at != self._shares:
                 page._flags(page._alive.copy())
                 page.shared_at = self._shares
+                self._shared = None
             page._alive[rows] = False
         page.live -= n
         self._dead += n
         if page.live == 0:
             del self._pages[page_id]
+            self._shared = None
             if self._open.get(page.group) is page:
                 del self._open[page.group]
             self._used -= page.used
@@ -604,10 +608,14 @@ class RowStore:
 
     def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
         """The held pages and their live flags as they stand, for a snapshot
-        to keep: the next change to a page's flags writes to a copy."""
+        to keep: the next change to a page's flags writes to a copy. The
+        pair last handed out is handed out again until a page is added or
+        released or a page's flags are copied."""
         self._shares += 1
-        pages = tuple(self._pages.values())
-        return pages, tuple([page.alive for page in pages])
+        if self._shared is None:
+            pages = tuple(self._pages.values())
+            self._shared = pages, tuple([page.alive for page in pages])
+        return self._shared
 
     def page_usage(self) -> list[tuple[int, object, int, int, int]]:
         """(id, group, rows, used, live) of each held page, in id order."""

@@ -1072,6 +1072,20 @@ def random_entry(rng, frame_index, dim=4):
     )
 
 
+def grid_entry(rng, frame_index, keys, dim=4):
+    """A frame of random unit tokens at the given keys of a 3 x 3 grid, in order."""
+    n = len(keys)
+    return FrameEntry(
+        frame_index=frame_index,
+        timestamp=float(frame_index),
+        token_matrix=np.stack([normalize(v) for v in rng.standard_normal((n, dim))]),
+        scores=rng.choice([0.0, 0.25, 0.5], size=n),  # tied salience
+        rows=keys // 3,
+        cols=keys % 3,
+        scene_boundary=False,
+    )
+
+
 def assert_same_tokens(got, want):
     for name in ("token_matrix", "scores", "rows", "cols"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -1109,6 +1123,23 @@ def test_columnar_stages_match_per_token_reference():
                 assert_same_tokens(survivors[0], original.take(np.array(kept)))
             else:
                 assert survivors == []
+
+        # Random grids almost never coincide, so frames on one grid come
+        # apart: raster-ordered unique positions, which prune aligns in
+        # place; that grid with one position repeated, where a token aligns
+        # with the first reference token at its position; and a reference
+        # holding the frame's positions in another order.
+        raster = np.sort(rng.choice(9, size=int(rng.integers(2, 10)), replace=False))
+        repeated = raster.copy()
+        twice = int(rng.integers(1, len(raster)))
+        repeated[twice] = repeated[twice - 1]
+        permuted = rng.permutation(raster)
+        if np.array_equal(permuted, raster):
+            permuted = permuted[::-1]
+        for frame_keys, ref_keys in ((raster, raster), (repeated, repeated), (raster, permuted)):
+            on_grid, ref = grid_entry(rng, 0, frame_keys), grid_entry(rng, 1, ref_keys)
+            want = on_grid.take(np.array(reference_prune_positions(on_grid, ref, config), dtype=int))
+            assert_same_tokens(temporal_semantic_prune(on_grid, ref, config), want)
 
 
 def test_forget_small_overflow_in_a_large_tied_tier_matches_reference():
@@ -1258,6 +1289,82 @@ def test_forget_frame_minimum_prefilter_matches_reference():
         assert mem.tier_tokens["long"] == sum(e.token_count for e in mem.long)
         assert mem.tier_tokens["mid"] == sum(e.token_count for e in mem.mid)
     assert seen == {"tied bound", "prefiltered", "overflow >= frames", "spill into mid", "emptied"}
+
+
+def test_eviction_report_read_after_later_ingests_is_as_of_its_call(monkeypatch):
+    # Forget's report holds copies of its victims' columns: read only after
+    # later ingests have trimmed frames in place, compacted pages and
+    # released pages, it lists what the reference lists as of its call, and
+    # it equals the report of a twin memory that was read at once.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    real_forget = tiers.selective_forget
+    calls = []
+
+    def recorded(mem):
+        counts = {e.frame_index: e.token_count for e in mem.long + mem.mid}
+        expected = reference_forget((mem.long, mem.mid), mem.total_tokens - mem.config.token_budget)
+        report = real_forget(mem)
+        held = {page_id for page_id, *_ in mem.row_store.page_usage()}
+        lost = collections.Counter(f for f, _, _ in expected)
+        calls.append((report, expected, len(moves), held,
+                      any(n < counts[f] for f, n in lost.items())))
+        return report
+
+    monkeypatch.setattr(tiers, "selective_forget", recorded)
+    seen = set()
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 137])
+        dim = 6
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                         token_budget=int(rng.integers(40, 120)), keep_fraction=0.75,
+                         long_quota_per_frame=int(rng.integers(2, 14)))
+        bank = ProbeBank.generated(dim, n=3, seed=seed)
+        calls.clear()
+        ingest_random(new_memory(cfg, bank), copy.deepcopy(rng), 60, dim, 0)
+        twin = [report for report, *_ in calls]
+        for report in twin:
+            report.evicted
+        calls.clear()
+        mem = new_memory(cfg, bank)
+        ingest_random(mem, rng, 60, dim, 0)
+        released = {page_id for page_id, *_ in mem.row_store.page_usage()}
+        trims = [trimmed for *_, trimmed in calls]
+        for k, ((report, expected, moved, held, _), early) in enumerate(zip(calls, twin, strict=True)):
+            if not expected:
+                assert report.count == 0 and report.evicted == ()
+                continue
+            seen.update({"trimmed in place"} if any(trims[k + 1:]) else ())
+            seen.update({"compacted"} if len(moves) > moved else ())
+            seen.update({"released"} if held - released else ())
+            assert report.count == len(expected)
+            assert report.evicted == tuple(expected)
+            assert report.to_json_dict() == {"evicted": [list(v) for v in expected]}
+            assert report == early and hash(report) == hash(early)
+    assert seen == {"trimmed in place", "compacted", "released"}
+
+
+def test_ingest_reads_only_the_eviction_count(monkeypatch):
+    # ingest_frame reports how many tokens forget dropped and never builds
+    # the victims' tuples; the count still conserves every token.
+    def unread(report):
+        raise AssertionError("ingest read the evicted tuples")
+
+    monkeypatch.setattr(tiers.EvictionReport, "evicted", property(unread))
+    dim, n = 8, 16
+    for budget in (150, 48):  # eviction from the long tier, and from mid alone
+        rng = np.random.default_rng([budget, 139])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=4, token_budget=budget,
+                         tokens_per_frame_max=n, long_quota_per_frame=4)
+        mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=budget))
+        reports = [mem.ingest_frame(float(t), [(rng.standard_normal(dim), i // 4, i % 4)
+                                               for i in range(n)]) for t in range(60)]
+        assert all(r.dropped_budget > 0 for r in reports[20:])
+        dropped = sum(r.dropped_temporal + r.dropped_spatial + r.dropped_budget for r in reports)
+        assert sum(r.tokens_in for r in reports) == mem.total_tokens + dropped
+        assert mem.total_tokens == mem.recount_tokens() <= budget
 
 
 # --- whole-pipeline invariants ----------------------------------------------
