@@ -41,7 +41,7 @@ from .errors import (
     checked_reals,
 )
 from .retrieval import GATE_DECAY, GATE_FLOOR, GateState, update_gate
-from .traceio import MAX_COORD, coords, read_only, seal
+from .traceio import MAX_COORD, TokenColumns, coords, read_only, seal
 from .vecspace import (
     FrameTable,
     ProbeBank,
@@ -366,47 +366,41 @@ def encode_tokens(
     frame_index: int, timestamp: float, raw_tokens: Iterable[tuple], bank: ProbeBank, *,
     alloc: Callable[[int], np.ndarray] | None = None,
 ) -> FrameEntry:
-    """Normalize and score raw (vector, row, col) triples into a FrameEntry.
+    """Normalize and score a frame's tokens into a FrameEntry.
 
-    The frame is normalized and scored at once through the same
-    batch-invariant kernels max_sim uses, on the re-normalized rows as
-    max_sim sees them, so stored scores reproduce bit-exactly. Token
-    vectors must be 1-D, of one length, the bank's dimension
-    (DimensionError), and real numbers (ValidationError).
+    raw_tokens is a traceio.TokenColumns, read by its columns alone, or
+    (vector, row, col) triples, stacked once by TokenColumns.of. The frame
+    is normalized and scored at once through the same batch-invariant
+    kernels max_sim uses, on the re-normalized rows as max_sim sees them,
+    so stored scores reproduce bit-exactly. Token vectors must be 1-D, of
+    one length, the bank's dimension (DimensionError), and real numbers
+    (ValidationError).
 
     alloc, if given, is called with the number of tokens and returns the
     (n, dim) float64 array the unit rows are written into; the entry's
     token_matrix is that array, made read-only.
 
-    The entry is built once, from columns made here, with the checks
-    FrameEntry makes of columns it is given, in its order: frame_index an
-    integer (ValidationError), timestamp a finite real number, grid
-    coordinates as traceio.coords reads them, frame_index non-negative and
-    the scores finite.
+    The entry is built once, from the columns, with the checks FrameEntry
+    makes of columns it is given: frame_index an integer (ValidationError),
+    timestamp a finite real number, grid coordinates as traceio.coords
+    reads them, frame_index non-negative and the scores finite.
     """
-    raw = list(raw_tokens)
-    if not raw:
+    tokens = TokenColumns.of(raw_tokens)
+    n = len(tokens)
+    if not n:
         raise EmptyFrame(f"frame {frame_index} has no tokens")
-    try:
-        vectors, rows, cols = zip(*raw, strict=True)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"frame {frame_index}: each token must be a (vector, row, col) triple") from exc
-    # Stacked in the vectors' own dtype (float32 from a trace), then cast
-    # once: the same bits as stacking into float64, in less time.
-    matrix = checked_reals(vectors, f"frame {frame_index}: token vectors")
-    if matrix.ndim != 2:
-        raise DimensionError(f"frame {frame_index}: token vectors must be 1-D")
-    if matrix.shape[1] != bank.dim:
-        raise DimensionError(f"vector has dimension {matrix.shape[1]}, bank has {bank.dim}")
-    work = matrix.astype(np.float64)
-    units = seal(unit_rows(work, out=None if alloc is None else alloc(len(raw))))
+    if tokens.vectors.shape[1] != bank.dim:
+        raise DimensionError(f"vector has dimension {tokens.vectors.shape[1]}, bank has {bank.dim}")
+    # Cast from the vectors' own dtype (float32 from a trace) into a new
+    # array, which the second normalization below overwrites.
+    work = tokens.vectors.astype(np.float64)
+    units = seal(unit_rows(work, out=None if alloc is None else alloc(n)))
     scores = seal(max_sim_rows(unit_rows(units, out=work), bank))
     frame_index = checked_int(frame_index, "frame_index")
     timestamp = checked_real(timestamp, "timestamp")
-    # Arrays made here from the tuples, so sealed rather than copied.
-    rows, cols = (seal(coords(column, name).astype(np.int64, copy=False))
-                  for column, name in ((rows, "rows"), (cols, "cols")))
+    # Read-only int64 columns: the same arrays when they are, else new ones.
+    rows, cols = (seal(column.astype(np.int64, copy=False))
+                  for column in (tokens.rows, tokens.cols))
     if frame_index < 0:
         raise ValidationError("frame_index must be non-negative")
     if not np.isfinite(scores).all():
@@ -785,9 +779,11 @@ class TieredMemory:
     ) -> IngestReport:
         """Push one frame through the pipeline; returns what happened.
 
-        raw_tokens is a sequence of (vector, spatial_row, spatial_col).
-        Timestamps must be strictly increasing; the frame must be
-        non-empty and within the per-frame token cap. frame_index is the
+        raw_tokens is a traceio.TokenColumns, as RawFrame.ingest_tokens()
+        returns, or a sequence of (vector, spatial_row, spatial_col)
+        triples, which encode_tokens stacks once. Timestamps must be
+        strictly increasing; the frame must be non-empty and within the
+        per-frame token cap. frame_index is the
         frame's identity in the caller's trace; given indices must be
         non-negative and strictly increasing, and a frame without one takes
         the index after the previous frame's.
@@ -806,16 +802,17 @@ class TieredMemory:
                 f"frame_index {index} is outside [{self._next_frame_index}, {MAX_FRAME_INDEX}]; "
                 f"frame indices are non-negative and strictly increasing"
             )
-        raw = list(raw_tokens)
-        if not raw:
+        # Counted before encode_tokens stacks triples.
+        tokens = raw_tokens if isinstance(raw_tokens, TokenColumns) else list(raw_tokens)
+        n = len(tokens)
+        if not n:
             raise EmptyFrame("a frame must carry at least one token")
-        if len(raw) > self.config.tokens_per_frame_max:
+        if n > self.config.tokens_per_frame_max:
             raise FrameTooLarge(
-                f"{len(raw)} tokens exceeds tokens_per_frame_max = "
-                f"{self.config.tokens_per_frame_max}"
+                f"{n} tokens exceeds tokens_per_frame_max = {self.config.tokens_per_frame_max}"
             )
 
-        entry = encode_tokens(index, ts, raw, self.bank, alloc=self._frame_rows)
+        entry = encode_tokens(index, ts, tokens, self.bank, alloc=self._frame_rows)
         short, mid, long = self._short, self._tables["mid"], self._tables["long"]
         prev = short[-1] if short else None
         entry = entry._with(scene_boundary=is_scene_boundary(
@@ -849,7 +846,7 @@ class TieredMemory:
             timestamp=ts,
             scene_boundary=entry.scene_boundary,
             pooled_score=pooled,
-            tokens_in=len(raw),
+            tokens_in=n,
             dropped_temporal=dropped_temporal,
             dropped_spatial=dropped_spatial,
             dropped_budget=eviction.count,

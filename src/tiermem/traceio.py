@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Union
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DimensionError,
     DimMismatch,
     NonFiniteTimestamp,
     NonMonotoneTimestamp,
@@ -64,6 +66,12 @@ def seal(arr: np.ndarray) -> np.ndarray:
 def read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only array with arr's contents; writable inputs are copied."""
     return seal(arr.copy()) if arr.flags.writeable else arr
+
+
+def _held(arr: np.ndarray, values) -> np.ndarray:
+    """arr, read from values, as a read-only array: sealed if the read built
+    it (values was not an array), else read_only."""
+    return seal(arr) if arr is not values and arr.flags.owndata else read_only(arr)
 
 
 def _float32(values, what: str) -> np.ndarray:
@@ -108,20 +116,76 @@ class RawToken:
 
 
 _COORD = np.dtype("<u2")
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def coords(values, name: str) -> np.ndarray:
     """A grid coordinate column as a 1-D array of an integer dtype, every
-    value in [0, MAX_COORD]; anything else raises ValidationError."""
+    value in [0, MAX_COORD]; anything else raises ValidationError, bools
+    too."""
     arr = np.asarray(values)
     if arr.size == 0:
         arr = arr.astype(_COORD)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         raise ValidationError(f"{name} must be a 1-D integer column, got {arr.dtype} {arr.shape}")
+    # np.asarray reads bools mixed with ints as ints.
+    if not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ValidationError(f"{name} must be integers, not bools")
     # A u16 column, as the reader makes, is in range by its type.
     if arr.dtype != _COORD and (arr.min() < 0 or arr.max() > MAX_COORD):
         raise ValidationError(f"{name} must be in [0, {MAX_COORD}]")
     return arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class TokenColumns(Sequence):
+    """(vector, row, col) triples, as ingest_frame takes them, held as three
+    read-only columns.
+
+    Row i of vectors (n, dim), in its own real dtype (errors.checked_reals),
+    is token i's vector and (rows[i], cols[i]) its grid cell, read as
+    coords reads them. Writable inputs are copied. A triple (a row view
+    and two ints) is built only when indexed or iterated.
+    """
+
+    vectors: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+
+    def __init__(self, vectors, rows, cols):
+        arr = checked_reals(vectors, "token vectors")
+        if arr.ndim != 2:
+            raise DimensionError(f"token vectors must form an (n, dim) matrix, got {arr.shape}")
+        object.__setattr__(self, "vectors", _held(arr, vectors))
+        for name, values in (("rows", rows), ("cols", cols)):
+            object.__setattr__(self, name, _held(coords(values, name), values))
+        if self.rows.shape != (arr.shape[0],) or self.cols.shape != self.rows.shape:
+            raise ValidationError(f"{arr.shape[0]} token vectors, "
+                                  f"{self.rows.shape[0]} rows, {self.cols.shape[0]} cols")
+
+    @classmethod
+    def of(cls, tokens) -> "TokenColumns":
+        """tokens as columns: a TokenColumns as it is, and a sequence of
+        (vector, row, col) triples stacked once, column by column."""
+        if isinstance(tokens, TokenColumns):
+            return tokens
+        raw = list(tokens)
+        if not raw:
+            return cls(np.empty((0, 0)), (), ())
+        try:
+            vectors, rows, cols = zip(*raw, strict=True)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("each token must be a (vector, row, col) triple") from exc
+        return cls(vectors, rows, cols)
+
+    def __len__(self) -> int:
+        return self.vectors.shape[0]
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, int, int]:
+        return self.vectors[i], int(self.rows[i]), int(self.cols[i])
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, int, int]]:
+        return zip(self.vectors, self.rows.tolist(), self.cols.tolist())
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -174,9 +238,9 @@ class RawFrame:
         """Per-token views, built on each access."""
         return tuple(RawToken(row, col, vector) for vector, row, col in self.ingest_tokens())
 
-    def ingest_tokens(self) -> list[tuple[np.ndarray, int, int]]:
-        """(vector, row, col) triples in the shape ingest_frame expects."""
-        return list(zip(self.vectors, self.rows.tolist(), self.cols.tolist()))
+    def ingest_tokens(self) -> TokenColumns:
+        """The frame's tokens as ingest_frame takes them: its own columns."""
+        return TokenColumns(self.vectors, self.rows, self.cols)
 
 
 Sink = Union[str, os.PathLike, "BinaryIO"]

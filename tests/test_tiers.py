@@ -34,7 +34,7 @@ from tiermem.tiers import (
 )
 from tiermem import tiers, vecspace
 from tiermem.retrieval import QuerySpec, load_queries_jsonl, retrieve, score_candidates
-from tiermem.traceio import RawFrame, RawToken
+from tiermem.traceio import RawFrame, RawToken, TokenColumns
 from tiermem.vecspace import (
     FrameTable,
     ProbeBank,
@@ -239,6 +239,11 @@ def test_encode_tokens_scores_reproduce_bit_exactly():
 _V4 = np.ones(4)
 
 
+def _columns(vectors, rows, cols):
+    """Column-form tokens, built when called, so inside pytest.raises."""
+    return lambda: TokenColumns(vectors, rows, cols)
+
+
 @pytest.mark.parametrize("frame_index, timestamp, raw, error", [
     (True, 0.0, [(_V4, 0, 0)], ValidationError),  # a bool is not a frame index
     (-1, 0.0, [(_V4, 0, 0)], ValidationError),
@@ -248,18 +253,148 @@ _V4 = np.ones(4)
     (0, 0.0, [(_V4, 0, 0), (np.ones(3), 0, 1)], DimensionError),  # ragged vectors
     (0, 0.0, [(_V4, 0)], ValidationError),  # not a (vector, row, col) triple
     (0, 0.0, [(np.array([1.0, np.inf, 0.0, 0.0]), 0, 0)], ValidationError),
+    (0, 0.0, [(_V4, True, 0), (_V4, 1, 0)], ValidationError),  # a bool among int rows
+    (0, 0.0, [(_V4, 0, 0), (_V4, 0, np.bool_(True))], ValidationError),
+    (0, 0.0, [], EmptyFrame),
+    # The same refusals of tokens given as columns.
+    pytest.param(0, 0.0, _columns(np.empty((0, 4)), [], []), EmptyFrame, id="columns-empty"),
+    pytest.param(0, 0.0, _columns(np.ones((1, 3)), [0], [0]), DimensionError,
+                 id="columns-not-the-bank-dim"),
+    pytest.param(0, 0.0, _columns(np.ones(4), [0], [0]), DimensionError, id="columns-1-D"),
+    pytest.param(0, 0.0, _columns(np.ones((2, 4)), [0, 1], [0]), ValidationError,
+                 id="columns-lengths-differ"),
+    pytest.param(0, 0.0, _columns(np.array([[np.nan, 0.0, 0.0, 0.0]]), [0], [0]),
+                 ValidationError, id="columns-nan-vector"),
+    pytest.param(0, 0.0, _columns(np.ones((1, 4)), np.array([65536]), [0]), ValidationError,
+                 id="columns-row-65536"),
+    pytest.param(0, 0.0, _columns(np.ones((1, 4)), np.array([0.0]), [0]), ValidationError,
+                 id="columns-float-rows"),
 ])
 def test_encode_tokens_refuses_what_a_frame_entry_refuses(frame_index, timestamp, raw, error):
     # encode_tokens builds its entry without FrameEntry's checks, so it
     # makes them itself, and raises what constructing the entry raised.
     bank = ProbeBank.generated(4, n=3, seed=1)
     with pytest.raises(error), np.errstate(invalid="ignore"):
-        encode_tokens(frame_index, timestamp, raw, bank)
+        encode_tokens(frame_index, timestamp, raw() if callable(raw) else raw, bank)
     entry = encode_tokens(2, 1.5, [(_V4, 0, 1), (-_V4, np.uint16(3), np.int8(2))], bank)
     assert (entry.frame_index, entry.timestamp, entry.scene_boundary) == (2, 1.5, False)
     for column, want in ((entry.rows, [0, 3]), (entry.cols, [1, 2])):
         assert column.dtype == np.int64 and not column.flags.writeable
         assert column.tolist() == want
+
+
+def _column_streams():
+    """Seeded streams as (name, config, frames, queries); each frame is
+    (timestamp, tokens as columns), each query due after the frame at its
+    arrival time. Scenes change every 6 frames, and the small budgets make
+    forget evict and past queries score mid and long candidates."""
+    dim = 16
+    shapes = [
+        # name, tokens per frame, frames, vector dtype, raster grid, budget
+        ("512-token raster", 512, 14, np.float32, True, 2048),
+        ("64-token raster", 64, 40, np.float32, True, 512),
+        ("float64 vectors", 64, 40, np.float64, True, 512),
+        ("non-raster grid", 64, 40, np.float32, False, 512),
+    ]
+    for seed, (name, n, count, dtype, raster, budget) in enumerate(shapes, start=31):
+        rng = np.random.default_rng(seed)
+        config = TierConfig(short_cap_frames=2, mid_cap_frames=4, tokens_per_frame_max=n,
+                            token_budget=budget, long_quota_per_frame=8)
+        frames = []
+        for t in range(count):
+            if t % 6 == 0:
+                scene = rng.standard_normal((n, dim))
+            vectors = (scene + 0.3 * rng.standard_normal((n, dim))).astype(dtype)
+            if raster:
+                rows, cols = np.divmod(np.arange(n), 16)
+            else:  # shuffled cells, some held twice
+                rows, cols = rng.integers(0, 6, n), rng.integers(0, 6, n)
+            if dtype == np.float32:
+                frame = RawFrame(t, float(t), vectors=vectors, rows=rows, cols=cols)
+                tokens = frame.ingest_tokens()
+            else:
+                tokens = TokenColumns(vectors, rows, cols)
+            frames.append((float(t), tokens))
+        queries = [QuerySpec(f"q{t}-{rho}", float(t), rng.standard_normal((2, dim)), rho=rho)
+                   for t in range(4, count, 5) for rho in (0.1, 1e7)]
+        yield name, config, frames, queries
+
+
+def _replay(config, frames, queries, triples):
+    """Every report and retrieve result of one replay, with floats as
+    float.hex, then the final state digest, token total and long frames."""
+    mem = new_memory(config, ProbeBank.generated(16, n=5, seed=4))
+    due = collections.defaultdict(list)
+    for q in queries:
+        due[q.arrival_time].append(q)
+    out = []
+    for ts, tokens in frames:
+        if triples:
+            tokens = [(v, r, c) for v, r, c in zip(tokens.vectors, tokens.rows.tolist(),
+                                                   tokens.cols.tolist())]
+        report = mem.ingest_frame(ts, tokens).to_json_dict()
+        out.append({k: v.hex() if isinstance(v, float) else v for k, v in report.items()})
+        for q in due[ts]:
+            result = retrieve(mem.freeze(at=ts), mem.gate_stats, q)
+            mem.thaw()
+            out.append((result.gated_short_only, result.anchor_frames, result.retrieved_frames,
+                        [(f, s.hex()) for f, s in result.frame_scores.items()],
+                        result.gate_affinity.hex(), result.gate_threshold.hex()))
+    return out, mem.state_digest(), mem.total_tokens, len(mem.long)
+
+
+@pytest.mark.parametrize("stream", list(_column_streams()), ids=lambda s: s[0])
+def test_ingest_from_columns_matches_ingest_from_triples(stream):
+    # The same frames, given as columns and as (vector, row, col) triples,
+    # give the same reports, scores (to the bit) and state.
+    name, config, frames, queries = stream
+    columns = _replay(config, frames, queries, triples=False)
+    assert columns == _replay(config, frames, queries, triples=True)
+    records, _, total, long_frames = columns
+    reports = [r for r in records if isinstance(r, dict)]
+    assert any(r["dropped_budget"] for r in reports), name  # forget evicted
+    assert total <= config.token_budget and long_frames, name
+    assert any(isinstance(r, tuple) and r[3] for r in records), name  # candidates scored
+
+
+class _Untouchable(TokenColumns):
+    """Columns whose tokens may not be read one at a time."""
+
+    def __iter__(self):
+        raise AssertionError("iterated")
+
+    def __getitem__(self, i):
+        raise AssertionError("indexed")
+
+
+def test_columns_are_read_as_columns_alone():
+    # encode_tokens and ingest_frame do no per-token work on columns.
+    rng = np.random.default_rng(8)
+    tokens = _Untouchable(rng.standard_normal((6, 4)).astype(np.float32),
+                          np.zeros(6, np.uint16), np.arange(6, dtype=np.uint16))
+    bank = ProbeBank.generated(4, n=3, seed=1)
+    entry = encode_tokens(0, 0.0, tokens, bank)
+    assert entry.token_count == 6 and entry.cols.tolist() == list(range(6))
+    mem = new_memory(TierConfig(short_cap_frames=1, tokens_per_frame_max=6, token_budget=12), bank)
+    assert mem.ingest_frame(0.0, tokens).tokens_in == 6
+    assert mem.total_tokens == 6 and np.array_equal(mem.short[0].token_matrix, entry.token_matrix)
+
+
+def test_token_columns_never_alias_the_callers_arrays():
+    # Writable columns are copied: ingest leaves the caller's arrays
+    # writable, and writing to them after ingest changes nothing held.
+    rng = np.random.default_rng(9)
+    vectors, rows, cols = rng.standard_normal((5, 4)), np.arange(5, dtype=np.int64), [0] * 5
+    tokens = TokenColumns(vectors, rows, cols)
+    mem = new_memory(TierConfig(short_cap_frames=1, tokens_per_frame_max=5, token_budget=10),
+                     ProbeBank.generated(4, n=3, seed=1))
+    mem.ingest_frame(0.0, tokens)
+    digest = mem.state_digest()
+    assert vectors.flags.writeable and rows.flags.writeable
+    vectors[:] = 7.0
+    rows[:] = 3
+    assert mem.state_digest() == digest
+    assert not tokens.vectors.flags.writeable and tokens.vectors[0, 0] != 7.0
 
 
 # --- scene boundaries -------------------------------------------------------
@@ -863,10 +998,11 @@ def test_ingest_timestamp_and_size_guards():
     v = axis(4, 0)
     # Coordinates that are not integers were truncated (1.5 -> 1, 2.9 -> 2),
     # and a token that is not a (vector, row, col) triple ended in a bare
-    # ValueError, or had its fourth item ignored.
+    # ValueError, or had its fourth item ignored; a bool among int rows
+    # was read as 1.
     malformed = ([(v, 1.5, 0)], [(v, 0, 2.9)], [(v, 0, 0), (v, 0, 2.9)], [(v, "1", 0)],
                  [(v, None, 0)], [(v, 0)], [(v, 0, 0), (v, 0)], [(v, 0, 0, 0)],
-                 [(v, 0, 0), (v, 0, 1, 2)], [v], [3])
+                 [(v, 0, 0), (v, 0, 1, 2)], [v], [3], [(v, True, 0), (v, 1, 0)])
     for tokens in malformed:
         with pytest.raises(ValidationError):
             mem.ingest_frame(2.0, tokens)

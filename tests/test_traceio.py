@@ -17,7 +17,7 @@ from tiermem.errors import (
     UnsupportedVersion,
     ValidationError,
 )
-from tiermem.traceio import RawFrame, RawToken, load_trace, read_trace, write_trace
+from tiermem.traceio import RawFrame, RawToken, TokenColumns, load_trace, read_trace, write_trace
 
 
 def token(vec, row=0, col=0):
@@ -222,6 +222,11 @@ def test_frame_columns_and_token_views_agree():
     assert [type(r) for _, r, _ in triples] == [int, int]
     assert [type(c) for _, _, c in triples] == [int, int]
     assert triples[0][0].dtype == np.float32 and triples[0][0].shape == (2,)
+    assert triples[-1][1:] == (0, 65535) and len(triples) == 2
+    # The triples are the frame's own columns, not a copy of them.
+    assert (triples.vectors is f.vectors and triples.rows is f.rows
+            and triples.cols is f.cols)
+    assert TokenColumns.of(triples) is triples
 
 
 def test_frame_from_columns_copies_writable_inputs():
@@ -242,6 +247,9 @@ def test_frame_from_columns_copies_writable_inputs():
         {"vectors": np.ones((1, 3)), "rows": [65536], "cols": [0]},
         {"vectors": np.ones((1, 3)), "rows": [0], "cols": [-1]},
         {"vectors": np.ones((1, 3)), "rows": [0.5], "cols": [0]},
+        # np.asarray reads a mix of bools and ints as ints.
+        {"vectors": np.ones((2, 2)), "rows": [True, 1], "cols": [0, 0]},
+        {"vectors": np.ones((2, 2)), "rows": [0, 0], "cols": (1, np.bool_(False))},
     ],
 )
 def test_frame_rejects_malformed_columns(columns):
