@@ -418,9 +418,10 @@ def is_scene_boundary(
     Distance is the mean over the frame's tokens of the max cosine against
     the previous frame's tokens, compared to the configured threshold. Only
     its side of the threshold matters, so one pooled_max_sim_units call
-    screens it in float32, over the previous frame's rows a chunk at a
-    time, stops as soon as a lower bound settles that the frame lies above
-    the threshold, and computes it exactly only near the threshold.
+    screens it in float32, over a strided sample of the previous frame's
+    rows and then, unless a lower bound has settled that the frame lies
+    above the threshold, over all of them, and computes it exactly only
+    near the threshold.
     float32, if given, makes that call's float32 casts.
     """
     if prev is None:

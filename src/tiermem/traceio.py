@@ -63,15 +63,39 @@ def seal(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _shares_writable(arr: np.ndarray) -> bool:
+    """Whether arr's memory can be written through something it views: a
+    writable array or buffer in its base chain. bytes cannot be written,
+    nor can a read-only array that owns its memory."""
+    base = arr.base
+    while base is not None and not isinstance(base, bytes):
+        if isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                return True
+            base = base.base
+            continue
+        try:
+            view = memoryview(base)
+        except TypeError:  # not a buffer, so nothing shows it is read-only
+            return True
+        if not view.readonly:
+            return True
+        base = None if view.obj is base else view.obj
+    return False
+
+
 def read_only(arr: np.ndarray) -> np.ndarray:
-    """A read-only array with arr's contents; writable inputs are copied."""
-    return seal(arr.copy()) if arr.flags.writeable else arr
+    """A read-only array with arr's contents: arr itself if nothing can
+    write its memory, else a sealed copy."""
+    return seal(arr.copy()) if arr.flags.writeable or _shares_writable(arr) else arr
 
 
 def _held(arr: np.ndarray, values) -> np.ndarray:
     """arr, read from values, as a read-only array: sealed if the read built
-    it (values was not an array), else read_only."""
-    return seal(arr) if arr is not values and arr.flags.owndata else read_only(arr)
+    it (from a list or tuple, or as a cast of an array), else read_only. An
+    array-like's own array is never sealed: np.asarray may return it."""
+    built = arr is not values and isinstance(values, (list, tuple, np.ndarray))
+    return seal(arr) if built and arr.flags.owndata else read_only(arr)
 
 
 def _float32(values, what: str) -> np.ndarray:
@@ -128,8 +152,9 @@ def coords(values, name: str) -> np.ndarray:
         arr = arr.astype(_COORD)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         raise ValidationError(f"{name} must be a 1-D integer column, got {arr.dtype} {arr.shape}")
-    # np.asarray reads bools mixed with ints as ints.
-    if not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
+    # np.asarray reads bools mixed with ints as ints; an array-like's
+    # __array__ gives its own dtype.
+    if not hasattr(values, "__array__") and not _BOOLS.isdisjoint(map(type, values)):
         raise ValidationError(f"{name} must be integers, not bools")
     # A u16 column, as the reader makes, is in range by its type.
     if arr.dtype != _COORD and (arr.min() < 0 or arr.max() > MAX_COORD):
@@ -194,8 +219,9 @@ class RawFrame:
     serialization.
 
     Row i of vectors (n, dim) float32 is token i's vector and (rows[i],
-    cols[i]), uint16, its grid cell. A frame is built from these columns;
-    writable ones are copied.
+    cols[i]), uint16, its grid cell. A frame is built from these columns:
+    one that needs a cast to float32 or uint16 is held as the cast built
+    it, and one that something else can write is copied.
     """
 
     frame_index: int
@@ -210,11 +236,11 @@ class RawFrame:
             raise ValidationError(
                 f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
         timestamp = checked_real(timestamp, f"frame {frame_index} timestamp")
-        vectors = _float32(vectors, f"frame {frame_index} vectors")
+        vectors = _held(_float32(vectors, f"frame {frame_index} vectors"), vectors)
         if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
             raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
-        rows = read_only(coords(rows, "rows").astype(_COORD, copy=False))
-        cols = read_only(coords(cols, "cols").astype(_COORD, copy=False))
+        rows = _held(coords(rows, "rows").astype(_COORD, copy=False), rows)
+        cols = _held(coords(cols, "cols").astype(_COORD, copy=False), cols)
         if rows.shape != (vectors.shape[0],) or cols.shape != rows.shape:
             raise ValidationError(
                 f"frame {frame_index}: {vectors.shape[0]} vectors, "
@@ -222,7 +248,7 @@ class RawFrame:
             )
         object.__setattr__(self, "frame_index", frame_index)
         object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "vectors", read_only(vectors))
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 

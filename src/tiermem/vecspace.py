@@ -270,9 +270,11 @@ def screen_margin(dim: int) -> float:
     return 2 * (dim + 4) * 2.0**-24
 
 
-# The scene-boundary screen takes the previous frame's rows in chunks of at
-# most this many: a quarter of a 512-token frame.
-SCREEN_CHUNK_ROWS = 128
+# The scene-boundary screen's first step reads a strided sample of at most
+# this many of the previous frame's rows: 1/16 of a 512-token frame. Inside
+# a scene it settles as many frames as 128 rows do, and 16 rows settle a
+# third fewer.
+SCREEN_SAMPLE_ROWS = 32
 
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
@@ -282,20 +284,21 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     (unit or zero rows in), through query_max_sims on the BLAS product.
 
     With near given, the value is exact only near it, and only its side of
-    near is exact everywhere. The mean is first estimated from float32
-    products (row maxima averaged in float64), over the query rows in
-    strided chunks of at most SCREEN_CHUNK_ROWS rows (rows k, k + s,
-    k + 2s, ... for s chunks), each chunk's maxima folded into running row
-    maxima. A row's maximum over some query rows is at most its maximum
-    over all of them, so each running estimate bounds the full one from
-    below, and screen_margin(dim) bounds each row maximum's float32 error
-    whatever rows it ranges over: a running estimate above near + margin
-    proves the float64 value above near, and is returned at once. After the
-    last chunk, an estimate more than the margin from near is returned; it
-    lies on the same side of near as the exact value. A NaN estimate never
-    decides. Only an estimate within the margin, or NaN, pays for the
-    float64 query_max_sims on the frame's own rows, whose mean is returned
-    with its bits. That product is the BLAS one whatever
+    near is exact everywhere. The mean is estimated from float32 products
+    (row maxima averaged in float64) in at most two steps: first over a
+    strided sample of the query rows (rows 0, s, 2s, ..., s =
+    ceil(rows / SCREEN_SAMPLE_ROWS)), then, only if that does not settle,
+    over all of them. A row's maximum over some query rows is at most its
+    maximum over all of them, so the sample's estimate bounds the full one
+    from below, and screen_margin(dim) bounds each row maximum's float32
+    error whatever rows it ranges over: an estimate above near + margin
+    proves the float64 value above near, and is returned at once. A query
+    of at most SCREEN_SAMPLE_ROWS rows takes the second step alone. After
+    it, an estimate more than the margin from near is returned; it lies on
+    the same side of near as the exact value. A NaN estimate never decides.
+    Only an estimate within the margin, or NaN, pays for the float64
+    query_max_sims on the frame's own rows, whose mean is returned with its
+    bits. That product is the BLAS one whatever
     blas_rows_invariant says: it need only be deterministic for these two
     matrices, not give a row the same bits at every place in a block.
 
@@ -311,14 +314,10 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
         frame32 = cast(frame_matrix).T
         margin = screen_margin(frame_matrix.shape[1])
         n = frame32.shape[1]
-        chunks = max(1, -(-query32.shape[0] // SCREEN_CHUNK_ROWS))
-        for k in range(chunks):
-            rows = query32[k::chunks]
+        stride = -(-query32.shape[0] // SCREEN_SAMPLE_ROWS)
+        for rows in (query32[::stride], query32) if stride > 1 else (query32,):
             # Query-major, so the maximum runs down contiguous columns.
-            sims = rows @ frame32
-            chunk = np.maximum.reduce(sims, axis=0)
-            maxima = chunk if k == 0 else np.maximum(maxima, chunk, out=maxima)
-            # Clipped in place: clipping commutes with the maxima to come.
+            maxima = np.maximum.reduce(rows @ frame32, axis=0)
             np.clip(maxima, -1.0, 1.0, out=maxima)
             # np.mean's bits: a pairwise float64 sum, then one division.
             estimate = float(np.add.reduce(maxima, dtype=np.float64)) / n

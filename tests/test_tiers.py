@@ -397,6 +397,47 @@ def test_token_columns_never_alias_the_callers_arrays():
     assert not tokens.vectors.flags.writeable and tokens.vectors[0, 0] != 7.0
 
 
+def _read_only_view(base):
+    view = base.view()
+    view.setflags(write=False)
+    return view
+
+
+class _ArrayLike:
+    """An array-like whose np.asarray is its own writable array."""
+
+    def __init__(self, array):
+        self.array = array
+
+    def __array__(self, dtype=None, copy=None):
+        return self.array
+
+
+def test_read_only_views_of_writable_arrays_are_copied():
+    # A read-only view does not stop its writable base from being written:
+    # TokenColumns, RawFrame and FrameEntry copy it, and an array-like's
+    # own array is copied too, never sealed.
+    mem = new_memory(TierConfig(short_cap_frames=1, tokens_per_frame_max=2, token_budget=4),
+                     ProbeBank.generated(4, n=3, seed=1))
+    base = np.array([0, 1])
+    mem.ingest_frame(0.0, TokenColumns(np.ones((2, 4)), _read_only_view(base), [0, 0]))
+    digest = mem.state_digest()
+    base[:] = 7
+    assert mem.state_digest() == digest and mem.short[0].rows.tolist() == [0, 1]
+
+    vectors, rows = np.ones((2, 4)), np.array([0, 1])
+    for held in (TokenColumns(_read_only_view(vectors), _read_only_view(rows), [0, 0]),
+                 TokenColumns(_ArrayLike(vectors), _ArrayLike(rows), [0, 0]),
+                 RawFrame(0, 0.0, vectors=_read_only_view(vectors.astype(np.float32)),
+                          rows=_read_only_view(rows.astype(np.uint16)), cols=[0, 0]),
+                 FrameEntry(0, 0.0, _read_only_view(vectors), _read_only_view(np.ones(2)),
+                            _read_only_view(rows), [0, 0])):
+        columns = [held.token_matrix if isinstance(held, FrameEntry) else held.vectors, held.rows]
+        for column, source in zip(columns, (vectors, rows)):
+            assert not column.flags.writeable and not np.shares_memory(column, source)
+        assert vectors.flags.writeable and rows.flags.writeable
+
+
 # --- scene boundaries -------------------------------------------------------
 
 
@@ -2045,11 +2086,12 @@ def test_long_stream_structures_stay_within_their_bounds():
     #   page compaction moves) are at most the budget, at most half a page,
     #   so a page is closed only past half full, and at most the two tiers'
     #   open pages are emptier: the pages hold at most 2 * used + 2 pages
-    #   of rows;
+    #   of rows, and there are at most 2 + 2 * budget / (1 - fraction) /
+    #   SCORE_BLOCK_ROWS of them;
     # - each frame table holds at most twice its largest size, or its
     #   initial capacity;
     # - the frame pool holds at most short_cap_frames + 2 buffers;
-    # - a recount of the tiers gives total_tokens (checked at each freeze).
+    # - a recount of the tiers gives total_tokens.
     # A now query's snapshot makes its table views only after the ingests
     # that follow it, which trim its frames: the views show the frames as
     # they stood at the freeze.
@@ -2077,6 +2119,8 @@ def test_long_stream_structures_stay_within_their_bounds():
         assert used - held <= vecspace.COMPACT_DEAD_FRACTION * used, t
         assert held <= cfg.token_budget, t
         assert sum(rows for _, _, rows, _, _ in usage) <= 2 * used + 2 * block, t
+        assert len(usage) <= 2 + 2 * cfg.token_budget / (1 - vecspace.COMPACT_DEAD_FRACTION) / block, t
+        assert mem.recount_tokens() == mem.total_tokens, t
         for name, table in mem._tables.items():
             largest[name] = max(largest[name], table.size)
             assert table.ints.shape[1] <= max(initial, 2 * largest[name]), (t, name)
@@ -2091,7 +2135,6 @@ def test_long_stream_structures_stay_within_their_bounds():
                 seen["trimmed"] += any(counts.get(f, c) < c for f, c in ints[:2].T.tolist())
             pending = None
         if t % 3 == 0:
-            assert mem.recount_tokens() == mem.total_tokens, t
             snap = mem.freeze()
             wanted = [(mem._tables[name].ints[:, :mem._tables[name].size].copy(),
                        mem._tables[name].floats[:, :mem._tables[name].size].copy())

@@ -279,6 +279,57 @@ def test_read_frames_are_read_only_views():
     assert back[0].vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_read_only_copies_only_what_something_else_can_write():
+    # The reader's columns view bytes, which nothing can write, so a frame
+    # and its ingest columns hold them without a copy.
+    back = load_trace_bytes(write_bytes([frame(0, 0.0, [token([1.0, 2.0]), token([3.0, 4.0])])]))[0]
+    assert isinstance(back.vectors.base, np.ndarray) and back.vectors.base.base is not None
+    tokens = back.ingest_tokens()
+    assert tokens.vectors is back.vectors and tokens.rows is back.rows
+    kept = [traceio.seal(np.ones(3)), np.frombuffer(b"\0" * 8), np.frombuffer(memoryview(b"\0" * 8))]
+    sealed = traceio.seal(np.ones(4))
+    kept += [sealed[::2], _read_only(sealed[1:])]
+    for arr in kept:
+        assert traceio.read_only(arr) is arr
+    # A writable array, buffer or memoryview under a read-only view is copied.
+    owner = np.ones(4)
+    copied = [owner, _read_only(owner), _read_only(owner[::2]),
+              np.frombuffer(bytearray(8)), _read_only(np.frombuffer(bytearray(8))),
+              np.frombuffer(memoryview(bytearray(8)).toreadonly())]
+    for arr in copied:
+        held = traceio.read_only(arr)
+        assert held is not arr and not held.flags.writeable
+        assert np.array_equal(held, arr) and not np.shares_memory(held, arr)
+
+
+def _read_only(arr):
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+def test_frame_holds_the_casts_own_arrays(monkeypatch):
+    # A float64 matrix and list or int64 coordinates are cast once, and the
+    # frame seals what the cast built: nothing is copied a second time.
+    casts = []
+    cast = traceio._float32
+    monkeypatch.setattr(traceio, "_float32", lambda *args: casts.append(cast(*args)) or casts[-1])
+
+    def no_copy(arr):
+        raise AssertionError("copied again")
+
+    monkeypatch.setattr(traceio, "read_only", no_copy)
+    vectors = np.arange(6.0).reshape(2, 3)
+    for rows, cols in (([0, 1], [2, 3]), (np.array([0, 1]), (2, 3))):
+        f = RawFrame(0, 0.0, vectors=vectors, rows=rows, cols=cols)
+        assert f.vectors is casts[-1] and f.vectors.dtype == np.float32
+        for column, source in ((f.vectors, vectors), (f.rows, rows), (f.cols, cols)):
+            assert not column.flags.writeable and column.base is None
+            assert not np.shares_memory(column, source)
+        assert f.rows.dtype == f.cols.dtype == np.uint16 and f.cols.tolist() == [2, 3]
+    assert vectors.flags.writeable
+
+
 # --- decode equivalence against a per-token reference -------------------------
 
 

@@ -325,16 +325,16 @@ def test_screen_decides_non_finite_and_zero_rows_as_float64():
 
 
 def test_screen_decides_non_finite_and_zero_rows_in_one_chunk_as_float64():
-    # A 512-row previous frame is screened a strided chunk at a time. Rows
-    # that are NaN, inf or zero in only its first or only its last chunk
-    # must leave every decision as the float64 path makes it, whether the
-    # screen stops before it reaches them or not.
+    # A 512-row previous frame is screened first through a strided sample of
+    # its rows, then whole. Rows that are NaN, inf or zero only inside the
+    # sample or only outside it must leave every decision as the float64
+    # path makes it, whether the screen stops at the sample or not.
     rng = np.random.default_rng(67)
     dim = 16
     base = unit_rows(rng.standard_normal((12, dim)))
     prev = unit_rows(base[rng.integers(0, 12, 512)] + 0.05 * rng.standard_normal((512, dim)))
-    chunks = -(-512 // vecspace.SCREEN_CHUNK_ROWS)
-    assert chunks > 1
+    stride = -(-512 // vecspace.SCREEN_SAMPLE_ROWS)
+    assert stride > 1
     frames = {
         "same scene": unit_rows(base[rng.integers(0, 12, 300)] + 0.05 * rng.standard_normal((300, dim))),
         "new scene": unit_rows(rng.standard_normal((300, dim))),
@@ -350,18 +350,30 @@ def test_screen_decides_non_finite_and_zero_rows_in_one_chunk_as_float64():
     }
     decided = set()
     with np.errstate(invalid="ignore", over="ignore"):
-        for chunk in (0, chunks - 1):
+        # Rows 0, s, 2s, ... are the sample; rows s - 1, 2s - 1, ... are not.
+        for first in (0, stride - 1):
             for bad, row in bad_rows.items():
-                for count in (1, vecspace.SCREEN_CHUNK_ROWS):
+                for count in (1, vecspace.SCREEN_SAMPLE_ROWS):
                     held = prev.copy()
-                    held[chunk::chunks][:count] = row
+                    held[first::stride][:count] = row
                     for name, frame in frames.items():
                         exact = pooled_max_sim_units(frame, held)
                         for near in (-0.9, -0.5, 0.0, 0.5, 0.8, 0.95, 0.99):
                             got = pooled_max_sim_units(frame, held, near=near)
-                            assert (got < near) == (exact < near), (chunk, bad, count, name, near)
+                            assert (got < near) == (exact < near), (first, bad, count, name, near)
                             decided.add(exact < near)
     assert decided == {True, False}
+
+
+class _CountedProducts(np.ndarray):
+    """A float32 query whose products with a frame are recorded by their
+    query rows' shape."""
+
+    shapes: list
+
+    def __matmul__(self, other):
+        _CountedProducts.shapes.append(self.shape)
+        return np.matmul(self.view(np.ndarray), other)
 
 
 def test_screen_stops_at_the_first_chunk_whose_bound_settles():
@@ -371,35 +383,63 @@ def test_screen_stops_at_the_first_chunk_whose_bound_settles():
 
     def scene(rows):
         # Each base's tokens lie together, as an object's do in a frame, so
-        # only a chunk strided over the whole frame sees every base.
+        # only a sample strided over the whole frame sees every base.
         drawn = np.sort(rng.integers(0, 16, rows))
         return unit_rows(base[drawn] + 0.02 * rng.standard_normal((rows, dim)))
 
-    def chunked_mean(frame, prev, chunks):
-        # The float32 estimate over the first chunks of prev's strided rows,
-        # each chunk's product taken as the screen takes it.
-        prev32, frame32 = prev.astype(np.float32), frame.astype(np.float32).T
-        stride = -(-prev.shape[0] // vecspace.SCREEN_CHUNK_ROWS)
-        maxima = np.maximum.reduce([np.maximum.reduce(prev32[k::stride] @ frame32, axis=0)
-                                    for k in range(chunks)])
+    def estimate(frame, prev):
+        # The float32 estimate over prev's rows, its product taken as the
+        # screen takes it.
+        maxima = np.maximum.reduce(prev.astype(np.float32) @ frame.astype(np.float32).T, axis=0)
         return float(np.add.reduce(np.clip(maxima, -1.0, 1.0), dtype=np.float64)) / frame.shape[0]
 
+    def screened(frame, prev, near):
+        # pooled_max_sim_units with the products it takes recorded.
+        _CountedProducts.shapes = []
+        cast = (lambda matrix: matrix.astype(np.float32).view(_CountedProducts)
+                if matrix is prev else matrix.astype(np.float32))
+        return pooled_max_sim_units(frame, prev, near=near, float32=cast), _CountedProducts.shapes
+
     prev, frame, cut = scene(n), scene(n), unit_rows(rng.standard_normal((n, dim)))
-    # A frame of the same scene settles on the first chunk's lower bound;
-    # one that starts a new scene reads every chunk.
-    for matrix, near, reads in ((frame, 0.8, 1), (cut, 0.8, n // vecspace.SCREEN_CHUNK_ROWS)):
-        got = pooled_max_sim_units(matrix, prev, near=near)
-        assert got == chunked_mean(matrix, prev, reads)
+    stride = -(-n // vecspace.SCREEN_SAMPLE_ROWS)
+    sample = prev[::stride]
+    # A frame of the same scene settles on the sample's lower bound, from
+    # one product; one that starts a new scene takes one more, over every row.
+    for matrix, near, reads in ((frame, 0.8, [sample]), (cut, 0.8, [sample, prev])):
+        got, shapes = screened(matrix, prev, near)
+        assert shapes == [rows.shape for rows in reads]
+        assert got == estimate(matrix, reads[-1])
         exact = pooled_max_sim_units(matrix, prev)
         assert (got < near) == (exact < near) and got <= exact + screen_margin(dim)
-    # The settling frame stopped early: reading every chunk gives a higher estimate.
-    assert chunked_mean(frame, prev, 1) < chunked_mean(frame, prev, n // vecspace.SCREEN_CHUNK_ROWS)
-    # At most SCREEN_CHUNK_ROWS previous rows take one product of them all.
-    small = prev[:vecspace.SCREEN_CHUNK_ROWS]
-    got = pooled_max_sim_units(frame[:100], small, near=-0.5)
-    estimate = np.mean(np.clip(np.max(small.astype(np.float32) @ frame[:100].astype(np.float32).T,
-                                      axis=0), -1.0, 1.0), dtype=np.float64)
-    assert got == float(estimate)
+    # The settling frame stopped early: reading every row gives a higher estimate.
+    assert estimate(frame, sample) < estimate(frame, prev)
+    # At most SCREEN_SAMPLE_ROWS previous rows take one product of them all.
+    small = prev[:vecspace.SCREEN_SAMPLE_ROWS]
+    got, shapes = screened(frame[:100], small, -0.5)
+    assert shapes == [small.shape]
+    assert got == estimate(frame[:100], small)
+
+
+def test_screen_decides_as_float64_for_every_previous_frame_size():
+    # Previous frames on either side of one sample, of two and of a whole
+    # 512-token frame; frames of the same scene, of a new one, and near the
+    # threshold, where the sample alone cannot settle.
+    rng = np.random.default_rng(73)
+    dim = 32
+    base = unit_rows(rng.standard_normal((8, dim)))
+    margin = screen_margin(dim)
+    sides = set()
+    for m in (1, 31, 32, 33, 63, 64, 65, 511, 512, 513):
+        prev = unit_rows(base[rng.integers(0, 8, m)] + 0.05 * rng.standard_normal((m, dim)))
+        same = unit_rows(base[rng.integers(0, 8, 48)] + 0.05 * rng.standard_normal((48, dim)))
+        new = unit_rows(rng.standard_normal((48, dim)))
+        for frame in (same, new):
+            exact = pooled_max_sim_units(frame, prev)
+            for near in (-0.5, 0.0, 0.5, 0.8, 0.95, *thresholds_around(exact, margin)):
+                got = pooled_max_sim_units(frame, prev, near=near)
+                assert (got < near) == (exact < near), (m, near, exact, got)
+                sides.add(exact < near)
+    assert sides == {True, False}
 
 
 def test_unit_rows_equals_the_masked_divide_bit_for_bit():
