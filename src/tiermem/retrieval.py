@@ -25,9 +25,8 @@ from .errors import (
     checked_reals,
     json_int,
 )
-from . import vecspace
 from .traceio import seal
-from .vecspace import _check_dims, _query_product, late_interaction_pages, unit_rows
+from .vecspace import late_interaction_pages, query_max_sims, unit_rows
 
 if TYPE_CHECKING:
     from .tiers import MemorySnapshot
@@ -207,17 +206,12 @@ def gate_check(
     """Decide whether the short tier alone satisfies the query.
 
     Affinity pools, by mean or max, each short-tier token's max cosine
-    against the query, the tokens taken in frame order, with the bits
-    query_max_sims gives each frame's rows. The short tier is folded in one
-    pass: one dimension check and one blas_rows_invariant lookup per query;
-    per frame, only the product _query_product picks, written into the
-    frame's columns of one (query rows, short tokens) buffer; then one
-    maximum over the query rows and one clip over all the maxima, which
-    give the bits of a maximum and a clip per frame, as both work column by
-    column and clipping is elementwise. The mean has np.mean's
-    bits: a pairwise sum, then one division. The threshold is rho times the
-    running average, floored at GATE_FLOOR. An empty short tier never
-    satisfies anything. Returns (fired, affinity, threshold).
+    against the query, the tokens taken in frame order: one query_max_sims
+    over the short frames' token matrices, which gives each frame's rows
+    the bits they get alone. The mean has np.mean's bits: a pairwise sum,
+    then one division. The threshold is rho times the running average,
+    floored at GATE_FLOOR. An empty short tier never satisfies anything.
+    Returns (fired, affinity, threshold).
     """
     if pooling not in GATE_POOLINGS:
         raise UnknownVariant(f"gate pooling must be one of {GATE_POOLINGS}, got {pooling!r}")
@@ -225,19 +219,7 @@ def gate_check(
     short = snapshot.short
     if not short:
         return False, 0.0, threshold
-    units = query.unit_tokens
-    k, dim = units.shape
-    # The memory holds frames of one dimension, so the first frame's is all of theirs.
-    _check_dims(short[0].token_matrix, units)
-    blas = vecspace.blas_rows_invariant(dim, k, vecspace.SCORE_BLOCK_ROWS)
-    sims = np.empty((k, sum([entry.token_count for entry in short])))
-    lo = 0
-    for entry in short:
-        hi = lo + entry.token_count
-        _query_product(units, entry.token_matrix, sims[:, lo:hi], blas)
-        lo = hi
-    maxima = np.maximum.reduce(sims, axis=0)
-    np.clip(maxima, -1.0, 1.0, out=maxima)
+    maxima = query_max_sims(query.unit_tokens, *[entry.token_matrix for entry in short])
     if pooling == "mean":
         affinity = float(np.add.reduce(maxima)) / maxima.shape[0]
     else:

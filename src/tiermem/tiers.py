@@ -41,7 +41,7 @@ from .errors import (
     checked_reals,
 )
 from .retrieval import GATE_DECAY, GATE_FLOOR, GateState, update_gate
-from .traceio import MAX_COORD, TokenColumns, coords, read_only, seal
+from .traceio import MAX_COORD, TokenColumns, coords, held, seal
 from .vecspace import (
     FrameTable,
     ProbeBank,
@@ -71,7 +71,8 @@ class FrameEntry:
     Row i of token_matrix is token i's unit embedding, scores[i] its
     cached salience and (rows[i], cols[i]) its origin in the frame grid,
     read as traceio.coords reads them (an integer dtype, in [0, MAX_COORD]).
-    Writable inputs are copied. token_count, pooled_score and min_score
+    Writable inputs are copied, and a column cast to float64 or int64 is
+    held as cast (traceio.held). token_count, pooled_score and min_score
     are read from the columns, so they can never drift out of sync with them.
     """
 
@@ -87,12 +88,13 @@ class FrameEntry:
         object.__setattr__(self, "frame_index", checked_int(self.frame_index, "frame_index"))
         object.__setattr__(self, "timestamp", checked_real(self.timestamp, "timestamp"))
         for name in ("token_matrix", "scores"):
-            what = f"frame {self.frame_index}: {name} entries"
-            column = checked_reals(getattr(self, name), what)
-            object.__setattr__(self, name, read_only(column.astype(np.float64, copy=False)))
+            values = getattr(self, name)
+            column = checked_reals(values, f"frame {self.frame_index}: {name} entries")
+            object.__setattr__(self, name, held(column.astype(np.float64, copy=False), values))
         for name in ("rows", "cols"):
-            column = coords(getattr(self, name), name).astype(np.int64, copy=False)
-            object.__setattr__(self, name, read_only(column))
+            values = getattr(self, name)
+            column = coords(values, name).astype(np.int64, copy=False)
+            object.__setattr__(self, name, held(column, values))
         if self.token_matrix.ndim != 2:
             raise DimensionError(f"token_matrix must be 2-D, got shape {self.token_matrix.shape}")
         n = self.token_matrix.shape[0]

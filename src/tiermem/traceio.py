@@ -90,7 +90,7 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return seal(arr.copy()) if arr.flags.writeable or _shares_writable(arr) else arr
 
 
-def _held(arr: np.ndarray, values) -> np.ndarray:
+def held(arr: np.ndarray, values) -> np.ndarray:
     """arr, read from values, as a read-only array: sealed if the read built
     it (from a list or tuple, or as a cast of an array), else read_only. An
     array-like's own array is never sealed: np.asarray may return it."""
@@ -181,9 +181,9 @@ class TokenColumns(Sequence):
         arr = checked_reals(vectors, "token vectors")
         if arr.ndim != 2:
             raise DimensionError(f"token vectors must form an (n, dim) matrix, got {arr.shape}")
-        object.__setattr__(self, "vectors", _held(arr, vectors))
+        object.__setattr__(self, "vectors", held(arr, vectors))
         for name, values in (("rows", rows), ("cols", cols)):
-            object.__setattr__(self, name, _held(coords(values, name), values))
+            object.__setattr__(self, name, held(coords(values, name), values))
         if self.rows.shape != (arr.shape[0],) or self.cols.shape != self.rows.shape:
             raise ValidationError(f"{arr.shape[0]} token vectors, "
                                   f"{self.rows.shape[0]} rows, {self.cols.shape[0]} cols")
@@ -236,11 +236,11 @@ class RawFrame:
             raise ValidationError(
                 f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
         timestamp = checked_real(timestamp, f"frame {frame_index} timestamp")
-        vectors = _held(_float32(vectors, f"frame {frame_index} vectors"), vectors)
+        vectors = held(_float32(vectors, f"frame {frame_index} vectors"), vectors)
         if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
             raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
-        rows = _held(coords(rows, "rows").astype(_COORD, copy=False), rows)
-        cols = _held(coords(cols, "cols").astype(_COORD, copy=False), cols)
+        rows = held(coords(rows, "rows").astype(_COORD, copy=False), rows)
+        cols = held(coords(cols, "cols").astype(_COORD, copy=False), cols)
         if rows.shape != (vectors.shape[0],) or cols.shape != rows.shape:
             raise ValidationError(
                 f"frame {frame_index}: {vectors.shape[0]} vectors, "

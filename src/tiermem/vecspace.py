@@ -1,10 +1,12 @@
 """Vector primitives shared by the compression and retrieval stages.
 
-Two scoring formulas live here: the probe-bank salience score (max cosine
-of a token against a fixed set of probe vectors) and the late-interaction
-frame score (mean over frame tokens of the max cosine against the query
-tokens). Everything operates on unit-normalized float64 vectors; vectors
-are normalized once at ingest so the hot loops reduce to dot products.
+Both scoring formulas are max-cosine folds, and both take their row
+maxima from one kernel, query_max_sims: the probe-bank salience score
+(max cosine of a token against a fixed set of probe vectors) and the
+late-interaction frame score (mean over frame tokens of the max cosine
+against the query tokens). Everything operates on unit-normalized float64
+vectors; vectors are normalized once at ingest so the hot loops reduce to
+dot products.
 """
 
 from __future__ import annotations
@@ -215,7 +217,8 @@ class ProbeBank:
 
 
 def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
-    """Salience of each unit row: its max cosine over the probes.
+    """Salience of each unit row: its max cosine over the probes, from
+    query_max_sims on the einsum product.
 
     Batch-invariant like unit_rows: a row scores the same bits alone or
     inside a whole frame.
@@ -223,9 +226,7 @@ def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
     units = np.ascontiguousarray(units, dtype=np.float64)
     if units.shape[1] != bank.dim:
         raise DimensionError(f"vector has dimension {units.shape[1]}, bank has {bank.dim}")
-    # Probe-major, so the maximum runs down contiguous columns.
-    sims = np.einsum("ij,kj->ki", units, np.ascontiguousarray(bank.matrix))
-    return np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
+    return query_max_sims(bank.matrix, units, blas=False)
 
 
 def max_sim(v: VectorLike, bank: ProbeBank) -> float:
@@ -243,12 +244,6 @@ def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
     if not np.isfinite(matrix).all():
         raise ValidationError(f"{what} must be finite")
     return unit_rows(matrix)
-
-
-def _check_dims(rows: np.ndarray, query_matrix: np.ndarray) -> None:
-    if rows.shape[1] != query_matrix.shape[1]:
-        raise DimensionError(
-            f"frame dimension {rows.shape[1]} vs query dimension {query_matrix.shape[1]}")
 
 
 def screen_margin(dim: int) -> float:
@@ -284,11 +279,11 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     (unit or zero rows in), through query_max_sims on the BLAS product.
 
     With near given, the value is exact only near it, and only its side of
-    near is exact everywhere. The mean is estimated from float32 products
-    (row maxima averaged in float64) in at most two steps: first over a
-    strided sample of the query rows (rows 0, s, 2s, ..., s =
-    ceil(rows / SCREEN_SAMPLE_ROWS)), then, only if that does not settle,
-    over all of them. A row's maximum over some query rows is at most its
+    near is exact everywhere. The mean is estimated from query_max_sims on
+    float32 BLAS products (row maxima averaged in float64) in at most two
+    steps: first over a strided sample of the query rows (rows 0, s, 2s,
+    ..., s = ceil(rows / SCREEN_SAMPLE_ROWS)), then, only if that does not
+    settle, over all of them. A row's maximum over some query rows is at most its
     maximum over all of them, so the sample's estimate bounds the full one
     from below, and screen_margin(dim) bounds each row maximum's float32
     error whatever rows it ranges over: an estimate above near + margin
@@ -308,17 +303,14 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     the next query.
     """
     if near is not None:
-        _check_dims(frame_matrix, query_matrix)
         cast = float32 if float32 is not None else (lambda matrix: matrix.astype(np.float32))
         query32 = cast(query_matrix)
-        frame32 = cast(frame_matrix).T
+        frame32 = cast(frame_matrix)
         margin = screen_margin(frame_matrix.shape[1])
-        n = frame32.shape[1]
+        n = frame32.shape[0]
         stride = -(-query32.shape[0] // SCREEN_SAMPLE_ROWS)
         for rows in (query32[::stride], query32) if stride > 1 else (query32,):
-            # Query-major, so the maximum runs down contiguous columns.
-            maxima = np.maximum.reduce(rows @ frame32, axis=0)
-            np.clip(maxima, -1.0, 1.0, out=maxima)
+            maxima = query_max_sims(rows, frame32, blas=True)
             # np.mean's bits: a pairwise float64 sum, then one division.
             estimate = float(np.add.reduce(maxima, dtype=np.float64)) / n
             # A NaN estimate fails both tests and falls through to the exact path.
@@ -345,7 +337,7 @@ def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
     with one row alone at row 0 of a zero block. A block whose bits depend
     on a row's place may still round some rows alike, so at least 512 rows
     are tried, in as many blocks as that takes. The property is empirical
-    (a BLAS picks its kernels by CPU and shape), so _query_product falls
+    (a BLAS picks its kernels by CPU and shape), so query_max_sims falls
     back to an einsum wherever it fails.
     """
     rng = np.random.default_rng([dim, query_rows, block_rows])
@@ -365,34 +357,39 @@ def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
     return True
 
 
-def _query_product(query_matrix: np.ndarray, rows: np.ndarray,
-                   out: np.ndarray | None = None, blas: bool | None = None) -> np.ndarray:
-    """The frame-vs-query product, query @ rows.T, into out if given: from
-    BLAS where blas_rows_invariant holds for the query's shape on whole
-    SCORE_BLOCK_ROWS-row blocks, and where it does not, from an einsum,
-    which takes each dot product alone. blas, if given, is that check's
-    answer, looked up once for many products."""
-    if blas is None:
-        k, dim = query_matrix.shape
-        blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
-    if not blas:
-        return np.einsum("kj,ij->ki", query_matrix, rows, out=out)
-    return np.matmul(query_matrix, rows.T, out=out)
+def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
+                   blas: bool | None = None) -> np.ndarray:
+    """Each row's max cosine against the query rows, clipped to [-1, 1],
+    for the rows of the blocks laid end to end: the one kernel that turns
+    a product into row maxima.
 
-
-def query_max_sims(query_matrix: np.ndarray, rows: np.ndarray,
-                   out: np.ndarray | None = None, blas: bool | None = None) -> np.ndarray:
-    """Each row's max cosine against the query rows (unit rows in),
-    clipped to [-1, 1], into out if given.
-
-    np.maximum.reduce(query @ rows.T, axis=0), query-major so the maximum
-    runs down contiguous columns, with the product _query_product picks:
-    the bits late_interaction_pages gives a row on a whole block. blas, if
-    given, picks the product instead, as in _query_product.
+    Each block's product query @ block.T goes into that block's columns of
+    one (query rows, total rows) buffer, in the dtype np.result_type gives
+    the inputs; then one maximum over the query rows and one clip, both
+    column by column, so each block's rows get the bits that block gets
+    alone. The product is BLAS where blas_rows_invariant holds for the
+    query's shape on whole SCORE_BLOCK_ROWS-row blocks, and elsewhere an
+    einsum, which takes each dot product alone; blas, if given, picks the
+    product instead of that check.
     """
-    _check_dims(rows, query_matrix)
-    out = np.maximum.reduce(_query_product(query_matrix, rows, blas=blas), axis=0, out=out)
-    return np.clip(out, -1.0, 1.0, out=out)
+    k, dim = query_matrix.shape
+    if blas is None:
+        blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
+    sims = np.empty((k, sum([rows.shape[0] for rows in blocks])),
+                    dtype=np.result_type(query_matrix, *blocks))
+    lo = 0
+    for rows in blocks:
+        if rows.shape[1] != dim:
+            raise DimensionError(f"frame dimension {rows.shape[1]} vs query dimension {dim}")
+        hi = lo + rows.shape[0]
+        if blas:
+            np.matmul(query_matrix, rows.T, out=sims[:, lo:hi])
+        else:
+            np.einsum("ij,kj->ki", rows, query_matrix, out=sims[:, lo:hi])
+        lo = hi
+    # Query-major, so the maximum runs down contiguous columns.
+    maxima = np.maximum.reduce(sims, axis=0)
+    return np.clip(maxima, -1.0, 1.0, out=maxima)
 
 
 # Once more than this fraction of the rows written to the held pages are dead,
@@ -800,10 +797,9 @@ def late_interaction_pages(pages: Sequence[_Page], alive: Sequence[np.ndarray],
     span[i]) of the page with id page[i], in row order.
 
     The candidate kernel. It scores each page in place, in whole blocks of
-    SCORE_BLOCK_ROWS rows up to the last row written to the page, with
-    _query_product into one (blocks, query rows, SCORE_BLOCK_ROWS) buffer,
-    then takes one maximum over the query rows and one clip; dead rows
-    between frames and rows past the last written are scored and ignored.
+    SCORE_BLOCK_ROWS rows up to the last row written to the page, with one
+    query_max_sims over all the blocks; dead rows between frames and rows
+    past the last written are scored and ignored.
     Where a frame has dead rows inside its span, the maxima are first
     compressed to the live rows by the pages' live flags, with one gather,
     so each frame's live maxima lie together in token order. Every product
@@ -815,18 +811,11 @@ def late_interaction_pages(pages: Sequence[_Page], alive: Sequence[np.ndarray],
     if len(count) == 0:
         return np.empty(0)
     query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
-    _check_dims(pages[0].rows, query_matrix)
-    k, dim = query_matrix.shape
-    blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
     block = SCORE_BLOCK_ROWS
     scored = [-(-page.used // block) * block for page in pages]
     blocks = [page.rows[lo:lo + block] for page, rows in zip(pages, scored)
               for lo in range(0, rows, block)]
-    sims = np.empty((len(blocks), k, block))
-    for rows, out in zip(blocks, sims):
-        _query_product(query_matrix, rows, out, blas)
-    maxima = np.maximum.reduce(sims, axis=1).reshape(-1)
-    np.clip(maxima, -1.0, 1.0, out=maxima)
+    maxima = query_max_sims(query_matrix, *blocks)
     offsets = np.cumsum(scored) - scored
     ids = np.array([page.id for page in pages], dtype=np.int64)
     by_id = np.argsort(ids)
@@ -854,5 +843,4 @@ def late_interaction(
     n, dim = frame.shape
     blocks = np.zeros((-(-n // SCORE_BLOCK_ROWS), SCORE_BLOCK_ROWS, dim))
     blocks.reshape(-1, dim)[:n] = frame
-    maxima = np.concatenate([query_max_sims(query, block) for block in blocks])
-    return float(np.mean(maxima[:n]))
+    return float(np.mean(query_max_sims(query, *blocks)[:n]))

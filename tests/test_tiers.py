@@ -217,6 +217,29 @@ def test_frame_entry_rejects_empty_and_foreign_tokens():
         )
 
 
+def test_frame_entry_holds_its_casts_without_copying_them():
+    # A float32 token matrix and scores and uint16 coordinates are each cast
+    # once, and the casts are held sealed, not copied again: the peak stays
+    # within a tenth of what the entry holds, and of the float64 matrix.
+    rng = np.random.default_rng(13)
+    for n, dim in ((512, 128), (4096, 1)):
+        matrix = rng.standard_normal((n, dim)).astype(np.float32)
+        scores = rng.random(n).astype(np.float32)
+        rows, cols = (np.arange(n, dtype=np.uint16) for _ in range(2))
+        tracemalloc.start()
+        try:
+            entry = FrameEntry(0, 0.0, matrix, scores, rows, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = (entry.token_matrix, entry.scores, entry.rows, entry.cols)
+        assert [column.dtype for column in columns] == [np.float64, np.float64, np.int64, np.int64]
+        assert not any(column.flags.writeable for column in columns)
+        assert peak < 1.1 * sum(column.nbytes for column in columns), (n, dim, peak)
+        if dim == 128:
+            assert peak < 1.1 * matrix.size * 8, peak
+
+
 def test_encode_tokens_scores_reproduce_bit_exactly():
     bank = ProbeBank([tilted(4, 0, 1, 0.7), axis(4, 2)])
     rng = np.random.default_rng(5)
@@ -452,11 +475,23 @@ def test_scene_boundary_rules():
     assert is_scene_boundary(ortho, a, cfg) is True
 
 
-def test_scene_boundary_at_its_own_similarity_falls_back_to_float64(monkeypatch):
+def count_float64_kernel_calls(monkeypatch) -> list:
+    """A list that gains an item at each float64 query_max_sims call: the
+    scene screen's exact path. Its float32 steps take the kernel too."""
     calls = []
     exact_kernel = vecspace.query_max_sims
-    monkeypatch.setattr(vecspace, "query_max_sims",
-                        lambda *args, **kwargs: calls.append(1) or exact_kernel(*args, **kwargs))
+
+    def counted(query, *blocks, **kwargs):
+        if query.dtype == np.float64:
+            calls.append(1)
+        return exact_kernel(query, *blocks, **kwargs)
+
+    monkeypatch.setattr(vecspace, "query_max_sims", counted)
+    return calls
+
+
+def test_scene_boundary_at_its_own_similarity_falls_back_to_float64(monkeypatch):
+    calls = count_float64_kernel_calls(monkeypatch)
     rng = np.random.default_rng(61)
     bank = ProbeBank.generated(16, n=3, seed=1)
     base = rng.standard_normal((40, 16))
@@ -478,10 +513,7 @@ def test_scene_boundary_fallback_runs_no_blas_self_check(monkeypatch):
     # The exact fallback takes the BLAS product of the frame and its
     # predecessor as they are: previous frames of any length add nothing to
     # the self-check's cache, and the flags are those of that product.
-    calls = []
-    exact_kernel = vecspace.query_max_sims
-    monkeypatch.setattr(vecspace, "query_max_sims",
-                        lambda *args, **kwargs: calls.append(1) or exact_kernel(*args, **kwargs))
+    calls = count_float64_kernel_calls(monkeypatch)
     rng = np.random.default_rng(73)
     bank = ProbeBank.generated(128, n=3, seed=3)
     cached = vecspace.blas_rows_invariant.cache_info().currsize

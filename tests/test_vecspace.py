@@ -269,8 +269,14 @@ def test_screen_decides_as_the_float64_path_at_every_threshold():
 def test_screen_falls_back_to_float64_only_near_the_threshold(monkeypatch):
     calls = []
     exact_kernel = vecspace.query_max_sims
-    monkeypatch.setattr(vecspace, "query_max_sims",
-                        lambda *args, **kwargs: calls.append(1) or exact_kernel(*args, **kwargs))
+
+    def counted(query, *blocks, **kwargs):
+        # The screen's float32 steps take the kernel too; count the float64 path.
+        if query.dtype == np.float64:
+            calls.append(1)
+        return exact_kernel(query, *blocks, **kwargs)
+
+    monkeypatch.setattr(vecspace, "query_max_sims", counted)
     rng = np.random.default_rng(47)
     prev = unit_rows(rng.standard_normal((64, 128)))
     frame = unit_rows(prev + 0.3 * rng.standard_normal((64, 128)))
@@ -371,9 +377,11 @@ class _CountedProducts(np.ndarray):
 
     shapes: list
 
-    def __matmul__(self, other):
-        _CountedProducts.shapes.append(self.shape)
-        return np.matmul(self.view(np.ndarray), other)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedProducts.shapes.append(self.shape)
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountedProducts) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 def test_screen_stops_at_the_first_chunk_whose_bound_settles():
@@ -729,11 +737,58 @@ def test_query_max_sims_is_the_clipped_query_major_product():
     product = (query @ rows.T if vecspace.blas_rows_invariant(8, 2, vecspace.SCORE_BLOCK_ROWS)
                else np.einsum("kj,ij->ki", query, rows))
     want = np.clip(np.max(product, axis=0), -1.0, 1.0)
-    out = np.full(7, np.nan)
-    assert vecspace.query_max_sims(query, rows, out=out[1:6]).tobytes() == want.tobytes()
-    assert np.isnan(out[[0, 6]]).all()
+    assert vecspace.query_max_sims(query, rows).tobytes() == want.tobytes()
     with pytest.raises(DimensionError):
         vecspace.query_max_sims(query, rows[:, :7])
+    with pytest.raises(DimensionError):
+        vecspace.query_max_sims(query, rows, rows[:, :7])
+
+
+@pytest.mark.parametrize("dim", [1, 8, 128])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("blas", [True, False], ids=["blas", "einsum"])
+def test_query_max_sims_gives_each_of_several_blocks_its_bits_alone(blas, dtype, dim):
+    # One kernel call over many blocks gives each block's rows, bit for bit,
+    # what it gives that block alone, in either order of the blocks. On the
+    # einsum fallback those are also the bits of the einsum spelling the
+    # kernel used to take, with the query first.
+    rng = np.random.default_rng([dim, 89])
+    for k in (1, 2, 5):
+        query = unit_rows(rng.standard_normal((k, dim))).astype(dtype)
+        blocks = [unit_rows(rng.standard_normal((n, dim))).astype(dtype)
+                  for n in (1, 31, 32, 33, 64, 512)]
+        blocks[2][7] = query[0]  # a cosine of 1 up to rounding, where the clip acts
+        blocks[3][0] = 0.0  # the zero sentinel
+        for order in (blocks, blocks[::-1]):
+            got = vecspace.query_max_sims(query, *order, blas=blas)
+            assert got.dtype == dtype and got.shape == (sum(len(rows) for rows in order),)
+            lo = 0
+            for rows in order:
+                alone = vecspace.query_max_sims(query, rows, blas=blas)
+                assert got[lo:lo + len(rows)].tobytes() == alone.tobytes(), (k, len(rows))
+                if not blas:
+                    einsum = np.einsum("kj,ij->ki", query, rows)
+                    want = np.clip(np.maximum.reduce(einsum, axis=0), -1.0, 1.0)
+                    assert alone.tobytes() == want.tobytes(), (k, len(rows))
+                lo += len(rows)
+
+
+def test_query_max_sims_gives_max_sim_rows_the_old_einsum_bits():
+    # Salience through the kernel's einsum fallback has the bits of the
+    # probe-major einsum, maximum and clip that max_sim_rows took itself.
+    rng = np.random.default_rng(97)
+    shapes = [(0, 8, 3), (1, 1, 1), (33, 8, 5), (512, 128, 5), (64, 129, 16)]
+    shapes += [(int(rng.integers(1, 600)), int(rng.integers(1, 160)), int(rng.integers(1, 12)))
+               for _ in range(40)]
+    for n, dim, probes in shapes:
+        bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
+        units = unit_rows(rng.standard_normal((n, dim)))
+        if n > 1:
+            units[0] = bank.matrix[0]
+            units[-1] = 0.0
+        sims = np.einsum("ij,kj->ki", units, bank.matrix)
+        want = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
+        assert vecspace.max_sim_rows(units, bank).tobytes() == want.tobytes(), (n, dim, probes)
 
 
 def test_probe_bank_validation():
