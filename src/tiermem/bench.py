@@ -180,8 +180,7 @@ def _ingest_all(
     reports: list[IngestReport] = []
     peak = 0
     for frame in frames:
-        report = mem.ingest_frame(frame.timestamp, frame.ingest_tokens(),
-                                  frame_index=frame.frame_index)
+        report = mem.ingest_frame(frame.timestamp, frame, frame_index=frame.frame_index)
         reports.append(report)
         if report.total_tokens > peak:
             peak = report.total_tokens
@@ -420,7 +419,7 @@ def run_query_replay(
         q = queries[i]
         while cursor < len(frames) and frames[cursor].timestamp <= q.arrival_time:
             frame = frames[cursor]
-            mem.ingest_frame(frame.timestamp, frame.ingest_tokens(), frame_index=frame.frame_index)
+            mem.ingest_frame(frame.timestamp, frame, frame_index=frame.frame_index)
             cursor += 1
 
         snapshot = mem.freeze(at=q.arrival_time)
@@ -611,7 +610,7 @@ def emit_score_histograms(
         if designated not in {f.frame_index for f in frames}:
             raise ValidationError(f"frame {designated} is not in the trace")
     raw = next(f for f in frames if f.frame_index == designated)
-    token_scores = encode_tokens(designated, raw.timestamp, raw.ingest_tokens(), bank).scores.tolist()
+    token_scores = encode_tokens(designated, raw.timestamp, raw, bank).scores.tolist()
 
     frame_bins = _bin_values(pooled, bins)
     token_bins = _bin_values(token_scores, bins)

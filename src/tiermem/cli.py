@@ -76,10 +76,12 @@ def _load_probes(args, dim: int | None) -> tuple[ProbeBank, dict]:
     return bank, {"probes": "generated", "probe_seed": args.seed}
 
 
-def _load_config(args) -> tuple[TierConfig, dict]:
-    if args.config:
-        return TierConfig.from_file(args.config), {"config_file": args.config}
-    return TierConfig(), {"config_file": None}
+def _load_run(args) -> tuple[list, TierConfig, ProbeBank, dict]:
+    """A run's frames, config and probe bank, and the inputs its report names."""
+    frames, inputs = _load_frames(args)
+    config = TierConfig.from_file(args.config) if args.config else TierConfig()
+    bank, probe_inputs = _load_probes(args, _frames_dim(frames))
+    return frames, config, bank, {**inputs, "config_file": args.config, **probe_inputs}
 
 
 def _emit(report: bench.RunReport, args) -> None:
@@ -101,9 +103,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    frames, inputs = _load_frames(args)
-    config, cfg_inputs = _load_config(args)
-    bank, probe_inputs = _load_probes(args, _frames_dim(frames))
+    frames, config, bank, inputs = _load_run(args)
     variant = bench.parse_variant(args.variant)
     prior = bench.resolve_prior_bank(bank, variant.prior, args.seed)
     report = bench.run_ingest(
@@ -112,16 +112,14 @@ def _cmd_ingest(args) -> int:
         prior,
         seed=args.seed,
         variant=variant,
-        inputs={**inputs, **cfg_inputs, **probe_inputs},
+        inputs=inputs,
     )
     _emit(report, args)
     return 0
 
 
 def _cmd_replay(args) -> int:
-    frames, inputs = _load_frames(args)
-    config, cfg_inputs = _load_config(args)
-    bank, probe_inputs = _load_probes(args, _frames_dim(frames))
+    frames, config, bank, inputs = _load_run(args)
     queries = load_queries_jsonl(args.queries, dim=bank.dim)
     report = bench.run_query_replay(
         frames,
@@ -132,7 +130,7 @@ def _cmd_replay(args) -> int:
         gate_pooling=args.gate_pooling,
         compare_oracle=args.compare_oracle,
         seed=args.seed,
-        inputs={**inputs, **cfg_inputs, **probe_inputs, "queries": args.queries},
+        inputs={**inputs, "queries": args.queries},
     )
     _emit(report, args)
     return 0
@@ -157,14 +155,11 @@ def _cmd_sweep(args) -> int:
         lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--lengths must be comma-separated integers, got {args.lengths!r}")
-    config, cfg_inputs = _load_config(args)
-    if args.probes:
-        bank, probe_inputs = _load_probes(args, None)
-    else:
+    config = TierConfig.from_file(args.config) if args.config else TierConfig()
+    if not args.probes:
         tpf = args.tokens_per_frame
         check_frame_shape(args.dim, config.tokens_per_frame_max if tpf is None else tpf)
-        bank = ProbeBank.generated(args.dim, n=5, seed=args.seed)
-        probe_inputs = {"probes": "generated", "probe_seed": args.seed}
+    bank, probe_inputs = _load_probes(args, args.dim)
     report = bench.run_growth_sweep(
         lengths,
         config,
@@ -172,7 +167,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         tokens_per_frame=args.tokens_per_frame,
         noise_sigma=args.noise_sigma,
-        inputs={**cfg_inputs, **probe_inputs},
+        inputs={"config_file": args.config, **probe_inputs},
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -182,9 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    frames, inputs = _load_frames(args)
-    config, cfg_inputs = _load_config(args)
-    bank, probe_inputs = _load_probes(args, _frames_dim(frames))
+    frames, config, bank, inputs = _load_run(args)
     report = bench.emit_score_histograms(
         frames,
         config,
@@ -192,7 +185,7 @@ def _cmd_hist(args) -> int:
         bins=args.bins,
         frame_index=args.frame,
         seed=args.seed,
-        inputs={**inputs, **cfg_inputs, **probe_inputs},
+        inputs=inputs,
     )
     if args.frame_csv:
         with open(args.frame_csv, "w", encoding="utf-8") as fh:

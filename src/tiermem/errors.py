@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package, and the checked readers
-of every number a caller or an input file gives: integers, reals, arrays
-of reals, and the JSON formats' integer fields, which take integral floats."""
+of every input: the one reader of the four JSON formats' objects, and of
+every number a caller or an input file gives: integers, reals, arrays of
+reals, and the JSON formats' integer fields, which take integral floats."""
 
+import json
 import math
 import operator
 
@@ -83,6 +85,29 @@ class DimMismatch(TraceFormatError):
 
 class NonFiniteTimestamp(TraceFormatError):
     """A trace frame's timestamp is NaN or infinite."""
+
+
+def json_object(data: bytes, where: str, error: type[ValidationError], fields,
+                required=()) -> dict:
+    """The JSON object that the UTF-8 bytes `data` hold: a config file, a
+    stream spec, a probe file or one query line. Bytes that are not UTF-8
+    or not JSON, nesting too deep to parse and an integer too long to read
+    raise `error` saying "invalid JSON"; anything but an object, a field
+    outside `fields` and a missing one of `required` raise it too. `where`
+    begins every message and names the file (and line)."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where} invalid JSON") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{where} expected a JSON object")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise error(f"{where} unknown fields {unknown}")
+    for name in required:
+        if name not in doc:
+            raise error(f"{where} missing {name}")
+    return doc
 
 
 def json_int(value, what: str) -> int:

@@ -10,7 +10,6 @@ threshold picks the result set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -24,6 +23,7 @@ from .errors import (
     checked_real,
     checked_reals,
     json_int,
+    json_object,
 )
 from .traceio import seal
 from .vecspace import late_interaction_pages, query_max_sims, unit_rows
@@ -338,43 +338,36 @@ def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
 
     Each line: { "id": str, "arrival_time": float, "tokens": [[float,...]],
     "rho": float, "top_k": int, "lambda": float,
-    "ground_truth_frames": [int,...] } with rho/top_k/lambda optional.
+    "ground_truth_frames": [int,...] }, arrival_time and tokens required;
+    blank lines are skipped.
     """
     queries: list[QuerySpec] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON") from exc
-            if not isinstance(doc, dict):
-                raise ValidationError(f"{path}:{lineno}: expected an object")
-            if "arrival_time" not in doc:
-                raise ValidationError(f"{path}:{lineno}: missing arrival_time")
-            if "tokens" not in doc:
-                raise ValidationError(f"{path}:{lineno}: missing tokens")
-            where = f"{path}:{lineno}:"
-            gt = doc.get("ground_truth_frames")
-            if gt is not None and not isinstance(gt, list):
-                raise ValidationError(f"{where} ground_truth_frames must be a list")
-            query = QuerySpec(
-                query_id=str(doc.get("id", f"q{lineno}")),
-                arrival_time=checked_real(doc["arrival_time"], f"{where} arrival_time"),
-                tokens=checked_reals(doc["tokens"], f"{where} tokens"),
-                rho=checked_real(doc.get("rho", 0.1), f"{where} rho"),
-                top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
-                dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),
-                ground_truth_frames=(
-                    frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
-                    if gt is not None else None
-                ),
-            )
-            if dim is not None and query.dim != dim:
-                raise DimensionError(
-                    f"{path}:{lineno}: query dimension {query.dim}, expected {dim}"
-                )
-            queries.append(query)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode reads lines
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}:"
+        doc = json_object(line, where, ValidationError,
+                          ("id", "arrival_time", "tokens", "rho", "top_k", "lambda",
+                           "ground_truth_frames"), ("arrival_time", "tokens"))
+        gt = doc.get("ground_truth_frames")
+        if gt is not None and not isinstance(gt, list):
+            raise ValidationError(f"{where} ground_truth_frames must be a list")
+        query = QuerySpec(
+            query_id=str(doc.get("id", f"q{lineno}")),
+            arrival_time=checked_real(doc["arrival_time"], f"{where} arrival_time"),
+            tokens=checked_reals(doc["tokens"], f"{where} tokens"),
+            rho=checked_real(doc.get("rho", 0.1), f"{where} rho"),
+            top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
+            dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),
+            ground_truth_frames=(
+                frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
+                if gt is not None else None
+            ),
+        )
+        if dim is not None and query.dim != dim:
+            raise DimensionError(f"{where} query dimension {query.dim}, expected {dim}")
+        queries.append(query)
     return queries

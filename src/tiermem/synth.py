@@ -10,13 +10,12 @@ triples, so frame i's content does not depend on the stream length.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import NoSuchEvent, SpecError, checked_int, checked_real, json_int
+from .errors import NoSuchEvent, SpecError, checked_int, checked_real, json_int, json_object
 from .retrieval import QuerySpec
 from .traceio import RawFrame, seal
 from .vecspace import normalize, unit_rows
@@ -123,20 +122,10 @@ class StreamSpec:
 
 def load_stream_spec(path) -> StreamSpec:
     """Read a StreamSpec from a JSON file; optional fields take defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"stream spec {path}: invalid JSON") from exc
-    if not isinstance(doc, dict):
-        raise SpecError(f"stream spec {path}: expected a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(StreamSpec)})
-    if unknown:
-        raise SpecError(f"stream spec {path}: unknown fields {unknown}")
-    for required in (f.name for f in fields(StreamSpec) if f.default is MISSING):
-        if required not in doc:
-            raise SpecError(f"stream spec {path}: missing {required}")
     where = f"stream spec {path}:"
+    with open(path, "rb") as fh:
+        doc = json_object(fh.read(), where, SpecError, [f.name for f in fields(StreamSpec)],
+                          [f.name for f in fields(StreamSpec) if f.default is MISSING])
     return StreamSpec(
         dim=json_int(doc["dim"], f"{where} dim"),
         frames=json_int(doc["frames"], f"{where} frames"),

@@ -39,6 +39,7 @@ from .errors import (
     checked_int,
     checked_real,
     checked_reals,
+    json_object,
 )
 from .retrieval import GATE_DECAY, GATE_FLOOR, GateState, update_gate
 from .traceio import MAX_COORD, TokenColumns, coords, held, seal
@@ -215,17 +216,13 @@ class TierConfig:
     @classmethod
     def from_file(cls, path) -> "TierConfig":
         """JSON config file; absent fields take the defaults above."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path}: invalid JSON") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path}: expected a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"config file {path}: unknown fields {unknown}")
-        return cls(**doc)
+        where = f"config file {path}:"
+        with open(path, "rb") as fh:
+            doc = json_object(fh.read(), where, ConfigError, [f.name for f in fields(cls)])
+        try:
+            return cls(**doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{where} {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -782,9 +779,9 @@ class TieredMemory:
     ) -> IngestReport:
         """Push one frame through the pipeline; returns what happened.
 
-        raw_tokens is a traceio.TokenColumns, as RawFrame.ingest_tokens()
-        returns, or a sequence of (vector, spatial_row, spatial_col)
-        triples, which encode_tokens stacks once. Timestamps must be
+        raw_tokens is a traceio.TokenColumns, such as a RawFrame, or a
+        sequence of (vector, spatial_row, spatial_col) triples, which
+        encode_tokens stacks once. Timestamps must be
         strictly increasing; the frame must be non-empty and within the
         per-frame token cap. frame_index is the
         frame's identity in the caller's trace; given indices must be

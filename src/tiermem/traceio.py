@@ -165,7 +165,7 @@ def coords(values, name: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False, init=False)
 class TokenColumns(Sequence):
     """(vector, row, col) triples, as ingest_frame takes them, held as three
-    read-only columns.
+    read-only columns; a RawFrame is one, with float32 and uint16 columns.
 
     Row i of vectors (n, dim), in its own real dtype (errors.checked_reals),
     is token i's vector and (rows[i], cols[i]) its grid cell, read as
@@ -214,46 +214,33 @@ class TokenColumns(Sequence):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class RawFrame:
-    """One frame of raw tokens as read-only columns, ready for ingest or
-    serialization.
+class RawFrame(TokenColumns):
+    """One frame of raw tokens, ready for ingest or serialization: a
+    TokenColumns whose vectors are float32, dim >= 1, and whose rows and
+    cols are uint16.
 
-    Row i of vectors (n, dim) float32 is token i's vector and (rows[i],
-    cols[i]), uint16, its grid cell. A frame is built from these columns:
-    one that needs a cast to float32 or uint16 is held as the cast built
-    it, and one that something else can write is copied.
+    A column that needs the cast is held as the cast built it, sealed before
+    TokenColumns holds it so that it is not copied again, and one that
+    something else can write is copied. ingest_frame takes the frame itself
+    as its tokens.
     """
 
     frame_index: int
     timestamp: float
-    vectors: np.ndarray = field(repr=False)
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
 
     def __init__(self, frame_index: int, timestamp: float, *, vectors, rows, cols):
         frame_index = checked_int(frame_index, "frame_index")
         if not 0 <= frame_index <= MAX_WIRE_FRAME_INDEX:
             raise ValidationError(
                 f"frame_index must be in [0, {MAX_WIRE_FRAME_INDEX}], got {frame_index}")
-        timestamp = checked_real(timestamp, f"frame {frame_index} timestamp")
-        vectors = held(_float32(vectors, f"frame {frame_index} vectors"), vectors)
-        if vectors.ndim != 2 or (vectors.shape[0] and not vectors.shape[1]):
-            raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {vectors.shape}")
-        rows = held(coords(rows, "rows").astype(_COORD, copy=False), rows)
-        cols = held(coords(cols, "cols").astype(_COORD, copy=False), cols)
-        if rows.shape != (vectors.shape[0],) or cols.shape != rows.shape:
-            raise ValidationError(
-                f"frame {frame_index}: {vectors.shape[0]} vectors, "
-                f"{rows.shape[0]} rows, {cols.shape[0]} cols"
-            )
         object.__setattr__(self, "frame_index", frame_index)
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
+        object.__setattr__(self, "timestamp",
+                           checked_real(timestamp, f"frame {frame_index} timestamp"))
+        cast = held(_float32(vectors, f"frame {frame_index} vectors"), vectors)
+        if cast.ndim != 2 or (cast.shape[0] and not cast.shape[1]):
+            raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {cast.shape}")
+        super().__init__(cast, *(held(coords(values, name).astype(_COORD, copy=False), values)
+                                 for name, values in (("rows", rows), ("cols", cols))))
 
     @property
     def dim(self) -> int | None:
@@ -262,11 +249,11 @@ class RawFrame:
     @property
     def tokens(self) -> tuple[RawToken, ...]:
         """Per-token views, built on each access."""
-        return tuple(RawToken(row, col, vector) for vector, row, col in self.ingest_tokens())
+        return tuple(RawToken(row, col, vector) for vector, row, col in self)
 
-    def ingest_tokens(self) -> TokenColumns:
-        """The frame's tokens as ingest_frame takes them: its own columns."""
-        return TokenColumns(self.vectors, self.rows, self.cols)
+    def ingest_tokens(self) -> "RawFrame":
+        """The frame's tokens as ingest_frame takes them: the frame itself."""
+        return self
 
 
 Sink = Union[str, os.PathLike, "BinaryIO"]

@@ -25,6 +25,7 @@ from .errors import (
     checked_int,
     checked_reals,
     json_int,
+    json_object,
 )
 from .traceio import seal
 
@@ -159,18 +160,12 @@ class ProbeBank:
 
         { "dim": int, "probes": [ { "label": str, "vector": [float, ...] } ] }
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"probe file {path}: invalid JSON") from exc
-        try:
-            dim, entries = doc["dim"], doc["probes"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"probe file {path}: missing 'dim' or 'probes'") from exc
-        dim = json_int(dim, f"probe file {path}: dim")
+        where = f"probe file {path}:"
+        with open(path, "rb") as fh:
+            doc = json_object(fh.read(), where, ValidationError, ("dim", "probes"), ("dim", "probes"))
+        dim, entries = json_int(doc["dim"], f"{where} dim"), doc["probes"]
         if not isinstance(entries, list) or not entries:
-            raise ValidationError(f"probe file {path}: 'probes' must be a non-empty list")
+            raise ValidationError(f"{where} 'probes' must be a non-empty list")
         vectors = []
         labels = []
         for i, entry in enumerate(entries):
@@ -178,14 +173,13 @@ class ProbeBank:
                 vectors.append(entry["vector"])
                 labels.append(str(entry.get("label", f"probe-{i}")))
             except (KeyError, TypeError) as exc:
-                raise ValidationError(f"probe file {path}: probe {i} malformed") from exc
+                raise ValidationError(f"{where} probe {i} malformed") from exc
         try:
             bank = cls(vectors, labels)
         except TierMemError as exc:
-            raise type(exc)(f"probe file {path}: {exc}") from exc
+            raise type(exc)(f"{where} {exc}") from exc
         if bank.dim != dim:
-            raise DimensionError(
-                f"probe file {path}: probes have dimension {bank.dim}, expected {dim}")
+            raise DimensionError(f"{where} probes have dimension {bank.dim}, expected {dim}")
         return bank
 
     @classmethod

@@ -461,3 +461,57 @@ def test_cli_corruption_fuzz(workspace, tmp_path, capsys):
         assert sum("error:" in line for line in err.splitlines()) == (code != 0), (case, err)
         outcomes[kind, code] = outcomes.get((kind, code), 0) + 1
     assert outcomes.get(("flip", 1), 0) > 0 and outcomes.get(("truncate", 1), 0) == 40
+
+
+_LONG_INT = "1" + "0" * 4999  # past Python's 4300-digit limit on reading an int
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [(kind, content) for kind in ("config", "spec", "probe", "query")
+     for content in ("not_utf8", "deep", "long_int", "unknown")]
+    + [("query", "not_utf8_line_2"), ("config", "bad_field")],
+)
+def test_cli_refuses_unreadable_json_naming_the_file(workspace, tmp_path, capsys, kind, content):
+    # Bytes that are not UTF-8, 200,000 nested brackets and a 5000-digit
+    # integer ended in a traceback in every JSON format; an unknown field
+    # passed in a query line and a probe file. Each now exits 1 with one
+    # error line that names the file (and a query's line).
+    tmp, spec_path, queries_path, config_path = workspace
+    docs = {
+        "config": (json.loads(config_path.read_text()), "token_budget"),
+        "spec": (json.loads(spec_path.read_text()), "frames"),
+        "probe": ({"dim": 16, "probes": [{"label": "p", "vector": [1.0] * 16}]}, "dim"),
+        "query": (json.loads(queries_path.read_text().splitlines()[0]), "top_k"),
+    }
+    doc, int_field = docs[kind]
+    text = json.dumps(doc)
+    data = {
+        "not_utf8": b"\xff\xfe" + text.encode(),
+        "not_utf8_line_2": (text + "\n" + text.replace('"distant"', '"\xff"') + "\n")
+        .encode("latin-1"),
+        "deep": b"[" * 200_000,
+        "long_int": json.dumps({**doc, int_field: 0}).replace(f'"{int_field}": 0',
+                                                              f'"{int_field}": {_LONG_INT}').encode(),
+        "unknown": json.dumps({**doc, "bogus": 1}).encode(),
+        "bad_field": json.dumps({**doc, "short_cap_frames": "x"}).encode(),
+    }[content]
+    path = tmp_path / f"bad-{kind}.json"
+    path.write_bytes(data)
+    source = ["--synth-spec", str(spec_path)]
+    argv = {
+        "config": ["ingest", *source, "--config", str(path)],
+        "spec": ["ingest", "--synth-spec", str(path)],
+        "probe": ["ingest", *source, "--probes", str(path)],
+        "query": ["replay", *source, "--queries", str(path)],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv + ["--report", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    where = f"{path}:{2 if content == 'not_utf8_line_2' else 1}:" if kind == "query" else f"{path}:"
+    want = {"unknown": "unknown fields ['bogus']",
+            "bad_field": "short_cap_frames must be an integer, got 'x'"}.get(content, "invalid JSON")
+    assert lines[0].endswith(f"{where} {want}"), err

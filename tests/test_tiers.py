@@ -171,6 +171,13 @@ def test_config_from_file(tmp_path):
     path.write_text('{"no_such_knob": 1}')
     with pytest.raises(ConfigError):
         TierConfig.from_file(path)
+    # The constructor's errors name the file too, not only the field.
+    path.write_text('{"short_cap_frames": "x"}')
+    with pytest.raises(ConfigError, match=f"^config file {path}: short_cap_frames must be an int"):
+        TierConfig.from_file(path)
+    path.write_text('{"short_cap_frames": 8, "token_budget": 16}')
+    with pytest.raises(ConfigError, match=f"^config file {path}: short_cap_frames \\* tokens_per"):
+        TierConfig.from_file(path)
 
 
 # --- records and entries ---------------------------------------------------
