@@ -343,31 +343,34 @@ def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
     """
     queries: list[QuerySpec] = []
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode reads lines
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}:"
-        doc = json_object(line, where, ValidationError,
-                          ("id", "arrival_time", "tokens", "rho", "top_k", "lambda",
-                           "ground_truth_frames"), ("arrival_time", "tokens"))
-        gt = doc.get("ground_truth_frames")
-        if gt is not None and not isinstance(gt, list):
-            raise ValidationError(f"{where} ground_truth_frames must be a list")
-        query = QuerySpec(
-            query_id=str(doc.get("id", f"q{lineno}")),
-            arrival_time=checked_real(doc["arrival_time"], f"{where} arrival_time"),
-            tokens=checked_reals(doc["tokens"], f"{where} tokens"),
-            rho=checked_real(doc.get("rho", 0.1), f"{where} rho"),
-            top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
-            dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),
-            ground_truth_frames=(
-                frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
-                if gt is not None else None
-            ),
-        )
-        if dim is not None and query.dim != dim:
-            raise DimensionError(f"{where} query dimension {query.dim}, expected {dim}")
-        queries.append(query)
+        # The file yields pieces ending at \n, one at a time; splitting each
+        # at \n, \r\n and \r numbers lines as text mode does, as a \r\n
+        # never straddles two pieces.
+        lines = (line for piece in fh for line in piece.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}:"
+            doc = json_object(line, where, ValidationError,
+                              ("id", "arrival_time", "tokens", "rho", "top_k", "lambda",
+                               "ground_truth_frames"), ("arrival_time", "tokens"))
+            gt = doc.get("ground_truth_frames")
+            if gt is not None and not isinstance(gt, list):
+                raise ValidationError(f"{where} ground_truth_frames must be a list")
+            query = QuerySpec(
+                query_id=str(doc.get("id", f"q{lineno}")),
+                arrival_time=checked_real(doc["arrival_time"], f"{where} arrival_time"),
+                tokens=checked_reals(doc["tokens"], f"{where} tokens"),
+                rho=checked_real(doc.get("rho", 0.1), f"{where} rho"),
+                top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
+                dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),
+                ground_truth_frames=(
+                    frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
+                    if gt is not None else None
+                ),
+            )
+            if dim is not None and query.dim != dim:
+                raise DimensionError(f"{where} query dimension {query.dim}, expected {dim}")
+            queries.append(query)
     return queries

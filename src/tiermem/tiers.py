@@ -417,10 +417,11 @@ def is_scene_boundary(
     Distance is the mean over the frame's tokens of the max cosine against
     the previous frame's tokens, compared to the configured threshold. Only
     its side of the threshold matters, so one pooled_max_sim_units call
-    screens it in float32, over a strided sample of the previous frame's
-    rows and then, unless a lower bound has settled that the frame lies
-    above the threshold, over all of them, and computes it exactly only
-    near the threshold.
+    screens it in float32: over a strided sample of the previous frame's
+    rows, whose lower bound settles a frame that continues the scene; then
+    over all of them, for the frame's least similar rows first, until an
+    upper bound settles a frame that starts a scene, or for every row. It
+    computes the mean exactly only near the threshold.
     float32, if given, makes that call's float32 casts.
     """
     if prev is None:

@@ -181,12 +181,17 @@ class TokenColumns(Sequence):
         arr = checked_reals(vectors, "token vectors")
         if arr.ndim != 2:
             raise DimensionError(f"token vectors must form an (n, dim) matrix, got {arr.shape}")
-        object.__setattr__(self, "vectors", held(arr, vectors))
-        for name, values in (("rows", rows), ("cols", cols)):
-            object.__setattr__(self, name, held(coords(values, name), values))
-        if self.rows.shape != (arr.shape[0],) or self.cols.shape != self.rows.shape:
-            raise ValidationError(f"{arr.shape[0]} token vectors, "
-                                  f"{self.rows.shape[0]} rows, {self.cols.shape[0]} cols")
+        self._hold(held(arr, vectors), *(held(coords(values, name), values)
+                                         for name, values in (("rows", rows), ("cols", cols))))
+
+    def _hold(self, vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Store columns already checked and read-only, once their lengths agree."""
+        if rows.shape != (vectors.shape[0],) or cols.shape != rows.shape:
+            raise ValidationError(f"{vectors.shape[0]} token vectors, "
+                                  f"{rows.shape[0]} rows, {cols.shape[0]} cols")
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
     def of(cls, tokens) -> "TokenColumns":
@@ -219,10 +224,10 @@ class RawFrame(TokenColumns):
     TokenColumns whose vectors are float32, dim >= 1, and whose rows and
     cols are uint16.
 
-    A column that needs the cast is held as the cast built it, sealed before
-    TokenColumns holds it so that it is not copied again, and one that
-    something else can write is copied. ingest_frame takes the frame itself
-    as its tokens.
+    Each column is checked and cast once, and stored as TokenColumns holds
+    its own columns, without TokenColumns' checks: a column that needs the
+    cast is held as the cast built it, sealed, and one that something else
+    can write is copied. ingest_frame takes the frame itself as its tokens.
     """
 
     frame_index: int
@@ -239,8 +244,8 @@ class RawFrame(TokenColumns):
         cast = held(_float32(vectors, f"frame {frame_index} vectors"), vectors)
         if cast.ndim != 2 or (cast.shape[0] and not cast.shape[1]):
             raise ValidationError(f"vectors must be (tokens, dim), dim >= 1, got {cast.shape}")
-        super().__init__(cast, *(held(coords(values, name).astype(_COORD, copy=False), values)
-                                 for name, values in (("rows", rows), ("cols", cols))))
+        self._hold(cast, *(held(coords(values, name).astype(_COORD, copy=False), values)
+                           for name, values in (("rows", rows), ("cols", cols))))
 
     @property
     def dim(self) -> int | None:

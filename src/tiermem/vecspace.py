@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -265,6 +266,21 @@ def screen_margin(dim: int) -> float:
 # third fewer.
 SCREEN_SAMPLE_ROWS = 32
 
+# Where the sample puts a frame below the threshold, the screen reads the
+# frame's rows whole, least similar first: first the fewest rows whose
+# sample bounds alone could settle, rounded up to a multiple of this, then
+# this many at a time. A frame of at most this many rows takes one product.
+SCREEN_STEP_ROWS = 64
+
+
+def _finite(matrix: np.ndarray) -> bool:
+    """Whether every entry of matrix is finite, from one BLAS dot of it
+    with itself: a square is inf or NaN exactly when its entry is not
+    finite, and a sum of squares never takes inf - inf. A sum that
+    overflows, which unit rows never make, also reads as not finite."""
+    flat = matrix.ravel()
+    return math.isfinite(float(np.dot(flat, flat)))
+
 
 def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
                          *, near: float | None = None,
@@ -273,21 +289,45 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
     (unit or zero rows in), through query_max_sims on the BLAS product.
 
     With near given, the value is exact only near it, and only its side of
-    near is exact everywhere. The mean is estimated from query_max_sims on
-    float32 BLAS products (row maxima averaged in float64) in at most two
-    steps: first over a strided sample of the query rows (rows 0, s, 2s,
-    ..., s = ceil(rows / SCREEN_SAMPLE_ROWS)), then, only if that does not
-    settle, over all of them. A row's maximum over some query rows is at most its
-    maximum over all of them, so the sample's estimate bounds the full one
-    from below, and screen_margin(dim) bounds each row maximum's float32
-    error whatever rows it ranges over: an estimate above near + margin
-    proves the float64 value above near, and is returned at once. A query
-    of at most SCREEN_SAMPLE_ROWS rows takes the second step alone. After
-    it, an estimate more than the margin from near is returned; it lies on
-    the same side of near as the exact value. A NaN estimate never decides.
-    Only an estimate within the margin, or NaN, pays for the float64
-    query_max_sims on the frame's own rows, whose mean is returned with its
-    bits. That product is the BLAS one whatever
+    near is exact everywhere. The mean is screened from query_max_sims on
+    float32 BLAS products (row maxima summed in float64), and
+    screen_margin(dim) bounds each row maximum's float32 error whatever
+    rows it ranges over.
+
+    From below: the first step takes a strided sample of the query rows
+    (rows 0, s, 2s, ..., s = ceil(rows / SCREEN_SAMPLE_ROWS)). A row's
+    maximum over some query rows is at most its maximum over all of them,
+    so the sample's estimate bounds the full one from below: an estimate
+    above near + margin proves the float64 value above near, and is
+    returned at once.
+
+    From above: if the sample's estimate lies more than the margin below
+    near, the frame's rows are read whole, against every query row, lowest
+    sample bound first, in steps. After each step,
+    U = (sum of the read rows' maxima + 1 per unread row) / n bounds the
+    mean from above: each float64 maximum is clipped to at most 1, and a
+    read row's float32 maximum lies within the margin's E of its float64
+    value (see screen_margin), so the float64 mean is at most U + E plus
+    its rounding, which the margin's factor of 2 covers. U below
+    near - margin thus proves the float64 value below near, and U is
+    returned at once. The first step reads the fewest rows whose sample
+    bounds alone could make U settle, rounded up to a multiple of
+    SCREEN_STEP_ROWS: true maxima are at least their bounds, so no fewer
+    rows can. Each later step reads SCREEN_STEP_ROWS more. An unread row's
+    float64 maximum is at most 1 only if it is not NaN, which an inf in
+    either matrix can make it out of the sample's sight, so this path is
+    taken only when both float32 matrices are finite.
+
+    Otherwise every row's maximum over every query row is read, from all
+    the steps or from one product over the whole frame: when the sample's
+    estimate lies within the margin of near, when the query has at most
+    SCREEN_SAMPLE_ROWS rows (there is no sample), when the frame has at
+    most SCREEN_STEP_ROWS rows, and when a cast is not finite. An estimate
+    more than the margin from near is then returned; it lies on the same
+    side of near as the exact value. A NaN estimate or bound never
+    decides. Only an estimate within the margin, or NaN, pays for the
+    float64 query_max_sims on the frame's own rows, whose mean is returned
+    with its bits. That product is the BLAS one whatever
     blas_rows_invariant says: it need only be deterministic for these two
     matrices, not give a row the same bits at every place in a block.
 
@@ -303,13 +343,33 @@ def pooled_max_sim_units(frame_matrix: np.ndarray, query_matrix: np.ndarray,
         margin = screen_margin(frame_matrix.shape[1])
         n = frame32.shape[0]
         stride = -(-query32.shape[0] // SCREEN_SAMPLE_ROWS)
-        for rows in (query32[::stride], query32) if stride > 1 else (query32,):
-            maxima = query_max_sims(rows, frame32, blas=True)
+        if stride > 1:
+            maxima = query_max_sims(query32[::stride], frame32, blas=True)
             # np.mean's bits: a pairwise float64 sum, then one division.
             estimate = float(np.add.reduce(maxima, dtype=np.float64)) / n
-            # A NaN estimate fails both tests and falls through to the exact path.
+            # A NaN estimate fails every test and falls through to the exact path.
             if estimate > near + margin:
                 return estimate
+        if (stride > 1 and estimate < near - margin and n > SCREEN_STEP_ROWS
+                and _finite(frame32) and _finite(query32)):
+            order = np.argsort(maxima, kind="stable")
+            # k rows at their bounds settle once sum(1 - bound) > n * (1 - near + margin);
+            # the first step reads the fewest that could, rounded up to a whole step.
+            slack = np.cumsum(1.0 - maxima[order], dtype=np.float64)
+            k = int(np.searchsorted(slack, n * (1.0 - near + margin), side="right")) + 1
+            first = -(-k // SCREEN_STEP_ROWS) * SCREEN_STEP_ROWS
+            total, lo = 0.0, 0
+            for hi in (*range(first, n, SCREEN_STEP_ROWS), n):
+                step = query_max_sims(query32, frame32[order[lo:hi]], blas=True)
+                total += float(np.add.reduce(step, dtype=np.float64))
+                bound = (total + (n - hi)) / n
+                if bound < near - margin:
+                    return bound
+                lo = hi
+            estimate = total / n
+        else:
+            maxima = query_max_sims(query32, frame32, blas=True)
+            estimate = float(np.add.reduce(maxima, dtype=np.float64)) / n
         if abs(estimate - near) > margin:
             return estimate
     return float(np.mean(query_max_sims(query_matrix, frame_matrix, blas=True)))

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -682,6 +684,54 @@ def test_load_queries_jsonl(tmp_path):
     assert queries[1].rho == 0.1 and queries[1].top_k == 5
     assert queries[1].dispersion_lambda == 0.5
     assert queries[1].ground_truth_frames is None
+
+
+def test_load_queries_jsonl_numbers_lines_as_text_mode(tmp_path):
+    # Lines end in \n, \r\n or \r, some blank, the last unterminated; a
+    # query without an id is named by its line number, which must be the one
+    # text mode (universal newlines) gives it, and so must an error's.
+    path = tmp_path / "mixed.jsonl"
+
+    def doc(t):
+        return json.dumps({"arrival_time": t, "tokens": [[1.0, 0.0]]}).encode()
+
+    ends = [b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r\n", b"\r\n\r", b"\n\r", b" \r\n"]
+    data = b"".join(doc(t) + end for t, end in enumerate(ends)) + doc(99)
+
+    def text_mode_lines(data):
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh:
+            return list(enumerate(fh, start=1))
+
+    want = [f"q{n}" for n, line in text_mode_lines(data) if line.strip()]
+    queries = load_queries_jsonl(path)
+    assert [q.query_id for q in queries] == want
+    assert [q.arrival_time for q in queries] == [*range(len(ends)), 99]
+    for bad in (b"\r\rnot json\r\n", b"\n\r\nnot json", b"\rnot json\r" + doc(0)):
+        lineno = next(n for n, line in text_mode_lines(data + bad) if line.startswith("not json"))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:{lineno}: ")):
+            load_queries_jsonl(path)
+
+
+def test_load_queries_jsonl_holds_one_line_at_a_time(tmp_path):
+    # A multi-MB query file is read a line at a time: the peak is what the
+    # queries keep plus one line, not the file and its split lines at once.
+    rng = np.random.default_rng(89)
+    path = tmp_path / "many.jsonl"
+    with open(path, "w") as fh:
+        for t in range(1500):
+            tokens = rng.standard_normal((2, 128)).tolist()
+            fh.write(json.dumps({"arrival_time": t, "tokens": tokens}) + "\n")
+    size = path.stat().st_size
+    assert size > 3_000_000
+    tracemalloc.start()
+    try:
+        queries = load_queries_jsonl(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(queries) == 1500
+    assert peak < 1.5 * size, (peak, size)
 
 
 @pytest.mark.parametrize(

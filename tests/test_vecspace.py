@@ -10,6 +10,7 @@ import pytest
 
 from tiermem.errors import DimensionError, EmptyInputError, ValidationError
 from tiermem.retrieval import QuerySpec, score_candidates
+from tiermem.synth import StreamSpec, generate_stream
 from tiermem.tiers import FrameEntry, TierConfig, TieredMemory
 from tiermem.vecspace import (
     DEFAULT_PROBE_LABELS,
@@ -260,9 +261,13 @@ def test_screen_decides_as_the_float64_path_at_every_threshold():
         for near in thresholds_around(exact, margin):
             assert (pooled_max_sim_units(frame, prev, near=near) < near) == (exact < near), (
                 frame.shape, prev.shape, exact, near)
-        # Far from near, the float32 estimate comes back; it lies within the margin.
-        estimate = pooled_max_sim_units(frame, prev, near=exact + 4.0)
+        # The float32 whole-frame estimate, which decides when no bound
+        # settles, lies within the margin.
+        maxima = query_max_sims(prev.astype(np.float32), frame.astype(np.float32), blas=True)
+        estimate = float(np.add.reduce(maxima, dtype=np.float64)) / frame.shape[0]
         worst = max(worst, abs(estimate - exact) / margin)
+        # Far above near's range, the screen returns a bound from above.
+        assert exact - margin <= pooled_max_sim_units(frame, prev, near=exact + 4.0) <= 1.0
     assert 0.0 < worst <= 1.0
 
 
@@ -373,15 +378,30 @@ def test_screen_decides_non_finite_and_zero_rows_in_one_chunk_as_float64():
 
 class _CountedProducts(np.ndarray):
     """A float32 query whose products with a frame are recorded by their
-    query rows' shape."""
+    shape: (query rows, frame rows read)."""
 
     shapes: list
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            _CountedProducts.shapes.append(self.shape)
+            _CountedProducts.shapes.append((inputs[0].shape[0], inputs[1].shape[1]))
         inputs = [x.view(np.ndarray) if isinstance(x, _CountedProducts) else x for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _screened(frame, prev, near):
+    """pooled_max_sim_units with the float32 products it takes recorded."""
+    _CountedProducts.shapes = []
+    cast = (lambda matrix: matrix.astype(np.float32).view(_CountedProducts)
+            if matrix is prev else matrix.astype(np.float32))
+    return pooled_max_sim_units(frame, prev, near=near, float32=cast), _CountedProducts.shapes
+
+
+def _row_maxima32(frame, prev):
+    """Each frame row's float32 max cosine over prev's rows, clipped, its
+    product taken as the screen takes it."""
+    maxima = np.maximum.reduce(prev.astype(np.float32) @ frame.astype(np.float32).T, axis=0)
+    return np.clip(maxima, -1.0, 1.0)
 
 
 def test_screen_stops_at_the_first_chunk_whose_bound_settles():
@@ -396,36 +416,143 @@ def test_screen_stops_at_the_first_chunk_whose_bound_settles():
         return unit_rows(base[drawn] + 0.02 * rng.standard_normal((rows, dim)))
 
     def estimate(frame, prev):
-        # The float32 estimate over prev's rows, its product taken as the
-        # screen takes it.
-        maxima = np.maximum.reduce(prev.astype(np.float32) @ frame.astype(np.float32).T, axis=0)
-        return float(np.add.reduce(np.clip(maxima, -1.0, 1.0), dtype=np.float64)) / frame.shape[0]
-
-    def screened(frame, prev, near):
-        # pooled_max_sim_units with the products it takes recorded.
-        _CountedProducts.shapes = []
-        cast = (lambda matrix: matrix.astype(np.float32).view(_CountedProducts)
-                if matrix is prev else matrix.astype(np.float32))
-        return pooled_max_sim_units(frame, prev, near=near, float32=cast), _CountedProducts.shapes
+        return float(np.add.reduce(_row_maxima32(frame, prev), dtype=np.float64)) / frame.shape[0]
 
     prev, frame, cut = scene(n), scene(n), unit_rows(rng.standard_normal((n, dim)))
+    near, margin, step = 0.8, screen_margin(dim), vecspace.SCREEN_STEP_ROWS
     stride = -(-n // vecspace.SCREEN_SAMPLE_ROWS)
     sample = prev[::stride]
     # A frame of the same scene settles on the sample's lower bound, from
-    # one product; one that starts a new scene takes one more, over every row.
-    for matrix, near, reads in ((frame, 0.8, [sample]), (cut, 0.8, [sample, prev])):
-        got, shapes = screened(matrix, prev, near)
-        assert shapes == [rows.shape for rows in reads]
-        assert got == estimate(matrix, reads[-1])
-        exact = pooled_max_sim_units(matrix, prev)
-        assert (got < near) == (exact < near) and got <= exact + screen_margin(dim)
+    # one product.
+    got, shapes = _screened(frame, prev, near)
+    assert shapes == [(len(sample), n)]
+    assert got == estimate(frame, sample)
+    assert got > near and pooled_max_sim_units(frame, prev) > near
     # The settling frame stopped early: reading every row gives a higher estimate.
     assert estimate(frame, sample) < estimate(frame, prev)
+    # One that starts a new scene settles from above. Its rows are read
+    # whole, lowest sample bound first: first the fewest whose bounds alone
+    # could settle, rounded up to a whole step, then a step at a time, until
+    # the read rows' maxima plus 1 for each unread row fall below near - margin.
+    lower = _row_maxima32(cut, sample).astype(np.float64)
+    order = np.argsort(lower, kind="stable")
+    exact = pooled_max_sim_units(cut, prev)
+    steps = set()
+    for near in (0.6, 0.8, 0.9):
+        fewest = next(k for k in range(1, n + 1)
+                      if np.sum(1.0 - lower[order[:k]]) > n * (1.0 - near + margin))
+        reads, total, lo, hi = [(len(sample), n)], 0.0, 0, -(-fewest // step) * step
+        while True:
+            total += float(np.add.reduce(_row_maxima32(cut[order[lo:hi]], prev), dtype=np.float64))
+            reads.append((n, hi - lo))
+            bound = (total + (n - hi)) / n
+            if bound < near - margin:
+                break
+            lo, hi = hi, min(n, hi + step)
+        got, shapes = _screened(cut, prev, near)
+        assert shapes == reads and got == bound, near
+        # It read neither every row nor more steps than the first and one more.
+        assert hi < n and len(reads) <= 3, near
+        assert exact < got < near, near
+        steps.add(len(reads) - 1)
+    assert steps == {1, 2}
     # At most SCREEN_SAMPLE_ROWS previous rows take one product of them all.
     small = prev[:vecspace.SCREEN_SAMPLE_ROWS]
-    got, shapes = screened(frame[:100], small, -0.5)
-    assert shapes == [small.shape]
+    got, shapes = _screened(frame[:100], small, -0.5)
+    assert shapes == [(len(small), 100)]
     assert got == estimate(frame[:100], small)
+
+
+def test_screen_decides_cuts_of_every_size_from_above_as_float64():
+    # Frames of the previous frame's scene whose leading k rows turn to a new
+    # direction, from one row to all of them: the sample puts most below a
+    # threshold near their value, and the bound from above must then decide
+    # each as the float64 path does, on frames just past one step and two,
+    # and just past one block, after samples of 33 and 512 previous rows.
+    rng = np.random.default_rng(79)
+    dim = 32
+    base = unit_rows(rng.standard_normal((8, dim)))
+    margin = screen_margin(dim)
+    sides, from_above = set(), 0
+    for m in (33, 512):
+        prev = unit_rows(base[rng.integers(0, 8, m)] + 0.05 * rng.standard_normal((m, dim)))
+        for n in (65, 128, 512, 513):
+            for k in sorted({1, n // 8, n // 4, n // 2, n}):
+                frame = base[rng.integers(0, 8, n)]
+                frame[:k] = rng.standard_normal(dim)
+                frame = unit_rows(frame + 0.05 * rng.standard_normal((n, dim)))
+                exact = pooled_max_sim_units(frame, prev)
+                for near in (-0.5, 0.0, 0.5, 0.8, 0.95, *thresholds_around(exact, margin)):
+                    got, shapes = _screened(frame, prev, near)
+                    assert (got < near) == (exact < near), (m, n, k, near, exact, got)
+                    sides.add(exact < near)
+                    from_above += any(rows < n for _, rows in shapes[1:])
+    assert sides == {True, False} and from_above > 100
+
+
+def test_screen_decides_non_finite_and_zero_rows_ranked_first_or_last_as_float64():
+    # The bound from above reads a frame's rows lowest sample bound first.
+    # Rows that are NaN, inf or zero only among the rows ranked first, or
+    # only among those ranked last, must leave every decision as the float64
+    # path makes it, and so must a previous row outside the sample whose
+    # zero coordinate meets an inf frame row only in the whole read.
+    rng = np.random.default_rng(83)
+    dim, n, m = 16, 256, 512
+    base = unit_rows(rng.standard_normal((8, dim)))
+    stride = -(-m // vecspace.SCREEN_SAMPLE_ROWS)
+    scene = unit_rows(base[rng.integers(0, 8, m)] + 0.05 * rng.standard_normal((m, dim)))
+    hidden = scene.copy()
+    hidden[stride - 1] = unit_rows(np.r_[0.0, rng.standard_normal(dim - 1)][None])[0]
+    # A cut: half the rows a new direction, half the previous frame's scene.
+    clean = base[rng.integers(0, 8, n)]
+    clean[: n // 2] = rng.standard_normal(dim)
+    clean = unit_rows(clean + 0.05 * rng.standard_normal((n, dim)))
+    bad_rows = {
+        "nan": [np.nan] + [0.0] * (dim - 1),
+        "inf": [np.inf] + [0.0] * (dim - 1),
+        "-inf": [-np.inf] + [0.0] * (dim - 1),
+        "zero": [0.0] * dim,
+    }
+    decided = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for prev in (scene, hidden):
+            order = np.argsort(_row_maxima32(clean, prev[::stride]), kind="stable")
+            for ranked in (order, order[::-1]):
+                for bad, row in bad_rows.items():
+                    for count in (1, 32):
+                        frame = clean.copy()
+                        frame[ranked[:count]] = row
+                        exact = pooled_max_sim_units(frame, prev)
+                        nears = (-0.9, -0.5, 0.0, 0.5, 0.6, 0.7, 0.8, 0.95, 0.99)
+                        if np.isfinite(exact):
+                            nears += tuple(thresholds_around(exact, screen_margin(dim)))
+                        for near in nears:
+                            got = pooled_max_sim_units(frame, prev, near=near)
+                            assert (got < near) == (exact < near), (bad, count, near, exact, got)
+                            decided.add(exact < near)
+    assert decided == {True, False}
+
+
+def test_screen_settles_a_cut_within_a_bounded_number_of_products():
+    # A generated stream of 512-token frames in three scenes, and two events
+    # that each turn a quarter of a frame's tokens: every frame that starts
+    # a scene settles from above at the default threshold after the sample
+    # and one step of at most a quarter of its rows.
+    spec = StreamSpec(dim=128, frames=24, tokens_per_frame=512,
+                      segments=((0, 8, 1), (8, 16, 2), (16, 24, 3)),
+                      events=((4, 11, 1.0), (12, 12, 1.0)), noise_sigma=0.05, rng_seed=7)
+    frames = [unit_rows(frame.vectors.astype(np.float64)) for frame in generate_stream(spec)]
+    near = TierConfig().scene_threshold
+    cuts = []
+    for i in range(1, len(frames)):
+        got, shapes = _screened(frames[i], frames[i - 1], near)
+        if pooled_max_sim_units(frames[i], frames[i - 1]) < near:
+            cuts.append(i)
+            assert got < near and len(shapes) == 2, (i, shapes)
+            assert shapes[1][0] == 512 and shapes[1][1] <= 128, (i, shapes)
+        else:
+            assert got > near and shapes == [(32, 512)], (i, shapes)
+    assert cuts == [4, 8, 12, 16]
 
 
 def test_screen_decides_as_float64_for_every_previous_frame_size():
