@@ -159,7 +159,7 @@ def _seeded_unit(dim: int, seed_parts: list[int]) -> np.ndarray:
 
 def segment_direction(spec: StreamSpec, segment_ordinal: int) -> np.ndarray:
     """The unit base direction of one segment."""
-    if not (0 <= segment_ordinal < len(spec.segments)):
+    if not (0 <= checked_int(segment_ordinal, "segment ordinal") < len(spec.segments)):
         raise SpecError(f"segment ordinal {segment_ordinal} out of range")
     seed = spec.segments[segment_ordinal][2]
     return _seeded_unit(spec.dim, [spec.rng_seed, _TAG_SEGMENT, seed])
@@ -184,7 +184,9 @@ def event_block(spec: StreamSpec) -> range:
 
 def grid_side(tokens_per_frame: int) -> int:
     """Side of the square spatial grid tokens are laid out on."""
-    return math.ceil(math.sqrt(tokens_per_frame))
+    if checked_int(tokens_per_frame, "tokens_per_frame") < 1:
+        raise SpecError(f"tokens_per_frame must be positive, got {tokens_per_frame}")
+    return math.isqrt(tokens_per_frame - 1) + 1
 
 
 def generate_stream(spec: StreamSpec) -> list[RawFrame]:
@@ -263,9 +265,7 @@ def query_for_event(
         tokens = np.tile(direction, (n_tokens, 1))
     else:
         rng = np.random.default_rng([rng_seed, _TAG_QUERY, event_ordinal])
-        tokens = np.stack(
-            [normalize(direction + jitter * rng.standard_normal(spec.dim)) for _ in range(n_tokens)]
-        )
+        tokens = unit_rows(direction + jitter * rng.standard_normal((n_tokens, spec.dim)))
     frame = spec.events[event_ordinal][0]
     return QuerySpec(
         query_id=query_id if query_id is not None else f"event{event_ordinal}",

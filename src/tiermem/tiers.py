@@ -56,7 +56,8 @@ from .vecspace import (
 
 @dataclass(frozen=True, eq=False)
 class TokenRecord:
-    """One retained token, as a view into its frame's columns."""
+    """One retained token, a view into its frame's columns, read only by the
+    benchmark harness's end-of-pass digest; ROADMAP item 2 deletes it."""
 
     embedding: np.ndarray
     score: float
@@ -107,8 +108,10 @@ class FrameEntry:
                 raise ValidationError(f"{name} has shape {shape}, expected ({n},)")
         if self.frame_index < 0:
             raise ValidationError("frame_index must be non-negative")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValidationError(f"frame {self.frame_index}: token scores must be finite")
+        # The embeddings' bounds, which a NaN makes NaN, without an (n, dim) mask.
+        bounds = [self.token_matrix.min(initial=0.0), self.token_matrix.max(initial=0.0)]
+        if not (np.isfinite(bounds).all() and np.isfinite(self.scores).all()):
+            raise ValidationError(f"frame {self.frame_index}: non-finite embedding or score")
 
     @classmethod
     def _of(cls, **values) -> "FrameEntry":
@@ -144,7 +147,8 @@ class FrameEntry:
 
     @property
     def tokens(self) -> tuple[TokenRecord, ...]:
-        """Per-token views, built on each access; the pipeline never uses them."""
+        """Per-token views, built on each access. Only the benchmark harness's
+        end-of-pass digest reads them, not the pipeline; ROADMAP item 2 deletes them."""
         return tuple(
             TokenRecord(embedding, score, self.frame_index, row, col)
             for embedding, score, row, col in zip(
@@ -956,32 +960,26 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         table = mem._tables[tier_name]
         if overflow <= 0 or not table.size:
             continue
-        # The overflow lowest frame minima are overflow distinct tokens, all
-        # scoring at or below the overflow-th lowest minimum, so the
-        # overflow-th lowest token score (the cut-off below) is at or below
-        # it too. Every token at or below the cut-off, boundary ties
-        # included, therefore lies in a frame whose minimum is at or below
-        # that bound: the frames above it hold no victim and change neither
-        # the cut-off nor the order of the victims.
-        if overflow < table.size:
-            minima = table.min_score
-            bound = np.partition(minima, overflow - 1)[overflow - 1]
-            slots = (minima <= bound).nonzero()[0]
-        else:
-            slots = np.arange(table.size)
+        # The k = min(overflow, frames) lowest frame minima are k distinct
+        # tokens at or below the k-th lowest minimum, the bound. With k =
+        # overflow, the cut-off below is at or below it too, so every token
+        # at or below the cut-off, boundary ties included, lies in a frame
+        # whose minimum is at or below the bound: the frames above it hold no
+        # victim and change neither the cut-off nor the order of the victims.
+        # With k = frames, the bound is the highest minimum and keeps them all.
+        minima = table.min_score
+        k = min(overflow, table.size)
+        slots = (minima <= np.partition(minima, k - 1)[k - 1]).nonzero()[0]
         counts, pages, firsts, spans = table.ints[1:5].take(slots, axis=1)
         # The frames' tokens, one frame after another, are the live rows of
         # their spans; live says where they lie among the spans.
         scores, live = mem._rows.live_scores(pages, firsts, spans)
         starts = counts.cumsum() - counts
-        # Only tokens scoring at or below the overflow-th lowest score can be
-        # victims; sorting those alone (boundary ties included) gives the
-        # same victims in the same order as sorting the whole tier.
-        if overflow < len(scores):
-            cutoff = np.partition(scores, overflow - 1)[overflow - 1]
-            candidates = (scores <= cutoff).nonzero()[0]
-        else:
-            candidates = np.arange(len(scores))
+        # Only the tokens at or below the k-th lowest score, k = min(overflow,
+        # tokens), can be victims; sorting those alone (ties included) gives
+        # the same victims in the same order as sorting the whole tier.
+        k = min(overflow, len(scores))
+        candidates = (scores <= np.partition(scores, k - 1)[k - 1]).nonzero()[0]
         owners = np.searchsorted(starts, candidates, side="right") - 1
         positions = candidates - starts[owners]
         frames = table.ints[0, slots][owners]

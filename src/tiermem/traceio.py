@@ -121,7 +121,8 @@ def _token_dtype(dim: int) -> np.dtype:
 
 @dataclass(frozen=True, eq=False)
 class RawToken:
-    """One token as it crosses the trace boundary: grid cell + f32 vector."""
+    """One token as it crosses the trace boundary: grid cell + f32 vector.
+    Only the benchmark harness's now-query picks read one; ROADMAP item 2 deletes it."""
 
     spatial_row: int
     spatial_col: int
@@ -253,7 +254,8 @@ class RawFrame(TokenColumns):
 
     @property
     def tokens(self) -> tuple[RawToken, ...]:
-        """Per-token views, built on each access."""
+        """Per-token views, built on each access. Only the benchmark harness's
+        now-query picks read them, not the pipeline; ROADMAP item 2 deletes them."""
         return tuple(RawToken(row, col, vector) for vector, row, col in self)
 
     def ingest_tokens(self) -> "RawFrame":

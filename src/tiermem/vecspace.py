@@ -229,18 +229,6 @@ def max_sim(v: VectorLike, bank: ProbeBank) -> float:
     return float(max_sim_rows(normalize(v)[None, :], bank)[0])
 
 
-def _unit_matrix(tokens: Sequence[VectorLike], what: str) -> np.ndarray:
-    """Stack tokens, finite real numbers, into an (n, dim) matrix of unit rows."""
-    if len(tokens) == 0:
-        raise EmptyInputError(f"{what} is empty")
-    matrix = checked_reals(tokens, f"{what} rows")
-    if matrix.ndim != 2:
-        raise DimensionError(f"{what} must be 1-D vectors, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValidationError(f"{what} must be finite")
-    return unit_rows(matrix)
-
-
 def screen_margin(dim: int) -> float:
     """How far the float32 estimate of pooled_max_sim_units may lie from
     its float64 value, for unit (or zero) rows of dimension dim.
@@ -892,8 +880,17 @@ def late_interaction(
     zeroed whole blocks of SCORE_BLOCK_ROWS rows: the bits
     late_interaction_pages gives the frame on pages of its own.
     """
-    frame = _unit_matrix(frame_tokens, "frame_tokens")
-    query = _unit_matrix(query_tokens, "query_tokens")
+    units = []
+    for tokens, what in ((frame_tokens, "frame_tokens"), (query_tokens, "query_tokens")):
+        if len(tokens) == 0:
+            raise EmptyInputError(f"{what} is empty")
+        matrix = checked_reals(tokens, f"{what} rows")
+        if matrix.ndim != 2:
+            raise DimensionError(f"{what} must be 1-D vectors, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValidationError(f"{what} must be finite")
+        units.append(unit_rows(matrix))
+    frame, query = units
     n, dim = frame.shape
     blocks = np.zeros((-(-n // SCORE_BLOCK_ROWS), SCORE_BLOCK_ROWS, dim))
     blocks.reshape(-1, dim)[:n] = frame

@@ -318,8 +318,8 @@ def test_c6_prior_ablation():
                 if entry.frame_index == event_frame:
                     kept[prior] += sum(
                         1
-                        for t in entry.tokens
-                        if (t.spatial_row, t.spatial_col) in blocks
+                        for cell in zip(entry.rows.tolist(), entry.cols.tolist())
+                        if cell in blocks
                     )
     ok = kept["bank"] >= 2 * kept["random"] and kept["bank"] > 0
     _report(

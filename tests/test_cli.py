@@ -6,10 +6,19 @@ import struct
 import numpy as np
 import pytest
 
-from tiermem.bench import MAX_HIST_BINS
+from tiermem.bench import (
+    MAX_HIST_BINS,
+    emit_score_histograms,
+    run_growth_sweep,
+    run_ingest,
+    run_oracle,
+    run_query_replay,
+)
 from tiermem.cli import main
-from tiermem.synth import event_direction, load_stream_spec
-from tiermem.traceio import load_trace
+from tiermem.retrieval import load_queries_jsonl, retrieve
+from tiermem.synth import event_direction, generate_stream, load_stream_spec
+from tiermem.tiers import FrameEntry, TierConfig, TokenRecord, new_memory
+from tiermem.traceio import RawFrame, RawToken, load_trace
 from tiermem.vecspace import ProbeBank
 
 
@@ -87,6 +96,56 @@ def test_ingest_from_spec_and_trace_agree(workspace, capsys):
     assert a["summary"] == b["summary"]
     assert a["kind"] == "ingest"
     assert len(a["rows"]) == 20
+
+
+def test_the_pipeline_never_reads_the_per_token_layer(workspace, monkeypatch, capsys):
+    # Ingest, queries, every bench run and the command line read frames as
+    # columns: with each per-token view and record made to raise, they all
+    # still run, so deleting that layer leaves them working.
+    def refused(*args, **kwargs):
+        raise AssertionError("the per-token layer was read")
+
+    for cls in (FrameEntry, RawFrame):
+        monkeypatch.setattr(cls, "tokens", property(refused))
+    for cls in (TokenRecord, RawToken):
+        monkeypatch.setattr(cls, "__init__", refused)
+    tmp, spec_path, queries_path, config_path = workspace
+    spec = load_stream_spec(spec_path)
+    frames = generate_stream(spec)
+    config = TierConfig.from_file(config_path)
+    bank = ProbeBank.generated(spec.dim, n=5, seed=0)
+    queries = load_queries_jsonl(queries_path)
+
+    by_columns, by_triples = new_memory(config, bank), new_memory(config, bank)
+    for f in frames:
+        by_columns.ingest_frame(f.timestamp, f)
+        by_triples.ingest_frame(f.timestamp, list(f))
+    assert by_columns.state_digest() == by_triples.state_digest()
+    assert by_columns.recount_tokens() == by_columns.total_tokens
+    assert by_columns.mid and by_columns.long
+    snap = by_columns.freeze()
+    assert sum(e.token_count for e in snap.all_frames()) == by_columns.total_tokens
+    assert not all(retrieve(snap, by_columns.gate_stats, q).gated_short_only for q in queries)
+    by_columns.thaw()
+
+    for stage in ("full", "s1", "s2"):
+        report = run_query_replay(frames, queries, config, bank, f"stage={stage}",
+                                  compare_oracle=True)
+        assert len(report.rows) == len(queries)
+    assert run_ingest(frames, config, bank).summary["frames"] == len(frames)
+    assert len(run_oracle(frames, queries).rows) == len(queries)
+    assert len(run_growth_sweep([4, 8], config, bank).rows) == 2
+    assert emit_score_histograms(frames, config, bank, bins=5).rows
+
+    trace = tmp / "stream.trace"
+    source = ["--trace", str(trace)]
+    for argv in (["synth", "--synth-spec", str(spec_path), "--out", str(trace)],
+                 ["ingest", *source, "--config", str(config_path)],
+                 ["replay", *source, "--queries", str(queries_path), "--compare-oracle"],
+                 ["oracle", *source, "--queries", str(queries_path)],
+                 ["hist", *source, "--bins", "5"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_ingest_prints_json_without_report_flag(workspace, capsys):

@@ -75,14 +75,15 @@ def _queries(spec: StreamSpec, frames) -> dict[int, list]:
                                 query_id=f"past{ordinal}-rho{rho:g}")
             by_time.setdefault(t, []).append(q)
     for t in range(5, spec.frames, 9):
-        tokens = [frames[t].tokens[j].vector for j in (0, len(frames[t].tokens) - 1)]
+        tokens = frames[t].vectors[[0, len(frames[t]) - 1]]
         by_time.setdefault(t, []).append(
             QuerySpec(query_id=f"now{t}", arrival_time=float(t), tokens=tokens, rho=0.1))
     return by_time
 
 
 def _layout(tier) -> list:
-    return [[e.frame_index, [[t.spatial_row, t.spatial_col] for t in e.tokens]] for e in tier]
+    return [[e.frame_index, [list(cell) for cell in zip(e.rows.tolist(), e.cols.tolist())]]
+            for e in tier]
 
 
 def record(name: str, seed: int) -> dict:

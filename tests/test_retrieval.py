@@ -29,6 +29,7 @@ from tiermem.retrieval import (
 from tiermem import retrieval, vecspace
 from tiermem.tiers import FrameEntry, TierConfig, TieredMemory
 from tiermem.vecspace import ProbeBank, late_interaction, normalize
+from reference_engine import reference_adaptive_select, reference_rank_top_k
 
 
 def axis(dim, i):
@@ -426,31 +427,6 @@ def test_rank_top_k_takes_only_a_non_negative_integer_k():
             rank_top_k(scores, k)
 
 
-def reference_rank_top_k(scores, k):
-    """rank_top_k as it was written before it ran on arrays."""
-    ranked = sorted(scores, key=lambda f: (-scores[f], -f))
-    return ranked[: max(0, int(k))]
-
-
-def reference_adaptive_select(scores, k, dispersion_lambda):
-    """adaptive_select as it was written before it ran on arrays."""
-    if not scores:
-        return []
-    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-    mean = float(np.mean(values))
-    sd = float(np.std(values))
-    if sd < retrieval.SD_FLOOR:
-        chosen = reference_rank_top_k(scores, k)
-    else:
-        threshold = mean + dispersion_lambda * sd
-        chosen = [f for f, s in scores.items() if s >= threshold]
-        if len(chosen) > k:
-            chosen = reference_rank_top_k({f: scores[f] for f in chosen}, k)
-        elif not chosen:
-            chosen = reference_rank_top_k(scores, 1)
-    return sorted(chosen)
-
-
 def test_adaptive_select_matches_the_sorted_reference():
     rng = np.random.default_rng(73)
     kinds = set()
@@ -468,7 +444,7 @@ def test_adaptive_select_matches_the_sorted_reference():
         k = int(rng.integers(1, 9))
         lam = float(rng.choice([0.0, 0.5, 1.0, 100.0]))  # 100: nothing clears the threshold
         got = adaptive_select(scores, k, lam)
-        assert got == reference_adaptive_select(scores, k, lam), case
+        assert got == reference_adaptive_select(scores, k, lam, retrieval.SD_FLOOR), case
         assert all(type(f) is int for f in got)
         assert rank_top_k(scores, k) == reference_rank_top_k(scores, k), case
         table = FrameScores(frames.copy(), values.copy())  # as score_candidates returns
@@ -644,7 +620,7 @@ def test_score_candidates_ranking_matches_brute_force():
         vectors = [rng.standard_normal(6) for _ in range(3)]
         scores = score_candidates(s, query(vectors, top_k=3))
         brute = {
-            e.frame_index: late_interaction([t.embedding for t in e.tokens], vectors)
+            e.frame_index: late_interaction(e.token_matrix, vectors)
             for e in frames
         }
         assert set(rank_top_k(scores, 3)) == set(

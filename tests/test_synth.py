@@ -20,8 +20,9 @@ from tiermem.synth import (
     query_for_event,
     segment_direction,
 )
+from tiermem import synth
 from tiermem.tiers import TierConfig, new_memory
-from tiermem.vecspace import ProbeBank, late_interaction
+from tiermem.vecspace import ProbeBank, late_interaction, normalize
 
 
 def spec(**kwargs):
@@ -31,7 +32,7 @@ def spec(**kwargs):
 
 
 def token_bytes(frames):
-    return b"".join(t.vector.tobytes() for f in frames for t in f.tokens)
+    return b"".join(f.vectors.tobytes() for f in frames)
 
 
 def test_generation_is_bitwise_deterministic():
@@ -48,10 +49,10 @@ def test_prefix_consistency_across_lengths():
 
 def test_zero_noise_makes_identical_tokens():
     frames = generate_stream(spec(noise_sigma=0.0))
-    first = frames[0].tokens[0].vector
+    first = frames[0].vectors[0]
     for f in frames:
-        for t in f.tokens:
-            assert np.array_equal(t.vector, first)
+        for vector in f.vectors:
+            assert np.array_equal(vector, first)
 
 
 def test_full_strength_event_plants_exact_direction():
@@ -61,9 +62,9 @@ def test_full_strength_event_plants_exact_direction():
     block = event_block(s)
     assert block == range(4)
     for j in block:
-        assert np.array_equal(frames[5].tokens[j].vector, direction32)
+        assert np.array_equal(frames[5].vectors[j], direction32)
     # Tokens outside the block follow the segment base, not the event.
-    outside = frames[5].tokens[block.stop].vector.astype(np.float64)
+    outside = frames[5].vectors[block.stop].astype(np.float64)
     assert abs(float(np.dot(outside, event_direction(s, 0)))) < 0.9
 
 
@@ -71,8 +72,8 @@ def test_partial_strength_event_shifts_block():
     s = spec(tokens_per_frame=8, noise_sigma=0.05, events=((4, 2, 0.8),))
     frames = generate_stream(s)
     direction = event_direction(s, 0)
-    block_token = frames[4].tokens[0].vector.astype(np.float64)
-    plain_token = frames[3].tokens[0].vector.astype(np.float64)
+    block_token = frames[4].vectors[0].astype(np.float64)
+    plain_token = frames[3].vectors[0].astype(np.float64)
     assert float(np.dot(block_token, direction)) > 0.6
     assert abs(float(np.dot(plain_token, direction))) < 0.5
 
@@ -87,7 +88,7 @@ def test_event_blocks_per_frame_size():
 def test_spatial_layout_row_major_square():
     assert grid_side(5) == 3
     frames = generate_stream(spec(tokens_per_frame=5, frames=1))
-    coords = [(t.spatial_row, t.spatial_col) for t in frames[0].tokens]
+    coords = list(zip(frames[0].rows.tolist(), frames[0].cols.tolist()))
     assert coords == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
 
 
@@ -100,6 +101,42 @@ def test_query_for_event_exact_at_zero_jitter():
     jittered = query_for_event(s, 0, jitter=0.3, rng_seed=1, n_tokens=3)
     assert jittered.tokens.shape == (3, 16)
     assert not np.array_equal(jittered.tokens[0], event_direction(s, 0))
+
+
+def test_query_jitter_is_drawn_and_normalized_per_token():
+    # One (tokens, dim) draw and one unit_rows give every token the bits of
+    # its own draw and normalize, and jitter that overflows is still refused.
+    for dim in (1, 2, 8, 128):
+        s = spec(dim=dim, events=((1, 3, 1.0),))
+        direction = event_direction(s, 0)
+        for n_tokens, seed, jitter in ((1, 0, 1e-300), (2, 1, 0.3), (7, 2, 1e200), (64, 3, 2.5)):
+            q = query_for_event(s, 0, jitter=jitter, rng_seed=seed, n_tokens=n_tokens)
+            rng = np.random.default_rng([seed, synth._TAG_QUERY, 0])
+            want = [normalize(direction + jitter * rng.standard_normal(dim))
+                    for _ in range(n_tokens)]
+            assert q.tokens.tobytes() == np.stack(want).tobytes(), (dim, n_tokens, jitter)
+        # The overflow warns, as a per-token draw did, and the query refuses
+        # the tokens it leaves.
+        with pytest.raises(ValidationError, match="non-finite"), pytest.warns(RuntimeWarning):
+            query_for_event(s, 0, jitter=float(np.finfo(np.float64).max), n_tokens=64)
+
+
+def test_integer_helpers_refuse_what_is_not_a_positive_integer():
+    # segment_direction raised a bare TypeError for 0.5 and "a" and took
+    # True as 1; grid_side raised a bare ValueError for -1 and gave 2 for 2.5.
+    s = spec(frames=4, segments=((0, 2, 1), (2, 4, 2)))
+    for ordinal in (0.5, "a", True, None):
+        with pytest.raises(ValidationError, match="segment ordinal"):
+            segment_direction(s, ordinal)
+    assert np.array_equal(segment_direction(s, np.int64(1)), segment_direction(s, 1))
+    with pytest.raises(SpecError):
+        segment_direction(s, 2)
+    for n in (-1, 0, 2.5, True, "4"):
+        with pytest.raises(ValidationError, match="tokens_per_frame"):
+            grid_side(n)
+    sides = range(1, 5000)
+    assert [grid_side(n) for n in sides] == [math.ceil(math.sqrt(n)) for n in sides]
+    assert grid_side(np.uint16(10)) == 4 and grid_side(10**40) == 10**20
 
 
 def test_query_for_event_out_of_range():
@@ -117,7 +154,7 @@ def test_event_query_separates_event_frame_exactly():
     frames = generate_stream(s)
     q = query_for_event(s, 0, jitter=0.0)
     scores = {
-        f.frame_index: late_interaction([t.vector for t in f.tokens], list(q.tokens))
+        f.frame_index: late_interaction(f.vectors, list(q.tokens))
         for f in frames
     }
     best = max(scores, key=scores.get)
@@ -140,7 +177,7 @@ def test_segment_transitions_are_scene_boundaries():
     mem = new_memory(cfg, ProbeBank.generated(64, n=5, seed=0))
     flags = {}
     for f in frames:
-        report = mem.ingest_frame(f.timestamp, [(t.vector, t.spatial_row, t.spatial_col) for t in f.tokens])
+        report = mem.ingest_frame(f.timestamp, list(f))
         flags[f.frame_index] = report.scene_boundary
     assert flags[0] is True
     assert flags[6] is True
@@ -273,6 +310,6 @@ def test_load_stream_spec_errors(tmp_path):
 def test_tokens_are_unit_norm_float32():
     frames = generate_stream(spec(noise_sigma=0.3))
     for f in frames:
-        for t in f.tokens:
-            assert t.vector.dtype == np.float32
-            assert math.isclose(float(np.linalg.norm(t.vector.astype(np.float64))), 1.0, abs_tol=1e-6)
+        assert f.vectors.dtype == np.float32
+        for vector in f.vectors:
+            assert math.isclose(float(np.linalg.norm(vector.astype(np.float64))), 1.0, abs_tol=1e-6)

@@ -1,11 +1,13 @@
 """Tier pipeline tests: pruning, selection, forgetting, budget."""
 
+import ast
 import collections
 import copy
 import json
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from tiermem.tiers import (
     FrameEntry,
     TierConfig,
     TieredMemory,
-    TokenRecord,
     encode_tokens,
     is_scene_boundary,
     new_memory,
@@ -45,6 +46,7 @@ from tiermem.vecspace import (
     normalize,
     unit_rows,
 )
+from reference_engine import reference_forget, reference_prune_positions, reference_select_positions
 
 
 def axis(dim, i):
@@ -62,21 +64,25 @@ def tilted(dim, i, j, c):
 
 
 def entry_of(frame_index, tokens, ts=None, boundary=False):
-    """FrameEntry whose columns stack the given tokens."""
+    """FrameEntry whose columns stack the given (vector, score, row, col) tokens."""
+    vectors, scores, rows, cols = zip(*tokens)
     return FrameEntry(
         frame_index=frame_index,
         timestamp=float(frame_index if ts is None else ts),
-        token_matrix=np.stack([t.embedding for t in tokens]),
-        scores=[t.score for t in tokens],
-        rows=[t.spatial_row for t in tokens],
-        cols=[t.spatial_col for t in tokens],
+        token_matrix=np.stack(vectors),
+        scores=list(scores),
+        rows=list(rows),
+        cols=list(cols),
         scene_boundary=boundary,
     )
 
 
 def crafted_token(score, frame_index, row=0, col=0, dim=3, vec=None):
+    """One token as a (vector, score, row, col) tuple, read back from a
+    one-token entry, so FrameEntry has checked it."""
     v = axis(dim, 0) if vec is None else np.asarray(vec, dtype=np.float64)
-    return entry_of(frame_index, [TokenRecord(v, score, frame_index, row, col)]).tokens[0]
+    e = entry_of(frame_index, [(v, score, row, col)])
+    return e.token_matrix[0], e.scores.item(0), e.rows.item(0), e.cols.item(0)
 
 
 def crafted_entry(frame_index, scores, ts=None, boundary=False, dim=3):
@@ -184,7 +190,7 @@ def test_config_from_file(tmp_path):
 
 
 def test_token_record_readonly_and_validated():
-    tok = crafted_token(0.5, 0)
+    tok = entry_of(0, [crafted_token(0.5, 0)]).tokens[0]
     with pytest.raises(ValueError):
         tok.embedding[0] = 2.0
     with pytest.raises(ValidationError):
@@ -224,6 +230,24 @@ def test_frame_entry_rejects_empty_and_foreign_tokens():
         )
 
 
+def test_frame_entry_rejects_non_finite_embeddings():
+    # An infinite or NaN embedding was held, and scored: against [1, 0, 0, 0],
+    # score_candidates gave the frame 0.5. Large finite values are kept.
+    cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=2, token_budget=64)
+    for bad in (np.inf, -np.inf, np.nan):
+        columns = dict(token_matrix=[[0, 0, 0, 0], [0, 1, 0, 0]], scores=[0.5, 0.5],
+                       rows=[0, 0], cols=[0, 1])
+        columns["token_matrix"][0][0] = bad
+        with pytest.raises(ValidationError, match="frame 2: non-finite"):
+            FrameEntry(frame_index=2, timestamp=0.0, **columns)
+        with pytest.raises(ValidationError, match="frame 2: non-finite"):
+            TieredMemory.from_tiers(cfg, small_bank(4),
+                                    mid=[FrameEntry(frame_index=2, timestamp=0.0, **columns)])
+    huge = FrameEntry(2, 0.0, [[1e300, -1e300, 0, 0], [0, 1, 0, 0]], [0.5, 0.5], [0, 0], [0, 1])
+    held = TieredMemory.from_tiers(cfg, small_bank(4), mid=[huge])
+    assert held.mid[0].token_matrix[0, 1] == -1e300
+
+
 def test_frame_entry_holds_its_casts_without_copying_them():
     # A float32 token matrix and scores and uint16 coordinates are each cast
     # once, and the casts are held sealed, not copied again: the peak stays
@@ -250,20 +274,20 @@ def test_frame_entry_holds_its_casts_without_copying_them():
 def test_encode_tokens_scores_reproduce_bit_exactly():
     bank = ProbeBank([tilted(4, 0, 1, 0.7), axis(4, 2)])
     rng = np.random.default_rng(5)
-    records = encode_tokens(3, 0.0, [(rng.standard_normal(4), i, 0) for i in range(10)], bank).tokens
-    for tok in records:
-        assert tok.score == max_sim(tok.embedding, bank)
-        assert math.isclose(float(np.linalg.norm(tok.embedding)), 1.0, abs_tol=1e-12)
-        assert tok.frame_index == 3
+    entry = encode_tokens(3, 0.0, [(rng.standard_normal(4), i, 0) for i in range(10)], bank)
+    assert entry.frame_index == 3
+    for embedding, score in zip(entry.token_matrix, entry.scores.tolist()):
+        assert score == max_sim(embedding, bank)
+        assert math.isclose(float(np.linalg.norm(embedding)), 1.0, abs_tol=1e-12)
     # Batch invariance: a 512-token frame stores, for every token, the
     # same embedding and score bits as that token encoded alone.
     bank = ProbeBank.generated(128, n=5, seed=2)
     raw = [(rng.standard_normal(128), i // 32, i % 32) for i in range(512)]
     frame = encode_tokens(0, 0.0, raw, bank)
-    for i, tok in enumerate(frame.tokens):
+    for i, (embedding, score) in enumerate(zip(frame.token_matrix, frame.scores.tolist())):
         alone = encode_tokens(0, 0.0, [raw[i]], bank)
-        assert np.array_equal(tok.embedding, alone.token_matrix[0])
-        assert tok.score == alone.scores[0] == max_sim(tok.embedding, bank)
+        assert np.array_equal(embedding, alone.token_matrix[0])
+        assert score == alone.scores[0] == max_sim(embedding, bank)
 
 
 _V4 = np.ones(4)
@@ -755,11 +779,11 @@ def test_prune_by_redundancy_hand_case():
     frame = entry_of(0, frame_tokens)
     reference = entry_of(1, ref_tokens)
     out = temporal_semantic_prune(frame, reference, cfg)
-    assert [t.spatial_col for t in out.tokens] == [1, 2]
-    for kept in out.tokens:
-        original = frame_tokens[kept.spatial_col]
-        assert np.array_equal(kept.embedding, original.embedding)
-        assert kept.score == original.score
+    assert out.cols.tolist() == [1, 2]
+    for embedding, score, col in zip(out.token_matrix, out.scores.tolist(), out.cols.tolist()):
+        original_embedding, original_score, _, _ = frame_tokens[col]
+        assert np.array_equal(embedding, original_embedding)
+        assert score == original_score
 
 
 def test_prune_semantic_weight_spares_salient_token():
@@ -779,11 +803,11 @@ def test_prune_semantic_weight_spares_salient_token():
     frame = encode_tokens(0, 0.0, [(vec_a, 0, 0), (vec_b, 0, 1)], bank)
     ref_b = tilted(dim, 2, 3, 0.9)
     reference = encode_tokens(1, 1.0, [(vec_a, 0, 0), (ref_b, 0, 1)], bank)
-    assert math.isclose(frame.tokens[0].score, 0.2, abs_tol=1e-12)
-    assert math.isclose(frame.tokens[1].score, 0.0, abs_tol=1e-12)
+    assert math.isclose(frame.scores[0], 0.2, abs_tol=1e-12)
+    assert math.isclose(frame.scores[1], 0.0, abs_tol=1e-12)
     out = temporal_semantic_prune(frame, reference, cfg)
-    assert len(out.tokens) == 1
-    assert out.tokens[0].spatial_col == 0
+    assert out.token_count == 1
+    assert out.cols[0] == 0
 
 
 def test_prune_missing_reference_position_means_no_redundancy():
@@ -806,7 +830,7 @@ def test_prune_missing_reference_position_means_no_redundancy():
     out = temporal_semantic_prune(frame, reference, cfg)
     # Token 0 has no aligned reference (keep-score 1.0); token 1 is
     # identical to its reference (keep-score 0.0).
-    assert [t.spatial_col for t in out.tokens] == [0]
+    assert out.cols.tolist() == [0]
 
 
 def test_prune_keep_fraction_one_is_identity():
@@ -849,7 +873,7 @@ def test_select_single_cell_keeps_top_scores():
     tokens = tuple(crafted_token(s, 0, row=0, col=0) for s in scores)
     entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
-    assert sorted(t.score for t in out.tokens) == [0.8, 0.9]
+    assert sorted(out.scores.tolist()) == [0.8, 0.9]
 
 
 def test_select_quota_cuts_cell_winners_by_score():
@@ -868,7 +892,7 @@ def test_select_quota_cuts_cell_winners_by_score():
     entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert out.token_count == 1
-    assert out.tokens[0].score == 0.9
+    assert out.scores[0] == 0.9
 
 
 def test_select_covers_cells_before_filling():
@@ -888,7 +912,7 @@ def test_select_covers_cells_before_filling():
     )
     entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
-    assert sorted(t.score for t in out.tokens) == [0.1, 0.9]
+    assert sorted(out.scores.tolist()) == [0.1, 0.9]
 
 
 def test_select_tie_keeps_lower_position():
@@ -906,7 +930,7 @@ def test_select_tie_keeps_lower_position():
     entry = entry_of(0, tokens)
     out = spatial_semantic_select(entry, cfg)
     assert out.token_count == 1
-    assert out.tokens[0].spatial_col == 0
+    assert out.cols[0] == 0
 
 
 def test_select_grid_finer_than_frame_groups_like_its_extent():
@@ -921,7 +945,7 @@ def test_select_grid_finer_than_frame_groups_like_its_extent():
     far_finer = spatial_semantic_select(
         entry, TierConfig(short_cap_frames=1, tokens_per_frame_max=8, token_budget=64,
                           grid_size=2**62, long_quota_per_frame=2))
-    assert [t.spatial_col for t in far_finer.tokens] == [t.spatial_col for t in at_extent.tokens] == [2, 2]
+    assert far_finer.cols.tolist() == at_extent.cols.tolist() == [2, 2]
 
 
 # --- selective forgetting ---------------------------------------------------
@@ -936,7 +960,7 @@ def test_forget_evicts_lowest_score():
     mem = forget_memory(2, long=[crafted_entry(0, [0.1, 0.5, 0.3])])
     report = selective_forget(mem)
     assert report.evicted == ((0, 0, 0.1),)
-    assert [t.score for t in mem.long[0].tokens] == [0.5, 0.3]
+    assert mem.long[0].scores.tolist() == [0.5, 0.3]
     assert mem.total_tokens == 2
 
 
@@ -952,7 +976,7 @@ def test_forget_cascades_to_mid_when_long_empty():
     mem = forget_memory(1, mid=[crafted_entry(2, [0.4, 0.3])])
     report = selective_forget(mem)
     assert report.evicted == ((2, 1, 0.3),)
-    assert [t.score for t in mem.mid[0].tokens] == [0.4]
+    assert mem.mid[0].scores.tolist() == [0.4]
 
 
 def test_forget_drains_long_before_mid():
@@ -1227,49 +1251,48 @@ def test_snapshot_all_frames_ascending():
 
 # --- per-token reference ---------------------------------------------------
 #
-# The stages as one Python loop per token, the way the engine computed them
-# before frames became columns. The columnar stages must pick the same
+# The stages as one Python loop per token over plain lists
+# (tests/reference_engine.py). The columnar stages must pick the same
 # tokens, including on tied scores and repeated grid positions.
 
 
-def reference_prune_positions(frame, reference, config):
-    tokens = frame.tokens
-    keep = math.ceil(config.keep_fraction * len(tokens))
-    by_position = {}
-    for tok in reference.tokens if reference is not None else ():
-        by_position.setdefault((tok.spatial_row, tok.spatial_col), tok)
-    keep_scores = []
-    for tok in tokens:
-        ref = by_position.get((tok.spatial_row, tok.spatial_col))
-        redundancy = 0.0 if ref is None else float(np.clip(np.dot(tok.embedding, ref.embedding), -1.0, 1.0))
-        keep_scores.append((1.0 - redundancy) + config.semantic_weight * tok.score)
-    return sorted(sorted(range(len(tokens)), key=lambda i: (-keep_scores[i], i))[:keep])
+def plain(entry):
+    """A frame's columns as the references read them: (vectors, scores,
+    rows, cols) lists, or None for no frame."""
+    if entry is None:
+        return None
+    return (entry.token_matrix.tolist(), entry.scores.tolist(), entry.rows.tolist(),
+            entry.cols.tolist())
 
 
-def reference_select_positions(frame, config):
-    tokens, grid, quota = frame.tokens, config.grid_size, config.long_quota_per_frame
-    extent_r = max(t.spatial_row for t in tokens) + 1
-    extent_c = max(t.spatial_col for t in tokens) + 1
-    best_in_cell = {}
-    for i, tok in enumerate(tokens):
-        cell = (min(tok.spatial_row * grid // extent_r, grid - 1),
-                min(tok.spatial_col * grid // extent_c, grid - 1))
-        if cell not in best_in_cell or tok.score > tokens[best_in_cell[cell]].score:
-            best_in_cell[cell] = i
-    selected = sorted(best_in_cell.values(), key=lambda i: (-tokens[i].score, i))[:quota]
-    leftovers = sorted((i for i in range(len(tokens)) if i not in selected),
-                       key=lambda i: (-tokens[i].score, i))
-    return sorted(selected + leftovers[: max(0, quota - len(selected))])
+def pruned(frame, reference, config):
+    """frame as temporal pruning should leave it, by the reference."""
+    positions = reference_prune_positions(plain(frame), plain(reference), config.keep_fraction,
+                                          config.semantic_weight)
+    return frame.take(np.array(positions, dtype=int))
 
 
-def reference_forget(tiers, overflow):
-    evicted = []
-    for tier in tiers:
-        candidates = sorted((tok.score, e.frame_index, i) for e in tier for i, tok in enumerate(e.tokens))
-        victims = candidates[: max(0, overflow)]
-        overflow -= len(victims)
-        evicted += [(f, i, score) for score, f, i in victims]
-    return evicted
+def forget_reference(mem, overflow):
+    """Forget's victims by the reference, from the long, then the mid tier."""
+    return reference_forget([[(e.frame_index, e.scores.tolist()) for e in tier]
+                             for tier in (mem.long, mem.mid)], overflow)
+
+
+def test_reference_engine_imports_nothing_else_from_tiermem():
+    # The references stay independent of the code they check: from tiermem
+    # they may take max_sim and late_interaction, which define a token's
+    # salience and a frame's score, and nothing else.
+    tree = ast.parse(Path(__file__).with_name("reference_engine.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.partition(".")[0] == "tiermem"]
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").partition(".")[0] == "tiermem"):
+            taken |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("__import__", "importlib"), node.id
+    assert taken <= {"max_sim", "late_interaction"}, taken
 
 
 def random_entry(rng, frame_index, dim=4):
@@ -1321,16 +1344,18 @@ def test_columnar_stages_match_per_token_reference():
         )
         frame, reference = random_entry(rng, 0), random_entry(rng, 1)
         for ref in (reference, None):
-            want = frame.take(np.array(reference_prune_positions(frame, ref, config), dtype=int))
+            want = pruned(frame, ref, config)
             assert_same_tokens(temporal_semantic_prune(frame, ref, config), want)
-        want = frame.take(np.array(reference_select_positions(frame, config), dtype=int))
+        positions = reference_select_positions(plain(frame), config.grid_size,
+                                               config.long_quota_per_frame)
+        want = frame.take(np.array(positions, dtype=int))
         assert_same_tokens(spatial_semantic_select(frame, config), want)
 
         mem = forget_memory(int(rng.integers(1, 40)),
                             long=[random_entry(rng, f, dim=3) for f in (0, 2, 5)],
                             mid=[random_entry(rng, f, dim=3) for f in (6, 7)])
         before = {e.frame_index: e for e in mem.long + mem.mid}
-        expected = reference_forget((mem.long, mem.mid), mem.total_tokens - mem.config.token_budget)
+        expected = forget_reference(mem, mem.total_tokens - mem.config.token_budget)
         assert selective_forget(mem).evicted == tuple(expected)
         for f, original in before.items():
             kept = [i for i in range(original.token_count) if (f, i) not in {v[:2] for v in expected}]
@@ -1354,7 +1379,7 @@ def test_columnar_stages_match_per_token_reference():
             permuted = permuted[::-1]
         for frame_keys, ref_keys in ((raster, raster), (repeated, repeated), (raster, permuted)):
             on_grid, ref = grid_entry(rng, 0, frame_keys), grid_entry(rng, 1, ref_keys)
-            want = on_grid.take(np.array(reference_prune_positions(on_grid, ref, config), dtype=int))
+            want = pruned(on_grid, ref, config)
             assert_same_tokens(temporal_semantic_prune(on_grid, ref, config), want)
 
 
@@ -1368,7 +1393,7 @@ def test_forget_small_overflow_in_a_large_tied_tier_matches_reference():
         mid = [random_entry(rng, f, dim=3) for f in range(60, 70)]
         overflow = int(rng.integers(1, 12))
         mem = forget_memory(sum(e.token_count for e in long + mid) - overflow, long=long, mid=mid)
-        expected = reference_forget((mem.long, mem.mid), overflow)
+        expected = forget_reference(mem, overflow)
         assert selective_forget(mem).evicted == tuple(expected)
         assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
 
@@ -1484,7 +1509,7 @@ def test_forget_frame_minimum_prefilter_matches_reference():
         if overflow > long_tokens and mem.mid:
             seen.add("spill into mid")
 
-        expected = reference_forget((mem.long, mem.mid), overflow)
+        expected = forget_reference(mem, overflow)
         assert selective_forget(mem).evicted == tuple(expected)
         lost = {}
         for f, i, _ in expected:
@@ -1521,7 +1546,7 @@ def test_eviction_report_read_after_later_ingests_is_as_of_its_call(monkeypatch)
 
     def recorded(mem):
         counts = {e.frame_index: e.token_count for e in mem.long + mem.mid}
-        expected = reference_forget((mem.long, mem.mid), mem.total_tokens - mem.config.token_budget)
+        expected = forget_reference(mem, mem.total_tokens - mem.config.token_budget)
         report = real_forget(mem)
         held = {page_id for page_id, *_ in mem.row_store.page_usage()}
         lost = collections.Counter(f for f, _, _ in expected)
@@ -1652,8 +1677,8 @@ def test_retained_tokens_keep_ingest_scores_bit_exactly():
     assert mem.long, "stream long enough to reach the long tier"
     for tier in (mem.short, mem.mid, mem.long):
         for entry in tier:
-            for tok in entry.tokens:
-                assert tok.score == max_sim(tok.embedding, bank)
+            for embedding, score in zip(entry.token_matrix, entry.scores.tolist()):
+                assert score == max_sim(embedding, bank)
 
 
 def test_ingest_deterministic_digest():

@@ -18,17 +18,19 @@ from tiermem.errors import (
     ValidationError,
 )
 from tiermem.traceio import RawFrame, RawToken, TokenColumns, load_trace, read_trace, write_trace
+from reference_engine import reference_decode
 
 
 def token(vec, row=0, col=0):
-    return RawToken(spatial_row=row, spatial_col=col, vector=np.asarray(vec, np.float32))
+    """One token as a (vector, row, col) triple, its vector float32."""
+    return np.asarray(vec, np.float32), row, col
 
 
 def frame(index, ts, tokens):
-    tokens = list(tokens)
-    vectors = np.stack([t.vector for t in tokens]) if tokens else np.empty((0, 0), np.float32)
-    return RawFrame(frame_index=index, timestamp=ts, vectors=vectors,
-                    rows=[t.spatial_row for t in tokens], cols=[t.spatial_col for t in tokens])
+    vectors, rows, cols = zip(*tokens) if tokens else ((), (), ())
+    return RawFrame(frame_index=index, timestamp=ts,
+                    vectors=np.stack(vectors) if vectors else np.empty((0, 0), np.float32),
+                    rows=list(rows), cols=list(cols))
 
 
 def write_bytes(frames, dim=None):
@@ -79,10 +81,9 @@ def test_roundtrip_structural_equality():
     for a, b in zip(frames, back):
         assert a.frame_index == b.frame_index
         assert a.timestamp == b.timestamp
-        assert len(a.tokens) == len(b.tokens)
-        for ta, tb in zip(a.tokens, b.tokens):
-            assert (ta.spatial_row, ta.spatial_col) == (tb.spatial_row, tb.spatial_col)
-            assert np.array_equal(ta.vector, tb.vector)
+        assert len(a) == len(b)
+        assert (a.rows.tolist(), a.cols.tolist()) == (b.rows.tolist(), b.cols.tolist())
+        assert a.vectors.tolist() == b.vectors.tolist()
 
 
 def load_trace_bytes(data):
@@ -111,7 +112,7 @@ def test_file_path_roundtrip(tmp_path):
     path = tmp_path / "stream.svmt"
     frames = [frame(0, 0.0, [token([1.0, 2.0, 3.0])])]
     write_trace(str(path), frames)
-    assert load_trace(str(path))[0].tokens[0].vector.tolist() == [1.0, 2.0, 3.0]
+    assert load_trace(str(path))[0].vectors[0].tolist() == [1.0, 2.0, 3.0]
     # PathLike works too.
     assert load_trace(path)[0].frame_index == 0
 
@@ -182,14 +183,14 @@ def test_write_requires_dim_for_tokenless_trace():
 def test_tokenless_frame_roundtrips():
     frames = [frame(0, 0.0, []), frame(1, 1.0, [token([1.0, 0.0])])]
     back = load_trace_bytes(write_bytes(frames, dim=2))
-    assert len(back[0].tokens) == 0
+    assert len(back[0]) == 0
     assert back[0].dim is None
-    assert len(back[1].tokens) == 1
+    assert len(back[1]) == 1
 
 
 def test_token_coordinate_bounds():
     with pytest.raises(ValidationError):
-        token([1.0], row=70000)
+        RawToken(spatial_row=70000, spatial_col=0, vector=np.ones(1, np.float32))
     with pytest.raises(ValidationError):
         RawToken(spatial_row=0, spatial_col=-1, vector=np.ones(1, np.float32))
     with pytest.raises(ValidationError):
@@ -335,22 +336,6 @@ def test_frame_holds_the_casts_own_arrays(monkeypatch):
 
 
 # --- decode equivalence against a per-token reference -------------------------
-
-
-def reference_decode(data):
-    """Independent per-token struct decoder of the wire format."""
-    _, _, dim, count = struct.unpack_from("<4sIIQ", data, 0)
-    pos, frames = 20, []
-    while (len(frames) < count) if count else (pos < len(data)):
-        index, ts, n = struct.unpack_from("<QdI", data, pos)
-        pos += 20
-        tokens = []
-        for _ in range(n):
-            row, col = struct.unpack_from("<HH", data, pos)
-            tokens.append((row, col, data[pos + 4:pos + 4 + 4 * dim]))
-            pos += 4 + 4 * dim
-        frames.append((index, ts, tokens))
-    return frames
 
 
 def assert_decodes_like_reference(frames, data):
