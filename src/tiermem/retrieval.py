@@ -25,7 +25,7 @@ from .errors import (
     json_int,
     json_object,
 )
-from .traceio import seal
+from .traceio import assembled, seal
 from .vecspace import late_interaction_pages, query_max_sims, unit_rows
 
 if TYPE_CHECKING:
@@ -75,7 +75,9 @@ def update_gate(gate: GateState, frame_pooled_score: float) -> GateState:
         ema = x
     else:
         ema = GATE_DECAY * gate.ema + (1.0 - GATE_DECAY) * x
-    return GateState(ema=ema, observations=gate.observations + 1)
+    # gate's count was checked when it was made; only the new average can
+    # fail GateState's checks, if it overflows.
+    return assembled(GateState, ema=checked_real(ema, "ema"), observations=gate.observations + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,13 +42,14 @@ from .errors import (
     json_object,
 )
 from .retrieval import GATE_DECAY, GATE_FLOOR, GateState, update_gate
-from .traceio import MAX_COORD, TokenColumns, coords, held, seal
+from .traceio import MAX_COORD, TokenColumns, assembled, coords, held, seal
 from .vecspace import (
     FrameTable,
     ProbeBank,
     RowStore,
     max_sim_rows,
     pooled_max_sim_units,
+    unit_margin,
     unit_rows,
     _Page,
 )
@@ -118,9 +119,7 @@ class FrameEntry:
         """A frame from all its fields, with read-only columns read out of a
         frame that was validated when it was held; the checks of
         __post_init__ are not run again."""
-        entry = object.__new__(cls)
-        vars(entry).update(values)
-        return entry
+        return assembled(cls, **values)
 
     def _with(self, **changes) -> "FrameEntry":
         """This frame with the given fields replaced: another scene-boundary
@@ -161,18 +160,20 @@ class FrameEntry:
 
         positions must be non-empty; each must index an existing token.
         alloc, if given, is called with the number of positions and returns
-        the (n, dim) array the kept embeddings are gathered into, such as
-        RowStore.alloc.
+        the (n, dim), (n,), (n,) and (n,) arrays the kept embeddings,
+        scores, rows and cols are gathered into, such as RowStore.alloc.
         """
-        if len(positions) == 0:
+        n = len(positions)
+        if n == 0:
             raise EmptyFrame(f"frame {self.frame_index}: take keeps no tokens")
+        columns = (self.token_matrix, self.scores, self.rows, self.cols)
         if alloc is None:
-            matrix = self.token_matrix[positions]
+            kept = [column[positions] for column in columns]
         else:
-            matrix = self.token_matrix.take(positions, axis=0, out=alloc(len(positions)),
-                                            mode="clip")
-        return self._with(token_matrix=seal(matrix), scores=seal(self.scores[positions]),
-                          rows=seal(self.rows[positions]), cols=seal(self.cols[positions]))
+            kept = [column.take(positions, axis=0, out=out, mode="clip")
+                    for column, out in zip(columns, alloc(n))]
+        matrix, scores, rows, cols = map(seal, kept)
+        return self._with(token_matrix=matrix, scores=scores, rows=rows, cols=cols)
 
 
 @dataclass(frozen=True)
@@ -402,11 +403,12 @@ def encode_tokens(
     frame_index = checked_int(frame_index, "frame_index")
     timestamp = checked_real(timestamp, "timestamp")
     # Read-only int64 columns: the same arrays when they are, else new ones.
-    rows, cols = (seal(column.astype(np.int64, copy=False))
-                  for column in (tokens.rows, tokens.cols))
+    rows = seal(tokens.rows.astype(np.int64, copy=False))
+    cols = seal(tokens.cols.astype(np.int64, copy=False))
     if frame_index < 0:
         raise ValidationError("frame_index must be non-negative")
-    if not np.isfinite(scores).all():
+    # Scores are clipped to [-1, 1], so only a NaN makes their sum not finite.
+    if math.isnan(np.add.reduce(scores)):
         raise ValidationError(f"frame {frame_index}: token scores must be finite")
     return FrameEntry._of(frame_index=frame_index, timestamp=timestamp, token_matrix=units,
                           scores=scores, rows=rows, cols=cols, scene_boundary=False)
@@ -468,15 +470,19 @@ def temporal_semantic_prune(
     keep = math.ceil(config.keep_fraction * n)
     if keep >= n:
         return frame
-    redundancy = np.zeros(n)
-    if reference is not None:
+    if reference is None:
+        redundancy = np.zeros(n)
+    else:
         keys = _grid_keys(frame.rows, frame.cols)
-        if (np.array_equal(frame.rows, reference.rows) and np.array_equal(frame.cols, reference.cols)
-                and (keys[1:] > keys[:-1]).all()):
+        # Both frames' coordinates are int64 columns, so equal bytes are equal grids.
+        if (frame.rows.tobytes() == reference.rows.tobytes()
+                and frame.cols.tobytes() == reference.cols.tobytes()
+                and np.greater(keys[1:], keys[:-1]).all()):
             # One grid, each position once: token i's reference token is the
             # reference's token i, so the rows align where they lie.
             redundancy = np.einsum("ij,ij->i", frame.token_matrix, reference.token_matrix)
         else:
+            redundancy = np.zeros(n)
             ref_keys, first = np.unique(_grid_keys(reference.rows, reference.cols),
                                         return_index=True)
             slot = np.minimum(np.searchsorted(ref_keys, keys), len(ref_keys) - 1)
@@ -486,10 +492,16 @@ def temporal_semantic_prune(
             # gather when they are all of them.
             tokens = frame.token_matrix if hit.all() else frame.token_matrix[hit]
             redundancy[hit] = np.einsum("ij,ij->i", tokens, aligned)
-        np.clip(redundancy, -1.0, 1.0, out=redundancy)
-    keep_scores = (1.0 - redundancy) + config.semantic_weight * frame.scores
-    ranked = np.argsort(-keep_scores, kind="stable")
-    return frame.take(np.sort(ranked[:keep]), alloc)
+        # np.clip's bits, without its wrapper.
+        np.minimum(redundancy, 1.0, out=redundancy)
+        np.maximum(redundancy, -1.0, out=redundancy)
+    # Descending keep-score (1 - redundancy) + semantic_weight * salience:
+    # rounding is symmetric under negation, so these are its negations, but
+    # for the sign of a zero, which no comparison sees.
+    ranked = ((redundancy - 1.0) - config.semantic_weight * frame.scores).argsort(kind="stable")
+    kept = ranked[:keep]
+    kept.sort()
+    return frame.take(kept, alloc)
 
 
 def spatial_semantic_select(frame: FrameEntry, config: TierConfig, alloc=None) -> FrameEntry:
@@ -500,28 +512,42 @@ def spatial_semantic_select(frame: FrameEntry, config: TierConfig, alloc=None) -
     non-empty cell is taken first; if that exceeds the long-tier quota the
     cell winners are cut by salience rank, otherwise the remaining slots
     are filled by salience over the leftovers. Ties keep the lower token
-    position. alloc is passed on to FrameEntry.take.
+    position. alloc is passed on to FrameEntry.take. A frame of at most
+    quota tokens is kept whole.
+
+    Each cell's winner is found by sorting, not by a table of cells:
+    grid_size may be up to 2**62 and coordinates up to MAX_COORD, so a
+    frame's cells may number about 2**32.
     """
-    grid = config.grid_size
+    n = frame.token_count
     quota = config.long_quota_per_frame
-    extent_r = int(frame.rows.max()) + 1
-    extent_c = int(frame.cols.max()) + 1
+    if quota >= n:
+        return frame
+    grid = config.grid_size
+    rows, cols = frame.rows, frame.cols
+    extent_r = int(np.maximum.reduce(rows)) + 1
+    extent_c = int(np.maximum.reduce(cols)) + 1
     # A grid at least as fine as an axis's extent gives each coordinate a
     # cell of its own, so capping it there groups tokens the same way and
     # keeps the products small.
-    cell_r = frame.rows * min(grid, extent_r) // extent_r
-    cell_c = frame.cols * min(grid, extent_c) // extent_c
+    cell_r = rows * min(grid, extent_r) // extent_r
+    cell_c = cols * min(grid, extent_c) // extent_c
     # Salience rank, ties to the lower position: a cell's first token in
-    # this order is its winner, and winners come out already ranked.
-    ranked = np.argsort(-frame.scores, kind="stable")
-    _, first = np.unique(_grid_keys(cell_r, cell_c)[ranked], return_index=True)
-    is_winner = np.zeros(frame.token_count, dtype=bool)
-    is_winner[first] = True
-    winners = ranked[is_winner][:quota]
-    fill = ranked[~is_winner][: quota - len(winners)]
-    if len(winners) + len(fill) == frame.token_count:
-        return frame
-    return frame.take(np.sort(np.concatenate([winners, fill])), alloc)
+    # this order is its winner. A stable sort of the cells in rank order
+    # keeps each cell's tokens in rank order, so the winners are the heads
+    # of its runs.
+    ranked = (-frame.scores).argsort(kind="stable")
+    cells = _grid_keys(cell_r, cell_c)[ranked]
+    by_cell = cells.argsort(kind="stable")
+    runs = cells[by_cell]
+    is_winner = np.empty(n, dtype=bool)
+    is_winner[by_cell[0]] = True
+    is_winner[by_cell[1:]] = runs[1:] != runs[:-1]
+    # The winners in rank order, then the leftovers in rank order: the
+    # quota takes the best winners, or every winner and the best leftovers.
+    chosen = np.concatenate((ranked[is_winner], ranked[~is_winner]))[:quota]
+    chosen.sort()
+    return frame.take(chosen, alloc)
 
 
 # Frame indices and the index after the newest one are hashed as int64.
@@ -640,18 +666,30 @@ class TieredMemory:
         the frames: each tier's tokens, the next frame index (one past the
         highest held) and the last timestamp. The gate statistics start empty.
 
-        Every frame must have the bank's dimension (DimensionError), and the
-        frame indices must strictly ascend across long, then mid, then short
-        (ValidationError), as they do in a memory built by ingest. The mid
-        and long frames' rows are copied into the row store's pages, so
-        those tiers hold the same frames read from their new rows.
+        Every frame must have the bank's dimension (DimensionError), and
+        unit or zero embedding rows, as ingest makes them: each row's
+        float64 squared norm 0 or within vecspace.unit_margin of 1
+        (ValidationError), since the scores and the scene screen read rows
+        as unit vectors. The frame indices must strictly ascend across
+        long, then mid, then short (ValidationError), as they do in a
+        memory built by ingest. The mid and long frames' rows are copied
+        into the row store's pages, so those tiers hold the same frames
+        read from their new rows.
         """
         tiers = {"short": tuple(short), "mid": tuple(mid), "long": tuple(long)}
         held = tiers["long"] + tiers["mid"] + tiers["short"]
+        margin = unit_margin(bank.dim)
         for entry in held:
-            if entry.token_matrix.shape[1] != bank.dim:
+            matrix = entry.token_matrix
+            if matrix.shape[1] != bank.dim:
                 raise DimensionError(f"frame {entry.frame_index} has dimension "
-                                     f"{entry.token_matrix.shape[1]}, bank has {bank.dim}")
+                                     f"{matrix.shape[1]}, bank has {bank.dim}")
+            squares = np.einsum("ij,ij->i", matrix, matrix)
+            unit = (squares == 0.0) | (np.abs(squares - 1.0) <= margin)
+            if not unit.all():
+                raise ValidationError(
+                    f"frame {entry.frame_index}: embedding rows must be unit vectors or zero; "
+                    f"a row's squared norm is {float(squares[~unit][0])!r}")
         for older, newer in zip(held, held[1:]):
             if newer.frame_index <= older.frame_index:
                 raise ValidationError(
@@ -709,8 +747,9 @@ class TieredMemory:
 
     def _push(self, name: str, entry: FrameEntry) -> None:
         """Append entry as the tier's newest frame. A mid or long frame's
-        rows are held in the row store: the rows the store's last alloc gave
-        out are committed in place, other rows are copied in."""
+        rows are held in the row store, with its scores and grid columns:
+        the arrays the store's last alloc gave out are committed in place,
+        others are copied in."""
         if name == "short":
             self._short.append(entry)
         else:
@@ -820,8 +859,9 @@ class TieredMemory:
         entry = encode_tokens(index, ts, tokens, self.bank, alloc=self._frame_rows)
         short, mid, long = self._short, self._tables["mid"], self._tables["long"]
         prev = short[-1] if short else None
-        entry = entry._with(scene_boundary=is_scene_boundary(
-            entry, prev, self.config, float32=self._float32))
+        # encode_tokens leaves the flag False.
+        if is_scene_boundary(entry, prev, self.config, float32=self._float32):
+            entry = entry._with(scene_boundary=True)
         self._push("short", entry)
         self._last_timestamp = ts
         self._next_frame_index = index + 1
@@ -846,7 +886,9 @@ class TieredMemory:
         eviction = selective_forget(self)
         self._rows.compact(self._tables)
         tier_tokens = self._tier_tokens
-        return IngestReport(
+        # Every field is made here, as in freeze.
+        return assembled(
+            IngestReport,
             frame_index=index,
             timestamp=ts,
             scene_boundary=entry.scene_boundary,
@@ -887,8 +929,8 @@ class TieredMemory:
         long, mid = self._tables["long"], self._tables["mid"]
         # Every field is made here, so the generated __init__ and its
         # frozen-field stores are skipped, as FrameEntry._of skips them.
-        snapshot = object.__new__(MemorySnapshot)
-        vars(snapshot).update(
+        return assembled(
+            MemorySnapshot,
             short=tuple(self._short),
             freeze_timestamp=freeze_ts,
             config=self.config,
@@ -898,7 +940,6 @@ class TieredMemory:
             pages=pages,
             alive=alive,
         )
-        return snapshot
 
     def thaw(self) -> None:
         """Re-enable ingest after a freeze."""
@@ -986,8 +1027,10 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         victims = candidates
         if len(candidates) > overflow:
             # The sort picks the victims; when every candidate goes, the
-            # report sorts them on read instead.
-            order = np.lexsort((positions, frames, scores[candidates]))[:overflow]
+            # report sorts them on read instead. The candidates lie in
+            # (frame, position) order, so a stable sort by score alone
+            # breaks its ties as the report's three-key sort does.
+            order = np.argsort(scores[candidates], kind="stable")[:overflow]
             victims, owners = candidates[order], owners[order]
             positions, frames = positions[order], frames[order]
         overflow -= len(victims)

@@ -63,6 +63,15 @@ def seal(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def assembled(cls: type, **fields):
+    """An instance of the dataclass cls with the given fields, all of them,
+    set without its __init__ or __post_init__: for values that were
+    checked where they were made."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def _shares_writable(arr: np.ndarray) -> bool:
     """Whether arr's memory can be written through something it views: a
     writable array or buffer in its base chain. bytes cannot be written,

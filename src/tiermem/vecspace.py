@@ -58,14 +58,23 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     result depends on that row alone (einsum, not BLAS, over a C-contiguous
     copy), so normalizing a frame at once gives the same bits as
     normalizing its tokens one at a time.
+
+    Two reductions over the norms come first: when the least is at least
+    ZERO_NORM_EPS and the greatest finite (neither NaN), no row is dead or
+    overflows, and one division scales them all, with the bits the
+    general path gives them.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
-    huge = np.isinf(norms[:, 0]).nonzero()[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    if (len(norms) and np.minimum.reduce(norms) >= ZERO_NORM_EPS
+            and np.maximum.reduce(norms) < math.inf):
+        return np.divide(m, norms[:, None], out=out)
+    huge = np.isinf(norms).nonzero()[0]
     if len(huge):
         huge = huge[np.isfinite(m[huge]).all(axis=1)]
         # Read before out, which may be m, is written.
         rescaled = m[huge] / np.max(np.abs(m[huge]), axis=1, keepdims=True)
+    norms = norms[:, None]
     dead = norms < ZERO_NORM_EPS
     if dead.any():
         units = np.divide(m, np.where(dead, 1.0, norms), out=out)
@@ -248,6 +257,24 @@ def screen_margin(dim: int) -> float:
     return 2 * (dim + 4) * 2.0**-24
 
 
+def unit_margin(dim: int) -> float:
+    """How far from 1 the float64 squared norm of a row unit_rows made,
+    of dimension dim, may lie.
+
+    With u = 2**-53: unit_rows sums dim rounded squares, which is off by
+    at most gamma_{dim+1} = (dim + 1)u / (1 - (dim + 1)u) relative
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1); the square root halves that and adds u, and each
+    quotient adds u more. So the row's exact squared norm lies within
+    about 2 * ((dim + 1)/2 + 2) * u = (dim + 5)u of 1. Summing its
+    squares again adds gamma_{dim+1} relative: the sum lies within
+    (2 dim + 6)u of 1 to first order, and twice that covers the rest with
+    a factor of 2. A row rescaled by its largest magnitude first is then
+    normalized the same way.
+    """
+    return 2 * (2 * dim + 6) * 2.0**-53
+
+
 # The scene-boundary screen's first step reads a strided sample of at most
 # this many of the previous frame's rows: 1/16 of a 512-token frame. Inside
 # a scene it settles as many frames as 128 rows do, and 16 rows settle a
@@ -413,10 +440,23 @@ def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
     query's shape on whole SCORE_BLOCK_ROWS-row blocks, and elsewhere an
     einsum, which takes each dot product alone; blas, if given, picks the
     product instead of that check.
+
+    One block, as encode's probe scores and the scene screen pass, takes
+    its product into an array of its own, with no shared buffer to size
+    and type. Its bits are those of the block inside a call of several,
+    but for the sign and payload of a NaN, which the product's order of
+    operations may set differently.
     """
     k, dim = query_matrix.shape
     if blas is None:
         blas = blas_rows_invariant(dim, k, SCORE_BLOCK_ROWS)
+    if len(blocks) == 1:
+        rows = blocks[0]
+        if rows.shape[1] != dim:
+            raise DimensionError(f"frame dimension {rows.shape[1]} vs query dimension {dim}")
+        sims = query_matrix @ rows.T if blas else np.einsum("ij,kj->ki", rows, query_matrix)
+        maxima = np.maximum.reduce(sims, axis=0)
+        return np.clip(maxima, -1.0, 1.0, out=maxima)
     sims = np.empty((k, sum([rows.shape[0] for rows in blocks])),
                     dtype=np.result_type(query_matrix, *blocks))
     lo = 0
@@ -511,8 +551,9 @@ class RowStore:
         self._next_id += 1
         return _Page(self._next_id - 1, group, rows, self.dim, self._shares)
 
-    def alloc(self, n: int, group=None) -> np.ndarray:
-        """A writable (n, dim) array of free rows in the group's pages, for
+    def alloc(self, n: int, group=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Writable arrays of n free rows in the group's pages: the (n, dim)
+        rows and the (n,) scores, grid rows and grid cols beside them, for
         add to commit once written; the next alloc hands the same rows out
         again."""
         if n > SCORE_BLOCK_ROWS:
@@ -521,29 +562,33 @@ class RowStore:
             page = self._open.get(group)
             if page is None or page.used + n > page.rows.shape[0]:
                 page = self._open[group] = self._new_page(group, SCORE_BLOCK_ROWS)
-        view = page._rows[page.used:page.used + n]
-        self._pending = (page, view)
-        return view
+        rows = slice(page.used, page.used + n)
+        views = (page._rows[rows], page._scores[rows], page._grid_rows[rows],
+                 page._grid_cols[rows])
+        self._pending = (page, views)
+        return views
 
     def add(self, matrix: np.ndarray, group=None, *, scores: np.ndarray,
             grid_rows: np.ndarray, grid_cols: np.ndarray) -> tuple[np.ndarray, int, int]:
         """Hold a frame's (n, dim) rows, live, with the tokens' scores and
-        grid coordinates beside them: the array alloc last returned is
-        committed where it stands, any other array is copied into the
-        group's pages. Returns the rows as a read-only view, the id of their
+        grid coordinates beside them, in the arrays alloc last returned
+        when matrix is its rows, else in new ones: an array given here that
+        alloc returned is committed where it stands, and any other is
+        copied in. Returns the rows as a read-only view, the id of their
         page and their first row."""
         pending = self._pending
-        if pending is None or pending[1] is not matrix:
-            self.alloc(matrix.shape[0], group)[...] = matrix
+        if pending is None or pending[1][0] is not matrix:
+            self.alloc(matrix.shape[0], group)
             pending = self._pending
-        page, view = pending
+        page, views = pending
         self._pending = None
+        for view, values in zip(views, (matrix, scores, grid_rows, grid_cols)):
+            if view is not values:
+                view[...] = values
+        view = views[0]
         n = view.shape[0]
         start = page.used
         rows = slice(start, start + n)
-        page._scores[rows] = scores
-        page._grid_rows[rows] = grid_rows
-        page._grid_cols[rows] = grid_cols
         # Rows past used lie in no frame a snapshot holds, so their flags
         # are set in place even where a snapshot shares them.
         page._alive[rows] = True
@@ -600,9 +645,11 @@ class RowStore:
         offsets = np.cumsum(spans) - spans
         rows = np.repeat(starts - offsets, spans) + np.arange(int(spans.sum()))
         rows = rows[old.alive[rows]]
-        old.rows.take(rows, axis=0, out=self.alloc(len(rows), old.group), mode="clip")
-        run, page, start = self.add(self._pending[1], scores=old.scores[rows],
-                                    grid_rows=old.grid_rows[rows], grid_cols=old.grid_cols[rows])
+        views = self.alloc(len(rows), old.group)
+        for column, out in zip((old.rows, old.scores, old.grid_rows, old.grid_cols), views):
+            column.take(rows, axis=0, out=out, mode="clip")
+        run, page, start = self.add(views[0], scores=views[1], grid_rows=views[2],
+                                    grid_cols=views[3])
         self.kill(page_id, len(rows))
         return page, start, run
 

@@ -35,7 +35,7 @@ from tiermem.tiers import (
 )
 from tiermem import tiers, vecspace
 from tiermem.retrieval import QuerySpec, load_queries_jsonl, retrieve, score_candidates
-from tiermem.traceio import RawFrame, RawToken, TokenColumns
+from tiermem.traceio import MAX_COORD, RawFrame, RawToken, TokenColumns
 from tiermem.vecspace import (
     FrameTable,
     ProbeBank,
@@ -244,8 +244,45 @@ def test_frame_entry_rejects_non_finite_embeddings():
             TieredMemory.from_tiers(cfg, small_bank(4),
                                     mid=[FrameEntry(frame_index=2, timestamp=0.0, **columns)])
     huge = FrameEntry(2, 0.0, [[1e300, -1e300, 0, 0], [0, 1, 0, 0]], [0.5, 0.5], [0, 0], [0, 1])
-    held = TieredMemory.from_tiers(cfg, small_bank(4), mid=[huge])
-    assert held.mid[0].token_matrix[0, 1] == -1e300
+    assert huge.token_matrix[0, 1] == -1e300
+    # A memory holds unit rows only, and a 1e300 row is not one.
+    with pytest.raises(ValidationError, match="frame 2: embedding rows must be unit vectors or zero"):
+        TieredMemory.from_tiers(cfg, small_bank(4), mid=[huge])
+
+
+def test_from_tiers_holds_only_unit_or_zero_rows():
+    # Rows that are not unit length were held, and scored as raw dot
+    # products: this mid frame scored 0.75 in score_candidates against the
+    # query below, where late_interaction gives 1.0.
+    cfg = TierConfig(short_cap_frames=1, tokens_per_frame_max=2, token_budget=64)
+    bank = small_bank(4)
+    query = [[1, 0, 0, 0], [0, 0, 1, 0]]
+    assert late_interaction([[0.5, 0, 0, 0], [0, 0, 3, 0]], query) == 1.0
+    for tier in ("short", "mid", "long"):
+        bad = FrameEntry(2, 0.0, [[0.5, 0, 0, 0], [0, 0, 3, 0]], [0.5, 0.5], [0, 0], [0, 1])
+        with pytest.raises(ValidationError, match="frame 2: .* squared norm is 0.25"):
+            TieredMemory.from_tiers(cfg, bank, **{tier: [bad]})
+    # Unit rows as unit_rows makes them, at every dimension up to 512, and
+    # zero rows are held; a row one margin past the bound on either side is not.
+    rng = np.random.default_rng(29)
+    for dim in (1, 2, 3, 8, 128, 512):
+        for scale in (1e-11, 1e-6, 1.0, 1e6, 1e300):
+            matrix = unit_rows(scale * rng.standard_normal((64, dim)))
+            matrix[0] = 0.0
+            entry = FrameEntry(0, 0.0, matrix, np.zeros(64), np.zeros(64, dtype=int), np.arange(64))
+            held = TieredMemory.from_tiers(cfg, ProbeBank([axis(dim, 0)]), mid=[entry])
+            assert held.mid[0].token_matrix.tobytes() == matrix.tobytes()
+        margin = vecspace.unit_margin(dim)
+        for squared in (1.0 + 2 * margin, 1.0 - 2 * margin):
+            row = np.zeros((1, dim))
+            row[0, 0] = math.sqrt(squared)
+            entry = FrameEntry(0, 0.0, row, [0.0], [0], [0])
+            with pytest.raises(ValidationError, match="frame 0: embedding rows"):
+                TieredMemory.from_tiers(cfg, ProbeBank([axis(dim, 0)]), long=[entry])
+    query_spec = QuerySpec("q", 1.0, np.array(query, dtype=float), rho=1e9)
+    good = FrameEntry(2, 0.0, [[1, 0, 0, 0], [0, 0, 1, 0]], [0.5, 0.5], [0, 0], [0, 1])
+    snap = TieredMemory.from_tiers(cfg, bank, mid=[good]).freeze()
+    assert dict(score_candidates(snap, query_spec)) == {2: 1.0}
 
 
 def test_frame_entry_holds_its_casts_without_copying_them():
@@ -948,6 +985,31 @@ def test_select_grid_finer_than_frame_groups_like_its_extent():
     assert far_finer.cols.tolist() == at_extent.cols.tolist() == [2, 2]
 
 
+def test_select_on_huge_grids_and_coordinates_matches_the_reference():
+    # Cell winners are found by sorting, never by a table of cells: at
+    # grid_size 2**62 and coordinates up to 65535 a frame's cells could
+    # number 2**32. Frames of up to 600 tokens with tied scores and repeated
+    # cells, whose coordinates reach 65535, against the plain-list reference.
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        n = int(rng.choice([1, 2, 17, 64, 600]))
+        spread = int(rng.choice([2, 300, 65536]))
+        rows = rng.integers(0, spread, size=n)
+        cols = rng.integers(0, spread, size=n)
+        rows[rng.integers(n)] = MAX_COORD
+        if trial % 3 == 0:
+            cols[:] = rows  # one axis repeats the other
+        frame = FrameEntry(trial, float(trial), np.tile(axis(3, 0), (n, 1)),
+                           rng.choice([0.0, 0.25, 0.5, rng.random()], size=n), rows, cols)
+        for grid in (2**62, 2**31 + 1, 65536, 65535, 3):
+            quota = int(rng.integers(1, 40))
+            config = TierConfig(short_cap_frames=1, tokens_per_frame_max=n, token_budget=2048,
+                                grid_size=grid, long_quota_per_frame=quota)
+            want = reference_select_positions(plain(frame), grid, quota)
+            assert_same_tokens(spatial_semantic_select(frame, config),
+                               frame.take(np.array(want, dtype=int)))
+
+
 # --- selective forgetting ---------------------------------------------------
 
 
@@ -1490,7 +1552,8 @@ def test_forget_frame_minimum_prefilter_matches_reference():
 
         def tied_entry(f):
             n = int(rng.integers(1, 6))
-            return FrameEntry(frame_index=f, timestamp=float(f), token_matrix=np.ones((n, 3)),
+            return FrameEntry(frame_index=f, timestamp=float(f),
+                              token_matrix=np.tile(axis(3, 0), (n, 1)),
                               scores=rng.choice(levels, size=n), rows=np.zeros(n, dtype=int),
                               cols=np.arange(n))
 

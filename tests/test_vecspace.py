@@ -616,6 +616,96 @@ def test_unit_rows_give_each_row_the_same_bits_with_or_without_dead_rows():
         assert in_place.tobytes() == alone.tobytes()
 
 
+def test_unit_rows_of_live_rows_at_the_fast_path_edges_match_each_row_alone():
+    # Frames whose rows are all live take one division; each row must get
+    # the bits it gets alone and those of the plain quotient by its norm:
+    # norms exactly at ZERO_NORM_EPS and one step above it, live rows with
+    # subnormal entries, and squared norms one step below overflow. The
+    # same rows beside a dead row or a row whose squared norm overflows,
+    # which the general path takes, keep those bits too.
+    eps = vecspace.ZERO_NORM_EPS
+    big = np.nextafter(math.sqrt(np.finfo(np.float64).max), 0.0)
+    assert math.isfinite(big * big)
+    rng = np.random.default_rng(71)
+    for dim in (1, 2, 3, 8, 128):
+        edges = np.zeros((6, dim))
+        edges[0, 0] = eps  # a norm of exactly ZERO_NORM_EPS
+        edges[1, -1] = -np.nextafter(eps, 1.0)
+        edges[2, 0] = eps
+        edges[2, 1:] = 5e-324  # subnormal entries in a live row
+        edges[3, 0] = big  # the largest squared norm that does not overflow
+        edges[4, -1] = -big
+        edges[5] = math.sqrt(np.finfo(np.float64).max / dim) * 0.999999  # spread over the row
+        assert np.sqrt(np.einsum("ij,ij->i", edges[:2], edges[:2]))[0] == eps
+        for n in (1, 6, 64):
+            frame = np.concatenate([edges, rng.standard_normal((n, dim))
+                                    * 10.0 ** rng.integers(-11, 150, size=(n, 1))])
+            in_float32 = frame[np.abs(frame).max(axis=1) < 3e38].astype(np.float32)
+            for matrix in (frame, frame[::-1], in_float32):
+                norms = np.sqrt(np.einsum("ij,ij->i", np.float64(matrix), np.float64(matrix)))
+                live = np.isfinite(norms) & (norms >= eps)
+                matrix = matrix[live]
+                got = unit_rows(matrix)
+                want = np.float64(matrix) / norms[live][:, None]
+                assert got.tobytes() == want.tobytes(), (dim, n)
+                for i, row in enumerate(matrix):
+                    assert got[i].tobytes() == unit_rows(row[None, :])[0].tobytes(), (dim, n, i)
+                dead = np.zeros((1, dim))
+                dead[0, 0] = np.nextafter(eps, 0.0)
+                huge = np.full((1, dim), 1e300)
+                with_dead = unit_rows(np.concatenate([dead, np.float64(matrix)]))
+                assert with_dead[1:].tobytes() == got.tobytes() and not with_dead[0].any()
+                with_huge = unit_rows(np.concatenate([np.float64(matrix), huge]))
+                assert with_huge[:-1].tobytes() == got.tobytes(), (dim, n)
+                assert with_huge[-1].tobytes() == normalize([1.0] * dim).tobytes()
+
+
+def _same_or_both_nan(got, want):
+    """Equal bits, except that a NaN matches any NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes() and got.dtype == want.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("blas", [True, False], ids=["blas", "einsum"])
+def test_query_max_sims_on_one_block_has_the_bits_of_that_block_among_several(blas, dtype):
+    # A call with one block takes its own product and clip; each block must
+    # get, alone, the bits it gets inside a call of several blocks: empty
+    # blocks, rows of NaN and of either infinity, a row opposite a lone
+    # query row (whose maximum the clip raises to -1) and rows past 1.
+    # A NaN matches any NaN: its sign and payload follow the product's order.
+    rng = np.random.default_rng([89, int(blas)])
+    for dim in (1, 2, 8, 128):
+        for k in (1, 2, 5, 32):
+            query = unit_rows(rng.standard_normal((k, dim))).astype(dtype)
+            blocks = []
+            for n in (0, 1, 7, 64, 512):
+                rows = unit_rows(rng.standard_normal((n, dim))).astype(dtype)
+                if n >= 7:
+                    rows[0] = -query[0] if k == 1 else query[0]
+                    rows[1] = query[-1] * dtype(1.0 + 2**-10)  # a cosine past 1
+                    rows[2] = np.nan
+                    rows[3] = np.inf
+                    rows[4] = -np.inf
+                    rows[5, 0] = -np.inf
+                    rows[6] = 0.0
+                blocks.append(rows)
+            for order in (blocks, blocks[::-1], blocks[1:3]):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    among = query_max_sims(query, *order, np.zeros((3, dim), dtype), blas=blas)
+                    lo = 0
+                    for rows in order:
+                        alone = query_max_sims(query, rows, blas=blas)
+                        assert alone.shape == (len(rows),)
+                        got = among[lo:lo + len(rows)]
+                        assert _same_or_both_nan(alone, got), (dim, k, len(rows))
+                        lo += len(rows)
+                assert np.all((among[~np.isnan(among)] >= -1.0) & (among[~np.isnan(among)] <= 1.0))
+    with pytest.raises(DimensionError):
+        query_max_sims(query, np.zeros((2, dim - 1), dtype), blas=blas)
+
+
 def test_segment_means_match_np_mean_bit_for_bit():
     rng = np.random.default_rng(53)
     for length in range(1, 601):
