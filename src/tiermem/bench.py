@@ -1,9 +1,9 @@
 """Benchmark drivers: ingest runs, query replay, a brute-force oracle,
 growth sweeps, and score histograms.
 
-Every driver returns a RunReport whose JSON form is canonical: two runs
-over the same inputs serialize byte-identically once the "timings" block
-is excluded. Reports embed the resolved config and seeds so a run can be
+Every driver returns a RunReport, built by `_report`, whose JSON form is
+canonical: two runs over the same inputs serialize byte-identically once
+the "timings" block is excluded. Reports embed the resolved config and seeds so a run can be
 re-executed from its report alone.
 """
 
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, UnknownVariant, ValidationError, checked_int
+from .errors import EmptyInputError, UnknownVariant, ValidationError, checked_choice, checked_int
 from .retrieval import (
     GATE_MODES,
     GATE_POOLINGS,
@@ -43,6 +43,7 @@ from .vecspace import ProbeBank
 
 PRIOR_VARIANTS = ("bank", "random", "single")
 STAGE_VARIANTS = ("full", "s1", "s2")
+HIST_LEVELS = ("frame", "token")
 
 # The most bins a score histogram may have: np.histogram allocates by the
 # bin count, and the report holds one row per bin at each of two levels.
@@ -66,11 +67,9 @@ class VariantFlags:
     stage: str = "full"
 
     def __post_init__(self):
-        for name, allowed in (("gate", GATE_MODES), ("prior", PRIOR_VARIANTS),
-                              ("stage", STAGE_VARIANTS)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise UnknownVariant(f"{name} must be one of {allowed}, got {value!r}")
+        checked_choice(self.gate, GATE_MODES, "gate")
+        checked_choice(self.prior, PRIOR_VARIANTS, "prior")
+        checked_choice(self.stage, STAGE_VARIANTS, "stage")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -101,14 +100,12 @@ def resolve_prior_bank(bank: ProbeBank, prior: str, seed: int = 0) -> ProbeBank:
     seeded random directions of the same shape, "single" keeps only the
     first probe.
     """
-    if prior == "bank":
+    if checked_choice(prior, PRIOR_VARIANTS, "prior") == "bank":
         return bank
     if prior == "random":
         seed = checked_int(seed, "seed") + _RANDOM_PRIOR_SALT
         return ProbeBank.generated(bank.dim, n=len(bank), seed=seed)
-    if prior == "single":
-        return ProbeBank(bank.matrix[:1], labels=bank.labels[:1])
-    raise UnknownVariant(f"prior must be one of {PRIOR_VARIANTS}, got {prior!r}")
+    return ProbeBank(bank.matrix[:1], labels=bank.labels[:1])
 
 
 def probe_digest(bank: ProbeBank) -> str:
@@ -137,17 +134,10 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
-        doc = {
-            "kind": self.kind,
-            "config": self.config,
-            "seeds": self.seeds,
-            "variant": self.variant,
-            "inputs": self.inputs,
-            "rows": list(self.rows),
-            "summary": self.summary,
-        }
-        if include_timings:
-            doc["timings"] = self.timings
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc["rows"] = list(self.rows)
+        if not include_timings:
+            del doc["timings"]
         return doc
 
 
@@ -161,15 +151,24 @@ def write_report(report: RunReport, path) -> None:
         fh.write(report_json(report))
 
 
-def _base_inputs(bank: ProbeBank, extra: dict | None) -> dict:
-    doc = {
-        "probe_digest": probe_digest(bank),
-        "probe_dim": bank.dim,
-        "probe_count": len(bank),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
+def _report(kind: str, started: float, seed: int, rows, summary: dict, inputs: dict, *,
+            bank: ProbeBank | None = None, config: TierConfig | None = None,
+            variant: VariantFlags | None = None) -> RunReport:
+    """The report of one driver run that began at perf_counter `started`,
+    with a checked `seed`. A bank's fingerprint leads the inputs."""
+    if bank is not None:
+        inputs = {"probe_digest": probe_digest(bank), "probe_dim": bank.dim,
+                  "probe_count": len(bank), **inputs}
+    return RunReport(
+        kind=kind,
+        config=config.to_json_dict() if config is not None else {},
+        seeds={"seed": seed},
+        variant=variant.to_json_dict() if variant is not None else None,
+        inputs=inputs,
+        rows=tuple(rows),
+        summary=summary,
+        timings={"wall_seconds": time.perf_counter() - started},
+    )
 
 
 def _ingest_all(
@@ -197,13 +196,12 @@ def run_ingest(
     inputs: dict | None = None,
 ) -> RunReport:
     """Ingest a full trace and record the per-frame occupancy trajectory."""
+    seed = checked_int(seed, "seed")
     frames = list(trace)
     started = time.perf_counter()
     mem, reports, peak = _ingest_all(frames, config, bank)
-    elapsed = time.perf_counter() - started
-    rows = tuple(r.to_json_dict() for r in reports)
     summary = {
-        "frames": len(rows),
+        "frames": len(reports),
         "final_total_tokens": mem.total_tokens,
         "peak_total_tokens": peak,
         "final_short_frames": len(mem.short),
@@ -216,16 +214,9 @@ def run_ingest(
         "scene_boundaries": sum(1 for r in reports if r.scene_boundary),
         "state_digest": mem.state_digest(),
     }
-    return RunReport(
-        kind="ingest",
-        config=config.to_json_dict(),
-        seeds={"seed": checked_int(seed, "seed")},
-        variant=variant.to_json_dict() if variant else None,
-        inputs=_base_inputs(bank, {"frames": len(frames), **(inputs or {})}),
-        rows=rows,
-        summary=summary,
-        timings={"wall_seconds": elapsed},
-    )
+    return _report("ingest", started, seed, [r.to_json_dict() for r in reports], summary,
+                   {"frames": len(frames), **(inputs or {})},
+                   bank=bank, config=config, variant=variant)
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +286,7 @@ def run_oracle(
     exclude_most_recent = checked_int(exclude_most_recent, "exclude_most_recent")
     if exclude_most_recent < 0:
         raise ValidationError(f"exclude_most_recent must be >= 0, got {exclude_most_recent}")
+    seed = checked_int(seed, "seed")
     frames = list(trace)
     started = time.perf_counter()
     rows = []
@@ -309,17 +301,9 @@ def run_oracle(
                 "scores": [[frame, scores[frame]] for frame in sorted(scores)],
             }
         )
-    elapsed = time.perf_counter() - started
-    return RunReport(
-        kind="oracle",
-        config={},
-        seeds={"seed": checked_int(seed, "seed")},
-        variant=None,
-        inputs={"frames": len(frames), "queries": len(queries), **(inputs or {})},
-        rows=tuple(rows),
-        summary={"queries": len(queries), "exclude_most_recent": exclude_most_recent},
-        timings={"wall_seconds": elapsed},
-    )
+    return _report("oracle", started, seed, rows,
+                   {"queries": len(queries), "exclude_most_recent": exclude_most_recent},
+                   {"frames": len(frames), "queries": len(queries), **(inputs or {})})
 
 
 # --------------------------------------------------------------------------
@@ -403,8 +387,8 @@ def run_query_replay(
     """
     if isinstance(variant, str) or variant is None:
         variant = parse_variant(variant)
-    if gate_pooling not in GATE_POOLINGS:
-        raise UnknownVariant(f"gate pooling must be one of {GATE_POOLINGS}, got {gate_pooling!r}")
+    checked_choice(gate_pooling, GATE_POOLINGS, "gate pooling")
+    seed = checked_int(seed, "seed")
     prior = resolve_prior_bank(bank, variant.prior, seed)
     frames = list(trace)
     timestamps = {f.frame_index: f.timestamp for f in frames}
@@ -458,7 +442,6 @@ def run_query_replay(
             )
             row["rank_correlation"] = _rank_correlation(result.frame_scores, oracle)
         rows.append(row)
-    elapsed = time.perf_counter() - started
 
     recalls = [r["recall"] for r in rows if r["recall"] is not None]
     summary = {
@@ -474,25 +457,10 @@ def run_query_replay(
         corrs = [r["rank_correlation"] for r in rows if r.get("rank_correlation") is not None]
         summary["mean_oracle_overlap"] = (sum(overlaps) / len(overlaps)) if overlaps else None
         summary["mean_rank_correlation"] = (sum(corrs) / len(corrs)) if corrs else None
-    return RunReport(
-        kind="replay",
-        config=config.to_json_dict(),
-        seeds={"seed": checked_int(seed, "seed")},
-        variant=variant.to_json_dict(),
-        inputs=_base_inputs(
-            bank,
-            {
-                "frames": len(frames),
-                "queries": len(queries),
-                "gate_pooling": gate_pooling,
-                "compare_oracle": bool(compare_oracle),
-                **(inputs or {}),
-            },
-        ),
-        rows=tuple(rows),
-        summary=summary,
-        timings={"wall_seconds": elapsed},
-    )
+    inputs = {"frames": len(frames), "queries": len(queries), "gate_pooling": gate_pooling,
+              "compare_oracle": bool(compare_oracle), **(inputs or {})}
+    return _report("replay", started, seed, rows, summary, inputs,
+                   bank=bank, config=config, variant=variant)
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +502,6 @@ def run_growth_sweep(
         )
         mem, _, peak = _ingest_all(generate_stream(spec), config, bank)
         rows.append({"length": length, "final_tokens": mem.total_tokens, "peak_tokens": peak})
-    elapsed = time.perf_counter() - started
 
     finals = [r["final_tokens"] for r in rows]
     summary = {
@@ -545,19 +512,12 @@ def run_growth_sweep(
         "max_final_tokens": max(finals),
         "final_ratio": (finals[-1] / finals[0]) if finals[0] else None,
     }
-    return RunReport(
-        kind="sweep",
-        config=config.to_json_dict(),
-        seeds={"seed": seed},
-        variant=None,
-        inputs=_base_inputs(bank, inputs),
-        rows=tuple(rows),
-        summary=summary,
-        timings={"wall_seconds": elapsed},
-    )
+    return _report("sweep", started, seed, rows, summary, inputs or {}, bank=bank, config=config)
 
 
 def sweep_csv(report: RunReport) -> str:
+    if report.kind != "sweep":
+        raise ValidationError(f"sweep_csv takes a sweep report, got kind {report.kind!r}")
     lines = ["length,final_tokens,peak_tokens"]
     for row in report.rows:
         lines.append(f"{row['length']},{row['final_tokens']},{row['peak_tokens']}")
@@ -594,6 +554,7 @@ def emit_score_histograms(
     bins = checked_int(bins, "bins")
     if not 1 <= bins <= MAX_HIST_BINS:
         raise ValidationError(f"bins must be in [1, {MAX_HIST_BINS}], got {bins}")
+    seed = checked_int(seed, "seed")
     frames = list(trace)
     if not frames:
         raise EmptyInputError("histograms need at least one frame")
@@ -614,13 +575,12 @@ def emit_score_histograms(
 
     frame_bins = _bin_values(pooled, bins)
     token_bins = _bin_values(token_scores, bins)
-    elapsed = time.perf_counter() - started
 
-    rows = tuple(
+    rows = [
         {"level": level, "lo": lo, "hi": hi, "count": count}
-        for level, bins_ in (("frame", frame_bins), ("token", token_bins))
+        for level, bins_ in zip(HIST_LEVELS, (frame_bins, token_bins))
         for lo, hi, count in bins_
-    )
+    ]
     summary = {
         "bins": bins,
         "designated_frame": designated,
@@ -633,22 +593,15 @@ def emit_score_histograms(
     }
     summary["frame_right_skewed"] = summary["frame_mean"] > summary["frame_median"]
     summary["token_right_skewed"] = summary["token_mean"] > summary["token_median"]
-    return RunReport(
-        kind="hist",
-        config=config.to_json_dict(),
-        seeds={"seed": checked_int(seed, "seed")},
-        variant=None,
-        inputs=_base_inputs(bank, {"frames": len(frames), **(inputs or {})}),
-        rows=rows,
-        summary=summary,
-        timings={"wall_seconds": elapsed},
-    )
+    return _report("hist", started, seed, rows, summary, {"frames": len(frames), **(inputs or {})},
+                   bank=bank, config=config)
 
 
 def histogram_csv(report: RunReport, level: str) -> str:
     """Render one histogram level as CSV: header plus one row per bin."""
-    if level not in ("frame", "token"):
-        raise ValidationError(f"level must be 'frame' or 'token', got {level!r}")
+    checked_choice(level, HIST_LEVELS, "level")
+    if report.kind != "hist":
+        raise ValidationError(f"histogram_csv takes a hist report, got kind {report.kind!r}")
     lines = ["lo,hi,count"]
     for row in report.rows:
         if row["level"] == level:

@@ -19,7 +19,7 @@ from .errors import TierMemError, ValidationError
 from .retrieval import GATE_POOLINGS, load_queries_jsonl
 from .synth import check_frame_shape, generate_stream, load_stream_spec
 from .tiers import TierConfig
-from .traceio import load_trace, write_trace
+from .traceio import frames_dim, load_trace, write_trace
 from .vecspace import ProbeBank
 
 
@@ -60,13 +60,6 @@ def _load_frames(args) -> tuple[list, dict]:
     return generate_stream(spec), {"synth_spec": spec.to_json_dict()}
 
 
-def _frames_dim(frames) -> int | None:
-    for frame in frames:
-        if frame.dim is not None:
-            return frame.dim
-    return None
-
-
 def _load_probes(args, dim: int | None) -> tuple[ProbeBank, dict]:
     if args.probes:
         return ProbeBank.from_file(args.probes), {"probes": args.probes}
@@ -80,13 +73,18 @@ def _load_run(args) -> tuple[list, TierConfig, ProbeBank, dict]:
     """A run's frames, config and probe bank, and the inputs its report names."""
     frames, inputs = _load_frames(args)
     config = TierConfig.from_file(args.config) if args.config else TierConfig()
-    bank, probe_inputs = _load_probes(args, _frames_dim(frames))
+    bank, probe_inputs = _load_probes(args, frames_dim(frames))
     return frames, config, bank, {**inputs, "config_file": args.config, **probe_inputs}
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _emit(report: bench.RunReport, args) -> None:
     if args.report:
-        bench.write_report(report, args.report)
+        _write_text(args.report, bench.report_json(report))
         print(f"wrote {args.report}")
     else:
         sys.stdout.write(bench.report_json(report))
@@ -138,7 +136,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_oracle(args) -> int:
     frames, inputs = _load_frames(args)
-    queries = load_queries_jsonl(args.queries, dim=_frames_dim(frames))
+    queries = load_queries_jsonl(args.queries, dim=frames_dim(frames))
     report = bench.run_oracle(
         frames,
         queries,
@@ -170,8 +168,7 @@ def _cmd_sweep(args) -> int:
         inputs={"config_file": args.config, **probe_inputs},
     )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(bench.sweep_csv(report))
+        _write_text(args.csv, bench.sweep_csv(report))
     _emit(report, args)
     return 0
 
@@ -187,12 +184,9 @@ def _cmd_hist(args) -> int:
         seed=args.seed,
         inputs=inputs,
     )
-    if args.frame_csv:
-        with open(args.frame_csv, "w", encoding="utf-8") as fh:
-            fh.write(bench.histogram_csv(report, "frame"))
-    if args.token_csv:
-        with open(args.token_csv, "w", encoding="utf-8") as fh:
-            fh.write(bench.histogram_csv(report, "token"))
+    for level, path in zip(bench.HIST_LEVELS, (args.frame_csv, args.token_csv)):
+        if path:
+            _write_text(path, bench.histogram_csv(report, level))
     _emit(report, args)
     return 0
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and the checked readers
-of every input: the one reader of the four JSON formats' objects, and of
-every number a caller or an input file gives: integers, reals, arrays of
-reals, and the JSON formats' integer fields, which take integral floats."""
+of every input: the one reader of the four JSON formats' objects, of names
+from a fixed set, and of every number a caller or an input file gives:
+integers, reals, arrays of reals, and the JSON formats' integer fields."""
 
 import json
 import math
@@ -60,7 +60,7 @@ class NoSuchEvent(TierMemError):
 
 
 class UnknownVariant(ValidationError):
-    """Unrecognized benchmark variant flag."""
+    """A name outside its set: variant flag, gate mode or pooling, histogram level."""
 
 
 class TraceFormatError(TierMemError):
@@ -85,6 +85,13 @@ class DimMismatch(TraceFormatError):
 
 class NonFiniteTimestamp(TraceFormatError):
     """A trace frame's timestamp is NaN or infinite."""
+
+
+def checked_choice(value, allowed: tuple, what: str):
+    """`value` if it is one of the names in `allowed`; `what` names it."""
+    if value not in allowed:
+        raise UnknownVariant(f"{what} must be one of {allowed}, got {value!r}")
+    return value
 
 
 def json_object(data: bytes, where: str, error: type[ValidationError], fields,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    UnknownVariant,
     ValidationError,
+    checked_choice,
     checked_int,
     checked_real,
     checked_reals,
@@ -215,8 +215,7 @@ def gate_check(
     floored at GATE_FLOOR. An empty short tier never satisfies anything.
     Returns (fired, affinity, threshold).
     """
-    if pooling not in GATE_POOLINGS:
-        raise UnknownVariant(f"gate pooling must be one of {GATE_POOLINGS}, got {pooling!r}")
+    checked_choice(pooling, GATE_POOLINGS, "gate pooling")
     threshold = query.rho * max(gate.ema, GATE_FLOOR)
     short = snapshot.short
     if not short:
@@ -306,8 +305,7 @@ def retrieve(
     run regardless of affinity, "always" trusts the short tier whenever
     it is non-empty. Both overrides exist for ablation runs.
     """
-    if gate_mode not in GATE_MODES:
-        raise UnknownVariant(f"gate mode must be one of {GATE_MODES}, got {gate_mode!r}")
+    checked_choice(gate_mode, GATE_MODES, "gate mode")
     anchor = tuple([entry.frame_index for entry in snapshot.short])
     fired, affinity, threshold = gate_check(snapshot, gate, query, pooling=gate_pooling)
     if gate_mode == "never":

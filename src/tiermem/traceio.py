@@ -279,6 +279,11 @@ def _is_path(sink) -> bool:
     return isinstance(sink, (str, os.PathLike))
 
 
+def frames_dim(frames: Iterable[RawFrame]) -> int | None:
+    """The dimension of the first frame that has tokens; None if none has."""
+    return next((frame.dim for frame in frames if frame.dim is not None), None)
+
+
 def write_trace(sink: Sink, frames: Iterable[RawFrame], dim: int | None = None) -> None:
     """Serialize frames to a file path or binary file object.
 
@@ -287,7 +292,7 @@ def write_trace(sink: Sink, frames: Iterable[RawFrame], dim: int | None = None) 
     cannot hold a non-finite one).
     """
     frames = list(frames)
-    inferred = next((frame.dim for frame in frames if frame.dim is not None), None)
+    inferred = frames_dim(frames)
     if inferred is None and dim is None:
         raise ValidationError("cannot infer dim from a trace with no tokens; pass dim")
     if inferred is not None and dim is not None and inferred != dim:

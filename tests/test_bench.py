@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from tiermem.bench import (
+    HIST_LEVELS,
     MAX_HIST_BINS,
+    PRIOR_VARIANTS,
+    STAGE_VARIANTS,
     RunReport,
     _rank_correlation,
     VariantFlags,
@@ -31,7 +34,7 @@ from tiermem.bench import (
     write_report,
 )
 from tiermem.errors import EmptyInputError, NonMonotoneTimestamp, UnknownVariant, ValidationError
-from tiermem.retrieval import QuerySpec, rank_top_k, score_candidates
+from tiermem.retrieval import GATE_MODES, GATE_POOLINGS, QuerySpec, rank_top_k, score_candidates
 from tiermem.synth import StreamSpec, event_direction, generate_stream, query_for_event
 from tiermem.tiers import TierConfig, new_memory
 from tiermem.traceio import RawFrame
@@ -92,6 +95,12 @@ def aligned_bank(spec, extra_seed=0):
     return ProbeBank(probes)
 
 
+def unread():
+    """A trace that fails the test if a driver reads it."""
+    raise AssertionError("the trace was read")
+    yield
+
+
 # -- variants ---------------------------------------------------------------
 
 
@@ -115,6 +124,25 @@ def test_parse_variant_rejects_unknown(text):
 def test_variant_flags_validate_direct_construction():
     with pytest.raises(UnknownVariant):
         VariantFlags(stage="stage1")
+
+
+@pytest.mark.parametrize(
+    "check, what, allowed",
+    [(lambda name: VariantFlags(gate=name), "gate", GATE_MODES),
+     (lambda name: VariantFlags(prior=name), "prior", PRIOR_VARIANTS),
+     (lambda name: VariantFlags(stage=name), "stage", STAGE_VARIANTS),
+     (lambda name: resolve_prior_bank(ProbeBank.generated(8, n=3, seed=0), name), "prior",
+      PRIOR_VARIANTS),
+     (lambda name: run_query_replay(unread(), [], TierConfig(), ProbeBank.generated(8, n=3, seed=0),
+                                    gate_pooling=name), "gate pooling", GATE_POOLINGS),
+     (lambda name: histogram_csv(RunReport("hist", {}, {}, None, {}, (), {}), name), "level",
+      HIST_LEVELS)],
+)
+def test_every_name_set_is_checked_in_one_form(check, what, allowed):
+    # Each fixed set of names refuses an outsider before any work, in one form.
+    with pytest.raises(UnknownVariant) as raised:
+        check("bogus")
+    assert str(raised.value) == f"{what} must be one of {allowed}, got 'bogus'"
 
 
 def test_resolve_prior_bank():
@@ -166,15 +194,45 @@ def test_run_ingest_rows_and_summary():
     assert report.inputs["probe_digest"] == probe_digest(bank)
 
 
-def test_run_ingest_is_deterministic_modulo_timings():
-    spec = StreamSpec(dim=8, frames=10, tokens_per_frame=4, noise_sigma=0.3, rng_seed=9)
-    bank = ProbeBank.generated(8, n=4, seed=2)
+# Each driver as (frames, queries, config, bank, seed=, inputs=) -> RunReport,
+# and whether it is given a bank.
+DRIVERS = {
+    "ingest": (lambda frames, queries, cfg, bank, **kw: run_ingest(frames, cfg, bank, **kw), True),
+    "oracle": (lambda frames, queries, cfg, bank, **kw:
+               run_oracle(frames, queries, exclude_most_recent=1, **kw), False),
+    "replay": (lambda frames, queries, cfg, bank, **kw:
+               run_query_replay(frames, queries, cfg, bank, compare_oracle=True, **kw), True),
+    "sweep": (lambda frames, queries, cfg, bank, **kw:
+              run_growth_sweep([4, 8, 16], cfg, bank, tokens_per_frame=4, **kw), True),
+    "hist": (lambda frames, queries, cfg, bank, **kw:
+             emit_score_histograms(frames, cfg, bank, bins=5, **kw), True),
+}
+
+
+@pytest.mark.parametrize("kind", list(DRIVERS))
+def test_every_driver_is_deterministic_modulo_timings(kind):
+    spec = planted_spec(dim=16, frames=20, tpf=4, event_frame=4, sigma=0.2)
+    bank = aligned_bank(spec)
     cfg = TierConfig(short_cap_frames=2, mid_cap_frames=4, token_budget=24,
                      tokens_per_frame_max=4)
-    a = run_ingest(generate_stream(spec), cfg, bank)
-    b = run_ingest(generate_stream(spec), cfg, bank)
+    queries = [query_for_event(spec, 0, jitter=0.1, rng_seed=s, rho=2.0, query_id=f"q{s}")
+               for s in range(3)]
+    driver, banked = DRIVERS[kind]
+    a, b = (driver(generate_stream(spec), queries, cfg, bank, seed=11, inputs={"source": "test"})
+            for _ in range(2))
     assert report_json(a, include_timings=False) == report_json(b, include_timings=False)
     assert "timings" not in a.to_json_dict(include_timings=False)
+    assert list(a.timings) == ["wall_seconds"]
+    # The envelope: the checked seed, and the probe fields leading the
+    # inputs exactly when the driver is given a bank.
+    assert a.kind == kind and a.rows
+    assert a.seeds == {"seed": 11}
+    assert a.inputs["source"] == "test"
+    probe = {"probe_digest": probe_digest(bank), "probe_dim": 16, "probe_count": 5}
+    if banked:
+        assert list(a.inputs.items())[:3] == list(probe.items())
+    else:
+        assert not set(probe) & set(a.inputs)
 
 
 # -- run_oracle -------------------------------------------------------------
@@ -421,20 +479,6 @@ def test_replay_empty_queries():
     assert report.summary["gated_fraction"] is None
 
 
-def test_replay_is_deterministic_modulo_timings():
-    spec = planted_spec(dim=16, frames=20, tpf=4, event_frame=4, sigma=0.2)
-    bank = aligned_bank(spec)
-    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=4, token_budget=24,
-                     tokens_per_frame_max=4)
-    queries = [query_for_event(spec, 0, jitter=0.1, rng_seed=s, rho=2.0, query_id=f"q{s}")
-               for s in range(3)]
-    runs = [
-        run_query_replay(generate_stream(spec), queries, cfg, bank, compare_oracle=True)
-        for _ in range(2)
-    ]
-    assert report_json(runs[0], include_timings=False) == report_json(runs[1], include_timings=False)
-
-
 # -- run_growth_sweep -------------------------------------------------------
 
 
@@ -454,6 +498,9 @@ def test_growth_sweep_rows_and_csv():
     assert lines[0] == "length,final_tokens,peak_tokens"
     assert len(lines) == 5
     assert lines[1] == f"2,{report.rows[0]['final_tokens']},{report.rows[0]['peak_tokens']}"
+    # A report of another kind is refused by name, not with a bare KeyError.
+    with pytest.raises(ValidationError, match="got kind 'sweep'"):
+        histogram_csv(report, "frame")
 
 
 def test_growth_sweep_validates_lengths():
@@ -516,15 +563,14 @@ def test_histograms_frame_override_and_validation():
         emit_score_histograms(frames, hist_config(4), bank, bins=0)
     with pytest.raises(EmptyInputError):
         emit_score_histograms([], hist_config(4), bank)
-    with pytest.raises(ValidationError):
+    with pytest.raises(UnknownVariant,
+                       match=r"^level must be one of \('frame', 'token'\), got 'pooled'$"):
         histogram_csv(report, "pooled")
+    with pytest.raises(ValidationError, match="got kind 'hist'"):
+        sweep_csv(report)
 
 
 def test_histogram_bins_are_bounded():
-    def unread():
-        raise AssertionError("the trace was read")
-        yield
-
     bank = ProbeBank.generated(8, n=3, seed=0)
     # Past the bound, the count is refused before the trace is read.
     with pytest.raises(ValidationError, match=f"bins must be in \\[1, {MAX_HIST_BINS}\\]"):
@@ -595,11 +641,19 @@ def _bench_inputs():
       "exclude_most_recent"),
      (lambda frames, bank: run_oracle(frames, [query([axis(8, 0)], 5)], exclude_most_recent=-3),
       "exclude_most_recent must be >= 0"),
-     (lambda frames, bank: resolve_prior_bank(bank, "random", seed=1.5), "seed")],
+     (lambda frames, bank: resolve_prior_bank(bank, "random", seed=1.5), "seed"),
+     (lambda frames, bank: run_ingest(unread(), hist_config(4), bank, seed=1.5), "seed"),
+     (lambda frames, bank: run_oracle(unread(), [query([axis(8, 0)], 5)], seed=1.5), "seed"),
+     (lambda frames, bank: emit_score_histograms(unread(), hist_config(4), bank, seed=1.5),
+      "seed"),
+     (lambda frames, bank: run_query_replay(unread(), [], hist_config(4), bank, seed=1.5), "seed"),
+     (lambda frames, bank: run_query_replay(unread(), [], hist_config(4), bank, "prior=single",
+                                            seed=1.5), "seed")],
 )
 def test_driver_numbers_must_be_integers(run, field):
     # Each was truncated by int() or ended in a bare TypeError; a negative
-    # exclude_most_recent was taken as 0.
+    # exclude_most_recent was taken as 0. A seed is refused before the
+    # trace is read.
     with pytest.raises(ValidationError, match=field):
         run(*_bench_inputs())
 

@@ -227,7 +227,8 @@ def test_gate_pooling_variants():
     assert (fired_mean, fired_max) == (False, True)
     assert math.isclose(affinity_mean, 0.5, abs_tol=1e-12)
     assert math.isclose(affinity_max, 1.0, abs_tol=1e-12)
-    with pytest.raises(UnknownVariant):
+    with pytest.raises(UnknownVariant,
+                       match=r"^gate pooling must be one of \('mean', 'max'\), got 'median'$"):
         gate_check(s, gate, q, pooling="median")
 
 
@@ -535,7 +536,9 @@ def test_retrieve_gate_modes():
     always = retrieve(s, GateState(ema=0.9, observations=1), query([axis(4, 1)], rho=2.0),
                       gate_mode="always")
     assert always.gated_short_only is True
-    with pytest.raises(UnknownVariant):
+    with pytest.raises(
+            UnknownVariant,
+            match=r"^gate mode must be one of \('ema', 'never', 'always'\), got 'sometimes'$"):
         retrieve(s, GateState(), q, gate_mode="sometimes")
 
 
