@@ -11,7 +11,7 @@ threshold picks the result set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -80,6 +80,15 @@ def update_gate(gate: GateState, frame_pooled_score: float) -> GateState:
     return assembled(GateState, ema=checked_real(ema, "ema"), observations=gate.observations + 1)
 
 
+def _frame_indices(values, what: str, read: Callable) -> frozenset[int]:
+    """The set of values, each read as an integer by read (errors.checked_int
+    or json_int), refused with ValidationError if any is negative."""
+    indices = frozenset(read(i, what) for i in values)
+    if indices and min(indices) < 0:
+        raise ValidationError(f"{what} must be non-negative frame indices, got {min(indices)}")
+    return indices
+
+
 @dataclass(frozen=True, eq=False)
 class QuerySpec:
     """One query: token embeddings plus retrieval knobs.
@@ -87,7 +96,8 @@ class QuerySpec:
     rho scales the gate threshold (small for queries about the present,
     large for queries reaching into the past). top_k caps the retrieved
     set; dispersion_lambda shapes the adaptive threshold.
-    ground_truth_frames is harness metadata, unused by retrieval itself.
+    ground_truth_frames is harness metadata, unused by retrieval itself:
+    frame indices, each non-negative as a frame's index is.
     """
 
     query_id: str
@@ -118,8 +128,8 @@ class QuerySpec:
         object.__setattr__(self, "tokens", seal(arr))
         object.__setattr__(self, "unit_tokens", seal(unit_rows(arr)))
         if self.ground_truth_frames is not None:
-            truth = frozenset(checked_int(i, f"{where} ground_truth_frames")
-                              for i in self.ground_truth_frames)
+            truth = _frame_indices(self.ground_truth_frames, f"{where} ground_truth_frames",
+                                   checked_int)
             object.__setattr__(self, "ground_truth_frames", truth)
 
     @property
@@ -366,7 +376,7 @@ def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:
                 top_k=json_int(doc.get("top_k", 5), f"{where} top_k"),
                 dispersion_lambda=checked_real(doc.get("lambda", 0.5), f"{where} lambda"),
                 ground_truth_frames=(
-                    frozenset(json_int(i, f"{where} ground_truth_frames") for i in gt)
+                    _frame_indices(gt, f"{where} ground_truth_frames", json_int)
                     if gt is not None else None
                 ),
             )

@@ -375,10 +375,13 @@ def encode_tokens(
     raw_tokens is a traceio.TokenColumns, read by its columns alone, or
     (vector, row, col) triples, stacked once by TokenColumns.of. The frame
     is normalized and scored at once through the same batch-invariant
-    kernels max_sim uses, on the re-normalized rows as max_sim sees them,
-    so stored scores reproduce bit-exactly. Token vectors must be 1-D, of
-    one length, the bank's dimension (DimensionError), and real numbers
-    (ValidationError).
+    kernels max_sim uses, on the re-normalized rows as max_sim sees them:
+    unit_rows, then max_sim_rows, whose probe product takes fixed blocks of
+    SALIENCE_BLOCK_ROWS rows on the BLAS where its self-check holds. So
+    every stored score equals max_sim of its stored row bit for bit, and a
+    token scores the same alone as inside its frame. Token vectors must be
+    1-D, of one length, the bank's dimension (DimensionError), and real
+    numbers (ValidationError).
 
     alloc, if given, is called with the number of tokens and returns the
     (n, dim) float64 array the unit rows are written into; the entry's
@@ -975,17 +978,22 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     frame, then the lower token position. Frames emptied of all tokens
     are dropped from their tier.
 
-    Victims are marked dead where they lie: per tier, their rows' live
-    flags are cleared page by page, the counts and minima of the frames
-    they leave are updated from the survivors' scores, and the emptied
-    frames are deleted from the tier's table at once; a tier emptied whole
-    is cleared. No entry is built and no embedding row is written.
+    A tier whose token count the overflow reaches goes whole, unranked:
+    its victims are read off its table (each frame's index repeated by its
+    count, positions counting up from 0 within each frame, the live
+    scores), its frames' rows are killed and its table is cleared.
+
+    A tier the overflow does not empty loses its victims where they lie:
+    their rows' live flags are cleared page by page, the counts and minima
+    of the frames they leave are updated from the survivors' scores, and
+    the emptied frames are deleted from the tier's table at once. No entry
+    is built and no embedding row is written.
 
     The report holds each tier's victims as columns (see EvictionReport).
-    A tier's victims are picked by a sort of its candidates, the tokens at
-    or below the cut-off score, only when some candidates stay; when every
-    candidate goes, nothing is sorted here, and the report sorts them when
-    its tuples are first read.
+    A tier's victims are sorted here only where some of its candidates,
+    the tokens at or below the cut-off score, stay; a whole tier's
+    victims, and candidates that all go, are sorted by the report when its
+    tuples are first read.
     """
     budget = mem.config.token_budget
     overflow = mem.total_tokens - budget
@@ -1000,6 +1008,19 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     for tier_name in ("long", "mid"):
         table = mem._tables[tier_name]
         if overflow <= 0 or not table.size:
+            continue
+        if overflow >= mem._tier_tokens[tier_name]:  # the whole tier goes
+            frame_indices, counts, pages, firsts, spans = table.ints[:5, :table.size]
+            scores, _ = mem._rows.live_scores(pages, firsts, spans)
+            # Token i of the tier is at position i - (its frame's first token).
+            firsts_of = np.repeat(counts.cumsum() - counts, counts)
+            evicted.append((np.repeat(frame_indices, counts),
+                            np.arange(len(scores)) - firsts_of, scores))
+            overflow -= len(scores)
+            mem._tier_tokens[tier_name] = 0
+            for page, n in zip(pages.tolist(), counts.tolist()):
+                mem._rows.kill(page, n)
+            table.clear()
             continue
         # The k = min(overflow, frames) lowest frame minima are k distinct
         # tokens at or below the k-th lowest minimum, the bound. With k =
@@ -1016,11 +1037,12 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         # their spans; live says where they lie among the spans.
         scores, live = mem._rows.live_scores(pages, firsts, spans)
         starts = counts.cumsum() - counts
-        # Only the tokens at or below the k-th lowest score, k = min(overflow,
-        # tokens), can be victims; sorting those alone (ties included) gives
-        # the same victims in the same order as sorting the whole tier.
-        k = min(overflow, len(scores))
-        candidates = (scores <= np.partition(scores, k - 1)[k - 1]).nonzero()[0]
+        # Only the tokens at or below the overflow-th lowest score (the
+        # frames read hold at least that many) can be victims; sorting
+        # those alone (ties included) gives the same victims in the same
+        # order as sorting the whole tier.
+        cut = np.partition(scores, overflow - 1)[overflow - 1]
+        candidates = (scores <= cut).nonzero()[0]
         owners = np.searchsorted(starts, candidates, side="right") - 1
         positions = candidates - starts[owners]
         frames = table.ints[0, slots][owners]
@@ -1036,11 +1058,6 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
         overflow -= len(victims)
         evicted.append((frames, positions, scores[victims]))
         mem._tier_tokens[tier_name] -= len(victims)
-        if not mem._tier_tokens[tier_name]:  # the whole tier goes
-            for page, n in zip(pages.tolist(), counts.tolist()):
-                mem._rows.kill(page, n)
-            table.clear()
-            continue
         # Counts and minima from the survivors, which stay in frame order.
         lost = np.bincount(owners, minlength=len(slots))
         left = counts - lost

@@ -222,19 +222,36 @@ class ProbeBank:
 
 def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
     """Salience of each unit row: its max cosine over the probes, from
-    query_max_sims on the einsum product.
+    query_max_sims.
 
     Batch-invariant like unit_rows: a row scores the same bits alone or
-    inside a whole frame.
+    inside a whole frame. Where blas_rows_invariant(dim, probes,
+    SALIENCE_BLOCK_ROWS) holds, the rows are cut into blocks of
+    SALIENCE_BLOCK_ROWS, a short last one copied to the top of a zeroed
+    block, and each block takes the BLAS product: one shape, on which this
+    BLAS gives a row the same bits at every place in its block. Elsewhere
+    the product is the einsum, which takes each dot product alone.
     """
     units = np.ascontiguousarray(units, dtype=np.float64)
-    if units.shape[1] != bank.dim:
-        raise DimensionError(f"vector has dimension {units.shape[1]}, bank has {bank.dim}")
-    return query_max_sims(bank.matrix, units, blas=False)
+    n, dim = units.shape
+    if dim != bank.dim:
+        raise DimensionError(f"vector has dimension {dim}, bank has {bank.dim}")
+    if not blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS):
+        return query_max_sims(bank.matrix, units, blas=False)
+    step = SALIENCE_BLOCK_ROWS
+    whole = n - n % step
+    blocks = [units[lo:lo + step] for lo in range(0, whole, step)]
+    if whole < n:
+        tail = np.zeros((step, dim))
+        tail[:n - whole] = units[whole:]
+        blocks.append(tail)
+    return query_max_sims(bank.matrix, *blocks, blas=True)[:n]
 
 
 def max_sim(v: VectorLike, bank: ProbeBank) -> float:
-    """Salience of one token: max cosine over all probes in the bank."""
+    """Salience of one token: max cosine over all probes in the bank,
+    through max_sim_rows, so a token scores the same bits alone as inside
+    its frame."""
     return float(max_sim_rows(normalize(v)[None, :], bank)[0])
 
 
@@ -286,6 +303,10 @@ SCREEN_SAMPLE_ROWS = 32
 # sample bounds alone could settle, rounded up to a multiple of this, then
 # this many at a time. A frame of at most this many rows takes one product.
 SCREEN_STEP_ROWS = 64
+
+# Salience takes its probe product in blocks of this many rows, so every
+# product has one shape (see max_sim_rows).
+SALIENCE_BLOCK_ROWS = 64
 
 
 def _finite(matrix: np.ndarray) -> bool:
@@ -406,8 +427,8 @@ def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
     with one row alone at row 0 of a zero block. A block whose bits depend
     on a row's place may still round some rows alike, so at least 512 rows
     are tried, in as many blocks as that takes. The property is empirical
-    (a BLAS picks its kernels by CPU and shape), so query_max_sims falls
-    back to an einsum wherever it fails.
+    (a BLAS picks its kernels by CPU and shape), so query_max_sims and
+    max_sim_rows fall back to an einsum wherever it fails.
     """
     rng = np.random.default_rng([dim, query_rows, block_rows])
     query = unit_rows(rng.standard_normal((query_rows, dim)))
@@ -441,11 +462,11 @@ def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
     einsum, which takes each dot product alone; blas, if given, picks the
     product instead of that check.
 
-    One block, as encode's probe scores and the scene screen pass, takes
-    its product into an array of its own, with no shared buffer to size
-    and type. Its bits are those of the block inside a call of several,
-    but for the sign and payload of a NaN, which the product's order of
-    operations may set differently.
+    One block, as the scene screen and salience on at most
+    SALIENCE_BLOCK_ROWS rows pass, takes its product into an array of its
+    own, with no shared buffer to size and type. Its bits are those of the
+    block inside a call of several, but for the sign and payload of a NaN,
+    which the product's order of operations may set differently.
     """
     k, dim = query_matrix.shape
     if blas is None:

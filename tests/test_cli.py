@@ -360,6 +360,7 @@ def test_config_field_of_wrong_type_exits_1(workspace, tmp_path, capsys, doc):
         {"tokens": [["a"] * 16]},
         {"tokens": [[1.0] * 16, [1.0]]},
         {"ground_truth_frames": ["x"]},
+        {"ground_truth_frames": [3, -1]},  # a frame index is non-negative
     ],
 )
 def test_malformed_query_field_exits_1(workspace, tmp_path, capsys, field):

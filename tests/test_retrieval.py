@@ -183,6 +183,25 @@ def test_query_spec_ground_truth_frames_must_be_integers(frame):
                   ground_truth_frames=[0, frame])
 
 
+def test_query_ground_truth_frames_must_be_non_negative(tmp_path):
+    # A frame index is non-negative everywhere else, so a negative one is
+    # refused, from the API and from a query file, whose error names the
+    # line; frame 0 is a frame like any other.
+    with pytest.raises(ValidationError, match="ground_truth_frames must be non-negative"):
+        QuerySpec(query_id="q", arrival_time=0.0, tokens=np.array([[1.0, 0.0]]),
+                  ground_truth_frames=[0, -1])
+    ok = QuerySpec(query_id="q", arrival_time=0.0, tokens=np.array([[1.0, 0.0]]),
+                   ground_truth_frames=[0])
+    assert ok.ground_truth_frames == frozenset({0})
+    path = tmp_path / "negative.jsonl"
+    path.write_text(json.dumps({"arrival_time": 0.0, "tokens": [[1.0, 0.0]],
+                                "ground_truth_frames": [2, -1]}) + "\n")
+    with pytest.raises(ValidationError,
+                       match=f"{path}:1: ground_truth_frames must be non-negative frame "
+                             f"indices, got -1"):
+        load_queries_jsonl(path)
+
+
 # --- gate check -------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import ast
 import collections
 import copy
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -327,6 +328,32 @@ def test_encode_tokens_scores_reproduce_bit_exactly():
         assert score == alone.scores[0] == max_sim(embedding, bank)
 
 
+@pytest.mark.parametrize("dim", [1, 8, 128])
+def test_encode_tokens_scores_match_max_sim_at_every_block_edge(monkeypatch, dim):
+    # Frames just short of, at and just past the edges of salience's 64-row
+    # blocks, with 1, 5 and 16 probes, on the BLAS block product and on the
+    # einsum the failed self-check forces: every stored score is max_sim of
+    # its stored row, bit for bit, and the score its token gets encoded
+    # alone. A zero row (the zero sentinel) and a row equal to a probe (a
+    # cosine of 1 up to rounding, where the clip acts) are among them.
+    rng = np.random.default_rng([dim, 151])
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        for probes in (1, 5, 16):
+            bank = ProbeBank.generated(dim, n=probes, seed=probes)
+            for n in (1, 2, 63, 64, 65, 127, 128, 129, 511, 512):
+                vectors = rng.standard_normal((n, dim))
+                vectors[n // 2] = 0.0
+                vectors[n - 1] = bank.matrix[probes - 1]
+                raw = [(v, 0, i) for i, v in enumerate(vectors)]
+                frame = encode_tokens(0, 0.0, raw, bank)
+                want = [max_sim(row, bank).hex() for row in frame.token_matrix]
+                alone = [encode_tokens(0, 0.0, [token], bank).scores[0].hex() for token in raw]
+                got = [score.hex() for score in frame.scores.tolist()]
+                assert got == want == alone, (check_fails, probes, n)
+
+
 _V4 = np.ones(4)
 
 
@@ -581,22 +608,23 @@ def test_scene_boundary_fallback_runs_no_blas_self_check(monkeypatch):
     # The exact fallback takes the BLAS product of the frame and its
     # predecessor as they are: previous frames of any length add nothing to
     # the self-check's cache, and the flags are those of that product.
+    # Encode runs salience's own self-check, so the cache is read after it.
     calls = count_float64_kernel_calls(monkeypatch)
     rng = np.random.default_rng(73)
     bank = ProbeBank.generated(128, n=3, seed=3)
-    cached = vecspace.blas_rows_invariant.cache_info().currsize
     for n in (61, 203, 337, 509):
         base = rng.standard_normal((n, 128))
         prev = encode_tokens(0, 0.0, [(v, 0, i % 16) for i, v in enumerate(base)], bank)
         noisy = base[rng.integers(0, n, 40)] + 0.4 * rng.standard_normal((40, 128))
         frame = encode_tokens(1, 1.0, [(v, 0, i) for i, v in enumerate(noisy)], bank)
+        cached = vecspace.blas_rows_invariant.cache_info().currsize
         product = prev.token_matrix @ frame.token_matrix.T
         exact = float(np.mean(np.clip(np.max(product, axis=0), -1.0, 1.0)))
         calls.clear()
         for threshold, boundary in ((exact, False), (float(np.nextafter(exact, 1.0)), True)):
             assert is_scene_boundary(frame, prev, TierConfig(scene_threshold=threshold)) is boundary
         assert len(calls) == 2, n
-    assert vecspace.blas_rows_invariant.cache_info().currsize == cached
+        assert vecspace.blas_rows_invariant.cache_info().currsize == cached, n
 
 
 def test_scene_boundary_is_one_call_of_the_traced_kernel_per_ingest(monkeypatch):
@@ -1593,6 +1621,79 @@ def test_forget_frame_minimum_prefilter_matches_reference():
         assert mem.tier_tokens["long"] == sum(e.token_count for e in mem.long)
         assert mem.tier_tokens["mid"] == sum(e.token_count for e in mem.mid)
     assert seen == {"tied bound", "prefiltered", "overflow >= frames", "spill into mid", "emptied"}
+
+
+def test_forget_drops_whole_tiers_as_the_reference_does(monkeypatch):
+    # Overflows at the edges of a whole tier: the long tier's tokens less
+    # one (a partial eviction), all of them (the long tier goes whole), one
+    # more (it goes whole and the mid tier loses a token), and both tiers'
+    # tokens (both go whole). The memories come from ingests whose forgets
+    # trimmed frames in place, so spans hold dead rows, and some pages were
+    # compacted. The victims, the survivors, the tiers' counts and the
+    # pages still held match the reference and the budget.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    dim = 6
+    seen = set()
+
+    def built(seed, cfg):
+        """The seed's memory, after ingests that end with a frame that fills
+        the short tier, so the budget may fall to that tier's tokens."""
+        rng = np.random.default_rng([seed, 157])
+        mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=seed))
+        del moves[:]
+        ingest_random(mem, rng, 40, dim, 0)
+        mem.ingest_frame(40.0, [(rng.standard_normal(dim), i % 4, i // 4) for i in range(12)])
+        return mem
+
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 163])
+        cfg = TierConfig(short_cap_frames=1, mid_cap_frames=3, tokens_per_frame_max=12,
+                         token_budget=int(rng.integers(40, 90)), keep_fraction=0.75,
+                         long_quota_per_frame=int(rng.integers(2, 10)))
+        tokens = built(seed, cfg).tier_tokens
+        long, mid = tokens["long"], tokens["mid"]
+        assert long > 1 and mid > 1
+        for overflow in (long - 1, long, long + 1, long + mid):
+            mem = built(seed, cfg)
+            seen.update({"compacted"} if moves else ())
+            tables = mem._tables
+            if (tables["long"].count < tables["long"].span).any() and overflow >= long:
+                seen.add("trimmed frames go whole")
+            seen.add({long - 1: "partial", long: "long whole", long + 1: "cascade",
+                      long + mid: "both whole"}[overflow])
+            mem.config = dataclasses.replace(cfg, token_budget=mem.total_tokens - overflow)
+            before = {e.frame_index: e for e in mem.long + mem.mid}
+            expected = forget_reference(mem, overflow)
+            report = selective_forget(mem)
+            assert report.count == overflow
+            assert report.evicted == tuple(expected), (seed, overflow)
+            lost = collections.defaultdict(set)
+            for f, i, _ in expected:
+                lost[f].add(i)
+            survivors = {e.frame_index: e for e in mem.long + mem.mid}
+            for f, original in before.items():
+                kept = [i for i in range(original.token_count) if i not in lost[f]]
+                if kept:
+                    assert_same_entry(survivors[f], original.take(np.array(kept)))
+                else:
+                    assert f not in survivors
+            assert mem.tier_tokens == tier_recount(mem)
+            assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
+            assert mem.tier_tokens["long"] == max(0, long - overflow)
+            assert mem.tier_tokens["mid"] == min(mid, long + mid - overflow)
+            # Every page held holds live rows, each of them a token of a
+            # frame its tier's table places there.
+            for page, group, _, _, live in mem.row_store.page_usage():
+                table = tables[group]
+                assert 0 < live == int(table.count[table.page == page].sum()), (seed, overflow)
+            for group in ("mid", "long"):
+                held = sum(live for _, g, _, _, live in mem.row_store.page_usage() if g == group)
+                assert held == mem.tier_tokens[group]
+    assert seen == {"compacted", "trimmed frames go whole", "partial", "long whole", "cascade",
+                    "both whole"}
 
 
 def test_eviction_report_read_after_later_ingests_is_as_of_its_call(monkeypatch):

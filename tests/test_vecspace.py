@@ -140,20 +140,30 @@ def test_max_sim_dim_mismatch():
         max_sim([1.0, 0.0], bank)
 
 
-def test_max_sim_rows_equals_the_row_major_product_bit_for_bit():
-    # The probe-major einsum and a maximum down its columns give the bits of
-    # the row-major einsum and a maximum along its rows, then the clip: on
+def test_max_sim_rows_equals_the_row_major_product_bit_for_bit(monkeypatch):
+    # Where the self-check at SALIENCE_BLOCK_ROWS holds, salience has the
+    # bits of each 64-row block's probes @ block.T, the last block padded
+    # with zero rows, then the maximum and the clip. Where it fails, the
+    # probe-major einsum and a maximum down its columns give the bits of the
+    # row-major einsum and a maximum along its rows, then the clip: on
     # random shapes, on one row and on none.
-    rng = np.random.default_rng(29)
-    shapes = [(1, 1, 1), (1, 128, 5), (0, 8, 3), (512, 128, 5)]
-    shapes += [(int(rng.integers(0, 600)), int(rng.integers(1, 160)), int(rng.integers(1, 12)))
-               for _ in range(60)]
-    for n, dim, probes in shapes:
-        bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
-        units = unit_rows(rng.standard_normal((n, dim)))
-        want = np.clip(np.max(np.einsum("ij,kj->ik", units, bank.matrix), axis=1), -1.0, 1.0)
-        got = vecspace.max_sim_rows(units, bank)
-        assert got.shape == (n,) and got.tobytes() == want.tobytes(), (n, dim, probes)
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        rng = np.random.default_rng(29)
+        shapes = [(1, 1, 1), (1, 128, 5), (0, 8, 3), (512, 128, 5), (65, 128, 5)]
+        shapes += [(int(rng.integers(0, 600)), int(rng.integers(1, 160)), int(rng.integers(1, 12)))
+                   for _ in range(60)]
+        for n, dim, probes in shapes:
+            bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
+            units = unit_rows(rng.standard_normal((n, dim)))
+            if vecspace.blas_rows_invariant(dim, probes, vecspace.SALIENCE_BLOCK_ROWS):
+                want = block_maxima(units, bank.matrix, vecspace.SALIENCE_BLOCK_ROWS)
+            else:
+                product = np.einsum("ij,kj->ik", units, bank.matrix)
+                want = np.clip(np.max(product, axis=1), -1.0, 1.0)
+            got = vecspace.max_sim_rows(units, bank)
+            assert got.shape == (n,) and got.tobytes() == want.tobytes(), (check_fails, n, dim)
 
 
 def test_late_interaction_hand_value():
@@ -782,15 +792,21 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     assert store.crowded() is None
 
 
-def block_reference(frame, query, block_rows):
-    """A frame's score from its rows at the top of zeroed blocks of
-    block_rows rows, with one BLAS product per block."""
+def block_maxima(frame, query, block_rows):
+    """Each frame row's max cosine against the query, clipped, from the
+    frame's rows at the top of zeroed blocks of block_rows rows, with one
+    BLAS product per block."""
     n, dim = frame.shape
     padded = np.zeros((-(-n // block_rows) * block_rows, dim))
     padded[:n] = frame
-    maxima = np.concatenate([np.max(query @ padded[lo:lo + block_rows].T, axis=0)
-                             for lo in range(0, len(padded), block_rows)])
-    return float(np.mean(np.clip(maxima[:n], -1.0, 1.0)))
+    maxima = np.concatenate([np.empty(0)] + [np.max(query @ padded[lo:lo + block_rows].T, axis=0)
+                                             for lo in range(0, len(padded), block_rows)])
+    return np.clip(maxima[:n], -1.0, 1.0)
+
+
+def block_reference(frame, query, block_rows):
+    """A frame's score: the mean of its block_maxima."""
+    return float(np.mean(block_maxima(frame, query, block_rows)))
 
 
 def einsum_reference(frame, query):
@@ -990,22 +1006,33 @@ def test_query_max_sims_gives_each_of_several_blocks_its_bits_alone(blas, dtype,
                 lo += len(rows)
 
 
-def test_query_max_sims_gives_max_sim_rows_the_old_einsum_bits():
-    # Salience through the kernel's einsum fallback has the bits of the
-    # probe-major einsum, maximum and clip that max_sim_rows took itself.
-    rng = np.random.default_rng(97)
-    shapes = [(0, 8, 3), (1, 1, 1), (33, 8, 5), (512, 128, 5), (64, 129, 16)]
-    shapes += [(int(rng.integers(1, 600)), int(rng.integers(1, 160)), int(rng.integers(1, 12)))
-               for _ in range(40)]
-    for n, dim, probes in shapes:
-        bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
-        units = unit_rows(rng.standard_normal((n, dim)))
-        if n > 1:
-            units[0] = bank.matrix[0]
-            units[-1] = 0.0
-        sims = np.einsum("ij,kj->ki", units, bank.matrix)
-        want = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
-        assert vecspace.max_sim_rows(units, bank).tobytes() == want.tobytes(), (n, dim, probes)
+def test_query_max_sims_gives_max_sim_rows_the_old_einsum_bits(monkeypatch):
+    # Salience through the kernel's einsum fallback, where the self-check
+    # fails, has the bits of the probe-major einsum, maximum and clip that
+    # max_sim_rows took itself; where it holds, those of each zero-padded
+    # 64-row block's BLAS product, maximum and clip. A row equal to a probe
+    # (a cosine of 1 up to rounding, where the clip acts) and a zero row are
+    # among them.
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        rng = np.random.default_rng(97)
+        shapes = [(0, 8, 3), (1, 1, 1), (33, 8, 5), (512, 128, 5), (64, 129, 16)]
+        shapes += [(int(rng.integers(1, 600)), int(rng.integers(1, 160)), int(rng.integers(1, 12)))
+                   for _ in range(40)]
+        for n, dim, probes in shapes:
+            bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
+            units = unit_rows(rng.standard_normal((n, dim)))
+            if n > 1:
+                units[0] = bank.matrix[0]
+                units[-1] = 0.0
+            if vecspace.blas_rows_invariant(dim, probes, vecspace.SALIENCE_BLOCK_ROWS):
+                want = block_maxima(units, bank.matrix, vecspace.SALIENCE_BLOCK_ROWS)
+            else:
+                sims = np.einsum("ij,kj->ki", units, bank.matrix)
+                want = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
+            got = vecspace.max_sim_rows(units, bank)
+            assert got.tobytes() == want.tobytes(), (check_fails, n, dim, probes)
 
 
 def test_probe_bank_validation():
