@@ -193,7 +193,9 @@ def generate_stream(spec: StreamSpec) -> list[RawFrame]:
     """Materialize the stream as trace frames (float32 tokens).
 
     Timestamps are the frame index as seconds; spatial coordinates go
-    row-major over a ceil(sqrt(tokens_per_frame)) square grid.
+    row-major over a ceil(sqrt(tokens_per_frame)) square grid. A
+    noise_sigma so large that a frame's noisy vectors overflow raises
+    SpecError, naming the frame.
     """
     directions = [segment_direction(spec, i) for i in range(len(spec.segments))]
     segment_of = np.empty(spec.frames, dtype=np.int64)
@@ -217,7 +219,13 @@ def generate_stream(spec: StreamSpec) -> list[RawFrame]:
             # stream as a draw per token, and unit_rows the same bits per row.
             rng = np.random.default_rng([spec.rng_seed, _TAG_FRAME, i])
             noise = rng.standard_normal((spec.tokens_per_frame, spec.dim))
-            matrix = unit_rows(base + spec.noise_sigma * noise)
+            with np.errstate(over="ignore"):
+                matrix = base + spec.noise_sigma * noise
+            # The greatest and least entries are finite only if every entry is.
+            if not (math.isfinite(matrix.max()) and math.isfinite(matrix.min())):
+                raise SpecError(f"frame {i}: noise_sigma {spec.noise_sigma!r} overflows "
+                                f"the token vectors, which must be finite")
+            matrix = unit_rows(matrix)
         else:
             matrix = np.tile(base, (spec.tokens_per_frame, 1))
         for ordinal in events_by_frame.get(i, ()):

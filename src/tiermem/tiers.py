@@ -374,18 +374,18 @@ def encode_tokens(
 
     raw_tokens is a traceio.TokenColumns, read by its columns alone, or
     (vector, row, col) triples, stacked once by TokenColumns.of. The frame
-    is normalized and scored at once through the same batch-invariant
-    kernels max_sim uses, on the re-normalized rows as max_sim sees them:
-    unit_rows, then max_sim_rows, whose probe product takes fixed blocks of
-    SALIENCE_BLOCK_ROWS rows on the BLAS where its self-check holds. So
-    every stored score equals max_sim of its stored row bit for bit, and a
-    token scores the same alone as inside its frame. Token vectors must be
-    1-D, of one length, the bank's dimension (DimensionError), and real
-    numbers (ValidationError).
+    is normalized once, by unit_rows, and its stored rows are then scored
+    by max_sim_rows: each row's best probe product over its own norm,
+    from a probe product in fixed blocks of SALIENCE_BLOCK_ROWS rows on
+    the BLAS where its self-check holds. Both kernels are batch-invariant,
+    so every stored score equals max_sim of its stored row bit for bit,
+    and a token scores the same alone as inside its frame. Token vectors
+    must be 1-D, of one length, the bank's dimension (DimensionError),
+    and real numbers (ValidationError).
 
     alloc, if given, is called with the number of tokens and returns the
-    (n, dim) float64 array the unit rows are written into; the entry's
-    token_matrix is that array, made read-only.
+    (n, dim) float64 array the vectors are cast into and normalized in;
+    the entry's token_matrix is that array, made read-only.
 
     The entry is built once, from the columns, with the checks FrameEntry
     makes of columns it is given: frame_index an integer (ValidationError),
@@ -398,11 +398,8 @@ def encode_tokens(
         raise EmptyFrame(f"frame {frame_index} has no tokens")
     if tokens.vectors.shape[1] != bank.dim:
         raise DimensionError(f"vector has dimension {tokens.vectors.shape[1]}, bank has {bank.dim}")
-    # Cast from the vectors' own dtype (float32 from a trace) into a new
-    # array, which the second normalization below overwrites.
-    work = tokens.vectors.astype(np.float64)
-    units = seal(unit_rows(work, out=None if alloc is None else alloc(n)))
-    scores = seal(max_sim_rows(unit_rows(units, out=work), bank))
+    units = seal(unit_rows(tokens.vectors, out=None if alloc is None else alloc(n)))
+    scores = seal(max_sim_rows(units, bank))
     frame_index = checked_int(frame_index, "frame_index")
     timestamp = checked_real(timestamp, "timestamp")
     # Read-only int64 columns: the same arrays when they are, else new ones.

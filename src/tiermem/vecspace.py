@@ -1,12 +1,12 @@
 """Vector primitives shared by the compression and retrieval stages.
 
 Both scoring formulas are max-cosine folds, and both take their row
-maxima from one kernel, query_max_sims: the probe-bank salience score
-(max cosine of a token against a fixed set of probe vectors) and the
-late-interaction frame score (mean over frame tokens of the max cosine
-against the query tokens). Everything operates on unit-normalized float64
-vectors; vectors are normalized once at ingest so the hot loops reduce to
-dot products.
+maxima from one kernel, _row_maxima, under query_max_sims: the probe-bank
+salience score (max cosine of a token against a fixed set of probe
+vectors, its best probe product over its norm) and the late-interaction
+frame score (mean over frame tokens of the max cosine against the query
+tokens). Vectors are normalized to float64 unit rows once at ingest, so
+the hot loops reduce to dot products.
 """
 
 from __future__ import annotations
@@ -50,21 +50,30 @@ DEFAULT_PROBE_LABELS = (
 
 def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scale each row of an (n, dim) matrix to unit Euclidean norm, into
-    out if given (an (n, dim) float64 array, which may be matrix itself).
+    out if given (an (n, dim) C-contiguous float64 array, which may be
+    matrix itself).
 
     Rows with norm below ZERO_NORM_EPS map to the all-zeros sentinel. A
     row of finite values whose squared norm overflows is first divided by
     its largest magnitude, so it is scaled like any other row. Each row's
     result depends on that row alone (einsum, not BLAS, over a C-contiguous
-    copy), so normalizing a frame at once gives the same bits as
+    float64 copy), so normalizing a frame at once gives the same bits as
     normalizing its tokens one at a time.
 
-    Two reductions over the norms come first: when the least is at least
-    ZERO_NORM_EPS and the greatest finite (neither NaN), no row is dead or
-    overflows, and one division scales them all, with the bits the
-    general path gives them.
+    With out given, that copy is out itself: matrix, of any real dtype, is
+    cast straight into it and scaled in place, with the bits a separate
+    float64 copy gets. Two reductions over the norms come first: when the
+    least is at least ZERO_NORM_EPS and the greatest finite (neither NaN),
+    no row is dead or overflows, and one division scales them all, with
+    the bits the general path gives them.
     """
-    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    if out is None:
+        m = np.ascontiguousarray(matrix, dtype=np.float64)
+    else:
+        if out is not matrix:
+            # float32 to float64 is exact, so the cast has the bits of astype.
+            out[...] = matrix
+        m = out
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     if (len(norms) and np.minimum.reduce(norms) >= ZERO_NORM_EPS
             and np.maximum.reduce(norms) < math.inf):
@@ -86,6 +95,17 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return units
 
 
+def _real_vector(v: VectorLike) -> np.ndarray:
+    """v as a 1-D array of finite real numbers (errors.checked_reals), or
+    DimensionError or ValidationError."""
+    arr = checked_reals(v, "vector components")
+    if arr.ndim != 1:
+        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("vector components must be finite")
+    return arr
+
+
 def normalize(v: VectorLike) -> np.ndarray:
     """Return v, a 1-D array of finite real numbers (errors.checked_reals),
     scaled to unit Euclidean norm.
@@ -93,12 +113,7 @@ def normalize(v: VectorLike) -> np.ndarray:
     A vector with norm below ZERO_NORM_EPS maps to the all-zeros sentinel,
     which scores 0 against everything downstream.
     """
-    arr = checked_reals(v, "vector components")
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("vector components must be finite")
-    return unit_rows(arr[None, :])[0]
+    return unit_rows(_real_vector(v)[None, :])[0]
 
 
 def cosine(a: VectorLike, b: VectorLike) -> float:
@@ -220,9 +235,20 @@ class ProbeBank:
             json.dump(doc, fh)
 
 
-def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
-    """Salience of each unit row: its max cosine over the probes, from
-    query_max_sims.
+def max_sim_rows(rows: np.ndarray, bank: ProbeBank) -> np.ndarray:
+    """Salience of each row: its cosine with its best probe,
+    clip(max_p(p . row) / ||row||, -1, 1), for rows of any norm.
+
+    In this order: the unclipped row maxima of the probe products come
+    from _row_maxima, the kernel under query_max_sims; each is divided by
+    its row's norm, the square root of the row's einsum sum of squares;
+    the quotient is clipped to [-1, 1]. A row whose norm is below
+    ZERO_NORM_EPS scores 0, and a NaN row NaN. A row of finite values
+    whose squared norm overflows is first divided by its largest
+    magnitude, as unit_rows does; any other row with an infinite norm
+    scores NaN. Scaling a row by a power of two scales its products and
+    its norm exactly, so it keeps its score's bits while no product or
+    square overflows or underflows.
 
     Batch-invariant like unit_rows: a row scores the same bits alone or
     inside a whole frame. Where blas_rows_invariant(dim, probes,
@@ -232,27 +258,43 @@ def max_sim_rows(units: np.ndarray, bank: ProbeBank) -> np.ndarray:
     BLAS gives a row the same bits at every place in its block. Elsewhere
     the product is the einsum, which takes each dot product alone.
     """
-    units = np.ascontiguousarray(units, dtype=np.float64)
-    n, dim = units.shape
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    n, dim = rows.shape
     if dim != bank.dim:
         raise DimensionError(f"vector has dimension {dim}, bank has {bank.dim}")
-    if not blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS):
-        return query_max_sims(bank.matrix, units, blas=False)
-    step = SALIENCE_BLOCK_ROWS
-    whole = n - n % step
-    blocks = [units[lo:lo + step] for lo in range(0, whole, step)]
-    if whole < n:
-        tail = np.zeros((step, dim))
-        tail[:n - whole] = units[whole:]
-        blocks.append(tail)
-    return query_max_sims(bank.matrix, *blocks, blas=True)[:n]
+    if blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS):
+        step = SALIENCE_BLOCK_ROWS
+        whole = n - n % step
+        blocks = [rows[lo:lo + step] for lo in range(0, whole, step)]
+        if whole < n:
+            tail = np.zeros((step, dim))
+            tail[:n - whole] = rows[whole:]
+            blocks.append(tail)
+        maxima = _row_maxima(bank.matrix, *blocks, blas=True)[:n]
+    else:
+        maxima = _row_maxima(bank.matrix, rows, blas=False)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if n and np.minimum.reduce(norms) >= ZERO_NORM_EPS and np.maximum.reduce(norms) < math.inf:
+        scores = np.divide(maxima, norms, out=maxima)
+    else:
+        dead = norms < ZERO_NORM_EPS
+        huge = np.isinf(norms)
+        scores = np.divide(maxima, np.where(dead | huge, 1.0, norms), out=maxima)
+        scores[dead] = 0.0
+        if huge.any():
+            big = rows[huge]
+            # A row holding an inf becomes a NaN row here, and scores NaN.
+            with np.errstate(invalid="ignore"):
+                big /= np.max(np.abs(big), axis=1, keepdims=True)
+            scores[huge] = max_sim_rows(big, bank)
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def max_sim(v: VectorLike, bank: ProbeBank) -> float:
-    """Salience of one token: max cosine over all probes in the bank,
-    through max_sim_rows, so a token scores the same bits alone as inside
-    its frame."""
-    return float(max_sim_rows(normalize(v)[None, :], bank)[0])
+    """Salience of one token: its cosine with its best probe, v (1-D, of
+    finite real numbers) scored as it is by max_sim_rows, so a row scores
+    the same bits alone as inside its frame."""
+    return float(max_sim_rows(_real_vector(v)[None, :], bank)[0])
 
 
 def screen_margin(dim: int) -> float:
@@ -447,20 +489,21 @@ def blas_rows_invariant(dim: int, query_rows: int, block_rows: int) -> bool:
     return True
 
 
-def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
-                   blas: bool | None = None) -> np.ndarray:
-    """Each row's max cosine against the query rows, clipped to [-1, 1],
-    for the rows of the blocks laid end to end: the one kernel that turns
-    a product into row maxima.
+def _row_maxima(query_matrix: np.ndarray, *blocks: np.ndarray,
+                blas: bool | None = None) -> np.ndarray:
+    """Each row's greatest product with the query rows, unclipped, for the
+    rows of the blocks laid end to end: the one code that turns a product
+    into row maxima, which query_max_sims clips and salience divides by
+    each row's norm.
 
     Each block's product query @ block.T goes into that block's columns of
     one (query rows, total rows) buffer, in the dtype np.result_type gives
-    the inputs; then one maximum over the query rows and one clip, both
-    column by column, so each block's rows get the bits that block gets
-    alone. The product is BLAS where blas_rows_invariant holds for the
-    query's shape on whole SCORE_BLOCK_ROWS-row blocks, and elsewhere an
-    einsum, which takes each dot product alone; blas, if given, picks the
-    product instead of that check.
+    the inputs; then one maximum over the query rows, column by column, so
+    each block's rows get the bits that block gets alone. The product is
+    BLAS where blas_rows_invariant holds for the query's shape on whole
+    SCORE_BLOCK_ROWS-row blocks, and elsewhere an einsum, which takes each
+    dot product alone; blas, if given, picks the product instead of that
+    check.
 
     One block, as the scene screen and salience on at most
     SALIENCE_BLOCK_ROWS rows pass, takes its product into an array of its
@@ -476,8 +519,7 @@ def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
         if rows.shape[1] != dim:
             raise DimensionError(f"frame dimension {rows.shape[1]} vs query dimension {dim}")
         sims = query_matrix @ rows.T if blas else np.einsum("ij,kj->ki", rows, query_matrix)
-        maxima = np.maximum.reduce(sims, axis=0)
-        return np.clip(maxima, -1.0, 1.0, out=maxima)
+        return np.maximum.reduce(sims, axis=0)
     sims = np.empty((k, sum([rows.shape[0] for rows in blocks])),
                     dtype=np.result_type(query_matrix, *blocks))
     lo = 0
@@ -491,7 +533,16 @@ def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
             np.einsum("ij,kj->ki", rows, query_matrix, out=sims[:, lo:hi])
         lo = hi
     # Query-major, so the maximum runs down contiguous columns.
-    maxima = np.maximum.reduce(sims, axis=0)
+    return np.maximum.reduce(sims, axis=0)
+
+
+def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
+                   blas: bool | None = None) -> np.ndarray:
+    """Each row's max cosine against the query rows (unit or zero rows
+    in), clipped to [-1, 1], for the rows of the blocks laid end to end:
+    _row_maxima, then one clip, column by column, so each block's rows get
+    the bits that block gets alone. blas is _row_maxima's."""
+    maxima = _row_maxima(query_matrix, *blocks, blas=blas)
     return np.clip(maxima, -1.0, 1.0, out=maxima)
 
 

@@ -17,6 +17,28 @@ import struct
 
 import numpy as np
 
+# vecspace.ZERO_NORM_EPS: a vector with a smaller norm is the zero sentinel.
+ZERO_NORM_EPS = 1e-12
+
+
+def reference_salience(vector, probes):
+    """A token's salience, from plain lists of floats: the max over the
+    probes of sum(p_i * v_i) / sqrt(sum(v_i ** 2)), clipped to [-1, 1],
+    and 0 for a vector whose norm is below ZERO_NORM_EPS. A vector whose
+    sum of squares overflows is first divided by its largest magnitude.
+    """
+    # x * x, not x ** 2: a Python float power raises on overflow.
+    squares = sum(x * x for x in vector)
+    if math.isinf(squares):
+        largest = max(abs(x) for x in vector)
+        vector = [x / largest for x in vector]
+        squares = sum(x * x for x in vector)
+    norm = math.sqrt(squares)
+    if norm < ZERO_NORM_EPS:
+        return 0.0
+    best = max(sum(p * x for p, x in zip(probe, vector)) / norm for probe in probes)
+    return min(1.0, max(-1.0, best))
+
 
 def reference_prune_positions(frame, reference, keep_fraction, semantic_weight):
     """The positions of the tokens temporal pruning keeps, ascending.

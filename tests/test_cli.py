@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_synth_writes_readable_trace(workspace, capsys):
     frames = load_trace(out)
     assert len(frames) == 20
     assert frames[0].dim == 16
+
+
+def test_synth_refuses_noise_that_overflows_and_writes_nothing(tmp_path, capsys):
+    spec_path = tmp_path / "loud.json"
+    spec_path.write_text(json.dumps({"dim": 4, "frames": 3, "tokens_per_frame": 2,
+                                     "noise_sigma": 1e308}))
+    out = tmp_path / "loud.trace"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--synth-spec", str(spec_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: frame 0: noise_sigma 1e+308 ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 
 def test_ingest_from_spec_and_trace_agree(workspace, capsys):

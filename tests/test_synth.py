@@ -307,6 +307,18 @@ def test_load_stream_spec_errors(tmp_path):
         load_stream_spec(path)
 
 
+def test_noise_that_overflows_the_vectors_is_a_spec_error():
+    # base + noise_sigma * noise overflows to inf, which no trace reader
+    # takes back: refused, naming the frame and noise_sigma, with no
+    # RuntimeWarning on the way (this suite makes one an error).
+    with pytest.raises(SpecError, match=r"^frame 0: noise_sigma 1e\+308 "):
+        generate_stream(spec(dim=4, frames=3, tokens_per_frame=2, noise_sigma=1e308))
+    # Noise that stays finite, however large, still makes unit vectors.
+    for f in generate_stream(spec(dim=4, frames=3, tokens_per_frame=2, noise_sigma=1e300)):
+        norms = np.linalg.norm(f.vectors.astype(np.float64), axis=1)
+        assert np.allclose(norms, 1.0, atol=1e-6)
+
+
 def test_tokens_are_unit_norm_float32():
     frames = generate_stream(spec(noise_sigma=0.3))
     for f in frames:

@@ -29,6 +29,8 @@ from tiermem.vecspace import (
 )
 from tiermem import vecspace
 
+from reference_engine import ZERO_NORM_EPS, reference_salience
+
 
 def test_normalize_unit_norm():
     v = normalize([3.0, 4.0])
@@ -143,10 +145,13 @@ def test_max_sim_dim_mismatch():
 def test_max_sim_rows_equals_the_row_major_product_bit_for_bit(monkeypatch):
     # Where the self-check at SALIENCE_BLOCK_ROWS holds, salience has the
     # bits of each 64-row block's probes @ block.T, the last block padded
-    # with zero rows, then the maximum and the clip. Where it fails, the
-    # probe-major einsum and a maximum down its columns give the bits of the
-    # row-major einsum and a maximum along its rows, then the clip: on
-    # random shapes, on one row and on none.
+    # with zero rows, then the unclipped maximum, the division by the row's
+    # einsum norm and the clip. Where it fails, the probe-major einsum and a
+    # maximum down its columns give the bits of the row-major einsum and a
+    # maximum along its rows, then the same division and clip: on random
+    # shapes of rows of any norm, on one row and on none. A zero row scores
+    # 0, and a row equal to a probe (a cosine of 1 up to rounding, where the
+    # clip acts) is among them.
     for check_fails in (False, True):
         if check_fails:
             monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
@@ -156,14 +161,79 @@ def test_max_sim_rows_equals_the_row_major_product_bit_for_bit(monkeypatch):
                    for _ in range(60)]
         for n, dim, probes in shapes:
             bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
-            units = unit_rows(rng.standard_normal((n, dim)))
+            rows = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100.0, (n, 1))
+            if n > 1:
+                rows[0] = 0.0
+                rows[-1] = bank.matrix[-1]
             if vecspace.blas_rows_invariant(dim, probes, vecspace.SALIENCE_BLOCK_ROWS):
-                want = block_maxima(units, bank.matrix, vecspace.SALIENCE_BLOCK_ROWS)
+                maxima = block_maxima(rows, bank.matrix, vecspace.SALIENCE_BLOCK_ROWS, clip=False)
             else:
-                product = np.einsum("ij,kj->ik", units, bank.matrix)
-                want = np.clip(np.max(product, axis=1), -1.0, 1.0)
-            got = vecspace.max_sim_rows(units, bank)
+                maxima = np.max(np.einsum("ij,kj->ik", rows, bank.matrix), axis=1)
+            want = over_row_norms(maxima, rows)
+            got = vecspace.max_sim_rows(rows, bank)
             assert got.shape == (n,) and got.tobytes() == want.tobytes(), (check_fails, n, dim)
+            if n > 1:
+                assert got[0] == 0.0 and 0.0 <= 1.0 - got[-1] < 1e-15, (check_fails, n, dim)
+
+
+def salience_rows(rng, bank):
+    """Rows for salience at the edges of its definition: unit and
+    non-unit ones, rows whose norm is just below, at and one step above
+    ZERO_NORM_EPS (a multiple of an axis, whose einsum norm is exact), a
+    row equal to a probe (where the clip acts) and finite rows whose
+    squared norm overflows."""
+    dim = bank.dim
+    rows = [*unit_rows(rng.standard_normal((4, dim))),
+            *(rng.standard_normal((4, dim)) * np.array([[1e-9], [0.01], [37.0], [1e150]]))]
+    axis = np.eye(dim)[dim - 1]
+    for norm in (np.nextafter(ZERO_NORM_EPS, 0.0), ZERO_NORM_EPS,
+                 np.nextafter(ZERO_NORM_EPS, 1.0)):
+        rows.append(norm * axis)
+    rows.append(bank.matrix[0].copy())
+    rows.append(np.where(rng.random(dim) < 0.5, -1e200, 1e200) * rng.uniform(0.5, 1.0, dim))
+    rows.append(np.full(dim, 1e300))
+    return np.array(rows)
+
+
+def test_salience_is_the_plain_list_cosine_formula(monkeypatch):
+    # max_sim_rows and max_sim agree with the max over probes of
+    # sum(p_i v_i) / sqrt(sum(v_i ** 2)), clipped, from plain lists, to
+    # within 1e-14, on the BLAS blocks and on the einsum fallback.
+    assert ZERO_NORM_EPS == vecspace.ZERO_NORM_EPS
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        for dim in (1, 8, 128):
+            rng = np.random.default_rng([dim, 157])
+            bank = ProbeBank.generated(dim, n=5, seed=dim)
+            rows = salience_rows(rng, bank)
+            squares = np.einsum("ij,ij->i", rows, rows)
+            assert np.isinf(squares[-2:]).all() and np.isfinite(rows).all()
+            got = vecspace.max_sim_rows(rows, bank)
+            probes = bank.matrix.tolist()
+            for i, row in enumerate(rows):
+                want = reference_salience(row.tolist(), probes)
+                assert abs(got[i] - want) <= 1e-14, (check_fails, dim, i, got[i], want)
+                assert abs(max_sim(row, bank) - want) <= 1e-14, (check_fails, dim, i)
+            below, at, above = got[8:11].tolist()
+            assert below == 0.0 and at != 0.0 and above != 0.0, (check_fails, dim)
+            assert got[11] <= 1.0
+
+
+def test_max_sim_keeps_its_bits_under_a_power_of_two_scale(monkeypatch):
+    # Scaling a row by 2**k scales every product and the norm exactly, so
+    # the quotient keeps its bits, while the norm stays at or above
+    # ZERO_NORM_EPS and no product or square overflows or underflows.
+    for check_fails in (False, True):
+        if check_fails:
+            monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+        for dim in (1, 8, 128):
+            rng = np.random.default_rng([dim, 163])
+            bank = ProbeBank.generated(dim, n=5, seed=dim)
+            for v in rng.standard_normal((3, dim)) * np.array([[1.0], [0.5], [3.0]]):
+                want = max_sim(v, bank).hex()
+                for k in range(-30, 31):
+                    assert max_sim(2.0**k * v, bank).hex() == want, (check_fails, dim, k)
 
 
 def test_late_interaction_hand_value():
@@ -792,16 +862,27 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     assert store.crowded() is None
 
 
-def block_maxima(frame, query, block_rows):
-    """Each frame row's max cosine against the query, clipped, from the
-    frame's rows at the top of zeroed blocks of block_rows rows, with one
-    BLAS product per block."""
+def block_maxima(frame, query, block_rows, clip=True):
+    """Each frame row's max product with the query, clipped to [-1, 1]
+    unless clip is False, from the frame's rows at the top of zeroed
+    blocks of block_rows rows, with one BLAS product per block."""
     n, dim = frame.shape
     padded = np.zeros((-(-n // block_rows) * block_rows, dim))
     padded[:n] = frame
     maxima = np.concatenate([np.empty(0)] + [np.max(query @ padded[lo:lo + block_rows].T, axis=0)
                                              for lo in range(0, len(padded), block_rows)])
-    return np.clip(maxima[:n], -1.0, 1.0)
+    return np.clip(maxima[:n], -1.0, 1.0) if clip else maxima[:n]
+
+
+def over_row_norms(maxima, rows):
+    """Salience from unclipped row maxima: each divided by its row's
+    np.einsum norm, then clipped to [-1, 1]; 0 for a row whose norm is
+    below ZERO_NORM_EPS."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scores = np.clip(maxima / norms, -1.0, 1.0)
+    scores[norms < vecspace.ZERO_NORM_EPS] = 0.0
+    return scores
 
 
 def block_reference(frame, query, block_rows):
@@ -1007,12 +1088,13 @@ def test_query_max_sims_gives_each_of_several_blocks_its_bits_alone(blas, dtype,
 
 
 def test_query_max_sims_gives_max_sim_rows_the_old_einsum_bits(monkeypatch):
-    # Salience through the kernel's einsum fallback, where the self-check
-    # fails, has the bits of the probe-major einsum, maximum and clip that
+    # Salience takes its unclipped row maxima from the kernel under
+    # query_max_sims. Through its einsum fallback, where the self-check
+    # fails, they have the bits of the probe-major einsum and maximum that
     # max_sim_rows took itself; where it holds, those of each zero-padded
-    # 64-row block's BLAS product, maximum and clip. A row equal to a probe
-    # (a cosine of 1 up to rounding, where the clip acts) and a zero row are
-    # among them.
+    # 64-row block's BLAS product and maximum. Each is then divided by its
+    # row's einsum norm and clipped. A row equal to a probe (a cosine of 1
+    # up to rounding, where the clip acts) and a zero row are among them.
     for check_fails in (False, True):
         if check_fails:
             monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
@@ -1027,10 +1109,10 @@ def test_query_max_sims_gives_max_sim_rows_the_old_einsum_bits(monkeypatch):
                 units[0] = bank.matrix[0]
                 units[-1] = 0.0
             if vecspace.blas_rows_invariant(dim, probes, vecspace.SALIENCE_BLOCK_ROWS):
-                want = block_maxima(units, bank.matrix, vecspace.SALIENCE_BLOCK_ROWS)
+                maxima = block_maxima(units, bank.matrix, vecspace.SALIENCE_BLOCK_ROWS, clip=False)
             else:
-                sims = np.einsum("ij,kj->ki", units, bank.matrix)
-                want = np.clip(np.maximum.reduce(sims, axis=0), -1.0, 1.0)
+                maxima = np.maximum.reduce(np.einsum("ij,kj->ki", units, bank.matrix), axis=0)
+            want = over_row_norms(maxima, units)
             got = vecspace.max_sim_rows(units, bank)
             assert got.tobytes() == want.tobytes(), (check_fails, n, dim, probes)
 
