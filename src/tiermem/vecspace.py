@@ -51,21 +51,13 @@ DEFAULT_PROBE_LABELS = (
 def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Scale each row of an (n, dim) matrix to unit Euclidean norm, into
     out if given (an (n, dim) C-contiguous float64 array, which may be
-    matrix itself).
+    matrix itself), under _over_row_norms' rule: a row with norm below
+    ZERO_NORM_EPS maps to the all-zeros sentinel. Each row's result
+    depends on that row alone, so normalizing a frame at once gives the
+    same bits as normalizing its tokens one at a time.
 
-    Rows with norm below ZERO_NORM_EPS map to the all-zeros sentinel. A
-    row of finite values whose squared norm overflows is first divided by
-    its largest magnitude, so it is scaled like any other row. Each row's
-    result depends on that row alone (einsum, not BLAS, over a C-contiguous
-    float64 copy), so normalizing a frame at once gives the same bits as
-    normalizing its tokens one at a time.
-
-    With out given, that copy is out itself: matrix, of any real dtype, is
-    cast straight into it and scaled in place, with the bits a separate
-    float64 copy gets. Two reductions over the norms come first: when the
-    least is at least ZERO_NORM_EPS and the greatest finite (neither NaN),
-    no row is dead or overflows, and one division scales them all, with
-    the bits the general path gives them.
+    With out given, matrix, of any real dtype, is cast straight into it
+    and scaled in place, with the bits a separate float64 copy gets.
     """
     if out is None:
         m = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -74,25 +66,38 @@ def unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             # float32 to float64 is exact, so the cast has the bits of astype.
             out[...] = matrix
         m = out
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    return _over_row_norms(m, m, unit_rows, out=out)
+
+
+def _over_row_norms(values: np.ndarray, rows: np.ndarray,
+                    again: Callable[[np.ndarray], np.ndarray],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Each value of values, (n,) or (n, k), divided by the norm of its
+    row of rows (n, dim, C-contiguous float64), the square root of the
+    row's einsum sum of squares: the one row-norm rule, of unit_rows
+    (values the rows) and max_sim_rows (values their probe maxima). When
+    every norm lies in [ZERO_NORM_EPS, inf), one division; else a row with
+    norm below ZERO_NORM_EPS gets 0, a row of finite values whose squared
+    norm overflows gets again(row / its largest magnitude), and a row
+    holding a NaN or an inf is divided by its NaN or inf norm, without a
+    warning. Into out if given, which may be values or rows.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    shape = (-1,) + (1,) * (values.ndim - 1)
     if (len(norms) and np.minimum.reduce(norms) >= ZERO_NORM_EPS
             and np.maximum.reduce(norms) < math.inf):
-        return np.divide(m, norms[:, None], out=out)
+        return np.divide(values, norms.reshape(shape), out=out)
     huge = np.isinf(norms).nonzero()[0]
     if len(huge):
-        huge = huge[np.isfinite(m[huge]).all(axis=1)]
-        # Read before out, which may be m, is written.
-        rescaled = m[huge] / np.max(np.abs(m[huge]), axis=1, keepdims=True)
-    norms = norms[:, None]
+        huge = huge[np.isfinite(rows[huge]).all(axis=1)]
+        rescaled = rows[huge] / np.max(np.abs(rows[huge]), axis=1, keepdims=True)
     dead = norms < ZERO_NORM_EPS
-    if dead.any():
-        units = np.divide(m, np.where(dead, 1.0, norms), out=out)
-        units[dead[:, 0]] = 0.0
-    else:
-        units = np.divide(m, norms, out=out)
+    with np.errstate(invalid="ignore"):
+        quotients = np.divide(values, np.where(dead, 1.0, norms).reshape(shape), out=out)
+    quotients[dead] = 0.0
     if len(huge):
-        units[huge] = unit_rows(rescaled)
-    return units
+        quotients[huge] = again(rescaled)
+    return quotients
 
 
 def _real_vector(v: VectorLike) -> np.ndarray:
@@ -237,57 +242,25 @@ class ProbeBank:
 
 def max_sim_rows(rows: np.ndarray, bank: ProbeBank) -> np.ndarray:
     """Salience of each row: its cosine with its best probe,
-    clip(max_p(p . row) / ||row||, -1, 1), for rows of any norm.
+    clip(max_p(p . row) / ||row||, -1, 1), for rows of any norm, under
+    unit_rows' norm rule (_over_row_norms).
 
-    In this order: the unclipped row maxima of the probe products come
-    from _row_maxima, the kernel under query_max_sims; each is divided by
-    its row's norm, the square root of the row's einsum sum of squares;
-    the quotient is clipped to [-1, 1]. A row whose norm is below
-    ZERO_NORM_EPS scores 0, and a NaN row NaN. A row of finite values
-    whose squared norm overflows is first divided by its largest
-    magnitude, as unit_rows does; any other row with an infinite norm
-    scores NaN. Scaling a row by a power of two scales its products and
-    its norm exactly, so it keeps its score's bits while no product or
-    square overflows or underflows.
-
-    Batch-invariant like unit_rows: a row scores the same bits alone or
-    inside a whole frame. Where blas_rows_invariant(dim, probes,
-    SALIENCE_BLOCK_ROWS) holds, the rows are cut into blocks of
-    SALIENCE_BLOCK_ROWS, a short last one copied to the top of a zeroed
-    block, and each block takes the BLAS product: one shape, on which this
-    BLAS gives a row the same bits at every place in its block. Elsewhere
-    the product is the einsum, which takes each dot product alone.
+    _row_maxima takes the unclipped probe maxima of blocks of
+    SALIENCE_BLOCK_ROWS rows, the last one zero-padded, on the product
+    blas_rows_invariant picks for that shape: the BLAS, which then gives a
+    row the same bits at every place in its block, or else the einsum,
+    which takes each dot product alone. So a row scores the same bits
+    alone or inside a whole frame. Scaling a row by a power of two keeps
+    its score's bits while no product or square overflows or underflows.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     n, dim = rows.shape
     if dim != bank.dim:
         raise DimensionError(f"vector has dimension {dim}, bank has {bank.dim}")
-    if blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS):
-        step = SALIENCE_BLOCK_ROWS
-        whole = n - n % step
-        blocks = [rows[lo:lo + step] for lo in range(0, whole, step)]
-        if whole < n:
-            tail = np.zeros((step, dim))
-            tail[:n - whole] = rows[whole:]
-            blocks.append(tail)
-        maxima = _row_maxima(bank.matrix, *blocks, blas=True)[:n]
-    else:
-        maxima = _row_maxima(bank.matrix, rows, blas=False)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if n and np.minimum.reduce(norms) >= ZERO_NORM_EPS and np.maximum.reduce(norms) < math.inf:
-        scores = np.divide(maxima, norms, out=maxima)
-    else:
-        dead = norms < ZERO_NORM_EPS
-        huge = np.isinf(norms)
-        scores = np.divide(maxima, np.where(dead | huge, 1.0, norms), out=maxima)
-        scores[dead] = 0.0
-        if huge.any():
-            big = rows[huge]
-            # A row holding an inf becomes a NaN row here, and scores NaN.
-            with np.errstate(invalid="ignore"):
-                big /= np.max(np.abs(big), axis=1, keepdims=True)
-            scores[huge] = max_sim_rows(big, bank)
-    return np.clip(scores, -1.0, 1.0, out=scores)
+    maxima = _row_maxima(bank.matrix, *_padded_blocks(rows, SALIENCE_BLOCK_ROWS),
+                         blas=blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS))[:n]
+    _over_row_norms(maxima, rows, lambda big: max_sim_rows(big, bank), out=maxima)
+    return np.clip(maxima, -1.0, 1.0, out=maxima)
 
 
 def max_sim(v: VectorLike, bank: ProbeBank) -> float:
@@ -349,6 +322,19 @@ SCREEN_STEP_ROWS = 64
 # Salience takes its probe product in blocks of this many rows, so every
 # product has one shape (see max_sim_rows).
 SALIENCE_BLOCK_ROWS = 64
+
+
+def _padded_blocks(rows: np.ndarray, size: int) -> list[np.ndarray]:
+    """rows, an (n, dim) C-contiguous array, cut into blocks of size rows:
+    views of the whole ones, and a short last one copied to the top of a
+    zeroed block, so every block has one shape."""
+    whole = len(rows) - len(rows) % size
+    blocks = [rows[lo:lo + size] for lo in range(0, whole, size)]
+    if whole < len(rows):
+        tail = np.zeros((size, rows.shape[1]), dtype=rows.dtype)
+        tail[:len(rows) - whole] = rows[whole:]
+        blocks.append(tail)
+    return blocks
 
 
 def _finite(matrix: np.ndarray) -> bool:
@@ -995,9 +981,9 @@ def late_interaction(
     """Frame-vs-query relevance: mean over frame tokens of the max cosine
     against any query token.
 
-    The frame's unit rows are scored with query_max_sims at the top of
-    zeroed whole blocks of SCORE_BLOCK_ROWS rows: the bits
-    late_interaction_pages gives the frame on pages of its own.
+    The frame's unit rows are scored with query_max_sims in blocks of
+    SCORE_BLOCK_ROWS rows, the last one zero-padded (_padded_blocks): the
+    bits late_interaction_pages gives the frame on pages of its own.
     """
     units = []
     for tokens, what in ((frame_tokens, "frame_tokens"), (query_tokens, "query_tokens")):
@@ -1010,7 +996,5 @@ def late_interaction(
             raise ValidationError(f"{what} must be finite")
         units.append(unit_rows(matrix))
     frame, query = units
-    n, dim = frame.shape
-    blocks = np.zeros((-(-n // SCORE_BLOCK_ROWS), SCORE_BLOCK_ROWS, dim))
-    blocks.reshape(-1, dim)[:n] = frame
-    return float(np.mean(query_max_sims(query, *blocks)[:n]))
+    maxima = query_max_sims(query, *_padded_blocks(frame, SCORE_BLOCK_ROWS))
+    return float(np.mean(maxima[:len(frame)]))

@@ -19,7 +19,7 @@ from tiermem.cli import main
 from tiermem.retrieval import load_queries_jsonl, retrieve
 from tiermem.synth import event_direction, generate_stream, load_stream_spec
 from tiermem.tiers import FrameEntry, TierConfig, TokenRecord, new_memory
-from tiermem.traceio import RawFrame, RawToken, load_trace
+from tiermem.traceio import RawFrame, RawToken, load_trace, write_trace
 from tiermem.vecspace import ProbeBank
 
 
@@ -423,6 +423,18 @@ def test_ingest_of_a_trace_with_a_nan_timestamp_exits_1(workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: frame 3 timestamp is nan")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_ingest_of_a_trace_with_an_inf_token_component_exits_1(tmp_path, capsys, value):
+    # The one error line, and no RuntimeWarning from normalizing the token.
+    trace = tmp_path / "inf.trace"
+    vectors = np.ones((1, 4), dtype=np.float32)
+    vectors[0, 2] = value
+    write_trace(str(trace), [RawFrame(0, 0.0, vectors=vectors, rows=[0], cols=[0])])
+    capsys.readouterr()
+    assert main(["ingest", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == "error: frame 0: token scores must be finite\n"
 
 
 def test_probe_file_with_a_non_integer_dim_exits_1(workspace, tmp_path, capsys):

@@ -54,9 +54,8 @@ def test_finite_vectors_whose_squared_norm_overflows_are_scaled_not_zeroed():
     rows[1] = [1e200, 1e200, 0.0]
     rows[3] = [np.inf, 1e200, 0.0]
     rows[4] = [1e300, np.nan, 1e300]
-    with np.errstate(invalid="ignore"):
-        got = unit_rows(rows)
-        alone = [unit_rows(row[None, :])[0] for row in rows]
+    got = unit_rows(rows)
+    alone = [unit_rows(row[None, :])[0] for row in rows]
     assert got[1].tobytes() == normalize([1.0, 1.0, 0.0]).tobytes()
     for i in (0, 2, 3, 4, 5):
         assert got[i].tobytes() == alone[i].tobytes(), i
@@ -218,6 +217,13 @@ def test_salience_is_the_plain_list_cosine_formula(monkeypatch):
             below, at, above = got[8:11].tolist()
             assert below == 0.0 and at != 0.0 and above != 0.0, (check_fails, dim)
             assert got[11] <= 1.0
+            # A row holding a NaN or an inf scores NaN, among the rows
+            # above, which keep their bits, and without a warning.
+            bad = np.ones((3, dim))
+            bad[:, dim // 2] = (math.nan, math.inf, -math.inf)
+            mixed = vecspace.max_sim_rows(np.concatenate([rows[:9], bad, rows[9:]]), bank)
+            assert np.isnan(mixed[9:12]).all(), (check_fails, dim)
+            assert np.delete(mixed, [9, 10, 11]).tobytes() == got.tobytes(), (check_fails, dim)
 
 
 def test_max_sim_keeps_its_bits_under_a_power_of_two_scale(monkeypatch):
