@@ -262,15 +262,19 @@ class EvictionReport:
 
     The report holds each tier's victims, the long tier's first, as three
     columns: frame indices, token positions within the frame at call time,
-    and scores. They are copies, so later ingests leave the report as it
-    was. count reads the columns. evicted lists the victims as
-    (frame_index, position, score) tuples in eviction order: the long
-    tier's, then the mid tier's, each by ascending score, then frame, then
-    position. The tuples are sorted and built on the first read of
-    evicted, and kept; equality, hashing and to_json_dict read them.
+    and scores. The positions may be given as a function that computes
+    them, which the first read of evicted calls. The columns, and what the
+    function reads, are arrays that nothing writes again, so later ingests
+    leave the report as it was. count reads the frame indices. evicted
+    lists the victims as (frame_index, position, score) tuples in eviction
+    order: the long tier's, then the mid tier's, each by ascending score,
+    then frame, then position. The tuples are sorted and built on the
+    first read of evicted, and kept; equality, hashing and to_json_dict
+    read them.
     """
 
-    def __init__(self, *tiers: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    def __init__(self, *tiers: tuple[np.ndarray, np.ndarray | Callable[[], np.ndarray],
+                                     np.ndarray]):
         self._tiers = tiers
 
     @property
@@ -281,6 +285,8 @@ class EvictionReport:
     def evicted(self) -> tuple[tuple[int, int, float], ...]:
         evicted = []
         for frames, positions, scores in self._tiers:
+            if callable(positions):
+                positions = positions()
             order = np.lexsort((positions, frames, scores))
             evicted += zip(frames[order].tolist(), positions[order].tolist(),
                            scores[order].tolist())
@@ -299,6 +305,15 @@ class EvictionReport:
 
     def to_json_dict(self) -> dict:
         return {"evicted": [[f, i, s] for f, i, s in self.evicted]}
+
+
+def _live_before(flags: dict[int, np.ndarray], pages: np.ndarray, starts: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """How many rows of [starts[i], rows[i]) of page pages[i] are live by
+    flags[pages[i]], that page's live flags, for each i: a victim's
+    position among its frame's tokens, its frame starting at starts[i]."""
+    return np.array([np.count_nonzero(flags[page][lo:row]) for page, lo, row
+                     in zip(pages.tolist(), starts.tolist(), rows.tolist())], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,7 +604,7 @@ def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: Callable,
             rows = start + alive[start:start + span].nonzero()[0]
             columns = [column.take(rows, axis=0) for column in columns]
         matrix, scores, rows, cols = map(seal, columns)
-        entry = FrameEntry._of(frame_index=frame_index, timestamp=floats.item(1, slot),
+        entry = FrameEntry._of(frame_index=frame_index, timestamp=floats.item(0, slot),
                                scene_boundary=bool(boundary), token_matrix=matrix,
                                scores=scores, rows=rows, cols=cols)
         if cache is not None:
@@ -626,7 +641,10 @@ class TieredMemory:
     table's cache, which is the memory's alone; while all of a frame's
     rows are live, its token_matrix is a read-only view of them.
     RowStore.compact changes only where rows lie: it moves the live rows
-    of a crowded page.
+    of a crowded page. Once forget first ranks a tier, its table also
+    keeps the tier's lowest tokens in eviction order (FrameTable.low),
+    which pushes, demotions and moves keep up to date, and a whole-tier
+    drop discards.
 
     The memory also owns two kinds of ingest buffers, which grow to the
     frames seen and are then reused: two float32 casts for the screen
@@ -757,9 +775,8 @@ class TieredMemory:
                                                grid_rows=entry.rows, grid_cols=entry.cols)
             if view is not entry.token_matrix:
                 entry = entry._with(token_matrix=view)
-            self._tables[name].append(entry.frame_index, entry.token_count, page, start,
-                                      entry.scene_boundary, entry.min_score, entry.timestamp,
-                                      entry)
+            self._tables[name].append(entry.frame_index, entry.scores, page, start,
+                                      entry.scene_boundary, entry.timestamp, entry)
         self._tier_tokens[name] += entry.token_count
 
     def _pop_oldest(self, name: str) -> FrameEntry:
@@ -978,19 +995,23 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     A tier whose token count the overflow reaches goes whole, unranked:
     its victims are read off its table (each frame's index repeated by its
     count, positions counting up from 0 within each frame, the live
-    scores), its frames' rows are killed and its table is cleared.
+    scores), its frames' rows are killed and its table is cleared, band
+    and all.
 
-    A tier the overflow does not empty loses its victims where they lie:
-    their rows' live flags are cleared page by page, the counts and minima
-    of the frames they leave are updated from the survivors' scores, and
-    the emptied frames are deleted from the tier's table at once. No entry
-    is built and no embedding row is written.
+    A tier the overflow does not empty is ranked, at a cost that follows
+    its victims, not its frames: they are the head of its table's low band
+    (FrameTable.lowest), which keeps the tier's lowest tokens in eviction
+    order between ingests and is built, or refilled from the whole tier,
+    only where it holds fewer than the overflow. The victims lose their
+    rows' live flags page by page, the counts of the frames they leave
+    are lowered and the emptied frames are deleted from the table at once.
+    No entry is built and no embedding row is written.
 
     The report holds each tier's victims as columns (see EvictionReport).
-    A tier's victims are sorted here only where some of its candidates,
-    the tokens at or below the cut-off score, stay; a whole tier's
-    victims, and candidates that all go, are sorted by the report when its
-    tuples are first read.
+    A ranked tier's victims come in eviction order; their positions are
+    counted, from their pages' live flags as they stood, when the report
+    is first read. A whole tier's victims are sorted by the report when
+    its tuples are first read.
     """
     budget = mem.config.token_budget
     overflow = mem.total_tokens - budget
@@ -1019,56 +1040,18 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
                 mem._rows.kill(page, n)
             table.clear()
             continue
-        # The k = min(overflow, frames) lowest frame minima are k distinct
-        # tokens at or below the k-th lowest minimum, the bound. With k =
-        # overflow, the cut-off below is at or below it too, so every token
-        # at or below the cut-off, boundary ties included, lies in a frame
-        # whose minimum is at or below the bound: the frames above it hold no
-        # victim and change neither the cut-off nor the order of the victims.
-        # With k = frames, the bound is the highest minimum and keeps them all.
-        minima = table.min_score
-        k = min(overflow, table.size)
-        slots = (minima <= np.partition(minima, k - 1)[k - 1]).nonzero()[0]
-        counts, pages, firsts, spans = table.ints[1:5].take(slots, axis=1)
-        # The frames' tokens, one frame after another, are the live rows of
-        # their spans; live says where they lie among the spans.
-        scores, live = mem._rows.live_scores(pages, firsts, spans)
-        starts = counts.cumsum() - counts
-        # Only the tokens at or below the overflow-th lowest score (the
-        # frames read hold at least that many) can be victims; sorting
-        # those alone (ties included) gives the same victims in the same
-        # order as sorting the whole tier.
-        cut = np.partition(scores, overflow - 1)[overflow - 1]
-        candidates = (scores <= cut).nonzero()[0]
-        owners = np.searchsorted(starts, candidates, side="right") - 1
-        positions = candidates - starts[owners]
-        frames = table.ints[0, slots][owners]
-        victims = candidates
-        if len(candidates) > overflow:
-            # The sort picks the victims; when every candidate goes, the
-            # report sorts them on read instead. The candidates lie in
-            # (frame, position) order, so a stable sort by score alone
-            # breaks its ties as the report's three-key sort does.
-            order = np.argsort(scores[candidates], kind="stable")[:overflow]
-            victims, owners = candidates[order], owners[order]
-            positions, frames = positions[order], frames[order]
-        overflow -= len(victims)
-        evicted.append((frames, positions, scores[victims]))
-        mem._tier_tokens[tier_name] -= len(victims)
-        # Counts and minima from the survivors, which stay in frame order.
-        lost = np.bincount(owners, minlength=len(slots))
-        left = counts - lost
-        alive = np.ones(len(scores), dtype=bool)
-        alive[victims] = False
-        kept = left > 0
-        minima = np.empty(len(slots))
-        if kept.any():
-            minima[kept] = np.minimum.reduceat(scores[alive], (left.cumsum() - left)[kept])
-        changed = lost.nonzero()[0]
-        table.trim(slots[changed], left[changed], minima[changed])
-        # Each victim's row in its page, from its place among the spans.
-        rows = (firsts - spans.cumsum() + spans)[owners] + live[victims]
-        mem._rows.kill_rows(pages[owners], rows)
+        # The victims are the band's head. kill_rows hands over their pages'
+        # live flags as they stood, from which the report counts their
+        # positions when it is first read.
+        scores, (frames, pages, rows) = table.lowest(overflow, mem._rows)
+        slots = table.ints[0, :table.size].searchsorted(frames)
+        starts = table.ints[3].take(slots)
+        flags = mem._rows.kill_rows(pages, rows)
+        table.trim(np.bincount(slots, minlength=table.size))
+        evicted.append((frames, functools.partial(_live_before, flags, pages, starts, rows),
+                        scores))
+        overflow -= len(scores)
+        mem._tier_tokens[tier_name] -= len(scores)
     remaining = mem.total_tokens
     if remaining > budget:
         raise BudgetUnsatisfiable(f"budget {budget} unreachable; {remaining} tokens remain")

@@ -245,20 +245,22 @@ def max_sim_rows(rows: np.ndarray, bank: ProbeBank) -> np.ndarray:
     clip(max_p(p . row) / ||row||, -1, 1), for rows of any norm, under
     unit_rows' norm rule (_over_row_norms).
 
-    _row_maxima takes the unclipped probe maxima of blocks of
-    SALIENCE_BLOCK_ROWS rows, the last one zero-padded, on the product
-    blas_rows_invariant picks for that shape: the BLAS, which then gives a
-    row the same bits at every place in its block, or else the einsum,
-    which takes each dot product alone. So a row scores the same bits
-    alone or inside a whole frame. Scaling a row by a power of two keeps
-    its score's bits while no product or square overflows or underflows.
+    _row_maxima takes the unclipped probe maxima on the product
+    blas_rows_invariant picks for blocks of SALIENCE_BLOCK_ROWS rows: the
+    BLAS, on such blocks, the last one zero-padded, where it gives a row
+    the same bits at every place in its block; else the einsum, on the rows
+    whole, in one call, as it takes each dot product alone. So a row scores
+    the same bits alone or inside a whole frame. Scaling a row by a power
+    of two keeps its score's bits while no product or square overflows or
+    underflows.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     n, dim = rows.shape
     if dim != bank.dim:
         raise DimensionError(f"vector has dimension {dim}, bank has {bank.dim}")
-    maxima = _row_maxima(bank.matrix, *_padded_blocks(rows, SALIENCE_BLOCK_ROWS),
-                         blas=blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS))[:n]
+    blas = blas_rows_invariant(dim, len(bank), SALIENCE_BLOCK_ROWS)
+    blocks = _padded_blocks(rows, SALIENCE_BLOCK_ROWS) if blas else [rows]
+    maxima = _row_maxima(bank.matrix, *blocks, blas=blas)[:n]
     _over_row_norms(maxima, rows, lambda big: max_sim_rows(big, bank), out=maxima)
     return np.clip(maxima, -1.0, 1.0, out=maxima)
 
@@ -491,11 +493,11 @@ def _row_maxima(query_matrix: np.ndarray, *blocks: np.ndarray,
     dot product alone; blas, if given, picks the product instead of that
     check.
 
-    One block, as the scene screen and salience on at most
-    SALIENCE_BLOCK_ROWS rows pass, takes its product into an array of its
-    own, with no shared buffer to size and type. Its bits are those of the
-    block inside a call of several, but for the sign and payload of a NaN,
-    which the product's order of operations may set differently.
+    One block, as the scene screen, salience on the einsum and salience on
+    at most SALIENCE_BLOCK_ROWS rows pass, takes its product into an array
+    of its own, with no shared buffer to size and type. Its bits are those
+    of the block inside a call of several, but for the sign and payload of
+    a NaN, which the product's order of operations may set differently.
     """
     k, dim = query_matrix.shape
     if blas is None:
@@ -544,8 +546,8 @@ class _Page:
     """A page's rows and, beside each row, its token's score, grid row and
     grid col and a live flag; the rows written so far (used) and the rows
     that still belong to a frame (live). A row below used is never written
-    again; only its live flag is ever cleared, on a copy of the flags once
-    a snapshot holds them (shared_at is the share they were last copied at).
+    again; only its live flag is ever cleared, always on a copy of the
+    flags, so flags handed out before keep their values.
 
     rows, scores, grid_rows, grid_cols and alive are read-only views, made
     once, which snapshots hold; the RowStore writes through the writable
@@ -554,9 +556,9 @@ class _Page:
 
     __slots__ = ("id", "group", "rows", "scores", "grid_rows", "grid_cols", "alive",
                  "_rows", "_scores", "_grid_rows", "_grid_cols", "_alive",
-                 "shared_at", "used", "live")
+                 "used", "live")
 
-    def __init__(self, page_id: int, group, rows: int, dim: int, shared_at: int):
+    def __init__(self, page_id: int, group, rows: int, dim: int):
         self.id = page_id
         self.group = group
         self._rows = np.zeros((rows, dim))
@@ -567,7 +569,6 @@ class _Page:
             seal(column.view()) for column in (self._rows, self._scores,
                                                self._grid_rows, self._grid_cols))
         self._flags(np.zeros(rows, dtype=bool))
-        self.shared_at = shared_at
         self.used = self.live = 0
 
     def _flags(self, alive: np.ndarray) -> None:
@@ -602,12 +603,11 @@ class RowStore:
         self._open: dict[object, _Page] = {}
         self._pending: tuple[_Page, np.ndarray] | None = None
         self._used = self._dead = 0  # rows written to and dead in the held pages
-        self._shares = 0  # how many times share() has handed out the live flags
         self._shared: tuple | None = None  # what share() last handed out, while it holds
 
     def _new_page(self, group, rows: int) -> _Page:
         self._next_id += 1
-        return _Page(self._next_id - 1, group, rows, self.dim, self._shares)
+        return _Page(self._next_id - 1, group, rows, self.dim)
 
     def alloc(self, n: int, group=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Writable arrays of n free rows in the group's pages: the (n, dim)
@@ -662,15 +662,15 @@ class RowStore:
     def kill(self, page_id: int, n: int, rows=None) -> None:
         """Mark n rows of a page dead: their frame was trimmed, moved or
         dropped. rows, if given, indexes those n rows, and their live flags
-        are cleared; the flags of a frame that leaves whole are left as
-        they are, as no frame reads them again."""
+        are cleared in a copy of the page's flags, which the page shows
+        from then on: a snapshot or an eviction report that holds the flags
+        as they stood keeps them. The flags of a frame that leaves whole
+        are left as they are, as no frame reads them again."""
         page = self._pages[page_id]
         if rows is not None:
-            if page.shared_at != self._shares:
-                page._flags(page._alive.copy())
-                page.shared_at = self._shares
-                self._shared = None
+            page._flags(page._alive.copy())
             page._alive[rows] = False
+            self._shared = None
         page.live -= n
         self._dead += n
         if page.live == 0:
@@ -711,14 +711,19 @@ class RowStore:
         self.kill(page_id, len(rows))
         return page, start, run
 
-    def kill_rows(self, pages: np.ndarray, rows: np.ndarray) -> None:
+    def kill_rows(self, pages: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
         """Mark dead the rows at rows[i] of the page with id pages[i], and
-        clear their live flags: one kill per page."""
+        clear their live flags: one kill per page. Returns each page's live
+        flags as they stood before, by page id; no one writes them again."""
         by_page = pages.argsort(kind="stable")
         pages, rows = pages[by_page], rows[by_page]
         cuts = ((pages[1:] != pages[:-1]).nonzero()[0] + 1).tolist()
+        flags = {}
         for lo, hi in zip([0, *cuts], [*cuts, len(pages)]):
-            self.kill(pages.item(lo), hi - lo, rows[lo:hi])
+            page = pages.item(lo)
+            flags[page] = self._pages[page].alive
+            self.kill(page, hi - lo, rows[lo:hi])
+        return flags
 
     def live_scores(self, pages: np.ndarray, starts: np.ndarray, spans: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -742,8 +747,9 @@ class RowStore:
             table = tables[group]
             slots = np.flatnonzero(table.page == page)
             counts = table.count[slots]
+            flags = self._pages[page].alive
             new_page, start, _ = self.move(page, table.start[slots], table.span[slots])
-            table.relocate(slots, new_page, np.cumsum(counts) - counts + start)
+            table.relocate(slots, new_page, np.cumsum(counts) - counts + start, flags)
 
     def page(self, page_id: int) -> _Page:
         """The held page with this id."""
@@ -751,10 +757,9 @@ class RowStore:
 
     def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
         """The held pages and their live flags as they stand, for a snapshot
-        to keep: the next change to a page's flags writes to a copy. The
-        pair last handed out is handed out again until a page is added or
-        released or a page's flags are copied."""
-        self._shares += 1
+        to keep: a kill writes to a copy of a page's flags. The pair last
+        handed out is handed out again until a page is added or released or
+        a page's flags are copied."""
         if self._shared is None:
             pages = tuple(self._pages.values())
             self._shared = pages, tuple([page.alive for page in pages])
@@ -766,14 +771,19 @@ class RowStore:
                 for _, p in sorted(self._pages.items())]
 
 
+# A FrameTable's low band ranks at least this fraction of its frames' live
+# tokens when it is built or refilled (see FrameTable.lowest).
+LOW_BAND_FRACTION = 1 / 8
+
+
 class FrameTable:
     """The frames of one group of a RowStore, oldest first, as numpy columns.
 
     The rows of ints are frame_index, count, page, start, span and
-    scene_boundary; the rows of floats are min_score and timestamp. Frame
-    i's count tokens are the live rows of [start, start + span) of its
-    page, in row order, and min_score is the lowest of their scores; the
-    timestamp and scene-boundary flag are kept for the frame's entry.
+    scene_boundary; the one row of floats is timestamp. Frame i's count
+    tokens are the live rows of [start, start + span) of its page, in row
+    order; the timestamp and scene-boundary flag are kept for the frame's
+    entry.
 
     Beside the columns, cache holds what was last built for each frame,
     and built the frame's count when it was built: cached(slot) gives it
@@ -784,29 +794,45 @@ class FrameTable:
     is, which may be inside the caller's next query. A move clears the
     frame's slot.
 
+    low, once lowest() has built it, is the low band: every live token of
+    the frames whose score is at most cut, as a (scores, keys) pair, keys'
+    rows being frame index, page and row, in (score, frame index, row)
+    order. A frame's tokens lie in its rows in position order, so that is
+    forget's order: lowest score, then the older frame, then the lower
+    position. Each change to the frames keeps it so: append adds the new
+    frame's tokens at or below cut, pop_oldest drops the oldest frame's,
+    relocate remaps the rows of the frames it moves, lowest() takes its
+    head, which the band never writes again, and clear drops the band. The
+    band is bounded: an append that takes it past room, twice its size
+    when it was built, lowers cut to the score at that size and drops the
+    tokens above it.
+
     share() hands out the columns and the size as they stand, for a
     snapshot to make read-only views of the first size frames when it
     reads them; the next change to those frames first copies the columns
     (_own). Appending writes past those frames, and growing copies the
-    columns into arrays no view holds. The cache is this table's alone: a
-    snapshot reads it only while its views' base is still ints.
+    columns into arrays no view holds. The cache and the band are this
+    table's alone: a snapshot reads the cache only while its views' base
+    is still ints.
     """
 
-    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared")
+    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared", "low", "cut", "room")
 
     def __init__(self):
         self.size = 0
         self.ints = np.empty((6, 64), dtype=np.int64)
-        self.floats = np.empty((2, 64))
+        self.floats = np.empty((1, 64))
         self.cache: list = []
         self.built = np.empty(64, dtype=np.int64)
         self._shared = False
+        self.low: tuple[np.ndarray, np.ndarray] | None = None
+        self.cut = 0.0
+        self.room = 0
 
     count = property(lambda self: self.ints[1, :self.size])
     page = property(lambda self: self.ints[2, :self.size])
     start = property(lambda self: self.ints[3, :self.size])
     span = property(lambda self: self.ints[4, :self.size])
-    min_score = property(lambda self: self.floats[0, :self.size])
 
     def share(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The frames' ints and floats and their number as they stand, for
@@ -836,36 +862,84 @@ class FrameTable:
         """The slots whose cache entry is missing or was built for another count."""
         return (self.built[:self.size] != self.count).nonzero()[0]
 
-    def append(self, frame_index: int, count: int, page: int, start: int, scene_boundary: bool,
-               min_score: float, timestamp: float, built) -> None:
-        """Add the newest frame, its count rows all live from start in the
-        page, with what was built for it, past the frames a view shows."""
+    def append(self, frame_index: int, scores: np.ndarray, page: int, start: int,
+               scene_boundary: bool, timestamp: float, built) -> None:
+        """Add the newest frame, its tokens' scores all live from start in
+        the page, with what was built for it, past the frames a view shows.
+        A band gains the frame's tokens at or below its cut: one comparison
+        when the frame's lowest score lies above it."""
         slot = self.size
         if slot == self.ints.shape[1]:
             self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
             self.floats = np.concatenate((self.floats, np.empty_like(self.floats)), axis=1)
             self.built = np.concatenate((self.built, np.empty_like(self.built)))
             self._shared = False
-        ints, floats = self.ints, self.floats
+        ints = self.ints
         ints[0, slot] = frame_index
-        ints[1, slot] = ints[4, slot] = self.built[slot] = count
+        ints[1, slot] = ints[4, slot] = self.built[slot] = len(scores)
         ints[2, slot] = page
         ints[3, slot] = start
         ints[5, slot] = scene_boundary
-        floats[0, slot] = min_score
-        floats[1, slot] = timestamp
+        self.floats[0, slot] = timestamp
         self.cache.append(built)
         self.size += 1
+        if self.low is not None and np.minimum.reduce(scores) <= self.cut:
+            low = (scores <= self.cut).nonzero()[0]
+            keys = np.empty((3, len(low)), dtype=np.int64)
+            keys[0], keys[1] = frame_index, page
+            np.add(low, start, out=keys[2])
+            merged = np.concatenate((self.low[0], scores[low]))
+            keys = np.concatenate((self.low[1], keys), axis=1)
+            # The frame is the newest, and its rows ascend, so a stable sort
+            # by score alone leaves every tie in (frame index, row) order.
+            order = merged.argsort(kind="stable")
+            merged, keys = merged.take(order), keys.take(order, axis=1)
+            if len(merged) > self.room:
+                self.cut = merged[self.room // 2 - 1]
+                kept = merged.searchsorted(self.cut, side="right")
+                merged, keys = merged[:kept], keys[:, :kept]
+            self.low = merged, keys
+
+    def lowest(self, k: int, store: "RowStore") -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest live tokens of the frames, fewer than they hold, in
+        forget's order, taken off the band's head as (scores, keys): they
+        are to be killed. Where the band holds fewer than k, it is first
+        built from the frames' live rows in store: the max(k, their number
+        times LOW_BAND_FRACTION) lowest, boundary ties included, which
+        costs what ranking the whole tier costs."""
+        if self.low is None or len(self.low[0]) < k:
+            frames, counts, pages, starts, spans = self.ints[:5, :self.size]
+            scores, live = store.live_scores(pages, starts, spans)
+            n = max(k, int(len(scores) * LOW_BAND_FRACTION))
+            self.cut = np.partition(scores, n - 1)[n - 1]
+            chosen = (scores <= self.cut).nonzero()[0]
+            # The live rows lie in (frame index, row) order, so a stable sort
+            # by score alone breaks ties in forget's order.
+            chosen = chosen[scores[chosen].argsort(kind="stable")]
+            owners = np.repeat(np.arange(self.size), counts)[chosen]
+            # A live row's place among the spans laid end to end, less its
+            # frame's first place there, plus its frame's start.
+            rows = (starts - spans.cumsum() + spans)[owners] + live[chosen]
+            self.low = scores[chosen], np.stack((frames[owners], pages[owners], rows))
+            self.room = 2 * n
+        scores, keys = self.low
+        self.low = scores[k:], keys[:, k:]
+        return scores[:k], keys[:, :k]
 
     def clear(self) -> None:
         """Delete every frame."""
         self._own()
         self.cache = []
         self.size = 0
+        self.low = None
 
     def pop_oldest(self) -> None:
         """Drop the oldest frame."""
         self._own()
+        if self.low is not None:
+            stays = self.low[1][0] != self.ints[0, 0]
+            if not stays.all():
+                self.low = self.low[0].compress(stays), self.low[1].compress(stays, axis=1)
         last = self.size - 1
         self.ints[:, :last] = self.ints[:, 1:last + 1]
         self.floats[:, :last] = self.floats[:, 1:last + 1]
@@ -873,32 +947,46 @@ class FrameTable:
         del self.cache[0]
         self.size = last
 
-    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
-        """The frames at slots now lie from starts in the page, all their rows live."""
+    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray,
+                 flags: np.ndarray) -> None:
+        """The frames at slots, every frame of one page, now lie from starts
+        in the page, all their rows live. flags, the old page's live flags
+        as they stood, place the band's tokens of those frames: a token's
+        new row is its frame's new start plus the live rows before it in
+        its frame."""
         self._own()
+        moved = ()
+        if self.low is not None:
+            keys = self.low[1]
+            moved = (keys[1] == self.ints[2, slots[0]]).nonzero()[0]
+        if len(moved):
+            at = np.searchsorted(self.ints[0, :self.size], keys[0, moved])
+            before = np.cumsum(flags) - flags  # live rows before each row of the old page
+            offsets = before[keys[2, moved]] - before[self.ints[3, at]]
         self.ints[2, slots] = page
         self.ints[3, slots] = starts
         self.ints[4, slots] = self.ints[1, slots]
         self.built[slots] = -1
         for slot in slots.tolist():
             self.cache[slot] = None
+        if len(moved):
+            keys[1, moved] = page
+            keys[2, moved] = self.ints[3, at] + offsets
 
-    def trim(self, slots: np.ndarray, counts: np.ndarray, minima: np.ndarray) -> None:
-        """The frames at slots (ascending) now hold counts tokens, with the
-        given minimum scores; the emptied ones are deleted in one compress."""
+    def trim(self, lost: np.ndarray) -> None:
+        """Frame i loses lost[i] of its tokens, for each of the size
+        frames; the emptied ones are deleted in one compress."""
         self._own()
-        self.ints[1, slots] = counts
-        self.floats[0, slots] = minima
-        if not counts.all():
-            emptied = slots[counts == 0]
-            size = self.size
-            keep = np.ones(size, dtype=bool)
-            keep[emptied] = False
-            self.size = size - len(emptied)
-            self.ints[:, :self.size] = self.ints[:, :size][:, keep]
-            self.floats[:, :self.size] = self.floats[:, :size][:, keep]
-            self.built[:self.size] = self.built[:size][keep]
-            for slot in reversed(emptied.tolist()):
+        size = self.size
+        count = self.ints[1, :size]
+        count -= lost
+        if not count.all():
+            keep = count > 0
+            self.size = int(np.count_nonzero(keep))
+            self.ints[:, :self.size] = self.ints[:, :size].compress(keep, axis=1)
+            self.floats[:, :self.size] = self.floats[:, :size].compress(keep, axis=1)
+            self.built[:self.size] = self.built[:size].compress(keep)
+            for slot in reversed((~keep).nonzero()[0].tolist()):
                 del self.cache[slot]
 
 

@@ -1584,12 +1584,12 @@ def test_pipeline_entries_equal_public_construction():
     assert flags == {True, False}
 
 
-def test_forget_frame_minimum_prefilter_matches_reference():
-    # Tie-heavy tiers (few score levels, so many frames share their minimum
-    # with the prefilter's bound) alternate with distinct scores (so a bound
-    # one frame too low misses a victim); small frames, so victims empty
-    # whole frames; and overflows from 1 up past the long tier's tokens,
-    # so the prefilter is bypassed and eviction spills into the mid tier.
+def test_forget_on_tie_heavy_tiers_matches_reference():
+    # Tie-heavy tiers (few score levels, so many tokens and frame minima
+    # share the cut-off score) alternate with distinct scores (so a cut one
+    # token too low misses a victim); small frames, so victims empty whole
+    # frames; and overflows from 1 up past the long tier's tokens, so
+    # eviction also spills into the mid tier.
     seen = set()
     for seed in range(150):
         rng = np.random.default_rng([seed, 67])
@@ -1615,8 +1615,8 @@ def test_forget_frame_minimum_prefilter_matches_reference():
         before = {e.frame_index: e for e in mem.long + mem.mid}
         minima = sorted(e.min_score for e in mem.long)
         if overflow < n_long and minima.count(minima[overflow - 1]) > 1:
-            seen.add("tied bound")
-        seen.add("overflow >= frames" if overflow >= n_long else "prefiltered")
+            seen.add("tied frame minima")
+        seen.add("overflow >= frames" if overflow >= n_long else "overflow < frames")
         if overflow > long_tokens and mem.mid:
             seen.add("spill into mid")
 
@@ -1640,7 +1640,8 @@ def test_forget_frame_minimum_prefilter_matches_reference():
         assert mem.total_tokens == mem.recount_tokens() == mem.config.token_budget
         assert mem.tier_tokens["long"] == sum(e.token_count for e in mem.long)
         assert mem.tier_tokens["mid"] == sum(e.token_count for e in mem.mid)
-    assert seen == {"tied bound", "prefiltered", "overflow >= frames", "spill into mid", "emptied"}
+    assert seen == {"tied frame minima", "overflow < frames", "overflow >= frames",
+                    "spill into mid", "emptied"}
 
 
 def test_forget_drops_whole_tiers_as_the_reference_does(monkeypatch):
@@ -2319,6 +2320,113 @@ def test_dead_rows_stay_bounded_under_steady_forgetting(monkeypatch):
         dead = sum(used - live for *_, used, live in usage)
         assert dead <= vecspace.COMPACT_DEAD_FRACTION * sum(used for *_, used, _ in usage)
     assert evicted > 1000 and moves
+
+
+def test_streamed_forget_matches_the_reference_on_every_ingest(monkeypatch):
+    # Seeded streams, each run until it has made at least 20 times as many
+    # ingests past its fill point (the first ingest that evicts) as up to
+    # it: dims 2 to 8, 1 to 17 tokens a frame, most of them repeats of a few
+    # vectors, so salience ties within and across frames, and each snapshot
+    # held across the next ingests. Every forget must evict the reference's
+    # victims of the tiers just before it ran, and leave every frame it
+    # touched as that frame's pre-forget entry keeping its other tokens.
+    # Small pages make compaction fire; the budgets make forget drop whole
+    # tiers and spill into the mid tier, ranked there too.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
+    real_forget = tiers.selective_forget
+    seen = collections.Counter()
+
+    def checked_forget(mem):
+        overflow = mem.total_tokens - mem.config.token_budget
+        before = {e.frame_index: (name, e) for name in ("long", "mid") for e in getattr(mem, name)}
+        tokens = mem.tier_tokens
+        expected = tuple(forget_reference(mem, overflow))
+        report = real_forget(mem)
+        assert report.evicted == expected
+        lost = collections.defaultdict(list)
+        for f, i, _ in expected:
+            lost[f].append(i)
+        survivors = {e.frame_index: e for e in mem.long + mem.mid}
+        for f, (name, entry) in before.items():
+            kept = np.setdiff1d(np.arange(entry.token_count), lost[f])
+            if lost[f]:
+                seen[f"{name} ranked" if mem.tier_tokens[name] else f"{name} whole"] += 1
+            if not len(kept):
+                assert f not in survivors
+                continue
+            want, got = entry.take(kept), survivors[f]
+            for column in ("scores", "rows", "cols", "token_matrix"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+        return report
+
+    monkeypatch.setattr(tiers, "selective_forget", checked_forget)
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 211])
+        dim = int(rng.integers(2, 9))
+        short = int(rng.integers(1, 4))
+        cfg = TierConfig(short_cap_frames=short, mid_cap_frames=int(rng.integers(1, 7)),
+                         tokens_per_frame_max=17,
+                         token_budget=short * 17 + (int(rng.integers(1, 100)) if seed % 3 else 0),
+                         keep_fraction=float(rng.choice([0.5, 0.75, 1.0])),
+                         grid_size=int(rng.integers(1, 4)),
+                         long_quota_per_frame=int(rng.integers(1, 9)))
+        mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=seed))
+        pool = rng.standard_normal((int(rng.integers(2, 6)), dim))
+        fill, held, t = None, [], 0
+        while fill is None or t < 21 * fill:
+            # At budget short_cap_frames * 17, a short tier of 17-token
+            # frames fills the budget, and both other tiers go whole.
+            n = 17 if seed % 3 == 0 and rng.uniform() < 0.5 else int(rng.integers(1, 18))
+            vectors = pool[rng.integers(0, len(pool), size=n)]
+            fresh = rng.uniform(size=n) < 0.2
+            vectors[fresh] = rng.standard_normal((int(fresh.sum()), dim))
+            report = mem.ingest_frame(float(t), [(v, int(rng.integers(0, 5)), int(rng.integers(0, 5)))
+                                                 for v in vectors])
+            t += 1
+            if fill is None and report.dropped_budget:
+                fill = t
+            if t % 4 == 0:
+                # Each snapshot is held across the next three freezes, and
+                # must still show its frames as they stood.
+                if len(held) == 3:
+                    snap, state = held.pop(0)
+                    assert [entry_state(e) for e in snap.all_frames()] == state, (seed, t)
+                snap = mem.freeze()
+                held.append((snap, [entry_state(e) for e in snap.all_frames()]))
+                mem.thaw()
+        seen["streams"] += 1
+    assert moves and seen["streams"] == 10
+    assert {"long ranked", "long whole", "mid ranked", "mid whole"} <= set(seen), seen
+
+
+def test_forget_calls_do_not_grow_with_the_tier():
+    # Two evicting forgets in a row, each of an overflow of 4, from long
+    # tiers of about 100 and about 1000 four-token frames whose 8 lowest
+    # tokens lie in their two oldest frames. What the first builds for
+    # ranking is there for the second, which makes as many Python-level
+    # calls (cProfile's total_calls) at both sizes: no per-frame loop.
+    import cProfile
+    import pstats
+
+    calls = []
+    for frames in (100, 1000):
+        rng = np.random.default_rng(frames)
+        long = [crafted_entry(f, 0.5 + 0.4 * rng.permutation(4) / 4 + 0.1 * f / frames)
+                for f in range(frames)]
+        long[:2] = [crafted_entry(f, 0.01 * np.arange(4 * f + 1, 4 * f + 5)) for f in (0, 1)]
+        mem = forget_memory(4 * frames - 4, long=long)
+        assert selective_forget(mem).count == 4
+        mem.config = dataclasses.replace(mem.config, token_budget=4 * frames - 8)
+        profile = cProfile.Profile()
+        profile.enable()
+        report = selective_forget(mem)
+        profile.disable()
+        assert report.evicted == tuple((1, i, 0.01 * (5 + i)) for i in range(4))
+        calls.append(pstats.Stats(profile).total_calls)
+    assert calls[0] == calls[1], calls
 
 
 def test_long_stream_structures_stay_within_their_bounds():

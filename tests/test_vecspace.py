@@ -1123,6 +1123,33 @@ def test_query_max_sims_gives_max_sim_rows_the_old_einsum_bits(monkeypatch):
             assert got.tobytes() == want.tobytes(), (check_fails, n, dim, probes)
 
 
+
+def test_salience_einsum_fallback_takes_one_einsum_per_frame(monkeypatch):
+    # Where the self-check fails, salience passes a frame's rows whole to
+    # one probe einsum, which takes each dot product alone: every row keeps
+    # the bits max_sim gives it alone, on frames shorter than, at and past
+    # a SALIENCE_BLOCK_ROWS block.
+    monkeypatch.setattr(vecspace, "blas_rows_invariant", lambda *shape: False)
+    products = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if subscripts == "ij,kj->ki":
+            products.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    rng = np.random.default_rng(61)
+    for n, dim, probes in [(1, 32, 5), (63, 16, 3), (64, 16, 3), (65, 128, 5), (512, 128, 5),
+                           (700, 7, 2)]:
+        bank = ProbeBank([rng.standard_normal(dim) for _ in range(probes)])
+        rows = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100.0, (n, 1))
+        del products[:]
+        got = vecspace.max_sim_rows(rows, bank)
+        assert products == [n], (n, dim)
+        want = np.array([max_sim(row, bank) for row in rows])
+        assert got.tobytes() == want.tobytes(), (n, dim)
+
 def test_probe_bank_validation():
     with pytest.raises(ValidationError):
         ProbeBank([])
@@ -1211,10 +1238,10 @@ def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
     # snapshot. A trim leaves a stale entry in the cache.
     table = FrameTable()
     first, later = _Built(), _Built()
-    table.append(0, 4, 0, 0, False, 0.1, 0.0, first)
+    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0, first)
     ints, floats, size = table.share()
     assert ints is table.ints and floats is table.floats and size == 1
-    table.append(1, 4, 0, 4, False, 0.2, 1.0, later)
+    table.append(1, np.full(4, 0.2), 0, 4, False, 1.0, later)
     ints, floats = ints[:, :size], floats[:, :size]
     assert ints.base is table.ints and table.cached(0) is first
     if unshare == "clear":
@@ -1222,14 +1249,14 @@ def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
     elif unshare == "pop_oldest":
         table.pop_oldest()
     elif unshare == "relocate":
-        table.relocate(np.array([0, 1]), 1, np.array([0, 4]))
+        table.relocate(np.array([0, 1]), 1, np.array([0, 4]), np.ones(8, dtype=bool))
     else:
-        table.trim(np.array([0, 1]), np.array([2, 0]), np.array([0.3, 0.0]))
+        table.trim(np.array([2, 4]))
         assert table.cache == [first] and table.cached(0) is None
         assert table.stale().tolist() == [0]
     assert ints.base is not table.ints
     assert ints[:5].T.tolist() == [[0, 4, 0, 0, 4]]
-    assert floats.tolist() == [[0.1], [0.0]]
+    assert floats.tolist() == [[0.0]]
     gone = weakref.ref(later)
     del later
     assert (gone() is None) == (unshare != "pop_oldest")  # the table keeps it there
@@ -1246,7 +1273,7 @@ def test_empty_frame_table_is_shared_without_its_cache():
     columns = table.ints
     ints, floats, size = table.share()
     built = _Built()
-    table.append(0, 4, 0, 0, False, 0.1, 0.0, built)
+    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0, built)
     gone = weakref.ref(built)
     del built
     table.clear()
@@ -1259,11 +1286,11 @@ def test_frame_table_grown_past_a_share_writes_in_place():
     # trim writes them in place; the views keep the frames they showed.
     table = FrameTable()
     for k in range(64):
-        table.append(k, 4, 0, 4 * k, False, 0.1, float(k), None)
+        table.append(k, np.full(4, 0.1), 0, 4 * k, False, float(k), None)
     ints, _, size = table.share()
     ints = ints[:, :size]
-    table.append(64, 4, 1, 0, False, 0.1, 64.0, None)
+    table.append(64, np.full(4, 0.1), 1, 0, False, 64.0, None)
     grown = table.ints
     assert ints.base is not grown
-    table.trim(np.array([0]), np.array([2]), np.array([0.3]))
+    table.trim(np.array([2] + [0] * 64))
     assert table.ints is grown and table.count[0] == 2 and ints[1, 0] == 4
