@@ -242,8 +242,9 @@ def score_candidates(snapshot: "MemorySnapshot", query: QuerySpec) -> FrameScore
     """Late-interaction score for every mid/long frame, keyed by frame index
     in ascending order. All frames are scored in place in their pages in one
     batch-invariant pass, so each score has the bits the frame would get
-    scored alone."""
-    table = np.concatenate([ints[:5] for ints, _ in snapshot.tables], axis=1)
+    scored alone. The frames' int rows are read from the tables' columns as
+    the snapshot shares them, so no view is made and no entry built."""
+    table = np.concatenate([ints[:5, :size] for ints, _, size in snapshot._columns], axis=1)
     scores = late_interaction_pages(snapshot.pages, snapshot.alive, table, query.unit_tokens)
     return FrameScores(table[0], scores)
 
@@ -275,6 +276,17 @@ def rank_top_k(scores: Mapping[int, float], k: int) -> list[int]:
     return _top_k(*_columns(scores), k).tolist()
 
 
+def _mean_sd(values: np.ndarray) -> tuple[float, float]:
+    """np.mean and np.std of a non-empty 1-D float64 array, with their bits,
+    from the ufunc calls they make, without their Python wrappers: the
+    pairwise sum over n, then the pairwise sum of the squared deviations
+    from it over n, and that one's square root."""
+    n = len(values)
+    mean = float(np.add.reduce(values)) / n
+    deviations = np.subtract(values, mean)
+    return mean, float(np.sqrt(np.add.reduce(np.square(deviations, out=deviations)) / n))
+
+
 def adaptive_select(
     scores: Mapping[int, float], k: int, dispersion_lambda: float
 ) -> list[int]:
@@ -291,15 +303,16 @@ def adaptive_select(
     if not scores:
         return []
     frames, values = _columns(scores)
-    mean = float(np.mean(values))
-    sd = float(np.std(values))
+    mean, sd = _mean_sd(values)
     if not sd < SD_FLOOR:  # a NaN spread filters too, and no frame clears it
         above = values >= mean + dispersion_lambda * sd
         if above.any():
             frames, values = frames[above], values[above]
         else:
             k = 1
-    return np.sort(_top_k(frames, values, k)).tolist()
+    chosen = _top_k(frames, values, k)
+    chosen.sort()
+    return chosen.tolist()
 
 
 def retrieve(
@@ -323,24 +336,15 @@ def retrieve(
     elif gate_mode == "always":
         fired = bool(snapshot.short)
     if fired:
-        return RetrievalResult(
-            gated_short_only=True,
-            anchor_frames=anchor,
-            retrieved_frames=(),
-            frame_scores=NO_SCORES,
-            gate_affinity=affinity,
-            gate_threshold=threshold,
-        )
-    scores = score_candidates(snapshot, query)
-    chosen = adaptive_select(scores, query.top_k, query.dispersion_lambda)
-    return RetrievalResult(
-        gated_short_only=False,
-        anchor_frames=anchor,
-        retrieved_frames=tuple(chosen),
-        frame_scores=scores,
-        gate_affinity=affinity,
-        gate_threshold=threshold,
-    )
+        retrieved, scores = (), NO_SCORES
+    else:
+        scores = score_candidates(snapshot, query)
+        retrieved = tuple(adaptive_select(scores, query.top_k, query.dispersion_lambda))
+    # Every field was checked where it was made, so the dataclass __init__
+    # is skipped, as freeze skips its snapshot's.
+    return assembled(RetrievalResult, gated_short_only=fired, anchor_frames=anchor,
+                     retrieved_frames=retrieved, frame_scores=scores,
+                     gate_affinity=affinity, gate_threshold=threshold)
 
 
 def load_queries_jsonl(path, dim: int | None = None) -> list[QuerySpec]:

@@ -329,8 +329,9 @@ class MemorySnapshot:
     for pages[k]). The read-only views of the tables' frames (tables,
     (ints, floats) pairs) are made on first access, and the mid and long
     entries are read from them on first access and kept, through an
-    owner's cache as _entries reads them; a query the gate answers reads
-    neither. Every array a snapshot hands out is read-only.
+    owner's cache as _entries reads them; a query reads neither, as
+    score_candidates reads _columns. Every array a snapshot hands out is
+    read-only.
     """
 
     short: tuple[FrameEntry, ...]

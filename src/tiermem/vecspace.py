@@ -486,9 +486,10 @@ def _row_maxima(query_matrix: np.ndarray, *blocks: np.ndarray,
 
     Each block's product query @ block.T goes into that block's columns of
     one (query rows, total rows) buffer, in the dtype np.result_type gives
-    the inputs; then one maximum over the query rows, column by column, so
-    each block's rows get the bits that block gets alone. The product is
-    BLAS where blas_rows_invariant holds for the query's shape on whole
+    the query and the first block, if any: the blocks share one dtype.
+    Then one maximum over the query rows, column by column, so each
+    block's rows get the bits that block gets alone. The product is BLAS
+    where blas_rows_invariant holds for the query's shape on whole
     SCORE_BLOCK_ROWS-row blocks, and elsewhere an einsum, which takes each
     dot product alone; blas, if given, picks the product instead of that
     check.
@@ -508,8 +509,7 @@ def _row_maxima(query_matrix: np.ndarray, *blocks: np.ndarray,
             raise DimensionError(f"frame dimension {rows.shape[1]} vs query dimension {dim}")
         sims = query_matrix @ rows.T if blas else np.einsum("ij,kj->ki", rows, query_matrix)
         return np.maximum.reduce(sims, axis=0)
-    sims = np.empty((k, sum([rows.shape[0] for rows in blocks])),
-                    dtype=np.result_type(query_matrix, *blocks))
+    sims = np.empty((k, sum(map(len, blocks))), dtype=np.result_type(query_matrix, *blocks[:1]))
     lo = 0
     for rows in blocks:
         if rows.shape[1] != dim:
@@ -531,14 +531,16 @@ def query_max_sims(query_matrix: np.ndarray, *blocks: np.ndarray,
     _row_maxima, then one clip, column by column, so each block's rows get
     the bits that block gets alone. blas is _row_maxima's."""
     maxima = _row_maxima(query_matrix, *blocks, blas=blas)
-    return np.clip(maxima, -1.0, 1.0, out=maxima)
+    return maxima.clip(-1.0, 1.0, out=maxima)
 
 
 # Once more than this fraction of the rows written to the held pages are dead,
 # the page with the most dead rows is compacted: a past query then scores at
 # most 1.5 rows per live row. On steady_forget a quarter moved 43 rows per
 # ingest against 25, and put ingest and now-query time further above the
-# unpaged store's.
+# unpaged store's. A sixth cut steady_forget's past queries by 4-7% but made
+# 66 compactions a pass against 9 and raised ingest p95 by 12-25%, and a
+# quarter moved past queries by less than their spread, so a third stays.
 COMPACT_DEAD_FRACTION = 1 / 3
 
 
@@ -729,14 +731,26 @@ class RowStore:
                     ) -> tuple[np.ndarray, np.ndarray]:
         """The scores of the live rows of frames given by their pages, first
         rows and spans, one frame after another, and where those rows lie
-        among the frames' spans laid end to end."""
-        alive, scores = [], []
-        for page, lo, n in zip(pages.tolist(), starts.tolist(), spans.tolist()):
-            page = self._pages[page]
-            alive.append(page.alive[lo:lo + n])
-            scores.append(page.scores[lo:lo + n])
-        live = np.concatenate(alive).nonzero()[0]
-        return np.concatenate(scores)[live], live
+        among the frames' spans laid end to end.
+
+        One frame reads its span of its page. More are gathered page by
+        page: the frames' pages, in id order, are laid end to end, and one
+        index of every row of every span reads their live flags and then
+        the live rows' scores."""
+        if len(pages) == 1:
+            page, lo = self._pages[pages.item(0)], starts.item(0)
+            live = page.alive[lo:lo + spans.item(0)].nonzero()[0]
+            return page.scores[lo + live], live
+        ids = np.unique(pages)
+        held = [self._pages[page] for page in ids.tolist()]
+        sizes = np.array([len(page.scores) for page in held], dtype=np.int64)
+        # Each frame's first row among the pages laid end to end, less its
+        # first place among the spans laid end to end.
+        firsts = ((sizes.cumsum() - sizes)[ids.searchsorted(pages)] + starts
+                  - (spans.cumsum() - spans))
+        rows = np.repeat(firsts, spans) + np.arange(int(spans.sum()))
+        live = np.concatenate([page.alive for page in held])[rows].nonzero()[0]
+        return np.concatenate([page.scores for page in held])[rows[live]], live
 
     def compact(self, tables: dict) -> None:
         """Move the live rows of each crowded page's frames, with one
@@ -1004,16 +1018,19 @@ def segment_means(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) ->
     n = len(counts)
     if n == 0:
         return np.empty(0)
-    order = np.argsort(counts, kind="stable")
+    order = counts.argsort(kind="stable")
     ordered = counts[order]
-    ends = np.cumsum(ordered)
+    ends = ordered.cumsum()
     firsts = ends - ordered
-    gathered = values[np.repeat(starts[order] - firsts, ordered) + np.arange(ends[-1])]
-    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    gathered = values.take((starts[order] - firsts).repeat(ordered) + np.arange(ends[-1]))
+    cuts = (ordered[1:] != ordered[:-1]).nonzero()[0] + 1
+    # Count j's segments are [edges[j], edges[j + 1]) and its values
+    # [bounds[j], bounds[j + 1]) of gathered, each read once, as ints.
+    edges = [0, *cuts.tolist(), n]
+    bounds = [0, *firsts[cuts].tolist(), len(gathered)]
     sums = np.empty(n)
-    for lo, hi in zip([0, *cuts], [*cuts, n]):
-        segments = gathered[firsts[lo]:ends[hi - 1]].reshape(hi - lo, -1)
-        np.add.reduce(segments, axis=1, out=sums[lo:hi])
+    for lo, hi, first, end in zip(edges, edges[1:], bounds, bounds[1:]):
+        np.add.reduce(gathered[first:end].reshape(hi - lo, -1), axis=1, out=sums[lo:hi])
     means = np.empty(n)
     means[order] = sums / ordered
     return means
@@ -1031,35 +1048,43 @@ def late_interaction_pages(pages: Sequence[_Page], alive: Sequence[np.ndarray],
     frame i's count[i] tokens are the live rows of [start[i], start[i] +
     span[i]) of the page with id page[i], in row order.
 
-    The candidate kernel. It scores each page in place, in whole blocks of
-    SCORE_BLOCK_ROWS rows up to the last row written to the page, with one
-    query_max_sims over all the blocks; dead rows between frames and rows
-    past the last written are scored and ignored.
-    Where a frame has dead rows inside its span, the maxima are first
-    compressed to the live rows by the pages' live flags, with one gather,
-    so each frame's live maxima lie together in token order. Every product
+    The candidate kernel. A held page is a whole number of blocks of
+    SCORE_BLOCK_ROWS rows, zero past its last written row, so its blocks
+    are its whole rows: the page itself where it is one block, else its
+    rows cut in blocks. It scores them in place with one query_max_sims
+    over all the pages' blocks; dead rows between frames and rows past the
+    last written are scored and ignored. Where a frame has dead rows
+    inside its span, the maxima are first compressed to the live rows by
+    the pages' whole live flags, with one gather, so each frame's live
+    maxima lie together in token order. Every product
     has the same shape, so a frame gets the same bits alone or among any
     other frames, at any row of any page, whatever the order of the pages:
     those of query_max_sims on the frame's live rows on a block of their own.
+
+    A past query's time goes first to the products, which read every held
+    row once at about the machine's streaming-read rate, then to the calls
+    around them: the maximum and clip, the page lookup, the live-row
+    compress and segment_means' grouped reduces.
     """
     count = table[1]
     if len(count) == 0:
         return np.empty(0)
     query_matrix = np.ascontiguousarray(query_matrix, dtype=np.float64)
+    blocks = [page.rows for page in pages]
+    sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
+    ends = sizes.cumsum()  # where each page's rows end among the pages laid end to end
     block = SCORE_BLOCK_ROWS
-    scored = [-(-page.used // block) * block for page in pages]
-    blocks = [page.rows[lo:lo + block] for page, rows in zip(pages, scored)
-              for lo in range(0, rows, block)]
+    if ends[-1] > len(blocks) * block:  # a page of several blocks
+        blocks = [rows[lo:lo + block] for rows in blocks for lo in range(0, len(rows), block)]
     maxima = query_max_sims(query_matrix, *blocks)
-    offsets = np.cumsum(scored) - scored
     ids = np.array([page.id for page in pages], dtype=np.int64)
-    by_id = np.argsort(ids)
-    starts = offsets[by_id[np.searchsorted(ids, table[2], sorter=by_id)]] + table[3]
+    by_id = ids.argsort()
+    starts = (ends - sizes)[by_id[ids.searchsorted(table[2], sorter=by_id)]] + table[3]
     if (count != table[4]).any():
-        live = np.concatenate([flags[:rows] for flags, rows in zip(alive, scored)]).nonzero()[0]
-        maxima = maxima[live]
+        live = np.concatenate(alive).nonzero()[0]
+        maxima = maxima.take(live)
         # A frame's first live row: it has one, and no row of its span before it is live.
-        starts = np.searchsorted(live, starts)
+        starts = live.searchsorted(starts)
     return segment_means(maxima, count, starts)
 
 

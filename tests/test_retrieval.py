@@ -480,6 +480,44 @@ def test_adaptive_select_matches_the_sorted_reference():
     assert kinds == {"flat", "none above", "ties"}
 
 
+def test_selection_statistics_have_the_bits_of_np_mean_and_np_std():
+    # adaptive_select makes the ufunc calls np.mean and np.std make, without
+    # their wrappers: its mean and sd must keep their bits on one score,
+    # equal scores, infinities, NaN, squares that overflow, subnormals and
+    # many random scores, and its picks must stay the sorted reference's
+    # wherever that one is defined.
+    rng = np.random.default_rng(97)
+    tiny = math.ulp(0.0)
+    cases = [
+        np.array([0.375]),
+        np.full(17, -0.2),
+        np.array([0.1, math.inf, 0.3]),
+        np.array([-math.inf, 0.5, 0.25]),
+        np.array([math.inf, -math.inf]),
+        np.array([0.2, math.nan, 0.4]),
+        np.array([1e200, -3e200, 2e200]),  # every square overflows
+        rng.uniform(0.9e200, 1.1e200, 50),
+        np.array([tiny, 3 * tiny, 0.0, -tiny, 7 * tiny]),
+        rng.uniform(-1.0, 1.0, 9) * 2.0**-1060,  # subnormal, with subnormal deviations
+        rng.standard_normal(10_000),
+    ]
+    cases += [rng.standard_normal(int(n)) * 10.0 ** rng.integers(-300, 300)
+              for n in rng.integers(1, 300, 40)]
+    for case, values in enumerate(cases):
+        with np.errstate(all="ignore"):
+            got = retrieval._mean_sd(values)
+            want = float(np.mean(values)), float(np.std(values))
+        assert [x.hex() for x in got] == [x.hex() for x in want], case
+        if np.isnan(values).any():
+            continue  # the reference's sort by score has no order for NaN
+        frames = np.arange(len(values), dtype=np.int64) * 3
+        scores = dict(zip(frames.tolist(), values.tolist()))
+        for k, lam in ((1, 0.5), (5, 0.0), (5, 1.0)):
+            with np.errstate(all="ignore"):
+                picked = adaptive_select(FrameScores(frames.copy(), values.copy()), k, lam)
+                assert picked == reference_adaptive_select(scores, k, lam, retrieval.SD_FLOOR), case
+
+
 # --- retrieve ---------------------------------------------------------------
 
 

@@ -1973,6 +1973,34 @@ def trimmed_in_place(before, after):
             if frame in where and where[frame][:2] == (page, start) and where[frame][2] < count]
 
 
+def test_a_gate_closed_query_reads_columns_and_builds_no_entry(monkeypatch):
+    # A past query scores the mid and long frames from the frame tables'
+    # columns and the pages, trimmed frames among them: neither retrieve
+    # nor score_candidates alone builds an entry for any of them.
+    rng = np.random.default_rng(113)
+    dim = 6
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                     token_budget=90, keep_fraction=0.75, long_quota_per_frame=8)
+    mem = new_memory(cfg, ProbeBank.generated(dim, n=3, seed=5))
+    ts = ingest_random(mem, rng, 40, dim, 0)
+    snap = mem.freeze()
+    assert all(size for _, _, size in snap._columns)  # long and mid frames
+    table = frame_table(snap)
+    assert (table[1] < table[4]).any() and (table[1] == table[4]).any()
+    query = QuerySpec("past", float(ts), rng.standard_normal((2, dim)), rho=1e7)
+
+    def refused(*args):
+        raise AssertionError("a query built a frame entry")
+
+    monkeypatch.setattr(tiers, "_entry", refused)
+    result = retrieve(snap, mem.gate_stats, query)
+    scores = score_candidates(snap, query)
+    monkeypatch.undo()
+    assert not result.gated_short_only
+    assert list(scores) == sorted(entry.frame_index for entry in snap.long + snap.mid)
+    assert result.frame_scores.scores.tobytes() == scores.scores.tobytes()
+
+
 def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
     # Pages of 8 rows, so frames longer than a page get pages of their own,
     # and demotions, trims in place, drops and compaction change the pages

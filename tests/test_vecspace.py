@@ -1021,6 +1021,62 @@ def test_late_interaction_pages_match_the_per_block_loop(monkeypatch, block_rows
                 vecspace.late_interaction_pages(pages, alive, table, query[:, 1:])
 
 
+def per_frame_live_scores(store, pages, starts, spans):
+    """RowStore.live_scores as it was written, one frame at a time."""
+    alive, scores = [], []
+    for page, lo, n in zip(pages.tolist(), starts.tolist(), spans.tolist()):
+        page = store.page(page)
+        alive.append(page.alive[lo:lo + n])
+        scores.append(page.scores[lo:lo + n])
+    live = np.concatenate(alive).nonzero()[0]
+    return np.concatenate(scores)[live], live
+
+
+def test_live_scores_read_page_by_page_give_the_per_frame_loop_bits(monkeypatch):
+    # The low band's refill gathers a tier's live scores page by page; it
+    # must give the scores and places of the frame-by-frame loop, bit for
+    # bit, on frames trimmed in place and frames moved to another page, out
+    # of page order, and on each frame alone.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(131)
+    seen = set()
+    for case in range(40):
+        store = RowStore(3)
+        frames = []  # [page, start, span, count] of each frame, oldest first
+        for n in rng.integers(1, 20, int(rng.integers(2, 40))).tolist():
+            rows = unit_rows(rng.standard_normal((n, 3)))
+            _, page, start = store.add(rows, 0, **columns(n, rng.standard_normal()))
+            frames.append([page, start, n, n])
+        for frame in frames:
+            page, start, span, count = frame
+            if span > 1 and rng.random() < 0.4:
+                dead = rng.choice(span, int(rng.integers(1, span)), replace=False)
+                store.kill(page, len(dead), start + dead)
+                frame[3] = count - len(dead)
+                seen.add("trimmed")
+        if rng.random() < 0.7:
+            page = frames[int(rng.integers(0, len(frames)))][0]
+            moved = [frame for frame in frames if frame[0] == page]
+            table = np.array(moved, dtype=np.int64).T
+            new_page, start, _ = store.move(page, table[1], table[2])
+            for frame in moved:
+                frame[:] = [new_page, start, frame[3], frame[3]]
+                start += frame[3]
+            seen.add("moved")
+        pages, starts, spans, _ = np.array(frames, dtype=np.int64).T.copy()
+        if (np.diff(pages) < 0).any():
+            seen.add("out of page order")
+        got = store.live_scores(pages, starts, spans)
+        want = per_frame_live_scores(store, pages, starts, spans)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], case
+        for i in range(len(frames)):
+            one = [column[i:i + 1] for column in (pages, starts, spans)]
+            got = store.live_scores(*one)
+            want = per_frame_live_scores(store, *one)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (case, i)
+    assert seen == {"trimmed", "moved", "out of page order"}
+
+
 def test_blas_self_check_is_memoised_per_shape():
     vecspace.blas_rows_invariant.cache_clear()
     first = vecspace.blas_rows_invariant(16, 2, 8)
