@@ -69,10 +69,14 @@ def _load_probes(args, dim: int | None) -> tuple[ProbeBank, dict]:
     return bank, {"probes": "generated", "probe_seed": args.seed}
 
 
+def _load_config(args) -> TierConfig:
+    return TierConfig.from_file(args.config) if args.config else TierConfig()
+
+
 def _load_run(args) -> tuple[list, TierConfig, ProbeBank, dict]:
     """A run's frames, config and probe bank, and the inputs its report names."""
     frames, inputs = _load_frames(args)
-    config = TierConfig.from_file(args.config) if args.config else TierConfig()
+    config = _load_config(args)
     bank, probe_inputs = _load_probes(args, frames_dim(frames))
     return frames, config, bank, {**inputs, "config_file": args.config, **probe_inputs}
 
@@ -153,7 +157,7 @@ def _cmd_sweep(args) -> int:
         lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--lengths must be comma-separated integers, got {args.lengths!r}")
-    config = TierConfig.from_file(args.config) if args.config else TierConfig()
+    config = _load_config(args)
     if not args.probes:
         tpf = args.tokens_per_frame
         check_frame_shape(args.dim, config.tokens_per_frame_max if tpf is None else tpf)
@@ -228,14 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="token growth across stream lengths")
     p.add_argument("--lengths", metavar="CSV", required=True, help="e.g. 8,16,32,64,128")
-    p.add_argument("--config", metavar="PATH")
-    p.add_argument("--probes", metavar="PATH")
+    _add_common(p)
     p.add_argument("--dim", type=int, default=32, help="embedding dim when --probes is omitted")
     p.add_argument("--tokens-per-frame", type=int, default=None)
     p.add_argument("--noise-sigma", type=float, default=0.25)
     p.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
-    p.add_argument("--report", metavar="PATH")
-    p.add_argument("--seed", type=_u64, default=0)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("hist", help="salience score distributions")

@@ -323,22 +323,22 @@ class MemorySnapshot:
 
     Beside the short tier it holds what freeze shares: the long and the
     mid table's columns and sizes as FrameTable.share gives them
-    (_columns, in ascending frame order), the memory's two FrameTables for
-    their caches (owners), the records of the memory's pages, whose rows
-    are never written again, and their live flags as they stood (alive[k]
-    for pages[k]). The read-only views of the tables' frames (tables,
-    (ints, floats) pairs) are made on first access, and the mid and long
-    entries are read from them on first access and kept, through an
-    owner's cache as _entries reads them; a query reads neither, as
-    score_candidates reads _columns. Every array a snapshot hands out is
-    read-only.
+    (_columns, in ascending frame order), the records of the memory's
+    pages, whose rows are never written again, and their live flags as
+    they stood (alive[k] for pages[k]); no table of the memory's. The
+    read-only views of the tables' frames (tables, (ints, floats) pairs)
+    are made on first access, and the mid and long entries are read from
+    them on first access and kept. A frame unchanged since the freeze
+    reads the entry its page keeps (_Page.entries), the memory's own; one
+    trimmed or moved since is built from the snapshot's flags. A query
+    reads neither, as score_candidates reads _columns. Every array a
+    snapshot hands out is read-only.
     """
 
     short: tuple[FrameEntry, ...]
     freeze_timestamp: float
     config: TierConfig
     _columns: tuple[tuple[np.ndarray, np.ndarray, int], ...] = field(repr=False, compare=False)
-    owners: tuple[FrameTable, FrameTable] = field(repr=False, compare=False)
     pages: tuple[_Page, ...] = field(repr=False, compare=False)
     alive: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
@@ -350,17 +350,18 @@ class MemorySnapshot:
                       for ints, floats, size in self._columns])
 
     @functools.cached_property
-    def _page_of(self) -> Callable:
-        """A page's record and live flags, by page id."""
-        return {page.id: (page, flags) for page, flags in zip(self.pages, self.alive)}.__getitem__
+    def _by_id(self) -> tuple[dict[int, _Page], dict[int, np.ndarray]]:
+        """The pages' records and their live flags as they stood, by page id."""
+        ids = [page.id for page in self.pages]
+        return dict(zip(ids, self.pages)), dict(zip(ids, self.alive))
 
     @functools.cached_property
     def long(self) -> tuple[FrameEntry, ...]:
-        return _entries(*self.tables[0], self._page_of, self.owners[0])
+        return _entries(*self.tables[0], *self._by_id)
 
     @functools.cached_property
     def mid(self) -> tuple[FrameEntry, ...]:
-        return _entries(*self.tables[1], self._page_of, self.owners[1])
+        return _entries(*self.tables[1], *self._by_id)
 
     def _key(self) -> tuple:
         return self.short, self.mid, self.long, self.freeze_timestamp, self.config
@@ -586,45 +587,41 @@ _ALONE = [object()]
 _TIER_NAMES = ("short", "mid", "long")
 
 
-def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: Callable,
-           cache: FrameTable | None) -> FrameEntry:
+def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: dict[int, _Page],
+           flags: dict[int, np.ndarray] | None = None) -> FrameEntry:
     """The entry of the frame at slot of a tier's ints and floats; pages
-    maps a page id to the page's record and live flags. cache is the
-    memory's table that holds these slots, or None: its entry is taken where
-    it was built for the frame's count, else the entry is built and, with a
-    cache, kept there. While all the rows of the frame's span are live, its
-    columns are views of the page's; else its live rows are gathered."""
-    entry = None if cache is None else cache.cached(slot)
-    if entry is None:
-        frame_index, count, page, start, span, boundary = ints[:, slot].tolist()
-        page, alive = pages(page)
-        columns = (page.rows, page.scores, page.grid_rows, page.grid_cols)
-        if count == span:
-            columns = [column[start:start + span] for column in columns]
-        else:
-            rows = start + alive[start:start + span].nonzero()[0]
-            columns = [column.take(rows, axis=0) for column in columns]
-        matrix, scores, rows, cols = map(seal, columns)
-        entry = FrameEntry._of(frame_index=frame_index, timestamp=floats.item(0, slot),
-                               scene_boundary=bool(boundary), token_matrix=matrix,
-                               scores=scores, rows=rows, cols=cols)
-        if cache is not None:
-            cache.keep(slot, entry)
+    maps a page id to its record, and flags, if given, to its live flags
+    as a snapshot keeps them (else the page's own are read). The entry the
+    page keeps for the frame is returned where it was built for the
+    frame's count; else one is built, and kept unless the kept one has a
+    lower count, a later state, which the memory reads next. While all
+    the rows of the frame's span are live, its columns are views of the
+    page's; else its live rows are gathered."""
+    frame_index, count, page_id, start, span, boundary = ints[:, slot].tolist()
+    page = pages[page_id]
+    kept = page.entries.get(start)
+    if kept is not None and kept[0] == count:
+        return kept[1]
+    columns = (page.rows, page.scores, page.grid_rows, page.grid_cols)
+    if count == span:
+        columns = [column[start:start + span] for column in columns]
+    else:
+        alive = page.alive if flags is None else flags[page_id]
+        rows = start + alive[start:start + span].nonzero()[0]
+        columns = [column.take(rows, axis=0) for column in columns]
+    matrix, scores, rows, cols = map(seal, columns)
+    entry = FrameEntry._of(frame_index=frame_index, timestamp=floats.item(0, slot),
+                           scene_boundary=bool(boundary), token_matrix=matrix,
+                           scores=scores, rows=rows, cols=cols)
+    if kept is None or count < kept[0]:
+        page.entries[start] = count, entry
     return entry
 
 
-def _entries(ints: np.ndarray, floats: np.ndarray, pages: Callable, owner: FrameTable
-             ) -> tuple[FrameEntry, ...]:
-    """Every entry of views of a tier's ints and floats, oldest first, read
-    through owner's cache as _entry reads one while the views' base is still
-    owner.ints; once owner has changed their frames, built anew."""
-    size = ints.shape[1]
-    if ints.base is not owner.ints:
-        return tuple([_entry(ints, floats, slot, pages, None) for slot in range(size)])
-    stale = owner.stale()
-    for slot in stale[stale < size].tolist():
-        _entry(ints, floats, slot, pages, owner)
-    return tuple(owner.cache[:size])
+def _entries(ints: np.ndarray, floats: np.ndarray, pages: dict[int, _Page],
+             flags: dict[int, np.ndarray] | None = None) -> tuple[FrameEntry, ...]:
+    """Every entry of a tier's ints and floats, oldest first, as _entry reads them."""
+    return tuple([_entry(ints, floats, slot, pages, flags) for slot in range(ints.shape[1])])
 
 
 class TieredMemory:
@@ -637,10 +634,12 @@ class TieredMemory:
     position and live flag, and each of the two tiers keeps a FrameTable
     that says where they lie. Forget trims a frame in place: it clears the
     live flags of its victims' rows and lowers the frame's count, so the
-    frame's tokens are the live rows of its span. An entry is built from
-    the rows when first read after a trim or a move, and kept in the
-    table's cache, which is the memory's alone; while all of a frame's
-    rows are live, its token_matrix is a read-only view of them.
+    frame's tokens are the live rows of its span. A frame's entry is kept
+    on the page that holds its rows (_Page.entries) from its push on, and
+    built from the rows when first read after a trim or a move; while all
+    of a frame's rows are live, its token_matrix is a read-only view of
+    them. As rows are never rewritten, that cache has nothing to
+    invalidate, and a snapshot shares it through the pages it holds.
     RowStore.compact changes only where rows lie: it moves the live rows
     of a crowded page. Once forget first ranks a tier, its table also
     keeps the tier's lowest tokens in eviction order (FrameTable.low),
@@ -757,18 +756,13 @@ class TieredMemory:
 
     def _tier(self, name: str) -> tuple[FrameEntry, ...]:
         table = self._tables[name]
-        return _entries(table.ints[:, :table.size], table.floats[:, :table.size], self._page, table)
-
-    def _page(self, page_id: int):
-        """A held page's record and its live flags."""
-        page = self._rows.page(page_id)
-        return page, page.alive
+        return _entries(table.ints[:, :table.size], table.floats[:, :table.size], self._rows.pages)
 
     def _push(self, name: str, entry: FrameEntry) -> None:
         """Append entry as the tier's newest frame. A mid or long frame's
         rows are held in the row store, with its scores and grid columns:
         the arrays the store's last alloc gave out are committed in place,
-        others are copied in."""
+        others are copied in. Its page keeps the entry."""
         if name == "short":
             self._short.append(entry)
         else:
@@ -776,8 +770,9 @@ class TieredMemory:
                                                grid_rows=entry.rows, grid_cols=entry.cols)
             if view is not entry.token_matrix:
                 entry = entry._with(token_matrix=view)
+            self._rows.pages[page].entries[start] = view.shape[0], entry
             self._tables[name].append(entry.frame_index, entry.scores, page, start,
-                                      entry.scene_boundary, entry.timestamp, entry)
+                                      entry.scene_boundary, entry.timestamp)
         self._tier_tokens[name] += entry.token_count
 
     def _pop_oldest(self, name: str) -> FrameEntry:
@@ -786,7 +781,7 @@ class TieredMemory:
             entry = self._short.pop(0)
         else:
             table = self._tables[name]
-            entry = _entry(table.ints, table.floats, 0, self._page, table)
+            entry = _entry(table.ints, table.floats, 0, self._rows.pages)
             self._rows.kill(table.ints.item(2, 0), entry.token_count)
             table.pop_oldest()
         self._tier_tokens[name] -= entry.token_count
@@ -930,9 +925,9 @@ class TieredMemory:
         `at` stamps the snapshot's freeze time; it defaults to the last
         ingest timestamp (0.0 for a never-written memory) and may not
         precede any ingested frame. The snapshot holds the frame tables'
-        columns and sizes, the tables, and the pages and live flags as they
-        stand, and makes no view and builds no entry; the memory writes to
-        copies of the columns and flags it changes later.
+        columns and sizes, and the pages and live flags as they stand, and
+        makes no view and builds no entry; the memory writes to copies of
+        the columns and flags it changes later.
         """
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0
@@ -954,7 +949,6 @@ class TieredMemory:
             config=self.config,
             # The long, then the mid table: ascending frame order.
             _columns=(long.share(), mid.share()),
-            owners=(long, mid),
             pages=pages,
             alive=alive,
         )

@@ -554,11 +554,17 @@ class _Page:
     rows, scores, grid_rows, grid_cols and alive are read-only views, made
     once, which snapshots hold; the RowStore writes through the writable
     arrays behind them (_rows, _scores, _grid_rows, _grid_cols, _alive).
+
+    entries maps a frame's first row to (count, entry), the entry kept for
+    the frame when it held count live rows here. Rows are never rewritten,
+    page ids never reused and a frame's count only falls, so page, first
+    row and count name one set of rows for good: nothing here is ever
+    invalidated, and a moved frame lies on another page.
     """
 
     __slots__ = ("id", "group", "rows", "scores", "grid_rows", "grid_cols", "alive",
                  "_rows", "_scores", "_grid_rows", "_grid_cols", "_alive",
-                 "used", "live")
+                 "used", "live", "entries")
 
     def __init__(self, page_id: int, group, rows: int, dim: int):
         self.id = page_id
@@ -572,6 +578,7 @@ class _Page:
                                                self._grid_rows, self._grid_cols))
         self._flags(np.zeros(rows, dtype=bool))
         self.used = self.live = 0
+        self.entries: dict[int, tuple[int, object]] = {}
 
     def _flags(self, alive: np.ndarray) -> None:
         """Write the live flags to alive from now on, and show them read-only."""
@@ -600,7 +607,7 @@ class RowStore:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._pages: dict[int, _Page] = {}
+        self.pages: dict[int, _Page] = {}  # the held pages by id; only the store writes it
         self._next_id = 0
         self._open: dict[object, _Page] = {}
         self._pending: tuple[_Page, np.ndarray] | None = None
@@ -655,8 +662,8 @@ class RowStore:
         page.used = start + n
         page.live += n
         self._used += n
-        if page.id not in self._pages:
-            self._pages[page.id] = page
+        if page.id not in self.pages:
+            self.pages[page.id] = page
             self._shared = None
         view.setflags(write=False)
         return view, page.id, start
@@ -668,7 +675,7 @@ class RowStore:
         from then on: a snapshot or an eviction report that holds the flags
         as they stood keeps them. The flags of a frame that leaves whole
         are left as they are, as no frame reads them again."""
-        page = self._pages[page_id]
+        page = self.pages[page_id]
         if rows is not None:
             page._flags(page._alive.copy())
             page._alive[rows] = False
@@ -676,7 +683,7 @@ class RowStore:
         page.live -= n
         self._dead += n
         if page.live == 0:
-            del self._pages[page_id]
+            del self.pages[page_id]
             self._shared = None
             if self._open.get(page.group) is page:
                 del self._open[page.group]
@@ -689,7 +696,7 @@ class RowStore:
         pages are dead. The page named is no longer open."""
         if self._dead <= COMPACT_DEAD_FRACTION * self._used:
             return None
-        page = max(self._pages.values(), key=lambda p: p.used - p.live)
+        page = max(self.pages.values(), key=lambda p: p.used - p.live)
         if self._open.get(page.group) is page:
             del self._open[page.group]
         return page.id, page.group
@@ -701,7 +708,7 @@ class RowStore:
         of rows of its group's open page with one gather, and release the
         page. Returns the new page id, the run's first row and the run as a
         read-only array."""
-        old = self._pages[page_id]
+        old = self.pages[page_id]
         offsets = np.cumsum(spans) - spans
         rows = np.repeat(starts - offsets, spans) + np.arange(int(spans.sum()))
         rows = rows[old.alive[rows]]
@@ -723,7 +730,7 @@ class RowStore:
         flags = {}
         for lo, hi in zip([0, *cuts], [*cuts, len(pages)]):
             page = pages.item(lo)
-            flags[page] = self._pages[page].alive
+            flags[page] = self.pages[page].alive
             self.kill(page, hi - lo, rows[lo:hi])
         return flags
 
@@ -738,11 +745,11 @@ class RowStore:
         index of every row of every span reads their live flags and then
         the live rows' scores."""
         if len(pages) == 1:
-            page, lo = self._pages[pages.item(0)], starts.item(0)
+            page, lo = self.pages[pages.item(0)], starts.item(0)
             live = page.alive[lo:lo + spans.item(0)].nonzero()[0]
             return page.scores[lo + live], live
         ids = np.unique(pages)
-        held = [self._pages[page] for page in ids.tolist()]
+        held = [self.pages[page] for page in ids.tolist()]
         sizes = np.array([len(page.scores) for page in held], dtype=np.int64)
         # Each frame's first row among the pages laid end to end, less its
         # first place among the spans laid end to end.
@@ -761,13 +768,13 @@ class RowStore:
             table = tables[group]
             slots = np.flatnonzero(table.page == page)
             counts = table.count[slots]
-            flags = self._pages[page].alive
+            flags = self.pages[page].alive
             new_page, start, _ = self.move(page, table.start[slots], table.span[slots])
             table.relocate(slots, new_page, np.cumsum(counts) - counts + start, flags)
 
     def page(self, page_id: int) -> _Page:
         """The held page with this id."""
-        return self._pages[page_id]
+        return self.pages[page_id]
 
     def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
         """The held pages and their live flags as they stand, for a snapshot
@@ -775,14 +782,14 @@ class RowStore:
         handed out is handed out again until a page is added or released or
         a page's flags are copied."""
         if self._shared is None:
-            pages = tuple(self._pages.values())
+            pages = tuple(self.pages.values())
             self._shared = pages, tuple([page.alive for page in pages])
         return self._shared
 
     def page_usage(self) -> list[tuple[int, object, int, int, int]]:
         """(id, group, rows, used, live) of each held page, in id order."""
         return [(p.id, p.group, p.rows.shape[0], p.used, p.live)
-                for _, p in sorted(self._pages.items())]
+                for _, p in sorted(self.pages.items())]
 
 
 # A FrameTable's low band ranks at least this fraction of its frames' live
@@ -797,16 +804,9 @@ class FrameTable:
     scene_boundary; the one row of floats is timestamp. Frame i's count
     tokens are the live rows of [start, start + span) of its page, in row
     order; the timestamp and scene-boundary flag are kept for the frame's
-    entry.
-
-    Beside the columns, cache holds what was last built for each frame,
-    and built the frame's count when it was built: cached(slot) gives it
-    only while the count is still the table's. A trim lowers the count and
-    leaves the cache as it is: the next read of the frame replaces the
-    stale entry. A snapshot that read the entry may hold it too; kept in
-    the cache, the entry is released by that read, not when the snapshot
-    is, which may be inside the caller's next query. A move clears the
-    frame's slot.
+    entry. The entries built for the frames are kept on their pages
+    (_Page.entries), not here, so no change to the table leaves one to
+    drop.
 
     low, once lowest() has built it, is the low band: every live token of
     the frames whose score is at most cut, as a (scores, keys) pair, keys'
@@ -825,19 +825,15 @@ class FrameTable:
     snapshot to make read-only views of the first size frames when it
     reads them; the next change to those frames first copies the columns
     (_own). Appending writes past those frames, and growing copies the
-    columns into arrays no view holds. The cache and the band are this
-    table's alone: a snapshot reads the cache only while its views' base
-    is still ints.
+    columns into arrays no view holds. The band is this table's alone.
     """
 
-    __slots__ = ("size", "ints", "floats", "cache", "built", "_shared", "low", "cut", "room")
+    __slots__ = ("size", "ints", "floats", "_shared", "low", "cut", "room")
 
     def __init__(self):
         self.size = 0
         self.ints = np.empty((6, 64), dtype=np.int64)
         self.floats = np.empty((1, 64))
-        self.cache: list = []
-        self.built = np.empty(64, dtype=np.int64)
         self._shared = False
         self.low: tuple[np.ndarray, np.ndarray] | None = None
         self.cut = 0.0
@@ -863,39 +859,24 @@ class FrameTable:
             self.ints, self.floats = self.ints.copy(), self.floats.copy()
             self._shared = False
 
-    def cached(self, slot: int):
-        """What was built for the frame at slot as this table holds it, or None."""
-        return self.cache[slot] if self.built[slot] == self.ints[1, slot] else None
-
-    def keep(self, slot: int, built) -> None:
-        """Cache what was built for the frame at slot as this table holds it."""
-        self.cache[slot] = built
-        self.built[slot] = self.ints[1, slot]
-
-    def stale(self) -> np.ndarray:
-        """The slots whose cache entry is missing or was built for another count."""
-        return (self.built[:self.size] != self.count).nonzero()[0]
-
     def append(self, frame_index: int, scores: np.ndarray, page: int, start: int,
-               scene_boundary: bool, timestamp: float, built) -> None:
+               scene_boundary: bool, timestamp: float) -> None:
         """Add the newest frame, its tokens' scores all live from start in
-        the page, with what was built for it, past the frames a view shows.
+        the page, past the frames a view shows.
         A band gains the frame's tokens at or below its cut: one comparison
         when the frame's lowest score lies above it."""
         slot = self.size
         if slot == self.ints.shape[1]:
             self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
             self.floats = np.concatenate((self.floats, np.empty_like(self.floats)), axis=1)
-            self.built = np.concatenate((self.built, np.empty_like(self.built)))
             self._shared = False
         ints = self.ints
         ints[0, slot] = frame_index
-        ints[1, slot] = ints[4, slot] = self.built[slot] = len(scores)
+        ints[1, slot] = ints[4, slot] = len(scores)
         ints[2, slot] = page
         ints[3, slot] = start
         ints[5, slot] = scene_boundary
         self.floats[0, slot] = timestamp
-        self.cache.append(built)
         self.size += 1
         if self.low is not None and np.minimum.reduce(scores) <= self.cut:
             low = (scores <= self.cut).nonzero()[0]
@@ -943,7 +924,6 @@ class FrameTable:
     def clear(self) -> None:
         """Delete every frame."""
         self._own()
-        self.cache = []
         self.size = 0
         self.low = None
 
@@ -957,8 +937,6 @@ class FrameTable:
         last = self.size - 1
         self.ints[:, :last] = self.ints[:, 1:last + 1]
         self.floats[:, :last] = self.floats[:, 1:last + 1]
-        self.built[:last] = self.built[1:last + 1]
-        del self.cache[0]
         self.size = last
 
     def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray,
@@ -980,9 +958,6 @@ class FrameTable:
         self.ints[2, slots] = page
         self.ints[3, slots] = starts
         self.ints[4, slots] = self.ints[1, slots]
-        self.built[slots] = -1
-        for slot in slots.tolist():
-            self.cache[slot] = None
         if len(moved):
             keys[1, moved] = page
             keys[2, moved] = self.ints[3, at] + offsets
@@ -999,9 +974,6 @@ class FrameTable:
             self.size = int(np.count_nonzero(keep))
             self.ints[:, :self.size] = self.ints[:, :size].compress(keep, axis=1)
             self.floats[:, :self.size] = self.floats[:, :size].compress(keep, axis=1)
-            self.built[:self.size] = self.built[:size].compress(keep)
-            for slot in reversed((~keep).nonzero()[0].tolist()):
-                del self.cache[slot]
 
 
 def segment_means(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -602,3 +602,104 @@ def test_cli_refuses_unreadable_json_naming_the_file(workspace, tmp_path, capsys
     want = {"unknown": "unknown fields ['bogus']",
             "bad_field": "short_cap_frames must be an integer, got 'x'"}.get(content, "invalid JSON")
     assert lines[0].endswith(f"{where} {want}"), err
+
+
+@pytest.mark.parametrize("kind", ["spec", "query", "probe"])
+def test_an_integral_float_loads_where_the_spec_query_and_probe_formats_read_an_integer(
+        workspace, tmp_path, capsys, kind):
+    # README: the spec, query and probe formats take an integral float such
+    # as 2.0 for an integer. Each loads it as the integer, and the run's
+    # report is the report of the integer.
+    _, spec_path, queries_path, _ = workspace
+    spec_doc = json.loads(spec_path.read_text())
+    query_doc = json.loads(queries_path.read_text().splitlines()[0])
+    probe_doc = {"dim": 16, "probes": [{"label": "p", "vector": [1.0] + [0.0] * 15}]}
+    doc, field, value = {"spec": (spec_doc, "frames", 12), "query": (query_doc, "top_k", 5),
+                         "probe": (probe_doc, "dim", 16)}[kind]
+    reports = []
+    for number in (value, float(value)):
+        path = tmp_path / f"{kind}-{type(number).__name__}.json"
+        path.write_text(json.dumps({**doc, field: number}))
+        source = ["--synth-spec", str(path if kind == "spec" else spec_path)]
+        argv = {"spec": ["ingest", *source],
+                "query": ["replay", *source, "--queries", str(path)],
+                "probe": ["ingest", *source, "--probes", str(path)]}[kind]
+        report = tmp_path / f"report-{type(number).__name__}.json"
+        assert main(argv + ["--report", str(report)]) == 0
+        loaded = {"spec": lambda: load_stream_spec(path).frames,
+                  "query": lambda: load_queries_jsonl(path)[0].top_k,
+                  "probe": lambda: ProbeBank.from_file(path).dim}[kind]()
+        assert type(loaded) is int and loaded == value
+        doc_out = json.loads(report.read_text())
+        doc_out.pop("timings")
+        doc_out.pop("inputs")
+        reports.append(doc_out)
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
+def _refused(argv, capsys, message):
+    """Run argv and check it exits 1 with one error line, holding message,
+    and no traceback."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert "Traceback" not in err and len(lines) == 1, err
+    assert message in lines[0], err
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("config float", "mid_cap_frames must be an integer, got 16.0"),
+     ("config array", "expected a JSON object"),
+     ("spec array", "expected a JSON object"),
+     ("probe array", "expected a JSON object"),
+     ("query array", ":1: expected a JSON object"),
+     ("truth not a list", ":1: ground_truth_frames must be a list"),
+     ("arrival past float64", ":1: arrival_time must be a finite real number"),
+     ("negative segment seed", "segment direction seeds must be non-negative"),
+     ("negative event seed", "event seeds must be non-negative"),
+     ("seed x", "argument --seed: 'x' is not an integer"),
+     ("seed 2**64", "argument --seed: seed must fit in an unsigned 64-bit integer")],
+)
+def test_documented_input_rules_exit_1_with_one_error_line(workspace, tmp_path, capsys, case,
+                                                           message):
+    _, spec_path, queries_path, _ = workspace
+    spec_doc = json.loads(spec_path.read_text())
+    query_doc = json.loads(queries_path.read_text().splitlines()[0])
+    path = tmp_path / "input.json"
+    source = ["--synth-spec", str(spec_path)]
+    kind, _, what = case.partition(" ")
+    if kind in ("config", "spec", "probe", "query"):
+        path.write_text('{"mid_cap_frames": 16.0}' if what == "float" else "[1, 2]")
+        argv = {"config": ["ingest", *source, "--config", str(path)],
+                "spec": ["ingest", "--synth-spec", str(path)],
+                "probe": ["ingest", *source, "--probes", str(path)],
+                "query": ["replay", *source, "--queries", str(path)]}[kind]
+    elif kind in ("truth", "arrival"):
+        # 10**400 is read as an int, which no float64 holds.
+        arrival = "1" + "0" * 400 if kind == "arrival" else "19.0"
+        truth = ', "ground_truth_frames": 3' if kind == "truth" else ""
+        tokens = json.dumps(query_doc["tokens"])
+        path.write_text(f'{{"arrival_time": {arrival}, "tokens": {tokens}{truth}}}')
+        argv = ["replay", *source, "--queries", str(path)]
+    elif kind == "negative":
+        key = "segments" if what.startswith("segment") else "events"
+        value = [[0, 20, -1]] if key == "segments" else [[5, -1, 1.0]]
+        path.write_text(json.dumps({**spec_doc, key: value}))
+        argv = ["ingest", "--synth-spec", str(path)]
+    else:
+        argv = ["ingest", *source, "--seed", "x" if what == "x" else str(2**64)]
+    _refused(argv, capsys, message)
+
+
+def test_ingest_of_an_all_empty_trace_without_probes_exits_1(tmp_path, capsys):
+    # No token gives the bank a dimension, and the trace's header dim is not
+    # read as one.
+    trace = tmp_path / "empty.trace"
+    empty = RawFrame(0, 0.0, vectors=np.zeros((0, 8), dtype=np.float32), rows=[], cols=[])
+    write_trace(str(trace), [empty, RawFrame(1, 1.0, vectors=np.zeros((0, 8), dtype=np.float32),
+                                             rows=[], cols=[])], dim=8)
+    _refused(["ingest", "--trace", str(trace)], capsys,
+             "error: cannot infer the embedding dimension; pass --probes")

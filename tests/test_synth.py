@@ -325,3 +325,10 @@ def test_tokens_are_unit_norm_float32():
         assert f.vectors.dtype == np.float32
         for vector in f.vectors:
             assert math.isclose(float(np.linalg.norm(vector.astype(np.float64))), 1.0, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize("kwargs, message", [({"jitter": -0.1}, "jitter must be >= 0"),
+                                             ({"n_tokens": 0}, "n_tokens must be >= 1")])
+def test_query_for_event_refuses_negative_jitter_and_no_tokens(kwargs, message):
+    with pytest.raises(SpecError, match=message):
+        query_for_event(spec(events=((2, 1, 1.0),)), 0, **kwargs)

@@ -2064,42 +2064,114 @@ def test_snapshot_stays_valid_after_thaw_and_later_ingest(monkeypatch):
     assert seen == {"page of its own", "trimmed in place", "compacted", "released"}
 
 
-def test_snapshot_read_after_its_columns_went_stale_leaves_the_memory_cache_alone(monkeypatch):
-    # While the memory holds a snapshot's columns, the snapshot reads the
-    # memory's entries. Once trims, demotions and compaction have changed
-    # them, it builds its own, and the memory's tiers still read the same
-    # entry objects as before.
+def test_snapshot_held_across_later_ingests_reads_the_entries_of_unchanged_frames(monkeypatch):
+    # A frame's entry is kept on the page that holds its rows, for its
+    # first row and count, so a snapshot held across trims, demotions and
+    # compaction reads the memory's own entry object for every frame still
+    # where it was, with the count it had, at the freeze. It builds entries
+    # only for frames trimmed or moved since, and the memory's tiers then
+    # read the same entry objects as before the snapshot's read.
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
     moves = []
     real_move = RowStore.move
     monkeypatch.setattr(RowStore, "move", lambda store, *args: moves.append(args) or real_move(store, *args))
     seen = set()
-    for seed in range(6):
+    for seed in range(12):
         rng = np.random.default_rng([seed, 131])
         cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
                          token_budget=60, keep_fraction=0.75, long_quota_per_frame=6)
         mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
         ts = ingest_random(mem, rng, 20, 6, 0)
         snap = mem.freeze()
-        assert all(ints.base is owner.ints for (ints, _), owner in zip(snap.tables, snap.owners))
+        held = {frame: where for frame, *where in frame_table(snap)[:4].T.tolist()}
+        mid = set(snap.tables[1][0][0].tolist())
         mem.thaw()
         moved = len(moves)
-        for _ in range(20):
+        for _ in range(int(rng.integers(1, 8))):
             ts = ingest_random(mem, rng, 1, 6, ts)
             later = mem.freeze()
             mem.thaw()
-            assert all(a is b for a, b in zip(later.long + later.mid, mem.long + mem.mid))
             if trimmed_in_place(snap, later):
                 seen.add("trimmed")
+            if mid & {e.frame_index for e in later.long}:
+                seen.add("demoted")
         if len(moves) > moved:
             seen.add("compacted")
-        assert not any(ints.base is owner.ints for (ints, _), owner in zip(snap.tables, snap.owners))
-        before = mem.long + mem.mid
+        now = {frame: where for frame, *where in frame_table(mem.freeze())[:4].T.tolist()}
+        mem.thaw()
+        before = {e.frame_index: e for e in mem.long + mem.mid}
         read = snap.long + snap.mid
-        assert read and not {id(e) for e in read} & {id(e) for e in before}
+        for entry in read:
+            frame = entry.frame_index
+            if now.get(frame) == held[frame]:
+                seen.add("unchanged")
+                assert entry is before[frame]
+            elif entry is not before.get(frame):
+                seen.add("built")
         after = mem.long + mem.mid
-        assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
-    assert seen == {"trimmed", "compacted"}
+        assert len(after) == len(before) and all(a is before[a.frame_index] for a in after)
+    assert seen == {"trimmed", "demoted", "compacted", "unchanged", "built"}
+
+
+def test_tiers_read_back_the_entries_their_pushes_kept(monkeypatch):
+    # A push keeps the entry it was given on the frame's page, so while no
+    # frame is trimmed or moved, reading the tiers, or a snapshot's, builds
+    # no entry and hands out the pushed objects.
+    cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                     token_budget=10_000)
+    mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=3))
+    ingest_random(mem, np.random.default_rng(7), 20, 6, 0)
+    snap = mem.freeze()
+
+    def refused(cls, **values):
+        raise AssertionError("a read built an entry")
+
+    monkeypatch.setattr(FrameEntry, "_of", classmethod(refused))
+    held = mem.long + mem.mid
+    assert len(mem.mid) == 3 and len(held) == 18
+    assert all(a is b for a, b in zip(snap.long + snap.mid, held, strict=True))
+
+
+def test_entry_kept_on_a_page_goes_with_the_page(monkeypatch):
+    # The entry read for a trimmed long frame, a gather of its live rows,
+    # is kept on its page; once compaction has moved the frame out and
+    # released the page, the entry is freed, unless a snapshot still holds
+    # the page, and then with the snapshot.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moved = []
+    real_move = RowStore.move
+    monkeypatch.setattr(RowStore, "move", lambda store, page, *args: moved.append(page) or real_move(store, page, *args))
+    seen = set()
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 191])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=20,
+                         token_budget=60, keep_fraction=0.75, long_quota_per_frame=6)
+        mem = new_memory(cfg, ProbeBank.generated(6, n=3, seed=seed))
+        ts = ingest_random(mem, rng, 12, 6, 0)
+        table = mem._tables["long"]
+        for _ in range(100):
+            if (table.count < table.span).any():  # a long frame trimmed in place
+                break
+            ts = ingest_random(mem, rng, 1, 6, ts)
+        slot = int((table.count < table.span).nonzero()[0][0])
+        frame, page, start = table.ints[[0, 2, 3], slot].tolist()
+        entry = next(e for e in mem.long if e.frame_index == frame)
+        assert mem.row_store.pages[page].entries[start][1] is entry
+        gone = weakref.ref(entry)
+        del entry
+        snap = mem.freeze() if seed % 2 else None
+        mem.thaw()
+        for _ in range(60):
+            if page not in mem.row_store.pages:
+                break
+            assert gone() is not None
+            ts = ingest_random(mem, rng, 1, 6, ts)
+        if page in moved:  # compaction released the page
+            seen.add("held by a snapshot" if snap is not None else "released")
+            assert (gone() is None) == (snap is None)
+            del snap
+            assert gone() is None
+    assert seen == {"held by a snapshot", "released"}
 
 
 def test_snapshot_table_views_are_read_only_and_keep_their_frames(monkeypatch):

@@ -488,3 +488,10 @@ def test_writer_round_trips_every_wire_index_and_never_leaks_struct_errors():
     for bad in (1.5, last + 1, True):
         with pytest.raises(ValidationError):
             write_bytes([frame(bad, 0.0, [token([1.0])])])
+
+
+def test_write_trace_refuses_a_dim_that_is_not_positive():
+    with pytest.raises(ValidationError, match="dim must be positive, got 0"):
+        write_bytes([], dim=0)
+    with pytest.raises(ValidationError, match="dim must be positive, got 0"):
+        write_bytes([frame(0, 0.0, [])], dim=0)

@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -1277,63 +1276,48 @@ def test_generated_bank_deterministic():
     assert len(ProbeBank.generated(8, n=3, seed=0)) == 3
 
 
-class _Built:
-    """A stand-in for what a table builds for a frame."""
-
-
 @pytest.mark.parametrize("unshare", ["clear", "pop_oldest", "relocate", "trim"])
 def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
     # share() hands out the columns and the size, of which a snapshot makes
     # views when it reads them, here only after the next append. Appending
     # writes past the frames they show, so their base is still the table's
-    # ints and a snapshot may read the table's cache. Each change below
-    # writes to frames the views show, so the table first copies its
-    # columns: the views keep their frames, and their base is no longer the
-    # table's. The cache is the table's alone: what it appended after the
-    # share, or dropped, is freed with its change, not later with the
-    # snapshot. A trim leaves a stale entry in the cache.
+    # ints. Each change below writes to frames the views show, so the table
+    # first copies its columns: the views keep their frames and show none
+    # of what was appended since the share, and the table holds the change.
     table = FrameTable()
-    first, later = _Built(), _Built()
-    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0, first)
+    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0)
     ints, floats, size = table.share()
     assert ints is table.ints and floats is table.floats and size == 1
-    table.append(1, np.full(4, 0.2), 0, 4, False, 1.0, later)
+    table.append(1, np.full(4, 0.2), 0, 4, False, 1.0)
     ints, floats = ints[:, :size], floats[:, :size]
-    assert ints.base is table.ints and table.cached(0) is first
+    assert ints.base is table.ints
     if unshare == "clear":
         table.clear()
+        assert table.size == 0
     elif unshare == "pop_oldest":
         table.pop_oldest()
+        assert table.ints[0, :table.size].tolist() == [1]
     elif unshare == "relocate":
         table.relocate(np.array([0, 1]), 1, np.array([0, 4]), np.ones(8, dtype=bool))
+        assert table.page.tolist() == [1, 1] and table.start.tolist() == [0, 4]
     else:
         table.trim(np.array([2, 4]))
-        assert table.cache == [first] and table.cached(0) is None
-        assert table.stale().tolist() == [0]
+        assert table.count.tolist() == [2]
     assert ints.base is not table.ints
     assert ints[:5].T.tolist() == [[0, 4, 0, 0, 4]]
     assert floats.tolist() == [[0.0]]
-    gone = weakref.ref(later)
-    del later
-    assert (gone() is None) == (unshare != "pop_oldest")  # the table keeps it there
-    gone = weakref.ref(first)
-    del first
-    assert (gone() is None) == (unshare in ("clear", "pop_oldest", "relocate"))
 
 
-def test_empty_frame_table_is_shared_without_its_cache():
+def test_empty_frame_table_is_shared_and_written_in_place():
     # A table shared empty shows none of its frames: it keeps writing its
-    # columns in place, and what it appends and then clears is freed by
-    # the clear.
+    # columns in place, through an append and a clear.
     table = FrameTable()
     columns = table.ints
     ints, floats, size = table.share()
-    built = _Built()
-    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0, built)
-    gone = weakref.ref(built)
-    del built
+    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0)
+    assert table.ints is columns
     table.clear()
-    assert gone() is None and table.ints is columns
+    assert table.ints is columns and table.size == 0
     assert ints is columns and size == 0
 
 
@@ -1342,10 +1326,10 @@ def test_frame_table_grown_past_a_share_writes_in_place():
     # trim writes them in place; the views keep the frames they showed.
     table = FrameTable()
     for k in range(64):
-        table.append(k, np.full(4, 0.1), 0, 4 * k, False, float(k), None)
+        table.append(k, np.full(4, 0.1), 0, 4 * k, False, float(k))
     ints, _, size = table.share()
     ints = ints[:, :size]
-    table.append(64, np.full(4, 0.1), 1, 0, False, 64.0, None)
+    table.append(64, np.full(4, 0.1), 1, 0, False, 64.0)
     grown = table.ints
     assert ints.base is not grown
     table.trim(np.array([2] + [0] * 64))
