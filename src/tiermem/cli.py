@@ -49,6 +49,10 @@ def _add_common(parser: argparse.ArgumentParser, queries: bool = False) -> None:
     parser.add_argument("--probes", metavar="PATH", help="probe bank JSON (default: generated)")
     if queries:
         parser.add_argument("--queries", metavar="PATH", required=True, help="JSONL query file")
+    _add_report_and_seed(parser)
+
+
+def _add_report_and_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
     parser.add_argument("--seed", type=_u64, default=0, help="seed for generated inputs")
 
@@ -226,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", metavar="PATH", required=True)
     p.add_argument("--exclude-recent", type=int, default=0, metavar="N",
                    help="drop the N newest visible frames per query")
-    p.add_argument("--report", metavar="PATH")
-    p.add_argument("--seed", type=_u64, default=0)
+    _add_report_and_seed(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("sweep", help="token growth across stream lengths")

@@ -6,6 +6,7 @@ integers, reals, arrays of reals, and the JSON formats' integer fields."""
 import json
 import math
 import operator
+import reprlib
 
 import numpy as np
 
@@ -126,7 +127,7 @@ def json_int(value, what: str) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
 def checked_int(value, what: str) -> int:
@@ -137,7 +138,7 @@ def checked_int(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
 # The real types checked_real takes. A concrete tuple, as an isinstance
@@ -155,7 +156,7 @@ def checked_real(value, what: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+    raise ValidationError(f"{what} must be a finite real number, got {reprlib.repr(value)}")
 
 
 def checked_reals(values, what: str) -> np.ndarray:

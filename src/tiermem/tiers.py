@@ -322,10 +322,10 @@ class MemorySnapshot:
     TieredMemory.freeze makes one.
 
     Beside the short tier it holds what freeze shares: the long and the
-    mid table's columns and sizes as FrameTable.share gives them
-    (_columns, in ascending frame order), the records of the memory's
-    pages, whose rows are never written again, and their live flags as
-    they stood (alive[k] for pages[k]); no table of the memory's. The
+    mid table's columns and sizes (_columns, in ascending frame order) and
+    the records of the memory's pages, none of whose frames or rows is
+    written again, and the pages' live flags as they stood (alive[k] for
+    pages[k]); no table of the memory's. The
     read-only views of the tables' frames (tables, (ints, floats) pairs)
     are made on first access, and the mid and long entries are read from
     them on first access and kept. A frame unchanged since the freeze
@@ -643,8 +643,8 @@ class TieredMemory:
     RowStore.compact changes only where rows lie: it moves the live rows
     of a crowded page. Once forget first ranks a tier, its table also
     keeps the tier's lowest tokens in eviction order (FrameTable.low),
-    which pushes, demotions and moves keep up to date, and a whole-tier
-    drop discards.
+    which pushes and demotions keep up to date, and a move or a
+    whole-tier drop discards.
 
     The memory also owns two kinds of ingest buffers, which grow to the
     frames seen and are then reused: two float32 casts for the screen
@@ -926,8 +926,8 @@ class TieredMemory:
         ingest timestamp (0.0 for a never-written memory) and may not
         precede any ingested frame. The snapshot holds the frame tables'
         columns and sizes, and the pages and live flags as they stand, and
-        makes no view and builds no entry; the memory writes to copies of
-        the columns and flags it changes later.
+        makes no view and builds no entry; no table writes those frames
+        again, and the memory writes to copies of the flags it changes later.
         """
         if at is None:
             freeze_ts = self._last_timestamp if self._last_timestamp is not None else 0.0
@@ -948,7 +948,7 @@ class TieredMemory:
             freeze_timestamp=freeze_ts,
             config=self.config,
             # The long, then the mid table: ascending frame order.
-            _columns=(long.share(), mid.share()),
+            _columns=((long.ints, long.floats, long.size), (mid.ints, mid.floats, mid.size)),
             pages=pages,
             alive=alive,
         )

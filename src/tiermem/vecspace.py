@@ -762,19 +762,15 @@ class RowStore:
     def compact(self, tables: dict) -> None:
         """Move the live rows of each crowded page's frames, with one
         gather, into its group's open page, and release it; tables maps
-        each group to its FrameTable. Only where the rows lie changes."""
+        each group to its FrameTable. Only where the rows lie changes, and
+        the group's table drops its low band (FrameTable.relocate)."""
         while (crowded := self.crowded()) is not None:
             page, group = crowded
             table = tables[group]
             slots = np.flatnonzero(table.page == page)
             counts = table.count[slots]
-            flags = self.pages[page].alive
             new_page, start, _ = self.move(page, table.start[slots], table.span[slots])
-            table.relocate(slots, new_page, np.cumsum(counts) - counts + start, flags)
-
-    def page(self, page_id: int) -> _Page:
-        """The held page with this id."""
-        return self.pages[page_id]
+            table.relocate(slots, new_page, np.cumsum(counts) - counts + start)
 
     def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
         """The held pages and their live flags as they stand, for a snapshot
@@ -808,6 +804,12 @@ class FrameTable:
     (_Page.entries), not here, so no change to the table leaves one to
     drop.
 
+    A frame's columns, once written, are never written again, as a
+    RowStore's rows are not: append writes past the frames a snapshot
+    holds, pop_oldest and clear advance ints and floats past the frames
+    they drop, copying nothing, and trim, relocate and growth write new
+    arrays (_hold). So a snapshot keeps ints, floats and size as they stand.
+
     low, once lowest() has built it, is the low band: every live token of
     the frames whose score is at most cut, as a (scores, keys) pair, keys'
     rows being frame index, page and row, in (score, frame index, row)
@@ -815,26 +817,17 @@ class FrameTable:
     forget's order: lowest score, then the older frame, then the lower
     position. Each change to the frames keeps it so: append adds the new
     frame's tokens at or below cut, pop_oldest drops the oldest frame's,
-    relocate remaps the rows of the frames it moves, lowest() takes its
-    head, which the band never writes again, and clear drops the band. The
-    band is bounded: an append that takes it past room, twice its size
+    lowest() takes its head, which the band never writes again, and clear
+    and relocate drop the band, which the next ranked forget builds again.
+    The band is bounded: an append that takes it past room, twice its size
     when it was built, lowers cut to the score at that size and drops the
     tokens above it.
-
-    share() hands out the columns and the size as they stand, for a
-    snapshot to make read-only views of the first size frames when it
-    reads them; the next change to those frames first copies the columns
-    (_own). Appending writes past those frames, and growing copies the
-    columns into arrays no view holds. The band is this table's alone.
     """
 
-    __slots__ = ("size", "ints", "floats", "_shared", "low", "cut", "room")
+    __slots__ = ("size", "ints", "floats", "low", "cut", "room")
 
     def __init__(self):
-        self.size = 0
-        self.ints = np.empty((6, 64), dtype=np.int64)
-        self.floats = np.empty((1, 64))
-        self._shared = False
+        self._hold(np.empty((6, 0), dtype=np.int64), np.empty((1, 0)))
         self.low: tuple[np.ndarray, np.ndarray] | None = None
         self.cut = 0.0
         self.room = 0
@@ -844,32 +837,25 @@ class FrameTable:
     start = property(lambda self: self.ints[3, :self.size])
     span = property(lambda self: self.ints[4, :self.size])
 
-    def share(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The frames' ints and floats and their number as they stand, for
-        a snapshot to keep: the table writes no frame below that number in
-        them again. A table with no frame shares none: it goes on writing
-        in place, so a clear after each freeze makes no arrays."""
-        if self.size:
-            self._shared = True
-        return self.ints, self.floats, self.size
-
-    def _own(self) -> None:
-        """Before a change to the columns: stop writing to columns a snapshot keeps."""
-        if self._shared:
-            self.ints, self.floats = self.ints.copy(), self.floats.copy()
-            self._shared = False
+    def _hold(self, ints: np.ndarray, floats: np.ndarray) -> None:
+        """Hold ints and floats as the frames' columns from now on, written
+        into new arrays with room for as many frames again, and 64 at least."""
+        self.size = size = ints.shape[1]
+        room = max(64, 2 * size)
+        self.ints = np.empty((6, room), dtype=np.int64)
+        self.floats = np.empty((1, room))
+        self.ints[:, :size] = ints
+        self.floats[:, :size] = floats
 
     def append(self, frame_index: int, scores: np.ndarray, page: int, start: int,
                scene_boundary: bool, timestamp: float) -> None:
         """Add the newest frame, its tokens' scores all live from start in
-        the page, past the frames a view shows.
+        the page, past the frames a snapshot holds.
         A band gains the frame's tokens at or below its cut: one comparison
         when the frame's lowest score lies above it."""
         slot = self.size
         if slot == self.ints.shape[1]:
-            self.ints = np.concatenate((self.ints, np.empty_like(self.ints)), axis=1)
-            self.floats = np.concatenate((self.floats, np.empty_like(self.floats)), axis=1)
-            self._shared = False
+            self._hold(self.ints, self.floats)
         ints = self.ints
         ints[0, slot] = frame_index
         ints[1, slot] = ints[4, slot] = len(scores)
@@ -923,57 +909,39 @@ class FrameTable:
 
     def clear(self) -> None:
         """Delete every frame."""
-        self._own()
+        self.ints, self.floats = self.ints[:, self.size:], self.floats[:, self.size:]
         self.size = 0
         self.low = None
 
     def pop_oldest(self) -> None:
         """Drop the oldest frame."""
-        self._own()
         if self.low is not None:
             stays = self.low[1][0] != self.ints[0, 0]
             if not stays.all():
                 self.low = self.low[0].compress(stays), self.low[1].compress(stays, axis=1)
-        last = self.size - 1
-        self.ints[:, :last] = self.ints[:, 1:last + 1]
-        self.floats[:, :last] = self.floats[:, 1:last + 1]
-        self.size = last
+        self.ints, self.floats = self.ints[:, 1:], self.floats[:, 1:]
+        self.size -= 1
 
-    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray,
-                 flags: np.ndarray) -> None:
+    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
         """The frames at slots, every frame of one page, now lie from starts
-        in the page, all their rows live. flags, the old page's live flags
-        as they stood, place the band's tokens of those frames: a token's
-        new row is its frame's new start plus the live rows before it in
-        its frame."""
-        self._own()
-        moved = ()
-        if self.low is not None:
-            keys = self.low[1]
-            moved = (keys[1] == self.ints[2, slots[0]]).nonzero()[0]
-        if len(moved):
-            at = np.searchsorted(self.ints[0, :self.size], keys[0, moved])
-            before = np.cumsum(flags) - flags  # live rows before each row of the old page
-            offsets = before[keys[2, moved]] - before[self.ints[3, at]]
+        in the page, all their rows live. The band, whose keys name the
+        rows the frames left, is dropped."""
+        self._hold(self.ints[:, :self.size], self.floats[:, :self.size])
         self.ints[2, slots] = page
         self.ints[3, slots] = starts
         self.ints[4, slots] = self.ints[1, slots]
-        if len(moved):
-            keys[1, moved] = page
-            keys[2, moved] = self.ints[3, at] + offsets
+        self.low = None
 
     def trim(self, lost: np.ndarray) -> None:
         """Frame i loses lost[i] of its tokens, for each of the size
         frames; the emptied ones are deleted in one compress."""
-        self._own()
-        size = self.size
-        count = self.ints[1, :size]
-        count -= lost
+        ints, floats = self.ints[:, :self.size], self.floats[:, :self.size]
+        count = ints[1] - lost
         if not count.all():
             keep = count > 0
-            self.size = int(np.count_nonzero(keep))
-            self.ints[:, :self.size] = self.ints[:, :size].compress(keep, axis=1)
-            self.floats[:, :self.size] = self.floats[:, :size].compress(keep, axis=1)
+            ints, floats, count = ints[:, keep], floats[:, keep], count[keep]
+        self._hold(ints, floats)
+        self.ints[1, :self.size] = count
 
 
 def segment_means(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:

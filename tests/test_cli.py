@@ -1,5 +1,6 @@
 """CLI tests: subcommand wiring, exit codes, artifact outputs."""
 
+import argparse
 import json
 import struct
 import warnings
@@ -15,7 +16,7 @@ from tiermem.bench import (
     run_oracle,
     run_query_replay,
 )
-from tiermem.cli import main
+from tiermem.cli import build_parser, main
 from tiermem.retrieval import load_queries_jsonl, retrieve
 from tiermem.synth import event_direction, generate_stream, load_stream_spec
 from tiermem.tiers import FrameEntry, TierConfig, TokenRecord, new_memory
@@ -251,6 +252,19 @@ def test_oracle_subcommand(workspace, capsys):
     assert doc["kind"] == "oracle"
     assert doc["rows"][0]["top_k"][0] == 5
     assert doc["summary"]["exclude_most_recent"] == 2
+
+
+def test_oracle_and_ingest_take_the_same_report_and_seed_arguments():
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+
+    def report_and_seed(name):
+        return {action.dest: (action.help, action.type, action.default, action.metavar)
+                for action in subcommands[name]._actions if action.dest in ("report", "seed")}
+
+    assert report_and_seed("oracle") == report_and_seed("ingest")
+    assert sorted(report_and_seed("oracle")) == ["report", "seed"]
+    assert all(help for help, *_ in report_and_seed("oracle").values())
 
 
 def test_sweep_subcommand_writes_csv(workspace, capsys):
@@ -692,6 +706,20 @@ def test_documented_input_rules_exit_1_with_one_error_line(workspace, tmp_path, 
     else:
         argv = ["ingest", *source, "--seed", "x" if what == "x" else str(2**64)]
     _refused(argv, capsys, message)
+
+
+def test_a_401_digit_arrival_time_is_quoted_in_one_short_error_line(workspace, tmp_path,
+                                                                   monkeypatch, capsys):
+    # The error line quotes the rejected value elided, not its 401 digits.
+    _, spec_path, queries_path, _ = workspace
+    tokens = json.dumps(json.loads(queries_path.read_text().splitlines()[0])["tokens"])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.jsonl").write_text(f'{{"arrival_time": 1{"0" * 400}, "tokens": {tokens}}}')
+    capsys.readouterr()
+    assert main(["replay", "--synth-spec", str(spec_path), "--queries", "q.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: q.jsonl:1: arrival_time must be a finite real number, got 1")
+    assert err.count("\n") == 1 and len(err.rstrip("\n")) <= 120, err
 
 
 def test_ingest_of_an_all_empty_trace_without_probes_exits_1(tmp_path, capsys):

@@ -2392,7 +2392,7 @@ def test_held_pages_are_whole_blocks_zero_past_their_written_rows(monkeypatch):
         for t in range(40):
             ingest_random(mem, rng, 1, 6, t)
             for page_id, *_ in mem.row_store.page_usage():
-                page = mem.row_store.page(page_id)
+                page = mem.row_store.pages[page_id]
                 assert page.rows.shape[0] % 8 == 0
                 assert not page.rows[page.used:].any(), (seed, t, page.id)
 
@@ -2500,6 +2500,107 @@ def test_streamed_forget_matches_the_reference_on_every_ingest(monkeypatch):
         seen["streams"] += 1
     assert moves and seen["streams"] == 10
     assert {"long ranked", "long whole", "mid ranked", "mid whole"} <= set(seen), seen
+
+
+def ingest_from_pool(mem, rng, pool, t):
+    """Ingest frame t: 1 to tokens_per_frame_max tokens, most of them
+    vectors of pool, so scores tie, on a 5 x 5 grid."""
+    n = int(rng.integers(1, mem.config.tokens_per_frame_max + 1))
+    vectors = pool[rng.integers(0, len(pool), size=n)]
+    fresh = rng.uniform(size=n) < 0.3
+    vectors[fresh] = rng.standard_normal((int(fresh.sum()), pool.shape[1]))
+    return mem.ingest_frame(float(t), [(v, int(rng.integers(0, 5)), int(rng.integers(0, 5)))
+                                       for v in vectors])
+
+
+TABLE_CHANGES = ("append", "pop_oldest", "trim", "relocate", "clear")
+
+
+def counted_table_changes(monkeypatch, calls, check=None):
+    """Count each FrameTable change by name in calls; check(name, table, args),
+    if given, runs before the change."""
+    def counted(name, real):
+        def change(table, *args):
+            calls[name] += 1
+            if check is not None:
+                check(name, table, args)
+            return real(table, *args)
+        return change
+
+    for name in TABLE_CHANGES:
+        monkeypatch.setattr(FrameTable, name, counted(name, getattr(FrameTable, name)))
+
+
+def test_snapshots_keep_their_columns_through_every_table_change(monkeypatch):
+    # Streams that append, demote, trim, compact and clear each table, with
+    # a freeze after every ingest and every snapshot held to the end. No
+    # table writes a frame's columns once written: each snapshot's columns
+    # stay as they were copied at its freeze, and its mid and long entries,
+    # first read at the end, are the frames the memory held at the freeze.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    calls = collections.Counter()
+    counted_table_changes(monkeypatch, calls)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 307])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=8,
+                         token_budget=16 + 6 * seed, keep_fraction=0.75,
+                         long_quota_per_frame=4)
+        mem = new_memory(cfg, ProbeBank.generated(4, n=3, seed=seed))
+        pool = rng.standard_normal((3, 4))
+        held = []
+        for t in range(150):
+            ingest_from_pool(mem, rng, pool, t)
+            snap = mem.freeze()
+            columns = [(ints[:, :size].copy(), floats[:, :size].copy())
+                       for ints, floats, size in snap._columns]
+            held.append((snap, columns, [[entry_state(e) for e in tier]
+                                         for tier in (mem.mid, mem.long)]))
+            mem.thaw()
+        for t, (snap, columns, tiers_then) in enumerate(held):
+            for (ints, floats, size), (want_ints, want_floats) in zip(snap._columns, columns):
+                assert ints[:, :size].tobytes() == want_ints.tobytes(), (seed, t)
+                assert floats[:, :size].tobytes() == want_floats.tobytes(), (seed, t)
+            assert [[entry_state(e) for e in tier] for tier in (snap.mid, snap.long)] == tiers_then
+    assert all(calls[name] for name in TABLE_CHANGES), calls
+
+
+def test_compaction_drops_the_band_and_the_next_forget_matches_the_reference(monkeypatch):
+    # Where compaction moves a page that holds band tokens, relocate leaves
+    # the table with no band, and the next forget, which builds it again
+    # from the rows as they now lie, evicts the reference's victims.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    calls, moved = collections.Counter(), []
+
+    def check(name, table, args):
+        if name == "relocate" and table.low is not None:
+            moved.append((table, bool((table.low[1][1] == table.ints[2, args[0][0]]).any())))
+
+    counted_table_changes(monkeypatch, calls, check)
+    real_forget = tiers.selective_forget
+    checked = collections.Counter()
+
+    def checked_forget(mem):
+        expected = tuple(forget_reference(mem, mem.total_tokens - mem.config.token_budget))
+        band_moved = any(moves for _, moves in moved)
+        assert all(table.low is None for table, _ in moved)
+        report = real_forget(mem)
+        if band_moved:
+            assert report.evicted == expected
+            checked["after a band move"] += 1
+            checked["rebuilt"] += any(table.low is not None for table, _ in moved)
+        moved.clear()
+        return report
+
+    monkeypatch.setattr(tiers, "selective_forget", checked_forget)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 401])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=3, tokens_per_frame_max=8,
+                         token_budget=60, keep_fraction=0.75, long_quota_per_frame=6)
+        mem = new_memory(cfg, ProbeBank.generated(4, n=3, seed=seed))
+        pool = rng.standard_normal((3, 4))
+        for t in range(200):
+            ingest_from_pool(mem, rng, pool, t)
+    assert checked["after a band move"] >= 3 and checked["rebuilt"] >= 3, checked
 
 
 def test_forget_calls_do_not_grow_with_the_tier():

@@ -860,7 +860,7 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     page_e, start_e, e = store.move(page_b, np.array([2]), np.array([2]))
     assert page_e not in (page_b, page_c) and start_e == 0 and not e.flags.writeable
     assert e.tolist() == d.tolist() == [[4.0, 4.0]] * 2 and b.tolist() == [[2.0, 2.0]] * 2
-    moved = store.page(page_e)  # the columns beside the rows move with them
+    moved = store.pages[page_e]  # the columns beside the rows move with them
     assert (moved.scores[:2].tolist(), moved.grid_rows[:2].tolist(),
             moved.grid_cols[:2].tolist()) == ([4.0, 4.1], [4, 4], [0, 1])
     assert [(rows, used, live) for _, _, rows, used, live in store.page_usage()] == [(4, 2, 2)]
@@ -1024,7 +1024,7 @@ def per_frame_live_scores(store, pages, starts, spans):
     """RowStore.live_scores as it was written, one frame at a time."""
     alive, scores = [], []
     for page, lo, n in zip(pages.tolist(), starts.tolist(), spans.tolist()):
-        page = store.page(page)
+        page = store.pages[page]
         alive.append(page.alive[lo:lo + n])
         scores.append(page.scores[lo:lo + n])
     live = np.concatenate(alive).nonzero()[0]
@@ -1276,61 +1276,82 @@ def test_generated_bank_deterministic():
     assert len(ProbeBank.generated(8, n=3, seed=0)) == 3
 
 
-@pytest.mark.parametrize("unshare", ["clear", "pop_oldest", "relocate", "trim"])
-def test_frame_table_unsharing_drops_what_was_appended_since_the_share(unshare):
-    # share() hands out the columns and the size, of which a snapshot makes
-    # views when it reads them, here only after the next append. Appending
-    # writes past the frames they show, so their base is still the table's
-    # ints. Each change below writes to frames the views show, so the table
-    # first copies its columns: the views keep their frames and show none
-    # of what was appended since the share, and the table holds the change.
+def frame_table(frames: int) -> FrameTable:
+    """A table of frames 4-token frames, frame k at row 4k of page 0."""
     table = FrameTable()
-    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0)
-    ints, floats, size = table.share()
-    assert ints is table.ints and floats is table.floats and size == 1
+    for k in range(frames):
+        table.append(k, np.full(4, 0.1), 0, 4 * k, False, float(k))
+    return table
+
+
+@pytest.mark.parametrize("change", ["clear", "pop_oldest", "relocate", "trim"])
+def test_frame_table_changes_leave_the_frames_a_snapshot_holds(change):
+    # A snapshot holds the columns and the size as they stand, and makes
+    # views of them when it reads them, here only after the next append and
+    # a change. No change writes a frame below the size held: the views
+    # show the frames as they stood, and the table holds the change.
+    table = frame_table(1)
+    ints, floats, size = table.ints, table.floats, table.size
     table.append(1, np.full(4, 0.2), 0, 4, False, 1.0)
-    ints, floats = ints[:, :size], floats[:, :size]
-    assert ints.base is table.ints
-    if unshare == "clear":
+    if change == "clear":
         table.clear()
         assert table.size == 0
-    elif unshare == "pop_oldest":
+    elif change == "pop_oldest":
         table.pop_oldest()
         assert table.ints[0, :table.size].tolist() == [1]
-    elif unshare == "relocate":
-        table.relocate(np.array([0, 1]), 1, np.array([0, 4]), np.ones(8, dtype=bool))
+    elif change == "relocate":
+        table.relocate(np.array([0, 1]), 1, np.array([0, 4]))
         assert table.page.tolist() == [1, 1] and table.start.tolist() == [0, 4]
     else:
         table.trim(np.array([2, 4]))
         assert table.count.tolist() == [2]
-    assert ints.base is not table.ints
-    assert ints[:5].T.tolist() == [[0, 4, 0, 0, 4]]
-    assert floats.tolist() == [[0.0]]
+    assert ints[:5, :size].T.tolist() == [[0, 4, 0, 0, 4]]
+    assert floats[:, :size].tolist() == [[0.0]]
 
 
-def test_empty_frame_table_is_shared_and_written_in_place():
-    # A table shared empty shows none of its frames: it keeps writing its
-    # columns in place, through an append and a clear.
-    table = FrameTable()
-    columns = table.ints
-    ints, floats, size = table.share()
-    table.append(0, np.full(4, 0.1), 0, 0, False, 0.0)
-    assert table.ints is columns
-    table.clear()
-    assert table.ints is columns and table.size == 0
-    assert ints is columns and size == 0
+@pytest.mark.parametrize("drop", ["pop_oldest", "clear"])
+def test_pop_oldest_and_clear_copy_nothing(drop):
+    # Both advance the columns past the frames they drop: the new columns
+    # are views of the old ones, which keep every frame. A table popped or
+    # cleared past its capacity appends into new columns, max(64, 2 *
+    # size) of them.
+    table = frame_table(3)
+    ints, floats = table.ints, table.floats
+    before = ints[:, :3].copy()
+    getattr(table, drop)()
+    assert np.shares_memory(table.ints, ints) and np.shares_memory(table.floats, floats)
+    assert ints[:, :3].tobytes() == before.tobytes()
+    assert table.ints[0, :table.size].tolist() == ([1, 2] if drop == "pop_oldest" else [])
+    table = frame_table(64)
+    for _ in range(64 if drop == "pop_oldest" else 1):
+        getattr(table, drop)()
+    assert table.size == 0 and table.ints.shape[1] == 0
+    table.append(64, np.full(3, 0.2), 1, 8, True, 64.0)
+    assert table.ints.shape == (6, 64) and table.floats.shape == (1, 64)
+    assert table.ints[:, :1].T.tolist() == [[64, 3, 1, 8, 3, 1]] and table.floats[0, 0] == 64.0
+    table = frame_table(64)
+    for _ in range(10):
+        table.pop_oldest()
+    table.append(64, np.full(4, 0.1), 0, 256, False, 64.0)
+    assert table.ints.shape[1] == 108
+    assert table.ints[0, :table.size].tolist() == list(range(10, 65))
 
 
-def test_frame_table_grown_past_a_share_writes_in_place():
-    # Growing copies the columns into arrays no view holds, so the next
-    # trim writes them in place; the views keep the frames they showed.
-    table = FrameTable()
-    for k in range(64):
-        table.append(k, np.full(4, 0.1), 0, 4 * k, False, float(k))
-    ints, _, size = table.share()
-    ints = ints[:, :size]
+def test_frame_table_growth_and_trim_write_new_columns():
+    # Growing writes the frames into new columns, max(64, 2 * size) of
+    # them, and so does a trim, whether or not it empties a frame: the
+    # columns held before keep the counts they had.
+    table = frame_table(64)
+    ints = table.ints
     table.append(64, np.full(4, 0.1), 1, 0, False, 64.0)
     grown = table.ints
-    assert ints.base is not grown
+    assert not np.shares_memory(grown, ints) and grown.shape[1] == 128
+    assert grown[:, :64].tobytes() == ints.tobytes()
     table.trim(np.array([2] + [0] * 64))
-    assert table.ints is grown and table.count[0] == 2 and ints[1, 0] == 4
+    trimmed = table.ints
+    assert not np.shares_memory(trimmed, grown) and trimmed.shape[1] == 130
+    assert table.count[0] == 2 and grown[1, 0] == 4
+    table.trim(np.array([2] + [0] * 64))
+    assert not np.shares_memory(table.ints, trimmed) and trimmed[1, 0] == 2
+    assert table.size == 64 and table.ints[0, :64].tolist() == list(range(1, 65))
+    assert table.floats[0, :64].tolist() == [float(k) for k in range(1, 65)]
