@@ -600,8 +600,9 @@ def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: dict[int, _Pa
     frame_index, count, page_id, start, span, boundary = ints[:, slot].tolist()
     page = pages[page_id]
     kept = page.entries.get(start)
-    if kept is not None and kept[0] == count:
-        return kept[1]
+    # A kept entry's token_count, read off its scores without the property's call.
+    if kept is not None and kept.scores.shape[0] == count:
+        return kept
     columns = (page.rows, page.scores, page.grid_rows, page.grid_cols)
     if count == span:
         columns = [column[start:start + span] for column in columns]
@@ -613,8 +614,8 @@ def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: dict[int, _Pa
     entry = FrameEntry._of(frame_index=frame_index, timestamp=floats.item(0, slot),
                            scene_boundary=bool(boundary), token_matrix=matrix,
                            scores=scores, rows=rows, cols=cols)
-    if kept is None or count < kept[0]:
-        page.entries[start] = count, entry
+    if kept is None or count < kept.scores.shape[0]:
+        page.entries[start] = entry
     return entry
 
 
@@ -641,10 +642,10 @@ class TieredMemory:
     them. As rows are never rewritten, that cache has nothing to
     invalidate, and a snapshot shares it through the pages it holds.
     RowStore.compact changes only where rows lie: it moves the live rows
-    of a crowded page. Once forget first ranks a tier, its table also
-    keeps the tier's lowest tokens in eviction order (FrameTable.low),
-    which pushes and demotions keep up to date, and a move or a
-    whole-tier drop discards.
+    of the page with the most dead rows. Once forget first ranks a tier,
+    its table also keeps the tier's lowest tokens in eviction order
+    (FrameTable.low), which pushes, demotions and moves keep up to date,
+    until the whole tier is dropped.
 
     The memory also owns two kinds of ingest buffers, which grow to the
     frames seen and are then reused: two float32 casts for the screen
@@ -770,7 +771,7 @@ class TieredMemory:
                                                grid_rows=entry.rows, grid_cols=entry.cols)
             if view is not entry.token_matrix:
                 entry = entry._with(token_matrix=view)
-            self._rows.pages[page].entries[start] = view.shape[0], entry
+            self._rows.pages[page].entries[start] = entry
             self._tables[name].append(entry.frame_index, entry.scores, page, start,
                                       entry.scene_boundary, entry.timestamp)
         self._tier_tokens[name] += entry.token_count

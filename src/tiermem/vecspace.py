@@ -555,11 +555,11 @@ class _Page:
     once, which snapshots hold; the RowStore writes through the writable
     arrays behind them (_rows, _scores, _grid_rows, _grid_cols, _alive).
 
-    entries maps a frame's first row to (count, entry), the entry kept for
-    the frame when it held count live rows here. Rows are never rewritten,
-    page ids never reused and a frame's count only falls, so page, first
-    row and count name one set of rows for good: nothing here is ever
-    invalidated, and a moved frame lies on another page.
+    entries maps a frame's first row to the entry kept for the frame when
+    it held the entry's token_count live rows here. Rows are never
+    rewritten, page ids never reused and a frame's count only falls, so
+    page, first row and count name one set of rows for good: nothing here
+    is ever invalidated, and a moved frame lies on another page.
     """
 
     __slots__ = ("id", "group", "rows", "scores", "grid_rows", "grid_cols", "alive",
@@ -578,7 +578,7 @@ class _Page:
                                                self._grid_rows, self._grid_cols))
         self._flags(np.zeros(rows, dtype=bool))
         self.used = self.live = 0
-        self.entries: dict[int, tuple[int, object]] = {}
+        self.entries: dict[int, object] = {}
 
     def _flags(self, alive: np.ndarray) -> None:
         """Write the live flags to alive from now on, and show them read-only."""
@@ -600,9 +600,9 @@ class RowStore:
     keeps its rows where they lie, and the trimmed ones are flagged dead.
     A page left with no live row is released. Once more than
     COMPACT_DEAD_FRACTION of the rows written to the pages are dead,
-    crowded() names the page with the most dead rows, and compact() moves
-    the live rows of its frames out with move() and relocates the frames in
-    their group's FrameTable; each such move lowers that fraction.
+    compact() takes the page with the most dead rows, copies the live rows
+    of its frames out with move(), releases it, and relocates the frames in
+    their group's FrameTable, band keys and all.
     """
 
     def __init__(self, dim: int):
@@ -690,35 +690,18 @@ class RowStore:
             self._used -= page.used
             self._dead -= page.used
 
-    def crowded(self) -> tuple[int, object] | None:
-        """(id, group) of the page to move the frames out of next, or None
-        while at most COMPACT_DEAD_FRACTION of the rows written to the held
-        pages are dead. The page named is no longer open."""
-        if self._dead <= COMPACT_DEAD_FRACTION * self._used:
-            return None
-        page = max(self.pages.values(), key=lambda p: p.used - p.live)
-        if self._open.get(page.group) is page:
-            del self._open[page.group]
-        return page.id, page.group
-
-    def move(self, page_id: int, starts: np.ndarray, spans: np.ndarray
-             ) -> tuple[int, int, np.ndarray]:
-        """Copy the live rows of a page's frames, given by their first rows
-        and the rows they span, with the columns beside them, into one run
-        of rows of its group's open page with one gather, and release the
-        page. Returns the new page id, the run's first row and the run as a
-        read-only array."""
+    def move(self, page_id: int, rows: np.ndarray) -> tuple[int, int]:
+        """Copy the given rows of a page, in that order, with the columns
+        beside them, into one run of rows of its group's open page with one
+        gather. Returns the run's page id and first row; the page's rows
+        stay live until they are killed."""
         old = self.pages[page_id]
-        offsets = np.cumsum(spans) - spans
-        rows = np.repeat(starts - offsets, spans) + np.arange(int(spans.sum()))
-        rows = rows[old.alive[rows]]
         views = self.alloc(len(rows), old.group)
         for column, out in zip((old.rows, old.scores, old.grid_rows, old.grid_cols), views):
             column.take(rows, axis=0, out=out, mode="clip")
-        run, page, start = self.add(views[0], scores=views[1], grid_rows=views[2],
-                                    grid_cols=views[3])
-        self.kill(page_id, len(rows))
-        return page, start, run
+        _, page, start = self.add(views[0], scores=views[1], grid_rows=views[2],
+                                  grid_cols=views[3])
+        return page, start
 
     def kill_rows(self, pages: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
         """Mark dead the rows at rows[i] of the page with id pages[i], and
@@ -760,17 +743,25 @@ class RowStore:
         return np.concatenate([page.scores for page in held])[rows[live]], live
 
     def compact(self, tables: dict) -> None:
-        """Move the live rows of each crowded page's frames, with one
-        gather, into its group's open page, and release it; tables maps
-        each group to its FrameTable. Only where the rows lie changes, and
-        the group's table drops its low band (FrameTable.relocate)."""
-        while (crowded := self.crowded()) is not None:
-            page, group = crowded
-            table = tables[group]
-            slots = np.flatnonzero(table.page == page)
-            counts = table.count[slots]
-            new_page, start, _ = self.move(page, table.start[slots], table.span[slots])
-            table.relocate(slots, new_page, np.cumsum(counts) - counts + start)
+        """While more than COMPACT_DEAD_FRACTION of the rows written to the
+        held pages are dead, move the live rows of the page with the most
+        dead rows, frame after frame in its table's order, into its group's
+        open page with one gather (move), release the page and relocate its
+        frames in their group's FrameTable, which tables maps each group to.
+        Each such move lowers that fraction."""
+        while self._dead > COMPACT_DEAD_FRACTION * self._used:
+            old = max(self.pages.values(), key=lambda p: p.used - p.live)
+            # Its rows go to another page, so it takes no more frames.
+            if self._open.get(old.group) is old:
+                del self._open[old.group]
+            table = tables[old.group]
+            slots = np.flatnonzero(table.ints[2, :table.size] == old.id)
+            starts, spans = table.ints[3:5].take(slots, axis=1)
+            rows = np.repeat(starts - spans.cumsum() + spans, spans) + np.arange(int(spans.sum()))
+            rows = rows[old.alive[rows]]
+            page, start = self.move(old.id, rows)
+            self.kill(old.id, len(rows))
+            table.relocate(slots, page, start, rows)
 
     def share(self) -> tuple[tuple[_Page, ...], tuple[np.ndarray, ...]]:
         """The held pages and their live flags as they stand, for a snapshot
@@ -817,11 +808,12 @@ class FrameTable:
     forget's order: lowest score, then the older frame, then the lower
     position. Each change to the frames keeps it so: append adds the new
     frame's tokens at or below cut, pop_oldest drops the oldest frame's,
-    lowest() takes its head, which the band never writes again, and clear
-    and relocate drop the band, which the next ranked forget builds again.
-    The band is bounded: an append that takes it past room, twice its size
-    when it was built, lowers cut to the score at that size and drops the
-    tokens above it.
+    lowest() takes its head, which the band never writes again, and
+    relocate moves the keys of the rows it moves. Only clear drops the
+    band, which the tier's next ranked forget builds again. The band is
+    bounded: an append that takes it past room, twice its size when it
+    was built, lowers cut to the score at that size and drops the tokens
+    above it.
     """
 
     __slots__ = ("size", "ints", "floats", "low", "cut", "room")
@@ -831,11 +823,6 @@ class FrameTable:
         self.low: tuple[np.ndarray, np.ndarray] | None = None
         self.cut = 0.0
         self.room = 0
-
-    count = property(lambda self: self.ints[1, :self.size])
-    page = property(lambda self: self.ints[2, :self.size])
-    start = property(lambda self: self.ints[3, :self.size])
-    span = property(lambda self: self.ints[4, :self.size])
 
     def _hold(self, ints: np.ndarray, floats: np.ndarray) -> None:
         """Hold ints and floats as the frames' columns from now on, written
@@ -922,15 +909,26 @@ class FrameTable:
         self.ints, self.floats = self.ints[:, 1:], self.floats[:, 1:]
         self.size -= 1
 
-    def relocate(self, slots: np.ndarray, page: int, starts: np.ndarray) -> None:
-        """The frames at slots, every frame of one page, now lie from starts
-        in the page, all their rows live. The band, whose keys name the
-        rows the frames left, is dropped."""
+    def relocate(self, slots: np.ndarray, page: int, start: int, rows: np.ndarray) -> None:
+        """The frames at slots, every frame of one page, in slot order, now
+        lie from start in the page, all their rows live: their old page's
+        row rows[i] is now row start + i. The band's keys of those rows
+        move with them, into new arrays, as a report may hold views of the
+        old ones; each frame's rows keep their order, and so does the band."""
+        old = self.ints[2, slots[0]]
         self._hold(self.ints[:, :self.size], self.floats[:, :self.size])
+        counts = self.ints[1, slots]
         self.ints[2, slots] = page
-        self.ints[3, slots] = starts
-        self.ints[4, slots] = self.ints[1, slots]
-        self.low = None
+        self.ints[3, slots] = start + counts.cumsum() - counts
+        self.ints[4, slots] = counts
+        if self.low is not None:
+            keys = self.low[1].copy()
+            moved = keys[1] == old
+            where = np.empty(rows.max() + 1, dtype=np.int64)
+            where[rows] = np.arange(start, start + len(rows))
+            keys[1, moved] = page
+            keys[2, moved] = where[keys[2, moved]]
+            self.low = self.low[0], keys
 
     def trim(self, lost: np.ndarray) -> None:
         """Frame i loses lost[i] of its tokens, for each of the size

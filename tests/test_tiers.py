@@ -1681,7 +1681,8 @@ def test_forget_drops_whole_tiers_as_the_reference_does(monkeypatch):
             mem = built(seed, cfg)
             seen.update({"compacted"} if moves else ())
             tables = mem._tables
-            if (tables["long"].count < tables["long"].span).any() and overflow >= long:
+            counts, spans = tables["long"].ints[[1, 4], :tables["long"].size]
+            if (counts < spans).any() and overflow >= long:
                 seen.add("trimmed frames go whole")
             seen.add({long - 1: "partial", long: "long whole", long + 1: "cascade",
                       long + mid: "both whole"}[overflow])
@@ -1708,8 +1709,8 @@ def test_forget_drops_whole_tiers_as_the_reference_does(monkeypatch):
             # Every page held holds live rows, each of them a token of a
             # frame its tier's table places there.
             for page, group, _, _, live in mem.row_store.page_usage():
-                table = tables[group]
-                assert 0 < live == int(table.count[table.page == page].sum()), (seed, overflow)
+                counts, pages = tables[group].ints[1:3, :tables[group].size]
+                assert 0 < live == int(counts[pages == page].sum()), (seed, overflow)
             for group in ("mid", "long"):
                 held = sum(live for _, g, _, _, live in mem.row_store.page_usage() if g == group)
                 assert held == mem.tier_tokens[group]
@@ -2150,13 +2151,13 @@ def test_entry_kept_on_a_page_goes_with_the_page(monkeypatch):
         ts = ingest_random(mem, rng, 12, 6, 0)
         table = mem._tables["long"]
         for _ in range(100):
-            if (table.count < table.span).any():  # a long frame trimmed in place
+            trimmed = (table.ints[1, :table.size] < table.ints[4, :table.size]).nonzero()[0]
+            if len(trimmed):  # a long frame trimmed in place
                 break
             ts = ingest_random(mem, rng, 1, 6, ts)
-        slot = int((table.count < table.span).nonzero()[0][0])
-        frame, page, start = table.ints[[0, 2, 3], slot].tolist()
+        frame, page, start = table.ints[[0, 2, 3], trimmed[0]].tolist()
         entry = next(e for e in mem.long if e.frame_index == frame)
-        assert mem.row_store.pages[page].entries[start][1] is entry
+        assert mem.row_store.pages[page].entries[start] is entry
         gone = weakref.ref(entry)
         del entry
         snap = mem.freeze() if seed % 2 else None
@@ -2516,14 +2517,11 @@ def ingest_from_pool(mem, rng, pool, t):
 TABLE_CHANGES = ("append", "pop_oldest", "trim", "relocate", "clear")
 
 
-def counted_table_changes(monkeypatch, calls, check=None):
-    """Count each FrameTable change by name in calls; check(name, table, args),
-    if given, runs before the change."""
+def counted_table_changes(monkeypatch, calls):
+    """Count each FrameTable change by name in calls."""
     def counted(name, real):
         def change(table, *args):
             calls[name] += 1
-            if check is not None:
-                check(name, table, args)
             return real(table, *args)
         return change
 
@@ -2564,31 +2562,62 @@ def test_snapshots_keep_their_columns_through_every_table_change(monkeypatch):
     assert all(calls[name] for name in TABLE_CHANGES), calls
 
 
-def test_compaction_drops_the_band_and_the_next_forget_matches_the_reference(monkeypatch):
-    # Where compaction moves a page that holds band tokens, relocate leaves
-    # the table with no band, and the next forget, which builds it again
-    # from the rows as they now lie, evicts the reference's victims.
+def band_as_ranked(table, store):
+    """Every live token of the table's frames whose score is at most its
+    cut, as (score, frame index, page, row), in (score, frame index, row)
+    order: the band forget would build from the rows as they lie."""
+    tokens = []
+    for frame, count, page, start, span in table.ints[:5, :table.size].T.tolist():
+        held = store.pages[page]
+        rows = start + held.alive[start:start + span].nonzero()[0]
+        assert len(rows) == count
+        tokens += [(score, frame, page, row) for score, row
+                   in zip(held.scores[rows].tolist(), rows.tolist()) if score <= table.cut]
+    return sorted(tokens, key=lambda token: (token[0], token[1], token[3]))
+
+
+def band_of(table):
+    """The table's band as (score, frame index, page, row) tuples, in its order."""
+    scores, keys = table.low
+    return list(zip(scores.tolist(), *keys.tolist()))
+
+
+def counted_band_moves(monkeypatch, moves):
+    """Wrap FrameTable.relocate to count, in moves, the relocations that
+    found a band ("band held") and those where it held keys of the page
+    the frames left ("band moved"); each must leave the band in place."""
+    real_relocate = FrameTable.relocate
+
+    def relocate(table, slots, *args):
+        band = table.low
+        left = table.ints[2, slots[0]]
+        real_relocate(table, slots, *args)
+        if band is not None:
+            assert table.low is not None
+            moves["band held"] += 1
+            moves["band moved"] += bool((band[1][1] == left).any())
+
+    monkeypatch.setattr(FrameTable, "relocate", relocate)
+
+
+def test_compaction_keeps_the_band_and_the_next_forget_matches_the_reference(monkeypatch):
+    # Where compaction moves a page that holds band tokens, relocate keeps
+    # the band, its keys naming the rows where the tokens now lie, and the
+    # next forget, which takes its victims off that band, evicts the
+    # reference's victims.
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
-    calls, moved = collections.Counter(), []
-
-    def check(name, table, args):
-        if name == "relocate" and table.low is not None:
-            moved.append((table, bool((table.low[1][1] == table.ints[2, args[0][0]]).any())))
-
-    counted_table_changes(monkeypatch, calls, check)
+    moves, checked = collections.Counter(), collections.Counter()
+    counted_band_moves(monkeypatch, moves)
     real_forget = tiers.selective_forget
-    checked = collections.Counter()
 
     def checked_forget(mem):
         expected = tuple(forget_reference(mem, mem.total_tokens - mem.config.token_budget))
-        band_moved = any(moves for _, moves in moved)
-        assert all(table.low is None for table, _ in moved)
+        band_moved = moves["band moved"]
         report = real_forget(mem)
         if band_moved:
             assert report.evicted == expected
             checked["after a band move"] += 1
-            checked["rebuilt"] += any(table.low is not None for table, _ in moved)
-        moved.clear()
+        moves.clear()
         return report
 
     monkeypatch.setattr(tiers, "selective_forget", checked_forget)
@@ -2600,7 +2629,33 @@ def test_compaction_drops_the_band_and_the_next_forget_matches_the_reference(mon
         pool = rng.standard_normal((3, 4))
         for t in range(200):
             ingest_from_pool(mem, rng, pool, t)
-    assert checked["after a band move"] >= 3 and checked["rebuilt"] >= 3, checked
+    assert checked["after a band move"] >= 3, checked
+
+
+def test_band_is_the_tiers_lowest_live_tokens_through_compaction(monkeypatch):
+    # Random streams whose forgets trim frames and whose compaction moves
+    # pages often (pages of 8 rows). After every ingest each table's band,
+    # where it has one, is exactly its live tokens at or below its cut, in
+    # (score, frame index, row) order, each key naming the token's row; and
+    # the band outlives relocations that move its keys.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    moves = collections.Counter()
+    counted_band_moves(monkeypatch, moves)
+    banded = 0
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 409])
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=int(rng.integers(2, 5)),
+                         tokens_per_frame_max=8, token_budget=int(rng.integers(40, 80)),
+                         keep_fraction=0.75, long_quota_per_frame=int(rng.integers(3, 7)))
+        mem = new_memory(cfg, ProbeBank.generated(4, n=3, seed=seed))
+        pool = rng.standard_normal((3, 4))
+        for t in range(250):
+            ingest_from_pool(mem, rng, pool, t)
+            for name, table in mem._tables.items():
+                if table.low is not None:
+                    assert band_of(table) == band_as_ranked(table, mem.row_store), (seed, t, name)
+                    banded += 1
+    assert banded and moves["band moved"] >= 10, (banded, moves)
 
 
 def test_forget_calls_do_not_grow_with_the_tier():

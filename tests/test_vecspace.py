@@ -854,17 +854,25 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     store.kill(page_c, 6)
     assert [page for page, *_ in store.page_usage()] == [page_b]
     assert a.tolist() == [[1.0, 1.0]] * 3  # rows a view holds stay readable
-    assert store.crowded() is None
-    store.kill(page_b, 2)  # half of page b is dead
-    assert store.crowded() == (page_b, None)
-    page_e, start_e, e = store.move(page_b, np.array([2]), np.array([2]))
-    assert page_e not in (page_b, page_c) and start_e == 0 and not e.flags.writeable
-    assert e.tolist() == d.tolist() == [[4.0, 4.0]] * 2 and b.tolist() == [[2.0, 2.0]] * 2
+    table = FrameTable()  # b's and d's frames
+    table.append(2, columns(2, 2.0)["scores"], page_b, start_b, False, 2.0)
+    table.append(4, columns(2, 4.0)["scores"], page_d, start_d, False, 4.0)
+    tables = {None: table}
+    store.compact(tables)  # no row of page b is dead
+    assert [(used, live) for _, _, _, used, live in store.page_usage()] == [(4, 4)]
+    store.kill(page_b, 2)  # b's frame left whole: half of page b is dead
+    table.pop_oldest()
+    store.compact(tables)
+    page_e, start_e, span_e = table.ints[2:5, 0].tolist()
+    assert page_e not in (page_b, page_c) and (start_e, span_e) == (0, 2)
     moved = store.pages[page_e]  # the columns beside the rows move with them
+    assert moved.rows[:2].tolist() == d.tolist() == [[4.0, 4.0]] * 2
+    assert b.tolist() == [[2.0, 2.0]] * 2 and not moved.rows.flags.writeable
     assert (moved.scores[:2].tolist(), moved.grid_rows[:2].tolist(),
             moved.grid_cols[:2].tolist()) == ([4.0, 4.1], [4, 4], [0, 1])
     assert [(rows, used, live) for _, _, rows, used, live in store.page_usage()] == [(4, 2, 2)]
-    assert store.crowded() is None
+    store.compact(tables)  # nothing is dead
+    assert table.ints[2, 0] == page_e and [page for page, *_ in store.page_usage()] == [page_e]
 
 
 def block_maxima(frame, query, block_rows, clip=True):
@@ -1056,8 +1064,11 @@ def test_live_scores_read_page_by_page_give_the_per_frame_loop_bits(monkeypatch)
         if rng.random() < 0.7:
             page = frames[int(rng.integers(0, len(frames)))][0]
             moved = [frame for frame in frames if frame[0] == page]
-            table = np.array(moved, dtype=np.int64).T
-            new_page, start, _ = store.move(page, table[1], table[2])
+            alive = store.pages[page].alive
+            rows = np.concatenate([lo + alive[lo:lo + span].nonzero()[0]
+                                   for _, lo, span, _ in moved])
+            new_page, start = store.move(page, rows)
+            store.kill(page, len(rows))
             for frame in moved:
                 frame[:] = [new_page, start, frame[3], frame[3]]
                 start += frame[3]
@@ -1224,6 +1235,28 @@ def test_probe_bank_matrix_is_readonly():
         bank.matrix[0, 0] = 5.0
 
 
+def grid_frame(**changes):
+    """A valid three-token frame of dimension 2, with the given fields replaced."""
+    return FrameEntry(**{"frame_index": 0, "timestamp": 0.0, "token_matrix": np.ones((3, 2)),
+                         "scores": np.ones(3), "rows": np.zeros(3, dtype=np.int64),
+                         "cols": np.arange(3), **changes})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: grid_frame(token_matrix=np.ones(3)), DimensionError,
+     "token_matrix must be 2-D, got shape (3,)"),
+    (lambda: grid_frame(frame_index=-1), ValidationError, "frame_index must be non-negative"),
+    (lambda: ProbeBank([[1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]]), DimensionError,
+     "probe 1 must be a 1-D vector, got shape (2, 2)"),
+    (lambda: late_interaction(np.ones((1, 2, 2)), [[1.0, 0.0]]), DimensionError,
+     "frame_tokens must be 1-D vectors, got shape (1, 2, 2)"),
+], ids=["1-D token_matrix", "negative frame_index", "2-D probe", "3-D frame tokens"])
+def test_input_checks_name_the_shape_or_value_at_fault(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 def test_probe_bank_file_roundtrip(tmp_path):
     path = tmp_path / "probes.json"
     bank = ProbeBank([[1.0, 0.0, 0.0], [0.0, 3.0, 4.0]], labels=["a", "b"])
@@ -1300,11 +1333,11 @@ def test_frame_table_changes_leave_the_frames_a_snapshot_holds(change):
         table.pop_oldest()
         assert table.ints[0, :table.size].tolist() == [1]
     elif change == "relocate":
-        table.relocate(np.array([0, 1]), 1, np.array([0, 4]))
-        assert table.page.tolist() == [1, 1] and table.start.tolist() == [0, 4]
+        table.relocate(np.array([0, 1]), 1, 0, np.arange(8))
+        assert table.ints[2:5, :table.size].tolist() == [[1, 1], [0, 4], [4, 4]]
     else:
         table.trim(np.array([2, 4]))
-        assert table.count.tolist() == [2]
+        assert table.ints[1, :table.size].tolist() == [2]
     assert ints[:5, :size].T.tolist() == [[0, 4, 0, 0, 4]]
     assert floats[:, :size].tolist() == [[0.0]]
 
@@ -1350,7 +1383,7 @@ def test_frame_table_growth_and_trim_write_new_columns():
     table.trim(np.array([2] + [0] * 64))
     trimmed = table.ints
     assert not np.shares_memory(trimmed, grown) and trimmed.shape[1] == 130
-    assert table.count[0] == 2 and grown[1, 0] == 4
+    assert table.ints[1, 0] == 2 and grown[1, 0] == 4
     table.trim(np.array([2] + [0] * 64))
     assert not np.shares_memory(table.ints, trimmed) and trimmed[1, 0] == 2
     assert table.size == 64 and table.ints[0, :64].tolist() == list(range(1, 65))
