@@ -307,15 +307,6 @@ class EvictionReport:
         return {"evicted": [[f, i, s] for f, i, s in self.evicted]}
 
 
-def _live_before(flags: dict[int, np.ndarray], pages: np.ndarray, starts: np.ndarray,
-                 rows: np.ndarray) -> np.ndarray:
-    """How many rows of [starts[i], rows[i]) of page pages[i] are live by
-    flags[pages[i]], that page's live flags, for each i: a victim's
-    position among its frame's tokens, its frame starting at starts[i]."""
-    return np.array([np.count_nonzero(flags[page][lo:row]) for page, lo, row
-                     in zip(pages.tolist(), starts.tolist(), rows.tolist())], dtype=np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class MemorySnapshot:
     """Immutable view of all tiers at a freeze point; only
@@ -584,9 +575,6 @@ def _refs(items: list, k: int) -> int:
 _ALONE = [object()]
 
 
-_TIER_NAMES = ("short", "mid", "long")
-
-
 def _entry(ints: np.ndarray, floats: np.ndarray, slot: int, pages: dict[int, _Page],
            flags: dict[int, np.ndarray] | None = None) -> FrameEntry:
     """The entry of the frame at slot of a tier's ints and floats; pages
@@ -629,12 +617,15 @@ class TieredMemory:
     """Mutable streaming memory; single writer, frozen for reads.
 
     The memory owns its tiers. Callers read them as tuples; inside, every
-    change to a tier goes through _push, _pop_oldest or selective_forget,
-    which update that tier's token count with its frames. The mid and long
-    frames' rows live in one RowStore, beside each token's score, grid
-    position and live flag, and each of the two tiers keeps a FrameTable
-    that says where they lie. Forget trims a frame in place: it clears the
-    live flags of its victims' rows and lowers the frame's count, so the
+    change to a tier goes through _push, _pop_oldest or selective_forget.
+    The mid and long frames' rows live in one RowStore, beside each
+    token's score, grid position and live flag, and each of the two tiers
+    keeps a FrameTable that says where they lie and keeps the tier's token
+    total (FrameTable.tokens); the memory counts only the short tier's
+    tokens itself. A token leaves the mid or long tier only through its
+    table's removals, which kill its row: pop_oldest on a demotion, and
+    evict or drop in forget. An evicted token's frame is trimmed in place:
+    its row's live flag is cleared and the frame's count lowered, so the
     frame's tokens are the live rows of its span. A frame's entry is kept
     on the page that holds its rows (_Page.entries) from its push on, and
     built from the rows when first read after a trim or a move; while all
@@ -662,7 +653,7 @@ class TieredMemory:
         self.bank = bank
         self.dim = bank.dim
         self._short: list[FrameEntry] = []
-        self._tier_tokens = dict.fromkeys(_TIER_NAMES, 0)
+        self._short_tokens = 0
         self._rows = RowStore(self.dim)
         self._tables = {"mid": FrameTable(), "long": FrameTable()}
         self._alloc = {name: functools.partial(self._rows.alloc, group=name)
@@ -731,12 +722,13 @@ class TieredMemory:
 
     @property
     def total_tokens(self) -> int:
-        return sum(self._tier_tokens.values())
+        return self._short_tokens + self._tables["mid"].tokens + self._tables["long"].tokens
 
     @property
     def tier_tokens(self) -> dict[str, int]:
         """Tokens held by each tier, keyed "short", "mid" and "long"."""
-        return dict(self._tier_tokens)
+        return {"short": self._short_tokens, "mid": self._tables["mid"].tokens,
+                "long": self._tables["long"].tokens}
 
     @property
     def row_store(self) -> RowStore:
@@ -766,6 +758,7 @@ class TieredMemory:
         others are copied in. Its page keeps the entry."""
         if name == "short":
             self._short.append(entry)
+            self._short_tokens += entry.token_count
         else:
             view, page, start = self._rows.add(entry.token_matrix, name, scores=entry.scores,
                                                grid_rows=entry.rows, grid_cols=entry.cols)
@@ -774,18 +767,18 @@ class TieredMemory:
             self._rows.pages[page].entries[start] = entry
             self._tables[name].append(entry.frame_index, entry.scores, page, start,
                                       entry.scene_boundary, entry.timestamp)
-        self._tier_tokens[name] += entry.token_count
 
     def _pop_oldest(self, name: str) -> FrameEntry:
-        """Remove and return the tier's oldest frame."""
+        """Remove and return the tier's oldest frame. A mid or long frame's
+        entry is read before its table kills its rows, which can release
+        its page."""
         if name == "short":
             entry = self._short.pop(0)
+            self._short_tokens -= entry.token_count
         else:
             table = self._tables[name]
             entry = _entry(table.ints, table.floats, 0, self._rows.pages)
-            self._rows.kill(table.ints.item(2, 0), entry.token_count)
-            table.pop_oldest()
-        self._tier_tokens[name] -= entry.token_count
+            table.pop_oldest(self._rows)
         return entry
 
     def _float32(self, matrix: np.ndarray) -> np.ndarray:
@@ -899,7 +892,6 @@ class TieredMemory:
 
         eviction = selective_forget(self)
         self._rows.compact(self._tables)
-        tier_tokens = self._tier_tokens
         # Every field is made here, as in freeze.
         return assembled(
             IngestReport,
@@ -914,10 +906,10 @@ class TieredMemory:
             short_frames=len(short),
             mid_frames=mid.size,
             long_frames=long.size,
-            short_tokens=tier_tokens["short"],
-            mid_tokens=tier_tokens["mid"],
-            long_tokens=tier_tokens["long"],
-            total_tokens=self.total_tokens,
+            short_tokens=self._short_tokens,
+            mid_tokens=mid.tokens,
+            long_tokens=long.tokens,
+            total_tokens=self._short_tokens + mid.tokens + long.tokens,
         )
 
     def freeze(self, at: float | None = None) -> MemorySnapshot:
@@ -988,20 +980,14 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     frame, then the lower token position. Frames emptied of all tokens
     are dropped from their tier.
 
-    A tier whose token count the overflow reaches goes whole, unranked:
-    its victims are read off its table (each frame's index repeated by its
-    count, positions counting up from 0 within each frame, the live
-    scores), its frames' rows are killed and its table is cleared, band
-    and all.
-
-    A tier the overflow does not empty is ranked, at a cost that follows
-    its victims, not its frames: they are the head of its table's low band
-    (FrameTable.lowest), which keeps the tier's lowest tokens in eviction
-    order between ingests and is built, or refilled from the whole tier,
-    only where it holds fewer than the overflow. The victims lose their
-    rows' live flags page by page, the counts of the frames they leave
-    are lowered and the emptied frames are deleted from the table at once.
-    No entry is built and no embedding row is written.
+    This is the policy alone; the tier's FrameTable does the removing. A
+    tier whose token total (FrameTable.tokens) the overflow reaches goes
+    whole, unranked (FrameTable.drop). A tier the overflow does not empty
+    is ranked, at a cost that follows its victims, not its frames: they
+    are the head of its table's low band (FrameTable.evict), which keeps
+    the tier's lowest tokens in eviction order between ingests. Either
+    way the victims' rows are killed, and no entry is built and no
+    embedding row is written.
 
     The report holds each tier's victims as columns (see EvictionReport).
     A ranked tier's victims come in eviction order; their positions are
@@ -1013,41 +999,21 @@ def selective_forget(mem: TieredMemory) -> EvictionReport:
     overflow = mem.total_tokens - budget
     if overflow <= 0:
         return EvictionReport()
-    short_tokens = mem._tier_tokens["short"]
+    short_tokens = mem._short_tokens
     if short_tokens > budget:
         raise BudgetUnsatisfiable(
             f"recent FIFO alone holds {short_tokens} tokens, budget is {budget}"
         )
     evicted = []  # each tier's (frames, positions, scores)
-    for tier_name in ("long", "mid"):
-        table = mem._tables[tier_name]
-        if overflow <= 0 or not table.size:
+    for table in (mem._tables["long"], mem._tables["mid"]):
+        held = table.tokens
+        if overflow <= 0 or not held:
             continue
-        if overflow >= mem._tier_tokens[tier_name]:  # the whole tier goes
-            frame_indices, counts, pages, firsts, spans = table.ints[:5, :table.size]
-            scores, _ = mem._rows.live_scores(pages, firsts, spans)
-            # Token i of the tier is at position i - (its frame's first token).
-            firsts_of = np.repeat(counts.cumsum() - counts, counts)
-            evicted.append((np.repeat(frame_indices, counts),
-                            np.arange(len(scores)) - firsts_of, scores))
-            overflow -= len(scores)
-            mem._tier_tokens[tier_name] = 0
-            for page, n in zip(pages.tolist(), counts.tolist()):
-                mem._rows.kill(page, n)
-            table.clear()
-            continue
-        # The victims are the band's head. kill_rows hands over their pages'
-        # live flags as they stood, from which the report counts their
-        # positions when it is first read.
-        scores, (frames, pages, rows) = table.lowest(overflow, mem._rows)
-        slots = table.ints[0, :table.size].searchsorted(frames)
-        starts = table.ints[3].take(slots)
-        flags = mem._rows.kill_rows(pages, rows)
-        table.trim(np.bincount(slots, minlength=table.size))
-        evicted.append((frames, functools.partial(_live_before, flags, pages, starts, rows),
-                        scores))
-        overflow -= len(scores)
-        mem._tier_tokens[tier_name] -= len(scores)
+        if overflow >= held:  # the whole tier goes
+            evicted.append(table.drop(mem._rows))
+        else:
+            evicted.append(table.evict(overflow, mem._rows))
+        overflow -= held - table.tokens
     remaining = mem.total_tokens
     if remaining > budget:
         raise BudgetUnsatisfiable(f"budget {budget} unreachable; {remaining} tokens remain")

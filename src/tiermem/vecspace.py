@@ -780,7 +780,7 @@ class RowStore:
 
 
 # A FrameTable's low band ranks at least this fraction of its frames' live
-# tokens when it is built or refilled (see FrameTable.lowest).
+# tokens when evict builds or refills it.
 LOW_BAND_FRACTION = 1 / 8
 
 
@@ -793,33 +793,39 @@ class FrameTable:
     order; the timestamp and scene-boundary flag are kept for the frame's
     entry. The entries built for the frames are kept on their pages
     (_Page.entries), not here, so no change to the table leaves one to
-    drop.
+    drop. tokens is the sum of the counts: the tier's token total.
+
+    Tokens leave the table only through its three removals: pop_oldest
+    (the oldest frame), evict (the lowest tokens) and drop (every frame).
+    Each kills the rows it removes in the RowStore and lowers tokens by
+    them. Compaction (RowStore.compact) only moves frames (relocate).
 
     A frame's columns, once written, are never written again, as a
     RowStore's rows are not: append writes past the frames a snapshot
-    holds, pop_oldest and clear advance ints and floats past the frames
-    they drop, copying nothing, and trim, relocate and growth write new
+    holds, pop_oldest and drop advance ints and floats past the frames
+    they drop, copying nothing, and evict, relocate and growth write new
     arrays (_hold). So a snapshot keeps ints, floats and size as they stand.
 
-    low, once lowest() has built it, is the low band: every live token of
+    low, once evict has built it, is the low band: every live token of
     the frames whose score is at most cut, as a (scores, keys) pair, keys'
     rows being frame index, page and row, in (score, frame index, row)
     order. A frame's tokens lie in its rows in position order, so that is
     forget's order: lowest score, then the older frame, then the lower
     position. Each change to the frames keeps it so: append adds the new
     frame's tokens at or below cut, pop_oldest drops the oldest frame's,
-    lowest() takes its head, which the band never writes again, and
-    relocate moves the keys of the rows it moves. Only clear drops the
-    band, which the tier's next ranked forget builds again. The band is
+    evict takes its head, which the band never writes again, and relocate
+    moves the keys of the rows it moves. Only drop discards the band,
+    which the tier's next ranked forget builds again. The band is
     bounded: an append that takes it past room, twice its size when it
     was built, lowers cut to the score at that size and drops the tokens
     above it.
     """
 
-    __slots__ = ("size", "ints", "floats", "low", "cut", "room")
+    __slots__ = ("size", "ints", "floats", "tokens", "low", "cut", "room")
 
     def __init__(self):
         self._hold(np.empty((6, 0), dtype=np.int64), np.empty((1, 0)))
+        self.tokens = 0
         self.low: tuple[np.ndarray, np.ndarray] | None = None
         self.cut = 0.0
         self.room = 0
@@ -851,6 +857,7 @@ class FrameTable:
         ints[5, slot] = scene_boundary
         self.floats[0, slot] = timestamp
         self.size += 1
+        self.tokens += len(scores)
         if self.low is not None and np.minimum.reduce(scores) <= self.cut:
             low = (scores <= self.cut).nonzero()[0]
             keys = np.empty((3, len(low)), dtype=np.int64)
@@ -868,46 +875,34 @@ class FrameTable:
                 merged, keys = merged[:kept], keys[:, :kept]
             self.low = merged, keys
 
-    def lowest(self, k: int, store: "RowStore") -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest live tokens of the frames, fewer than they hold, in
-        forget's order, taken off the band's head as (scores, keys): they
-        are to be killed. Where the band holds fewer than k, it is first
-        built from the frames' live rows in store: the max(k, their number
-        times LOW_BAND_FRACTION) lowest, boundary ties included, which
-        costs what ranking the whole tier costs."""
-        if self.low is None or len(self.low[0]) < k:
-            frames, counts, pages, starts, spans = self.ints[:5, :self.size]
-            scores, live = store.live_scores(pages, starts, spans)
-            n = max(k, int(len(scores) * LOW_BAND_FRACTION))
-            self.cut = np.partition(scores, n - 1)[n - 1]
-            chosen = (scores <= self.cut).nonzero()[0]
-            # The live rows lie in (frame index, row) order, so a stable sort
-            # by score alone breaks ties in forget's order.
-            chosen = chosen[scores[chosen].argsort(kind="stable")]
-            owners = np.repeat(np.arange(self.size), counts)[chosen]
-            # A live row's place among the spans laid end to end, less its
-            # frame's first place there, plus its frame's start.
-            rows = (starts - spans.cumsum() + spans)[owners] + live[chosen]
-            self.low = scores[chosen], np.stack((frames[owners], pages[owners], rows))
-            self.room = 2 * n
-        scores, keys = self.low
-        self.low = scores[k:], keys[:, k:]
-        return scores[:k], keys[:, :k]
-
-    def clear(self) -> None:
-        """Delete every frame."""
-        self.ints, self.floats = self.ints[:, self.size:], self.floats[:, self.size:]
-        self.size = 0
-        self.low = None
-
-    def pop_oldest(self) -> None:
-        """Drop the oldest frame."""
+    def pop_oldest(self, store: RowStore) -> None:
+        """Remove the oldest frame, killing its rows in store."""
+        count = self.ints.item(1, 0)
+        store.kill(self.ints.item(2, 0), count)
+        self.tokens -= count
         if self.low is not None:
             stays = self.low[1][0] != self.ints[0, 0]
             if not stays.all():
                 self.low = self.low[0].compress(stays), self.low[1].compress(stays, axis=1)
         self.ints, self.floats = self.ints[:, 1:], self.floats[:, 1:]
         self.size -= 1
+
+    def drop(self, store: RowStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Remove every frame, band and all, killing their rows in store.
+        Returns their tokens as EvictionReport columns, frame after frame:
+        each frame's index repeated by its count, positions counting up
+        from 0 within each frame, and the live rows' scores."""
+        frames, counts, pages, starts, spans = self.ints[:5, :self.size]
+        scores, _ = store.live_scores(pages, starts, spans)
+        # Token i of the tier is at position i - (its frame's first token).
+        firsts = np.repeat(counts.cumsum() - counts, counts)
+        dropped = np.repeat(frames, counts), np.arange(len(scores)) - firsts, scores
+        for page, n in zip(pages.tolist(), counts.tolist()):
+            store.kill(page, n)
+        self.ints, self.floats = self.ints[:, self.size:], self.floats[:, self.size:]
+        self.size = self.tokens = 0
+        self.low = None
+        return dropped
 
     def relocate(self, slots: np.ndarray, page: int, start: int, rows: np.ndarray) -> None:
         """The frames at slots, every frame of one page, in slot order, now
@@ -930,16 +925,61 @@ class FrameTable:
             keys[2, moved] = where[keys[2, moved]]
             self.low = self.low[0], keys
 
-    def trim(self, lost: np.ndarray) -> None:
-        """Frame i loses lost[i] of its tokens, for each of the size
-        frames; the emptied ones are deleted in one compress."""
+    def evict(self, k: int, store: RowStore) -> tuple[np.ndarray, Callable, np.ndarray]:
+        """Remove the k lowest live tokens of the frames, fewer than they
+        hold, in forget's order: the band's head. Where the band holds
+        fewer than k, it is first built from the frames' live rows in
+        store: the max(k, their number times LOW_BAND_FRACTION) lowest,
+        boundary ties included, which costs what ranking the whole tier
+        costs.
+
+        The victims' rows are killed in store, page by page (kill_rows),
+        the counts of the frames they leave are lowered, and the emptied
+        frames are deleted with one take of the kept slots. Returns the
+        victims as EvictionReport columns, in forget's order: frame
+        indices, a function that counts their positions among their
+        frames' tokens from their pages' live flags as they stood
+        (_live_before), and scores."""
+        if self.low is None or len(self.low[0]) < k:
+            frames, counts, pages, starts, spans = self.ints[:5, :self.size]
+            scores, live = store.live_scores(pages, starts, spans)
+            n = max(k, int(len(scores) * LOW_BAND_FRACTION))
+            self.cut = np.partition(scores, n - 1)[n - 1]
+            chosen = (scores <= self.cut).nonzero()[0]
+            # The live rows lie in (frame index, row) order, so a stable sort
+            # by score alone breaks ties in forget's order.
+            chosen = chosen[scores[chosen].argsort(kind="stable")]
+            owners = np.repeat(np.arange(self.size), counts)[chosen]
+            # A live row's place among the spans laid end to end, less its
+            # frame's first place there, plus its frame's start.
+            rows = (starts - spans.cumsum() + spans)[owners] + live[chosen]
+            self.low = scores[chosen], np.stack((frames[owners], pages[owners], rows))
+            self.room = 2 * n
+        scores, keys = self.low
+        self.low = scores[k:], keys[:, k:]
+        scores, (frames, pages, rows) = scores[:k], keys[:, :k]
         ints, floats = self.ints[:, :self.size], self.floats[:, :self.size]
-        count = ints[1] - lost
+        slots = ints[0].searchsorted(frames)
+        starts = ints[3].take(slots)
+        flags = store.kill_rows(pages, rows)
+        count = ints[1] - np.bincount(slots, minlength=self.size)
         if not count.all():
-            keep = count > 0
-            ints, floats, count = ints[:, keep], floats[:, keep], count[keep]
+            kept = count.nonzero()[0]
+            ints, floats = ints.take(kept, axis=1), floats.take(kept, axis=1)
+            count = count.take(kept)
         self._hold(ints, floats)
         self.ints[1, :self.size] = count
+        self.tokens -= k
+        return frames, functools.partial(_live_before, flags, pages, starts, rows), scores
+
+
+def _live_before(flags: dict[int, np.ndarray], pages: np.ndarray, starts: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """How many rows of [starts[i], rows[i]) of page pages[i] are live by
+    flags[pages[i]], that page's live flags, for each i: a victim's
+    position among its frame's tokens, its frame starting at starts[i]."""
+    return np.array([np.count_nonzero(flags[page][lo:row]) for page, lo, row
+                     in zip(pages.tolist(), starts.tolist(), rows.tolist())], dtype=np.int64)
 
 
 def segment_means(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:

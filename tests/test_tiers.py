@@ -2514,7 +2514,7 @@ def ingest_from_pool(mem, rng, pool, t):
                                        for v in vectors])
 
 
-TABLE_CHANGES = ("append", "pop_oldest", "trim", "relocate", "clear")
+TABLE_CHANGES = ("append", "pop_oldest", "evict", "drop", "relocate")
 
 
 def counted_table_changes(monkeypatch, calls):
@@ -2530,11 +2530,12 @@ def counted_table_changes(monkeypatch, calls):
 
 
 def test_snapshots_keep_their_columns_through_every_table_change(monkeypatch):
-    # Streams that append, demote, trim, compact and clear each table, with
-    # a freeze after every ingest and every snapshot held to the end. No
-    # table writes a frame's columns once written: each snapshot's columns
-    # stay as they were copied at its freeze, and its mid and long entries,
-    # first read at the end, are the frames the memory held at the freeze.
+    # Streams that append, demote, evict from, compact and drop each
+    # table, with a freeze after every ingest and every snapshot held to
+    # the end. No table writes a frame's columns once written: each
+    # snapshot's columns stay as they were copied at its freeze, and its
+    # mid and long entries, first read at the end, are the frames the
+    # memory held at the freeze.
     monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
     calls = collections.Counter()
     counted_table_changes(monkeypatch, calls)
@@ -2656,6 +2657,38 @@ def test_band_is_the_tiers_lowest_live_tokens_through_compaction(monkeypatch):
                     assert band_of(table) == band_as_ranked(table, mem.row_store), (seed, t, name)
                     banded += 1
     assert banded and moves["band moved"] >= 10, (banded, moves)
+
+
+def test_each_table_keeps_its_tiers_token_total_through_every_removal(monkeypatch):
+    # Random streams (pages of 8 rows) whose ingests demote frames, drop
+    # whole tiers, evict ranked tokens and compact pages. After every
+    # ingest each table's tokens equals the sum of its counts and the live
+    # rows of its group's held pages, and tier_tokens equals a recount of
+    # the tiers' frames.
+    monkeypatch.setattr(vecspace, "SCORE_BLOCK_ROWS", 8)
+    calls = collections.Counter()
+    counted_table_changes(monkeypatch, calls)
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 419])
+        # At budget 16, two 8-token short frames fill it: both other tiers go whole.
+        cfg = TierConfig(short_cap_frames=2, mid_cap_frames=int(rng.integers(2, 5)),
+                         tokens_per_frame_max=8,
+                         token_budget=16 if seed % 3 == 0 else int(rng.integers(40, 80)),
+                         keep_fraction=0.75, long_quota_per_frame=int(rng.integers(3, 7)))
+        mem = new_memory(cfg, ProbeBank.generated(4, n=3, seed=seed))
+        pool = rng.standard_normal((3, 4))
+        for t in range(200):
+            ingest_from_pool(mem, rng, pool, t)
+            live = collections.Counter()
+            for _, group, _, _, rows in mem.row_store.page_usage():
+                live[group] += rows
+            for name, table in mem._tables.items():
+                counts = int(table.ints[1, :table.size].sum())
+                assert table.tokens == counts == live[name], (seed, t, name)
+            recount = {name: sum(e.token_count for e in getattr(mem, name))
+                       for name in ("short", "mid", "long")}
+            assert mem.tier_tokens == recount, (seed, t)
+    assert all(calls[name] for name in ("pop_oldest", "evict", "drop", "relocate")), calls
 
 
 def test_forget_calls_do_not_grow_with_the_tier():

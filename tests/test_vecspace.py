@@ -860,8 +860,7 @@ def test_row_store_pages_hold_whole_frames_and_never_rewrite_rows(monkeypatch):
     tables = {None: table}
     store.compact(tables)  # no row of page b is dead
     assert [(used, live) for _, _, _, used, live in store.page_usage()] == [(4, 4)]
-    store.kill(page_b, 2)  # b's frame left whole: half of page b is dead
-    table.pop_oldest()
+    table.pop_oldest(store)  # b's frame left whole: half of page b is dead
     store.compact(tables)
     page_e, start_e, span_e = table.ints[2:5, 0].tolist()
     assert page_e not in (page_b, page_c) and (start_e, span_e) == (0, 2)
@@ -1309,82 +1308,94 @@ def test_generated_bank_deterministic():
     assert len(ProbeBank.generated(8, n=3, seed=0)) == 3
 
 
-def frame_table(frames: int) -> FrameTable:
-    """A table of frames 4-token frames, frame k at row 4k of page 0."""
-    table = FrameTable()
+def add_frame(table: FrameTable, store: RowStore, k: int, n: int = 4,
+              boundary: bool = False) -> None:
+    """Append frame k to table: n tokens scored k + i / 10, at timestamp
+    k, its rows held in store."""
+    tokens = columns(n, float(k))
+    _, page, start = store.add(np.full((n, 2), float(k)), **tokens)
+    table.append(k, tokens["scores"], page, start, boundary, float(k))
+
+
+def frame_table(frames: int) -> tuple[FrameTable, RowStore]:
+    """A table of frames 4-token frames, frame k's rows at row 4k of page 0
+    of a RowStore of dimension 2 (add_frame), and the store."""
+    table, store = FrameTable(), RowStore(2)
     for k in range(frames):
-        table.append(k, np.full(4, 0.1), 0, 4 * k, False, float(k))
-    return table
+        add_frame(table, store, k)
+    return table, store
 
 
-@pytest.mark.parametrize("change", ["clear", "pop_oldest", "relocate", "trim"])
+@pytest.mark.parametrize("change", ["drop", "pop_oldest", "relocate", "evict"])
 def test_frame_table_changes_leave_the_frames_a_snapshot_holds(change):
     # A snapshot holds the columns and the size as they stand, and makes
     # views of them when it reads them, here only after the next append and
     # a change. No change writes a frame below the size held: the views
     # show the frames as they stood, and the table holds the change.
-    table = frame_table(1)
+    table, store = frame_table(1)
     ints, floats, size = table.ints, table.floats, table.size
-    table.append(1, np.full(4, 0.2), 0, 4, False, 1.0)
-    if change == "clear":
-        table.clear()
+    add_frame(table, store, 1)
+    if change == "drop":
+        table.drop(store)
         assert table.size == 0
     elif change == "pop_oldest":
-        table.pop_oldest()
+        table.pop_oldest(store)
         assert table.ints[0, :table.size].tolist() == [1]
     elif change == "relocate":
-        table.relocate(np.array([0, 1]), 1, 0, np.arange(8))
-        assert table.ints[2:5, :table.size].tolist() == [[1, 1], [0, 4], [4, 4]]
+        page, start = store.move(0, np.arange(8))  # to rows 8-15 of page 0, still open
+        store.kill(0, 8)
+        table.relocate(np.array([0, 1]), page, start, np.arange(8))
+        assert table.ints[2:5, :table.size].tolist() == [[0, 0], [8, 12], [4, 4]]
     else:
-        table.trim(np.array([2, 4]))
-        assert table.ints[1, :table.size].tolist() == [2]
+        table.evict(6, store)  # frame 0's tokens, then two of frame 1's
+        assert table.ints[:2, :table.size].tolist() == [[1], [2]]
     assert ints[:5, :size].T.tolist() == [[0, 4, 0, 0, 4]]
     assert floats[:, :size].tolist() == [[0.0]]
 
 
-@pytest.mark.parametrize("drop", ["pop_oldest", "clear"])
-def test_pop_oldest_and_clear_copy_nothing(drop):
-    # Both advance the columns past the frames they drop: the new columns
-    # are views of the old ones, which keep every frame. A table popped or
-    # cleared past its capacity appends into new columns, max(64, 2 *
-    # size) of them.
-    table = frame_table(3)
+@pytest.mark.parametrize("remove", ["pop_oldest", "drop"])
+def test_pop_oldest_and_drop_copy_nothing(remove):
+    # Both advance the columns past the frames they remove: the new
+    # columns are views of the old ones, which keep every frame. A table
+    # popped or dropped past its capacity appends into new columns,
+    # max(64, 2 * size) of them.
+    table, store = frame_table(3)
     ints, floats = table.ints, table.floats
     before = ints[:, :3].copy()
-    getattr(table, drop)()
+    getattr(table, remove)(store)
     assert np.shares_memory(table.ints, ints) and np.shares_memory(table.floats, floats)
     assert ints[:, :3].tobytes() == before.tobytes()
-    assert table.ints[0, :table.size].tolist() == ([1, 2] if drop == "pop_oldest" else [])
-    table = frame_table(64)
-    for _ in range(64 if drop == "pop_oldest" else 1):
-        getattr(table, drop)()
+    assert table.ints[0, :table.size].tolist() == ([1, 2] if remove == "pop_oldest" else [])
+    table, store = frame_table(64)
+    for _ in range(64 if remove == "pop_oldest" else 1):
+        getattr(table, remove)(store)
     assert table.size == 0 and table.ints.shape[1] == 0
-    table.append(64, np.full(3, 0.2), 1, 8, True, 64.0)
+    add_frame(table, store, 64, n=3, boundary=True)  # page 0 was released
     assert table.ints.shape == (6, 64) and table.floats.shape == (1, 64)
-    assert table.ints[:, :1].T.tolist() == [[64, 3, 1, 8, 3, 1]] and table.floats[0, 0] == 64.0
-    table = frame_table(64)
+    assert table.ints[:, :1].T.tolist() == [[64, 3, 1, 0, 3, 1]] and table.floats[0, 0] == 64.0
+    table, store = frame_table(64)
     for _ in range(10):
-        table.pop_oldest()
-    table.append(64, np.full(4, 0.1), 0, 256, False, 64.0)
+        table.pop_oldest(store)
+    add_frame(table, store, 64)
     assert table.ints.shape[1] == 108
     assert table.ints[0, :table.size].tolist() == list(range(10, 65))
 
 
-def test_frame_table_growth_and_trim_write_new_columns():
+def test_frame_table_growth_and_evict_write_new_columns():
     # Growing writes the frames into new columns, max(64, 2 * size) of
-    # them, and so does a trim, whether or not it empties a frame: the
-    # columns held before keep the counts they had.
-    table = frame_table(64)
+    # them, and so does an eviction, whether or not it empties a frame:
+    # the columns held before keep the counts they had.
+    table, store = frame_table(64)
     ints = table.ints
-    table.append(64, np.full(4, 0.1), 1, 0, False, 64.0)
+    add_frame(table, store, 64)
     grown = table.ints
     assert not np.shares_memory(grown, ints) and grown.shape[1] == 128
     assert grown[:, :64].tobytes() == ints.tobytes()
-    table.trim(np.array([2] + [0] * 64))
-    trimmed = table.ints
-    assert not np.shares_memory(trimmed, grown) and trimmed.shape[1] == 130
+    table.evict(2, store)  # frame 0's two lowest tokens
+    evicted = table.ints
+    assert not np.shares_memory(evicted, grown) and evicted.shape[1] == 130
     assert table.ints[1, 0] == 2 and grown[1, 0] == 4
-    table.trim(np.array([2] + [0] * 64))
-    assert not np.shares_memory(table.ints, trimmed) and trimmed[1, 0] == 2
+    table.evict(2, store)  # and its last two
+    assert not np.shares_memory(table.ints, evicted) and evicted[1, 0] == 2
     assert table.size == 64 and table.ints[0, :64].tolist() == list(range(1, 65))
     assert table.floats[0, :64].tolist() == [float(k) for k in range(1, 65)]
